@@ -12,6 +12,7 @@ configuration or a domain error (mass not defined, unknown family, ...).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -126,6 +127,13 @@ class RunConfig:
             raise ConfigError(
                 f"unknown scalar family {self.sweep.get('name')!r}; known: {sorted(SCALAR_BUILDERS)}"
             )
+        _check_params("family.params", METRIC_BUILDERS[self.family["name"]],
+                      self.family.get("params", {}))
+        _check_params("lee.params", LEE_BUILDERS[self.lee["name"]], self.lee.get("params", {}))
+        param = self.sweep.get("param", "beta")
+        if not isinstance(param, str):
+            raise ConfigError(f"sweep.param must be a parameter name, got {param!r}")
+        _check_params("sweep.param", SCALAR_BUILDERS[self.sweep["name"]], {param: None})
         r0, rmax, count = (self.radii.get(k) for k in ("r0", "rmax", "count"))
         if not (isinstance(count, int) and count >= 2):
             raise ConfigError(f"radii.count must be an integer >= 2, got {count!r}")
@@ -193,6 +201,18 @@ class RunConfig:
         return data
 
 
+def _check_params(where: str, builder, params) -> None:
+    """Reject parameters the builder does not take, or required ones left out."""
+    if not isinstance(params, dict):
+        raise ConfigError(f"{where} must be an object, got {params!r}")
+    sig = inspect.signature(builder)
+    try:
+        sig.bind(None, **params)
+    except TypeError as exc:
+        accepted = [name for name in sig.parameters if name != "model"]
+        raise ConfigError(f"{where} for {builder.__name__}: {exc}; accepted: {accepted}") from exc
+
+
 def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True)
 
@@ -240,10 +260,8 @@ def cmd_mass(cfg: RunConfig) -> int:
     ws = cfg.structure(model)
     radii = cfg.radii_schedule()
     quad = cfg.quad_spec()
-    matrix, reports = mass_matrix(engine, ws, radii=radii, quad=quad, conformal=True,
-                                  tol_conv=cfg.tol("convergence"))
-    q_matrix, q_reports = mass_matrix(engine, ws, radii=radii, quad=quad, conformal=False,
-                                      check_decay=False)
+    matrix, q_matrix, reports = mass_matrix(engine, ws, radii=radii, quad=quad,
+                                            tol_conv=cfg.tol("convergence"))
     print("polarized conformal-mass matrix over the horizontal basis:")
     for row in matrix:
         print("  [" + "  ".join(f"{v: .8e}" for v in row) + "]")

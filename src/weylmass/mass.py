@@ -10,6 +10,15 @@ conformal mass adds the normalized limit of shell fluxes of
 
     (1 - m) <theta, a_Z>_h a_Z - |a_Z|_h^2 theta.
 
+Both densities are quadratic in Z, so one metric jet (and one evaluation of
+theta) per shell fixes the whole form: ``shell_forms`` contracts them
+against the shell weights and normals into two symmetric m x m matrices
+Q_r and C_r with flux of q(Z) = z^T Q_r z and flux of the Lee term
+= z^T C_r z.  Every per-direction flux, the mass matrix and the Q-part
+matrix are read off these forms; ``q_flux_components`` and
+``lee_correction_components`` evaluate the densities for one Z directly and
+serve as the independent oracle.
+
 Limits are realized on a geometric radius schedule with one Richardson
 extrapolation step at the generic remainder rate r^(2-m) of the integrated
 flux; the raw sequence is always reported and convergence is declared,
@@ -25,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .engine import DerivativeEngine, frame_jet1
-from .errors import MassNotDefinedError
+from .errors import ChartDomainError, MassNotDefinedError
 from .families import LeeFormField, MetricFamily, ScalarField, conformal_sweep
 from .model import ModelSpace, sphere_volume
 from .probes import geometric_radii, is_adapted, require_alf, require_weyl_alf
@@ -90,6 +99,48 @@ def gradient_correction_components(model: ModelSpace, f: ScalarField, z, coords)
     return (1 - model.m) * inner * alpha - float(z @ z) * df
 
 
+def shell_forms(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily,
+                lee: Optional[LeeFormField], pts, weights, normals) -> tuple:
+    """Symmetric m x m forms (Q, C) of one shell from a single metric jet.
+
+    The flux of q(Z) through the shell is z^T Q z and the flux of the Lee
+    term is z^T C z, with C = (1 - m) sym(B) - tr(B) I for
+    B = sum w theta (x) nu.  C is zero when ``lee`` is None.  Raises
+    ChartDomainError if g is not positive definite at some node.
+    """
+    model.require_in_chart(pts)
+    m = model.m
+    g, dg = frame_jet1(engine, model, fam.as_field(), pts)
+    gram = np.moveaxis(g, (0, 1), (-2, -1))
+    try:
+        definite = bool(np.all(np.isfinite(np.linalg.cholesky(gram))))
+    except np.linalg.LinAlgError:
+        definite = False
+    if not definite:
+        finite = np.all(np.isfinite(gram), axis=(-2, -1))
+        lam = np.full(finite.shape, np.nan)
+        lam[finite] = np.min(np.linalg.eigvalsh(gram[finite]), axis=-1)
+        bad = int(np.argmin(np.where(finite, lam, -np.inf)))
+        raise ChartDomainError(
+            f"metric {fam.name!r} is not positive definite on the flux shell r={model.radius(pts)[bad]:.6g}"
+            f" (smallest eigenvalue {lam[bad]:.6g})"
+        ) from None
+    gam = model.lc_coeffs_h(pts)
+    # v_k = sum_b (grad^h_{E_b} g)(E_b, E_k) - E_k(tr_h g) / 2
+    v = (np.einsum("bbk...->k...", dg) - np.einsum("bbl...,lk...->k...", gam, g)
+         - np.einsum("bkl...,bl...->k...", gam, g) - 0.5 * np.einsum("kbb...->k...", dg))
+    wn = weights * normals
+    a = np.einsum("kN,cN->kc", v[:m], wn)
+    d = np.einsum("cabN,cN->ab", dg[:m, :m, :m], wn)
+    q = 0.5 * (a + a.T) - 0.25 * (d + d.T)
+    if lee is None:
+        return q, np.zeros((m, m))
+    theta = lee.as_field().values(pts)
+    b = np.einsum("kN,cN->kc", theta[:m], wn)
+    c = 0.5 * (1 - m) * (b + b.T) - np.trace(b) * np.eye(m)
+    return q, c
+
+
 def richardson_limit(radii: Sequence[float], values: Sequence[float], rate: float) -> float:
     """One extrapolation step on the last pair assuming a c * r^rate remainder."""
     r1, r2 = radii[-2], radii[-1]
@@ -143,6 +194,7 @@ class MassReport:
     omega_n: float
     fiber_length: float
     quad: dict
+    shell_nodes: int               # nodes per flux shell actually used
     extrapolation_rate: float
 
     @property
@@ -167,6 +219,7 @@ class MassReport:
             "omega_n": self.omega_n,
             "fiber_length": self.fiber_length,
             "quadrature": self.quad,
+            "shell_nodes": self.shell_nodes,
             "extrapolation_rate": self.extrapolation_rate,
         }
 
@@ -183,22 +236,22 @@ def _z_label(model: ModelSpace, z) -> str:
     return "+".join(f"{c:g}*X{b + 1}" for b, c in enumerate(zv) if c != 0.0) or "0"
 
 
-def _flux_pass(engine, model, fam, lee, z, radii, quad):
+def _form_pass(engine, model, fam, lee, radii, quad):
+    """Normalized shell forms stacked over radii, shape (len(radii), m, m), and nodes per shell."""
     norm = sphere_volume(model.m) * model.L
-    q_vals, c_vals = [], []
+    q_forms, c_forms = [], []
     for r in radii:
         pts, weights, normals = shell_nodes(model, r, quad)
-        qc = q_flux_components(engine, model, fam, z, pts)
-        q_vals.append(flux_model_metric(model, qc, normals, weights) / norm)
-        if lee is not None:
-            cc = lee_correction_components(model, lee, z, pts)
-            c_vals.append(flux_model_metric(model, cc, normals, weights) / norm)
-        else:
-            c_vals.append(0.0)
-    return q_vals, c_vals
+        q, c = shell_forms(engine, model, fam, lee, pts, weights, normals)
+        q_forms.append(q / norm)
+        c_forms.append(c / norm)
+    return np.array(q_forms), np.array(c_forms), pts.shape[1]
 
 
-def _build_report(model: ModelSpace, z, radii, q_vals, c_vals, quad, tol_conv) -> MassReport:
+def _build_report(model: ModelSpace, z, radii, q_forms, c_forms, nodes, quad, tol_conv) -> MassReport:
+    zv = horizontal_field(model, z)
+    q_vals = [float(zv @ q @ zv) for q in q_forms]
+    c_vals = [float(zv @ c @ zv) for c in c_forms]
     rate = 2 - model.m
     q_limit = richardson_limit(radii, q_vals, rate)
     c_limit = richardson_limit(radii, c_vals, rate) if any(c != 0.0 for c in c_vals) else 0.0
@@ -217,6 +270,7 @@ def _build_report(model: ModelSpace, z, radii, q_vals, c_vals, quad, tol_conv) -
         omega_n=sphere_volume(model.m),
         fiber_length=model.L,
         quad=quad.as_dict(),
+        shell_nodes=nodes,
         extrapolation_rate=rate,
     )
 
@@ -226,9 +280,8 @@ def riemannian_mass_Q(query: MassQuery) -> MassReport:
     model = query.ws.model
     if query.check_decay:
         require_alf(query.engine, model, query.ws.metric)
-    q_vals, c_vals = _flux_pass(query.engine, model, query.ws.metric, None, query.z,
-                                query.radii, query.quad)
-    return _build_report(model, query.z, query.radii, q_vals, c_vals, query.quad, query.tol_conv)
+    forms = _form_pass(query.engine, model, query.ws.metric, None, query.radii, query.quad)
+    return _build_report(model, query.z, query.radii, *forms, query.quad, query.tol_conv)
 
 
 def conformal_mass(query: MassQuery) -> MassReport:
@@ -236,9 +289,8 @@ def conformal_mass(query: MassQuery) -> MassReport:
     model = query.ws.model
     if query.check_decay:
         require_weyl_alf(query.engine, model, query.ws.metric, query.ws.lee)
-    q_vals, c_vals = _flux_pass(query.engine, model, query.ws.metric, query.ws.lee, query.z,
-                                query.radii, query.quad)
-    return _build_report(model, query.z, query.radii, q_vals, c_vals, query.quad, query.tol_conv)
+    forms = _form_pass(query.engine, model, query.ws.metric, query.ws.lee, query.radii, query.quad)
+    return _build_report(model, query.z, query.radii, *forms, query.quad, query.tol_conv)
 
 
 @dataclass
@@ -383,39 +435,33 @@ def ricci_positivity_floor(engine: DerivativeEngine, ws: WeylStructure, sample_c
 def mass_matrix(engine: DerivativeEngine, ws: WeylStructure, radii=None,
                 quad: Optional[QuadratureSpec] = None, conformal: bool = True,
                 tol_conv: float = 1e-6, check_decay: bool = True):
-    """Polarized quadratic-form matrix over the horizontal basis fields.
+    """Mass matrix, Q-part matrix and per-direction reports from one flux pass.
 
-    Returns (matrix, reports) with reports keyed by the queried directions.
+    One metric jet per shell gives the forms Q_r and C_r; the matrices are
+    their extrapolated limits (C is dropped when ``conformal`` is false).
+    Returns (matrix, q_matrix, reports) with reports keyed by the basis
+    directions X_b and the polarization directions X_b + X_c.
     """
     model = ws.model
     m = model.m
     radii = geometric_radii(40.0, 320.0, 6) if radii is None else list(map(float, radii))
     quad = quad or QuadratureSpec()
-    compute = conformal_mass if conformal else riemannian_mass_Q
     if check_decay:
         if conformal:
             require_weyl_alf(engine, model, ws.metric, ws.lee)
         else:
             require_alf(engine, model, ws.metric)
+    q_forms, c_forms, nodes = _form_pass(engine, model, ws.metric, ws.lee if conformal else None,
+                                         radii, quad)
+    rate = 2 - m
+    q_matrix = richardson_limit(radii, q_forms, rate)
+    matrix = q_matrix + richardson_limit(radii, c_forms, rate)
 
-    reports = {}
+    eye = np.eye(m)
+    directions = list(eye) + [eye[b] + eye[c] for b in range(m) for c in range(b + 1, m)]
+    reports = {
+        _z_label(model, z): _build_report(model, z, radii, q_forms, c_forms, nodes, quad, tol_conv)
+        for z in directions
+    }
+    return matrix, q_matrix, reports
 
-    def value(zvec) -> float:
-        key = _z_label(model, zvec)
-        if key not in reports:
-            q = MassQuery(ws=ws, z=zvec, radii=radii, quad=quad, engine=engine,
-                          tol_conv=tol_conv, check_decay=False)
-            reports[key] = compute(q)
-        return reports[key].mass
-
-    mat = np.zeros((m, m))
-    for b in range(m):
-        mat[b, b] = value(b)
-    for b in range(m):
-        for c in range(b + 1, m):
-            zvec = np.zeros(m)
-            zvec[b] = 1.0
-            zvec[c] = 1.0
-            mixed = value(zvec)
-            mat[b, c] = mat[c, b] = 0.5 * (mixed - mat[b, b] - mat[c, c])
-    return mat, reports

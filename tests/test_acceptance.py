@@ -197,7 +197,7 @@ def test_criterion_8_soft_positivity(model, hopf_space):
     for name, ws in examples:
         floor = ricci_positivity_floor(engine, ws, sample_count=10)
         if floor >= -1e-6:
-            mat, _ = mass_matrix(engine, ws, conformal=True, check_decay=False)
+            mat, _, _ = mass_matrix(engine, ws, conformal=True, check_decay=False)
             eig_min = float(np.min(np.linalg.eigvalsh(mat)))
             assert eig_min >= -1e-4, f"{name}: eigenvalue {eig_min:.3e}"
             verified.append((name, eig_min))

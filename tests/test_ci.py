@@ -1,0 +1,19 @@
+"""The CI workflow runs the tier-1 command that ROADMAP.md names."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_workflow_runs_tier1_command():
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text()).group(1)
+    (job,) = workflow["jobs"].values()
+    runs = [step["run"] for step in job["steps"] if "run" in step]
+    assert runs[-1] == tier1
+    assert any("python-version" in step.get("with", {}) and step["with"]["python-version"] == "3.11"
+               for step in job["steps"])

@@ -193,3 +193,62 @@ def test_out_env_var(tmp_path, monkeypatch):
     res = sp.run(cmd, capture_output=True, text=True, env=env, timeout=560)
     assert res.returncode == 0, res.stderr
     assert (tmp_path / "env_out" / "sweep_report.jsonl").exists()
+
+
+def assert_one_error_line(res):
+    assert res.returncode == 2, res.stderr + res.stdout
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+
+
+def test_mass_indefinite_metric_exits_two(tmp_path):
+    cfg = write_config(tmp_path, family={"name": "kaluza_perturbation", "params": {"mu": -1.0}},
+                       radii={"r0": 1.5, "rmax": 12.0, "count": 6})
+    res = run_cli(["--config", str(cfg), "mass"], tmp_path / "out")
+    assert_one_error_line(res)
+    assert "not positive definite" in res.stderr
+
+
+@pytest.mark.parametrize("command,changes", [
+    ("mass", {"family": {"name": "kaluza_perturbation", "params": {"bogus": 1}}}),
+    ("mass", {"lee": {"name": "radial_lee", "params": {"bogus": 1}}}),
+    ("sweep", {"sweep": {"name": "radial_profile", "param": "bogus", "values": [0.2]}}),
+])
+def test_unknown_builder_parameter_exits_two(tmp_path, command, changes):
+    cfg = write_config(tmp_path, **changes)
+    res = run_cli(["--config", str(cfg), command], tmp_path / "out")
+    assert_one_error_line(res)
+    assert "bogus" in res.stderr
+
+
+def test_mass_q_matrix_equals_polarized_riemannian_limits(tmp_path):
+    from weylmass.engine import DerivativeEngine
+    from weylmass.families import kaluza_perturbation, radial_lee
+    from weylmass.mass import MassQuery, riemannian_mass_Q
+    from weylmass.model import ModelSpace
+    from weylmass.probes import geometric_radii
+    from weylmass.quadrature import QuadratureSpec
+    from weylmass.weyl import WeylStructure
+
+    cfg = write_config(tmp_path, model={"fibration": "hopf"}, radii={"count": 4},
+                       quadrature={"fiber": 4})
+    res = run_cli(["--config", str(cfg), "mass"], tmp_path / "out")
+    assert res.returncode == 0, res.stderr
+    lines = (tmp_path / "out" / "mass_report.jsonl").read_text().splitlines()
+    q_matrix = np.array(json.loads(lines[1])["q_matrix"])
+
+    space = ModelSpace(m=3, fibration="hopf")
+    ws = WeylStructure(space, kaluza_perturbation(space, mu=1.0), radial_lee(space, amplitude=0.4))
+    engine = DerivativeEngine()
+
+    def q_limit(z):
+        return riemannian_mass_Q(MassQuery(ws=ws, z=z, radii=geometric_radii(40.0, 320.0, 4),
+                                           quad=QuadratureSpec(sphere=26, fiber=4), engine=engine,
+                                           check_decay=False)).q_limit
+
+    diag = [q_limit(b) for b in range(3)]
+    expected = np.diag(diag)
+    for b in range(3):
+        for c in range(b + 1, 3):
+            expected[b, c] = expected[c, b] = 0.5 * (q_limit(np.eye(3)[b] + np.eye(3)[c]) - diag[b] - diag[c])
+    assert np.max(np.abs(q_matrix - expected)) < 1e-12

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from weylmass.errors import MassNotDefinedError
+from weylmass.errors import ChartDomainError, MassNotDefinedError
 from weylmass.families import (MetricFamily, compact_lee, conformal_sweep, flat_product,
                                hopf_model, kaluza_perturbation, kaluza_two_term,
                                log_slow_profile, radial_lee, radial_profile,
                                random_adapted_scalar, unit_scalar, zero_lee)
 from weylmass.mass import (MassQuery, conformal_change_prediction, conformal_mass,
-                           invariance_audit, mass_matrix, q_flux_components,
-                           ricci_positivity_floor, riemannian_mass_Q, richardson_limit)
-from weylmass.model import sphere_volume
+                           invariance_audit, lee_correction_components, mass_matrix,
+                           q_flux_components, ricci_positivity_floor, riemannian_mass_Q,
+                           richardson_limit, shell_forms)
+from weylmass.model import ModelSpace, sphere_volume
 from weylmass.probes import decay_probe, geometric_radii
 from weylmass.quadrature import QuadratureSpec, flux_model_metric, shell_nodes
 from weylmass.weyl import WeylStructure
@@ -75,6 +76,35 @@ def test_q_quadratic_in_direction_termwise(model, engine):
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
+@pytest.mark.parametrize("m,fibration,seed", [(5, "trivial", 3), (3, "hopf", 4)])
+def test_shell_forms_match_density_oracle(engine, m, fibration, seed):
+    """z^T Q z and z^T C z equal the fluxes of the per-Z densities for random z."""
+    from weylmass.families import random_local_lee, random_local_metric
+
+    space = ModelSpace(m=m, fibration=fibration)
+    fam = random_local_metric(space, seed=seed, fiber_dependence=True)
+    lee = random_local_lee(space, seed=seed, fiber_dependence=True)
+    rng = np.random.default_rng(seed)
+    for r in (2.5, 7.0):
+        pts, weights, normals = shell_nodes(space, r, QuadratureSpec(sphere=9, fiber=3))
+        Q, C = shell_forms(engine, space, fam, lee, pts, weights, normals)
+        assert np.array_equal(Q, Q.T) and np.array_equal(C, C.T)
+        for _ in range(3):
+            z = rng.normal(size=m)
+            q = flux_model_metric(space, q_flux_components(engine, space, fam, z, pts), normals, weights)
+            c = flux_model_metric(space, lee_correction_components(space, lee, z, pts), normals, weights)
+            assert z @ Q @ z == pytest.approx(q, rel=1e-12, abs=0.0)
+            assert z @ C @ z == pytest.approx(c, rel=1e-12, abs=0.0)
+
+
+def test_shell_forms_refuse_indefinite_metric(model, engine):
+    """mu = -1 makes g negative at r < 2: the flux pass raises instead of integrating."""
+    ws = WeylStructure(model, kaluza_perturbation(model, mu=-1.0), radial_lee(model, 0.4))
+    with pytest.raises(ChartDomainError, match="not positive definite"):
+        conformal_mass(MassQuery(ws=ws, z=0, radii=geometric_radii(1.5, 12.0, 6), engine=engine,
+                                 check_decay=False))
+
+
 # --- Riemannian mass -----------------------------------------------------------------
 
 
@@ -133,6 +163,18 @@ def test_mass_report_diagnostics(model, engine):
     assert math.isnan(rows[0][3]) and rows[-1][3] == pytest.approx(rep.q_limit + rep.correction_limit)
     d = rep.as_dict()
     assert d["mass"] == rep.mass and d["quadrature"]["sphere"] == 26
+    assert d["shell_nodes"] == 26 * 16
+
+
+def test_mass_report_counts_nodes_actually_used(model, engine):
+    """The sphere request is rounded to a rule; the report gives the nodes of that rule."""
+    ws = WeylStructure(model, flat_product(model), zero_lee(model))
+    rep = riemannian_mass_Q(MassQuery(ws=ws, z=0, engine=engine, quad=QuadratureSpec(sphere=10, fiber=3)))
+    assert rep.as_dict()["shell_nodes"] == 26 * 3
+    space = ModelSpace(m=5)
+    ws5 = WeylStructure(space, flat_product(space), zero_lee(space))
+    rep5 = riemannian_mass_Q(MassQuery(ws=ws5, z=0, engine=engine, quad=QuadratureSpec(sphere=26, fiber=1)))
+    assert rep5.as_dict()["shell_nodes"] == 1250
 
 
 def test_nonconvergent_flux_is_flagged(model, engine):
@@ -358,7 +400,7 @@ def test_richardson_limit_exact_on_model_sequence():
 
 def test_mass_matrix_isotropy(model, engine):
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), zero_lee(model))
-    mat, reports = mass_matrix(engine, ws, conformal=False, check_decay=False)
+    mat, _, reports = mass_matrix(engine, ws, conformal=False, check_decay=False)
     assert np.allclose(np.diag(mat), 4.0 / 3.0, atol=1e-9)
     off = mat - np.diag(np.diag(mat))
     assert np.max(np.abs(off)) < 1e-6
@@ -382,6 +424,6 @@ def test_soft_positivity_on_verified_examples(model, hopf_space, engine):
         floor = ricci_positivity_floor(engine, ws, sample_count=8)
         if floor >= -1e-6:
             verified += 1
-            mat, _ = mass_matrix(engine, ws, conformal=True, check_decay=False)
+            mat, _, _ = mass_matrix(engine, ws, conformal=True, check_decay=False)
             assert np.min(np.linalg.eigvalsh(mat)) >= -1e-4
     assert verified >= 1  # at least the flat product must qualify

@@ -26,9 +26,9 @@ from .errors import ChartDomainError, ConfigError, MassNotDefinedError
 from .families import (LEE_BUILDERS, METRIC_BUILDERS, SCALAR_BUILDERS, build_lee, build_metric,
                        build_scalar)
 from .identities import run_suite
-from .mass import conformal_change_prediction, invariance_audit, mass_matrix
+from .mass import gauge_audit, mass_matrix
 from .model import ModelSpace
-from .probes import adapted_metric_check, geometric_radii
+from .probes import geometric_radii
 from .quadrature import QuadratureSpec
 from .weyl import WeylStructure
 
@@ -127,13 +127,20 @@ class RunConfig:
             raise ConfigError(
                 f"unknown scalar family {self.sweep.get('name')!r}; known: {sorted(SCALAR_BUILDERS)}"
             )
-        _check_params("family.params", METRIC_BUILDERS[self.family["name"]],
-                      self.family.get("params", {}))
-        _check_params("lee.params", LEE_BUILDERS[self.lee["name"]], self.lee.get("params", {}))
+        for where, builders, spec in (("family", METRIC_BUILDERS, self.family), ("lee", LEE_BUILDERS, self.lee)):
+            params = spec.get("params", {})
+            sig = _check_params(f"{where}.params", builders[spec["name"]], params)
+            for name, value in params.items():
+                _check_value(f"{where}.params.{name}", sig.parameters[name], value)
         param = self.sweep.get("param", "beta")
         if not isinstance(param, str):
             raise ConfigError(f"sweep.param must be a parameter name, got {param!r}")
-        _check_params("sweep.param", SCALAR_BUILDERS[self.sweep["name"]], {param: None})
+        sig = _check_params("sweep.param", SCALAR_BUILDERS[self.sweep["name"]], {param: None})
+        values = self.sweep.get("values", [])
+        if not isinstance(values, list):
+            raise ConfigError(f"sweep.values must be a list, got {values!r}")
+        for i, value in enumerate(values):
+            _check_value(f"sweep.values[{i}]", sig.parameters[param], value)
         r0, rmax, count = (self.radii.get(k) for k in ("r0", "rmax", "count"))
         if not (isinstance(count, int) and count >= 2):
             raise ConfigError(f"radii.count must be an integer >= 2, got {count!r}")
@@ -201,7 +208,7 @@ class RunConfig:
         return data
 
 
-def _check_params(where: str, builder, params) -> None:
+def _check_params(where: str, builder, params) -> inspect.Signature:
     """Reject parameters the builder does not take, or required ones left out."""
     if not isinstance(params, dict):
         raise ConfigError(f"{where} must be an object, got {params!r}")
@@ -211,6 +218,17 @@ def _check_params(where: str, builder, params) -> None:
     except TypeError as exc:
         accepted = [name for name in sig.parameters if name != "model"]
         raise ConfigError(f"{where} for {builder.__name__}: {exc}; accepted: {accepted}") from exc
+    return sig
+
+
+def _check_value(where: str, param: inspect.Parameter, value) -> None:
+    """Require a finite real number, or an integer where the builder takes int; null only for a None default."""
+    if value is None and param.default is None:
+        return
+    whole = param.annotation in (int, "int")
+    if (isinstance(value, bool) or not isinstance(value, int if whole else (int, float))
+            or (isinstance(value, float) and not np.isfinite(value))):
+        raise ConfigError(f"{where} must be {'an integer' if whole else 'a finite real number'}, got {value!r}")
 
 
 def _dump(obj: dict) -> str:
@@ -306,24 +324,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
     ok = True
     for value in values:
         f = build_scalar(name, model, **{param: value})
-        probes = adapted_metric_check(engine, model, f)
-        failed = [p for p in probes if not p.passed]
-        if failed:
-            for p in failed:
-                print(f"error: factor {f.name}({param}={value}) rejected by probe {p.name}: "
-                      f"slope {p.slope:.3f} > {p.declared:.3f}+0.2", file=sys.stderr)
-            raise MassNotDefinedError(f"sweep value {value} is not an adapted factor")
-        row = {"factor": f.name, param: value, "audits": [], "prediction": None}
-        for b in range(model.m):
-            audit = invariance_audit(engine, ws, f, b, radii=radii, quad=quad, tolerance=tol,
-                                     check_decay=(b == 0 and value == values[0]))
-            row["audits"].append(audit.as_dict())
+        audits, pred = gauge_audit(engine, ws, f, radii=radii, quad=quad, tolerance=tol,
+                                   check_decay=(value == values[0]))
+        row = {"factor": f.name, param: value, "audits": [a.as_dict() for a in audits],
+               "prediction": pred.as_dict()}
+        for b, audit in enumerate(audits):
             ok = ok and audit.passed
             status = "PASS" if audit.passed else "FAIL"
             print(f"[{status}] invariance {f.name}({param}={value}) Z=X{b + 1}: "
                   f"rel diff {audit.rel_difference:.3e} (tol {tol:g})")
-        pred = conformal_change_prediction(engine, ws, f, 0, radii=radii, quad=quad)
-        row["prediction"] = pred.as_dict()
         pred_ok = pred.rel_error < tol
         ok = ok and pred_ok
         print(f"[{'PASS' if pred_ok else 'FAIL'}] mass-shift prediction {f.name}({param}={value}): "

@@ -112,6 +112,12 @@ class ScalarField:
 # ---------------------------------------------------------------------------
 
 
+def _diagonal_rows(V, m: int) -> list:
+    """Frame components of V dx^2 + eta^2: V on the m base slots, 1 on the fiber."""
+    return [[(V if i == j and i < m else (1.0 if i == j else 0.0)) for j in range(m + 1)]
+            for i in range(m + 1)]
+
+
 def flat_product(model: ModelSpace) -> MetricFamily:
     """The model metric itself: identity frame components."""
     n = model.dim
@@ -135,11 +141,7 @@ def kaluza_perturbation(model: ModelSpace, mu: float = 1.0) -> MetricFamily:
 
     def fn(coords):
         r = _radius(coords[:m])
-        V = 1.0 + 2.0 * mu * r ** (2 - m)
-        rows = []
-        for i in range(m + 1):
-            rows.append([(V if i == j and i < m else (1.0 if i == j else 0.0)) for j in range(m + 1)])
-        return rows
+        return _diagonal_rows(1.0 + 2.0 * mu * r ** (2 - m), m)
 
     return MetricFamily(
         "kaluza_perturbation", model, fn, params={"mu": mu},
@@ -153,11 +155,7 @@ def kaluza_two_term(model: ModelSpace, mu: float = 1.0, kappa: float = 0.5) -> M
 
     def fn(coords):
         r = _radius(coords[:m])
-        V = 1.0 + 2.0 * mu * r ** (2 - m) + kappa * r ** (2 * (2 - m))
-        rows = []
-        for i in range(m + 1):
-            rows.append([(V if i == j and i < m else (1.0 if i == j else 0.0)) for j in range(m + 1)])
-        return rows
+        return _diagonal_rows(1.0 + 2.0 * mu * r ** (2 - m) + kappa * r ** (2 * (2 - m)), m)
 
     return MetricFamily(
         "kaluza_two_term", model, fn, params={"mu": mu, "kappa": kappa},
@@ -171,11 +169,7 @@ def slow_tail(model: ModelSpace, mu: float = 1.0) -> MetricFamily:
 
     def fn(coords):
         r = _radius(coords[:m])
-        V = 1.0 + 2.0 * mu * r ** (-0.5)
-        rows = []
-        for i in range(m + 1):
-            rows.append([(V if i == j and i < m else (1.0 if i == j else 0.0)) for j in range(m + 1)])
-        return rows
+        return _diagonal_rows(1.0 + 2.0 * mu * r ** (-0.5), m)
 
     return MetricFamily(
         "slow_tail", model, fn, params={"mu": mu}, is_alf=False,

@@ -533,16 +533,17 @@ def check_bochner_integral(engine: DerivativeEngine, model: ModelSpace, seed: in
 # suite orchestration
 # ---------------------------------------------------------------------------
 
+# (check, trials/tolerance group, takes the Bochner sign), in report order
 SUITE_CHECKS = (
-    ("torsion_free", check_torsion),
-    ("d_transform", check_d_transform),
-    ("codifferential_transform", check_codifferential_transform),
-    ("d_squared_curvature", check_d_squared),
-    ("curvature_split", check_curvature_split),
-    ("bochner_sign", resolve_bochner_sign),
-    ("bochner_pointwise", check_bochner_pointwise),
-    ("bochner_divergence", check_bochner_divergence),
-    ("bochner_integral", check_bochner_integral),
+    (check_torsion, "identity", False),
+    (check_d_transform, "identity", False),
+    (check_codifferential_transform, "identity", False),
+    (check_d_squared, "identity", False),
+    (check_curvature_split, "identity", False),
+    (resolve_bochner_sign, "bochner", False),
+    (check_bochner_pointwise, "bochner", True),
+    (check_bochner_divergence, "bochner", True),
+    (check_bochner_integral, "integral", True),
 )
 
 
@@ -551,21 +552,18 @@ def run_suite(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,
               tolerance: float = 1e-6, bochner_tolerance: float = 1e-5,
               integral_tolerance: float = 1e-4,
               corrupt_bochner_sign: bool = False) -> list[IdentityReport]:
-    """Run every identity check with the stated trial counts and tolerances.
+    """Run every check of ``SUITE_CHECKS`` with its group's trial count and tolerance.
 
     ``corrupt_bochner_sign`` is a negative-control hook: it flips the resolved
     sign so the Bochner checks must fail, exercising the failure path.
     """
     sign = -RESOLVED_BOCHNER_SIGN if corrupt_bochner_sign else RESOLVED_BOCHNER_SIGN
-    reports = [
-        check_torsion(engine, model, seed, trials, tolerance),
-        check_d_transform(engine, model, seed, trials, tolerance),
-        check_codifferential_transform(engine, model, seed, trials, tolerance),
-        check_d_squared(engine, model, seed, trials, tolerance),
-        check_curvature_split(engine, model, seed, trials, tolerance),
-        resolve_bochner_sign(engine, model, seed, bochner_trials, bochner_tolerance),
-        check_bochner_pointwise(engine, model, seed, bochner_trials, bochner_tolerance, sign),
-        check_bochner_divergence(engine, model, seed, bochner_trials, bochner_tolerance, sign),
-        check_bochner_integral(engine, model, seed, integral_trials, integral_tolerance, sign=sign),
+    groups = {
+        "identity": (trials, tolerance),
+        "bochner": (bochner_trials, bochner_tolerance),
+        "integral": (integral_trials, integral_tolerance),
+    }
+    return [
+        check(engine, model, seed, *groups[group], **({"sign": sign} if signed else {}))
+        for check, group, signed in SUITE_CHECKS
     ]
-    return reports

@@ -19,6 +19,11 @@ matrix are read off these forms; ``q_flux_components`` and
 ``lee_correction_components`` evaluate the densities for one Z directly and
 serve as the independent oracle.
 
+Under g -> f g the Lee form becomes theta - df/(2f) and the conformal mass
+form stays the same.  ``gauge_audit`` checks this, and the predicted shift
+of the Q part, from one form pass per gauge, after refusing any factor
+outside the adapted class.
+
 Limits are realized on a geometric radius schedule with one Richardson
 extrapolation step at the generic remainder rate r^(2-m) of the integrated
 flux; the raw sequence is always reported and convergence is declared,
@@ -34,10 +39,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .engine import DerivativeEngine, frame_jet1
-from .errors import ChartDomainError, MassNotDefinedError
-from .families import LeeFormField, MetricFamily, ScalarField, conformal_sweep
+from .errors import ChartDomainError
+from .families import LeeFormField, MetricFamily, ScalarField
 from .model import ModelSpace, sphere_volume
-from .probes import geometric_radii, is_adapted, require_alf, require_weyl_alf
+from .probes import geometric_radii, require_adapted, require_alf, require_weyl_alf
 from .quadrature import QuadratureSpec, flux_model_metric, shell_nodes
 from .weyl import WeylStructure, gauge_change
 
@@ -295,14 +300,20 @@ def conformal_mass(query: MassQuery) -> MassReport:
 
 @dataclass
 class ConformalChangeReport:
-    """Predicted vs directly recomputed mass shift under g -> f g."""
+    """Predicted vs directly recomputed Q-part shift under g -> f g."""
 
     z_label: str
     predicted_delta: float
-    direct_delta: float
     base_mass: float
     swept_mass: float
-    rel_error: float
+
+    @property
+    def direct_delta(self) -> float:
+        return self.swept_mass - self.base_mass
+
+    @property
+    def rel_error(self) -> float:
+        return abs(self.predicted_delta - self.direct_delta) / max(abs(self.direct_delta), 1e-8)
 
     def as_dict(self) -> dict:
         return {
@@ -315,46 +326,6 @@ class ConformalChangeReport:
         }
 
 
-def conformal_change_prediction(engine: DerivativeEngine, ws: WeylStructure, f: ScalarField, z,
-                                radii=None, quad: Optional[QuadratureSpec] = None,
-                                recompute: bool = True) -> ConformalChangeReport:
-    """Predicted Q_{fg}(Z) - Q_g(Z): half the normalized flux of the df density."""
-    model = ws.model
-    radii = geometric_radii(40.0, 320.0, 6) if radii is None else list(map(float, radii))
-    quad = quad or QuadratureSpec()
-    if not is_adapted(engine, model, f):
-        raise MassNotDefinedError(
-            f"conformal factor {f.name!r} is not adapted: decay probes reject it"
-        )
-    norm = sphere_volume(model.m) * model.L
-    vals = []
-    for r in radii:
-        pts, weights, normals = shell_nodes(model, r, quad)
-        dc = gradient_correction_components(model, f, z, pts)
-        vals.append(flux_model_metric(model, dc, normals, weights) / (2.0 * norm))
-    predicted = richardson_limit(radii, vals, 2 - model.m)
-
-    direct = base = swept = float("nan")
-    rel = float("nan")
-    if recompute:
-        base_q = MassQuery(ws=ws, z=z, radii=radii, quad=quad, engine=engine, check_decay=False)
-        base = riemannian_mass_Q(base_q).q_limit
-        swept_fam = conformal_sweep(ws.metric, f)
-        swept_ws = WeylStructure(model, swept_fam, ws.lee, gauge=ws.gauge + "~f")
-        swept_q = MassQuery(ws=swept_ws, z=z, radii=radii, quad=quad, engine=engine, check_decay=False)
-        swept = riemannian_mass_Q(swept_q).q_limit
-        direct = swept - base
-        rel = abs(predicted - direct) / max(abs(direct), 1e-8)
-    return ConformalChangeReport(
-        z_label=_z_label(model, z),
-        predicted_delta=predicted,
-        direct_delta=direct,
-        base_mass=base,
-        swept_mass=swept,
-        rel_error=rel,
-    )
-
-
 @dataclass
 class InvarianceReport:
     """Conformal mass evaluated in two adapted gauges of the same structure."""
@@ -363,10 +334,19 @@ class InvarianceReport:
     factor: str
     mass_base: float
     mass_swept: float
-    abs_difference: float
-    rel_difference: float
     tolerance: float
-    passed: bool
+
+    @property
+    def abs_difference(self) -> float:
+        return abs(self.mass_base - self.mass_swept)
+
+    @property
+    def rel_difference(self) -> float:
+        return self.abs_difference / max(abs(self.mass_base), 1e-8)
+
+    @property
+    def passed(self) -> bool:
+        return self.rel_difference < self.tolerance
 
     def as_dict(self) -> dict:
         return {
@@ -381,32 +361,40 @@ class InvarianceReport:
         }
 
 
-def invariance_audit(engine: DerivativeEngine, ws: WeylStructure, f: ScalarField, z,
-                     radii=None, quad: Optional[QuadratureSpec] = None,
-                     tolerance: float = 1e-4, check_decay: bool = True) -> InvarianceReport:
-    """Full two-pipeline audit: mass in gauge g versus gauge f g."""
+def gauge_audit(engine: DerivativeEngine, ws: WeylStructure, f: ScalarField, radii=None,
+                quad: Optional[QuadratureSpec] = None, tolerance: float = 1e-4,
+                check_decay: bool = True) -> tuple:
+    """Conformal mass in gauge g versus gauge f g from one form pass per gauge.
+
+    Returns (audits, prediction): one InvarianceReport per basis direction
+    X_b and the X1 ConformalChangeReport, whose predicted Q-shift (half the
+    normalized flux of the df density) is set against the Q limits of the
+    two passes; the metric of gauge f g is conformal_sweep(g, f).
+    """
     model = ws.model
     radii = geometric_radii(40.0, 320.0, 6) if radii is None else list(map(float, radii))
     quad = quad or QuadratureSpec()
-    if not is_adapted(engine, model, f):
-        raise MassNotDefinedError(f"conformal factor {f.name!r} is not adapted")
-    q1 = MassQuery(ws=ws, z=z, radii=radii, quad=quad, engine=engine, check_decay=check_decay)
-    m1 = conformal_mass(q1).mass
-    ws2 = gauge_change(ws, f)
-    q2 = MassQuery(ws=ws2, z=z, radii=radii, quad=quad, engine=engine, check_decay=check_decay)
-    m2 = conformal_mass(q2).mass
-    diff = abs(m1 - m2)
-    rel = diff / max(abs(m1), 1e-8)
-    return InvarianceReport(
-        z_label=_z_label(model, z),
-        factor=f.name,
-        mass_base=m1,
-        mass_swept=m2,
-        abs_difference=diff,
-        rel_difference=rel,
-        tolerance=tolerance,
-        passed=rel < tolerance,
-    )
+    require_adapted(engine, model, f)
+
+    def basis_reports(w: WeylStructure) -> list:
+        if check_decay:
+            require_weyl_alf(engine, model, w.metric, w.lee)
+        forms = _form_pass(engine, model, w.metric, w.lee, radii, quad)
+        return [_build_report(model, b, radii, *forms, quad, 1e-6) for b in range(model.m)]
+
+    base, swept = basis_reports(ws), basis_reports(gauge_change(ws, f))
+    audits = [InvarianceReport(r1.z_label, f.name, r1.mass, r2.mass, tolerance)
+              for r1, r2 in zip(base, swept)]
+
+    norm = sphere_volume(model.m) * model.L
+    vals = []
+    for r in radii:
+        pts, weights, normals = shell_nodes(model, r, quad)
+        dc = gradient_correction_components(model, f, 0, pts)
+        vals.append(flux_model_metric(model, dc, normals, weights) / (2.0 * norm))
+    predicted = richardson_limit(radii, vals, 2 - model.m)
+    prediction = ConformalChangeReport(base[0].z_label, predicted, base[0].q_limit, swept[0].q_limit)
+    return audits, prediction
 
 
 def ricci_positivity_floor(engine: DerivativeEngine, ws: WeylStructure, sample_count: int = 12,

@@ -221,15 +221,23 @@ def adapted_metric_check(engine: DerivativeEngine, model: ModelSpace, f: ScalarF
     ]
 
 
-def is_adapted(engine: DerivativeEngine, model: ModelSpace, f: ScalarField, **kw) -> bool:
-    return all(rep.passed for rep in adapted_metric_check(engine, model, f, **kw))
+def _failed_probes(reports: list[ProbeReport]) -> str:
+    failed = [r for r in reports if not r.passed]
+    return ", ".join(f"{r.name} (slope {r.slope:.2f} > {r.declared:.2f}+{SLOPE_MARGIN})" for r in failed)
+
+
+def require_adapted(engine: DerivativeEngine, model: ModelSpace, f: ScalarField, **kw) -> None:
+    names = _failed_probes(adapted_metric_check(engine, model, f, **kw))
+    if names:
+        params = ", ".join(f"{k}={v!r}" for k, v in f.params.items())
+        raise MassNotDefinedError(f"conformal factor {f.name}({params}) is not adapted: "
+                                  f"rejected by probe {names}")
 
 
 def require_alf(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, **kw) -> list[ProbeReport]:
     reports = metric_probes(engine, model, fam, **kw)
-    failed = [r for r in reports if not r.passed]
-    if failed:
-        names = ", ".join(f"{r.name} (slope {r.slope:.2f} > {r.declared:.2f}+{SLOPE_MARGIN})" for r in failed)
+    names = _failed_probes(reports)
+    if names:
         raise MassNotDefinedError(f"metric family {fam.name!r} fails decay probes: {names}")
     return reports
 
@@ -238,8 +246,7 @@ def require_weyl_alf(engine: DerivativeEngine, model: ModelSpace, fam: MetricFam
                      lee: LeeFormField, **kw) -> list[ProbeReport]:
     reports = require_alf(engine, model, fam, **kw)
     lreports = lee_probes(engine, model, lee, **kw)
-    failed = [r for r in lreports if not r.passed]
-    if failed:
-        names = ", ".join(f"{r.name} (slope {r.slope:.2f} > {r.declared:.2f}+{SLOPE_MARGIN})" for r in failed)
+    names = _failed_probes(lreports)
+    if names:
         raise MassNotDefinedError(f"lee form {lee.name!r} fails decay probes: {names}")
     return reports + lreports

@@ -1,4 +1,4 @@
-"""The CI workflow runs the tier-1 command that ROADMAP.md names."""
+"""The CI workflow installs the test extra and runs the tier-1 command that ROADMAP.md names."""
 
 import re
 from pathlib import Path
@@ -17,3 +17,11 @@ def test_workflow_runs_tier1_command():
     assert runs[-1] == tier1
     assert any("python-version" in step.get("with", {}) and step["with"]["python-version"] == "3.11"
                for step in job["steps"])
+    assert 'python -m pip install -e ".[test]"' in runs
+
+
+def test_test_extra_lists_hypothesis():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    extra = pyproject["project"]["optional-dependencies"]["test"]
+    assert any(re.match(r"hypothesis\b", req) for req in extra)

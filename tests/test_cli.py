@@ -1,12 +1,18 @@
 """CLI contract: exit codes, determinism, report formats."""
 
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 BASE_CONFIG = {
     "model": {"m": 3, "R": 1.0, "L": 6.283185307179586, "fibration": "trivial"},
@@ -152,7 +158,7 @@ def test_sweep_rejects_non_adapted_factor(tmp_path):
     cfg = write_config(tmp_path, sweep={"name": "log_slow_profile", "param": "beta",
                                         "values": [1.0]})
     res = run_cli(["--config", str(cfg), "sweep"], tmp_path / "out")
-    assert res.returncode == 2
+    assert_one_error_line(res)
     assert "rejected by probe" in res.stderr
 
 
@@ -213,12 +219,41 @@ def test_mass_indefinite_metric_exits_two(tmp_path):
     ("mass", {"family": {"name": "kaluza_perturbation", "params": {"bogus": 1}}}),
     ("mass", {"lee": {"name": "radial_lee", "params": {"bogus": 1}}}),
     ("sweep", {"sweep": {"name": "radial_profile", "param": "bogus", "values": [0.2]}}),
+    ("mass", {"family": {"name": "kaluza_perturbation", "params": {"mu": "abc"}}}),
+    ("mass", {"lee": {"name": "radial_lee", "params": {"amplitude": "abc"}}}),
+    ("sweep", {"sweep": {"name": "radial_profile", "param": "beta", "values": [0.2, "abc"]}}),
 ])
 def test_unknown_builder_parameter_exits_two(tmp_path, command, changes):
     cfg = write_config(tmp_path, **changes)
     res = run_cli(["--config", str(cfg), command], tmp_path / "out")
     assert_one_error_line(res)
-    assert "bogus" in res.stderr
+    assert ("bogus" if "bogus" in json.dumps(changes) else "'abc'") in res.stderr
+
+
+NON_NUMBERS = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=8), st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(where=st.sampled_from(["family", "lee", "sweep"]), value=NON_NUMBERS)
+def test_non_number_builder_value_exits_two(where, value):
+    from weylmass import cli
+
+    changes = {
+        "family": {"family": {"name": "kaluza_perturbation", "params": {"mu": value}}},
+        "lee": {"lee": {"name": "radial_lee", "params": {"amplitude": value}}},
+        "sweep": {"sweep": {"name": "radial_profile", "param": "beta", "values": [0.2, value]}},
+    }[where]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), **changes)
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["--config", str(cfg), "--out", str(Path(tmp) / "out"), "mass"])
+    lines = err.getvalue().strip().splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith(f"error: {where}."), lines
 
 
 def test_mass_q_matrix_equals_polarized_riemannian_limits(tmp_path):

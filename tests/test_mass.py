@@ -11,10 +11,9 @@ from weylmass.families import (MetricFamily, compact_lee, conformal_sweep, flat_
                                hopf_model, kaluza_perturbation, kaluza_two_term,
                                log_slow_profile, radial_lee, radial_profile,
                                random_adapted_scalar, unit_scalar, zero_lee)
-from weylmass.mass import (MassQuery, conformal_change_prediction, conformal_mass,
-                           invariance_audit, lee_correction_components, mass_matrix,
-                           q_flux_components, ricci_positivity_floor, riemannian_mass_Q,
-                           richardson_limit, shell_forms)
+from weylmass.mass import (MassQuery, conformal_mass, gauge_audit, lee_correction_components,
+                           mass_matrix, q_flux_components, ricci_positivity_floor,
+                           riemannian_mass_Q, richardson_limit, shell_forms)
 from weylmass.model import ModelSpace, sphere_volume
 from weylmass.probes import decay_probe, geometric_radii
 from weylmass.quadrature import QuadratureSpec, flux_model_metric, shell_nodes
@@ -264,7 +263,7 @@ def test_conformal_mass_refuses_bad_lee_decay(model, engine):
 
 def test_prediction_zero_for_unit_factor(model, engine):
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), zero_lee(model))
-    rep = conformal_change_prediction(engine, ws, unit_scalar(model), 0)
+    _, rep = gauge_audit(engine, ws, unit_scalar(model), check_decay=False)
     assert abs(rep.predicted_delta) < 1e-14
     assert abs(rep.direct_delta) < 1e-10
 
@@ -273,7 +272,7 @@ def test_prediction_matches_direct_recompute(model, engine):
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), zero_lee(model))
     for f in (radial_profile(model, beta=0.3), radial_profile(model, beta=-0.2),
               random_adapted_scalar(model, seed=2)):
-        rep = conformal_change_prediction(engine, ws, f, 0)
+        _, rep = gauge_audit(engine, ws, f, check_decay=False)
         assert rep.rel_error < 1e-4, f"{f.name}: {rep.rel_error}"
 
 
@@ -281,7 +280,7 @@ def test_prediction_kaluza_closed_form(model, engine):
     # f = 1 + beta/r on the Kaluza profile: delta Q = 5 beta / 6 exactly
     beta = 0.3
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), zero_lee(model))
-    rep = conformal_change_prediction(engine, ws, radial_profile(model, beta=beta), 0)
+    _, rep = gauge_audit(engine, ws, radial_profile(model, beta=beta), check_decay=False)
     assert rep.predicted_delta == pytest.approx(5 * beta / 6, abs=1e-10)
     assert rep.direct_delta == pytest.approx(5 * beta / 6, abs=1e-8)
 
@@ -305,7 +304,7 @@ def test_prediction_compact_gradient_gives_zero(model, engine):
 
     f = ScalarField("compact_factor", model, fn, grad_fn, analytic=False, decay_fm1=-math.inf)
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), zero_lee(model))
-    rep = conformal_change_prediction(engine, ws, f, 0)
+    _, rep = gauge_audit(engine, ws, f, check_decay=False)
     assert abs(rep.predicted_delta) < 1e-14
     assert abs(rep.direct_delta) < 1e-8
 
@@ -313,7 +312,7 @@ def test_prediction_compact_gradient_gives_zero(model, engine):
 def test_prediction_rejects_non_adapted_factor(model, engine):
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), zero_lee(model))
     with pytest.raises(MassNotDefinedError):
-        conformal_change_prediction(engine, ws, log_slow_profile(model), 0)
+        gauge_audit(engine, ws, log_slow_profile(model))
 
 
 # --- gauge invariance ------------------------------------------------------------------------
@@ -321,7 +320,7 @@ def test_prediction_rejects_non_adapted_factor(model, engine):
 
 def test_invariance_unit_factor_exact(model, engine):
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), radial_lee(model, 0.4))
-    rep = invariance_audit(engine, ws, unit_scalar(model), 0, check_decay=False)
+    rep = gauge_audit(engine, ws, unit_scalar(model), check_decay=False)[0][0]
     assert rep.abs_difference < 1e-12
     assert rep.passed
 
@@ -329,7 +328,7 @@ def test_invariance_unit_factor_exact(model, engine):
 def test_invariance_kaluza_with_lee(model, engine):
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), radial_lee(model, 0.4))
     f = radial_profile(model, beta=0.5)
-    rep = invariance_audit(engine, ws, f, 0, check_decay=False)
+    rep = gauge_audit(engine, ws, f, check_decay=False)[0][0]
     assert rep.rel_difference < 1e-4
     assert rep.passed
 
@@ -338,7 +337,7 @@ def test_invariance_zero_lee_termwise_cancellation(model, engine):
     """theta = 0: the mass-shift prediction must cancel the induced Lee correction."""
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), zero_lee(model))
     f = radial_profile(model, beta=0.4)
-    pred = conformal_change_prediction(engine, ws, f, 0)
+    _, pred = gauge_audit(engine, ws, f, check_decay=False)
     from weylmass.weyl import gauge_change
 
     ws2 = gauge_change(ws, f)
@@ -353,8 +352,30 @@ def test_invariance_across_random_adapted_factors(model, engine):
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), radial_lee(model, 0.4))
     for seed in range(5):
         f = random_adapted_scalar(model, seed=seed)
-        rep = invariance_audit(engine, ws, f, seed % 3, check_decay=False)
+        rep = gauge_audit(engine, ws, f, check_decay=False)[0][seed % 3]
         assert rep.rel_difference < 1e-4, f"seed {seed}: {rep.rel_difference}"
+
+
+def test_gauge_audit_reads_every_report_off_two_passes(hopf_space, engine):
+    """Each audit and the prediction equal the single-direction pipelines in both gauges."""
+    from weylmass.weyl import gauge_change
+
+    ws = WeylStructure(hopf_space, kaluza_perturbation(hopf_space, mu=1.0), radial_lee(hopf_space, 0.4))
+    radii = geometric_radii(40.0, 320.0, 4)
+    quad = QuadratureSpec(sphere=26, fiber=4)
+
+    def query(w, z):
+        return MassQuery(ws=w, z=z, radii=radii, quad=quad, engine=engine, check_decay=False)
+
+    for f in (radial_profile(hopf_space, beta=0.3), random_adapted_scalar(hopf_space, seed=3)):
+        audits, pred = gauge_audit(engine, ws, f, radii=radii, quad=quad, check_decay=False)
+        assert [a.z_label for a in audits] == ["1*X1", "1*X2", "1*X3"]
+        for b, audit in enumerate(audits):
+            assert audit.mass_base == conformal_mass(query(ws, b)).mass
+            assert audit.mass_swept == conformal_mass(query(gauge_change(ws, f), b)).mass
+        swept = WeylStructure(hopf_space, conformal_sweep(ws.metric, f), ws.lee)
+        assert pred.base_mass == riemannian_mass_Q(query(ws, 0)).q_limit
+        assert pred.swept_mass == riemannian_mass_Q(query(swept, 0)).q_limit
 
 
 # --- flux sequence rates -----------------------------------------------------------------------

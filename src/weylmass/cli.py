@@ -141,6 +141,17 @@ class RunConfig:
             raise ConfigError(f"sweep.values must be a list, got {values!r}")
         for i, value in enumerate(values):
             _check_value(f"sweep.values[{i}]", sig.parameters[param], value)
+        # builders refuse parameters outside their domain with ValueError
+        model = self.model_space()
+        built = [("family", METRIC_BUILDERS[self.family["name"]], self.family.get("params", {})),
+                 ("lee", LEE_BUILDERS[self.lee["name"]], self.lee.get("params", {}))]
+        built += [(f"sweep.values[{i}]", SCALAR_BUILDERS[self.sweep["name"]], {param: value})
+                  for i, value in enumerate(values)]
+        for where, builder, params in built:
+            try:
+                builder(model, **params)
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
         r0, rmax, count = (self.radii.get(k) for k in ("r0", "rmax", "count"))
         if not (isinstance(count, int) and count >= 2):
             raise ConfigError(f"radii.count must be an integer >= 2, got {count!r}")

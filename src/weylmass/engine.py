@@ -12,7 +12,10 @@ outputs, derivative axes lead:
 Derived fields (outputs of differential operators) set ``analytic=False``;
 the engine then differentiates them by finite differences even in dual mode,
 with the step schedule ``h = max(rel_step * r, min_step)`` so relative
-truncation error stays uniform as the radius grows.
+truncation error stays uniform as the radius grows.  Curvature does not go
+that way: ``weyl.weyl_curvature`` and ``weyl.lc_riemann`` build the
+derivatives of the connection coefficients in closed form from one ``jet2``
+of the metric (exact Hessian in dual mode, Richardson-FD Hessian in fd mode).
 """
 
 from __future__ import annotations

@@ -380,6 +380,8 @@ def radial_profile(model: ModelSpace, beta: float = 0.5, power: Optional[float] 
 def directional_profile(model: ModelSpace, beta: float = 0.3, axis: int = 0) -> ScalarField:
     """f = 1 + beta * x_axis * r^(1-m): angular dependence at the adapted rate."""
     m = model.m
+    if not 0 <= axis < m:
+        raise ValueError(f"directional_profile axis must satisfy 0 <= axis < m = {m}, got {axis}")
     s = 1 - m
 
     def fn(coords):

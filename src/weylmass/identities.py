@@ -30,12 +30,16 @@ from .engine import DerivativeEngine, Field, frame_jet1
 from .families import (LeeFormField, kaluza_perturbation, random_local_lee,
                        random_local_metric, zero_lee)
 from .model import ModelSpace
-from .quadrature import QuadratureSpec, annulus_nodes, flux_curved_metric, shell_nodes, volume_integral_curved
+from .quadrature import (QuadratureSpec, annulus_node_count, annulus_nodes, flux_curved_metric, shell_nodes,
+                         volume_integral_curved)
 from .weyl import (FormFieldSpec, WeylStructure, christoffel, covd_form_block, dD, deltaD,
                    derived_form_field, form_field_of, insert_alt, inv_gram, lc_form_block,
                    laplacian_D, lie_bracket, outer_front, tdot, weyl_connect_vec, weyl_curvature)
 
 RESOLVED_BOCHNER_SIGN = 1.0
+
+# annulus nodes per streamed block of the Bochner volume integral
+ANNULUS_CHUNK = 2048
 
 
 def codifferential_shift_coefficient(n: int, k: float, p: int) -> float:
@@ -439,23 +443,29 @@ def zeta_field(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec)
     )
 
 
-def bochner_divergence_residual(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec,
-                                coords, sign: float = RESOLVED_BOCHNER_SIGN) -> float:
-    """Residual of |Da|^2 + sign Ric(a#, a#) - |DiracD a|^2 + delta^D(zeta) = 0."""
-    coords = np.asarray(coords, dtype=float)
+def _bochner_density(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords,
+                     sign: float):
+    """(g, |Da|^2 + sign Ric(a#, a#) - |DiracD a|^2) at a point or node block."""
     H = covd_form_block(engine, ws, spec, coords)
     g = ws.gram(coords)
     ginv = inv_gram(g)
     a = np.asarray(spec.field.values(coords))
     da = insert_alt(H, 1)
-    delta = -float(np.einsum("ab,ab->", ginv, H))
-    norm_H = float(np.einsum("ac,bd,ab,cd->", ginv, ginv, H, H))
-    norm_da = 0.5 * float(np.einsum("ac,bd,ab,cd->", ginv, ginv, da, da))
-    bundle = weyl_curvature(engine, ws, coords)
-    ash = ginv @ a
-    ric_term = float(ash @ bundle.Ric @ ash)
+    delta = -np.einsum("ab...,ab...->...", ginv, H)
+    norm_H = np.einsum("ac...,bd...,ab...,cd...->...", ginv, ginv, H, H)
+    norm_da = 0.5 * np.einsum("ac...,bd...,ab...,cd...->...", ginv, ginv, da, da)
+    ash = np.einsum("ab...,b...->a...", ginv, a)
+    ric_term = np.einsum("a...,ab...,b...->...", ash, weyl_curvature(engine, ws, coords).Ric, ash)
+    return g, norm_H + sign * ric_term - (delta**2 + norm_da)
+
+
+def bochner_divergence_residual(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec,
+                                coords, sign: float = RESOLVED_BOCHNER_SIGN) -> float:
+    """Residual of |Da|^2 + sign Ric(a#, a#) - |DiracD a|^2 + delta^D(zeta) = 0."""
+    coords = np.asarray(coords, dtype=float)
+    _, density = _bochner_density(engine, ws, spec, coords, sign)
     dz = deltaD(engine, ws, zeta_field(engine, ws, spec), coords).components
-    return abs(norm_H + sign * ric_term - (delta**2 + norm_da) + float(dz))
+    return abs(float(density) + float(dz))
 
 
 def check_bochner_divergence(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,
@@ -477,22 +487,22 @@ def check_bochner_divergence(engine: DerivativeEngine, model: ModelSpace, seed: 
 def bochner_integral_sides(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec,
                            r1: float, r2: float, quad: QuadratureSpec,
                            sign: float = RESOLVED_BOCHNER_SIGN) -> tuple[float, float]:
-    """(volume side, boundary side) of the integral identity on the annulus."""
+    """(volume side, boundary side) of the integral identity on the annulus.
+
+    The annulus is streamed in blocks of ``ANNULUS_CHUNK`` nodes, so memory
+    stays bounded as the rule is refined.  Each block fills its slice of one
+    density array, summed once: in dual mode the volume side does not
+    depend on the block size.
+    """
     model = ws.model
     pts, weights = annulus_nodes(model, r1, r2, quad)
-    H = covd_form_block(engine, ws, spec, pts)
-    g = ws.gram(pts)
-    ginv = inv_gram(g)
-    a = np.asarray(spec.field.values(pts))
-    da = insert_alt(H, 1)
-    delta = -np.einsum("ab...,ab...->...", ginv, H)
-    norm_H = np.einsum("ac...,bd...,ab...,cd...->...", ginv, ginv, H, H)
-    norm_da = 0.5 * np.einsum("ac...,bd...,ab...,cd...->...", ginv, ginv, da, da)
-    bundle = weyl_curvature(engine, ws, pts)
-    ash = np.einsum("ab...,b...->a...", ginv, a)
-    ric_term = np.einsum("a...,ab...,b...->...", ash, bundle.Ric, ash)
-    integrand = norm_H + sign * ric_term - (delta**2 + norm_da)
-    volume_side = volume_integral_curved(g, integrand, weights)
+    total = pts.shape[1]
+    g = np.empty((model.dim, model.dim, total))
+    density = np.empty(total)
+    for start in range(0, total, ANNULUS_CHUNK):
+        block = slice(start, start + ANNULUS_CHUNK)
+        g[:, :, block], density[block] = _bochner_density(engine, ws, spec, pts[:, block], sign)
+    volume_side = volume_integral_curved(g, density, weights)
 
     zspec = zeta_field(engine, ws, spec)
     boundary = 0.0
@@ -525,7 +535,8 @@ def check_bochner_integral(engine: DerivativeEngine, model: ModelSpace, seed: in
         worst = max(worst, rel)
     return IdentityReport(
         "bochner_integral", trials, worst, tolerance, worst < tolerance,
-        details={"weight": k, "sides": [(f"{v:.6e}", f"{b:.6e}", f"{r:.2e}") for v, b, r in pairs]},
+        details={"weight": k, "annulus_nodes": annulus_node_count(model, quad),
+                 "sides": [(f"{v:.6e}", f"{b:.6e}", f"{r:.2e}") for v, b, r in pairs]},
     )
 
 

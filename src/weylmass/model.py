@@ -80,15 +80,38 @@ class ModelSpace:
         x = np.asarray(x, dtype=float)
         if self.fibration == "trivial":
             return np.zeros_like(x)
-        r = np.sqrt(np.sum(x * x, axis=0))
-        rho2 = x[0] ** 2 + x[1] ** 2
-        if np.any(rho2 / np.maximum(r, 1e-300) ** 2 < 1e-24):
-            raise ChartDomainError("point on the fiber-chart seam (x3-axis); move quadrature nodes off-axis")
-        pref = (self.L / (4.0 * math.pi)) * (1.0 - x[2] / r) / rho2
+        _, _, pref = self._hopf_potential_factor(x)
         A = np.zeros_like(x)
         A[0] = -pref * x[1]
         A[1] = pref * x[0]
         return A
+
+    def _hopf_potential_factor(self, x):
+        """(r, rho^2, p) with A = p (-x2, x1, 0) and p = L (1 - x3/r) / (4 pi rho^2)."""
+        r = np.sqrt(np.sum(x * x, axis=0))
+        rho2 = x[0] ** 2 + x[1] ** 2
+        if np.any(rho2 / np.maximum(r, 1e-300) ** 2 < 1e-24):
+            raise ChartDomainError("point on the fiber-chart seam (x3-axis); move quadrature nodes off-axis")
+        return r, rho2, (self.L / (4.0 * math.pi)) * (1.0 - x[2] / r) / rho2
+
+    def connection_jacobian(self, x) -> np.ndarray:
+        """Coordinate Jacobian of the potential: J[b, a] = dA_a/dx_b, shape (m, m) + batch.
+
+        A does not depend on t, so this is also the frame derivative X_b A_a.
+        """
+        x = np.asarray(x, dtype=float)
+        J = np.zeros((self.m,) + x.shape)
+        if self.fibration == "trivial":
+            return J
+        r, rho2, pref = self._hopf_potential_factor(x)
+        c = self.L / (4.0 * math.pi)
+        for b in range(3):
+            du = x[2] * x[b] / r**3 - (1.0 / r if b == 2 else 0.0)  # d(1 - x3/r)/dx_b
+            drho2 = 2.0 * x[b] if b < 2 else 0.0
+            dpref = (c * du - pref * drho2) / rho2
+            J[b, 0] = -dpref * x[1] - (pref if b == 1 else 0.0)
+            J[b, 1] = dpref * x[0] + (pref if b == 0 else 0.0)
+        return J
 
     def deta(self, x) -> np.ndarray:
         """Curvature 2-form d(eta) on frame pairs: omega[a, b] = d(eta)(X_a, X_b)."""
@@ -106,6 +129,24 @@ class ModelSpace:
             omega[0, 2] = -omega[2, 0]
         return omega
 
+    def deta_jacobian(self, x) -> np.ndarray:
+        """Coordinate derivatives of the curvature form: out[b, a, c] = d omega[a, c]/dx_b.
+
+        On the Hopf chart omega[a, c] = L/(4 pi) eps_ack x_k / r^3.  omega does
+        not depend on t, so these are also the frame derivatives X_b omega.
+        """
+        x = np.asarray(x, dtype=float)
+        out = np.zeros((self.m, self.m, self.m) + x.shape[1:])
+        if self.fibration == "hopf":
+            r2 = np.sum(x * x, axis=0)
+            c = self.L / (4.0 * math.pi)
+            for k, (a, e) in ((2, (0, 1)), (0, (1, 2)), (1, (2, 0))):
+                for b in range(3):
+                    v = c * ((1.0 if b == k else 0.0) - 3.0 * x[k] * x[b] / r2) / r2**1.5
+                    out[b, a, e] = v
+                    out[b, e, a] = -v
+        return out
+
     def structure_constants(self, coords) -> np.ndarray:
         """Frame brackets: [E_i, E_j] = C[i, j, k] E_k.  Only [X_a, X_b] = -omega_ab T."""
         coords = np.asarray(coords, dtype=float)
@@ -116,6 +157,16 @@ class ModelSpace:
         if self.fibration == "hopf":
             C[: self.m, : self.m, self.m] = -self.deta(x)
         return C
+
+    def structure_jacobian(self, coords) -> np.ndarray:
+        """Frame derivatives of the structure constants: dC[p, i, j, k] = E_p C[i, j, k]."""
+        coords = np.asarray(coords, dtype=float)
+        x, _ = self.split(coords)
+        n = self.dim
+        dC = np.zeros((n, n, n, n) + coords.shape[1:])
+        if self.fibration == "hopf":
+            dC[: self.m, : self.m, : self.m, self.m] = -self.deta_jacobian(x)
+        return dC
 
     def lc_coeffs_h(self, coords) -> np.ndarray:
         """Levi-Civita coefficients of h in the frame: nabla^h_{E_i} E_j = G[i,j,k] E_k.
@@ -141,4 +192,20 @@ class ModelSpace:
             A = self.connection_potential(np.asarray(x, dtype=float))
             for a in range(self.m):
                 out[a] = out[a] - A[a] * dt
+        return out
+
+    def frame_hessian_from_coord(self, coord_d1: np.ndarray, coord_d2: np.ndarray, x) -> np.ndarray:
+        """Second frame derivatives out[p, i] = E_p(E_i F) from coordinate jets.
+
+        E_p E_i F = E_p^mu E_i^nu d_mu d_nu F - (X_p A_i) dF/dt: the frame
+        coefficients of E_i move with x through A.  As in
+        ``frame_from_coord``, A and its Jacobian are only evaluated where
+        fiber dependence is present.
+        """
+        inner = np.moveaxis(self.frame_from_coord(np.moveaxis(coord_d2, 1, 0), x), 0, 1)
+        out = self.frame_from_coord(inner, x)
+        dt = coord_d1[self.m]
+        if self.fibration != "trivial" and np.any(dt != 0.0):
+            J = self.connection_jacobian(np.asarray(x, dtype=float))
+            out[: self.m, : self.m] -= np.einsum("ba...,...->ba...", J, dt)
         return out

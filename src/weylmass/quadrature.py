@@ -177,6 +177,11 @@ def annulus_nodes(model: ModelSpace, r1: float, r2: float, quad: QuadratureSpec)
     return pts, weights
 
 
+def annulus_node_count(model: ModelSpace, quad: QuadratureSpec) -> int:
+    """Nodes ``annulus_nodes`` actually uses; ``sphere_rule`` may upgrade the sphere request."""
+    return quad.radial * sphere_rule(model.m, quad.sphere)[1].size * quad.fiber
+
+
 def volume_integral_curved(gram: np.ndarray, values: np.ndarray, weights: np.ndarray) -> float:
     """Integral of a scalar density component against vol_g = sqrt(det G) vol_h."""
     moved = np.moveaxis(gram, (0, 1), (-2, -1))

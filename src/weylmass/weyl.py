@@ -15,6 +15,11 @@ inverse-Gram contractions with g.  Weighted forms are never implicitly
 coerced between gauges; cross-gauge comparisons go through the explicit
 f**(k/2) regauging rule.
 
+Curvature is algebra on (W, dW, C): the coefficients W of D, their frame
+derivatives dW and the frame structure constants C.  dW is closed form in
+one second-order jet of g and one first-order jet of theta
+(``_weyl_jet``); the Levi-Civita case is theta = 0.
+
 Conventions: component arrays keep tensor axes first and batch axes last;
 a derivative block H[i; J] holds (D_{E_i} w)_J with the direction slot first.
 """
@@ -100,7 +105,8 @@ def inv_gram(g: np.ndarray) -> np.ndarray:
     if g.ndim == 2:
         return np.linalg.inv(g)
     moved = np.moveaxis(g, (0, 1), (-2, -1))
-    return np.moveaxis(np.linalg.inv(moved), (-2, -1), (0, 1))
+    # contiguous: einsum runs several times faster on batch-last C-order operands
+    return np.ascontiguousarray(np.moveaxis(np.linalg.inv(moved), (-2, -1), (0, 1)))
 
 
 def tdot(vec: np.ndarray, arr: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -139,6 +145,17 @@ def wedge_cov_into(slot_block: np.ndarray, q: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _koszul(dg: np.ndarray, cg: np.ndarray, lead: int = 0) -> np.ndarray:
+    """Lowered Koszul combination on axes (i, j, k) = lead .. lead + 2:
+
+    1/2 (E_i g_jk + E_j g_ik - E_k g_ij + C_ij^l g_lk - C_ik^l g_lj - C_jk^l g_li),
+    with dg[i, j, k] = E_i g_jk and cg[i, j, k] = C_ij^l g_lk.
+    """
+    i, j, k = lead, lead + 1, lead + 2
+    low = dg + np.swapaxes(dg, i, j) - np.swapaxes(dg, i, k)
+    return 0.5 * (low + cg - np.swapaxes(cg, j, k) - np.moveaxis(cg, k, i))
+
+
 def christoffel(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, coords) -> np.ndarray:
     """Levi-Civita coefficients in the model frame: nabla_{E_i} E_j = G[i,j,k] E_k.
 
@@ -149,11 +166,32 @@ def christoffel(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, 
     coords = np.asarray(coords, dtype=float)
     model.require_in_chart(coords)
     g, dg = frame_jet1(engine, model, fam.as_field(), coords)
+    cg = np.einsum("ijl...,lk...->ijk...", model.structure_constants(coords), g)
+    return np.einsum("ijk...,kl...->ijl...", _koszul(dg, cg), inv_gram(g))
+
+
+def _christoffel_jet(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, coords):
+    """(G, dG, g, dg, g^-1) from one second-order metric jet; dG[p] = E_p G.
+
+    E_p G = (E_p low) g^-1 - G (E_p g) g^-1, where E_p low is the Koszul
+    combination of the frame Hessian E_p E_i g_jk and of E_p (C g).
+    """
+    coords = np.asarray(coords, dtype=float)
+    model.require_in_chart(coords)
+    g, d1, d2 = engine.jet2(fam.as_field(), coords)
+    x, _ = model.split(coords)
+    dg = model.frame_from_coord(d1, x)
+    ddg = model.frame_hessian_from_coord(d1, d2, x)
     C = model.structure_constants(coords)
     cg = np.einsum("ijl...,lk...->ijk...", C, g)
-    low = dg + np.moveaxis(dg, (0, 1, 2), (1, 0, 2)) - np.moveaxis(dg, (0, 1, 2), (2, 1, 0))
-    low = 0.5 * (low + cg - np.swapaxes(cg, 1, 2) - np.moveaxis(cg, 2, 0))
-    return np.einsum("ijk...,kl...->ijl...", low, inv_gram(g))
+    dcg = (np.einsum("pijl...,lk...->pijk...", model.structure_jacobian(coords), g)
+           + np.einsum("ijl...,plk...->pijk...", C, dg))
+    ginv = inv_gram(g)
+    gam = np.einsum("ijk...,kl...->ijl...", _koszul(dg, cg), ginv)
+    dg_ginv = np.einsum("pab...,bl...->pal...", dg, ginv)
+    dgam = (np.einsum("pijk...,kl...->pijl...", _koszul(ddg, dcg, lead=1), ginv)
+            - np.einsum("ija...,pal...->pijl...", gam, dg_ginv))
+    return gam, dgam, g, dg, ginv
 
 
 def metric_compat_residual(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, coords) -> float:
@@ -164,22 +202,49 @@ def metric_compat_residual(engine: DerivativeEngine, model: ModelSpace, fam: Met
     return float(np.max(np.abs(nabla)))
 
 
+def _identity(n: int, batch: tuple) -> np.ndarray:
+    return np.broadcast_to(np.eye(n).reshape((n, n) + (1,) * len(batch)), (n, n) + batch)
+
+
+def _lee_shift(gam: np.ndarray, g: np.ndarray, theta: np.ndarray, theta_sharp: np.ndarray) -> np.ndarray:
+    """W = G + theta_i delta_jk + theta_j delta_ik - g_ij theta#_k."""
+    eye = _identity(gam.shape[0], gam.shape[3:])
+    W = gam.copy()
+    W += np.einsum("i...,jk...->ijk...", theta, eye)
+    W += np.einsum("j...,ik...->ijk...", theta, eye)
+    W -= np.einsum("ij...,k...->ijk...", g, theta_sharp)
+    return W
+
+
 def weyl_coeffs(engine: DerivativeEngine, ws: WeylStructure, coords) -> np.ndarray:
     """Connection coefficients of D on TM: D_{E_i} E_j = W[i,j,k] E_k."""
     coords = np.asarray(coords, dtype=float)
     gam = christoffel(engine, ws.model, ws.metric, coords)
     g = ws.gram(coords)
     theta = ws.theta(coords)
-    ginv = inv_gram(g)
+    theta_sharp = np.einsum("kl...,l...->k...", inv_gram(g), theta)
+    return _lee_shift(gam, g, theta, theta_sharp)
+
+
+def _weyl_jet(engine: DerivativeEngine, ws: WeylStructure, coords):
+    """(W, dW, g, g^-1, theta, dtheta) from one metric jet2 and one Lee-form jet1.
+
+    dW[p, i, j, k] = E_p W[i, j, k] is closed form: it differentiates each
+    term of ``_lee_shift``, with E_p theta# = g^-1 (E_p theta - (E_p g) theta#).
+    """
+    coords = np.asarray(coords, dtype=float)
+    gam, dgam, g, dg, ginv = _christoffel_jet(engine, ws.model, ws.metric, coords)
+    theta, dtheta = frame_jet1(engine, ws.model, ws.lee_field(), coords)
     theta_sharp = np.einsum("kl...,l...->k...", ginv, theta)
-    n = ws.model.dim
-    batch = gam.shape[3:]
-    eye = np.broadcast_to(np.eye(n).reshape((n, n) + (1,) * len(batch)), (n, n) + batch)
-    W = gam.copy()
-    W += np.einsum("i...,jk...->ijk...", theta, eye)
-    W += np.einsum("j...,ik...->ijk...", theta, eye)
-    W -= np.einsum("ij...,k...->ijk...", g, theta_sharp)
-    return W
+    dtheta_sharp = np.einsum("kl...,pl...->pk...", ginv,
+                             dtheta - np.einsum("plb...,b...->pl...", dg, theta_sharp))
+    eye = _identity(ws.model.dim, gam.shape[3:])
+    dW = dgam.copy()
+    dW += np.einsum("pi...,jk...->pijk...", dtheta, eye)
+    dW += np.einsum("pj...,ik...->pijk...", dtheta, eye)
+    dW -= np.einsum("pij...,k...->pijk...", dg, theta_sharp)
+    dW -= np.einsum("ij...,pk...->pijk...", g, dtheta_sharp)
+    return _lee_shift(gam, g, theta, theta_sharp), dW, g, ginv, theta, dtheta
 
 
 def weyl_connect_vec(engine: DerivativeEngine, ws: WeylStructure, x_field: Field, y_field: Field,
@@ -367,9 +432,14 @@ def faraday(engine: DerivativeEngine, ws: WeylStructure, coords) -> WeightedForm
     """F^D = d(theta) in the frame, including the anholonomic bracket term."""
     coords = np.asarray(coords, dtype=float)
     theta, dtheta = frame_jet1(engine, ws.model, ws.lee_field(), coords)
+    return ws.form(2, 0.0, _faraday_components(theta, dtheta, ws.model.structure_constants(coords)))
+
+
+def _faraday_components(theta: np.ndarray, dtheta: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """F[i, j] = E_i theta_j - E_j theta_i - C[i, j, l] theta_l."""
     F = dtheta - np.swapaxes(dtheta, 0, 1)
-    F -= np.einsum("ijl...,l...->ij...", ws.model.structure_constants(coords), theta)
-    return ws.form(2, 0.0, F)
+    F -= np.einsum("ijl...,l...->ij...", C, theta)
+    return F
 
 
 def frame_exterior_derivative(engine: DerivativeEngine, model: ModelSpace, fld: Field, degree: int,
@@ -428,21 +498,18 @@ class CurvatureBundle:
 
 
 def lc_riemann(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, coords) -> np.ndarray:
-    """Riemann tensor of the Levi-Civita connection in the frame: R[i,j,k,m]."""
+    """Riemann tensor of the Levi-Civita connection in the frame: R[i,j,k,m].
+
+    The theta = 0 case of ``weyl_curvature``: the same curvature algebra on
+    (G, dG) from one second-order metric jet.
+    """
     coords = np.asarray(coords, dtype=float)
-    n = model.dim
-
-    def gam_fn(c):
-        return christoffel(engine, model, fam, np.asarray(c, dtype=float))
-
-    gam_field = Field(gam_fn, shape=(n, n, n), analytic=False, name=f"christoffel({fam.name})")
-    return _coeff_curvature(engine, model, gam_field, coords)
+    gam, dgam = _christoffel_jet(engine, model, fam, coords)[:2]
+    return _coeff_curvature(gam, dgam, model.structure_constants(coords))
 
 
-def _coeff_curvature(engine: DerivativeEngine, model: ModelSpace, coeff_field: Field, coords) -> np.ndarray:
+def _coeff_curvature(W: np.ndarray, dW: np.ndarray, C: np.ndarray) -> np.ndarray:
     """R[i,j,k,m] = E_i W[j,k,m] - E_j W[i,k,m] + W[j,k,l] W[i,l,m] - W[i,k,l] W[j,l,m] - C[i,j,l] W[l,k,m]."""
-    W, dW = frame_jet1(engine, model, coeff_field, coords)
-    C = model.structure_constants(coords)
     first = dW - np.swapaxes(dW, 0, 1)
     quad = np.einsum("jkl...,ilm...->ijkm...", W, W)
     quad = quad - np.swapaxes(quad, 0, 1)
@@ -451,18 +518,17 @@ def _coeff_curvature(engine: DerivativeEngine, model: ModelSpace, coeff_field: F
 
 
 def weyl_curvature(engine: DerivativeEngine, ws: WeylStructure, coords) -> CurvatureBundle:
-    """Full curvature bundle of D: tensor, split, Faraday, Ricci, scalar."""
+    """Full curvature bundle of D: tensor, split, Faraday, Ricci, scalar.
+
+    R comes from (W, dW) in closed form (``_weyl_jet``): one second-order
+    jet of g and one first-order jet of theta, so the result carries no
+    finite-difference error in dual mode.
+    """
     coords = np.asarray(coords, dtype=float)
-    n = ws.model.dim
-
-    def w_fn(c):
-        return weyl_coeffs(engine, ws, np.asarray(c, dtype=float))
-
-    w_field = Field(w_fn, shape=(n, n, n), analytic=False, name="weyl_coeffs")
-    R = _coeff_curvature(engine, ws.model, w_field, coords)
-    F = faraday(engine, ws, coords).components
-    g = ws.gram(coords)
-    ginv = inv_gram(g)
+    W, dW, g, ginv, theta, dtheta = _weyl_jet(engine, ws, coords)
+    C = ws.model.structure_constants(coords)
+    R = _coeff_curvature(W, dW, C)
+    F = _faraday_components(theta, dtheta, C)
 
     low = np.einsum("ijkl...,lm...->ijkm...", R, g)        # g(R(Ei,Ej)Ek, Em)
     sym = 0.5 * (low + np.swapaxes(low, 2, 3))

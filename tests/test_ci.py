@@ -1,4 +1,4 @@
-"""The CI workflow installs the test extra and runs the tier-1 command that ROADMAP.md names."""
+"""The CI workflow installs the test extra and runs the tier-1 command that ROADMAP.md names, with a time limit."""
 
 import re
 from pathlib import Path
@@ -13,6 +13,7 @@ def test_workflow_runs_tier1_command():
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text()).group(1)
     (job,) = workflow["jobs"].values()
+    assert job["timeout-minutes"] == 30
     runs = [step["run"] for step in job["steps"] if "run" in step]
     assert runs[-1] == tier1
     assert any("python-version" in step.get("with", {}) and step["with"]["python-version"] == "3.11"

@@ -52,6 +52,10 @@ def test_verify_flat_config_exits_zero(tmp_path):
     report = (tmp_path / "out" / "verify_report.jsonl").read_text().splitlines()
     assert json.loads(report[0])["config"]["seed"] == 42
     assert all(json.loads(line).get("passed", True) for line in report[1:])
+    integral = json.loads(report[-1])
+    assert integral["identity"] == "bochner_integral"
+    # the annulus rule asks for 100 sphere directions; sphere_rule gives 10 x 20
+    assert integral["details"]["annulus_nodes"] == 200 * 16 * 8
 
 
 def test_verify_corrupted_sign_exits_one(tmp_path):
@@ -228,6 +232,21 @@ def test_unknown_builder_parameter_exits_two(tmp_path, command, changes):
     res = run_cli(["--config", str(cfg), command], tmp_path / "out")
     assert_one_error_line(res)
     assert ("bogus" if "bogus" in json.dumps(changes) else "'abc'") in res.stderr
+
+
+@pytest.mark.parametrize("command,changes,message", [
+    ("sweep", {"sweep": {"name": "directional_profile", "param": "axis", "values": [5]}},
+     "sweep.values[0]: directional_profile axis must satisfy 0 <= axis < m = 3, got 5"),
+    ("sweep", {"sweep": {"name": "directional_profile", "param": "axis", "values": [0, -1]}},
+     "sweep.values[1]: directional_profile axis must satisfy 0 <= axis < m = 3, got -1"),
+    ("mass", {"family": {"name": "hopf_model", "params": {}}},
+     "family: hopf_model requires a hopf-fibered model space"),
+])
+def test_builder_domain_error_exits_two(tmp_path, command, changes, message):
+    cfg = write_config(tmp_path, **changes)
+    res = run_cli(["--config", str(cfg), command], tmp_path / "out")
+    assert_one_error_line(res)
+    assert message in res.stderr
 
 
 NON_NUMBERS = st.one_of(

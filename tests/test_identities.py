@@ -107,6 +107,29 @@ def test_bochner_integral_flat_harmonic(engine, model):
     assert abs(vol) < 1e-10 and abs(bnd) < 1e-10
 
 
+def test_bochner_integral_sides_independent_of_chunk_size(engine, model, monkeypatch):
+    """Streaming the annulus changes no bit of either side (2,496 nodes: two blocks vs one)."""
+    from weylmass import identities
+
+    ws = trial_structure(model, 42, 0, fiber_dependence=True, wave_scale=0.45)
+    spec = random_form_field(ws, _rng(42, 20, 0), 1, 0.0, fiber_dependence=True, wave_scale=0.45)
+    quad = QuadratureSpec(sphere=26, fiber=16, radial=6)
+    total = 26 * 16 * 6
+    assert identities.ANNULUS_CHUNK < total
+    streamed = bochner_integral_sides(engine, ws, spec, 1.4, 1.9, quad)
+    monkeypatch.setattr(identities, "ANNULUS_CHUNK", total)
+    assert bochner_integral_sides(engine, ws, spec, 1.4, 1.9, quad) == streamed
+
+
+def test_bochner_integral_reports_annulus_nodes(engine, model):
+    from weylmass.quadrature import annulus_nodes
+
+    rep = check_bochner_integral(engine, model, seed=42, trials=0)
+    # a sphere request of 100 becomes the 10 x 20 product rule
+    assert rep.details["annulus_nodes"] == 25600
+    assert annulus_nodes(model, 1.3, 1.8, QuadratureSpec(sphere=100, fiber=16, radial=8))[0].shape[1] == 25600
+
+
 def test_bochner_integral_random_trials(engine, model):
     rep = check_bochner_integral(engine, model, seed=42, trials=2)
     assert rep.passed

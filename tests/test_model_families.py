@@ -133,6 +133,60 @@ def test_hopf_deta_matches_fd_of_potential(hopf_space):
     assert np.max(np.abs(omega_fd - space.deta(x))) < 1e-8
 
 
+def _fd_jacobian(fn, x, h=1e-6):
+    """out[b, ...] = d fn / dx_b by central differences, on a batch of points."""
+    rows = []
+    for b in range(x.shape[0]):
+        up, dn = x.copy(), x.copy()
+        up[b] += h
+        dn[b] -= h
+        rows.append((fn(up) - fn(dn)) / (2 * h))
+    return np.stack(rows)
+
+
+HOPF_POINTS = np.array([[1.3, -2.1, 0.4], [0.7, 0.2, 1.8], [0.9, -1.1, -2.5]])
+
+
+def test_hopf_connection_jacobian_matches_fd(hopf_space):
+    J = hopf_space.connection_jacobian(HOPF_POINTS)
+    assert J.shape == (3, 3, 3)
+    fd = _fd_jacobian(hopf_space.connection_potential, HOPF_POINTS)
+    assert np.max(np.abs(J - fd)) < 1e-8
+    # its antisymmetric part is the curvature form: omega_ab = d_a A_b - d_b A_a
+    assert np.max(np.abs(J - np.swapaxes(J, 0, 1) - hopf_space.deta(HOPF_POINTS))) < 1e-14
+
+
+def test_hopf_deta_jacobian_matches_fd(hopf_space):
+    dw = hopf_space.deta_jacobian(HOPF_POINTS)
+    assert np.max(np.abs(dw - _fd_jacobian(hopf_space.deta, HOPF_POINTS))) < 1e-8
+    dC = hopf_space.structure_jacobian(np.vstack([HOPF_POINTS, np.zeros((1, 3))]))
+    assert np.array_equal(dC[:3, :3, :3, 3], -dw)
+    assert not np.any(dC[3]) and not np.any(dC[:, :, :, :3])
+
+
+def test_trivial_chart_jacobians_vanish(model):
+    assert not np.any(model.connection_jacobian(HOPF_POINTS))
+    assert not np.any(model.deta_jacobian(HOPF_POINTS))
+
+
+def test_frame_hessian_matches_fd_of_frame_derivative(hopf_space, engine):
+    """E_p E_i F, including the -(X_p A_i) dF/dt term, against FD of frame_jet1."""
+    from weylmass import autodiff as am
+    from weylmass.engine import Field, frame_jet1
+
+    fld = Field(lambda c: am.sin(0.7 * c[0] - 0.4 * c[1] + 0.3 * c[2] + c[3]) * c[2], shape=())
+    p = hopf_space.point([1.2, -0.8, 1.5], 0.6)
+    _, d1, d2 = engine.jet2(fld, p)
+    got = hopf_space.frame_hessian_from_coord(d1, d2, p[:3])
+    frame_d1 = Field(lambda c: frame_jet1(engine, hopf_space, fld, np.asarray(c, dtype=float))[1],
+                     shape=(4,), analytic=False)
+    _, oracle = frame_jet1(engine, hopf_space, frame_d1, p)
+    assert np.max(np.abs(got - oracle)) < 1e-9
+    # the frame is anholonomic: E_a E_b - E_b E_a = C_ab^k E_k
+    C = hopf_space.structure_constants(p)
+    assert np.max(np.abs(got - got.T - C @ frame_jet1(engine, hopf_space, fld, p)[1])) < 1e-12
+
+
 def test_hopf_seam_rejected(hopf_space):
     with pytest.raises(ChartDomainError):
         hopf_space.connection_potential(np.array([0.0, 0.0, -2.0]))

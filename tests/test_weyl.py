@@ -5,16 +5,17 @@ import pytest
 
 from weylmass import autodiff as am
 from weylmass.algebra import PointMetric, WeightedForm, hodge_star
-from weylmass.engine import Field
+from weylmass.engine import Field, frame_jet1
 from weylmass.errors import GaugeMismatchError
 from weylmass.families import (LeeFormField, flat_product, kaluza_perturbation,
                                radial_lee, radial_profile, random_local_metric,
                                unit_scalar, zero_lee)
 from weylmass.identities import _rng, random_form_field, trial_point, trial_structure
-from weylmass.weyl import (FormFieldSpec, WeylStructure, christoffel, covd_form_block,
-                           covd_tensor_block, dD, deltaD, dirac_D, faraday, form_field_of,
-                           frame_exterior_derivative, gauge_change, laplacian_D, lie_bracket,
-                           weyl_connect_vec, weyl_curvature, ricci_trace_convention)
+from weylmass.weyl import (FormFieldSpec, WeylStructure, _coeff_curvature, _weyl_jet, christoffel,
+                           covd_form_block, covd_tensor_block, dD, deltaD, dirac_D, faraday,
+                           form_field_of, frame_exterior_derivative, gauge_change, laplacian_D,
+                           lc_riemann, lie_bracket, weyl_coeffs, weyl_connect_vec, weyl_curvature,
+                           ricci_trace_convention)
 
 
 def constant_vec(model, comps):
@@ -274,8 +275,6 @@ def test_curvature_flat_zero(model, engine):
 
 
 def test_ricci_matches_riemannian_oracle_at_zero_lee(model, engine):
-    from weylmass.weyl import lc_riemann
-
     fam = random_local_metric(model, seed=21)
     ws = WeylStructure(model, fam, zero_lee(model))
     p = model.point([2.3, 0.6, -0.2], 0.8)
@@ -291,6 +290,56 @@ def test_curvature_split_residual(model, engine):
     ws = trial_structure(model, 22, 4)
     bundle = weyl_curvature(engine, ws, trial_point(model, _rng(22, 9, 0)))
     assert bundle.split_residual < 1e-7
+
+
+def _nested_fd_jet(engine, model, coeff_fn, p):
+    """The FD route: frame_jet1 of a non-analytic field wrapping a coefficient evaluator."""
+    n = model.dim
+    fld = Field(lambda c: coeff_fn(np.asarray(c, dtype=float)), shape=(n, n, n), analytic=False)
+    return frame_jet1(engine, model, fld, p)
+
+
+CHARTS = [("model", False), ("model", True), ("hopf_space", False), ("hopf_space", True)]
+
+
+@pytest.mark.parametrize("chart,fiber", CHARTS)
+def test_weyl_jet_matches_nested_fd(request, engine, chart, fiber):
+    space = request.getfixturevalue(chart)
+    for trial in range(2):
+        ws = trial_structure(space, 41, trial, fiber_dependence=fiber)
+        p = trial_point(space, _rng(41, 30, trial))
+        W, dW = _weyl_jet(engine, ws, p)[:2]
+        W_fd, dW_fd = _nested_fd_jet(engine, space, lambda c: weyl_coeffs(engine, ws, c), p)
+        assert np.array_equal(W, weyl_coeffs(engine, ws, p))
+        assert np.max(np.abs(dW - dW_fd)) < 1e-9 * np.max(np.abs(dW_fd))
+
+
+@pytest.mark.parametrize("chart,fiber", CHARTS)
+def test_lc_riemann_matches_nested_fd(request, engine, chart, fiber):
+    space = request.getfixturevalue(chart)
+    fam = random_local_metric(space, seed=42, fiber_dependence=fiber)
+    p = trial_point(space, _rng(42, 31, 0))
+    gam, dgam = _nested_fd_jet(engine, space, lambda c: christoffel(engine, space, fam, c), p)
+    oracle = _coeff_curvature(gam, dgam, space.structure_constants(p))
+    R = lc_riemann(engine, space, fam, p)
+    assert np.max(np.abs(R - oracle)) < 1e-9 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("chart,fiber", CHARTS)
+def test_curvature_split_exact_in_dual_mode(request, engine, chart, fiber):
+    space = request.getfixturevalue(chart)
+    ws = trial_structure(space, 43, 0, fiber_dependence=fiber)
+    for j in range(3):
+        bundle = weyl_curvature(engine, ws, trial_point(space, _rng(43, 32, j)))
+        assert bundle.split_residual < 1e-12
+
+
+def test_weyl_jet_fd_mode_agrees_with_dual(hopf_space, engine, fd_engine):
+    ws = trial_structure(hopf_space, 44, 0, fiber_dependence=True)
+    p = trial_point(hopf_space, _rng(44, 33, 0))
+    dW = _weyl_jet(engine, ws, p)[1]
+    dW_fd = _weyl_jet(fd_engine, ws, p)[1]
+    assert np.max(np.abs(dW - dW_fd)) < 1e-7
 
 
 def test_ricci_antisymmetric_part_proportional_to_faraday(model, engine):

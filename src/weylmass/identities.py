@@ -535,7 +535,9 @@ def check_bochner_integral(engine: DerivativeEngine, model: ModelSpace, seed: in
         worst = max(worst, rel)
     return IdentityReport(
         "bochner_integral", trials, worst, tolerance, worst < tolerance,
-        details={"weight": k, "annulus_nodes": annulus_node_count(model, quad),
+        # nodes actually used; with no trial the rule is never built (its
+        # Gauss-Jacobi roots would load scipy.linalg, about 7 MB)
+        details={"weight": k, "annulus_nodes": annulus_node_count(model, quad) if trials else 0,
                  "sides": [(f"{v:.6e}", f"{b:.6e}", f"{r:.2e}") for v, b, r in pairs]},
     )
 

@@ -122,12 +122,14 @@ def test_bochner_integral_sides_independent_of_chunk_size(engine, model, monkeyp
 
 
 def test_bochner_integral_reports_annulus_nodes(engine, model):
-    from weylmass.quadrature import annulus_nodes
+    from weylmass.quadrature import annulus_node_count, annulus_nodes
 
-    rep = check_bochner_integral(engine, model, seed=42, trials=0)
+    assert check_bochner_integral(engine, model, seed=42, trials=0).details["annulus_nodes"] == 0
     # a sphere request of 100 becomes the 10 x 20 product rule
-    assert rep.details["annulus_nodes"] == 25600
-    assert annulus_nodes(model, 1.3, 1.8, QuadratureSpec(sphere=100, fiber=16, radial=8))[0].shape[1] == 25600
+    quad = QuadratureSpec(sphere=100, fiber=16, radial=8)
+    assert annulus_node_count(model, quad) == annulus_nodes(model, 1.3, 1.8, quad)[0].shape[1] == 25600
+    rep = check_bochner_integral(engine, model, seed=42, trials=1, quad=QuadratureSpec(26, 4, 2))
+    assert rep.details["annulus_nodes"] == 26 * 4 * 2
 
 
 def test_bochner_integral_random_trials(engine, model):

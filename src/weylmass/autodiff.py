@@ -39,15 +39,6 @@ class Taylor2:
         self.grad = np.asarray(grad, dtype=float)
         self.hess = np.asarray(hess, dtype=float)
 
-    @property
-    def nvars(self) -> int:
-        return self.grad.shape[0]
-
-    @classmethod
-    def constant(cls, value, nvars: int, batch_shape: tuple = ()) -> "Taylor2":
-        v = np.broadcast_to(np.asarray(value, dtype=float), batch_shape)
-        return cls(v, np.zeros((nvars,) + batch_shape), np.zeros((nvars, nvars) + batch_shape))
-
     @classmethod
     def variable(cls, value, index: int, nvars: int) -> "Taylor2":
         v = np.asarray(value, dtype=float)
@@ -113,11 +104,11 @@ class Taylor2:
         return f"Taylor2(val={self.val!r})"
 
 
-def seed_point(coords, nvars: int | None = None) -> list[Taylor2]:
+def seed_point(coords) -> list[Taylor2]:
     """Turn an ``(n,) + batch`` coordinate array into a list of Taylor2 seeds."""
     coords = np.asarray(coords, dtype=float)
-    n = coords.shape[0] if nvars is None else nvars
-    return [Taylor2.variable(coords[i], i, n) for i in range(coords.shape[0])]
+    n = coords.shape[0]
+    return [Taylor2.variable(coords[i], i, n) for i in range(n)]
 
 
 def collect_jet(tree, nvars: int, batch_shape: tuple = ()):

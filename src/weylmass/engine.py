@@ -9,13 +9,14 @@ outputs, derivative axes lead:
 * ``jet1`` returns ``(value, d1)`` with ``d1[i] = d(value)/d(coord_i)``,
 * ``jet2`` additionally returns ``d2[i, j]`` of second partials.
 
-Derived fields (outputs of differential operators) set ``analytic=False``;
-the engine then differentiates them by finite differences even in dual mode,
-with the step schedule ``h = max(rel_step * r, min_step)`` so relative
-truncation error stays uniform as the radius grows.  Curvature does not go
-that way: ``weyl.weyl_curvature`` and ``weyl.lc_riemann`` build the
-derivatives of the connection coefficients in closed form from one ``jet2``
-of the metric (exact Hessian in dual mode, Richardson-FD Hessian in fd mode).
+Fields that cannot take Taylor2 coordinates (non-analytic inputs such as
+``compact_lee``) set ``analytic=False``; the engine differentiates them by
+finite differences even in dual mode, with the step schedule
+``h = max(rel_step * r, min_step)`` so relative truncation error stays
+uniform as the radius grows.  No operator output is differentiated that
+way: curvature, second covariant derivatives and the decay probes build
+their derivatives in closed form from one ``jet2`` of the analytic inputs
+(exact Hessian in dual mode, Richardson-FD Hessian in fd mode).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import Taylor2, collect_jet, seed_point
+from .autodiff import collect_jet, seed_point
 
 RICHARDSON_WEIGHTS = {1: [(1.0, 1.0)], 2: [(-1.0 / 3.0, 1.0), (4.0 / 3.0, 0.5)]}
 
@@ -82,9 +83,6 @@ class DerivativeEngine:
             raise ValueError("richardson level must be 1 or 2")
 
     # -- public API -----------------------------------------------------------
-
-    def value(self, fld: Field, coords) -> np.ndarray:
-        return fld.values(coords)
 
     def jet1(self, fld: Field, coords):
         coords = np.asarray(coords, dtype=float)
@@ -175,3 +173,11 @@ def frame_jet1(engine: DerivativeEngine, model, fld: Field, coords):
     val, d1 = engine.jet1(fld, coords)
     x, _ = model.split(coords)
     return val, model.frame_from_coord(d1, x)
+
+
+def frame_jet2(engine: DerivativeEngine, model, fld: Field, coords):
+    """Value, frame derivatives and second frame derivatives E_p E_i of a field."""
+    coords = np.asarray(coords, dtype=float)
+    val, d1, d2 = engine.jet2(fld, coords)
+    x, _ = model.split(coords)
+    return val, model.frame_from_coord(d1, x), model.frame_hessian_from_coord(d1, d2, x)

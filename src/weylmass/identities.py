@@ -10,6 +10,13 @@ reports the worst residual over seeded random trials:
 * the symmetric/antisymmetric curvature split;
 * the Bochner identity in pointwise, divergence and integral form.
 
+(d^D)^2 and the pointwise and divergence Bochner checks set the
+Weitzenboeck algebra on the closed-form second derivative D(Dw)
+(``weyl.covd2_form_block``) against the curvature algebra on (W, dW); both
+are read off the same jets, so in dual mode their residuals sit at
+roundoff.  The accuracy of those jets is covered by the nested
+finite-difference oracle tests, as for ``curvature_split``.
+
 The literature carries the Bochner curvature term with both signs and two
 variants of the delta^D shift coefficient; this suite does not guess.  It
 fits the constants from the two-path residuals, asserts they are stable
@@ -32,9 +39,9 @@ from .families import (LeeFormField, kaluza_perturbation, random_local_lee,
 from .model import ModelSpace
 from .quadrature import (QuadratureSpec, annulus_node_count, annulus_nodes, flux_curved_metric, shell_nodes,
                          volume_integral_curved)
-from .weyl import (FormFieldSpec, WeylStructure, christoffel, covd_form_block, dD, deltaD,
-                   derived_form_field, form_field_of, insert_alt, inv_gram, lc_form_block,
-                   laplacian_D, lie_bracket, outer_front, tdot, weyl_connect_vec, weyl_curvature)
+from .weyl import (FormFieldSpec, WeylStructure, _jet_curvature, _slot_terms, _weyl_jet, christoffel,
+                   covd2_form_block, covd_form_block, dD, deltaD, form_field_of, insert_alt, inv_gram,
+                   lc_form_block, lie_bracket, outer_front, tdot, weyl_connect_vec, weyl_curvature)
 
 RESOLVED_BOCHNER_SIGN = 1.0
 
@@ -294,7 +301,10 @@ def check_d_squared(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,
         deg = int(rng.integers(0, n - 1))
         k = _weight_pool(model)[int(rng.integers(0, 4))]
         spec = random_form_field(ws, rng, deg, k)
-        dd = dD(engine, ws, derived_form_field(engine, ws, spec, "dD"), p).components
+        DH = covd2_form_block(engine, ws, spec, p)[2]
+        # D commutes with the slot alternation: alternate the inner slots, then the outer one
+        inner = np.moveaxis(insert_alt(np.moveaxis(DH, 0, deg + 1), deg), deg + 1, 0)
+        dd = insert_alt(inner, deg + 1)
         F_wf = ws.form(2, 0.0, weyl_curvature(engine, ws, p).F)
         w_wf = ws.form(deg, k, np.asarray(spec.field.values(p)))
         rhs = k * pointwise_wedge(F_wf, w_wf).components
@@ -352,13 +362,11 @@ def bochner_pointwise_residual(engine: DerivativeEngine, ws: WeylStructure, spec
     k F^D(a#, a#) contraction that must vanish by antisymmetry.
     """
     coords = np.asarray(coords, dtype=float)
-    p1 = dD(engine, ws, derived_form_field(engine, ws, spec, "deltaD"), coords).components
-    p2 = deltaD(engine, ws, derived_form_field(engine, ws, spec, "dD"), coords).components
-    g = ws.gram(coords)
-    ginv = inv_gram(g)
-    a = np.asarray(spec.field.values(coords))
+    a, _, DH, ginv = covd2_form_block(engine, ws, spec, coords)
+    p1 = -np.einsum("ab,cab->c", ginv, DH)                            # d^D delta^D a
+    p2 = -np.einsum("ec,ecj->j", ginv, DH - np.swapaxes(DH, 1, 2))   # delta^D d^D a
+    lap = -np.einsum("ab,abj->j", ginv, DH)
     lhs = float(np.einsum("ab,a,b->", ginv, p1 + p2, a))
-    lap = laplacian_D(engine, ws, spec, coords).components
     mid = float(np.einsum("ab,a,b->", ginv, lap, a))
     bundle = weyl_curvature(engine, ws, coords)
     ash = ginv @ a
@@ -421,41 +429,40 @@ def check_bochner_pointwise(engine: DerivativeEngine, model: ModelSpace, seed: i
     )
 
 
-def zeta_field(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec) -> FormFieldSpec:
-    """zeta_a(X) = <a, D_X a> + delta^D(a) a(X) + d^D a (a#, X); weight 2k - 2."""
-    n = ws.model.dim
+def _zeta(a, H, ginv):
+    """zeta_c = (D_{a#} a)_c + delta^D(a) a_c, weight 2k - 2: the Bochner boundary current."""
+    ash = np.einsum("ab...,b...->a...", ginv, a)
+    delta = -np.einsum("ab...,ab...->...", ginv, H)
+    return np.einsum("b...,bc...->c...", ash, H) + delta * a
 
-    def fn(coords):
-        coords = np.asarray(coords, dtype=float)
-        H = covd_form_block(engine, ws, spec, coords)
-        a = np.asarray(spec.field.values(coords))
-        g = ws.gram(coords)
-        ginv = inv_gram(g)
-        da = insert_alt(H, 1)
-        delta = -np.einsum("ab...,ab...->...", ginv, H)
-        t1 = np.einsum("ab...,a...,cb...->c...", ginv, a, H)
-        t3 = np.einsum("ab...,a...,cb...->c...", ginv, a, da)
-        return t1 + delta * a - t3
 
-    return FormFieldSpec(
-        Field(fn, shape=(n,), analytic=False, name=f"zeta({spec.field.name})"),
-        1, 2.0 * spec.weight - 2.0, ws.gauge,
-    )
+def _zeta_codifferential(a, H, DH, ginv):
+    """delta^D zeta = -g^{ec} (D_e zeta)_c by the product rule on (a, H, g^-1); D g^-1 = 0."""
+    delta = -np.einsum("ab...,ab...->...", ginv, H)
+    d_delta = -np.einsum("ab...,eab...->e...", ginv, DH)              # D_e delta^D a
+    Dzeta = (np.einsum("bd...,ed...,bc...->ec...", ginv, H, H)       # (D_e a#) _| H
+             + np.einsum("bd...,d...,ebc...->ec...", ginv, a, DH)    # a# _| D_e H
+             + np.einsum("e...,c...->ec...", d_delta, a) + delta * H)
+    return -np.einsum("ec...,ec...->...", ginv, Dzeta)
 
 
 def _bochner_density(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords,
                      sign: float):
-    """(g, |Da|^2 + sign Ric(a#, a#) - |DiracD a|^2) at a point or node block."""
-    H = covd_form_block(engine, ws, spec, coords)
-    g = ws.gram(coords)
-    ginv = inv_gram(g)
-    a = np.asarray(spec.field.values(coords))
+    """(g, |Da|^2 + sign Ric(a#, a#) - |DiracD a|^2) at a point or node block.
+
+    H (slot form) and Ric^D come off one ``_weyl_jet`` and one jet of a.
+    """
+    jet = _weyl_jet(engine, ws, coords)
+    W, _, g, ginv, theta, _ = jet
+    a, dA = frame_jet1(engine, ws.model, spec.field, coords)
+    H = dA + _slot_terms(a, W, theta, spec.weight, 1)
     da = insert_alt(H, 1)
     delta = -np.einsum("ab...,ab...->...", ginv, H)
     norm_H = np.einsum("ac...,bd...,ab...,cd...->...", ginv, ginv, H, H)
     norm_da = 0.5 * np.einsum("ac...,bd...,ab...,cd...->...", ginv, ginv, da, da)
     ash = np.einsum("ab...,b...->a...", ginv, a)
-    ric_term = np.einsum("a...,ab...,b...->...", ash, weyl_curvature(engine, ws, coords).Ric, ash)
+    ric = _jet_curvature(jet, ws.model.structure_constants(coords)).Ric
+    ric_term = np.einsum("a...,ab...,b...->...", ash, ric, ash)
     return g, norm_H + sign * ric_term - (delta**2 + norm_da)
 
 
@@ -464,8 +471,8 @@ def bochner_divergence_residual(engine: DerivativeEngine, ws: WeylStructure, spe
     """Residual of |Da|^2 + sign Ric(a#, a#) - |DiracD a|^2 + delta^D(zeta) = 0."""
     coords = np.asarray(coords, dtype=float)
     _, density = _bochner_density(engine, ws, spec, coords, sign)
-    dz = deltaD(engine, ws, zeta_field(engine, ws, spec), coords).components
-    return abs(float(density) + float(dz))
+    a, H, DH, ginv = covd2_form_block(engine, ws, spec, coords)
+    return abs(float(density) + float(_zeta_codifferential(a, H, DH, ginv)))
 
 
 def check_bochner_divergence(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,
@@ -504,12 +511,11 @@ def bochner_integral_sides(engine: DerivativeEngine, ws: WeylStructure, spec: Fo
         g[:, :, block], density[block] = _bochner_density(engine, ws, spec, pts[:, block], sign)
     volume_side = volume_integral_curved(g, density, weights)
 
-    zspec = zeta_field(engine, ws, spec)
     boundary = 0.0
     for r, orient in ((r2, +1.0), (r1, -1.0)):
         spts, sweights, snormals = shell_nodes(model, r, quad)
-        zvals = zspec.field.values(spts)
         gsh = ws.gram(spts)
+        zvals = _zeta(spec.field.values(spts), covd_form_block(engine, ws, spec, spts), inv_gram(gsh))
         boundary += orient * flux_curved_metric(model, zvals, gsh, snormals, sweights)
     return volume_side, boundary
 

@@ -16,11 +16,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .engine import DerivativeEngine, Field, frame_jet1
+from .engine import DerivativeEngine, Field, frame_jet1, frame_jet2
 from .errors import MassNotDefinedError
 from .families import LeeFormField, MetricFamily, ScalarField
 from .model import ModelSpace
-from .weyl import frame_exterior_derivative
+from .weyl import _slot_jet, frame_exterior_derivative, lc_form_block
 
 SLOPE_MARGIN = 0.2
 ZERO_FLOOR = 1e-13
@@ -133,24 +133,18 @@ def metric_probes(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily
     def grad_fn(coords):
         coords = np.asarray(coords, dtype=float)
         g, dg = frame_jet1(engine, model, mfield, coords)
-        gam = model.lc_coeffs_h(coords)
-        out = dg.copy()
-        out -= np.einsum("ijl...,lk...->ijk...", gam, g)
-        out -= np.einsum("ikl...,jl...->ijk...", gam, g)
-        return out
+        return lc_form_block(dg, g, model.lc_coeffs_h(coords), 2)
 
     grad = Field(grad_fn, shape=(n, n, n), analytic=False, name="grad_h(" + fam.name + ")")
 
     def grad2_fn(coords):
+        # closed form from one metric jet2; E_p of the h-coefficients from the structure Jacobian
         coords = np.asarray(coords, dtype=float)
-        G, dG = frame_jet1(engine, model, grad, coords)
         gam = model.lc_coeffs_h(coords)
-        out = dG.copy()
-        for s in range(3):
-            Gm = np.moveaxis(G, s, 0)
-            contr = np.einsum("ial...,l...->ia...", gam, Gm)
-            out -= np.moveaxis(contr, 1, 1 + s)
-        return out
+        dC = model.structure_jacobian(coords)
+        dgam = 0.5 * (dC - np.swapaxes(dC, 2, 3) - np.moveaxis(dC, 3, 1))
+        G, dG = _slot_jet(*frame_jet2(engine, model, mfield, coords), gam, dgam, None, None, 0.0, 2)
+        return lc_form_block(dG, G, gam, 3)
 
     grad2 = Field(grad2_fn, shape=(n, n, n, n), analytic=False, name="grad2_h(" + fam.name + ")")
 

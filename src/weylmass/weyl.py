@@ -18,7 +18,10 @@ f**(k/2) regauging rule.
 Curvature is algebra on (W, dW, C): the coefficients W of D, their frame
 derivatives dW and the frame structure constants C.  dW is closed form in
 one second-order jet of g and one first-order jet of theta
-(``_weyl_jet``); the Levi-Civita case is theta = 0.
+(``_weyl_jet``); the Levi-Civita case is theta = 0.  Second covariant
+derivatives D(Dw) are algebra on the same jet plus one second-order jet of
+the form (``covd2_form_block``), so Lap^D, d^D d^D and delta^D d^D carry no
+finite-difference error in dual mode.
 
 Conventions: component arrays keep tensor axes first and batch axes last;
 a derivative block H[i; J] holds (D_{E_i} w)_J with the direction slot first.
@@ -31,8 +34,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import PointMetric, WeightedForm
-from .engine import DerivativeEngine, Field, frame_jet1
+from .algebra import WeightedForm
+from .engine import DerivativeEngine, Field, frame_jet1, frame_jet2
 from .errors import DegreeError, GaugeMismatchError
 from .families import LeeFormField, MetricFamily, ScalarField, conformal_sweep
 from .model import ModelSpace
@@ -77,17 +80,11 @@ class WeylStructure:
     lee: LeeFormField
     gauge: str = "g"
 
-    def metric_field(self) -> Field:
-        return self.metric.as_field()
-
     def lee_field(self) -> Field:
         return self.lee.as_field()
 
     def gram(self, coords) -> np.ndarray:
         return self.metric.as_field().values(coords)
-
-    def point_metric(self, coords) -> PointMetric:
-        return PointMetric.from_matrix(self.gram(coords))
 
     def theta(self, coords) -> np.ndarray:
         return self.lee.as_field().values(coords)
@@ -178,10 +175,7 @@ def _christoffel_jet(engine: DerivativeEngine, model: ModelSpace, fam: MetricFam
     """
     coords = np.asarray(coords, dtype=float)
     model.require_in_chart(coords)
-    g, d1, d2 = engine.jet2(fam.as_field(), coords)
-    x, _ = model.split(coords)
-    dg = model.frame_from_coord(d1, x)
-    ddg = model.frame_hessian_from_coord(d1, d2, x)
+    g, dg, ddg = frame_jet2(engine, model, fam.as_field(), coords)
     C = model.structure_constants(coords)
     cg = np.einsum("ijl...,lk...->ijk...", C, g)
     dcg = (np.einsum("pijl...,lk...->pijk...", model.structure_jacobian(coords), g)
@@ -275,30 +269,51 @@ def lie_bracket(engine: DerivativeEngine, model: ModelSpace, x_field: Field, y_f
 # ---------------------------------------------------------------------------
 
 
+def _slot_terms(S: np.ndarray, W: np.ndarray, theta, k: float, nslots: int):
+    """Connection terms of D on a weight-k (0, q) tensor, q = nslots:
+
+    out[a; j1..jq] = k theta_a S[J] - sum_s W[a, j_s, l] S[.. l ..].
+    theta is unused (may be None) when k = 0.  Axes between the tensor slots
+    and the batch axes broadcast against the trailing axes of W and theta.
+    """
+    out = k * outer_front(theta, S, nslots) if k else 0.0
+    for s in range(nslots):
+        contr = np.einsum("ial...,l...->ia...", W, np.moveaxis(S, s, 0))  # (a, i, other slots, batch)
+        out = out - np.moveaxis(contr, 1, 1 + s)
+    return out
+
+
+def _slot_jet(S, dS, ddS, W, dW, theta, dtheta, k: float, nslots: int):
+    """(H, E H) for H = E S + slot terms, from the first two frame jets of S and (W, theta).
+
+    E_b H = E_b E S + slot terms of E_b S with (W, theta) + slot terms of S
+    with (E_b W, E_b theta); the direction b leads, as in H.  The b axis is
+    carried as a broadcast axis in front of the batch axes.
+    """
+    q = nslots
+    if not (q or k):  # weight-0 scalar: no connection terms
+        return dS, ddS
+    th, dth = (theta[:, None], np.moveaxis(dtheta, 0, 1)) if k else (None, None)
+    conn = (_slot_terms(np.moveaxis(dS, 0, q), W[:, :, :, None], th, k, q)
+            + _slot_terms(np.expand_dims(S, q), np.moveaxis(dW, 0, 3), dth, k, q))
+    return dS + _slot_terms(S, W, theta, k, q), ddS + np.moveaxis(conn, q + 1, 0)
+
+
 def lc_form_block(dw: np.ndarray, w: np.ndarray, gam: np.ndarray, p: int) -> np.ndarray:
     """Riemannian covariant derivative of a p-form from its frame jet."""
-    H = dw.copy()
-    for s in range(p):
-        wm = np.moveaxis(w, s, 0)  # (l, other form axes, batch)
-        contr = np.einsum("ial...,l...->ia...", gam, wm)  # (i, a, other, batch)
-        H -= np.moveaxis(contr, 1, 1 + s)
-    return H
+    return dw + _slot_terms(w, gam, None, 0.0, p)
 
 
-def covd_form_block(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords,
-                    precomputed=None) -> np.ndarray:
-    """All frame derivatives H[i; J] = (D_{E_i} w)_J of a weighted form."""
+def covd_form_block(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords) -> np.ndarray:
+    """All frame derivatives H[i; J] = (D_{E_i} w)_J of a weighted form (wedge form of D)."""
     if spec.gauge != ws.gauge:
         raise GaugeMismatchError(f"form in gauge {spec.gauge!r}, structure in gauge {ws.gauge!r}")
     coords = np.asarray(coords, dtype=float)
     p, k = spec.degree, spec.weight
-    if precomputed is None:
-        w, dw = frame_jet1(engine, ws.model, spec.field, coords)
-        gam = christoffel(engine, ws.model, ws.metric, coords)
-        g = ws.gram(coords)
-        theta = ws.theta(coords)
-    else:
-        w, dw, gam, g, theta = precomputed
+    w, dw = frame_jet1(engine, ws.model, spec.field, coords)
+    gam = christoffel(engine, ws.model, ws.metric, coords)
+    g = ws.gram(coords)
+    theta = ws.theta(coords)
     H = lc_form_block(dw, w, gam, p)
     if k != 0 or p != 0:
         H = H + (k - p) * outer_front(theta, w, p)
@@ -315,6 +330,23 @@ def covd_form_block(engine: DerivativeEngine, ws: WeylStructure, spec: FormField
     return H
 
 
+def covd2_form_block(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords):
+    """(w, H, DH, g^-1) with H[a; J] = (D_{E_a} w)_J and DH[b; a; J] = (D_{E_b} Dw)[a; J].
+
+    Closed form from one second-order jet of the form and one ``_weyl_jet``:
+    H is the slot form of D, E_b H follows by the product rule, and DH adds
+    the slot terms of H as a weight-k tensor with p + 1 slots.
+    """
+    if spec.gauge != ws.gauge:
+        raise GaugeMismatchError(f"form in gauge {spec.gauge!r}, structure in gauge {ws.gauge!r}")
+    coords = np.asarray(coords, dtype=float)
+    p, k = spec.degree, spec.weight
+    W, dW, _, ginv, theta, dtheta = _weyl_jet(engine, ws, coords)
+    w, dw, ddw = frame_jet2(engine, ws.model, spec.field, coords)
+    H, EH = _slot_jet(w, dw, ddw, W, dW, theta, dtheta, k, p)
+    return w, H, EH + _slot_terms(H, W, theta, k, p + 1), ginv
+
+
 def _outer_two(g: np.ndarray, arr: np.ndarray, nform: int) -> np.ndarray:
     """g[i, a] * arr[J]: shape (n, n) + form + batch."""
     gg = g.reshape(g.shape[:2] + (1,) * nform + g.shape[2:])
@@ -322,7 +354,7 @@ def _outer_two(g: np.ndarray, arr: np.ndarray, nform: int) -> np.ndarray:
 
 
 def covd_tensor_block(engine: DerivativeEngine, ws: WeylStructure, fld: Field, weight: float,
-                      nslots: int, coords, wcoef: np.ndarray | None = None) -> np.ndarray:
+                      nslots: int, coords) -> np.ndarray:
     """Frame derivatives of a weight-k (0, q) tensor via slot insertions of D.
 
     (D_{E_a} S)[j1..jq] = E_a(S) + k theta_a S - sum_s W[a, j_s, l] S[.. l ..].
@@ -331,14 +363,7 @@ def covd_tensor_block(engine: DerivativeEngine, ws: WeylStructure, fld: Field, w
     """
     coords = np.asarray(coords, dtype=float)
     S, dS = frame_jet1(engine, ws.model, fld, coords)
-    W = weyl_coeffs(engine, ws, coords) if wcoef is None else wcoef
-    theta = ws.theta(coords)
-    out = dS + weight * outer_front(theta, S, nslots)
-    for s in range(nslots):
-        Sm = np.moveaxis(S, s, 0)
-        contr = np.einsum("ial...,l...->ia...", W, Sm)
-        out -= np.moveaxis(contr, 1, 1 + s)
-    return out
+    return dS + _slot_terms(S, weyl_coeffs(engine, ws, coords), ws.theta(coords), weight, nslots)
 
 
 # ---------------------------------------------------------------------------
@@ -384,40 +409,9 @@ def form_field_of(ws: WeylStructure, fn: Callable, degree: int, weight: float,
     return FormFieldSpec(Field(fn, shape=(n,) * degree, analytic=analytic, name=name), degree, weight, ws.gauge)
 
 
-def derived_form_field(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec,
-                       op: str) -> FormFieldSpec:
-    """Lazy d^D / delta^D of a form field, as a new (non-analytic) field."""
-    if op == "dD":
-        degree, weight = spec.degree + 1, spec.weight
-        fn = lambda coords: dD(engine, ws, spec, np.asarray(coords, dtype=float)).components
-    elif op == "deltaD":
-        degree, weight = spec.degree - 1, spec.weight - 2.0
-        fn = lambda coords: deltaD(engine, ws, spec, np.asarray(coords, dtype=float)).components
-    else:
-        raise ValueError(f"unknown operator {op!r}")
-    n = ws.model.dim
-    return FormFieldSpec(
-        Field(fn, shape=(n,) * degree, analytic=False, name=f"{op}({spec.field.name})"),
-        degree, weight, ws.gauge,
-    )
-
-
-def covd_field(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec) -> Field:
-    """Lazy full derivative block H[i; J] of a weighted form field."""
-    n = ws.model.dim
-
-    def fn(coords):
-        return covd_form_block(engine, ws, spec, np.asarray(coords, dtype=float))
-
-    return Field(fn, shape=(n,) * (spec.degree + 1), analytic=False, name=f"D({spec.field.name})")
-
-
 def laplacian_D(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords) -> WeightedForm:
-    """Delta^D w = -tr_c(D(Dw)): connection-corrected double frame derivative."""
-    coords = np.asarray(coords, dtype=float)
-    H_field = covd_field(engine, ws, spec)
-    DH = covd_tensor_block(engine, ws, H_field, spec.weight, spec.degree + 1, coords)
-    ginv = inv_gram(ws.gram(coords))
+    """Delta^D w = -g^{ab} D(Dw)[a; b]: trace of the closed-form second derivative."""
+    _, _, DH, ginv = covd2_form_block(engine, ws, spec, coords)
     comps = -np.einsum("ab...,ab...->...", ginv, DH)
     return ws.form(spec.degree, spec.weight - 2.0, comps)
 
@@ -488,7 +482,6 @@ class CurvatureBundle:
     """Curvature data of D at a point, all in the gauge frame."""
 
     R: np.ndarray            # R[i,j,k,m]: R(E_i,E_j)E_k = R[i,j,k,m] E_m
-    R_antisym: np.ndarray    # metric-antisymmetric part, same index layout
     F: np.ndarray            # Faraday 2-form F[i,j]
     Ric: np.ndarray          # Ric[i,j] from the antisymmetric part (weight 0)
     Scal: float              # conformal trace of Ric; weight -2 in this gauge
@@ -525,8 +518,12 @@ def weyl_curvature(engine: DerivativeEngine, ws: WeylStructure, coords) -> Curva
     finite-difference error in dual mode.
     """
     coords = np.asarray(coords, dtype=float)
-    W, dW, g, ginv, theta, dtheta = _weyl_jet(engine, ws, coords)
-    C = ws.model.structure_constants(coords)
+    return _jet_curvature(_weyl_jet(engine, ws, coords), ws.model.structure_constants(coords))
+
+
+def _jet_curvature(jet, C: np.ndarray) -> CurvatureBundle:
+    """Curvature bundle from a ``_weyl_jet`` tuple and the structure constants."""
+    W, dW, g, ginv, theta, dtheta = jet
     R = _coeff_curvature(W, dW, C)
     F = _faraday_components(theta, dtheta, C)
 
@@ -534,11 +531,10 @@ def weyl_curvature(engine: DerivativeEngine, ws: WeylStructure, coords) -> Curva
     sym = 0.5 * (low + np.swapaxes(low, 2, 3))
     asym = 0.5 * (low - np.swapaxes(low, 2, 3))
     split = sym - np.einsum("ij...,km...->ijkm...", F, g)
-    R_antisym = np.einsum("ijkl...,lm...->ijkm...", asym, ginv)
     ric = np.einsum("ab...,iabj...->ij...", ginv, asym)
     scal = np.einsum("ij...,ij...->...", ginv, ric)
     return CurvatureBundle(
-        R=R, R_antisym=R_antisym, F=F, Ric=ric, Scal=scal,
+        R=R, F=F, Ric=ric, Scal=scal,
         split_residual=float(np.max(np.abs(split))),
     )
 

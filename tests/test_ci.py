@@ -26,3 +26,5 @@ def test_test_extra_lists_hypothesis():
     pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
     extra = pyproject["project"]["optional-dependencies"]["test"]
     assert any(re.match(r"hypothesis\b", req) for req in extra)
+    # the workflow test reads tier1.yml with PyYAML; without it that test is skipped
+    assert any(re.match(r"pyyaml\b", req, re.IGNORECASE) for req in extra)

@@ -6,7 +6,7 @@ import pytest
 from weylmass.families import flat_product, zero_lee
 from weylmass.identities import (IdentityReport, _rng, bochner_divergence_residual,
                                  bochner_integral_sides, bochner_pointwise_residual,
-                                 check_bochner_integral, check_bochner_pointwise,
+                                 check_bochner_divergence, check_bochner_integral, check_bochner_pointwise,
                                  check_codifferential_transform, check_curvature_split,
                                  check_d_squared, check_d_transform, check_torsion,
                                  check_weighted_derivative_oracle, random_form_field,
@@ -170,5 +170,25 @@ def test_fd_mode_meets_relaxed_tolerance(fd_engine, model):
                   check_d_squared, check_curvature_split):
         rep = check(fd_engine, model, seed=3, trials=8, tolerance=1e-5)
         assert rep.passed, f"{rep.identity}: {rep.max_residual}"
-    rep = check_bochner_pointwise(fd_engine, model, seed=3, trials=3, tolerance=1e-5)
-    assert rep.passed
+    for check in (check_bochner_pointwise, check_bochner_divergence):
+        rep = check(fd_engine, model, seed=3, trials=3, tolerance=1e-5)
+        assert rep.passed, f"{rep.identity}: {rep.max_residual}"
+
+
+def test_dual_mode_takes_no_fd_jet(engine, model, hopf_space, monkeypatch):
+    """Analytic inputs in dual mode: the suite without an integral trial and a default mass run use no FD."""
+    from weylmass.cli import RunConfig
+    from weylmass.engine import DerivativeEngine
+    from weylmass.mass import mass_matrix
+
+    def refuse(self, *args):
+        raise AssertionError("finite-difference jet in dual mode")
+
+    monkeypatch.setattr(DerivativeEngine, "_fd_jet1", refuse)
+    monkeypatch.setattr(DerivativeEngine, "_fd_hessian", refuse)
+    for space in (model, hopf_space):
+        reports = run_suite(engine, space, seed=4, trials=4, bochner_trials=3, integral_trials=0)
+        assert all(r.passed for r in reports)
+    cfg = RunConfig()
+    space = cfg.model_space()
+    mass_matrix(cfg.engine(), cfg.structure(space), radii=cfg.radii_schedule(), quad=cfg.quad_spec())

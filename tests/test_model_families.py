@@ -9,8 +9,8 @@ import sympy as sp
 from weylmass.errors import ChartDomainError, MassNotDefinedError
 from weylmass.families import (build_metric, conformal_sweep, eval_metric, flat_product,
                                hopf_model, kaluza_perturbation, log_slow_profile, mixed_lee,
-                               radial_lee, radial_profile, sphere_block_test, sqrt_slow_profile,
-                               unit_scalar)
+                               radial_lee, radial_profile, random_local_metric, sphere_block_test,
+                               sqrt_slow_profile, unit_scalar)
 from weylmass.model import ModelSpace, sphere_volume
 from weylmass.probes import (adapted_metric_check, connection_probe, decay_probe,
                              geometric_radii, lee_probes, metric_probes, require_alf)
@@ -389,6 +389,28 @@ def test_hopf_family_passes_probes(hopf_space, engine):
     rep = connection_probe(engine, hopf_space)
     assert rep.passed
     assert rep.slope == pytest.approx(1 - hopf_space.m, abs=0.05)
+
+
+@pytest.mark.parametrize("chart,fiber", [("model", False), ("model", True),
+                                         ("hopf_space", False), ("hopf_space", True)])
+def test_grad2_probe_matches_nested_fd(request, engine, monkeypatch, chart, fiber):
+    """The closed-form grad2_h g against frame FD of the (non-analytic) grad_h g field."""
+    from weylmass import probes
+    from weylmass.engine import frame_jet1
+    from weylmass.identities import _rng, trial_point
+    from weylmass.weyl import lc_form_block
+
+    space = request.getfixturevalue(chart)
+    fields = {}
+    monkeypatch.setattr(probes, "probe_tensor_field",
+                        lambda eng, mdl, fld, declared, name, *a, **kw: fields.setdefault(name.split(":")[1], fld))
+    probes.metric_probes(engine, space, random_local_metric(space, seed=46, fiber_dependence=fiber))
+    rng = _rng(46, 35, 0)
+    pts = np.stack([trial_point(space, rng) for _ in range(3)], axis=1)
+    G, dG = frame_jet1(engine, space, fields["grad_h g"], pts)
+    oracle = lc_form_block(dG, G, space.lc_coeffs_h(pts), 3)
+    got = fields["grad2_h g"].values(pts)
+    assert np.max(np.abs(got - oracle)) < 1e-9 * np.max(np.abs(oracle))
 
 
 def test_trivial_connection_probe(model, engine):

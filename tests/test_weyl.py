@@ -12,7 +12,7 @@ from weylmass.families import (LeeFormField, flat_product, kaluza_perturbation,
                                unit_scalar, zero_lee)
 from weylmass.identities import _rng, random_form_field, trial_point, trial_structure
 from weylmass.weyl import (FormFieldSpec, WeylStructure, _coeff_curvature, _weyl_jet, christoffel,
-                           covd_form_block, covd_tensor_block, dD, deltaD, dirac_D, faraday,
+                           covd2_form_block, covd_form_block, covd_tensor_block, dD, deltaD, dirac_D, faraday,
                            form_field_of, frame_exterior_derivative, gauge_change, laplacian_D,
                            lc_riemann, lie_bracket, weyl_coeffs, weyl_connect_vec, weyl_curvature,
                            ricci_trace_convention)
@@ -340,6 +340,34 @@ def test_weyl_jet_fd_mode_agrees_with_dual(hopf_space, engine, fd_engine):
     dW = _weyl_jet(engine, ws, p)[1]
     dW_fd = _weyl_jet(fd_engine, ws, p)[1]
     assert np.max(np.abs(dW - dW_fd)) < 1e-7
+
+
+def _nested_fd_covd2(engine, ws, spec, p):
+    """The FD route: covd_tensor_block of a non-analytic field wrapping covd_form_block."""
+    n = ws.model.dim
+    H_field = Field(lambda c: covd_form_block(engine, ws, spec, np.asarray(c, dtype=float)),
+                    shape=(n,) * (spec.degree + 1), analytic=False)
+    return (covd_form_block(engine, ws, spec, p),
+            covd_tensor_block(engine, ws, H_field, spec.weight, spec.degree + 1, p))
+
+
+@pytest.mark.parametrize("chart,fiber", CHARTS)
+def test_covd2_form_block_matches_nested_fd(request, engine, fd_engine, chart, fiber):
+    space = request.getfixturevalue(chart)
+    ws = trial_structure(space, 45, 0, fiber_dependence=fiber)
+    rng = _rng(45, 34, 0)
+    for deg, k in ((0, 0.0), (0, 1.0), (1, -1.0), (2, 1.5)):
+        spec = random_form_field(ws, rng, deg, k, fiber_dependence=fiber)
+        p = trial_point(space, rng)
+        w, H, DH, ginv = covd2_form_block(engine, ws, spec, p)
+        H_oracle, DH_oracle = _nested_fd_covd2(engine, ws, spec, p)
+        scale = np.max(np.abs(DH))
+        assert np.array_equal(w, spec.field.values(p))
+        assert np.array_equal(ginv, np.linalg.inv(ws.gram(p)))
+        assert np.max(np.abs(H - H_oracle)) < 1e-12 * np.max(np.abs(H_oracle))
+        assert np.max(np.abs(DH - DH_oracle)) < 1e-8 * scale
+        DH_fd = covd2_form_block(fd_engine, ws, spec, p)[2]
+        assert np.max(np.abs(DH - DH_fd)) < 1e-7 * scale
 
 
 def test_ricci_antisymmetric_part_proportional_to_faraday(model, engine):

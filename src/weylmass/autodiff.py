@@ -1,12 +1,23 @@
-"""Forward-mode automatic differentiation with second-order Taylor scalars.
+"""Forward-mode automatic differentiation with second-order Taylor jets.
 
 A ``Taylor2`` carries a value together with its gradient and Hessian with
 respect to a fixed set of ``d`` seed coordinates.  The payloads are plain
-numpy arrays, so a single Taylor2 can represent a whole batch of evaluation
-points at once (value shape ``batch``, gradient ``(d,) + batch``, Hessian
-``(d, d) + batch``).  Every arithmetic operation propagates value, gradient
+numpy arrays laid out as ``collect_jet`` returns them: value
+``comp + batch``, gradient ``(d,) + comp + batch``, Hessian
+``(d, d) + comp + batch``.  The component axes ``comp`` (empty for a scalar
+jet) let one Taylor2 hold a whole tensor, so one operation differentiates
+every component at once; the batch axes let it hold a whole batch of
+evaluation points.  Every arithmetic operation propagates value, gradient
 and Hessian exactly, which makes first and second derivatives of analytic
 field evaluators exact to machine precision.
+
+Operands broadcast against each other's values as numpy arrays do (batch
+axes last); the derivative axes stay in front, so jets of different rank
+combine componentwise.  ``jet[i]`` indexes the leading component axes.
+Constant tensors enter through two helpers that lay them out over the batch
+axes: ``constant(C, like)`` (C at every point of ``like``) and
+``lincomb(C, terms)`` (the sum of ``C[..., a]`` times ``terms[a]`` over
+scalar jets, built as one jet).
 
 Evaluators that want to be differentiated this way must be written against
 the generic math functions at the bottom of this module (``sqrt``, ``sin``,
@@ -21,6 +32,8 @@ __all__ = [
     "Taylor2",
     "seed_point",
     "collect_jet",
+    "constant",
+    "lincomb",
     "sqrt",
     "exp",
     "log",
@@ -30,9 +43,11 @@ __all__ = [
 
 
 class Taylor2:
-    """Truncated second-order Taylor scalar ``f + g·dx + dx·h·dx/2``."""
+    """Truncated second-order Taylor jet ``f + g·dx + dx·h·dx/2`` of a scalar or tensor."""
 
     __slots__ = ("val", "grad", "hess")
+    # numpy defers to the reflected operators instead of building object arrays
+    __array_ufunc__ = None
 
     def __init__(self, val, grad, hess):
         self.val = np.asarray(val, dtype=float)
@@ -48,6 +63,14 @@ class Taylor2:
 
     # -- helpers ----------------------------------------------------------
 
+    def _lifted(self, ndim: int):
+        """(grad, hess) with unit axes after the derivative axes, for a value of ndim axes."""
+        if ndim <= self.val.ndim:
+            return self.grad, self.hess
+        pad = (1,) * (ndim - self.val.ndim)
+        return (self.grad.reshape(self.grad.shape[:1] + pad + self.val.shape),
+                self.hess.reshape(self.hess.shape[:2] + pad + self.val.shape))
+
     def _apply(self, u0, u1, u2) -> "Taylor2":
         """Chain rule for a scalar function u with u(f)=u0, u'(f)=u1, u''(f)=u2."""
         outer = self.grad[:, None] * self.grad[None, :]
@@ -57,13 +80,23 @@ class Taylor2:
         f = self.val
         return self._apply(1.0 / f, -1.0 / f**2, 2.0 / f**3)
 
+    def __getitem__(self, idx) -> "Taylor2":
+        """Index the leading component axes; the derivative axes are kept."""
+        idx = idx if isinstance(idx, tuple) else (idx,)
+        full = slice(None)
+        return Taylor2(self.val[idx], self.grad[(full,) + idx], self.hess[(full, full) + idx])
+
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Taylor2):
-            return Taylor2(self.val + other.val, self.grad + other.grad, self.hess + other.hess)
+            if self.val.ndim == other.val.ndim:  # no lifting: the common case, kept cheap
+                return Taylor2(self.val + other.val, self.grad + other.grad, self.hess + other.hess)
+            (g1, h1), (g2, h2) = self._lifted(other.val.ndim), other._lifted(self.val.ndim)
+            return Taylor2(self.val + other.val, g1 + g2, h1 + h2)
         pad = np.zeros(np.shape(other))
-        return Taylor2(self.val + other, self.grad + pad, self.hess + pad)
+        grad, hess = self._lifted(pad.ndim)
+        return Taylor2(self.val + other, grad + pad, hess + pad)
 
     __radd__ = __add__
 
@@ -78,13 +111,17 @@ class Taylor2:
 
     def __mul__(self, other):
         if isinstance(other, Taylor2):
-            cross = self.grad[:, None] * other.grad[None, :]
+            g1, h1, g2, h2 = self.grad, self.hess, other.grad, other.hess
+            if self.val.ndim != other.val.ndim:
+                (g1, h1), (g2, h2) = self._lifted(other.val.ndim), other._lifted(self.val.ndim)
+            cross = g1[:, None] * g2[None, :]
             return Taylor2(
                 self.val * other.val,
-                self.val * other.grad + other.val * self.grad,
-                self.val * other.hess + other.val * self.hess + cross + np.swapaxes(cross, 0, 1),
+                self.val * g2 + other.val * g1,
+                self.val * h2 + other.val * h1 + cross + np.swapaxes(cross, 0, 1),
             )
-        return Taylor2(self.val * other, self.grad * other, self.hess * other)
+        grad, hess = self._lifted(0 if isinstance(other, (int, float)) else np.ndim(other))
+        return Taylor2(self.val * other, grad * other, hess * other)
 
     __rmul__ = __mul__
 
@@ -111,13 +148,72 @@ def seed_point(coords) -> list[Taylor2]:
     return [Taylor2.variable(coords[i], i, n) for i in range(n)]
 
 
+def _value(x):
+    return x.val if isinstance(x, Taylor2) else x
+
+
+def constant(C, like) -> np.ndarray:
+    """The constant tensor C at every point of ``like`` (a jet, array or number).
+
+    Returns C with one unit axis per axis of ``like``'s value, so it
+    broadcasts over them: ``jet + constant(C, jet)`` adds C at every point
+    and ``constant(C, s) * s`` is the tensor product C ⊗ s.
+    """
+    C = np.asarray(C, dtype=float)
+    return C.reshape(C.shape + (1,) * np.ndim(_value(like)))
+
+
+def lincomb(coefs, terms):
+    """Sum over a of ``coefs[..., a]`` ⊗ ``terms[a]``, accumulated left to right.
+
+    ``terms`` are scalars at the evaluation points: rank-0 Taylor2 jets,
+    batch arrays or numbers.  The result has the component axes
+    ``coefs.shape[:-1]`` and is one Taylor2 if any term is one, so a linear
+    combination of m coordinates costs one jet, not 2m.  Each component
+    takes the same products and sums, in the same order, as the loop
+    ``acc = acc + coefs[..., a] * terms[a]`` over scalar jets.
+    """
+    coefs = np.asarray(coefs, dtype=float)
+    comp = coefs.shape[:-1]
+    lift = (1,) * len(comp)
+    batch = (1,) * max(np.ndim(_value(t)) for t in terms)
+    val = grad = hess = scratch = None
+    for a, term in enumerate(terms):
+        c = coefs[..., a].reshape(comp + batch)
+        part = c * _value(term)
+        val = part if val is None else val + part
+        if isinstance(term, Taylor2):
+            g = term.grad.reshape(term.grad.shape[:1] + lift + term.val.shape)
+            h = term.hess.reshape(term.hess.shape[:2] + lift + term.val.shape)
+            if grad is None:
+                grad, hess = c * g, c * h
+                continue
+            # accumulate in place through one scratch pair: on large batches
+            # the derivative arrays dominate and fresh temporaries cost more
+            # than the arithmetic
+            if scratch is None:
+                scratch = np.empty_like(grad), np.empty_like(hess)
+            grad += np.multiply(c, g, out=scratch[0])
+            hess += np.multiply(c, h, out=scratch[1])
+    return val if grad is None else Taylor2(val, grad, hess)
+
+
 def collect_jet(tree, nvars: int, batch_shape: tuple = ()):
-    """Extract (value, gradient, Hessian) arrays from a nested evaluator result.
+    """Extract (value, gradient, Hessian) arrays from an evaluator result.
 
     Leading axes of the returned gradient/Hessian are the derivative axes:
     value ``comp + batch``, gradient ``(d,) + comp + batch``, Hessian
-    ``(d, d) + comp + batch``.  Non-Taylor2 leaves are treated as constants.
+    ``(d, d) + comp + batch``.  An array-valued Taylor2 already has that
+    layout and is returned without gathering; a nested list is gathered
+    leaf by leaf, with non-Taylor2 leaves treated as constants.  Both paths
+    hold the component axes outermost in memory, so downstream reductions
+    see the same strides and round the same way.
     """
+    if isinstance(tree, Taylor2):
+        k = tree.val.ndim - len(batch_shape)
+        grad = np.moveaxis(np.asarray(np.moveaxis(tree.grad, 0, k), order="C"), k, 0)
+        hess = np.moveaxis(np.asarray(np.moveaxis(tree.hess, (0, 1), (k, k + 1)), order="C"), (k, k + 1), (0, 1))
+        return np.asarray(tree.val, order="C"), grad, hess
     arr = np.array(tree, dtype=object)
     comp = arr.shape
     val = np.zeros(comp + batch_shape)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field as dc_field
@@ -166,12 +167,19 @@ class RunConfig:
             raise ConfigError(f"mode must be 'dual' or 'fd', got {self.mode!r}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        for k in self.tolerances:
-            if k not in DEFAULT_TOLERANCES:
-                raise ConfigError(f"unknown tolerance key {k!r}")
-        for k in self.trials:
-            if k not in DEFAULT_TRIALS:
-                raise ConfigError(f"unknown trials key {k!r}")
+        for where, given, known, kind, valid in (
+            ("tolerances", self.tolerances, DEFAULT_TOLERANCES, "a positive finite number",
+             lambda v: isinstance(v, (int, float)) and 0 < v < math.inf),
+            ("trials", self.trials, DEFAULT_TRIALS, "a non-negative integer",
+             lambda v: isinstance(v, int) and v >= 0),
+        ):
+            if not isinstance(given, dict):
+                raise ConfigError(f"{where} must be an object, got {given!r}")
+            for k, v in given.items():
+                if k not in known:
+                    raise ConfigError(f"unknown {where} key {k!r}")
+                if isinstance(v, bool) or not valid(v):
+                    raise ConfigError(f"{where}.{k} must be {kind}, got {v!r}")
 
     # -- resolved pieces ----------------------------------------------------
 

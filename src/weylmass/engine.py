@@ -1,10 +1,11 @@
 """Derivative engine: exact dual-number jets for analytic fields, central
 finite differences with Richardson extrapolation for everything else.
 
-A :class:`Field` wraps an evaluator ``fn(coords) -> nested components`` where
+A :class:`Field` wraps an evaluator ``fn(coords) -> components`` where
 ``coords`` is a length-n sequence of scalar-likes (floats, batch arrays, or
-Taylor2 seeds for analytic fields).  Component axes come first in all jet
-outputs, derivative axes lead:
+Taylor2 seeds for analytic fields) and the components are nested lists or
+one array (an array-valued Taylor2 for Taylor2 seeds).  Component axes come
+first in all jet outputs, derivative axes lead:
 
 * ``jet1`` returns ``(value, d1)`` with ``d1[i] = d(value)/d(coord_i)``,
 * ``jet2`` additionally returns ``d2[i, j]`` of second partials.

@@ -3,8 +3,12 @@
 Evaluators receive coordinates as a length-n sequence of generic scalars
 (floats, batch arrays or Taylor2 seeds) and must only use the generic math
 in :mod:`weylmass.autodiff`, so the derivative engine can push dual numbers
-through them.  All components are taken in the model coframe
-``(dx_1..dx_m, eta)``.
+through them.  An evaluator returns nested lists of components or one
+array-valued result: with Taylor2 seeds that is one array-valued jet, whose
+single operations act on every component (``random_local_metric`` and
+``random_local_lee`` build theirs with ``autodiff.lincomb``).  Callers that
+combine components index either kind as ``out[i][j]``.  All components are
+taken in the model coframe ``(dx_1..dx_m, eta)``.
 
 Declared decay exponents are carried as metadata and checked against
 measured slopes by :mod:`weylmass.probes`.
@@ -228,23 +232,18 @@ def random_local_metric(model: ModelSpace, seed: int, amplitude: float = 0.12,
     phases = rng.uniform(0, 2 * math.pi, size=nterms)
     fiber_k = 1 if fiber_dependence else 0
     omega_t = 2.0 * math.pi * fiber_k / model.L
+    # term q: sin(waves[q] . x (+ omega_t t for q = 0) + phase[q]), one lincomb each
+    arg_coefs = [np.concatenate([waves[q], [omega_t] if omega_t and q == 0 else [], [phases[q]]])
+                 for q in range(nterms)]
+    # sum_q amplitude syms[q] s_q + identity, with the term index last
+    metric_coefs = np.moveaxis(np.concatenate([amplitude * syms, np.eye(n)[None]]), 0, -1)
 
     def fn(coords):
-        rows = [[0.0] * n for _ in range(n)]
+        sines = []
         for q in range(nterms):
-            phase = phases[q]
-            arg = 0.0
-            for a in range(m):
-                arg = arg + waves[q, a] * coords[a]
-            if omega_t and q == 0:
-                arg = arg + omega_t * coords[m]
-            s = am.sin(arg + phase)
-            for i in range(n):
-                for j in range(n):
-                    rows[i][j] = rows[i][j] + amplitude * syms[q, i, j] * s
-        for i in range(n):
-            rows[i][i] = rows[i][i] + 1.0
-        return rows
+            fiber = [coords[m]] if omega_t and q == 0 else []
+            sines.append(am.sin(am.lincomb(arg_coefs[q], list(coords[:m]) + fiber + [1.0])))
+        return am.lincomb(metric_coefs, sines + [1.0])
 
     return MetricFamily(f"random_local_metric(seed={seed})", model, fn, params={"seed": seed}, is_alf=False)
 
@@ -326,17 +325,13 @@ def random_local_lee(model: ModelSpace, seed: int, amplitude: float = 0.3,
     phases = rng.uniform(0, 2 * math.pi, size=n)
     amps = rng.normal(size=n) * amplitude
     omega_t = 2.0 * math.pi / model.L if fiber_dependence else 0.0
+    # component i: amps[i] sin(phases[i] + coef[i] . x (+ omega_t t for i = 0))
+    arg_coefs = np.concatenate([phases[:, None], coef] + ([omega_t * np.eye(n)[:, :1]] if omega_t else []), axis=1)
 
     def fn(coords):
-        comps = []
-        for i in range(n):
-            arg = phases[i]
-            for a in range(m):
-                arg = arg + coef[i, a] * coords[a]
-            if omega_t and i == 0:
-                arg = arg + omega_t * coords[m]
-            comps.append(amps[i] * am.sin(arg))
-        return comps
+        fiber = [coords[m]] if omega_t else []
+        arg = am.lincomb(arg_coefs, [1.0] + list(coords[:m]) + fiber)
+        return am.constant(amps, coords[0]) * am.sin(arg)
 
     return LeeFormField(f"random_local_lee(seed={seed})", model, fn, params={"seed": seed})
 

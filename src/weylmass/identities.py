@@ -39,9 +39,10 @@ from .families import (LeeFormField, kaluza_perturbation, random_local_lee,
 from .model import ModelSpace
 from .quadrature import (QuadratureSpec, annulus_node_count, annulus_nodes, flux_curved_metric, shell_nodes,
                          volume_integral_curved)
-from .weyl import (FormFieldSpec, WeylStructure, _jet_curvature, _slot_terms, _weyl_jet, christoffel,
-                   covd2_form_block, covd_form_block, dD, deltaD, form_field_of, insert_alt, inv_gram,
-                   lc_form_block, lie_bracket, outer_front, tdot, weyl_connect_vec, weyl_curvature)
+from .weyl import (FormFieldSpec, WeylStructure, _coeff_curvature, _faraday_components, _jet_curvature,
+                   _ricci, _slot_terms, _weyl_jet, christoffel, covd2_form_block, covd_form_block, dD,
+                   deltaD, form_field_of, insert_alt, inv_gram, lc_form_block, lie_bracket, outer_front,
+                   tdot, weyl_connect_vec, weyl_curvature)
 
 RESOLVED_BOCHNER_SIGN = 1.0
 
@@ -121,39 +122,19 @@ def random_form_field(ws: WeylStructure, rng, degree: int, weight: float,
     waves = rng.uniform(-1.0, 1.0, size=(nterms, m)) * wave_scale
     phases = rng.uniform(0, 2 * math.pi, size=nterms)
     omega_t = 2.0 * math.pi / ws.model.L if fiber_dependence else 0.0
+    # term q: sin(phases[q] + waves[q] . x (+ omega_t t for q = 0)); the form is sum_q coefs[q] s_q
+    arg_coefs = [np.concatenate([[phases[q]], waves[q]] + ([[omega_t]] if omega_t and q == 0 else []))
+                 for q in range(nterms)]
+    form_coefs = np.stack(coefs, axis=-1)
 
     def fn(coords):
-        total = None
+        sines = []
         for q in range(nterms):
-            arg = phases[q]
-            for a in range(m):
-                arg = arg + waves[q, a] * coords[a]
-            if omega_t and q == 0:
-                arg = arg + omega_t * coords[m]
-            s = am.sin(arg)
-            term = _shape_scale(coefs[q], s, degree, n)
-            total = term if total is None else _tree_add(total, term)
-        return total
+            fiber = [coords[m]] if omega_t and q == 0 else []
+            sines.append(am.sin(am.lincomb(arg_coefs[q], [1.0] + list(coords[:m]) + fiber)))
+        return am.lincomb(form_coefs, sines)
 
     return form_field_of(ws, fn, degree=degree, weight=weight, name=f"random_{degree}form")
-
-
-def _shape_scale(coef, s, degree: int, n: int):
-    if degree == 0:
-        return coef * s
-    if degree == 1:
-        return [coef[i] * s for i in range(n)]
-    if degree == 2:
-        return [[coef[i, j] * s for j in range(n)] for i in range(n)]
-    if degree == 3:
-        return [[[coef[i, j, l] * s for l in range(n)] for j in range(n)] for i in range(n)]
-    return [[[[coef[i, j, l, q] * s for q in range(n)] for l in range(n)] for j in range(n)] for i in range(n)]
-
-
-def _tree_add(a, b):
-    if isinstance(a, list):
-        return [_tree_add(x, y) for x, y in zip(a, b)]
-    return a + b
 
 
 def random_vector_field(model: ModelSpace, rng) -> Field:
@@ -162,15 +143,12 @@ def random_vector_field(model: ModelSpace, rng) -> Field:
     coefs = rng.normal(size=n)
     waves = rng.uniform(-1.0, 1.0, size=(n, m)) * 0.6
     phases = rng.uniform(0, 2 * math.pi, size=n)
+    # component i: coefs[i] sin(phases[i] + waves[i] . x)
+    arg_coefs = np.concatenate([phases[:, None], waves], axis=1)
 
     def fn(coords):
-        out = []
-        for i in range(n):
-            arg = phases[i]
-            for a in range(m):
-                arg = arg + waves[i, a] * coords[a]
-            out.append(coefs[i] * am.sin(arg))
-        return out
+        arg = am.lincomb(arg_coefs, [1.0] + list(coords[:m]))
+        return am.constant(coefs, coords[0]) * am.sin(arg)
 
     return Field(fn, shape=(n,), analytic=True, name="random_vector")
 
@@ -301,11 +279,11 @@ def check_d_squared(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,
         deg = int(rng.integers(0, n - 1))
         k = _weight_pool(model)[int(rng.integers(0, 4))]
         spec = random_form_field(ws, rng, deg, k)
-        DH = covd2_form_block(engine, ws, spec, p)[2]
+        _, _, DH, jet = covd2_form_block(engine, ws, spec, p)
         # D commutes with the slot alternation: alternate the inner slots, then the outer one
         inner = np.moveaxis(insert_alt(np.moveaxis(DH, 0, deg + 1), deg), deg + 1, 0)
         dd = insert_alt(inner, deg + 1)
-        F_wf = ws.form(2, 0.0, weyl_curvature(engine, ws, p).F)
+        F_wf = ws.form(2, 0.0, _faraday_components(jet[4], jet[5], model.structure_constants(p)))
         w_wf = ws.form(deg, k, np.asarray(spec.field.values(p)))
         rhs = k * pointwise_wedge(F_wf, w_wf).components
         worst = max(worst, float(np.max(np.abs(dd - rhs))))
@@ -354,6 +332,27 @@ def check_weighted_derivative_oracle(engine: DerivativeEngine, model: ModelSpace
 # ---------------------------------------------------------------------------
 
 
+def _bochner_pointwise_terms(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec,
+                             coords) -> tuple[float, float, float]:
+    """(<(DiracD)^2 a, a> - <Lap^D a, a>, Ric^D(a#, a#), |k F^D(a#, a#)|) at a point.
+
+    D(Dw) and the curvature come off the same metric jet, so the residual
+    for either sign of the Ricci term is read off these three numbers.
+    """
+    a, _, DH, jet = covd2_form_block(engine, ws, spec, coords)
+    ginv = jet[3]
+    p1 = -np.einsum("ab,cab->c", ginv, DH)                            # d^D delta^D a
+    p2 = -np.einsum("ec,ecj->j", ginv, DH - np.swapaxes(DH, 1, 2))   # delta^D d^D a
+    lap = -np.einsum("ab,abj->j", ginv, DH)
+    lhs = float(np.einsum("ab,a,b->", ginv, p1 + p2, a))
+    mid = float(np.einsum("ab,a,b->", ginv, lap, a))
+    bundle = _jet_curvature(jet, ws.model.structure_constants(coords))
+    ash = ginv @ a
+    ric_term = float(ash @ bundle.Ric @ ash)
+    f_term = abs(spec.weight * float(ash @ bundle.F @ ash))
+    return lhs - mid, ric_term, f_term
+
+
 def bochner_pointwise_residual(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec,
                                coords, sign: float) -> tuple[float, float, float]:
     """Residual of <(DiracD)^2 a, a> = <Lap^D a, a> + sign Ric^D(a#, a#).
@@ -361,18 +360,8 @@ def bochner_pointwise_residual(engine: DerivativeEngine, ws: WeylStructure, spec
     Returns (residual, |Ric term|, |contracted F term|); the last is the
     k F^D(a#, a#) contraction that must vanish by antisymmetry.
     """
-    coords = np.asarray(coords, dtype=float)
-    a, _, DH, ginv = covd2_form_block(engine, ws, spec, coords)
-    p1 = -np.einsum("ab,cab->c", ginv, DH)                            # d^D delta^D a
-    p2 = -np.einsum("ec,ecj->j", ginv, DH - np.swapaxes(DH, 1, 2))   # delta^D d^D a
-    lap = -np.einsum("ab,abj->j", ginv, DH)
-    lhs = float(np.einsum("ab,a,b->", ginv, p1 + p2, a))
-    mid = float(np.einsum("ab,a,b->", ginv, lap, a))
-    bundle = weyl_curvature(engine, ws, coords)
-    ash = ginv @ a
-    ric_term = float(ash @ bundle.Ric @ ash)
-    f_term = abs(spec.weight * float(ash @ bundle.F @ ash))
-    return abs(lhs - mid - sign * ric_term), abs(ric_term), f_term
+    diff, ric_term, f_term = _bochner_pointwise_terms(engine, ws, spec, np.asarray(coords, dtype=float))
+    return abs(diff - sign * ric_term), abs(ric_term), f_term
 
 
 def resolve_bochner_sign(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,
@@ -393,8 +382,8 @@ def resolve_bochner_sign(engine: DerivativeEngine, model: ModelSpace, seed: int 
         k = _weight_pool(model)[int(rng.integers(0, 4))]
         spec = random_form_field(ws, rng, 1, k)
         trial += 1
-        r_plus, ric_mag, _ = bochner_pointwise_residual(engine, ws, spec, p, +1.0)
-        r_minus, _, _ = bochner_pointwise_residual(engine, ws, spec, p, -1.0)
+        diff, ric_term, _ = _bochner_pointwise_terms(engine, ws, spec, p)
+        r_plus, r_minus, ric_mag = abs(diff - ric_term), abs(diff + ric_term), abs(ric_term)
         if ric_mag < 1e-6:
             continue
         votes.append(+1.0 if r_plus < r_minus else -1.0)
@@ -446,6 +435,25 @@ def _zeta_codifferential(a, H, DH, ginv):
     return -np.einsum("ec...,ec...->...", ginv, Dzeta)
 
 
+def _pair_norm(ginv, T):
+    """g^{ac} g^{bd} T_ab T_cd in two steps: raise the first index, then contract the rest."""
+    raised = np.einsum("ac...,cd...->ad...", ginv, T)
+    return np.einsum("ad...,db...,ab...->...", raised, ginv, T)
+
+
+def _density(jet, C, a, H, sign: float):
+    """|Da|^2 + sign Ric(a#, a#) - |DiracD a|^2 from a ``_weyl_jet`` and (a, H).
+
+    Reads only Ric off the curvature: no curvature bundle is built.
+    """
+    W, dW, g, ginv = jet[:4]
+    delta = -np.einsum("ab...,ab...->...", ginv, H)
+    ash = np.einsum("ab...,b...->a...", ginv, a)
+    ric = _ricci(_coeff_curvature(W, dW, C), g, ginv)
+    ric_term = np.einsum("a...,ab...,b...->...", ash, ric, ash)
+    return _pair_norm(ginv, H) + sign * ric_term - (delta**2 + 0.5 * _pair_norm(ginv, insert_alt(H, 1)))
+
+
 def _bochner_density(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords,
                      sign: float):
     """(g, |Da|^2 + sign Ric(a#, a#) - |DiracD a|^2) at a point or node block.
@@ -453,26 +461,22 @@ def _bochner_density(engine: DerivativeEngine, ws: WeylStructure, spec: FormFiel
     H (slot form) and Ric^D come off one ``_weyl_jet`` and one jet of a.
     """
     jet = _weyl_jet(engine, ws, coords)
-    W, _, g, ginv, theta, _ = jet
+    W, theta = jet[0], jet[4]
     a, dA = frame_jet1(engine, ws.model, spec.field, coords)
     H = dA + _slot_terms(a, W, theta, spec.weight, 1)
-    da = insert_alt(H, 1)
-    delta = -np.einsum("ab...,ab...->...", ginv, H)
-    norm_H = np.einsum("ac...,bd...,ab...,cd...->...", ginv, ginv, H, H)
-    norm_da = 0.5 * np.einsum("ac...,bd...,ab...,cd...->...", ginv, ginv, da, da)
-    ash = np.einsum("ab...,b...->a...", ginv, a)
-    ric = _jet_curvature(jet, ws.model.structure_constants(coords)).Ric
-    ric_term = np.einsum("a...,ab...,b...->...", ash, ric, ash)
-    return g, norm_H + sign * ric_term - (delta**2 + norm_da)
+    return jet[2], _density(jet, ws.model.structure_constants(coords), a, H, sign)
 
 
 def bochner_divergence_residual(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec,
                                 coords, sign: float = RESOLVED_BOCHNER_SIGN) -> float:
-    """Residual of |Da|^2 + sign Ric(a#, a#) - |DiracD a|^2 + delta^D(zeta) = 0."""
+    """Residual of |Da|^2 + sign Ric(a#, a#) - |DiracD a|^2 + delta^D(zeta) = 0.
+
+    Both terms come off the one metric jet of ``covd2_form_block``.
+    """
     coords = np.asarray(coords, dtype=float)
-    _, density = _bochner_density(engine, ws, spec, coords, sign)
-    a, H, DH, ginv = covd2_form_block(engine, ws, spec, coords)
-    return abs(float(density) + float(_zeta_codifferential(a, H, DH, ginv)))
+    a, H, DH, jet = covd2_form_block(engine, ws, spec, coords)
+    density = _density(jet, ws.model.structure_constants(coords), a, H, sign)
+    return abs(float(density) + float(_zeta_codifferential(a, H, DH, jet[3])))
 
 
 def check_bochner_divergence(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,

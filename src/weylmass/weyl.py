@@ -331,20 +331,24 @@ def covd_form_block(engine: DerivativeEngine, ws: WeylStructure, spec: FormField
 
 
 def covd2_form_block(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords):
-    """(w, H, DH, g^-1) with H[a; J] = (D_{E_a} w)_J and DH[b; a; J] = (D_{E_b} Dw)[a; J].
+    """(w, H, DH, jet) with H[a; J] = (D_{E_a} w)_J and DH[b; a; J] = (D_{E_b} Dw)[a; J].
 
     Closed form from one second-order jet of the form and one ``_weyl_jet``:
     H is the slot form of D, E_b H follows by the product rule, and DH adds
-    the slot terms of H as a weight-k tensor with p + 1 slots.
+    the slot terms of H as a weight-k tensor with p + 1 slots.  ``jet`` is
+    that ``_weyl_jet`` tuple (W, dW, g, g^-1, theta, dtheta), handed out so
+    callers read g^-1 and the curvature (``_jet_curvature``) off the same
+    metric jet.
     """
     if spec.gauge != ws.gauge:
         raise GaugeMismatchError(f"form in gauge {spec.gauge!r}, structure in gauge {ws.gauge!r}")
     coords = np.asarray(coords, dtype=float)
     p, k = spec.degree, spec.weight
-    W, dW, _, ginv, theta, dtheta = _weyl_jet(engine, ws, coords)
+    jet = _weyl_jet(engine, ws, coords)
+    W, dW, _, _, theta, dtheta = jet
     w, dw, ddw = frame_jet2(engine, ws.model, spec.field, coords)
     H, EH = _slot_jet(w, dw, ddw, W, dW, theta, dtheta, k, p)
-    return w, H, EH + _slot_terms(H, W, theta, k, p + 1), ginv
+    return w, H, EH + _slot_terms(H, W, theta, k, p + 1), jet
 
 
 def _outer_two(g: np.ndarray, arr: np.ndarray, nform: int) -> np.ndarray:
@@ -411,8 +415,8 @@ def form_field_of(ws: WeylStructure, fn: Callable, degree: int, weight: float,
 
 def laplacian_D(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords) -> WeightedForm:
     """Delta^D w = -g^{ab} D(Dw)[a; b]: trace of the closed-form second derivative."""
-    _, _, DH, ginv = covd2_form_block(engine, ws, spec, coords)
-    comps = -np.einsum("ab...,ab...->...", ginv, DH)
+    _, _, DH, jet = covd2_form_block(engine, ws, spec, coords)
+    comps = -np.einsum("ab...,ab...->...", jet[3], DH)
     return ws.form(spec.degree, spec.weight - 2.0, comps)
 
 
@@ -529,14 +533,24 @@ def _jet_curvature(jet, C: np.ndarray) -> CurvatureBundle:
 
     low = np.einsum("ijkl...,lm...->ijkm...", R, g)        # g(R(Ei,Ej)Ek, Em)
     sym = 0.5 * (low + np.swapaxes(low, 2, 3))
-    asym = 0.5 * (low - np.swapaxes(low, 2, 3))
     split = sym - np.einsum("ij...,km...->ijkm...", F, g)
-    ric = np.einsum("ab...,iabj...->ij...", ginv, asym)
+    ric = _ricci(R, g, ginv)
     scal = np.einsum("ij...,ij...->...", ginv, ric)
     return CurvatureBundle(
         R=R, F=F, Ric=ric, Scal=scal,
         split_residual=float(np.max(np.abs(split))),
     )
+
+
+def _ricci(R: np.ndarray, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """Ric_ij = g^{ab} asym(R)_{iabj} = 1/2 (g^{ab} R_{iab}^l g_{lj} - R_{iaj}^a).
+
+    asym is the part of g(R(E_i, E_a) E_b, E_j) antisymmetric in (b, j);
+    its g^{ab} trace is taken before lowering, so no 4-index lowered
+    tensor is built.
+    """
+    raised = np.einsum("ab...,iabl...->il...", ginv, R)
+    return 0.5 * (np.einsum("il...,lj...->ij...", raised, g) - np.einsum("iaja...->ij...", R))
 
 
 def ricci_trace_convention(R: np.ndarray) -> np.ndarray:

@@ -1,0 +1,324 @@
+"""Array-valued Taylor jets: layout, mixed-rank arithmetic and the trial-field evaluators.
+
+The nested-list evaluators below are the trial fields as they were written
+before they became array-valued: one scalar jet per component.  They are
+the oracle; the array-valued evaluators must reproduce them exactly.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from weylmass import autodiff as am
+from weylmass.algebra import antisymmetrize
+from weylmass.engine import DerivativeEngine
+from weylmass.families import radial_profile, random_local_lee, random_local_metric
+from weylmass.identities import (extended_lee, random_form_field, random_vector_field, trial_point,
+                                 trial_structure)
+from weylmass.model import ModelSpace
+from weylmass.probes import metric_probes
+from weylmass.weyl import WeylStructure, gauge_change
+
+
+# ---------------------------------------------------------------------------
+# nested-list oracles (same random draws, one scalar jet per component)
+# ---------------------------------------------------------------------------
+
+
+def nested_metric(model, seed, amplitude=0.12, fiber_dependence=False, wave_scale=0.7):
+    n, m = model.dim, model.m
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 901]))
+    nterms = 3
+    syms = rng.normal(size=(nterms, n, n))
+    syms = (syms + np.swapaxes(syms, 1, 2)) / 2.0
+    waves = rng.uniform(-1.0, 1.0, size=(nterms, m)) * wave_scale
+    phases = rng.uniform(0, 2 * math.pi, size=nterms)
+    omega_t = 2.0 * math.pi * (1 if fiber_dependence else 0) / model.L
+
+    def fn(coords):
+        rows = [[0.0] * n for _ in range(n)]
+        for q in range(nterms):
+            arg = 0.0
+            for a in range(m):
+                arg = arg + waves[q, a] * coords[a]
+            if omega_t and q == 0:
+                arg = arg + omega_t * coords[m]
+            s = am.sin(arg + phases[q])
+            for i in range(n):
+                for j in range(n):
+                    rows[i][j] = rows[i][j] + amplitude * syms[q, i, j] * s
+        for i in range(n):
+            rows[i][i] = rows[i][i] + 1.0
+        return rows
+
+    return fn
+
+
+def nested_lee(model, seed, amplitude=0.3, fiber_dependence=False, wave_scale=0.6):
+    n, m = model.dim, model.m
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 902]))
+    coef = rng.uniform(-1.0, 1.0, size=(n, m)) * wave_scale
+    phases = rng.uniform(0, 2 * math.pi, size=n)
+    amps = rng.normal(size=n) * amplitude
+    omega_t = 2.0 * math.pi / model.L if fiber_dependence else 0.0
+
+    def fn(coords):
+        comps = []
+        for i in range(n):
+            arg = phases[i]
+            for a in range(m):
+                arg = arg + coef[i, a] * coords[a]
+            if omega_t and i == 0:
+                arg = arg + omega_t * coords[m]
+            comps.append(amps[i] * am.sin(arg))
+        return comps
+
+    return fn
+
+
+def nested_form(model, rng, degree, fiber_dependence=False, wave_scale=0.8):
+    n, m = model.dim, model.m
+    nterms = 2
+    coefs = [rng.normal(size=(n,) * degree) if degree else rng.normal() for _ in range(nterms)]
+    coefs = [antisymmetrize(c) if degree >= 2 else c for c in coefs]
+    waves = rng.uniform(-1.0, 1.0, size=(nterms, m)) * wave_scale
+    phases = rng.uniform(0, 2 * math.pi, size=nterms)
+    omega_t = 2.0 * math.pi / model.L if fiber_dependence else 0.0
+
+    def scaled(coef, s, depth):
+        if depth == 0:
+            return coef * s
+        return [scaled(coef[i], s, depth - 1) for i in range(n)]
+
+    def add(a, b):
+        return [add(x, y) for x, y in zip(a, b)] if isinstance(a, list) else a + b
+
+    def fn(coords):
+        total = None
+        for q in range(nterms):
+            arg = phases[q]
+            for a in range(m):
+                arg = arg + waves[q, a] * coords[a]
+            if omega_t and q == 0:
+                arg = arg + omega_t * coords[m]
+            term = scaled(coefs[q], am.sin(arg), degree)
+            total = term if total is None else add(total, term)
+        return total
+
+    return fn
+
+
+def nested_vector(model, rng):
+    n, m = model.dim, model.m
+    coefs = rng.normal(size=n)
+    waves = rng.uniform(-1.0, 1.0, size=(n, m)) * 0.6
+    phases = rng.uniform(0, 2 * math.pi, size=n)
+
+    def fn(coords):
+        out = []
+        for i in range(n):
+            arg = phases[i]
+            for a in range(m):
+                arg = arg + waves[i, a] * coords[a]
+            out.append(coefs[i] * am.sin(arg))
+        return out
+
+    return fn
+
+
+# ---------------------------------------------------------------------------
+# helpers
+# ---------------------------------------------------------------------------
+
+CHARTS = [("model", False), ("model", True), ("hopf_space", False), ("hopf_space", True)]
+
+
+def _points(space, seed, batch):
+    rng = np.random.default_rng(seed)
+    if batch is None:
+        return trial_point(space, rng)
+    return np.stack([trial_point(space, rng) for _ in range(batch)], axis=1)
+
+
+def _jet(fn, p):
+    return am.collect_jet(fn(am.seed_point(p)), p.shape[0], p.shape[1:])
+
+
+def assert_same_jet(new_fn, old_fn, p):
+    for new, old in zip(_jet(new_fn, p), _jet(old_fn, p)):
+        assert new.shape == old.shape
+        assert np.array_equal(new, old)
+    # plain evaluation (Field.values and the fd engine) takes the same arithmetic
+    plain_new = np.asarray(new_fn(list(p)), dtype=float)
+    plain_old = _jet(old_fn, p)[0]
+    assert np.array_equal(plain_new, plain_old)
+
+
+# ---------------------------------------------------------------------------
+# layout and arithmetic
+# ---------------------------------------------------------------------------
+
+
+def _rank_jets():
+    """A rank-0, rank-1 and rank-2 jet at d = n = 4 over a batch of 4 points."""
+    rng = np.random.default_rng(7)
+    p = rng.uniform(0.5, 1.5, size=(4, 4))
+    x = am.seed_point(p)
+    s = am.sin(am.lincomb(rng.normal(size=5), [1.0] + x))
+    v = am.sin(am.lincomb(rng.normal(size=(4, 5)), [1.0] + x)) + 2.0
+    t = am.lincomb(rng.normal(size=(4, 4, 4)), x) * am.constant(rng.normal(size=(4, 4)), x[0])
+    return s, v, t
+
+
+def test_collect_jet_of_array_jet_equals_nested_components():
+    _, v, t = _rank_jets()
+    nested_v = [v[i] for i in range(4)]
+    nested_t = [[t[i, j] for j in range(4)] for i in range(4)]
+    for arr, nested in ((v, nested_v), (t, nested_t)):
+        direct = am.collect_jet(arr, 4, (4,))
+        gathered = am.collect_jet(nested, 4, (4,))
+        for a, b in zip(direct, gathered):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
+
+
+OPS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / b,
+}
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_mixed_rank_arithmetic_is_componentwise(op):
+    """d = n = batch = 4: numpy broadcasting alone would pair the derivative axis with a component axis."""
+    f = OPS[op]
+    s, v, t = _rank_jets()
+    cases = [(s, v, lambda i: (s, v[i])), (v, s, lambda i: (v[i], s)),
+             (v, t, lambda ij: (v[ij[1]], t[ij])), (t, v, lambda ij: (t[ij], v[ij[1]])),
+             (s, t, lambda ij: (s, t[ij])), (t, s, lambda ij: (t[ij], s))]
+    for a, b, parts in cases:
+        out = f(a, b)
+        comp = out.val.shape[:-1]
+        assert out.grad.shape == (4,) + out.val.shape and out.hess.shape == (4, 4) + out.val.shape
+        for idx in np.ndindex(comp):
+            ref = f(*parts(idx if len(idx) > 1 else idx[0]))
+            assert np.array_equal(out[idx].val, ref.val)
+            assert np.array_equal(out[idx].grad, ref.grad)
+            assert np.array_equal(out[idx].hess, ref.hess)
+
+
+def test_constant_operands_broadcast_over_points():
+    s, v, _ = _rank_jets()
+    C = np.arange(1.0, 5.0)
+    for out, ref in ((v * am.constant(C, s), lambda i: v[i] * C[i]),
+                     (am.constant(C, s) * s, lambda i: C[i] * s),
+                     (v + am.constant(C, s), lambda i: v[i] + C[i]),
+                     (am.constant(C, s) - v, lambda i: C[i] - v[i])):
+        for i in range(4):
+            for x, y in zip((out[i].val, out[i].grad, out[i].hess), (ref(i).val, ref(i).grad, ref(i).hess)):
+                assert np.array_equal(x, y)
+
+
+# ---------------------------------------------------------------------------
+# trial evaluators against their nested-list form
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("chart,fiber", CHARTS)
+@pytest.mark.parametrize("batch", [None, 5])
+def test_trial_evaluators_equal_nested_oracles(request, chart, fiber, batch):
+    space = request.getfixturevalue(chart)
+    p = _points(space, 3, batch)
+    for seed in (11, 12):
+        assert_same_jet(random_local_metric(space, seed, fiber_dependence=fiber).fn,
+                        nested_metric(space, seed, fiber_dependence=fiber), p)
+        assert_same_jet(random_local_lee(space, seed, fiber_dependence=fiber).fn,
+                        nested_lee(space, seed, fiber_dependence=fiber), p)
+    ws = trial_structure(space, 5, 1)
+    for degree in range(space.dim + 1):
+        spec = random_form_field(ws, np.random.default_rng(degree), degree, 0.5, fiber_dependence=fiber)
+        assert_same_jet(spec.field.fn, nested_form(space, np.random.default_rng(degree), degree, fiber), p)
+    assert_same_jet(random_vector_field(space, np.random.default_rng(9)).fn,
+                    nested_vector(space, np.random.default_rng(9)), p)
+
+
+@pytest.mark.parametrize("chart", ["model", "hopf_space"])
+def test_gauge_change_and_extended_lee_on_array_lee(request, chart):
+    """Evaluators that index an array-valued Lee form keep their nested-list jets."""
+    space = request.getfixturevalue(chart)
+    p = _points(space, 4, 3)
+    base = random_local_lee(space, 21, fiber_dependence=True)
+    extra = random_local_lee(space, 22)
+    ext = extended_lee(base, extra)
+    old_base, old_extra = nested_lee(space, 21, fiber_dependence=True), nested_lee(space, 22)
+    assert_same_jet(ext.fn, lambda c: [x + y for x, y in zip(old_base(c), old_extra(c))], p)
+
+    fam = random_local_metric(space, 21)
+    factor = radial_profile(space, beta=0.3)
+    ws2 = gauge_change(WeylStructure(space, fam, base), factor)
+
+    def old_lee(c):
+        f, gf = factor.fn(c), factor.grad_fn(c)
+        return [th - gfi / (2.0 * f) for th, gfi in zip(old_base(c), gf)]
+
+    def old_metric(c):
+        f, g = factor.fn(c), nested_metric(space, 21)(c)
+        return [[f * gij for gij in row] for row in g]
+
+    assert_same_jet(ws2.lee.fn, old_lee, p)
+    assert_same_jet(ws2.metric.fn, old_metric, p)
+
+
+def _scale_leaves(tree, scale):
+    return [_scale_leaves(e, scale) for e in tree] if isinstance(tree, list) else tree * scale
+
+
+@pytest.mark.parametrize("chart", ["model", "hopf_space"])
+def test_regauge_and_probe_deviation_on_array_fields(request, chart):
+    """FormFieldSpec.regauge scales an array-valued form; the metric probes index an array-valued metric."""
+    space = request.getfixturevalue(chart)
+    p = _points(space, 5, 3)
+    ws = trial_structure(space, 6, 0)
+    factor = radial_profile(space, beta=0.4)
+    for degree in (0, 2):
+        spec = random_form_field(ws, np.random.default_rng(degree), degree, 1.5, fiber_dependence=True)
+        old = nested_form(space, np.random.default_rng(degree), degree, True)
+        assert_same_jet(spec.regauge(factor, "g~f").field.fn,
+                        lambda c, old=old: _scale_leaves(old(c), factor.fn(c) ** 0.75), p)
+    engine = DerivativeEngine(mode="dual")
+    reports = metric_probes(engine, space, random_local_metric(space, 8), radii=[4.0, 6.0, 9.0, 13.5], directions=2)
+    assert len(reports) == 3 and all(np.isfinite(r.slope) for r in reports)
+
+
+def test_metric_jet_object_count_does_not_grow_with_m(monkeypatch):
+    """One dual evaluation of random_local_metric builds the same number of Taylor2 jets at m = 3 and m = 5."""
+    counts = {}
+    init = am.Taylor2.__init__
+    built = [0]
+
+    def counting_init(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    for m in (3, 5):
+        space = ModelSpace(m=m, R=1.0, L=2.0 * np.pi, fibration="trivial")
+        fam = random_local_metric(space, 3, fiber_dependence=True)
+        seeds = am.seed_point(trial_point(space, np.random.default_rng(m)))
+        monkeypatch.setattr(am.Taylor2, "__init__", counting_init)
+        built[0] = 0
+        fam.fn(seeds)
+        monkeypatch.setattr(am.Taylor2, "__init__", init)
+        counts[m] = built[0]
+    assert counts[3] == counts[5], counts
+
+
+def test_dual_engine_returns_array_jet_unchanged():
+    space = ModelSpace(m=3, R=1.0, L=2.0 * np.pi, fibration="trivial")
+    fld = random_local_metric(space, 2).as_field()
+    p = _points(space, 1, 6)
+    val, grad, hess = DerivativeEngine(mode="dual").jet2(fld, p)
+    assert val.shape == (4, 4, 6) and grad.shape == (4, 4, 4, 6) and hess.shape == (4, 4, 4, 4, 6)
+    assert np.array_equal(val, fld.values(p))

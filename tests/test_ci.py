@@ -1,6 +1,11 @@
-"""The CI workflow installs the test extra and runs the tier-1 command that ROADMAP.md names, with a time limit."""
+"""The CI workflow installs the test extra, runs a CLI smoke command and the tier-1 command that
+ROADMAP.md names, with a time limit."""
 
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,3 +33,26 @@ def test_test_extra_lists_hypothesis():
     assert any(re.match(r"hypothesis\b", req) for req in extra)
     # the workflow test reads tier1.yml with PyYAML; without it that test is skipped
     assert any(re.match(r"pyyaml\b", req, re.IGNORECASE) for req in extra)
+
+
+def test_workflow_smoke_runs_verify_as_module():
+    """A CLI traceback fails the job: the smoke step runs ``python -m weylmass verify`` at 6/3/0 trials."""
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    (job,) = workflow["jobs"].values()
+    (smoke,) = [step["run"] for step in job["steps"] if step.get("name") == "CLI smoke"]
+    config = json.loads(re.search(r"echo '([^']+)'", smoke).group(1))
+    assert config == {"trials": {"identity": 6, "bochner": 3, "integral": 0}}
+    assert re.search(r"^PYTHONPATH=src python -m weylmass .*\bverify$", smoke, re.MULTILINE)
+
+
+def test_package_runs_as_module_without_install(tmp_path):
+    """``PYTHONPATH=src python -m weylmass`` works from a checkout, as the smoke step runs it."""
+    config = tmp_path / "smoke.json"
+    config.write_text(json.dumps({"trials": {"identity": 6, "bochner": 3, "integral": 0}}))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    res = subprocess.run([sys.executable, "-m", "weylmass", "--config", str(config), "--out",
+                          str(tmp_path / "out"), "verify"], capture_output=True, text=True, env=env,
+                         cwd=tmp_path, timeout=300)
+    assert res.returncode == 0, res.stderr + res.stdout
+    assert res.stdout.count("[PASS]") == 9

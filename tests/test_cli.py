@@ -249,6 +249,37 @@ def test_builder_domain_error_exits_two(tmp_path, command, changes, message):
     assert message in res.stderr
 
 
+@pytest.mark.parametrize("command,changes,message", [
+    ("verify", {"tolerances": {"identity": "x"}}, "tolerances.identity must be a positive finite number, got 'x'"),
+    ("sweep", {"tolerances": {"mass": "x"}}, "tolerances.mass must be a positive finite number, got 'x'"),
+    ("verify", {"tolerances": {"bochner": 0}}, "tolerances.bochner must be a positive finite number, got 0"),
+    ("verify", {"tolerances": {"integral": -1e-4}}, "tolerances.integral must be a positive finite number"),
+    ("verify", {"tolerances": {"identity": True}}, "tolerances.identity must be a positive finite number"),
+    ("verify", {"tolerances": 1e-6}, "tolerances must be an object, got 1e-06"),
+    ("verify", {"trials": {"identity": -1, "bochner": -2}}, "trials.identity must be a non-negative integer, got -1"),
+    ("verify", {"trials": {"bochner": -2}}, "trials.bochner must be a non-negative integer, got -2"),
+    ("verify", {"trials": {"integral": 1.5}}, "trials.integral must be a non-negative integer, got 1.5"),
+    ("verify", {"trials": {"identity": "6"}}, "trials.identity must be a non-negative integer, got '6'"),
+    ("verify", {"trials": [6, 3, 0]}, "trials must be an object, got [6, 3, 0]"),
+])
+def test_invalid_tolerance_or_trials_exits_two(tmp_path, command, changes, message):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg.update(changes)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    res = run_cli(["--config", str(path), command], tmp_path / "out")
+    assert_one_error_line(res)
+    assert message in res.stderr
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-6", "0"])
+def test_invalid_tol_flag_exits_two(tmp_path, tol):
+    cfg = write_config(tmp_path)
+    res = run_cli(["--config", str(cfg), f"--tol={tol}", "verify"], tmp_path / "out")
+    assert_one_error_line(res)
+    assert "tolerances.identity must be a positive finite number" in res.stderr
+
+
 NON_NUMBERS = st.one_of(
     st.none(), st.booleans(), st.text(max_size=8), st.sampled_from([math.nan, math.inf, -math.inf]),
     st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),

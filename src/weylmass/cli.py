@@ -12,6 +12,7 @@ configuration or a domain error (mass not defined, unknown family, ...).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
 import math
@@ -339,12 +340,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if not values:
         raise ConfigError("sweep.values is empty")
     tol = cfg.tol("mass")
+    factors = [build_scalar(name, model, **{param: value}) for value in values]
+    results = gauge_audit(engine, ws, factors, radii=radii, quad=quad, tolerance=tol)
     records = [{"config": cfg.resolved()}]
     ok = True
-    for value in values:
-        f = build_scalar(name, model, **{param: value})
-        audits, pred = gauge_audit(engine, ws, f, radii=radii, quad=quad, tolerance=tol,
-                                   check_decay=(value == values[0]))
+    for value, f, (audits, pred) in zip(values, factors, results):
         row = {"factor": f.name, param: value, "audits": [a.as_dict() for a in audits],
                "prediction": pred.as_dict()}
         for b, audit in enumerate(audits):
@@ -414,8 +414,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+class _PipeGuard:
+    """Standard output that drops what is written after the reader closed the pipe.
+
+    ``weylmass verify | head -2`` then still runs the command to the end,
+    writes its reports and exits with the command's own status.
+    """
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.open = True
+
+    def write(self, text: str) -> int:
+        self._call(self.stream.write, text)
+        return len(text)
+
+    def flush(self) -> None:
+        self._call(self.stream.flush)
+
+    def _call(self, method, *args) -> None:
+        if not self.open:
+            return
+        try:
+            method(*args)
+        except BrokenPipeError:
+            self.open = False
+            try:
+                fd = self.stream.fileno()
+            except (AttributeError, OSError, ValueError):
+                return
+            # the interpreter flushes what is still buffered when it exits; send that to devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         cfg = RunConfig.load(args.config, args)
         if args.command == "verify":
@@ -430,6 +464,15 @@ def main(argv=None) -> int:
     except (ConfigError, ChartDomainError, MassNotDefinedError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    guard = _PipeGuard(sys.stdout)
+    with contextlib.redirect_stdout(guard):
+        try:
+            return _run(build_parser().parse_args(argv))
+        finally:
+            guard.flush()
 
 
 if __name__ == "__main__":

@@ -21,8 +21,10 @@ serve as the independent oracle.
 
 Under g -> f g the Lee form becomes theta - df/(2f) and the conformal mass
 form stays the same.  ``gauge_audit`` checks this, and the predicted shift
-of the Q part, from one form pass per gauge, after refusing any factor
-outside the adapted class.
+of the Q part, for a whole sweep of factors at once: every factor is first
+probed for positivity and membership in the adapted class, the flux shells
+are built once per radius, gauge g takes one form pass and each factor one
+more, and each prediction is read off the same shells.
 
 Limits are realized on a geometric radius schedule with one Richardson
 extrapolation step at the generic remainder rate r^(2-m) of the integrated
@@ -42,7 +44,7 @@ from .engine import DerivativeEngine, frame_jet1
 from .errors import ChartDomainError
 from .families import LeeFormField, MetricFamily, ScalarField
 from .model import ModelSpace, sphere_volume
-from .probes import geometric_radii, require_adapted, require_alf, require_weyl_alf
+from .probes import geometric_radii, require_adapted, require_alf, require_positive, require_weyl_alf
 from .quadrature import QuadratureSpec, flux_model_metric, shell_nodes
 from .weyl import WeylStructure, gauge_change
 
@@ -241,16 +243,20 @@ def _z_label(model: ModelSpace, z) -> str:
     return "+".join(f"{c:g}*X{b + 1}" for b, c in enumerate(zv) if c != 0.0) or "0"
 
 
-def _form_pass(engine, model, fam, lee, radii, quad):
-    """Normalized shell forms stacked over radii, shape (len(radii), m, m), and nodes per shell."""
+def _shells(model: ModelSpace, radii, quad: QuadratureSpec) -> list:
+    """(pts, weights, normals) of the flux shell at each radius."""
+    return [shell_nodes(model, r, quad) for r in radii]
+
+
+def _form_pass(engine, model, fam, lee, shells):
+    """Normalized shell forms stacked over the shells, shape (len(shells), m, m), and nodes per shell."""
     norm = sphere_volume(model.m) * model.L
     q_forms, c_forms = [], []
-    for r in radii:
-        pts, weights, normals = shell_nodes(model, r, quad)
+    for pts, weights, normals in shells:
         q, c = shell_forms(engine, model, fam, lee, pts, weights, normals)
         q_forms.append(q / norm)
         c_forms.append(c / norm)
-    return np.array(q_forms), np.array(c_forms), pts.shape[1]
+    return np.array(q_forms), np.array(c_forms), shells[-1][0].shape[1]
 
 
 def _build_report(model: ModelSpace, z, radii, q_forms, c_forms, nodes, quad, tol_conv) -> MassReport:
@@ -285,7 +291,7 @@ def riemannian_mass_Q(query: MassQuery) -> MassReport:
     model = query.ws.model
     if query.check_decay:
         require_alf(query.engine, model, query.ws.metric)
-    forms = _form_pass(query.engine, model, query.ws.metric, None, query.radii, query.quad)
+    forms = _form_pass(query.engine, model, query.ws.metric, None, _shells(model, query.radii, query.quad))
     return _build_report(model, query.z, query.radii, *forms, query.quad, query.tol_conv)
 
 
@@ -294,7 +300,8 @@ def conformal_mass(query: MassQuery) -> MassReport:
     model = query.ws.model
     if query.check_decay:
         require_weyl_alf(query.engine, model, query.ws.metric, query.ws.lee)
-    forms = _form_pass(query.engine, model, query.ws.metric, query.ws.lee, query.radii, query.quad)
+    forms = _form_pass(query.engine, model, query.ws.metric, query.ws.lee,
+                       _shells(model, query.radii, query.quad))
     return _build_report(model, query.z, query.radii, *forms, query.quad, query.tol_conv)
 
 
@@ -361,40 +368,49 @@ class InvarianceReport:
         }
 
 
-def gauge_audit(engine: DerivativeEngine, ws: WeylStructure, f: ScalarField, radii=None,
-                quad: Optional[QuadratureSpec] = None, tolerance: float = 1e-4,
-                check_decay: bool = True) -> tuple:
-    """Conformal mass in gauge g versus gauge f g from one form pass per gauge.
+def gauge_audit(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[ScalarField],
+                radii=None, quad: Optional[QuadratureSpec] = None, tolerance: float = 1e-4,
+                check_decay: bool = True) -> list:
+    """Conformal mass in gauge g versus gauge f g for every factor f of a sweep.
 
-    Returns (audits, prediction): one InvarianceReport per basis direction
-    X_b and the X1 ConformalChangeReport, whose predicted Q-shift (half the
-    normalized flux of the df density) is set against the Q limits of the
-    two passes; the metric of gauge f g is conformal_sweep(g, f).
+    Returns one (audits, prediction) pair per factor, in order: one
+    InvarianceReport per basis direction X_b and the X1
+    ConformalChangeReport, whose predicted Q-shift (half the normalized flux
+    of the df density) is set against the Q limits of the two gauges; the
+    metric of gauge f g is conformal_sweep(g, f).  Every factor is probed
+    for positivity out to the largest radius and for membership in the
+    adapted class before any flux work.  The flux shells are built once,
+    gauge g takes one form pass and each factor one more.  With
+    ``check_decay`` the Weyl-ALF decay probes run on g and on the first
+    swept gauge.
     """
     model = ws.model
     radii = geometric_radii(40.0, 320.0, 6) if radii is None else list(map(float, radii))
     quad = quad or QuadratureSpec()
-    require_adapted(engine, model, f)
+    for f in factors:
+        require_positive(model, f, radii[-1])
+        require_adapted(engine, model, f)
+    shells = _shells(model, radii, quad)
 
-    def basis_reports(w: WeylStructure) -> list:
-        if check_decay:
+    def basis_reports(w: WeylStructure, probe: bool) -> list:
+        if probe:
             require_weyl_alf(engine, model, w.metric, w.lee)
-        forms = _form_pass(engine, model, w.metric, w.lee, radii, quad)
+        forms = _form_pass(engine, model, w.metric, w.lee, shells)
         return [_build_report(model, b, radii, *forms, quad, 1e-6) for b in range(model.m)]
 
-    base, swept = basis_reports(ws), basis_reports(gauge_change(ws, f))
-    audits = [InvarianceReport(r1.z_label, f.name, r1.mass, r2.mass, tolerance)
-              for r1, r2 in zip(base, swept)]
-
+    base = basis_reports(ws, check_decay)
     norm = sphere_volume(model.m) * model.L
-    vals = []
-    for r in radii:
-        pts, weights, normals = shell_nodes(model, r, quad)
-        dc = gradient_correction_components(model, f, 0, pts)
-        vals.append(flux_model_metric(model, dc, normals, weights) / (2.0 * norm))
-    predicted = richardson_limit(radii, vals, 2 - model.m)
-    prediction = ConformalChangeReport(base[0].z_label, predicted, base[0].q_limit, swept[0].q_limit)
-    return audits, prediction
+    results = []
+    for i, f in enumerate(factors):
+        swept = basis_reports(gauge_change(ws, f), check_decay and i == 0)
+        audits = [InvarianceReport(r1.z_label, f.name, r1.mass, r2.mass, tolerance)
+                  for r1, r2 in zip(base, swept)]
+        vals = [flux_model_metric(model, gradient_correction_components(model, f, 0, pts), normals, weights)
+                / (2.0 * norm) for pts, weights, normals in shells]
+        predicted = richardson_limit(radii, vals, 2 - model.m)
+        results.append((audits, ConformalChangeReport(base[0].z_label, predicted, base[0].q_limit,
+                                                      swept[0].q_limit)))
+    return results
 
 
 def ricci_positivity_floor(engine: DerivativeEngine, ws: WeylStructure, sample_count: int = 12,
@@ -440,7 +456,7 @@ def mass_matrix(engine: DerivativeEngine, ws: WeylStructure, radii=None,
         else:
             require_alf(engine, model, ws.metric)
     q_forms, c_forms, nodes = _form_pass(engine, model, ws.metric, ws.lee if conformal else None,
-                                         radii, quad)
+                                         _shells(model, radii, quad))
     rate = 2 - m
     q_matrix = richardson_limit(radii, q_forms, rate)
     matrix = q_matrix + richardson_limit(radii, c_forms, rate)

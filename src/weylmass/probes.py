@@ -6,6 +6,10 @@ geometric radius schedule, fits the slope of log(norm) against log(r) by
 least squares, and PASSes when the measured slope is at most the declared
 exponent plus a fixed margin (0.2 by default, matching the acceptance
 tolerance).  Identically-zero fields report slope -inf and PASS.
+
+``require_positive`` is not a decay probe: it samples a conformal factor
+from just outside the excised sphere out to the largest flux radius and
+refuses it where it is not positive.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .weyl import _slot_jet, frame_exterior_derivative, lc_form_block
 
 SLOPE_MARGIN = 0.2
 ZERO_FLOOR = 1e-13
+POSITIVITY_RADII = 64
 
 
 @dataclass
@@ -220,12 +225,32 @@ def _failed_probes(reports: list[ProbeReport]) -> str:
     return ", ".join(f"{r.name} (slope {r.slope:.2f} > {r.declared:.2f}+{SLOPE_MARGIN})" for r in failed)
 
 
+def _factor_label(f: ScalarField) -> str:
+    return f"{f.name}(" + ", ".join(f"{k}={v!r}" for k, v in f.params.items()) + ")"
+
+
 def require_adapted(engine: DerivativeEngine, model: ModelSpace, f: ScalarField, **kw) -> None:
     names = _failed_probes(adapted_metric_check(engine, model, f, **kw))
     if names:
-        params = ", ".join(f"{k}={v!r}" for k, v in f.params.items())
-        raise MassNotDefinedError(f"conformal factor {f.name}({params}) is not adapted: "
+        raise MassNotDefinedError(f"conformal factor {_factor_label(f)} is not adapted: "
                                   f"rejected by probe {names}")
+
+
+def require_positive(model: ModelSpace, f: ScalarField, rmax: float) -> None:
+    """Refuse a conformal factor that is not positive (and finite) out to radius rmax.
+
+    f g is a metric only where f > 0.  f is sampled on the 8 probe
+    directions at POSITIVITY_RADII geometric radii from just outside the
+    excised radius R to rmax.
+    """
+    u, t = direction_samples(model, 8)
+    radii = geometric_radii(model.R * (1.0 + 1e-6), rmax, POSITIVITY_RADII)
+    pts = np.concatenate([_batch_points(model, r, u, t) for r in radii], axis=1)
+    vals = np.broadcast_to(np.asarray(f.fn(pts), dtype=float), pts.shape[1:])
+    if not np.all(np.isfinite(vals) & (vals > 0)):
+        k = int(np.argmin(np.where(np.isfinite(vals), vals, -np.inf)))
+        raise MassNotDefinedError(f"conformal factor {_factor_label(f)} is not positive: "
+                                  f"f = {vals[k]:.6g} at r = {radii[k // u.shape[1]]:.6g}")
 
 
 def require_alf(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, **kw) -> list[ProbeReport]:

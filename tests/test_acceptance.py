@@ -109,11 +109,11 @@ def test_criterion_5_conformal_change_law(model):
                random_adapted_scalar(model, seed=4), random_adapted_scalar(model, seed=9)]
     worst = 0.0
     for f in factors:
-        _, rep = gauge_audit(engine, ws, f, check_decay=False)
+        _, rep = gauge_audit(engine, ws, [f], check_decay=False)[0]
         assert rep.rel_error < 1e-4, f"{f.name}: {rep.rel_error:.3e}"
         worst = max(worst, rep.rel_error)
     with pytest.raises(MassNotDefinedError):
-        gauge_audit(engine, ws, log_slow_profile(model))
+        gauge_audit(engine, ws, [log_slow_profile(model)])
     _announce(5, f"{len(factors)} adapted factors, worst relative error {worst:.2e}; "
                  "slow-log factor correctly rejected")
 
@@ -127,7 +127,7 @@ def test_criterion_6_gauge_invariance(model):
     count = 0
     for seed in range(5):
         f = random_adapted_scalar(model, seed=100 + seed)
-        audits, _ = gauge_audit(engine, ws, f, check_decay=(seed == 0))
+        audits, _ = gauge_audit(engine, ws, [f], check_decay=(seed == 0))[0]
         for b, rep in enumerate(audits):
             assert rep.passed, f"{f.name} Z=X{b + 1}: {rep.rel_difference:.3e}"
             worst = max(worst, rep.rel_difference)

@@ -1,5 +1,5 @@
-"""The CI workflow installs the test extra, runs a CLI smoke command and the tier-1 command that
-ROADMAP.md names, with a time limit."""
+"""The CI workflow installs the test extra, runs CLI smoke commands (verify, then a Hopf sweep) and
+the tier-1 command that ROADMAP.md names, with a time limit."""
 
 import json
 import os
@@ -44,6 +44,20 @@ def test_workflow_smoke_runs_verify_as_module():
     config = json.loads(re.search(r"echo '([^']+)'", smoke).group(1))
     assert config == {"trials": {"identity": 6, "bochner": 3, "integral": 0}}
     assert re.search(r"^PYTHONPATH=src python -m weylmass .*\bverify$", smoke, re.MULTILINE)
+
+
+def test_workflow_sweep_smoke_runs_a_hopf_sweep():
+    """After the verify smoke and before the tier-1 tests, a 2-value radial_profile sweep on the Hopf fibration."""
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    (job,) = workflow["jobs"].values()
+    names = [step.get("name") for step in job["steps"]]
+    assert names.index("CLI smoke") + 1 == names.index("Sweep smoke") == names.index("Tier-1 tests") - 1
+    smoke = job["steps"][names.index("Sweep smoke")]["run"]
+    config = json.loads(re.search(r"echo '([^']+)' > \"\$RUNNER_TEMP/", smoke).group(1))
+    assert config == {"model": {"fibration": "hopf"},
+                      "sweep": {"name": "radial_profile", "param": "beta", "values": [0.2, 0.4]}}
+    assert re.search(r"^PYTHONPATH=src python -m weylmass .*\bsweep$", smoke, re.MULTILINE)
 
 
 def test_package_runs_as_module_without_install(tmp_path):

@@ -166,6 +166,16 @@ def test_sweep_rejects_non_adapted_factor(tmp_path):
     assert "rejected by probe" in res.stderr
 
 
+@pytest.mark.parametrize("values", [[-3.0, 0.3], [0.3, -3.0]])
+def test_sweep_refuses_non_positive_factor_before_any_audit(tmp_path, values):
+    """f = 1 - 3/r is negative for 1 < r < 3: refused wherever it stands in the sweep, before any audit."""
+    cfg = write_config(tmp_path, sweep={"name": "radial_profile", "param": "beta", "values": values})
+    res = run_cli(["--config", str(cfg), "sweep"], tmp_path / "out")
+    assert_one_error_line(res)
+    assert "is not positive" in res.stderr
+    assert "[PASS]" not in res.stdout and "[FAIL]" not in res.stdout
+
+
 def test_sweep_unit_factor_zero_deltas(tmp_path):
     cfg = write_config(tmp_path, sweep={"name": "unit_scalar", "param": None, "values": [None]})
     # unit_scalar takes no parameters; encode as empty param dict via values hack
@@ -337,3 +347,45 @@ def test_mass_q_matrix_equals_polarized_riemannian_limits(tmp_path):
         for c in range(b + 1, 3):
             expected[b, c] = expected[c, b] = 0.5 * (q_limit(np.eye(3)[b] + np.eye(3)[c]) - diag[b] - diag[c])
     assert np.max(np.abs(q_matrix - expected)) < 1e-12
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("command,changes,code,report", [
+    ("verify", {"trials": {"identity": 2, "bochner": 1, "integral": 0}}, 0, "verify_report.jsonl"),
+    ("verify", {"trials": {"identity": 2, "bochner": 1, "integral": 0}, "corrupt_bochner_sign": True}, 1,
+     "verify_report.jsonl"),
+    ("sweep", {"sweep": {"name": "radial_profile", "param": "beta", "values": [0.2]}}, 0, "sweep_report.jsonl"),
+    ("mass", {}, 0, "mass_report.jsonl"),
+])
+def test_closed_stdout_keeps_the_command_exit_status(tmp_path, monkeypatch, command, changes, code, report):
+    """``weylmass verify | head -2``: no traceback; the command runs to the end and exits with its own status."""
+    from weylmass import cli
+
+    cfg = write_config(tmp_path, **changes)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), command]) == code
+    assert err.getvalue() == ""
+    assert (tmp_path / "out" / report).exists()
+
+
+def test_closed_pipe_from_a_subprocess(tmp_path):
+    """A reader that exits before the first line: no traceback, no exit-time flush error, status 0."""
+    cfg = write_config(tmp_path, trials={"identity": 2, "bochner": 1, "integral": 0})
+    cmd = [sys.executable, "-m", "weylmass.cli", "--out", str(tmp_path / "out"), "--config", str(cfg), "verify"]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=560)
+    assert proc.returncode == 0, err.decode()
+    assert err == b""
+    assert (tmp_path / "out" / "verify_report.jsonl").exists()

@@ -263,7 +263,7 @@ def test_conformal_mass_refuses_bad_lee_decay(model, engine):
 
 def test_prediction_zero_for_unit_factor(model, engine):
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), zero_lee(model))
-    _, rep = gauge_audit(engine, ws, unit_scalar(model), check_decay=False)
+    _, rep = gauge_audit(engine, ws, [unit_scalar(model)], check_decay=False)[0]
     assert abs(rep.predicted_delta) < 1e-14
     assert abs(rep.direct_delta) < 1e-10
 
@@ -272,7 +272,7 @@ def test_prediction_matches_direct_recompute(model, engine):
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), zero_lee(model))
     for f in (radial_profile(model, beta=0.3), radial_profile(model, beta=-0.2),
               random_adapted_scalar(model, seed=2)):
-        _, rep = gauge_audit(engine, ws, f, check_decay=False)
+        _, rep = gauge_audit(engine, ws, [f], check_decay=False)[0]
         assert rep.rel_error < 1e-4, f"{f.name}: {rep.rel_error}"
 
 
@@ -280,7 +280,7 @@ def test_prediction_kaluza_closed_form(model, engine):
     # f = 1 + beta/r on the Kaluza profile: delta Q = 5 beta / 6 exactly
     beta = 0.3
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), zero_lee(model))
-    _, rep = gauge_audit(engine, ws, radial_profile(model, beta=beta), check_decay=False)
+    _, rep = gauge_audit(engine, ws, [radial_profile(model, beta=beta)], check_decay=False)[0]
     assert rep.predicted_delta == pytest.approx(5 * beta / 6, abs=1e-10)
     assert rep.direct_delta == pytest.approx(5 * beta / 6, abs=1e-8)
 
@@ -304,7 +304,7 @@ def test_prediction_compact_gradient_gives_zero(model, engine):
 
     f = ScalarField("compact_factor", model, fn, grad_fn, analytic=False, decay_fm1=-math.inf)
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), zero_lee(model))
-    _, rep = gauge_audit(engine, ws, f, check_decay=False)
+    _, rep = gauge_audit(engine, ws, [f], check_decay=False)[0]
     assert abs(rep.predicted_delta) < 1e-14
     assert abs(rep.direct_delta) < 1e-8
 
@@ -312,7 +312,7 @@ def test_prediction_compact_gradient_gives_zero(model, engine):
 def test_prediction_rejects_non_adapted_factor(model, engine):
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), zero_lee(model))
     with pytest.raises(MassNotDefinedError):
-        gauge_audit(engine, ws, log_slow_profile(model))
+        gauge_audit(engine, ws, [log_slow_profile(model)])
 
 
 # --- gauge invariance ------------------------------------------------------------------------
@@ -320,7 +320,7 @@ def test_prediction_rejects_non_adapted_factor(model, engine):
 
 def test_invariance_unit_factor_exact(model, engine):
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), radial_lee(model, 0.4))
-    rep = gauge_audit(engine, ws, unit_scalar(model), check_decay=False)[0][0]
+    rep = gauge_audit(engine, ws, [unit_scalar(model)], check_decay=False)[0][0][0]
     assert rep.abs_difference < 1e-12
     assert rep.passed
 
@@ -328,7 +328,7 @@ def test_invariance_unit_factor_exact(model, engine):
 def test_invariance_kaluza_with_lee(model, engine):
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), radial_lee(model, 0.4))
     f = radial_profile(model, beta=0.5)
-    rep = gauge_audit(engine, ws, f, check_decay=False)[0][0]
+    rep = gauge_audit(engine, ws, [f], check_decay=False)[0][0][0]
     assert rep.rel_difference < 1e-4
     assert rep.passed
 
@@ -337,7 +337,7 @@ def test_invariance_zero_lee_termwise_cancellation(model, engine):
     """theta = 0: the mass-shift prediction must cancel the induced Lee correction."""
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), zero_lee(model))
     f = radial_profile(model, beta=0.4)
-    _, pred = gauge_audit(engine, ws, f, check_decay=False)
+    _, pred = gauge_audit(engine, ws, [f], check_decay=False)[0]
     from weylmass.weyl import gauge_change
 
     ws2 = gauge_change(ws, f)
@@ -352,7 +352,7 @@ def test_invariance_across_random_adapted_factors(model, engine):
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), radial_lee(model, 0.4))
     for seed in range(5):
         f = random_adapted_scalar(model, seed=seed)
-        rep = gauge_audit(engine, ws, f, check_decay=False)[0][seed % 3]
+        rep = gauge_audit(engine, ws, [f], check_decay=False)[0][0][seed % 3]
         assert rep.rel_difference < 1e-4, f"seed {seed}: {rep.rel_difference}"
 
 
@@ -368,7 +368,7 @@ def test_gauge_audit_reads_every_report_off_two_passes(hopf_space, engine):
         return MassQuery(ws=w, z=z, radii=radii, quad=quad, engine=engine, check_decay=False)
 
     for f in (radial_profile(hopf_space, beta=0.3), random_adapted_scalar(hopf_space, seed=3)):
-        audits, pred = gauge_audit(engine, ws, f, radii=radii, quad=quad, check_decay=False)
+        audits, pred = gauge_audit(engine, ws, [f], radii=radii, quad=quad, check_decay=False)[0]
         assert [a.z_label for a in audits] == ["1*X1", "1*X2", "1*X3"]
         for b, audit in enumerate(audits):
             assert audit.mass_base == conformal_mass(query(ws, b)).mass
@@ -376,6 +376,58 @@ def test_gauge_audit_reads_every_report_off_two_passes(hopf_space, engine):
         swept = WeylStructure(hopf_space, conformal_sweep(ws.metric, f), ws.lee)
         assert pred.base_mass == riemannian_mass_Q(query(ws, 0)).q_limit
         assert pred.swept_mass == riemannian_mass_Q(query(swept, 0)).q_limit
+
+
+def _count_shell_forms(monkeypatch) -> list:
+    import weylmass.mass as mass_mod
+
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args[2].name)
+        return shell_forms(*args, **kw)
+
+    monkeypatch.setattr(mass_mod, "shell_forms", counted)
+    return calls
+
+
+def test_gauge_audit_sweep_takes_one_base_pass(hopf_space, engine, monkeypatch):
+    """N factors on R radii cost R (N + 1) shell forms, and each factor's reports equal a one-factor call."""
+    ws = WeylStructure(hopf_space, kaluza_perturbation(hopf_space, mu=1.0), radial_lee(hopf_space, 0.4))
+    radii = geometric_radii(40.0, 320.0, 3)
+    quad = QuadratureSpec(sphere=6, fiber=2)
+    factors = [radial_profile(hopf_space, beta=0.2), random_adapted_scalar(hopf_space, seed=5),
+               radial_profile(hopf_space, beta=0.45)]
+    calls = _count_shell_forms(monkeypatch)
+    results = gauge_audit(engine, ws, factors, radii=radii, quad=quad, check_decay=False)
+    assert len(calls) == len(radii) * (len(factors) + 1)
+    assert calls[: len(radii)] == [ws.metric.name] * len(radii)
+    assert len(results) == len(factors)
+    for f, (audits, pred) in zip(factors, results):
+        alone_audits, alone_pred = gauge_audit(engine, ws, [f], radii=radii, quad=quad, check_decay=False)[0]
+        assert [a.factor for a in audits] == [f.name] * hopf_space.m
+        assert audits == alone_audits
+        assert pred == alone_pred
+
+
+@pytest.mark.parametrize("bad", [log_slow_profile, lambda model: radial_profile(model, beta=-3.0)])
+def test_gauge_audit_refuses_any_factor_before_flux_work(model, engine, monkeypatch, bad):
+    """A non-adapted or non-positive factor anywhere in the sweep is refused before the first shell form."""
+    ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), radial_lee(model, 0.4))
+    calls = _count_shell_forms(monkeypatch)
+    with pytest.raises(MassNotDefinedError):
+        gauge_audit(engine, ws, [radial_profile(model, beta=0.3), bad(model)], check_decay=False)
+    assert calls == []
+
+
+def test_positivity_probe_reports_the_smallest_sample(model):
+    from weylmass.probes import require_positive
+
+    require_positive(model, radial_profile(model, beta=-0.9), 320.0)
+    require_positive(model, unit_scalar(model), 320.0)
+    with pytest.raises(MassNotDefinedError, match=r"radial_profile\(beta=-3.0, power=-1\) is not positive: "
+                                                  r"f = -2 at r = 1\b"):
+        require_positive(model, radial_profile(model, beta=-3.0), 320.0)
 
 
 # --- flux sequence rates -----------------------------------------------------------------------

@@ -15,10 +15,9 @@ import argparse
 import contextlib
 import inspect
 import json
-import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,30 +46,45 @@ DEFAULT_TOLERANCES = {
 
 DEFAULT_TRIALS = {"identity": 100, "bochner": 20, "integral": 5}
 
+# object-valued sections: the defaults of the keys a partial section leaves out
+SECTION_DEFAULTS = {
+    "model": {"m": 3, "R": 1.0, "L": 6.283185307179586, "fibration": "trivial"},
+    "radii": {"r0": 40.0, "rmax": 320.0, "count": 6},
+    "quadrature": {"sphere": 26, "fiber": 16, "radial": 8},
+}
+
+# the keys each object-valued section accepts
+SECTION_KEYS = {**SECTION_DEFAULTS, "family": ("name", "params"), "lee": ("name", "params"),
+                "sweep": ("name", "param", "values"), "tolerances": DEFAULT_TOLERANCES,
+                "trials": DEFAULT_TRIALS}
+
+
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _real(v) -> bool:
+    """A finite double: not a bool, nan, infinity or an integer beyond the range of doubles."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
 
 @dataclass
 class RunConfig:
     """Validated run configuration; invalid input raises ConfigError."""
 
-    model: dict = dc_field(default_factory=lambda: {"m": 3, "R": 1.0, "L": 6.283185307179586,
-                                                    "fibration": "trivial"})
-    family: dict = dc_field(default_factory=lambda: {"name": "kaluza_perturbation",
-                                                     "params": {"mu": 1.0}})
-    lee: dict = dc_field(default_factory=lambda: {"name": "radial_lee",
-                                                  "params": {"amplitude": 0.4}})
+    model: dict = dc_field(default_factory=lambda: dict(SECTION_DEFAULTS["model"]))
+    family: dict = dc_field(default_factory=lambda: {"name": "kaluza_perturbation", "params": {"mu": 1.0}})
+    lee: dict = dc_field(default_factory=lambda: {"name": "radial_lee", "params": {"amplitude": 0.4}})
     sweep: dict = dc_field(default_factory=lambda: {"name": "radial_profile", "param": "beta",
                                                     "values": [0.1, 0.2, 0.3, 0.4, 0.5]})
-    radii: dict = dc_field(default_factory=lambda: {"r0": 40.0, "rmax": 320.0, "count": 6})
-    quadrature: dict = dc_field(default_factory=lambda: {"sphere": 26, "fiber": 16, "radial": 8})
+    radii: dict = dc_field(default_factory=lambda: dict(SECTION_DEFAULTS["radii"]))
+    quadrature: dict = dc_field(default_factory=lambda: dict(SECTION_DEFAULTS["quadrature"]))
     tolerances: dict = dc_field(default_factory=dict)
     trials: dict = dc_field(default_factory=dict)
     seed: int = 42
     mode: str = "dual"
     out: str | None = None
     corrupt_bochner_sign: bool = False  # negative-control test hook
-
-    KNOWN_KEYS = ("model", "family", "lee", "sweep", "radii", "quadrature", "tolerances",
-                  "trials", "seed", "mode", "out", "corrupt_bochner_sign")
 
     @classmethod
     def load(cls, path: str | None, overrides: argparse.Namespace) -> "RunConfig":
@@ -83,10 +97,19 @@ class RunConfig:
                 raise ConfigError(f"config file not found: {path}") from exc
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        unknown = set(data) - set(cls.KNOWN_KEYS)
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be an object, got {data!r}")
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**data)
+        for where, known in SECTION_KEYS.items():
+            given = getattr(cfg, where)
+            if not isinstance(given, dict):
+                raise ConfigError(f"{where} must be an object, got {given!r}")
+            for k in given:
+                if k not in known:
+                    raise ConfigError(f"unknown {where} key {k!r}")
         if overrides.seed is not None:
             cfg.seed = overrides.seed
         if overrides.out is not None:
@@ -100,36 +123,31 @@ class RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"bad --radii value: {overrides.radii!r}") from exc
         if overrides.tol is not None:
-            cfg.tolerances = dict(cfg.tolerances)
-            cfg.tolerances["identity"] = overrides.tol
-            cfg.tolerances["mass"] = overrides.tol
+            cfg.tolerances = {**cfg.tolerances, "identity": overrides.tol, "mass": overrides.tol}
         cfg.validate()
         return cfg
 
+    def section(self, where: str) -> dict:
+        """A section with the defaults filled in for the keys it leaves out."""
+        return {**SECTION_DEFAULTS[where], **getattr(self, where)}
+
     def validate(self) -> None:
-        m = self.model.get("m", 3)
-        if not isinstance(m, int) or m < 3:
-            raise ConfigError(f"model.m must be an integer >= 3, got {m!r}")
-        fib = self.model.get("fibration", "trivial")
-        if fib not in ("trivial", "hopf"):
-            raise ConfigError(f"model.fibration must be 'trivial' or 'hopf', got {fib!r}")
+        """Check every value; ``load`` has checked that the sections are objects with known keys."""
+        model, radii = self.section("model"), self.section("radii")
+        m, fib = model["m"], model["fibration"]
+        _require([("model.m", m, "an integer >= 3", _integer(m) and m >= 3),
+                  ("model.fibration", fib, "'trivial' or 'hopf'", fib in ("trivial", "hopf"))]
+                 + [(f"model.{k}", model[k], "a positive finite number", _real(model[k]) and model[k] > 0)
+                    for k in ("R", "L")])
         if fib == "hopf" and m != 3:
             raise ConfigError("hopf fibration requires m = 3")
-        for key in ("R", "L"):
-            v = self.model.get(key, 1.0)
-            if not (isinstance(v, (int, float)) and v > 0):
-                raise ConfigError(f"model.{key} must be positive, got {v!r}")
-        if self.family.get("name") not in METRIC_BUILDERS:
-            raise ConfigError(
-                f"unknown metric family {self.family.get('name')!r}; known: {sorted(METRIC_BUILDERS)}"
-            )
-        if self.lee.get("name") not in LEE_BUILDERS:
-            raise ConfigError(f"unknown lee form {self.lee.get('name')!r}; known: {sorted(LEE_BUILDERS)}")
-        if self.sweep.get("name") not in SCALAR_BUILDERS:
-            raise ConfigError(
-                f"unknown scalar family {self.sweep.get('name')!r}; known: {sorted(SCALAR_BUILDERS)}"
-            )
-        for where, builders, spec in (("family", METRIC_BUILDERS, self.family), ("lee", LEE_BUILDERS, self.lee)):
+        for where, builders, kind in (("family", METRIC_BUILDERS, "metric family"),
+                                      ("lee", LEE_BUILDERS, "lee form"), ("sweep", SCALAR_BUILDERS, "scalar family")):
+            name = getattr(self, where).get("name")
+            if not isinstance(name, str) or name not in builders:
+                raise ConfigError(f"unknown {kind} {name!r}; known: {sorted(builders)}")
+        for where, builders in (("family", METRIC_BUILDERS), ("lee", LEE_BUILDERS)):
+            spec = getattr(self, where)
             params = spec.get("params", {})
             sig = _check_params(f"{where}.params", builders[spec["name"]], params)
             for name, value in params.items():
@@ -144,62 +162,48 @@ class RunConfig:
         for i, value in enumerate(values):
             _check_value(f"sweep.values[{i}]", sig.parameters[param], value)
         # builders refuse parameters outside their domain with ValueError
-        model = self.model_space()
+        space = self.model_space()
         built = [("family", METRIC_BUILDERS[self.family["name"]], self.family.get("params", {})),
                  ("lee", LEE_BUILDERS[self.lee["name"]], self.lee.get("params", {}))]
         built += [(f"sweep.values[{i}]", SCALAR_BUILDERS[self.sweep["name"]], {param: value})
                   for i, value in enumerate(values)]
         for where, builder, params in built:
             try:
-                builder(model, **params)
+                builder(space, **params)
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from exc
-        r0, rmax, count = (self.radii.get(k) for k in ("r0", "rmax", "count"))
-        if not (isinstance(count, int) and count >= 2):
-            raise ConfigError(f"radii.count must be an integer >= 2, got {count!r}")
-        if not (r0 and rmax and 0 < r0 < rmax):
-            raise ConfigError(f"radii must satisfy 0 < r0 < rmax, got r0={r0!r} rmax={rmax!r}")
-        if r0 <= self.model.get("R", 1.0):
-            raise ConfigError(f"radii.r0={r0} must exceed the excised radius R={self.model.get('R')}")
-        for key, v in self.quadrature.items():
-            if key not in ("sphere", "fiber", "radial") or not (isinstance(v, int) and v > 0):
-                raise ConfigError(f"quadrature.{key}={v!r} invalid")
-        if self.mode not in ("dual", "fd"):
-            raise ConfigError(f"mode must be 'dual' or 'fd', got {self.mode!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        for where, given, known, kind, valid in (
-            ("tolerances", self.tolerances, DEFAULT_TOLERANCES, "a positive finite number",
-             lambda v: isinstance(v, (int, float)) and 0 < v < math.inf),
-            ("trials", self.trials, DEFAULT_TRIALS, "a non-negative integer",
-             lambda v: isinstance(v, int) and v >= 0),
-        ):
-            if not isinstance(given, dict):
-                raise ConfigError(f"{where} must be an object, got {given!r}")
-            for k, v in given.items():
-                if k not in known:
-                    raise ConfigError(f"unknown {where} key {k!r}")
-                if isinstance(v, bool) or not valid(v):
-                    raise ConfigError(f"{where}.{k} must be {kind}, got {v!r}")
+        r0, rmax, count = radii["r0"], radii["rmax"], radii["count"]
+        _require([("radii.count", count, "an integer >= 2", _integer(count) and count >= 2)])
+        if not (_real(r0) and _real(rmax) and 0 < r0 < rmax):
+            raise ConfigError(f"radii must satisfy 0 < r0 < rmax < inf, got r0={r0!r} rmax={rmax!r}")
+        if r0 <= space.R:
+            raise ConfigError(f"radii.r0={r0} must exceed the excised radius R={space.R}")
+        seed, flag = self.seed, self.corrupt_bochner_sign
+        _require([(f"quadrature.{k}", v, "a positive integer", _integer(v) and v > 0)
+                  for k, v in self.quadrature.items()]
+                 + [("mode", self.mode, "'dual' or 'fd'", self.mode in ("dual", "fd")),
+                    ("seed", seed, "a non-negative integer", _integer(seed) and seed >= 0),
+                    ("corrupt_bochner_sign", flag, "true or false", isinstance(flag, bool)),
+                    ("out", self.out, "a directory name", self.out is None or isinstance(self.out, str))]
+                 + [(f"tolerances.{k}", v, "a positive finite number", _real(v) and v > 0)
+                    for k, v in self.tolerances.items()]
+                 + [(f"trials.{k}", v, "a non-negative integer", _integer(v) and v >= 0)
+                    for k, v in self.trials.items()])
 
     # -- resolved pieces ----------------------------------------------------
 
     def model_space(self) -> ModelSpace:
-        return ModelSpace(m=self.model.get("m", 3), R=self.model.get("R", 1.0),
-                          L=self.model.get("L", 6.283185307179586),
-                          fibration=self.model.get("fibration", "trivial"))
+        return ModelSpace(**self.section("model"))
 
     def engine(self) -> DerivativeEngine:
         return DerivativeEngine(mode=self.mode)
 
     def radii_schedule(self) -> list:
-        return [float(r) for r in geometric_radii(self.radii["r0"], self.radii["rmax"],
-                                                  self.radii["count"])]
+        radii = self.section("radii")
+        return [float(r) for r in geometric_radii(radii["r0"], radii["rmax"], radii["count"])]
 
     def quad_spec(self) -> QuadratureSpec:
-        return QuadratureSpec(sphere=self.quadrature.get("sphere", 26),
-                              fiber=self.quadrature.get("fiber", 16),
-                              radial=self.quadrature.get("radial", 8))
+        return QuadratureSpec(**self.section("quadrature"))
 
     def tol(self, key: str) -> float:
         return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))
@@ -228,6 +232,13 @@ class RunConfig:
         return data
 
 
+def _require(checks) -> None:
+    """Refuse the first (name, value, what it must be, valid) entry that is not valid."""
+    for where, value, kind, valid in checks:
+        if not valid:
+            raise ConfigError(f"{where} must be {kind}, got {value!r}")
+
+
 def _check_params(where: str, builder, params) -> inspect.Signature:
     """Reject parameters the builder does not take, or required ones left out."""
     if not isinstance(params, dict):
@@ -246,8 +257,7 @@ def _check_value(where: str, param: inspect.Parameter, value) -> None:
     if value is None and param.default is None:
         return
     whole = param.annotation in (int, "int")
-    if (isinstance(value, bool) or not isinstance(value, int if whole else (int, float))
-            or (isinstance(value, float) and not np.isfinite(value))):
+    if not (_integer(value) if whole else _real(value)):
         raise ConfigError(f"{where} must be {'an integer' if whole else 'a finite real number'}, got {value!r}")
 
 
@@ -451,18 +461,22 @@ class _PipeGuard:
 
 def _run(args: argparse.Namespace) -> int:
     try:
-        cfg = RunConfig.load(args.config, args)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "mass":
-            return cmd_mass(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "report":
-            return cmd_report(cfg, args.paths)
-        raise ConfigError(f"unknown command {args.command!r}")
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            cfg = RunConfig.load(args.config, args)
+            if args.command == "verify":
+                return cmd_verify(cfg)
+            if args.command == "mass":
+                return cmd_mass(cfg)
+            if args.command == "sweep":
+                return cmd_sweep(cfg)
+            if args.command == "report":
+                return cmd_report(cfg, args.paths)
+            raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, ChartDomainError, MassNotDefinedError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (FloatingPointError, OverflowError, np.linalg.LinAlgError) as exc:
+        print(f"error: numerical failure, an input is out of range: {exc}", file=sys.stderr)
         return 2
 
 

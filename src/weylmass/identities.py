@@ -39,10 +39,10 @@ from .families import (LeeFormField, kaluza_perturbation, random_local_lee,
 from .model import ModelSpace
 from .quadrature import (QuadratureSpec, annulus_node_count, annulus_nodes, flux_curved_metric, shell_nodes,
                          volume_integral_curved)
-from .weyl import (FormFieldSpec, WeylStructure, _coeff_curvature, _faraday_components, _jet_curvature,
-                   _ricci, _slot_terms, _weyl_jet, christoffel, covd2_form_block, covd_form_block, dD,
-                   deltaD, form_field_of, insert_alt, inv_gram, lc_form_block, lie_bracket, outer_front,
-                   tdot, weyl_connect_vec, weyl_curvature)
+from .weyl import (FormFieldSpec, WeylStructure, _coeff_curvature, _covd_slots, _faraday_components,
+                   _jet_curvature, _ricci, _weyl_jet, covd2_form_block, covd_form_block, dD, deltaD,
+                   form_field_of, insert_alt, inv_gram, lie_bracket, outer_front, tdot,
+                   weyl_connect_vec, weyl_curvature)
 
 RESOLVED_BOCHNER_SIGN = 1.0
 
@@ -302,31 +302,6 @@ def check_curvature_split(engine: DerivativeEngine, model: ModelSpace, seed: int
     return IdentityReport("curvature_split", trials, worst, tolerance, worst < tolerance)
 
 
-def check_weighted_derivative_oracle(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,
-                                     trials: int = 50, tolerance: float = 1e-8) -> IdentityReport:
-    """Wedge-form derivative of weighted 1-forms against the slot-insertion oracle
-
-    D a = grad a + (k - 1) theta (x) a - a (x) theta + <a, theta> g.
-    """
-    worst = 0.0
-    for trial in range(trials):
-        rng = _rng(seed, 16, trial)
-        ws = trial_structure(model, seed, trial)
-        p = trial_point(model, rng)
-        k = _weight_pool(model)[int(rng.integers(0, 4))]
-        spec = random_form_field(ws, rng, 1, k)
-        H = covd_form_block(engine, ws, spec, p)
-        a, da = frame_jet1(engine, model, spec.field, p)
-        gam = christoffel(engine, model, ws.metric, p)
-        g = ws.gram(p)
-        theta = ws.theta(p)
-        nabla = lc_form_block(da, a, gam, 1)
-        inner = float(inv_gram(g) @ a @ theta)
-        oracle = nabla + (k - 1) * np.outer(theta, a) - np.outer(a, theta) + inner * g
-        worst = max(worst, float(np.max(np.abs(H - oracle))))
-    return IdentityReport("weighted_derivative_oracle", trials, worst, tolerance, worst < tolerance)
-
-
 # ---------------------------------------------------------------------------
 # Bochner machinery
 # ---------------------------------------------------------------------------
@@ -458,12 +433,11 @@ def _bochner_density(engine: DerivativeEngine, ws: WeylStructure, spec: FormFiel
                      sign: float):
     """(g, |Da|^2 + sign Ric(a#, a#) - |DiracD a|^2) at a point or node block.
 
-    H (slot form) and Ric^D come off one ``_weyl_jet`` and one jet of a.
+    H (``_covd_slots``) and Ric^D come off one ``_weyl_jet`` and one jet of a.
     """
     jet = _weyl_jet(engine, ws, coords)
-    W, theta = jet[0], jet[4]
     a, dA = frame_jet1(engine, ws.model, spec.field, coords)
-    H = dA + _slot_terms(a, W, theta, spec.weight, 1)
+    H = _covd_slots(a, dA, jet[0], jet[4], spec.weight, 1)
     return jet[2], _density(jet, ws.model.structure_constants(coords), a, H, sign)
 
 

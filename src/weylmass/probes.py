@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .engine import DerivativeEngine, Field, frame_jet1, frame_jet2
 from .errors import MassNotDefinedError
 from .families import LeeFormField, MetricFamily, ScalarField
 from .model import ModelSpace
-from .weyl import _slot_jet, frame_exterior_derivative, lc_form_block
+from .weyl import _faraday_components, _slot_jet, lc_form_block
 
 SLOPE_MARGIN = 0.2
 ZERO_FLOOR = 1e-13
@@ -102,16 +102,11 @@ def _batch_points(model: ModelSpace, r: float, u: np.ndarray, t: np.ndarray) -> 
 
 
 def probe_tensor_field(engine: DerivativeEngine, model: ModelSpace, fld: Field, declared: float,
-                       name: str, radii, directions: int = 8, seed: int = 1234,
-                       transform: Optional[Callable] = None) -> ProbeReport:
+                       name: str, radii, directions: int = 8, seed: int = 1234) -> ProbeReport:
     u, t = direction_samples(model, directions, seed)
 
     def norm_at(r: float) -> float:
-        pts = _batch_points(model, r, u, t)
-        vals = fld.values(pts)
-        if transform is not None:
-            vals = transform(vals, pts)
-        return _sup_norm(vals)
+        return _sup_norm(fld.values(_batch_points(model, r, u, t)))
 
     return decay_probe(norm_at, radii, declared, name=name)
 
@@ -168,7 +163,9 @@ def lee_probes(engine: DerivativeEngine, model: ModelSpace, lee: LeeFormField,
     lfield = lee.as_field()
 
     def dtheta_fn(coords):
-        return frame_exterior_derivative(engine, model, lfield, 1, np.asarray(coords, dtype=float))
+        coords = np.asarray(coords, dtype=float)
+        theta, dtheta = frame_jet1(engine, model, lfield, coords)
+        return _faraday_components(theta, dtheta, model.structure_constants(coords))
 
     dfield = Field(dtheta_fn, shape=(model.dim, model.dim), analytic=False, name="d(" + lee.name + ")")
     return [

@@ -1,14 +1,20 @@
 """Weyl-connection calculus on the fibered chart.
 
 A Weyl structure is held in a fixed gauge: the gauge metric family g, a Lee
-form theta, and the model chart.  Acting on a p-form of weight k trivialized
-in that gauge, the connection is
+form theta, and the model chart.  On vector fields the connection is
 
-    D_X w = nabla^g_X w + (k - p) theta(X) w - theta ^ (X _| w) + X^b ^ (theta# _| w)
+    D_Y X = nabla^g_Y X + theta(Y) X + theta(X) Y - g(X, Y) theta#,
 
-and on vector fields
+with coefficients D_{E_i} E_j = W[i, j, k] E_k.  On a weight-k (0, q)
+tensor, p-forms included, it is Levi-Civita plus one theta-term per slot
+(Calderbank & Pedersen, "Einstein-Weyl geometry", 1999):
 
-    D_Y X = nabla^g_Y X + theta(Y) X + theta(X) Y - g(X, Y) theta#.
+    (D_{E_a} S)[j1..jq] = E_a S[J] + k theta_a S[J] - sum_s W[a, j_s, l] S[.. l ..].
+
+This slot form is the one kernel (``_covd_slots``) that applies D to forms
+and tensors.  The wedge form on p-forms,
+D_X w = nabla^g_X w + (k - p) theta(X) w - theta ^ (X _| w) + X^b ^ (theta# _| w),
+is assembled only in the tests, as the kernel's independent oracle.
 
 All conformal-frame sums are realized in the fixed model frame through
 inverse-Gram contractions with g.  Weighted forms are never implicitly
@@ -128,13 +134,6 @@ def insert_alt(block: np.ndarray, p: int) -> np.ndarray:
     for j in range(1, p + 1):
         out += (-1) ** j * np.moveaxis(block, 0, j)
     return out
-
-
-def wedge_cov_into(slot_block: np.ndarray, q: int) -> np.ndarray:
-    """Per-leading-index wedge: block[i; a; j1..jq] -> (theta ^ sigma_i)[i; ...]."""
-    moved = np.moveaxis(slot_block, 0, q + 1)  # (a, j1..jq, i, batch)
-    res = insert_alt(moved, q)
-    return np.moveaxis(res, q + 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +282,17 @@ def _slot_terms(S: np.ndarray, W: np.ndarray, theta, k: float, nslots: int):
     return out
 
 
+def _covd_slots(S: np.ndarray, dS: np.ndarray, W: np.ndarray, theta, k: float, nslots: int) -> np.ndarray:
+    """The kernel of D: H[a; J] = E_a S[J] + k theta_a S[J] - sum_s W[a, j_s, l] S[.. l ..].
+
+    S is a weight-k (0, q) tensor, q = nslots, with frame derivatives dS[a; J] = E_a S[J].
+    W = G and k = 0 give the Levi-Civita derivative.
+    """
+    return dS + _slot_terms(S, W, theta, k, nslots)
+
+
 def _slot_jet(S, dS, ddS, W, dW, theta, dtheta, k: float, nslots: int):
-    """(H, E H) for H = E S + slot terms, from the first two frame jets of S and (W, theta).
+    """(H, E H) for H = ``_covd_slots`` of S, from the first two frame jets of S and (W, theta).
 
     E_b H = E_b E S + slot terms of E_b S with (W, theta) + slot terms of S
     with (E_b W, E_b theta); the direction b leads, as in H.  The b axis is
@@ -296,49 +304,37 @@ def _slot_jet(S, dS, ddS, W, dW, theta, dtheta, k: float, nslots: int):
     th, dth = (theta[:, None], np.moveaxis(dtheta, 0, 1)) if k else (None, None)
     conn = (_slot_terms(np.moveaxis(dS, 0, q), W[:, :, :, None], th, k, q)
             + _slot_terms(np.expand_dims(S, q), np.moveaxis(dW, 0, 3), dth, k, q))
-    return dS + _slot_terms(S, W, theta, k, q), ddS + np.moveaxis(conn, q + 1, 0)
+    return _covd_slots(S, dS, W, theta, k, q), ddS + np.moveaxis(conn, q + 1, 0)
 
 
 def lc_form_block(dw: np.ndarray, w: np.ndarray, gam: np.ndarray, p: int) -> np.ndarray:
-    """Riemannian covariant derivative of a p-form from its frame jet."""
-    return dw + _slot_terms(w, gam, None, 0.0, p)
+    """Riemannian covariant derivative of a p-form from its frame jet: the theta = 0 kernel."""
+    return _covd_slots(w, dw, gam, None, 0.0, p)
 
 
 def covd_form_block(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords) -> np.ndarray:
-    """All frame derivatives H[i; J] = (D_{E_i} w)_J of a weighted form (wedge form of D)."""
+    """All frame derivatives H[i; J] = (D_{E_i} w)_J of a weighted form.
+
+    The slot form of D: the kernel ``_covd_slots`` over the form's first-order
+    jet and ``weyl_coeffs``.  The wedge form of D (module docstring) is its
+    test oracle.
+    """
     if spec.gauge != ws.gauge:
         raise GaugeMismatchError(f"form in gauge {spec.gauge!r}, structure in gauge {ws.gauge!r}")
     coords = np.asarray(coords, dtype=float)
-    p, k = spec.degree, spec.weight
     w, dw = frame_jet1(engine, ws.model, spec.field, coords)
-    gam = christoffel(engine, ws.model, ws.metric, coords)
-    g = ws.gram(coords)
-    theta = ws.theta(coords)
-    H = lc_form_block(dw, w, gam, p)
-    if k != 0 or p != 0:
-        H = H + (k - p) * outer_front(theta, w, p)
-    if p == 0:
-        return H
-    ginv = inv_gram(g)
-    theta_sharp = np.einsum("ab...,b...->a...", ginv, theta)
-    # - theta ^ (E_i _| w): per slot i, wedge theta into the (p-1)-form w[i, ...]
-    block = np.moveaxis(outer_front(theta, w, p), 0, 1)  # (i, a, j2..jp, batch)
-    H = H - wedge_cov_into(block, p - 1)
-    # + (E_i)^flat ^ (theta# _| w)
-    tw = tdot(theta_sharp, w, 0)  # (j2..jp, batch)
-    H = H + wedge_cov_into(_outer_two(g, tw, p - 1), p - 1)
-    return H
+    return _covd_slots(w, dw, weyl_coeffs(engine, ws, coords), ws.theta(coords), spec.weight, spec.degree)
 
 
 def covd2_form_block(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords):
     """(w, H, DH, jet) with H[a; J] = (D_{E_a} w)_J and DH[b; a; J] = (D_{E_b} Dw)[a; J].
 
     Closed form from one second-order jet of the form and one ``_weyl_jet``:
-    H is the slot form of D, E_b H follows by the product rule, and DH adds
-    the slot terms of H as a weight-k tensor with p + 1 slots.  ``jet`` is
-    that ``_weyl_jet`` tuple (W, dW, g, g^-1, theta, dtheta), handed out so
-    callers read g^-1 and the curvature (``_jet_curvature``) off the same
-    metric jet.
+    H is the slot form of D, E_b H follows by the product rule, and DH is
+    the kernel ``_covd_slots`` on H as a weight-k tensor with p + 1 slots.
+    ``jet`` is that ``_weyl_jet`` tuple (W, dW, g, g^-1, theta, dtheta),
+    handed out so callers read g^-1 and the curvature (``_jet_curvature``)
+    off the same metric jet.
     """
     if spec.gauge != ws.gauge:
         raise GaugeMismatchError(f"form in gauge {spec.gauge!r}, structure in gauge {ws.gauge!r}")
@@ -348,39 +344,12 @@ def covd2_form_block(engine: DerivativeEngine, ws: WeylStructure, spec: FormFiel
     W, dW, _, _, theta, dtheta = jet
     w, dw, ddw = frame_jet2(engine, ws.model, spec.field, coords)
     H, EH = _slot_jet(w, dw, ddw, W, dW, theta, dtheta, k, p)
-    return w, H, EH + _slot_terms(H, W, theta, k, p + 1), jet
-
-
-def _outer_two(g: np.ndarray, arr: np.ndarray, nform: int) -> np.ndarray:
-    """g[i, a] * arr[J]: shape (n, n) + form + batch."""
-    gg = g.reshape(g.shape[:2] + (1,) * nform + g.shape[2:])
-    return gg * arr[(None, None) + (Ellipsis,)]
-
-
-def covd_tensor_block(engine: DerivativeEngine, ws: WeylStructure, fld: Field, weight: float,
-                      nslots: int, coords) -> np.ndarray:
-    """Frame derivatives of a weight-k (0, q) tensor via slot insertions of D.
-
-    (D_{E_a} S)[j1..jq] = E_a(S) + k theta_a S - sum_s W[a, j_s, l] S[.. l ..].
-    For antisymmetric S this agrees with the wedge form of the derivative; the
-    two code paths serve as mutual oracles.
-    """
-    coords = np.asarray(coords, dtype=float)
-    S, dS = frame_jet1(engine, ws.model, fld, coords)
-    return dS + _slot_terms(S, weyl_coeffs(engine, ws, coords), ws.theta(coords), weight, nslots)
+    return w, H, _covd_slots(H, EH, W, theta, k, p + 1), jet
 
 
 # ---------------------------------------------------------------------------
 # differential operators
 # ---------------------------------------------------------------------------
-
-
-def weyl_derivative_weighted(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec,
-                             x_vec: np.ndarray, coords) -> WeightedForm:
-    """D_X w at a point; X given by constant frame components."""
-    H = covd_form_block(engine, ws, spec, coords)
-    comps = tdot(np.asarray(x_vec, dtype=float), H, 0)
-    return ws.form(spec.degree, spec.weight, comps)
 
 
 def dD(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords,
@@ -438,42 +407,6 @@ def _faraday_components(theta: np.ndarray, dtheta: np.ndarray, C: np.ndarray) ->
     F = dtheta - np.swapaxes(dtheta, 0, 1)
     F -= np.einsum("ijl...,l...->ij...", C, theta)
     return F
-
-
-def frame_exterior_derivative(engine: DerivativeEngine, model: ModelSpace, fld: Field, degree: int,
-                              coords) -> np.ndarray:
-    """Plain d on low-degree frame forms; independent oracle for d^D at k = 0."""
-    coords = np.asarray(coords, dtype=float)
-    w, dw = frame_jet1(engine, model, fld, coords)
-    C = model.structure_constants(coords)
-    if degree == 0:
-        return dw
-    if degree == 1:
-        out = dw - np.swapaxes(dw, 0, 1)
-        out -= np.einsum("ijl...,l...->ij...", C, w)
-        return out
-    if degree == 2:
-        out = dw - np.moveaxis(dw, (0, 1, 2), (1, 0, 2)) + np.moveaxis(dw, (0, 1, 2), (2, 0, 1))
-        br = np.einsum("ijl...,lk...->ijk...", C, w)
-        out -= br - np.moveaxis(br, (0, 1, 2), (0, 2, 1)) + np.moveaxis(br, (0, 1, 2), (1, 2, 0))
-        return out
-    # generic slow path: explicit sum over index tuples (test-scale only)
-    n = model.dim
-    batch = coords.shape[1:]
-    out = np.zeros((n,) * (degree + 1) + batch)
-    for idx in np.ndindex(*(n,) * (degree + 1)):
-        acc = 0.0
-        for j in range(degree + 1):
-            rest = idx[:j] + idx[j + 1:]
-            acc = acc + (-1) ** j * dw[(idx[j],) + rest]
-        for j in range(degree + 1):
-            for l in range(j + 1, degree + 1):
-                rest = tuple(idx[s] for s in range(degree + 1) if s != j and s != l)
-                wc = w[(slice(None),) + rest]
-                bracket = np.einsum("c...,c...->...", C[idx[j], idx[l]], wc)
-                acc = acc + (-1) ** (j + l) * bracket
-        out[idx] = acc
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,128 @@
+"""Independent references that the package's derivative kernel is tested against.
+
+``weylmass.weyl._covd_slots`` is the one place that applies the Weyl derivative
+D to forms and tensors (the slot form: Levi-Civita plus one theta-term per
+slot).  The references here compute the same quantities on other routes:
+
+* ``wedge_covd_form_block`` assembles D on p-forms in wedge form,
+
+      D_X w = nabla^g_X w + (k - p) theta(X) w - theta ^ (X _| w) + X^b ^ (theta# _| w),
+
+  with the per-slot wedge ``wedge_cov_into`` and the outer product ``_outer_two``;
+* ``frame_exterior_derivative`` is plain d on frame forms, with the
+  anholonomic bracket terms, for d^D at weight 0 and for d(theta);
+* ``check_weighted_derivative_oracle`` compares D on weighted 1-forms with
+  a hand formula.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from weylmass.engine import DerivativeEngine, Field, frame_jet1
+from weylmass.errors import GaugeMismatchError
+from weylmass.identities import (IdentityReport, _rng, _weight_pool, random_form_field, trial_point,
+                                 trial_structure)
+from weylmass.model import ModelSpace
+from weylmass.weyl import (FormFieldSpec, WeylStructure, christoffel, covd_form_block, insert_alt, inv_gram,
+                           lc_form_block, outer_front, tdot)
+
+
+def wedge_cov_into(slot_block: np.ndarray, q: int) -> np.ndarray:
+    """Per-leading-index wedge: block[i; a; j1..jq] -> (theta ^ sigma_i)[i; ...]."""
+    moved = np.moveaxis(slot_block, 0, q + 1)  # (a, j1..jq, i, batch)
+    res = insert_alt(moved, q)
+    return np.moveaxis(res, q + 1, 0)
+
+
+def _outer_two(g: np.ndarray, arr: np.ndarray, nform: int) -> np.ndarray:
+    """g[i, a] * arr[J]: shape (n, n) + form + batch."""
+    gg = g.reshape(g.shape[:2] + (1,) * nform + g.shape[2:])
+    return gg * arr[(None, None) + (Ellipsis,)]
+
+
+def wedge_covd_form_block(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords) -> np.ndarray:
+    """All frame derivatives H[i; J] = (D_{E_i} w)_J of a weighted form (wedge form of D)."""
+    if spec.gauge != ws.gauge:
+        raise GaugeMismatchError(f"form in gauge {spec.gauge!r}, structure in gauge {ws.gauge!r}")
+    coords = np.asarray(coords, dtype=float)
+    p, k = spec.degree, spec.weight
+    w, dw = frame_jet1(engine, ws.model, spec.field, coords)
+    gam = christoffel(engine, ws.model, ws.metric, coords)
+    g = ws.gram(coords)
+    theta = ws.theta(coords)
+    H = lc_form_block(dw, w, gam, p)
+    if k != 0 or p != 0:
+        H = H + (k - p) * outer_front(theta, w, p)
+    if p == 0:
+        return H
+    ginv = inv_gram(g)
+    theta_sharp = np.einsum("ab...,b...->a...", ginv, theta)
+    # - theta ^ (E_i _| w): per slot i, wedge theta into the (p-1)-form w[i, ...]
+    block = np.moveaxis(outer_front(theta, w, p), 0, 1)  # (i, a, j2..jp, batch)
+    H = H - wedge_cov_into(block, p - 1)
+    # + (E_i)^flat ^ (theta# _| w)
+    tw = tdot(theta_sharp, w, 0)  # (j2..jp, batch)
+    H = H + wedge_cov_into(_outer_two(g, tw, p - 1), p - 1)
+    return H
+
+
+def frame_exterior_derivative(engine: DerivativeEngine, model: ModelSpace, fld: Field, degree: int,
+                              coords) -> np.ndarray:
+    """Plain d on low-degree frame forms; independent oracle for d^D at k = 0."""
+    coords = np.asarray(coords, dtype=float)
+    w, dw = frame_jet1(engine, model, fld, coords)
+    C = model.structure_constants(coords)
+    if degree == 0:
+        return dw
+    if degree == 1:
+        out = dw - np.swapaxes(dw, 0, 1)
+        out -= np.einsum("ijl...,l...->ij...", C, w)
+        return out
+    if degree == 2:
+        out = dw - np.moveaxis(dw, (0, 1, 2), (1, 0, 2)) + np.moveaxis(dw, (0, 1, 2), (2, 0, 1))
+        br = np.einsum("ijl...,lk...->ijk...", C, w)
+        out -= br - np.moveaxis(br, (0, 1, 2), (0, 2, 1)) + np.moveaxis(br, (0, 1, 2), (1, 2, 0))
+        return out
+    # generic slow path: explicit sum over index tuples (test-scale only)
+    n = model.dim
+    batch = coords.shape[1:]
+    out = np.zeros((n,) * (degree + 1) + batch)
+    for idx in np.ndindex(*(n,) * (degree + 1)):
+        acc = 0.0
+        for j in range(degree + 1):
+            rest = idx[:j] + idx[j + 1:]
+            acc = acc + (-1) ** j * dw[(idx[j],) + rest]
+        for j in range(degree + 1):
+            for l in range(j + 1, degree + 1):
+                rest = tuple(idx[s] for s in range(degree + 1) if s != j and s != l)
+                wc = w[(slice(None),) + rest]
+                bracket = np.einsum("c...,c...->...", C[idx[j], idx[l]], wc)
+                acc = acc + (-1) ** (j + l) * bracket
+        out[idx] = acc
+    return out
+
+
+def check_weighted_derivative_oracle(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,
+                                     trials: int = 50, tolerance: float = 1e-8) -> IdentityReport:
+    """``covd_form_block`` on weighted 1-forms against the hand formula
+
+    D a = grad a + (k - 1) theta (x) a - a (x) theta + <a, theta> g.
+    """
+    worst = 0.0
+    for trial in range(trials):
+        rng = _rng(seed, 16, trial)
+        ws = trial_structure(model, seed, trial)
+        p = trial_point(model, rng)
+        k = _weight_pool(model)[int(rng.integers(0, 4))]
+        spec = random_form_field(ws, rng, 1, k)
+        H = covd_form_block(engine, ws, spec, p)
+        a, da = frame_jet1(engine, model, spec.field, p)
+        gam = christoffel(engine, model, ws.metric, p)
+        g = ws.gram(p)
+        theta = ws.theta(p)
+        nabla = lc_form_block(da, a, gam, 1)
+        inner = float(inv_gram(g) @ a @ theta)
+        oracle = nabla + (k - 1) * np.outer(theta, a) - np.outer(a, theta) + inner * g
+        worst = max(worst, float(np.max(np.abs(H - oracle))))
+    return IdentityReport("weighted_derivative_oracle", trials, worst, tolerance, worst < tolerance)

@@ -1,5 +1,5 @@
-"""The CI workflow installs the test extra, runs CLI smoke commands (verify, then a Hopf sweep) and
-the tier-1 command that ROADMAP.md names, with a time limit."""
+"""The CI workflow installs the test extra, runs CLI smoke commands (a Hopf mass, a verify, then a Hopf
+sweep) and the tier-1 command that ROADMAP.md names, with a time limit."""
 
 import json
 import os
@@ -58,6 +58,19 @@ def test_workflow_sweep_smoke_runs_a_hopf_sweep():
     assert config == {"model": {"fibration": "hopf"},
                       "sweep": {"name": "radial_profile", "param": "beta", "values": [0.2, 0.4]}}
     assert re.search(r"^PYTHONPATH=src python -m weylmass .*\bsweep$", smoke, re.MULTILINE)
+
+
+def test_workflow_mass_smoke_runs_a_hopf_mass():
+    """Right after the install, ``python -m weylmass mass`` on the Hopf model."""
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    (job,) = workflow["jobs"].values()
+    names = [step.get("name") for step in job["steps"]]
+    assert names.index("Install") + 1 == names.index("Mass smoke") == names.index("CLI smoke") - 1
+    smoke = job["steps"][names.index("Mass smoke")]["run"]
+    config = json.loads(re.search(r"echo '([^']+)' > \"\$RUNNER_TEMP/", smoke).group(1))
+    assert config == {"model": {"fibration": "hopf"}, "family": {"name": "hopf_model"}}
+    assert re.search(r"^PYTHONPATH=src python -m weylmass .*\bmass$", smoke, re.MULTILINE)
 
 
 def test_package_runs_as_module_without_install(tmp_path):

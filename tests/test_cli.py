@@ -271,15 +271,41 @@ def test_builder_domain_error_exits_two(tmp_path, command, changes, message):
     ("verify", {"trials": {"integral": 1.5}}, "trials.integral must be a non-negative integer, got 1.5"),
     ("verify", {"trials": {"identity": "6"}}, "trials.identity must be a non-negative integer, got '6'"),
     ("verify", {"trials": [6, 3, 0]}, "trials must be an object, got [6, 3, 0]"),
+    ("mass", {"model": 3}, "model must be an object, got 3"),
+    ("mass", {"radii": 5}, "radii must be an object, got 5"),
+    ("mass", {"family": 3}, "family must be an object, got 3"),
+    ("mass", {"lee": "x"}, "lee must be an object, got 'x'"),
+    ("mass", {"quadrature": 5}, "quadrature must be an object, got 5"),
+    ("sweep", {"sweep": 4}, "sweep must be an object, got 4"),
+    ("verify", [], "config must be an object, got []"),
+    ("verify", {"model": {"L": math.inf}}, "model.L must be a positive finite number, got inf"),
+    ("mass", {"radii": {"r0": 40, "rmax": math.inf, "count": 3}}, "radii must satisfy 0 < r0 < rmax < inf"),
+    ("verify", {"seed": True}, "seed must be a non-negative integer, got True"),
+    ("mass", {"quadrature": {"sphere": True}}, "quadrature.sphere must be a positive integer, got True"),
+    ("verify", {"corrupt_bochner_sign": "yes"}, "corrupt_bochner_sign must be true or false, got 'yes'"),
+    ("mass", {"model": {"m": 3, "foo": 1}}, "unknown model key 'foo'"),
+    ("mass", {"radii": {"r0": 40.0, "rmax": 320.0, "count": 6, "x": 1}}, "unknown radii key 'x'"),
 ])
 def test_invalid_tolerance_or_trials_exits_two(tmp_path, command, changes, message):
+    """A malformed value, section or config (a list replaces the whole config): one error line."""
     cfg = json.loads(json.dumps(BASE_CONFIG))
-    cfg.update(changes)
+    cfg = {**cfg, **changes} if isinstance(changes, dict) else changes
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     res = run_cli(["--config", str(path), command], tmp_path / "out")
     assert_one_error_line(res)
     assert message in res.stderr
+
+
+def test_partial_radii_take_the_defaults(tmp_path):
+    """A section that leaves keys out takes their defaults, as model and quadrature do."""
+    cfg = {**BASE_CONFIG, "radii": {"r0": 30.0}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    res = run_cli(["--config", str(path), "mass"], tmp_path / "out")
+    assert res.returncode == 0, res.stderr
+    rows = (tmp_path / "out" / "mass_table_X1.csv").read_text().splitlines()[2:]
+    assert len(rows) == 6 and float(rows[0].split(",")[0]) == 30.0 and float(rows[-1].split(",")[0]) == 320.0
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-6", "0"])
@@ -389,3 +415,70 @@ def test_closed_pipe_from_a_subprocess(tmp_path):
     assert proc.returncode == 0, err.decode()
     assert err == b""
     assert (tmp_path / "out" / "verify_report.jsonl").exists()
+
+
+# A small, cheap base run for the schema property test; every field of it is a drawn target.
+SCHEMA_BASE = {
+    "model": {"m": 3, "R": 1.0, "L": 6.283185307179586, "fibration": "trivial"},
+    "family": {"name": "kaluza_perturbation", "params": {"mu": 1.0}},
+    "lee": {"name": "radial_lee", "params": {"amplitude": 0.4}},
+    "sweep": {"name": "radial_profile", "param": "beta", "values": [0.2]},
+    "radii": {"r0": 40.0, "rmax": 320.0, "count": 2},
+    "quadrature": {"sphere": 1, "fiber": 1, "radial": 1},
+    "tolerances": {"identity": 1e-6, "bochner": 1e-5, "integral": 1e-4, "mass": 1e-4, "convergence": 1e-6},
+    "trials": {"identity": 1, "bochner": 1, "integral": 0},
+    "seed": 1,
+    "mode": "dual",
+    "out": "out",
+    "corrupt_bochner_sign": False,
+}
+
+
+def _schema_paths(node, prefix=()):
+    """Every field of the base config, sections and their leaves alike, plus the top level."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _schema_paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _schema_paths(value, prefix + (i,))
+
+
+SCHEMA_PATHS = list(_schema_paths(SCHEMA_BASE))
+
+# JSON values of every kind.  Integers stay small: a valid size (m, node counts,
+# radii, trials) is run, and the test must stay cheap.  Strings are letters only,
+# so a drawn output directory stays inside the temporary directory.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats() | st.just(math.inf)
+    | st.text("abcxyz_", max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("abcmRL", max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(path=st.sampled_from(SCHEMA_PATHS), value=JSON_VALUES,
+       command=st.sampled_from(["verify", "mass", "sweep"]))
+def test_any_config_value_exits_cleanly(path, value, command):
+    """One drawn JSON value in one field: exit 0 or 1, or exit 2 with one ``error:`` line; never a traceback."""
+    from weylmass import cli
+
+    cfg = json.loads(json.dumps(SCHEMA_BASE))
+    if path:
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    else:
+        cfg = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        Path("config.json").write_text(json.dumps(cfg))
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["--config", "config.json", command])
+    lines = err.getvalue().strip().splitlines()
+    assert code in (0, 1, 2), (path, value, command, code)
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("error:"), (path, value, command, lines)

@@ -8,11 +8,12 @@ from weylmass.identities import (IdentityReport, _rng, bochner_divergence_residu
                                  bochner_integral_sides, bochner_pointwise_residual,
                                  check_bochner_divergence, check_bochner_integral, check_bochner_pointwise,
                                  check_codifferential_transform, check_curvature_split,
-                                 check_d_squared, check_d_transform, check_torsion,
-                                 check_weighted_derivative_oracle, random_form_field,
+                                 check_d_squared, check_d_transform, check_torsion, random_form_field,
                                  resolve_bochner_sign, run_suite, trial_point, trial_structure)
 from weylmass.quadrature import QuadratureSpec
 from weylmass.weyl import WeylStructure, form_field_of
+
+from oracles import check_weighted_derivative_oracle
 
 
 def test_identity_report_pass_iff_within_tolerance():

@@ -11,11 +11,15 @@ from weylmass.families import (LeeFormField, flat_product, kaluza_perturbation,
                                radial_lee, radial_profile, random_local_metric,
                                unit_scalar, zero_lee)
 from weylmass.identities import _rng, random_form_field, trial_point, trial_structure
-from weylmass.weyl import (FormFieldSpec, WeylStructure, _coeff_curvature, _weyl_jet, christoffel,
-                           covd2_form_block, covd_form_block, covd_tensor_block, dD, deltaD, dirac_D, faraday,
-                           form_field_of, frame_exterior_derivative, gauge_change, laplacian_D,
-                           lc_riemann, lie_bracket, weyl_coeffs, weyl_connect_vec, weyl_curvature,
+from weylmass.weyl import (FormFieldSpec, WeylStructure, _coeff_curvature, _covd_slots, _weyl_jet, christoffel,
+                           covd2_form_block, covd_form_block, dD, deltaD, dirac_D, faraday,
+                           form_field_of, gauge_change, laplacian_D, lc_form_block, lc_riemann,
+                           lie_bracket, weyl_coeffs, weyl_connect_vec, weyl_curvature,
                            ricci_trace_convention)
+
+from oracles import frame_exterior_derivative, wedge_covd_form_block
+
+CHARTS = [("model", False), ("model", True), ("hopf_space", False), ("hopf_space", True)]
 
 
 def constant_vec(model, comps):
@@ -83,8 +87,9 @@ def test_weighted_derivative_theta_zero_is_covariant_derivative(model, engine):
     spec = random_form_field(ws, rng, 2, 1.5)
     p = trial_point(model, rng)
     H = covd_form_block(engine, ws, spec, p)
-    # independent: generic tensor-slot derivative with the same (Levi-Civita) coefficients
-    Ht = covd_tensor_block(engine, ws, spec.field, spec.weight, 2, p)
+    # the Levi-Civita block over the Christoffel symbols: the weight drops out with theta
+    w, dw = frame_jet1(engine, model, spec.field, p)
+    Ht = lc_form_block(dw, w, christoffel(engine, model, ws.metric, p), 2)
     assert np.max(np.abs(H - Ht)) < 1e-12
 
 
@@ -97,23 +102,24 @@ def test_weighted_derivative_weight_zero_scalar(model, engine):
     assert np.max(np.abs(H - expected)) < 1e-12
 
 
-def test_form_and_tensor_paths_agree_with_lee(model, engine):
-    # the wedge/interior assembly against the slot-insertion rep, theta != 0
-    ws = trial_structure(model, 12, 3)
-    rng = _rng(12, 3, 1)
-    for deg in (1, 2, 3):
-        spec = random_form_field(ws, rng, deg, -1.0)
-        p = trial_point(model, rng)
-        H = covd_form_block(engine, ws, spec, p)
-        Ht = covd_tensor_block(engine, ws, spec.field, spec.weight, deg, p)
-        assert np.max(np.abs(H - Ht)) < 1e-11
+@pytest.mark.parametrize("chart,fiber,mode,deg", [(chart, fiber, mode, deg) for chart, fiber in CHARTS
+                                                   for mode in ("engine", "fd_engine") for deg in range(5)])
+def test_covd_form_block_matches_wedge_oracle(request, chart, fiber, mode, deg):
+    """The slot kernel against the wedge/interior assembly of D, theta != 0, degrees 0..n."""
+    space = request.getfixturevalue(chart)
+    eng = request.getfixturevalue(mode)
+    ws = trial_structure(space, 12, 3, fiber_dependence=fiber)
+    rng = _rng(12, 3, deg)
+    for k in (0.0, -1.0, 1.5):
+        spec = random_form_field(ws, rng, deg, k, fiber_dependence=fiber)
+        p = trial_point(space, rng)
+        H = covd_form_block(eng, ws, spec, p)
+        assert np.max(np.abs(H - wedge_covd_form_block(eng, ws, spec, p))) < 1e-11
 
 
 def test_weighted_derivative_operator_against_algebra_ops(model, engine):
     """D_X w assembled independently from the pointwise algebra primitives."""
     from weylmass.algebra import PointMetric, TensorValue, WeightedForm, interior, sharp, wedge
-    from weylmass.weyl import lc_form_block, weyl_derivative_weighted
-    from weylmass.engine import frame_jet1
 
     ws = trial_structure(model, 29, 0)
     rng = _rng(29, 16, 0)
@@ -121,7 +127,7 @@ def test_weighted_derivative_operator_against_algebra_ops(model, engine):
     xvec = rng.normal(size=4)
     for deg, k in ((2, 2.0), (2, -1.0), (1, 1.0)):
         spec = random_form_field(ws, rng, deg, k)
-        got = weyl_derivative_weighted(engine, ws, spec, xvec, p).components
+        got = np.einsum("i,i...->...", xvec, covd_form_block(engine, ws, spec, p))
 
         w, dw = frame_jet1(engine, model, spec.field, p)
         gam = christoffel(engine, model, ws.metric, p)
@@ -299,9 +305,6 @@ def _nested_fd_jet(engine, model, coeff_fn, p):
     return frame_jet1(engine, model, fld, p)
 
 
-CHARTS = [("model", False), ("model", True), ("hopf_space", False), ("hopf_space", True)]
-
-
 @pytest.mark.parametrize("chart,fiber", CHARTS)
 def test_weyl_jet_matches_nested_fd(request, engine, chart, fiber):
     space = request.getfixturevalue(chart)
@@ -343,12 +346,12 @@ def test_weyl_jet_fd_mode_agrees_with_dual(hopf_space, engine, fd_engine):
 
 
 def _nested_fd_covd2(engine, ws, spec, p):
-    """The FD route: covd_tensor_block of a non-analytic field wrapping covd_form_block."""
+    """The wedge-form oracle H, and D H as the kernel over a finite-difference jet of that oracle."""
     n = ws.model.dim
-    H_field = Field(lambda c: covd_form_block(engine, ws, spec, np.asarray(c, dtype=float)),
+    H_field = Field(lambda c: wedge_covd_form_block(engine, ws, spec, np.asarray(c, dtype=float)),
                     shape=(n,) * (spec.degree + 1), analytic=False)
-    return (covd_form_block(engine, ws, spec, p),
-            covd_tensor_block(engine, ws, H_field, spec.weight, spec.degree + 1, p))
+    H, dH = frame_jet1(engine, ws.model, H_field, p)
+    return H, _covd_slots(H, dH, weyl_coeffs(engine, ws, p), ws.theta(p), spec.weight, spec.degree + 1)
 
 
 @pytest.mark.parametrize("chart,fiber", CHARTS)
@@ -356,7 +359,7 @@ def test_covd2_form_block_matches_nested_fd(request, engine, fd_engine, chart, f
     space = request.getfixturevalue(chart)
     ws = trial_structure(space, 45, 0, fiber_dependence=fiber)
     rng = _rng(45, 34, 0)
-    for deg, k in ((0, 0.0), (0, 1.0), (1, -1.0), (2, 1.5)):
+    for deg, k in ((0, 0.0), (0, 1.0), (1, -1.0), (2, 1.5), (3, -1.0), (4, 0.5)):
         spec = random_form_field(ws, rng, deg, k, fiber_dependence=fiber)
         p = trial_point(space, rng)
         w, H, DH, jet = covd2_form_block(engine, ws, spec, p)

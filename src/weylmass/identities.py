@@ -17,6 +17,13 @@ are read off the same jets, so in dual mode their residuals sit at
 roundoff.  The accuracy of those jets is covered by the nested
 finite-difference oracle tests, as for ``curvature_split``.
 
+The integral check is a volume integral over an annulus of about 25,600
+nodes.  It is streamed in blocks sized to the cache, not by a fixed node
+count: ``ANNULUS_BLOCK_BYTES`` (1 MiB) bounds one rank-4 block array, n^4
+doubles per node, so a block holds 512 nodes at n = 4 and 101 at n = 6.
+In dual mode no bit of the result depends on the block size; in fd mode the
+step follows each block's largest radius, so fd values do.
+
 The literature carries the Bochner curvature term with both signs and two
 variants of the delta^D shift coefficient; this suite does not guess.  It
 fits the constants from the two-path residuals, asserts they are stable
@@ -39,15 +46,19 @@ from .families import (LeeFormField, kaluza_perturbation, random_local_lee,
 from .model import ModelSpace
 from .quadrature import (QuadratureSpec, annulus_node_count, annulus_nodes, flux_curved_metric, shell_nodes,
                          volume_integral_curved)
-from .weyl import (FormFieldSpec, WeylStructure, _coeff_curvature, _covd_slots, _faraday_components,
-                   _jet_curvature, _ricci, _weyl_jet, covd2_form_block, covd_form_block, dD, deltaD,
-                   form_field_of, insert_alt, inv_gram, lie_bracket, outer_front, tdot,
+from .weyl import (FormFieldSpec, WeylStructure, _brackets, _coeff_curvature, _covd_slots,
+                   _faraday_components, _jet_curvature, _ricci, _weyl_jet, covd2_form_block, covd_form_block,
+                   dD, deltaD, form_field_of, insert_alt, inv_gram, lie_bracket, outer_front, tdot,
                    weyl_connect_vec, weyl_curvature)
 
 RESOLVED_BOCHNER_SIGN = 1.0
 
-# annulus nodes per streamed block of the Bochner volume integral
-ANNULUS_CHUNK = 2048
+# Byte size of one rank-4 array of a streamed annulus block (n^4 doubles per
+# node: the frame Hessian of g, dGamma, dW).  About 1 MiB, 512 nodes at n = 4,
+# keeps a block's arrays within a 2 MB per-core L2 cache: at 2,048 nodes
+# (4 MB) the batch-last einsums streamed from memory, and blocks of 128
+# nodes or fewer paid more in per-block Python overhead.
+ANNULUS_BLOCK_BYTES = 1 << 20
 
 
 def codifferential_shift_coefficient(n: int, k: float, p: int) -> float:
@@ -283,7 +294,7 @@ def check_d_squared(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,
         # D commutes with the slot alternation: alternate the inner slots, then the outer one
         inner = np.moveaxis(insert_alt(np.moveaxis(DH, 0, deg + 1), deg), deg + 1, 0)
         dd = insert_alt(inner, deg + 1)
-        F_wf = ws.form(2, 0.0, _faraday_components(jet[4], jet[5], model.structure_constants(p)))
+        F_wf = ws.form(2, 0.0, _faraday_components(jet[4], jet[5], _brackets(model, p)))
         w_wf = ws.form(deg, k, np.asarray(spec.field.values(p)))
         rhs = k * pointwise_wedge(F_wf, w_wf).components
         worst = max(worst, float(np.max(np.abs(dd - rhs))))
@@ -321,7 +332,7 @@ def _bochner_pointwise_terms(engine: DerivativeEngine, ws: WeylStructure, spec: 
     lap = -np.einsum("ab,abj->j", ginv, DH)
     lhs = float(np.einsum("ab,a,b->", ginv, p1 + p2, a))
     mid = float(np.einsum("ab,a,b->", ginv, lap, a))
-    bundle = _jet_curvature(jet, ws.model.structure_constants(coords))
+    bundle = _jet_curvature(jet, _brackets(ws.model, coords))
     ash = ginv @ a
     ric_term = float(ash @ bundle.Ric @ ash)
     f_term = abs(spec.weight * float(ash @ bundle.F @ ash))
@@ -438,7 +449,7 @@ def _bochner_density(engine: DerivativeEngine, ws: WeylStructure, spec: FormFiel
     jet = _weyl_jet(engine, ws, coords)
     a, dA = frame_jet1(engine, ws.model, spec.field, coords)
     H = _covd_slots(a, dA, jet[0], jet[4], spec.weight, 1)
-    return jet[2], _density(jet, ws.model.structure_constants(coords), a, H, sign)
+    return jet[2], _density(jet, _brackets(ws.model, coords), a, H, sign)
 
 
 def bochner_divergence_residual(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec,
@@ -449,7 +460,7 @@ def bochner_divergence_residual(engine: DerivativeEngine, ws: WeylStructure, spe
     """
     coords = np.asarray(coords, dtype=float)
     a, H, DH, jet = covd2_form_block(engine, ws, spec, coords)
-    density = _density(jet, ws.model.structure_constants(coords), a, H, sign)
+    density = _density(jet, _brackets(ws.model, coords), a, H, sign)
     return abs(float(density) + float(_zeta_codifferential(a, H, DH, jet[3])))
 
 
@@ -474,27 +485,31 @@ def bochner_integral_sides(engine: DerivativeEngine, ws: WeylStructure, spec: Fo
                            sign: float = RESOLVED_BOCHNER_SIGN) -> tuple[float, float]:
     """(volume side, boundary side) of the integral identity on the annulus.
 
-    The annulus is streamed in blocks of ``ANNULUS_CHUNK`` nodes, so memory
-    stays bounded as the rule is refined.  Each block fills its slice of one
-    density array, summed once: in dual mode the volume side does not
-    depend on the block size.
+    The annulus is streamed in blocks sized by their arrays rather than by a
+    node count: a block holds ``ANNULUS_BLOCK_BYTES // (8 n^4)`` nodes, so
+    each of its rank-4 arrays (n^4 doubles per node) fits in cache, 512
+    nodes at n = 4 and 101 at n = 6.  Memory stays bounded as the rule is
+    refined.  Each block fills its slice of one density array, summed once:
+    in dual mode the volume side does not depend on the block size.  Each
+    boundary shell reads the form, g and g^-1 off the jets of its one
+    ``covd_form_block`` call.
     """
     model = ws.model
     pts, weights = annulus_nodes(model, r1, r2, quad)
     total = pts.shape[1]
+    chunk = max(1, ANNULUS_BLOCK_BYTES // (8 * model.dim**4))
     g = np.empty((model.dim, model.dim, total))
     density = np.empty(total)
-    for start in range(0, total, ANNULUS_CHUNK):
-        block = slice(start, start + ANNULUS_CHUNK)
+    for start in range(0, total, chunk):
+        block = slice(start, start + chunk)
         g[:, :, block], density[block] = _bochner_density(engine, ws, spec, pts[:, block], sign)
     volume_side = volume_integral_curved(g, density, weights)
 
     boundary = 0.0
     for r, orient in ((r2, +1.0), (r1, -1.0)):
         spts, sweights, snormals = shell_nodes(model, r, quad)
-        gsh = ws.gram(spts)
-        zvals = _zeta(spec.field.values(spts), covd_form_block(engine, ws, spec, spts), inv_gram(gsh))
-        boundary += orient * flux_curved_metric(model, zvals, gsh, snormals, sweights)
+        a, H, (_, gsh, ginv, _) = covd_form_block(engine, ws, spec, spts)
+        boundary += orient * flux_curved_metric(model, _zeta(a, H, ginv), gsh, snormals, sweights)
     return volume_side, boundary
 
 

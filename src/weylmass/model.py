@@ -54,6 +54,11 @@ class ModelSpace:
     def dim(self) -> int:
         return self.m + 1
 
+    @property
+    def holonomic(self) -> bool:
+        """True when the frame has no brackets (trivial fibration): C = 0 and E C = 0."""
+        return self.fibration == "trivial"
+
     # -- coordinates --------------------------------------------------------
 
     def split(self, coords):

@@ -22,9 +22,11 @@ coerced between gauges; cross-gauge comparisons go through the explicit
 f**(k/2) regauging rule.
 
 Curvature is algebra on (W, dW, C): the coefficients W of D, their frame
-derivatives dW and the frame structure constants C.  dW is closed form in
-one second-order jet of g and one first-order jet of theta
-(``_weyl_jet``); the Levi-Civita case is theta = 0.  Second covariant
+derivatives dW and the frame structure constants C.  On a holonomic frame
+(``ModelSpace.holonomic``, the trivial fibration) C and its derivatives
+vanish, and every bracket term is skipped rather than built from zeros.
+dW is closed form in one second-order jet of g and one first-order jet of
+theta (``_weyl_jet``); the Levi-Civita case is theta = 0.  Second covariant
 derivatives D(Dw) are algebra on the same jet plus one second-order jet of
 the form (``covd2_form_block``), so Lap^D, d^D d^D and delta^D d^D carry no
 finite-difference error in dual mode.
@@ -141,44 +143,60 @@ def insert_alt(block: np.ndarray, p: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _koszul(dg: np.ndarray, cg: np.ndarray, lead: int = 0) -> np.ndarray:
+def _brackets(model: ModelSpace, coords):
+    """Frame structure constants C, or None on a holonomic frame, where C = 0 and E C = 0.
+
+    Callers skip every bracket term on None instead of multiplying by zeros.
+    """
+    return None if model.holonomic else model.structure_constants(coords)
+
+
+def _koszul(dg: np.ndarray, cg: np.ndarray | None, lead: int = 0) -> np.ndarray:
     """Lowered Koszul combination on axes (i, j, k) = lead .. lead + 2:
 
     1/2 (E_i g_jk + E_j g_ik - E_k g_ij + C_ij^l g_lk - C_ik^l g_lj - C_jk^l g_li),
-    with dg[i, j, k] = E_i g_jk and cg[i, j, k] = C_ij^l g_lk.
+    with dg[i, j, k] = E_i g_jk and cg[i, j, k] = C_ij^l g_lk (None: no brackets).
     """
     i, j, k = lead, lead + 1, lead + 2
     low = dg + np.swapaxes(dg, i, j) - np.swapaxes(dg, i, k)
+    if cg is None:
+        return 0.5 * low
     return 0.5 * (low + cg - np.swapaxes(cg, j, k) - np.moveaxis(cg, k, i))
 
 
-def christoffel(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, coords) -> np.ndarray:
-    """Levi-Civita coefficients in the model frame: nabla_{E_i} E_j = G[i,j,k] E_k.
+def christoffel(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, coords):
+    """(G, g, g^-1): Levi-Civita coefficients in the model frame, nabla_{E_i} E_j = G[i,j,k] E_k.
 
     Koszul formula with the frame structure constants; on the anholonomic
     Hopf frame the (i, j) asymmetry equals the structure constants
     (torsion-freeness), on holonomic frames the coefficients are symmetric.
+    g and g^-1 are read off the same first-order metric jet.
     """
     coords = np.asarray(coords, dtype=float)
     model.require_in_chart(coords)
     g, dg = frame_jet1(engine, model, fam.as_field(), coords)
-    cg = np.einsum("ijl...,lk...->ijk...", model.structure_constants(coords), g)
-    return np.einsum("ijk...,kl...->ijl...", _koszul(dg, cg), inv_gram(g))
+    C = _brackets(model, coords)
+    cg = None if C is None else np.einsum("ijl...,lk...->ijk...", C, g)
+    ginv = inv_gram(g)
+    return np.einsum("ijk...,kl...->ijl...", _koszul(dg, cg), ginv), g, ginv
 
 
 def _christoffel_jet(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, coords):
     """(G, dG, g, dg, g^-1) from one second-order metric jet; dG[p] = E_p G.
 
     E_p G = (E_p low) g^-1 - G (E_p g) g^-1, where E_p low is the Koszul
-    combination of the frame Hessian E_p E_i g_jk and of E_p (C g).
+    combination of the frame Hessian E_p E_i g_jk and of E_p (C g).  On a
+    holonomic frame both bracket terms are zero and are not built.
     """
     coords = np.asarray(coords, dtype=float)
     model.require_in_chart(coords)
     g, dg, ddg = frame_jet2(engine, model, fam.as_field(), coords)
-    C = model.structure_constants(coords)
-    cg = np.einsum("ijl...,lk...->ijk...", C, g)
-    dcg = (np.einsum("pijl...,lk...->pijk...", model.structure_jacobian(coords), g)
-           + np.einsum("ijl...,plk...->pijk...", C, dg))
+    C = _brackets(model, coords)
+    cg = dcg = None
+    if C is not None:
+        cg = np.einsum("ijl...,lk...->ijk...", C, g)
+        dcg = (np.einsum("pijl...,lk...->pijk...", model.structure_jacobian(coords), g)
+               + np.einsum("ijl...,plk...->pijk...", C, dg))
     ginv = inv_gram(g)
     gam = np.einsum("ijk...,kl...->ijl...", _koszul(dg, cg), ginv)
     dg_ginv = np.einsum("pab...,bl...->pal...", dg, ginv)
@@ -190,33 +208,42 @@ def _christoffel_jet(engine: DerivativeEngine, model: ModelSpace, fam: MetricFam
 def metric_compat_residual(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, coords) -> float:
     """Max |nabla g| recomputed from the coefficients; zero up to derivative error."""
     g, dg = frame_jet1(engine, model, fam.as_field(), coords)
-    gam = christoffel(engine, model, fam, coords)
+    gam = christoffel(engine, model, fam, coords)[0]
     nabla = dg - np.einsum("ijl...,lk...->ijk...", gam, g) - np.einsum("ikl...,jl...->ijk...", gam, g)
     return float(np.max(np.abs(nabla)))
 
 
-def _identity(n: int, batch: tuple) -> np.ndarray:
-    return np.broadcast_to(np.eye(n).reshape((n, n) + (1,) * len(batch)), (n, n) + batch)
+def _add_delta_terms(out: np.ndarray, t: np.ndarray, lead: int) -> None:
+    """out[.., i, j, k] += t[.., i] delta_jk + t[.., j] delta_ik in place; (i, j, k) start at axis lead.
+
+    Adds t to the diagonal slices only: the off-diagonal terms of the
+    outer products with the identity are exact zeros.
+    """
+    pre = (slice(None),) * lead
+    for j in range(out.shape[lead]):
+        out[pre + (slice(None), j, j)] += t
+        out[pre + (j, slice(None), j)] += t
 
 
 def _lee_shift(gam: np.ndarray, g: np.ndarray, theta: np.ndarray, theta_sharp: np.ndarray) -> np.ndarray:
     """W = G + theta_i delta_jk + theta_j delta_ik - g_ij theta#_k."""
-    eye = _identity(gam.shape[0], gam.shape[3:])
     W = gam.copy()
-    W += np.einsum("i...,jk...->ijk...", theta, eye)
-    W += np.einsum("j...,ik...->ijk...", theta, eye)
+    _add_delta_terms(W, theta, 0)
     W -= np.einsum("ij...,k...->ijk...", g, theta_sharp)
     return W
 
 
-def weyl_coeffs(engine: DerivativeEngine, ws: WeylStructure, coords) -> np.ndarray:
-    """Connection coefficients of D on TM: D_{E_i} E_j = W[i,j,k] E_k."""
+def weyl_coeffs(engine: DerivativeEngine, ws: WeylStructure, coords):
+    """(W, g, g^-1, theta): connection coefficients of D on TM, D_{E_i} E_j = W[i,j,k] E_k.
+
+    g and g^-1 come off the metric jet of ``christoffel``; theta is
+    evaluated once.
+    """
     coords = np.asarray(coords, dtype=float)
-    gam = christoffel(engine, ws.model, ws.metric, coords)
-    g = ws.gram(coords)
+    gam, g, ginv = christoffel(engine, ws.model, ws.metric, coords)
     theta = ws.theta(coords)
-    theta_sharp = np.einsum("kl...,l...->k...", inv_gram(g), theta)
-    return _lee_shift(gam, g, theta, theta_sharp)
+    theta_sharp = np.einsum("kl...,l...->k...", ginv, theta)
+    return _lee_shift(gam, g, theta, theta_sharp), g, ginv, theta
 
 
 def _weyl_jet(engine: DerivativeEngine, ws: WeylStructure, coords):
@@ -231,10 +258,8 @@ def _weyl_jet(engine: DerivativeEngine, ws: WeylStructure, coords):
     theta_sharp = np.einsum("kl...,l...->k...", ginv, theta)
     dtheta_sharp = np.einsum("kl...,pl...->pk...", ginv,
                              dtheta - np.einsum("plb...,b...->pl...", dg, theta_sharp))
-    eye = _identity(ws.model.dim, gam.shape[3:])
     dW = dgam.copy()
-    dW += np.einsum("pi...,jk...->pijk...", dtheta, eye)
-    dW += np.einsum("pj...,ik...->pijk...", dtheta, eye)
+    _add_delta_terms(dW, dtheta, 1)
     dW -= np.einsum("pij...,k...->pijk...", dg, theta_sharp)
     dW -= np.einsum("ij...,pk...->pijk...", g, dtheta_sharp)
     return _lee_shift(gam, g, theta, theta_sharp), dW, g, ginv, theta, dtheta
@@ -244,7 +269,7 @@ def weyl_connect_vec(engine: DerivativeEngine, ws: WeylStructure, x_field: Field
                      coords) -> np.ndarray:
     """D_Y X at a point, for vector fields given by frame-component evaluators."""
     coords = np.asarray(coords, dtype=float)
-    W = weyl_coeffs(engine, ws, coords)
+    W = weyl_coeffs(engine, ws, coords)[0]
     xv, dx = frame_jet1(engine, ws.model, x_field, coords)
     yv = y_field.values(coords)
     directional = np.einsum("i...,ij...->j...", yv, dx)
@@ -312,18 +337,21 @@ def lc_form_block(dw: np.ndarray, w: np.ndarray, gam: np.ndarray, p: int) -> np.
     return _covd_slots(w, dw, gam, None, 0.0, p)
 
 
-def covd_form_block(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords) -> np.ndarray:
-    """All frame derivatives H[i; J] = (D_{E_i} w)_J of a weighted form.
+def covd_form_block(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords):
+    """(w, H, jet): all frame derivatives H[i; J] = (D_{E_i} w)_J of a weighted form.
 
     The slot form of D: the kernel ``_covd_slots`` over the form's first-order
     jet and ``weyl_coeffs``.  The wedge form of D (module docstring) is its
-    test oracle.
+    test oracle.  w is the value of the form's jet and ``jet`` the
+    ``weyl_coeffs`` tuple (W, g, g^-1, theta), handed out so callers read the
+    form, the metric and its inverse off the jets that H already takes.
     """
     if spec.gauge != ws.gauge:
         raise GaugeMismatchError(f"form in gauge {spec.gauge!r}, structure in gauge {ws.gauge!r}")
     coords = np.asarray(coords, dtype=float)
     w, dw = frame_jet1(engine, ws.model, spec.field, coords)
-    return _covd_slots(w, dw, weyl_coeffs(engine, ws, coords), ws.theta(coords), spec.weight, spec.degree)
+    jet = weyl_coeffs(engine, ws, coords)
+    return w, _covd_slots(w, dw, jet[0], jet[3], spec.weight, spec.degree), jet
 
 
 def covd2_form_block(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords):
@@ -353,26 +381,31 @@ def covd2_form_block(engine: DerivativeEngine, ws: WeylStructure, spec: FormFiel
 
 
 def dD(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords,
-       block: np.ndarray | None = None) -> WeightedForm:
-    """d^D w = sum_i e*_i ^ D_{E_i} w; degree rises, weight unchanged."""
+       block: tuple | None = None) -> WeightedForm:
+    """d^D w = sum_i e*_i ^ D_{E_i} w; degree rises, weight unchanged.
+
+    ``block`` is a ``covd_form_block`` result already taken at coords.
+    """
     p = spec.degree
     if p >= ws.model.dim:
         raise DegreeError("d of a top-degree form")
-    H = covd_form_block(engine, ws, spec, coords) if block is None else block
+    H = (block or covd_form_block(engine, ws, spec, coords))[1]
     return ws.form(p + 1, spec.weight, insert_alt(H, p))
 
 
 def deltaD(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords,
-           block: np.ndarray | None = None) -> WeightedForm:
-    """delta^D w = -g^{ab} E_a _| D_{E_b} w; degree drops by 1, weight by 2."""
+           block: tuple | None = None) -> WeightedForm:
+    """delta^D w = -g^{ab} E_a _| D_{E_b} w; degree drops by 1, weight by 2.
+
+    ``block`` is a ``covd_form_block`` result already taken at coords.
+    """
     p = spec.degree
     coords = np.asarray(coords, dtype=float)
     if p == 0:
         batch = coords.shape[1:]
         return ws.form(0, spec.weight - 2.0, np.zeros(batch))
-    H = covd_form_block(engine, ws, spec, coords) if block is None else block
-    ginv = inv_gram(ws.gram(coords))
-    comps = -np.einsum("ab...,ab...->...", ginv, H)
+    _, H, jet = block or covd_form_block(engine, ws, spec, coords)
+    comps = -np.einsum("ab...,ab...->...", jet[2], H)
     return ws.form(p - 1, spec.weight - 2.0, comps)
 
 
@@ -399,13 +432,14 @@ def faraday(engine: DerivativeEngine, ws: WeylStructure, coords) -> WeightedForm
     """F^D = d(theta) in the frame, including the anholonomic bracket term."""
     coords = np.asarray(coords, dtype=float)
     theta, dtheta = frame_jet1(engine, ws.model, ws.lee_field(), coords)
-    return ws.form(2, 0.0, _faraday_components(theta, dtheta, ws.model.structure_constants(coords)))
+    return ws.form(2, 0.0, _faraday_components(theta, dtheta, _brackets(ws.model, coords)))
 
 
-def _faraday_components(theta: np.ndarray, dtheta: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """F[i, j] = E_i theta_j - E_j theta_i - C[i, j, l] theta_l."""
+def _faraday_components(theta: np.ndarray, dtheta: np.ndarray, C: np.ndarray | None) -> np.ndarray:
+    """F[i, j] = E_i theta_j - E_j theta_i - C[i, j, l] theta_l (C None: no brackets)."""
     F = dtheta - np.swapaxes(dtheta, 0, 1)
-    F -= np.einsum("ijl...,l...->ij...", C, theta)
+    if C is not None:
+        F -= np.einsum("ijl...,l...->ij...", C, theta)
     return F
 
 
@@ -435,16 +469,20 @@ def lc_riemann(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, c
     """
     coords = np.asarray(coords, dtype=float)
     gam, dgam = _christoffel_jet(engine, model, fam, coords)[:2]
-    return _coeff_curvature(gam, dgam, model.structure_constants(coords))
+    return _coeff_curvature(gam, dgam, _brackets(model, coords))
 
 
-def _coeff_curvature(W: np.ndarray, dW: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """R[i,j,k,m] = E_i W[j,k,m] - E_j W[i,k,m] + W[j,k,l] W[i,l,m] - W[i,k,l] W[j,l,m] - C[i,j,l] W[l,k,m]."""
+def _coeff_curvature(W: np.ndarray, dW: np.ndarray, C: np.ndarray | None) -> np.ndarray:
+    """R[i,j,k,m] = E_i W[j,k,m] - E_j W[i,k,m] + W[j,k,l] W[i,l,m] - W[i,k,l] W[j,l,m] - C[i,j,l] W[l,k,m].
+
+    C None (a holonomic frame) drops the bracket term.
+    """
     first = dW - np.swapaxes(dW, 0, 1)
     quad = np.einsum("jkl...,ilm...->ijkm...", W, W)
     quad = quad - np.swapaxes(quad, 0, 1)
-    br = np.einsum("ijl...,lkm...->ijkm...", C, W)
-    return first + quad - br
+    if C is None:
+        return first + quad
+    return first + quad - np.einsum("ijl...,lkm...->ijkm...", C, W)
 
 
 def weyl_curvature(engine: DerivativeEngine, ws: WeylStructure, coords) -> CurvatureBundle:
@@ -455,11 +493,11 @@ def weyl_curvature(engine: DerivativeEngine, ws: WeylStructure, coords) -> Curva
     finite-difference error in dual mode.
     """
     coords = np.asarray(coords, dtype=float)
-    return _jet_curvature(_weyl_jet(engine, ws, coords), ws.model.structure_constants(coords))
+    return _jet_curvature(_weyl_jet(engine, ws, coords), _brackets(ws.model, coords))
 
 
-def _jet_curvature(jet, C: np.ndarray) -> CurvatureBundle:
-    """Curvature bundle from a ``_weyl_jet`` tuple and the structure constants."""
+def _jet_curvature(jet, C: np.ndarray | None) -> CurvatureBundle:
+    """Curvature bundle from a ``_weyl_jet`` tuple and the structure constants (``_brackets``)."""
     W, dW, g, ginv, theta, dtheta = jet
     R = _coeff_curvature(W, dW, C)
     F = _faraday_components(theta, dtheta, C)

@@ -12,15 +12,20 @@ slot).  The references here compute the same quantities on other routes:
 * ``frame_exterior_derivative`` is plain d on frame forms, with the
   anholonomic bracket terms, for d^D at weight 0 and for d(theta);
 * ``check_weighted_derivative_oracle`` compares D on weighted 1-forms with
-  a hand formula.
+  a hand formula;
+* ``full_christoffel_jet``, ``full_weyl_jet`` and ``full_coeff_curvature``
+  are the jet and curvature formulas with every bracket term built, even
+  from zero structure constants, and with the identity outer products as
+  einsums: the reference for the package's holonomic shortcuts.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from weylmass.engine import DerivativeEngine, Field, frame_jet1
+from weylmass.engine import DerivativeEngine, Field, frame_jet1, frame_jet2
 from weylmass.errors import GaugeMismatchError
+from weylmass.families import MetricFamily
 from weylmass.identities import (IdentityReport, _rng, _weight_pool, random_form_field, trial_point,
                                  trial_structure)
 from weylmass.model import ModelSpace
@@ -48,7 +53,7 @@ def wedge_covd_form_block(engine: DerivativeEngine, ws: WeylStructure, spec: For
     coords = np.asarray(coords, dtype=float)
     p, k = spec.degree, spec.weight
     w, dw = frame_jet1(engine, ws.model, spec.field, coords)
-    gam = christoffel(engine, ws.model, ws.metric, coords)
+    gam = christoffel(engine, ws.model, ws.metric, coords)[0]
     g = ws.gram(coords)
     theta = ws.theta(coords)
     H = lc_form_block(dw, w, gam, p)
@@ -116,9 +121,9 @@ def check_weighted_derivative_oracle(engine: DerivativeEngine, model: ModelSpace
         p = trial_point(model, rng)
         k = _weight_pool(model)[int(rng.integers(0, 4))]
         spec = random_form_field(ws, rng, 1, k)
-        H = covd_form_block(engine, ws, spec, p)
+        H = covd_form_block(engine, ws, spec, p)[1]
         a, da = frame_jet1(engine, model, spec.field, p)
-        gam = christoffel(engine, model, ws.metric, p)
+        gam = christoffel(engine, model, ws.metric, p)[0]
         g = ws.gram(p)
         theta = ws.theta(p)
         nabla = lc_form_block(da, a, gam, 1)
@@ -126,3 +131,59 @@ def check_weighted_derivative_oracle(engine: DerivativeEngine, model: ModelSpace
         oracle = nabla + (k - 1) * np.outer(theta, a) - np.outer(a, theta) + inner * g
         worst = max(worst, float(np.max(np.abs(H - oracle))))
     return IdentityReport("weighted_derivative_oracle", trials, worst, tolerance, worst < tolerance)
+
+
+def _full_koszul(dg: np.ndarray, cg: np.ndarray, lead: int = 0) -> np.ndarray:
+    i, j, k = lead, lead + 1, lead + 2
+    low = dg + np.swapaxes(dg, i, j) - np.swapaxes(dg, i, k)
+    return 0.5 * (low + cg - np.swapaxes(cg, j, k) - np.moveaxis(cg, k, i))
+
+
+def full_christoffel_jet(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, coords):
+    """(G, dG, g, dg, g^-1) with the bracket terms C g and E_p(C g) always built."""
+    coords = np.asarray(coords, dtype=float)
+    g, dg, ddg = frame_jet2(engine, model, fam.as_field(), coords)
+    C = model.structure_constants(coords)
+    cg = np.einsum("ijl...,lk...->ijk...", C, g)
+    dcg = (np.einsum("pijl...,lk...->pijk...", model.structure_jacobian(coords), g)
+           + np.einsum("ijl...,plk...->pijk...", C, dg))
+    ginv = inv_gram(g)
+    gam = np.einsum("ijk...,kl...->ijl...", _full_koszul(dg, cg), ginv)
+    dg_ginv = np.einsum("pab...,bl...->pal...", dg, ginv)
+    dgam = (np.einsum("pijk...,kl...->pijl...", _full_koszul(ddg, dcg, lead=1), ginv)
+            - np.einsum("ija...,pal...->pijl...", gam, dg_ginv))
+    return gam, dgam, g, dg, ginv
+
+
+def _identity(n: int, batch: tuple) -> np.ndarray:
+    return np.broadcast_to(np.eye(n).reshape((n, n) + (1,) * len(batch)), (n, n) + batch)
+
+
+def full_weyl_jet(engine: DerivativeEngine, ws: WeylStructure, coords):
+    """(W, dW, g, g^-1, theta, dtheta) over ``full_christoffel_jet``, delta terms as einsums."""
+    coords = np.asarray(coords, dtype=float)
+    gam, dgam, g, dg, ginv = full_christoffel_jet(engine, ws.model, ws.metric, coords)
+    theta, dtheta = frame_jet1(engine, ws.model, ws.lee_field(), coords)
+    theta_sharp = np.einsum("kl...,l...->k...", ginv, theta)
+    dtheta_sharp = np.einsum("kl...,pl...->pk...", ginv,
+                             dtheta - np.einsum("plb...,b...->pl...", dg, theta_sharp))
+    eye = _identity(ws.model.dim, gam.shape[3:])
+    W = gam.copy()
+    W += np.einsum("i...,jk...->ijk...", theta, eye)
+    W += np.einsum("j...,ik...->ijk...", theta, eye)
+    W -= np.einsum("ij...,k...->ijk...", g, theta_sharp)
+    dW = dgam.copy()
+    dW += np.einsum("pi...,jk...->pijk...", dtheta, eye)
+    dW += np.einsum("pj...,ik...->pijk...", dtheta, eye)
+    dW -= np.einsum("pij...,k...->pijk...", dg, theta_sharp)
+    dW -= np.einsum("ij...,pk...->pijk...", g, dtheta_sharp)
+    return W, dW, g, ginv, theta, dtheta
+
+
+def full_coeff_curvature(W: np.ndarray, dW: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """R[i,j,k,m] from (W, dW, C) with the bracket term C[i,j,l] W[l,k,m] always built."""
+    first = dW - np.swapaxes(dW, 0, 1)
+    quad = np.einsum("jkl...,ilm...->ijkm...", W, W)
+    quad = quad - np.swapaxes(quad, 0, 1)
+    br = np.einsum("ijl...,lkm...->ijkm...", C, W)
+    return first + quad - br

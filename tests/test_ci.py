@@ -1,5 +1,5 @@
-"""The CI workflow installs the test extra, runs CLI smoke commands (a Hopf mass, a verify, then a Hopf
-sweep) and the tier-1 command that ROADMAP.md names, with a time limit."""
+"""The CI workflow installs the test extra, runs CLI smoke commands (a Hopf mass, a pointwise and an
+annulus verify, then a Hopf sweep) and the tier-1 command that ROADMAP.md names, with a time limit."""
 
 import json
 import os
@@ -44,6 +44,22 @@ def test_workflow_smoke_runs_verify_as_module():
     config = json.loads(re.search(r"echo '([^']+)'", smoke).group(1))
     assert config == {"trials": {"identity": 6, "bochner": 3, "integral": 0}}
     assert re.search(r"^PYTHONPATH=src python -m weylmass .*\bverify$", smoke, re.MULTILINE)
+
+
+def test_workflow_smoke_runs_an_annulus_verify():
+    """The same step then runs ``verify`` on one Bochner-integral trial, the streamed annulus."""
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    (job,) = workflow["jobs"].values()
+    (smoke,) = [step["run"] for step in job["steps"] if step.get("name") == "CLI smoke"]
+    configs = re.findall(r"echo '([^']+)' > \"\$RUNNER_TEMP/(\w+)\.json\"", smoke)
+    assert [(json.loads(c), name) for c, name in configs] == [
+        ({"trials": {"identity": 6, "bochner": 3, "integral": 0}}, "smoke"),
+        ({"trials": {"identity": 0, "bochner": 1, "integral": 1}}, "annulus"),
+    ]
+    commands = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" .*\bverify$",
+                          smoke, re.MULTILINE)
+    assert commands == ["smoke", "annulus"]
 
 
 def test_workflow_sweep_smoke_runs_a_hopf_sweep():

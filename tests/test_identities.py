@@ -108,17 +108,21 @@ def test_bochner_integral_flat_harmonic(engine, model):
     assert abs(vol) < 1e-10 and abs(bnd) < 1e-10
 
 
-def test_bochner_integral_sides_independent_of_chunk_size(engine, model, monkeypatch):
-    """Streaming the annulus changes no bit of either side (2,496 nodes: two blocks vs one)."""
+@pytest.mark.parametrize("chart", ["model", "hopf_space"], ids=["trivial", "hopf"])
+def test_bochner_integral_sides_independent_of_chunk_size(engine, chart, request, monkeypatch):
+    """Streaming the annulus changes no bit of either side: 2,496 nodes in blocks of 512 (the
+    last one partial) vs one block.  On the Hopf chart the blocks run the bracket terms."""
     from weylmass import identities
 
-    ws = trial_structure(model, 42, 0, fiber_dependence=True, wave_scale=0.45)
+    space = request.getfixturevalue(chart)
+    ws = trial_structure(space, 42, 0, fiber_dependence=True, wave_scale=0.45)
     spec = random_form_field(ws, _rng(42, 20, 0), 1, 0.0, fiber_dependence=True, wave_scale=0.45)
     quad = QuadratureSpec(sphere=26, fiber=16, radial=6)
     total = 26 * 16 * 6
-    assert identities.ANNULUS_CHUNK < total
+    per_node = 8 * space.dim**4
+    assert identities.ANNULUS_BLOCK_BYTES // per_node == 512 and total % 512
     streamed = bochner_integral_sides(engine, ws, spec, 1.4, 1.9, quad)
-    monkeypatch.setattr(identities, "ANNULUS_CHUNK", total)
+    monkeypatch.setattr(identities, "ANNULUS_BLOCK_BYTES", total * per_node)
     assert bochner_integral_sides(engine, ws, spec, 1.4, 1.9, quad) == streamed
 
 

@@ -210,7 +210,7 @@ def test_hopf_bundle_quantization(hopf_space):
 
 
 def test_christoffel_flat_zero(model, engine):
-    gam = christoffel(engine, model, flat_product(model), model.point([2, 1, -1], 0.5))
+    gam = christoffel(engine, model, flat_product(model), model.point([2, 1, -1], 0.5))[0]
     assert np.max(np.abs(gam)) == 0.0
 
 
@@ -242,20 +242,20 @@ def test_christoffel_conformally_flat_symbolic_oracle(model, engine):
                 gam_sym[i, j, k] = val / (2.0 * fval)
 
     fam = conformal_sweep(flat_product(model), radial_profile(model, beta=2.0, power=-1.0))
-    gam = christoffel(engine, model, fam, model.point([2.0, 1.0, -0.5], 0.3))
+    gam = christoffel(engine, model, fam, model.point([2.0, 1.0, -0.5], 0.3))[0]
     assert np.max(np.abs(gam - gam_sym)) < 1e-10
 
 
 def test_christoffel_symmetric_on_trivial_fibration(model, engine):
     fam = kaluza_perturbation(model, mu=0.8)
-    gam = christoffel(engine, model, fam, model.point([1.7, -0.6, 1.1], 0.2))
+    gam = christoffel(engine, model, fam, model.point([1.7, -0.6, 1.1], 0.2))[0]
     assert np.max(np.abs(gam - np.swapaxes(gam, 0, 1))) < 1e-12
 
 
 def test_christoffel_antisymmetry_equals_structure_constants_on_hopf(hopf_space, engine):
     fam = hopf_model(hopf_space)
     p = hopf_space.point([1.4, 0.8, 1.0], 0.6)
-    gam = christoffel(engine, hopf_space, fam, p)
+    gam = christoffel(engine, hopf_space, fam, p)[0]
     C = hopf_space.structure_constants(p)
     assert np.max(np.abs(gam - np.swapaxes(gam, 0, 1) - C)) < 1e-12
 
@@ -266,8 +266,8 @@ def test_christoffel_conformal_change_tensor(model, engine):
     f = radial_profile(model, beta=0.5)
     swept = conformal_sweep(base, f)
     p = model.point([2.2, -0.9, 1.3], 0.6)
-    gam0 = christoffel(engine, model, base, p)
-    gam1 = christoffel(engine, model, swept, p)
+    gam0 = christoffel(engine, model, base, p)[0]
+    gam1 = christoffel(engine, model, swept, p)[0]
     g = base.as_field().values(p)
     fval = float(f.fn(list(p)))
     phi = np.array(f.grad_fn(list(p)), dtype=float) / (2.0 * fval)

@@ -11,13 +11,14 @@ from weylmass.families import (LeeFormField, flat_product, kaluza_perturbation,
                                radial_lee, radial_profile, random_local_metric,
                                unit_scalar, zero_lee)
 from weylmass.identities import _rng, random_form_field, trial_point, trial_structure
-from weylmass.weyl import (FormFieldSpec, WeylStructure, _coeff_curvature, _covd_slots, _weyl_jet, christoffel,
-                           covd2_form_block, covd_form_block, dD, deltaD, dirac_D, faraday,
+from weylmass.weyl import (FormFieldSpec, WeylStructure, _christoffel_jet, _coeff_curvature, _covd_slots, _weyl_jet,
+                           christoffel, covd2_form_block, covd_form_block, dD, deltaD, dirac_D, faraday,
                            form_field_of, gauge_change, laplacian_D, lc_form_block, lc_riemann,
                            lie_bracket, weyl_coeffs, weyl_connect_vec, weyl_curvature,
                            ricci_trace_convention)
 
-from oracles import frame_exterior_derivative, wedge_covd_form_block
+from oracles import (frame_exterior_derivative, full_christoffel_jet, full_coeff_curvature, full_weyl_jet,
+                     wedge_covd_form_block)
 
 CHARTS = [("model", False), ("model", True), ("hopf_space", False), ("hopf_space", True)]
 
@@ -36,7 +37,7 @@ def test_connect_vec_reduces_to_levi_civita(model, engine):
     X = constant_vec(model, [1, 0, 0, 0])
     Y = constant_vec(model, [0, 1, 0, 0])
     got = weyl_connect_vec(engine, ws, X, Y, p)
-    gam = christoffel(engine, model, ws.metric, p)
+    gam = christoffel(engine, model, ws.metric, p)[0]
     assert np.max(np.abs(got - gam[1, 0])) < 1e-12
 
 
@@ -86,10 +87,10 @@ def test_weighted_derivative_theta_zero_is_covariant_derivative(model, engine):
     rng = _rng(9, 2, 0)
     spec = random_form_field(ws, rng, 2, 1.5)
     p = trial_point(model, rng)
-    H = covd_form_block(engine, ws, spec, p)
+    H = covd_form_block(engine, ws, spec, p)[1]
     # the Levi-Civita block over the Christoffel symbols: the weight drops out with theta
     w, dw = frame_jet1(engine, model, spec.field, p)
-    Ht = lc_form_block(dw, w, christoffel(engine, model, ws.metric, p), 2)
+    Ht = lc_form_block(dw, w, christoffel(engine, model, ws.metric, p)[0], 2)
     assert np.max(np.abs(H - Ht)) < 1e-12
 
 
@@ -97,7 +98,7 @@ def test_weighted_derivative_weight_zero_scalar(model, engine):
     ws = trial_structure(model, 11, 0)
     spec = form_field_of(ws, lambda c: am.sin(c[0]) * c[1], degree=0, weight=0.0)
     p = model.point([2.0, 1.0, -0.3], 0.4)
-    H = covd_form_block(engine, ws, spec, p)
+    H = covd_form_block(engine, ws, spec, p)[1]
     expected = np.array([np.cos(p[0]) * p[1], np.sin(p[0]), 0.0, 0.0])
     assert np.max(np.abs(H - expected)) < 1e-12
 
@@ -113,7 +114,7 @@ def test_covd_form_block_matches_wedge_oracle(request, chart, fiber, mode, deg):
     for k in (0.0, -1.0, 1.5):
         spec = random_form_field(ws, rng, deg, k, fiber_dependence=fiber)
         p = trial_point(space, rng)
-        H = covd_form_block(eng, ws, spec, p)
+        H = covd_form_block(eng, ws, spec, p)[1]
         assert np.max(np.abs(H - wedge_covd_form_block(eng, ws, spec, p))) < 1e-11
 
 
@@ -127,10 +128,10 @@ def test_weighted_derivative_operator_against_algebra_ops(model, engine):
     xvec = rng.normal(size=4)
     for deg, k in ((2, 2.0), (2, -1.0), (1, 1.0)):
         spec = random_form_field(ws, rng, deg, k)
-        got = np.einsum("i,i...->...", xvec, covd_form_block(engine, ws, spec, p))
+        got = np.einsum("i,i...->...", xvec, covd_form_block(engine, ws, spec, p)[1])
 
         w, dw = frame_jet1(engine, model, spec.field, p)
-        gam = christoffel(engine, model, ws.metric, p)
+        gam = christoffel(engine, model, ws.metric, p)[0]
         nabla_x = np.einsum("i,i...->...", xvec, lc_form_block(dw, w, gam, deg))
         g = ws.gram(p)
         theta = ws.theta(p)
@@ -312,8 +313,8 @@ def test_weyl_jet_matches_nested_fd(request, engine, chart, fiber):
         ws = trial_structure(space, 41, trial, fiber_dependence=fiber)
         p = trial_point(space, _rng(41, 30, trial))
         W, dW = _weyl_jet(engine, ws, p)[:2]
-        W_fd, dW_fd = _nested_fd_jet(engine, space, lambda c: weyl_coeffs(engine, ws, c), p)
-        assert np.array_equal(W, weyl_coeffs(engine, ws, p))
+        W_fd, dW_fd = _nested_fd_jet(engine, space, lambda c: weyl_coeffs(engine, ws, c)[0], p)
+        assert np.array_equal(W, weyl_coeffs(engine, ws, p)[0])
         assert np.max(np.abs(dW - dW_fd)) < 1e-9 * np.max(np.abs(dW_fd))
 
 
@@ -322,10 +323,31 @@ def test_lc_riemann_matches_nested_fd(request, engine, chart, fiber):
     space = request.getfixturevalue(chart)
     fam = random_local_metric(space, seed=42, fiber_dependence=fiber)
     p = trial_point(space, _rng(42, 31, 0))
-    gam, dgam = _nested_fd_jet(engine, space, lambda c: christoffel(engine, space, fam, c), p)
+    gam, dgam = _nested_fd_jet(engine, space, lambda c: christoffel(engine, space, fam, c)[0], p)
     oracle = _coeff_curvature(gam, dgam, space.structure_constants(p))
     R = lc_riemann(engine, space, fam, p)
     assert np.max(np.abs(R - oracle)) < 1e-9 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("batch", [None, 512], ids=["point", "block512"])
+@pytest.mark.parametrize("chart", ["model", "hopf_space"], ids=["trivial", "hopf"])
+def test_jets_equal_full_bracket_formulas(request, engine, chart, batch):
+    """The jets and the curvature skip the bracket terms on the holonomic trivial frame and add
+    theta on diagonal slices; the full formulas, with explicit zero C and E C there and the
+    identity outer products as einsums, give the same bits.  The Hopf path is the full formula."""
+    space = request.getfixturevalue(chart)
+    ws = trial_structure(space, 44, 0, fiber_dependence=True)
+    rng = _rng(44, 33, 0)
+    p = (trial_point(space, rng) if batch is None
+         else np.stack([trial_point(space, rng) for _ in range(batch)], axis=1))
+    C = space.structure_constants(p)
+    assert space.holonomic == (chart == "model") == (not np.any(C) and not np.any(space.structure_jacobian(p)))
+    got, want = _christoffel_jet(engine, space, ws.metric, p), full_christoffel_jet(engine, space, ws.metric, p)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    got, want = _weyl_jet(engine, ws, p), full_weyl_jet(engine, ws, p)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    R = _coeff_curvature(got[0], got[1], None if space.holonomic else C)
+    assert np.array_equal(R, full_coeff_curvature(want[0], want[1], C))
 
 
 @pytest.mark.parametrize("chart,fiber", CHARTS)
@@ -351,7 +373,7 @@ def _nested_fd_covd2(engine, ws, spec, p):
     H_field = Field(lambda c: wedge_covd_form_block(engine, ws, spec, np.asarray(c, dtype=float)),
                     shape=(n,) * (spec.degree + 1), analytic=False)
     H, dH = frame_jet1(engine, ws.model, H_field, p)
-    return H, _covd_slots(H, dH, weyl_coeffs(engine, ws, p), ws.theta(p), spec.weight, spec.degree + 1)
+    return H, _covd_slots(H, dH, weyl_coeffs(engine, ws, p)[0], ws.theta(p), spec.weight, spec.degree + 1)
 
 
 @pytest.mark.parametrize("chart,fiber", CHARTS)

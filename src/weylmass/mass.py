@@ -22,9 +22,12 @@ serve as the independent oracle.
 Under g -> f g the Lee form becomes theta - df/(2f) and the conformal mass
 form stays the same.  ``gauge_audit`` checks this, and the predicted shift
 of the Q part, for a whole sweep of factors at once: every factor is first
-probed for positivity and membership in the adapted class, the flux shells
-are built once per radius, gauge g takes one form pass and each factor one
-more, and each prediction is read off the same shells.
+probed for positivity and membership in the adapted class, and the flux
+shells are built once per radius.  On each shell g takes one coordinate
+jet; each factor f takes one scalar jet, and the jet of f g is formed by
+the product rule (f g, f dg + g df) and contracted exactly as g's own, so
+the sweep differentiates g once per shell.  Each prediction is read off
+the same shells.
 
 Limits are realized on a geometric radius schedule with one Richardson
 extrapolation step at the generic remainder rate r^(2-m) of the integrated
@@ -107,17 +110,26 @@ def gradient_correction_components(model: ModelSpace, f: ScalarField, z, coords)
 
 
 def shell_forms(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily,
-                lee: Optional[LeeFormField], pts, weights, normals) -> tuple:
+                lee: Optional[LeeFormField], pts, weights, normals, jet=None) -> tuple:
     """Symmetric m x m forms (Q, C) of one shell from a single metric jet.
 
     The flux of q(Z) through the shell is z^T Q z and the flux of the Lee
     term is z^T C z, with C = (1 - m) sym(B) - tr(B) I for
-    B = sum w theta (x) nu.  C is zero when ``lee`` is None.  Raises
-    ChartDomainError if g is not positive definite at some node.
+    B = sum w theta (x) nu.  C is zero when ``lee`` is None.  ``jet`` is
+    the coordinate jet (g, dg) of ``fam`` at ``pts`` when the caller holds
+    it already; otherwise it is taken here.  Raises ChartDomainError if g
+    is not positive definite at some node.
     """
     model.require_in_chart(pts)
+    g, dg = engine.jet1(fam.as_field(), pts) if jet is None else jet
+    return _contract_shell(model, fam.name, g, dg, lee, pts, weights, normals)
+
+
+def _contract_shell(model: ModelSpace, name: str, g, dg, lee: Optional[LeeFormField],
+                    pts, weights, normals) -> tuple:
+    """The contraction step of ``shell_forms`` on a coordinate metric jet (g, dg)."""
     m = model.m
-    g, dg = frame_jet1(engine, model, fam.as_field(), pts)
+    dg = model.frame_from_coord(dg, model.split(pts)[0])
     gram = np.moveaxis(g, (0, 1), (-2, -1))
     try:
         definite = bool(np.all(np.isfinite(np.linalg.cholesky(gram))))
@@ -129,7 +141,7 @@ def shell_forms(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily,
         lam[finite] = np.min(np.linalg.eigvalsh(gram[finite]), axis=-1)
         bad = int(np.argmin(np.where(finite, lam, -np.inf)))
         raise ChartDomainError(
-            f"metric {fam.name!r} is not positive definite on the flux shell r={model.radius(pts)[bad]:.6g}"
+            f"metric {name!r} is not positive definite on the flux shell r={model.radius(pts)[bad]:.6g}"
             f" (smallest eigenvalue {lam[bad]:.6g})"
         ) from None
     gam = model.lc_coeffs_h(pts)
@@ -146,6 +158,21 @@ def shell_forms(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily,
     b = np.einsum("kN,cN->kc", theta[:m], wn)
     c = 0.5 * (1 - m) * (b + b.T) - np.trace(b) * np.eye(m)
     return q, c
+
+
+def _rescaled_jet(f_jet, g_jet) -> tuple:
+    """Coordinate jet of f g from the jets of a scalar f and a tensor g (product rule).
+
+    The gradient f dg + g df is built with the component axes outermost in
+    memory, the layout ``collect_jet`` gives a gathered jet, so the
+    contractions downstream round exactly as on a jet of f g taken directly.
+    """
+    f, df = f_jet
+    g, dg = g_jet
+    k = g.ndim - f.ndim
+    grad = np.empty(g.shape[:k] + df.shape)
+    np.add(f * np.moveaxis(dg, 0, k), g[(slice(None),) * k + (None,)] * df, out=grad)
+    return f * g, np.moveaxis(grad, k, 0)
 
 
 def richardson_limit(radii: Sequence[float], values: Sequence[float], rate: float) -> float:
@@ -379,10 +406,12 @@ def gauge_audit(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[S
     of the df density) is set against the Q limits of the two gauges; the
     metric of gauge f g is conformal_sweep(g, f).  Every factor is probed
     for positivity out to the largest radius and for membership in the
-    adapted class before any flux work.  The flux shells are built once,
-    gauge g takes one form pass and each factor one more.  With
-    ``check_decay`` the Weyl-ALF decay probes run on g and on the first
-    swept gauge.
+    adapted class before any flux work; with ``check_decay`` the Weyl-ALF
+    decay probes run on g and on the first swept gauge, also before it.
+    The flux shells are built once.  On each shell g takes one coordinate
+    jet, which gives the forms of gauge g; each factor takes one scalar jet,
+    and the jet of f g comes from the two by the product rule, so g is
+    differentiated once per shell however long the sweep.
     """
     model = ws.model
     radii = geometric_radii(40.0, 320.0, 6) if radii is None else list(map(float, radii))
@@ -390,26 +419,41 @@ def gauge_audit(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[S
     for f in factors:
         require_positive(model, f, radii[-1])
         require_adapted(engine, model, f)
+    gauges = [ws] + [gauge_change(ws, f) for f in factors]
+    if check_decay:
+        for w in gauges[:2]:
+            require_weyl_alf(engine, model, w.metric, w.lee)
     shells = _shells(model, radii, quad)
 
-    def basis_reports(w: WeylStructure, probe: bool) -> list:
-        if probe:
-            require_weyl_alf(engine, model, w.metric, w.lee)
-        forms = _form_pass(engine, model, w.metric, w.lee, shells)
-        return [_build_report(model, b, radii, *forms, quad, 1e-6) for b in range(model.m)]
-
-    base = basis_reports(ws, check_decay)
-    norm = sphere_volume(model.m) * model.L
+    # shells outside, gauges inside: one shell's metric jet is alive at a time
+    m = model.m
+    q_forms = np.empty((len(gauges), len(shells), m, m))
+    c_forms = np.empty_like(q_forms)
+    metric = ws.metric.as_field()
+    for s, (pts, weights, normals) in enumerate(shells):
+        model.require_in_chart(pts)
+        jet = engine.jet1(metric, pts)
+        q_forms[0, s], c_forms[0, s] = shell_forms(engine, model, ws.metric, ws.lee, pts, weights, normals,
+                                                   jet=jet)
+        for k, (f, w) in enumerate(zip(factors, gauges[1:]), 1):
+            fg, dfg = _rescaled_jet(engine.jet1(f.as_field(), pts), jet)
+            q_forms[k, s], c_forms[k, s] = _contract_shell(model, w.metric.name, fg, dfg, w.lee,
+                                                           pts, weights, normals)
+    norm = sphere_volume(m) * model.L
+    q_forms /= norm
+    c_forms /= norm
+    nodes = shells[-1][0].shape[1]
+    base, *swept = [[_build_report(model, b, radii, q, c, nodes, quad, 1e-6) for b in range(m)]
+                    for q, c in zip(q_forms, c_forms)]
     results = []
-    for i, f in enumerate(factors):
-        swept = basis_reports(gauge_change(ws, f), check_decay and i == 0)
+    for f, reports in zip(factors, swept):
         audits = [InvarianceReport(r1.z_label, f.name, r1.mass, r2.mass, tolerance)
-                  for r1, r2 in zip(base, swept)]
+                  for r1, r2 in zip(base, reports)]
         vals = [flux_model_metric(model, gradient_correction_components(model, f, 0, pts), normals, weights)
                 / (2.0 * norm) for pts, weights, normals in shells]
-        predicted = richardson_limit(radii, vals, 2 - model.m)
+        predicted = richardson_limit(radii, vals, 2 - m)
         results.append((audits, ConformalChangeReport(base[0].z_label, predicted, base[0].q_limit,
-                                                      swept[0].q_limit)))
+                                                      reports[0].q_limit)))
     return results
 
 

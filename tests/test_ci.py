@@ -63,17 +63,21 @@ def test_workflow_smoke_runs_an_annulus_verify():
 
 
 def test_workflow_sweep_smoke_runs_a_hopf_sweep():
-    """After the verify smoke and before the tier-1 tests, a 2-value radial_profile sweep on the Hopf fibration."""
+    """After the verify smoke and before the tier-1 tests, a 2-value radial_profile sweep on the Hopf
+    fibration, in dual and in fd mode (the swept jets come from the product rule in both)."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
     names = [step.get("name") for step in job["steps"]]
     assert names.index("CLI smoke") + 1 == names.index("Sweep smoke") == names.index("Tier-1 tests") - 1
     smoke = job["steps"][names.index("Sweep smoke")]["run"]
-    config = json.loads(re.search(r"echo '([^']+)' > \"\$RUNNER_TEMP/", smoke).group(1))
-    assert config == {"model": {"fibration": "hopf"},
-                      "sweep": {"name": "radial_profile", "param": "beta", "values": [0.2, 0.4]}}
-    assert re.search(r"^PYTHONPATH=src python -m weylmass .*\bsweep$", smoke, re.MULTILINE)
+    configs = [json.loads(c) for c in re.findall(r"echo '([^']+)' > \"\$RUNNER_TEMP/", smoke)]
+    sweep = {"name": "radial_profile", "param": "beta", "values": [0.2, 0.4]}
+    assert configs == [{"model": {"fibration": "hopf"}, "sweep": sweep},
+                       {"model": {"fibration": "hopf"}, "mode": "fd", "sweep": sweep}]
+    runs = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" .*\bsweep$",
+                      smoke, re.MULTILINE)
+    assert runs == ["sweep", "sweep_fd"]
 
 
 def test_workflow_mass_smoke_runs_a_hopf_mass():

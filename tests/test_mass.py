@@ -356,26 +356,57 @@ def test_invariance_across_random_adapted_factors(model, engine):
         assert rep.rel_difference < 1e-4, f"seed {seed}: {rep.rel_difference}"
 
 
-def test_gauge_audit_reads_every_report_off_two_passes(hopf_space, engine):
-    """Each audit and the prediction equal the single-direction pipelines in both gauges."""
+def _audit_against_single_passes(space, engine, base, f, swept_equal):
+    """Run a one-factor audit and set every report against the per-gauge pipelines."""
     from weylmass.weyl import gauge_change
 
-    ws = WeylStructure(hopf_space, kaluza_perturbation(hopf_space, mu=1.0), radial_lee(hopf_space, 0.4))
+    ws = WeylStructure(space, base, radial_lee(space, 0.4))
     radii = geometric_radii(40.0, 320.0, 4)
     quad = QuadratureSpec(sphere=26, fiber=4)
 
     def query(w, z):
         return MassQuery(ws=w, z=z, radii=radii, quad=quad, engine=engine, check_decay=False)
 
-    for f in (radial_profile(hopf_space, beta=0.3), random_adapted_scalar(hopf_space, seed=3)):
-        audits, pred = gauge_audit(engine, ws, [f], radii=radii, quad=quad, check_decay=False)[0]
-        assert [a.z_label for a in audits] == ["1*X1", "1*X2", "1*X3"]
-        for b, audit in enumerate(audits):
-            assert audit.mass_base == conformal_mass(query(ws, b)).mass
-            assert audit.mass_swept == conformal_mass(query(gauge_change(ws, f), b)).mass
-        swept = WeylStructure(hopf_space, conformal_sweep(ws.metric, f), ws.lee)
-        assert pred.base_mass == riemannian_mass_Q(query(ws, 0)).q_limit
-        assert pred.swept_mass == riemannian_mass_Q(query(swept, 0)).q_limit
+    audits, pred = gauge_audit(engine, ws, [f], radii=radii, quad=quad, check_decay=False)[0]
+    assert [a.z_label for a in audits] == ["1*X1", "1*X2", "1*X3"]
+    for b, audit in enumerate(audits):
+        assert audit.mass_base == conformal_mass(query(ws, b)).mass
+        swept_equal(audit.mass_swept, conformal_mass(query(gauge_change(ws, f), b)).mass)
+    swept = WeylStructure(space, conformal_sweep(ws.metric, f), ws.lee)
+    assert pred.base_mass == riemannian_mass_Q(query(ws, 0)).q_limit
+    swept_equal(pred.swept_mass, riemannian_mass_Q(query(swept, 0)).q_limit)
+
+
+def _exactly(got, want):
+    assert got == want
+
+
+def test_gauge_audit_reads_every_report_off_two_passes(model, hopf_space, engine):
+    """In dual mode each audit and the prediction equal the single-gauge pipelines bitwise.
+
+    The swept jets come from g's jet by the product rule.  Both charts, a base
+    that returns a nested list of jets (``kaluza_perturbation``) and one that
+    returns an array-valued jet (``random_local_metric``), and three factors.
+    """
+    from weylmass.families import directional_profile, random_local_metric
+
+    for space in (model, hopf_space):
+        for fam in (kaluza_perturbation(space, mu=1.0), random_local_metric(space, seed=4)):
+            for f in (radial_profile(space, beta=0.3), random_adapted_scalar(space, seed=3),
+                      directional_profile(space, beta=0.3)):
+                _audit_against_single_passes(space, engine, fam, f, _exactly)
+
+
+@pytest.mark.parametrize("factor", [lambda s: radial_profile(s, beta=0.3),
+                                    lambda s: random_adapted_scalar(s, seed=3)])
+def test_gauge_audit_fd_swept_jets_match_direct_fd(hopf_space, fd_engine, factor):
+    """In fd mode the product rule on FD jets of f and g agrees with the FD jet of f g to 1e-8."""
+
+    def close(got, want):
+        assert got == pytest.approx(want, rel=1e-8, abs=0.0)
+
+    _audit_against_single_passes(hopf_space, fd_engine, kaluza_perturbation(hopf_space, mu=1.0),
+                                 factor(hopf_space), close)
 
 
 def _count_shell_forms(monkeypatch) -> list:
@@ -391,17 +422,28 @@ def _count_shell_forms(monkeypatch) -> list:
     return calls
 
 
-def test_gauge_audit_sweep_takes_one_base_pass(hopf_space, engine, monkeypatch):
-    """N factors on R radii cost R (N + 1) shell forms, and each factor's reports equal a one-factor call."""
+def test_gauge_audit_sweep_takes_one_base_pass(hopf_space, monkeypatch):
+    """N factors on R radii cost R base shell forms, R metric jets and R N factor jets; no f g is differentiated.
+
+    Each factor's reports equal a one-factor call.
+    """
+    from weylmass.engine import DerivativeEngine
+
+    engine = DerivativeEngine(mode="dual")
     ws = WeylStructure(hopf_space, kaluza_perturbation(hopf_space, mu=1.0), radial_lee(hopf_space, 0.4))
     radii = geometric_radii(40.0, 320.0, 3)
     quad = QuadratureSpec(sphere=6, fiber=2)
     factors = [radial_profile(hopf_space, beta=0.2), random_adapted_scalar(hopf_space, seed=5),
                radial_profile(hopf_space, beta=0.45)]
     calls = _count_shell_forms(monkeypatch)
+    jets = []
+    jet1 = engine.jet1
+    monkeypatch.setattr(engine, "jet1", lambda fld, coords: jets.append(fld.name) or jet1(fld, coords))
     results = gauge_audit(engine, ws, factors, radii=radii, quad=quad, check_decay=False)
-    assert len(calls) == len(radii) * (len(factors) + 1)
-    assert calls[: len(radii)] == [ws.metric.name] * len(radii)
+    assert calls == [ws.metric.name] * len(radii)
+    assert jets.count(ws.metric.name) == len(radii)
+    assert not [name for name in jets if name.startswith("conformal_sweep(")]
+    assert sum(jets.count(name) for name in {f.name for f in factors}) == len(radii) * len(factors)
     assert len(results) == len(factors)
     for f, (audits, pred) in zip(factors, results):
         alone_audits, alone_pred = gauge_audit(engine, ws, [f], radii=radii, quad=quad, check_decay=False)[0]

@@ -413,6 +413,36 @@ def test_grad2_probe_matches_nested_fd(request, engine, monkeypatch, chart, fibe
     assert np.max(np.abs(got - oracle)) < 1e-9 * np.max(np.abs(oracle))
 
 
+@pytest.mark.parametrize("chart", ["model", "hopf_space"])
+def test_batched_probe_norms_equal_per_radius_norms(request, engine, monkeypatch, chart):
+    """Each probe's one batch over all radii gives bitwise the norms of one evaluation per radius."""
+    from weylmass import probes
+    from weylmass.families import directional_profile, random_adapted_scalar, random_local_lee
+
+    space = request.getfixturevalue(chart)
+    batched = probes.probe_tensor_field
+    seen = []
+
+    def per_radius(eng, mdl, fld, declared, name, radii, directions=8, seed=1234):
+        rep = batched(eng, mdl, fld, declared, name, radii, directions, seed)
+        u, t = probes.direction_samples(mdl, directions, seed)
+        alone = [probes._sup_norm(fld.values(np.concatenate([r * u, t[None, :]], axis=0))) for r in radii]
+        assert rep.norms == alone, name
+        seen.append(name)
+        return rep
+
+    monkeypatch.setattr(probes, "probe_tensor_field", per_radius)
+    for fam in (kaluza_perturbation(space, mu=1.0), random_local_metric(space, seed=3, fiber_dependence=True)):
+        probes.metric_probes(engine, space, fam)
+    for lee in (radial_lee(space, 0.4), random_local_lee(space, seed=3, fiber_dependence=True)):
+        probes.lee_probes(engine, space, lee)
+    for f in (radial_profile(space, beta=0.3), random_adapted_scalar(space, seed=5),
+              directional_profile(space, beta=0.3)):
+        probes.adapted_metric_check(engine, space, f)
+    probes.connection_probe(engine, space)
+    assert len(seen) == 2 * 3 + 2 * 2 + 3 * 3 + 1
+
+
 def test_trivial_connection_probe(model, engine):
     rep = connection_probe(engine, model)
     assert rep.passed and rep.slope == -math.inf

@@ -110,24 +110,26 @@ def gradient_correction_components(model: ModelSpace, f: ScalarField, z, coords)
 
 
 def shell_forms(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily,
-                lee: Optional[LeeFormField], pts, weights, normals, jet=None) -> tuple:
+                lee: Optional[LeeFormField], pts, weights, normals, jet=None, gam=None) -> tuple:
     """Symmetric m x m forms (Q, C) of one shell from a single metric jet.
 
     The flux of q(Z) through the shell is z^T Q z and the flux of the Lee
     term is z^T C z, with C = (1 - m) sym(B) - tr(B) I for
     B = sum w theta (x) nu.  C is zero when ``lee`` is None.  ``jet`` is
     the coordinate jet (g, dg) of ``fam`` at ``pts`` when the caller holds
-    it already; otherwise it is taken here.  Raises ChartDomainError if g
-    is not positive definite at some node.
+    it already; otherwise it is taken here.  ``gam`` likewise is
+    ``model.lc_coeffs_h(pts)`` when the caller holds it.  Raises
+    ChartDomainError if g is not positive definite at some node.
     """
     model.require_in_chart(pts)
     g, dg = engine.jet1(fam.as_field(), pts) if jet is None else jet
-    return _contract_shell(model, fam.name, g, dg, lee, pts, weights, normals)
+    gam = model.lc_coeffs_h(pts) if gam is None else gam
+    return _contract_shell(model, fam.name, g, dg, lee, pts, weights, normals, gam)
 
 
 def _contract_shell(model: ModelSpace, name: str, g, dg, lee: Optional[LeeFormField],
-                    pts, weights, normals) -> tuple:
-    """The contraction step of ``shell_forms`` on a coordinate metric jet (g, dg)."""
+                    pts, weights, normals, gam) -> tuple:
+    """The contraction step of ``shell_forms`` on a coordinate jet (g, dg); ``gam`` = ``model.lc_coeffs_h(pts)``."""
     m = model.m
     dg = model.frame_from_coord(dg, model.split(pts)[0])
     gram = np.moveaxis(g, (0, 1), (-2, -1))
@@ -144,7 +146,6 @@ def _contract_shell(model: ModelSpace, name: str, g, dg, lee: Optional[LeeFormFi
             f"metric {name!r} is not positive definite on the flux shell r={model.radius(pts)[bad]:.6g}"
             f" (smallest eigenvalue {lam[bad]:.6g})"
         ) from None
-    gam = model.lc_coeffs_h(pts)
     # v_k = sum_b (grad^h_{E_b} g)(E_b, E_k) - E_k(tr_h g) / 2
     v = (np.einsum("bbk...->k...", dg) - np.einsum("bbl...,lk...->k...", gam, g)
          - np.einsum("bkl...,bl...->k...", gam, g) - 0.5 * np.einsum("kbb...->k...", dg))
@@ -411,7 +412,8 @@ def gauge_audit(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[S
     The flux shells are built once.  On each shell g takes one coordinate
     jet, which gives the forms of gauge g; each factor takes one scalar jet,
     and the jet of f g comes from the two by the product rule, so g is
-    differentiated once per shell however long the sweep.
+    differentiated once per shell however long the sweep.  The
+    h-Christoffel coefficients are likewise taken once per shell.
     """
     model = ws.model
     radii = geometric_radii(40.0, 320.0, 6) if radii is None else list(map(float, radii))
@@ -433,12 +435,13 @@ def gauge_audit(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[S
     for s, (pts, weights, normals) in enumerate(shells):
         model.require_in_chart(pts)
         jet = engine.jet1(metric, pts)
+        gam = model.lc_coeffs_h(pts)
         q_forms[0, s], c_forms[0, s] = shell_forms(engine, model, ws.metric, ws.lee, pts, weights, normals,
-                                                   jet=jet)
+                                                   jet=jet, gam=gam)
         for k, (f, w) in enumerate(zip(factors, gauges[1:]), 1):
             fg, dfg = _rescaled_jet(engine.jet1(f.as_field(), pts), jet)
             q_forms[k, s], c_forms[k, s] = _contract_shell(model, w.metric.name, fg, dfg, w.lee,
-                                                           pts, weights, normals)
+                                                           pts, weights, normals, gam)
     norm = sphere_volume(m) * model.L
     q_forms /= norm
     c_forms /= norm

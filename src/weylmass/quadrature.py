@@ -4,7 +4,10 @@ Sphere rules return unit directions and weights summing to vol(S^(m-1)).
 The default for m = 3 is the classic 26-point octahedral rule (exact through
 degree 7), rotated by a fixed generic rotation so no node sits on the fiber
 chart seam.  A Gauss-Jacobi x azimuth product rule covers arbitrary m and
-arbitrary density (used for refined-quadrature cross checks).
+arbitrary density (used for refined-quadrature cross checks).  Its polar
+nodes come from ``gauss_jacobi``, the Golub-Welsch method (Golub & Welsch,
+"Calculation of Gauss quadrature rules", Math. Comp. 23, 1969) on numpy's
+symmetric eigensolver, so numpy is the package's only runtime dependency.
 
 Hypersurface fluxes over {r = const} use the product measure
 r^(m-1) dsigma x dt, which is exact for the model metric; fluxes measured
@@ -17,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .model import ModelSpace
 
@@ -80,7 +82,7 @@ def sphere_rule_product(m: int, n_polar: int) -> tuple[np.ndarray, np.ndarray]:
         wts = np.full(n_az, 2.0 * math.pi / n_az)
         return pts, wts
     alpha = (m - 3) / 2.0
-    u, wu = roots_jacobi(n_polar, alpha, alpha)
+    u, wu = gauss_jacobi(n_polar, alpha)
     sub_pts, sub_wts = sphere_rule_product(m - 1, n_polar)
     sin_t = np.sqrt(1.0 - u**2)
     pts = np.concatenate(
@@ -114,6 +116,38 @@ def gauss_legendre(a: float, b: float, nodes: int) -> tuple[np.ndarray, np.ndarr
     x, w = np.polynomial.legendre.leggauss(nodes)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
+
+
+def gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-node Gauss rule on [-1, 1] for the weight (1 - x^2)^alpha, alpha > -1/2.
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi matrix
+    of the weight, each polished by one Newton step on the three-term
+    recurrence of the orthonormal polynomials p_k; the weights are the
+    Christoffel-Darboux values 1 / (b_n p_n'(x_i) p_(n-1)(x_i)).
+    """
+    k = np.arange(1, n + 1)
+    b = np.sqrt(k * (k + 2.0 * alpha) / ((2.0 * k + 2.0 * alpha) ** 2 - 1.0))
+    x = np.linalg.eigvalsh(np.diag(b[:-1], 1) + np.diag(b[:-1], -1))
+    mu0 = math.sqrt(math.pi) * math.gamma(alpha + 1.0) / math.gamma(alpha + 1.5)
+
+    def recurrence(x):
+        """(p_(n-1), p_n, p_n') at x, from x p_j = b_(j+1) p_(j+1) + b_j p_(j-1)."""
+        p_prev, p = np.zeros_like(x), np.full_like(x, 1.0 / math.sqrt(mu0))
+        dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
+        b_prev = 0.0
+        for b_next in b:
+            p_prev, p = p, (x * p - b_prev * p_prev) / b_next
+            dp_prev, dp = dp, (p_prev + x * dp - b_prev * dp_prev) / b_next
+            b_prev = b_next
+        return p_prev, p, dp
+
+    _, p, dp = recurrence(x)
+    x = x - p / dp
+    p_prev, _, dp = recurrence(x)
+    w = 1.0 / (b[-1] * dp * p_prev)
+    # the weight is even: make the rule exactly symmetric
+    return (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
 
 
 @dataclass

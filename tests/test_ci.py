@@ -1,5 +1,5 @@
-"""The CI workflow installs the test extra, runs CLI smoke commands (a Hopf mass, a pointwise and an
-annulus verify, then a Hopf sweep) and the tier-1 command that ROADMAP.md names, with a time limit."""
+"""The CI workflow installs the test extra, runs CLI smoke commands (a Hopf and an m = 5 mass, a pointwise
+and an annulus verify, then a Hopf sweep) and the tier-1 command that ROADMAP.md names, with a time limit."""
 
 import json
 import os
@@ -33,6 +33,9 @@ def test_test_extra_lists_hypothesis():
     assert any(re.match(r"hypothesis\b", req) for req in extra)
     # the workflow test reads tier1.yml with PyYAML; without it that test is skipped
     assert any(re.match(r"pyyaml\b", req, re.IGNORECASE) for req in extra)
+    # scipy is a test oracle only (Gauss-Jacobi roots), not a runtime dependency
+    assert any(re.match(r"scipy\b", req) for req in extra)
+    assert not any(re.match(r"scipy\b", req) for req in pyproject["project"]["dependencies"])
 
 
 def test_workflow_smoke_runs_verify_as_module():
@@ -81,16 +84,22 @@ def test_workflow_sweep_smoke_runs_a_hopf_sweep():
 
 
 def test_workflow_mass_smoke_runs_a_hopf_mass():
-    """Right after the install, ``python -m weylmass mass`` on the Hopf model."""
+    """Right after the install, ``python -m weylmass mass`` on the Hopf model, then at m = 5, where the
+    sphere rule is the Gauss-Jacobi product."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
     names = [step.get("name") for step in job["steps"]]
     assert names.index("Install") + 1 == names.index("Mass smoke") == names.index("CLI smoke") - 1
     smoke = job["steps"][names.index("Mass smoke")]["run"]
-    config = json.loads(re.search(r"echo '([^']+)' > \"\$RUNNER_TEMP/", smoke).group(1))
-    assert config == {"model": {"fibration": "hopf"}, "family": {"name": "hopf_model"}}
-    assert re.search(r"^PYTHONPATH=src python -m weylmass .*\bmass$", smoke, re.MULTILINE)
+    configs = re.findall(r"echo '([^']+)' > \"\$RUNNER_TEMP/(\w+)\.json\"", smoke)
+    assert [(json.loads(c), name) for c, name in configs] == [
+        ({"model": {"fibration": "hopf"}, "family": {"name": "hopf_model"}}, "mass"),
+        ({"model": {"m": 5}, "quadrature": {"fiber": 2}}, "mass_m5"),
+    ]
+    runs = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" .*\bmass$",
+                      smoke, re.MULTILINE)
+    assert runs == ["mass", "mass_m5"]
 
 
 def test_package_runs_as_module_without_install(tmp_path):

@@ -482,3 +482,33 @@ def test_any_config_value_exits_cleanly(path, value, command):
     assert code in (0, 1, 2), (path, value, command, code)
     if code == 2:
         assert len(lines) == 1 and lines[0].startswith("error:"), (path, value, command, lines)
+
+
+NO_SCIPY_RUNS = [
+    # mass at m = 5 builds the Gauss-Jacobi product sphere rule
+    ("mass", {"model": {**BASE_CONFIG["model"], "m": 5}, "quadrature": {"sphere": 26, "fiber": 2, "radial": 8}}),
+    # one integral trial builds the refined m = 3 annulus rule (Gauss-Jacobi at alpha = 0)
+    ("verify", {"trials": {"identity": 0, "bochner": 1, "integral": 1}}),
+    ("sweep", {"model": {**BASE_CONFIG["model"], "fibration": "hopf"}}),
+]
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    """numpy is the only runtime dependency: every command exits 0 with scipy made unimportable, and
+    importing the CLI loads no scipy module."""
+    script = ["import sys", 'sys.modules["scipy"] = None', "from weylmass.cli import main", "codes = []"]
+    for command, changes in NO_SCIPY_RUNS:
+        run_dir = tmp_path / command
+        run_dir.mkdir()
+        cfg = write_config(run_dir, **changes)
+        args = ["--config", str(cfg), "--out", str(run_dir / "out"), command]
+        script.append(f"codes.append(main({args!r}))")
+    script.append("print(codes)")
+    res = subprocess.run([sys.executable, "-c", "\n".join(script)], capture_output=True, text=True, timeout=560)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[0, 0, 0]", res.stdout + res.stderr
+
+    probe = "import sys, weylmass.cli; print(sorted(k for k in sys.modules if k.startswith('scipy')))"
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -423,7 +423,8 @@ def _count_shell_forms(monkeypatch) -> list:
 
 
 def test_gauge_audit_sweep_takes_one_base_pass(hopf_space, monkeypatch):
-    """N factors on R radii cost R base shell forms, R metric jets and R N factor jets; no f g is differentiated.
+    """N factors on R radii cost R base shell forms, R metric jets, R N factor jets and R evaluations of the
+    h-Christoffel coefficients; no f g is differentiated.
 
     Each factor's reports equal a one-factor call.
     """
@@ -439,7 +440,12 @@ def test_gauge_audit_sweep_takes_one_base_pass(hopf_space, monkeypatch):
     jets = []
     jet1 = engine.jet1
     monkeypatch.setattr(engine, "jet1", lambda fld, coords: jets.append(fld.name) or jet1(fld, coords))
+    lc_calls = []
+    lc_coeffs_h = ModelSpace.lc_coeffs_h
+    monkeypatch.setattr(ModelSpace, "lc_coeffs_h",
+                        lambda self, coords: lc_calls.append(1) or lc_coeffs_h(self, coords))
     results = gauge_audit(engine, ws, factors, radii=radii, quad=quad, check_decay=False)
+    assert len(lc_calls) == len(radii)
     assert calls == [ws.metric.name] * len(radii)
     assert jets.count(ws.metric.name) == len(radii)
     assert not [name for name in jets if name.startswith("conformal_sweep(")]

@@ -29,7 +29,8 @@ import numpy as np
 
 from .autodiff import collect_jet, seed_point
 
-RICHARDSON_WEIGHTS = {1: [(1.0, 1.0)], 2: [(-1.0 / 3.0, 1.0), (4.0 / 3.0, 0.5)]}
+# (weight, step scale) of the two-level Richardson combination of central differences
+RICHARDSON_WEIGHTS = ((-1.0 / 3.0, 1.0), (4.0 / 3.0, 0.5))
 
 
 @dataclass
@@ -75,13 +76,10 @@ class DerivativeEngine:
     mode: str = "dual"
     rel_step: float = 1e-4
     min_step: float = 1e-5
-    richardson: int = 2
 
     def __post_init__(self):
         if self.mode not in ("dual", "fd"):
             raise ValueError(f"unknown derivative mode {self.mode!r}")
-        if self.richardson not in RICHARDSON_WEIGHTS:
-            raise ValueError("richardson level must be 1 or 2")
 
     # -- public API -----------------------------------------------------------
 
@@ -132,7 +130,7 @@ class DerivativeEngine:
         derivs = []
         for i in range(coords.shape[0]):
             acc = 0.0
-            for w, scale in RICHARDSON_WEIGHTS[self.richardson]:
+            for w, scale in RICHARDSON_WEIGHTS:
                 acc = acc + w * self._central(fld, coords, i, h0 * scale)
             derivs.append(acc)
         return val, np.stack(derivs, axis=0)
@@ -161,7 +159,7 @@ class DerivativeEngine:
         for i in range(n):
             for j in range(i, n):
                 acc = 0.0
-                for w, scale in RICHARDSON_WEIGHTS[self.richardson]:
+                for w, scale in RICHARDSON_WEIGHTS:
                     acc = acc + w * self._second_diff(fld, coords, i, j, h0 * scale, f0)
                 rows[i][j] = acc
                 rows[j][i] = acc

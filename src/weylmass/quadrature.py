@@ -175,13 +175,6 @@ def shell_nodes(model: ModelSpace, r: float, quad: QuadratureSpec):
     return pts, weights, normals
 
 
-def flux_model_metric(model: ModelSpace, oneform_values: np.ndarray, normals: np.ndarray,
-                      weights: np.ndarray) -> float:
-    """Flux of a 1-form through the shell w.r.t. the model metric h."""
-    contracted = np.sum(oneform_values[: model.m] * normals, axis=0)
-    return float(np.sum(contracted * weights))
-
-
 def flux_curved_metric(model: ModelSpace, oneform_values: np.ndarray, gram: np.ndarray,
                        normals: np.ndarray, weights: np.ndarray) -> float:
     """Flux of a 1-form through the shell w.r.t. a curved metric g.

@@ -1,4 +1,4 @@
-"""Independent references that the package's derivative kernel is tested against.
+"""Independent references that the package's derivative kernel and mass forms are tested against.
 
 ``weylmass.weyl._covd_slots`` is the one place that applies the Weyl derivative
 D to forms and tensors (the slot form: Levi-Civita plus one theta-term per
@@ -16,7 +16,12 @@ slot).  The references here compute the same quantities on other routes:
 * ``full_christoffel_jet``, ``full_weyl_jet`` and ``full_coeff_curvature``
   are the jet and curvature formulas with every bracket term built, even
   from zero structure constants, and with the identity outer products as
-  einsums: the reference for the package's holonomic shortcuts.
+  einsums: the reference for the package's holonomic shortcuts;
+* ``q_flux_components`` and ``lee_correction_components`` are the mass flux
+  densities of one horizontal direction Z, evaluated pointwise, and
+  ``direction_limits`` integrates them shell by shell with
+  ``flux_model_metric`` and extrapolates: the per-direction route that
+  ``weylmass.mass.flux_pass`` reads off its symmetric shell forms.
 """
 
 from __future__ import annotations
@@ -25,10 +30,13 @@ import numpy as np
 
 from weylmass.engine import DerivativeEngine, Field, frame_jet1, frame_jet2
 from weylmass.errors import GaugeMismatchError
-from weylmass.families import MetricFamily
+from weylmass.families import LeeFormField, MetricFamily
 from weylmass.identities import (IdentityReport, _rng, _weight_pool, random_form_field, trial_point,
                                  trial_structure)
-from weylmass.model import ModelSpace
+from weylmass.mass import richardson_limit
+from weylmass.model import ModelSpace, sphere_volume
+from weylmass.probes import geometric_radii
+from weylmass.quadrature import QuadratureSpec, shell_nodes
 from weylmass.weyl import (FormFieldSpec, WeylStructure, christoffel, covd_form_block, insert_alt, inv_gram,
                            lc_form_block, outer_front, tdot)
 
@@ -187,3 +195,78 @@ def full_coeff_curvature(W: np.ndarray, dW: np.ndarray, C: np.ndarray) -> np.nda
     quad = quad - np.swapaxes(quad, 0, 1)
     br = np.einsum("ijl...,lkm...->ijkm...", C, W)
     return first + quad - br
+
+
+def horizontal_field(model: ModelSpace, z) -> np.ndarray:
+    """Validate and normalize a horizontal direction: index or m coefficients."""
+    if np.isscalar(z):
+        b = int(z)
+        if not 0 <= b < model.m:
+            raise ValueError(f"basis index {b} outside 0..{model.m - 1}")
+        out = np.zeros(model.m)
+        out[b] = 1.0
+        return out
+    z = np.asarray(z, dtype=float)
+    if z.shape != (model.m,):
+        raise ValueError(f"horizontal field needs {model.m} coefficients, got shape {z.shape}")
+    return z
+
+
+def q_flux_components(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily,
+                      z, coords) -> np.ndarray:
+    """Frame components of q(Z) at (batched) chart points."""
+    coords = np.asarray(coords, dtype=float)
+    model.require_in_chart(coords)
+    z = horizontal_field(model, z)
+    zfull = np.concatenate([z, [0.0]])
+    g, dg = frame_jet1(engine, model, fam.as_field(), coords)
+    gam = model.lc_coeffs_h(coords)
+    nabla = dg - np.einsum("ijl...,lk...->ijk...", gam, g) - np.einsum("ikl...,jl...->ijk...", gam, g)
+
+    div_term = np.einsum("bbk...,k->...", nabla, zfull)
+    dtr = np.einsum("ibb...->i...", dg)
+    dtr_z = np.einsum("i...,i->...", dtr, zfull)
+    dgzz = np.einsum("iab...,a,b->i...", dg, zfull, zfull)
+
+    alpha = zfull.reshape((len(zfull),) + (1,) * (dg.ndim - 3))
+    return (div_term - 0.5 * dtr_z) * alpha - 0.5 * dgzz
+
+
+def lee_correction_components(model: ModelSpace, lee: LeeFormField, z, coords) -> np.ndarray:
+    """(1 - m) <theta, a_Z>_h a_Z - |a_Z|_h^2 theta at (batched) chart points."""
+    coords = np.asarray(coords, dtype=float)
+    z = horizontal_field(model, z)
+    zfull = np.concatenate([z, [0.0]])
+    theta = lee.as_field().values(coords)
+    inner = np.einsum("i...,i->...", theta, zfull)
+    alpha = zfull.reshape((len(zfull),) + (1,) * (theta.ndim - 1))
+    return (1 - model.m) * inner * alpha - float(z @ z) * theta
+
+
+def flux_model_metric(model: ModelSpace, oneform_values: np.ndarray, normals: np.ndarray,
+                      weights: np.ndarray) -> float:
+    """Flux of a 1-form through the shell w.r.t. the model metric h."""
+    contracted = np.sum(oneform_values[: model.m] * normals, axis=0)
+    return float(np.sum(contracted * weights))
+
+
+def direction_limits(engine: DerivativeEngine, ws: WeylStructure, z, radii=None, quad=None) -> tuple:
+    """Per-direction route: extrapolated normalized shell fluxes of q(Z) and of the Lee term.
+
+    Returns (q_limit, correction_limit) from the pointwise densities, one
+    shell and one direction at a time; the defaults are those of the mass
+    pass (6 geometric radii from 40 to 320, the default quadrature).
+    """
+    model = ws.model
+    radii = [float(r) for r in (geometric_radii(40.0, 320.0, 6) if radii is None else radii)]
+    quad = quad or QuadratureSpec()
+    norm = sphere_volume(model.m) * model.L
+    q_vals, c_vals = [], []
+    for r in radii:
+        pts, weights, normals = shell_nodes(model, r, quad)
+        q_vals.append(flux_model_metric(model, q_flux_components(engine, model, ws.metric, z, pts),
+                                        normals, weights) / norm)
+        c_vals.append(flux_model_metric(model, lee_correction_components(model, ws.lee, z, pts),
+                                        normals, weights) / norm)
+    rate = 2 - model.m
+    return richardson_limit(radii, q_vals, rate), richardson_limit(radii, c_vals, rate)

@@ -1,5 +1,6 @@
 """The CI workflow installs the test extra, runs CLI smoke commands (a Hopf and an m = 5 mass, a pointwise
-and an annulus verify, then a Hopf sweep) and the tier-1 command that ROADMAP.md names, with a time limit."""
+and an annulus verify, then a Hopf sweep), summarizes every report they wrote, and runs the tier-1 command
+that ROADMAP.md names, with a time limit."""
 
 import json
 import os
@@ -66,13 +67,13 @@ def test_workflow_smoke_runs_an_annulus_verify():
 
 
 def test_workflow_sweep_smoke_runs_a_hopf_sweep():
-    """After the verify smoke and before the tier-1 tests, a 2-value radial_profile sweep on the Hopf
+    """After the verify smoke and before the report smoke, a 2-value radial_profile sweep on the Hopf
     fibration, in dual and in fd mode (the swept jets come from the product rule in both)."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
     names = [step.get("name") for step in job["steps"]]
-    assert names.index("CLI smoke") + 1 == names.index("Sweep smoke") == names.index("Tier-1 tests") - 1
+    assert names.index("CLI smoke") + 1 == names.index("Sweep smoke") == names.index("Report smoke") - 1
     smoke = job["steps"][names.index("Sweep smoke")]["run"]
     configs = [json.loads(c) for c in re.findall(r"echo '([^']+)' > \"\$RUNNER_TEMP/", smoke)]
     sweep = {"name": "radial_profile", "param": "beta", "values": [0.2, 0.4]}
@@ -100,6 +101,26 @@ def test_workflow_mass_smoke_runs_a_hopf_mass():
     runs = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" .*\bmass$",
                       smoke, re.MULTILINE)
     assert runs == ["mass", "mass_m5"]
+
+
+def test_workflow_report_smoke_reads_every_smoke_report():
+    """Between the sweep smoke and the tier-1 tests, ``python -m weylmass report`` reads every JSONL report
+    the smoke steps wrote, in order, so a mass record that did not converge fails the job (``mass`` itself
+    exits 0 on it)."""
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    (job,) = workflow["jobs"].values()
+    names = [step.get("name") for step in job["steps"]]
+    assert names.index("Sweep smoke") + 1 == names.index("Report smoke") == names.index("Tier-1 tests") - 1
+    written = [f"$RUNNER_TEMP/{out}/{command}_report.jsonl"
+               for name in ("Mass smoke", "CLI smoke", "Sweep smoke")
+               for out, command in re.findall(r"--out \"\$RUNNER_TEMP/(\w+)\" (\w+)$",
+                                              job["steps"][names.index(name)]["run"], re.MULTILINE)]
+    assert len(written) == 6
+    (line,) = job["steps"][names.index("Report smoke")]["run"].strip().splitlines()
+    prefix = "PYTHONPATH=src python -m weylmass report "
+    assert line.startswith(prefix)
+    assert re.findall(r'"([^"]+)"', line[len(prefix):]) == written
 
 
 def test_package_runs_as_module_without_install(tmp_path):

@@ -343,9 +343,10 @@ def test_non_number_builder_value_exits_two(where, value):
 
 
 def test_mass_q_matrix_equals_polarized_riemannian_limits(tmp_path):
+    """The CLI q_matrix equals the polarized per-direction limits of the density oracles."""
+    from oracles import direction_limits
     from weylmass.engine import DerivativeEngine
     from weylmass.families import kaluza_perturbation, radial_lee
-    from weylmass.mass import MassQuery, riemannian_mass_Q
     from weylmass.model import ModelSpace
     from weylmass.probes import geometric_radii
     from weylmass.quadrature import QuadratureSpec
@@ -363,9 +364,8 @@ def test_mass_q_matrix_equals_polarized_riemannian_limits(tmp_path):
     engine = DerivativeEngine()
 
     def q_limit(z):
-        return riemannian_mass_Q(MassQuery(ws=ws, z=z, radii=geometric_radii(40.0, 320.0, 4),
-                                           quad=QuadratureSpec(sphere=26, fiber=4), engine=engine,
-                                           check_decay=False)).q_limit
+        return direction_limits(engine, ws, z, radii=geometric_radii(40.0, 320.0, 4),
+                                quad=QuadratureSpec(sphere=26, fiber=4))[0]
 
     diag = [q_limit(b) for b in range(3)]
     expected = np.diag(diag)

@@ -1,4 +1,8 @@
-"""Mass engine: flux densities, normalized limits, conformal laws, audits."""
+"""Mass engine: flux densities, normalized limits, conformal laws, audits.
+
+The per-direction densities and their shell fluxes (``tests/oracles.py``)
+are the independent route that the package's flux pass is set against.
+"""
 
 import math
 
@@ -11,13 +15,19 @@ from weylmass.families import (MetricFamily, compact_lee, conformal_sweep, flat_
                                hopf_model, kaluza_perturbation, kaluza_two_term,
                                log_slow_profile, radial_lee, radial_profile,
                                random_adapted_scalar, unit_scalar, zero_lee)
-from weylmass.mass import (MassQuery, conformal_mass, gauge_audit, lee_correction_components,
-                           mass_matrix, q_flux_components, ricci_positivity_floor,
-                           riemannian_mass_Q, richardson_limit, shell_forms)
+from weylmass.mass import flux_pass, gauge_audit, mass_matrix, ricci_positivity_floor, richardson_limit
 from weylmass.model import ModelSpace, sphere_volume
 from weylmass.probes import decay_probe, geometric_radii
-from weylmass.quadrature import QuadratureSpec, flux_model_metric, shell_nodes
+from weylmass.quadrature import QuadratureSpec, shell_nodes
 from weylmass.weyl import WeylStructure
+
+from oracles import (direction_limits, flux_model_metric, horizontal_field, lee_correction_components,
+                     q_flux_components)
+
+
+def x1_report(engine, ws, **kw):
+    """The 1*X1 record of a mass pass."""
+    return mass_matrix(engine, ws, **kw)[2]["1*X1"]
 
 
 # --- flux density -----------------------------------------------------------------
@@ -77,31 +87,32 @@ def test_q_quadratic_in_direction_termwise(model, engine):
 
 @pytest.mark.parametrize("m,fibration,seed", [(5, "trivial", 3), (3, "hopf", 4)])
 def test_shell_forms_match_density_oracle(engine, m, fibration, seed):
-    """z^T Q z and z^T C z equal the fluxes of the per-Z densities for random z."""
+    """z^T Q z and z^T C z of the flux pass equal the fluxes of the per-Z densities for random z."""
     from weylmass.families import random_local_lee, random_local_metric
 
     space = ModelSpace(m=m, fibration=fibration)
     fam = random_local_metric(space, seed=seed, fiber_dependence=True)
     lee = random_local_lee(space, seed=seed, fiber_dependence=True)
+    quad = QuadratureSpec(sphere=9, fiber=3)
+    forms = flux_pass(engine, WeylStructure(space, fam, lee), radii=[2.5, 7.0], quad=quad, check_decay=False)
+    norm = sphere_volume(m) * space.L
     rng = np.random.default_rng(seed)
-    for r in (2.5, 7.0):
-        pts, weights, normals = shell_nodes(space, r, QuadratureSpec(sphere=9, fiber=3))
-        Q, C = shell_forms(engine, space, fam, lee, pts, weights, normals)
+    for r, Q, C in zip((2.5, 7.0), forms.q[0], forms.c[0]):
+        pts, weights, normals = shell_nodes(space, r, quad)
         assert np.array_equal(Q, Q.T) and np.array_equal(C, C.T)
         for _ in range(3):
             z = rng.normal(size=m)
             q = flux_model_metric(space, q_flux_components(engine, space, fam, z, pts), normals, weights)
             c = flux_model_metric(space, lee_correction_components(space, lee, z, pts), normals, weights)
-            assert z @ Q @ z == pytest.approx(q, rel=1e-12, abs=0.0)
-            assert z @ C @ z == pytest.approx(c, rel=1e-12, abs=0.0)
+            assert z @ Q @ z == pytest.approx(q / norm, rel=1e-12, abs=0.0)
+            assert z @ C @ z == pytest.approx(c / norm, rel=1e-12, abs=0.0)
 
 
 def test_shell_forms_refuse_indefinite_metric(model, engine):
     """mu = -1 makes g negative at r < 2: the flux pass raises instead of integrating."""
     ws = WeylStructure(model, kaluza_perturbation(model, mu=-1.0), radial_lee(model, 0.4))
     with pytest.raises(ChartDomainError, match="not positive definite"):
-        conformal_mass(MassQuery(ws=ws, z=0, radii=geometric_radii(1.5, 12.0, 6), engine=engine,
-                                 check_decay=False))
+        mass_matrix(engine, ws, radii=geometric_radii(1.5, 12.0, 6), check_decay=False)
 
 
 # --- Riemannian mass -----------------------------------------------------------------
@@ -109,19 +120,21 @@ def test_shell_forms_refuse_indefinite_metric(model, engine):
 
 def test_flat_product_mass_zero_all_directions(model, engine):
     ws = WeylStructure(model, flat_product(model), zero_lee(model))
+    _, q_matrix, reports = mass_matrix(engine, ws)
     for z in (0, 1, 2, np.array([1.0, -2.0, 0.5])):
-        rep = riemannian_mass_Q(MassQuery(ws=ws, z=z, engine=engine))
+        z = horizontal_field(model, z)
+        assert abs(z @ q_matrix @ z) < 1e-8
+    for rep in reports.values():
         assert abs(rep.q_limit) < 1e-8
         assert rep.converged
 
 
 def test_quadratic_scaling(model, engine):
+    """The per-direction oracle route scales quadratically in Z."""
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), zero_lee(model))
-    base = riemannian_mass_Q(MassQuery(ws=ws, z=np.array([1.0, 0.5, -0.25]), engine=engine)).q_limit
+    base = direction_limits(engine, ws, np.array([1.0, 0.5, -0.25]))[0]
     for lam in (-1.0, 2.0, 3.0):
-        scaled = riemannian_mass_Q(
-            MassQuery(ws=ws, z=lam * np.array([1.0, 0.5, -0.25]), engine=engine)
-        ).q_limit
+        scaled = direction_limits(engine, ws, lam * np.array([1.0, 0.5, -0.25]))[0]
         assert abs(scaled - lam**2 * base) < 1e-8
 
 
@@ -136,14 +149,14 @@ def test_kaluza_mass_sympy_angular_oracle(model, engine):
     assert expected_Q == pytest.approx(4 * mu / 3)
 
     ws = WeylStructure(model, kaluza_perturbation(model, mu=mu), zero_lee(model))
-    rep = riemannian_mass_Q(MassQuery(ws=ws, z=0, engine=engine))
+    rep = x1_report(engine, ws)
     assert rep.q_limit == pytest.approx(expected_Q, abs=1e-10)
 
 
 def test_kaluza_mass_refined_quadrature_oracle(model, engine):
     """Default rule against an independent product rule at 4x density, large radius."""
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), zero_lee(model))
-    rep = riemannian_mass_Q(MassQuery(ws=ws, z=0, engine=engine))
+    rep = x1_report(engine, ws)
     norm = sphere_volume(3) * model.L
     pts, weights, normals = shell_nodes(model, 250.0, QuadratureSpec(sphere=120, fiber=32))
     q = q_flux_components(engine, model, ws.metric, 0, pts)
@@ -153,7 +166,7 @@ def test_kaluza_mass_refined_quadrature_oracle(model, engine):
 
 def test_mass_report_diagnostics(model, engine):
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), zero_lee(model))
-    rep = riemannian_mass_Q(MassQuery(ws=ws, z=0, engine=engine))
+    rep = x1_report(engine, ws)
     assert rep.omega_n == pytest.approx(4 * math.pi)
     assert rep.fiber_length == pytest.approx(model.L)
     assert rep.converged
@@ -168,11 +181,11 @@ def test_mass_report_diagnostics(model, engine):
 def test_mass_report_counts_nodes_actually_used(model, engine):
     """The sphere request is rounded to a rule; the report gives the nodes of that rule."""
     ws = WeylStructure(model, flat_product(model), zero_lee(model))
-    rep = riemannian_mass_Q(MassQuery(ws=ws, z=0, engine=engine, quad=QuadratureSpec(sphere=10, fiber=3)))
+    rep = x1_report(engine, ws, quad=QuadratureSpec(sphere=10, fiber=3))
     assert rep.as_dict()["shell_nodes"] == 26 * 3
     space = ModelSpace(m=5)
     ws5 = WeylStructure(space, flat_product(space), zero_lee(space))
-    rep5 = riemannian_mass_Q(MassQuery(ws=ws5, z=0, engine=engine, quad=QuadratureSpec(sphere=26, fiber=1)))
+    rep5 = x1_report(engine, ws5, quad=QuadratureSpec(sphere=26, fiber=1))
     assert rep5.as_dict()["shell_nodes"] == 1250
 
 
@@ -189,7 +202,7 @@ def test_nonconvergent_flux_is_flagged(model, engine):
 
     fam = MetricFamily("oscillating", model, osc_fn, is_alf=False)
     ws = WeylStructure(model, fam, zero_lee(model))
-    rep = riemannian_mass_Q(MassQuery(ws=ws, z=0, engine=engine, check_decay=False))
+    rep = x1_report(engine, ws, check_decay=False)
     assert not rep.converged
 
 
@@ -199,19 +212,30 @@ def test_mass_requires_alf_decay(model, engine):
     fam = conformal_sweep(flat_product(model), sqrt_slow_profile(model, beta=1.0))
     ws = WeylStructure(model, fam, zero_lee(model))
     with pytest.raises(MassNotDefinedError):
-        riemannian_mass_Q(MassQuery(ws=ws, z=0, engine=engine))
+        mass_matrix(engine, ws)
 
 
-def test_mass_query_validation(model, engine):
+def test_flux_radii_validation(model, engine, monkeypatch):
+    """Both entry points refuse fewer than two radii, radii that do not increase strictly or that do not
+    exceed R, with a ValueError before any flux work."""
+    import weylmass.mass as mass_mod
+
+    calls = []
+    monkeypatch.setattr(mass_mod, "shell_nodes", lambda *args: calls.append(args))
     ws = WeylStructure(model, flat_product(model), zero_lee(model))
+    for radii in ([0.5, 2.0], [40.0, 30.0], [80.0], [80.0, 80.0], [], [40.0, float("nan")]):
+        with pytest.raises(ValueError, match="flux radii"):
+            mass_matrix(engine, ws, radii=radii)
+        with pytest.raises(ValueError, match="flux radii"):
+            gauge_audit(engine, ws, [radial_profile(model, beta=0.3)], radii=radii)
+    assert calls == []
+
+
+def test_oracle_direction_validation(model):
     with pytest.raises(ValueError):
-        MassQuery(ws=ws, z=0, radii=[0.5, 2.0], engine=engine)
+        horizontal_field(model, 5)
     with pytest.raises(ValueError):
-        MassQuery(ws=ws, z=0, radii=[40.0, 30.0], engine=engine)
-    with pytest.raises(ValueError):
-        MassQuery(ws=ws, z=5, engine=engine)
-    with pytest.raises(ValueError):
-        MassQuery(ws=ws, z=np.array([1.0, 2.0]), engine=engine)
+        horizontal_field(model, np.array([1.0, 2.0]))
 
 
 # --- conformal mass ---------------------------------------------------------------------
@@ -219,7 +243,7 @@ def test_mass_query_validation(model, engine):
 
 def test_conformal_mass_reduces_to_q_at_zero_lee(model, engine):
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), zero_lee(model))
-    rep = conformal_mass(MassQuery(ws=ws, z=0, engine=engine))
+    rep = x1_report(engine, ws)
     assert rep.correction_limit == 0.0
     assert rep.mass == pytest.approx(4.0 / 3.0, abs=1e-9)
 
@@ -227,7 +251,7 @@ def test_conformal_mass_reduces_to_q_at_zero_lee(model, engine):
 def test_conformal_mass_compact_lee_correction_vanishes(model, engine):
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0),
                        compact_lee(model, amplitude=0.5, r0=2.0, r1=4.0))
-    rep = conformal_mass(MassQuery(ws=ws, z=0, engine=engine))
+    rep = x1_report(engine, ws)
     assert abs(rep.correction_limit) < 1e-14
     assert rep.mass == pytest.approx(4.0 / 3.0, abs=1e-9)
 
@@ -244,7 +268,7 @@ def test_conformal_correction_sympy_angular_oracle(model, engine):
     assert expected_correction == pytest.approx(-5 * a / 3)
 
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), radial_lee(model, amplitude=a))
-    rep = conformal_mass(MassQuery(ws=ws, z=0, engine=engine))
+    rep = x1_report(engine, ws)
     assert rep.correction_limit == pytest.approx(expected_correction, abs=1e-10)
     assert rep.mass == pytest.approx(4.0 / 3.0 - 5 * a / 3, abs=1e-9)
 
@@ -255,7 +279,7 @@ def test_conformal_mass_refuses_bad_lee_decay(model, engine):
     slow = LeeFormField("slow", model, lambda c: [0.3, 0.0, 0.0, 0.0], decay_theta=0.0)
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), slow)
     with pytest.raises(MassNotDefinedError):
-        conformal_mass(MassQuery(ws=ws, z=0, engine=engine))
+        mass_matrix(engine, ws)
 
 
 # --- conformal change law ------------------------------------------------------------------
@@ -341,10 +365,10 @@ def test_invariance_zero_lee_termwise_cancellation(model, engine):
     from weylmass.weyl import gauge_change
 
     ws2 = gauge_change(ws, f)
-    rep2 = conformal_mass(MassQuery(ws=ws2, z=0, engine=engine, check_decay=False))
+    rep2 = x1_report(engine, ws2, check_decay=False)
     # Q_{fg} - Q_g == - correction(theta_{fg}) up to the audit tolerance
     assert pred.direct_delta == pytest.approx(-rep2.correction_limit, rel=1e-5)
-    base = conformal_mass(MassQuery(ws=ws, z=0, engine=engine, check_decay=False)).mass
+    base = x1_report(engine, ws, check_decay=False).mass
     assert rep2.mass == pytest.approx(base, rel=1e-6)
 
 
@@ -357,24 +381,28 @@ def test_invariance_across_random_adapted_factors(model, engine):
 
 
 def _audit_against_single_passes(space, engine, base, f, swept_equal):
-    """Run a one-factor audit and set every report against the per-gauge pipelines."""
+    """Run a one-factor audit and set every report against ``mass_matrix`` on each gauge alone.
+
+    The swept gauge's metric is differentiated directly there, not by the product rule.
+    """
     from weylmass.weyl import gauge_change
 
     ws = WeylStructure(space, base, radial_lee(space, 0.4))
     radii = geometric_radii(40.0, 320.0, 4)
     quad = QuadratureSpec(sphere=26, fiber=4)
 
-    def query(w, z):
-        return MassQuery(ws=w, z=z, radii=radii, quad=quad, engine=engine, check_decay=False)
+    def reports(w):
+        return mass_matrix(engine, w, radii=radii, quad=quad, check_decay=False)[2]
 
     audits, pred = gauge_audit(engine, ws, [f], radii=radii, quad=quad, check_decay=False)[0]
     assert [a.z_label for a in audits] == ["1*X1", "1*X2", "1*X3"]
-    for b, audit in enumerate(audits):
-        assert audit.mass_base == conformal_mass(query(ws, b)).mass
-        swept_equal(audit.mass_swept, conformal_mass(query(gauge_change(ws, f), b)).mass)
+    base_reports, gauged_reports = reports(ws), reports(gauge_change(ws, f))
+    for audit in audits:
+        assert audit.mass_base == base_reports[audit.z_label].mass
+        swept_equal(audit.mass_swept, gauged_reports[audit.z_label].mass)
     swept = WeylStructure(space, conformal_sweep(ws.metric, f), ws.lee)
-    assert pred.base_mass == riemannian_mass_Q(query(ws, 0)).q_limit
-    swept_equal(pred.swept_mass, riemannian_mass_Q(query(swept, 0)).q_limit)
+    assert pred.base_mass == base_reports["1*X1"].q_limit
+    swept_equal(pred.swept_mass, reports(swept)["1*X1"].q_limit)
 
 
 def _exactly(got, want):
@@ -409,22 +437,24 @@ def test_gauge_audit_fd_swept_jets_match_direct_fd(hopf_space, fd_engine, factor
                                  factor(hopf_space), close)
 
 
-def _count_shell_forms(monkeypatch) -> list:
+def _count_shell_contractions(monkeypatch) -> list:
+    """Names of the metrics whose shell forms are contracted, one entry per shell and gauge."""
     import weylmass.mass as mass_mod
 
     calls = []
+    contract = mass_mod._contract_shell
 
-    def counted(*args, **kw):
-        calls.append(args[2].name)
-        return shell_forms(*args, **kw)
+    def counted(model, name, *args):
+        calls.append(name)
+        return contract(model, name, *args)
 
-    monkeypatch.setattr(mass_mod, "shell_forms", counted)
+    monkeypatch.setattr(mass_mod, "_contract_shell", counted)
     return calls
 
 
 def test_gauge_audit_sweep_takes_one_base_pass(hopf_space, monkeypatch):
-    """N factors on R radii cost R base shell forms, R metric jets, R N factor jets and R evaluations of the
-    h-Christoffel coefficients; no f g is differentiated.
+    """N factors on R radii cost R metric jets, R N factor jets, R (N + 1) shell contractions and R evaluations
+    of the h-Christoffel coefficients; no f g is differentiated.
 
     Each factor's reports equal a one-factor call.
     """
@@ -436,7 +466,7 @@ def test_gauge_audit_sweep_takes_one_base_pass(hopf_space, monkeypatch):
     quad = QuadratureSpec(sphere=6, fiber=2)
     factors = [radial_profile(hopf_space, beta=0.2), random_adapted_scalar(hopf_space, seed=5),
                radial_profile(hopf_space, beta=0.45)]
-    calls = _count_shell_forms(monkeypatch)
+    calls = _count_shell_contractions(monkeypatch)
     jets = []
     jet1 = engine.jet1
     monkeypatch.setattr(engine, "jet1", lambda fld, coords: jets.append(fld.name) or jet1(fld, coords))
@@ -446,7 +476,8 @@ def test_gauge_audit_sweep_takes_one_base_pass(hopf_space, monkeypatch):
                         lambda self, coords: lc_calls.append(1) or lc_coeffs_h(self, coords))
     results = gauge_audit(engine, ws, factors, radii=radii, quad=quad, check_decay=False)
     assert len(lc_calls) == len(radii)
-    assert calls == [ws.metric.name] * len(radii)
+    swept_names = [conformal_sweep(ws.metric, f).name for f in factors]
+    assert calls == ([ws.metric.name] + swept_names) * len(radii)
     assert jets.count(ws.metric.name) == len(radii)
     assert not [name for name in jets if name.startswith("conformal_sweep(")]
     assert sum(jets.count(name) for name in {f.name for f in factors}) == len(radii) * len(factors)
@@ -462,7 +493,7 @@ def test_gauge_audit_sweep_takes_one_base_pass(hopf_space, monkeypatch):
 def test_gauge_audit_refuses_any_factor_before_flux_work(model, engine, monkeypatch, bad):
     """A non-adapted or non-positive factor anywhere in the sweep is refused before the first shell form."""
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), radial_lee(model, 0.4))
-    calls = _count_shell_forms(monkeypatch)
+    calls = _count_shell_contractions(monkeypatch)
     with pytest.raises(MassNotDefinedError):
         gauge_audit(engine, ws, [radial_profile(model, beta=0.3), bad(model)], check_decay=False)
     assert calls == []
@@ -502,7 +533,7 @@ def test_flux_sequence_cauchy_rate(model, engine):
     """Normalized flux differences decay at the integrated rate r^(2-m)."""
     ws = WeylStructure(model, kaluza_two_term(model, mu=1.0, kappa=0.6), zero_lee(model))
     radii = list(geometric_radii(20, 320, 6))
-    rep = riemannian_mass_Q(MassQuery(ws=ws, z=0, radii=radii, engine=engine))
+    rep = x1_report(engine, ws, radii=radii)
     diffs = np.abs(np.diff(rep.q_values))
     assert np.all(diffs > 0)
     lx = np.log(np.asarray(radii[1:]))
@@ -521,7 +552,7 @@ def test_richardson_limit_exact_on_model_sequence():
 
 def test_mass_matrix_isotropy(model, engine):
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), zero_lee(model))
-    mat, _, reports = mass_matrix(engine, ws, conformal=False, check_decay=False)
+    mat, _, reports = mass_matrix(engine, ws, check_decay=False)
     assert np.allclose(np.diag(mat), 4.0 / 3.0, atol=1e-9)
     off = mat - np.diag(np.diag(mat))
     assert np.max(np.abs(off)) < 1e-6
@@ -545,6 +576,6 @@ def test_soft_positivity_on_verified_examples(model, hopf_space, engine):
         floor = ricci_positivity_floor(engine, ws, sample_count=8)
         if floor >= -1e-6:
             verified += 1
-            mat, _, _ = mass_matrix(engine, ws, conformal=True, check_decay=False)
+            mat, _, _ = mass_matrix(engine, ws, check_decay=False)
             assert np.min(np.linalg.eigvalsh(mat)) >= -1e-4
     assert verified >= 1  # at least the flat product must qualify

@@ -381,10 +381,12 @@ def cmd_report(cfg: RunConfig, paths: list[str]) -> int:
         if not p.exists():
             raise ConfigError(f"report file not found: {path}")
         print(f"== {path}")
+        config = {}
         with open(p) as fh:
             for line in fh:
                 rec = json.loads(line)
                 if "config" in rec:
+                    config = rec["config"]
                     continue
                 if "identity" in rec:
                     status = "PASS" if rec.get("passed") else "FAIL"
@@ -396,6 +398,12 @@ def cmd_report(cfg: RunConfig, paths: list[str]) -> int:
                         ok = ok and audit.get("passed", False)
                         print(f"  [{status}] invariance {rec['factor']} Z={audit['Z']}: "
                               f"{audit['rel_difference']:.3e}")
+                    # the strict test of cmd_sweep, against the mass tolerance of the file's config
+                    tol = config["tolerances"]["mass"]
+                    rel_error = rec["prediction"]["rel_error"]
+                    ok = ok and rel_error < tol
+                    print(f"  [{'PASS' if rel_error < tol else 'FAIL'}] mass-shift prediction {rec['factor']}: "
+                          f"{rel_error:.3e} (tol {tol:g})")
                 elif "mass_matrix" in rec:
                     print(f"  mass eigenvalues: {rec['eigenvalues']}")
                 elif "Z" in rec:

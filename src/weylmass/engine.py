@@ -12,11 +12,11 @@ first in all jet outputs, derivative axes lead:
 
 Fields that cannot take Taylor2 coordinates (non-analytic inputs such as
 ``compact_lee``) set ``analytic=False``; the engine differentiates them by
-finite differences even in dual mode, with the step schedule
-``h = max(rel_step * r, min_step)`` so relative truncation error stays
-uniform as the radius grows.  No operator output is differentiated that
-way: curvature, second covariant derivatives and the decay probes build
-their derivatives in closed form from one ``jet2`` of the analytic inputs
+finite differences even in dual mode, with the fixed step schedule
+``h = max(FD_REL_STEP * r, FD_MIN_STEP)`` so relative truncation error
+stays uniform as the radius grows.  No operator output is differentiated
+that way: curvature, second covariant derivatives and the decay probes
+build their derivatives in closed form from one jet of each input
 (exact Hessian in dual mode, Richardson-FD Hessian in fd mode).
 """
 
@@ -31,6 +31,9 @@ from .autodiff import collect_jet, seed_point
 
 # (weight, step scale) of the two-level Richardson combination of central differences
 RICHARDSON_WEIGHTS = ((-1.0 / 3.0, 1.0), (4.0 / 3.0, 0.5))
+# FD step schedule: h = max(FD_REL_STEP * r, FD_MIN_STEP) at the batch's largest radius r
+FD_REL_STEP = 1e-4
+FD_MIN_STEP = 1e-5
 
 
 @dataclass
@@ -74,8 +77,6 @@ class DerivativeEngine:
     """Switchable dual-number / finite-difference jet provider."""
 
     mode: str = "dual"
-    rel_step: float = 1e-4
-    min_step: float = 1e-5
 
     def __post_init__(self):
         if self.mode not in ("dual", "fd"):
@@ -111,7 +112,7 @@ class DerivativeEngine:
 
     def step(self, coords) -> float:
         r = float(np.max(np.sqrt(np.sum(np.asarray(coords, dtype=float) ** 2, axis=0))))
-        return max(self.rel_step * r, self.min_step)
+        return max(FD_REL_STEP * r, FD_MIN_STEP)
 
     def _central(self, fld: Field, coords, i: int, h: float) -> np.ndarray:
         batch = coords.shape[1:]

@@ -90,9 +90,6 @@ class ScalarField:
     def as_field(self) -> Field:
         return Field(self.fn, shape=(), analytic=self.analytic, name=self.name)
 
-    def grad_field(self) -> Field:
-        return Field(self.grad_fn, shape=(self.model.dim,), analytic=self.analytic, name=self.name + ".grad")
-
     def __call__(self, coords):
         return self.fn(coords)
 

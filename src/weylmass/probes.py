@@ -1,11 +1,15 @@
 """Decay probes: measure log-log falloff rates of fields and classify them
 against declared exponents.
 
-A probe samples the sup of a field norm over random directions on a
-geometric radius schedule (one field evaluation on the directions at all
-radii), fits the slope of log(norm) against log(r) by least squares, and
-PASSes when the measured slope is at most the declared exponent plus a
-fixed margin (0.2 by default, matching the acceptance tolerance).
+Every probe samples one fixed grid: the 8 directions of
+``direction_samples`` (fixed seed) at each radius of ``PROBE_RADII``
+(8 to 128, geometric).  Each suite takes one jet of its field on that grid
+and reads every probed quantity off it: a metric jet2 gives g - h, grad_h g
+and grad2_h g, a Lee-form jet1 gives theta and d(theta), a conformal-factor
+jet2 gives f - 1, df and ddf.  A probe takes the sup of the frame norm over
+the directions at each radius, fits the slope of log(norm) against log(r) by
+least squares, and PASSes when the slope is at most the declared exponent
+plus SLOPE_MARGIN (0.2, matching the acceptance tolerance).
 Identically-zero fields report slope -inf and PASS.
 
 ``require_positive`` is not a decay probe: it samples a conformal factor
@@ -21,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import DerivativeEngine, Field, frame_jet1, frame_jet2
+from .engine import DerivativeEngine, frame_jet1, frame_jet2
 from .errors import MassNotDefinedError
 from .families import LeeFormField, MetricFamily, ScalarField
 from .model import ModelSpace
@@ -62,9 +66,13 @@ def geometric_radii(r0: float, rmax: float, count: int) -> np.ndarray:
     return r0 * (rmax / r0) ** (np.arange(count) / (count - 1))
 
 
-def direction_samples(model: ModelSpace, count: int, seed: int = 1234) -> np.ndarray:
-    """Unit directions on the base sphere plus random fiber values, batched."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 77]))
+PROBE_RADII = geometric_radii(8.0, 128.0, 5)
+PROBE_DIRECTIONS = 8
+
+
+def direction_samples(model: ModelSpace, count: int) -> np.ndarray:
+    """Unit directions on the base sphere plus random fiber values, batched (fixed seed)."""
+    rng = np.random.default_rng(np.random.SeedSequence([1234, 77]))
     u = rng.normal(size=(model.m, count))
     u /= np.sqrt(np.sum(u * u, axis=0))
     t = rng.uniform(0.0, model.L, size=count)
@@ -74,17 +82,12 @@ def direction_samples(model: ModelSpace, count: int, seed: int = 1234) -> np.nda
 def decay_probe(norm_at_radius: Callable[[float], float], radii, declared: float,
                 name: str = "field", margin: float = SLOPE_MARGIN) -> ProbeReport:
     """Fit sup-norm samples against radius; classify against the declared rate."""
-    radii = _probe_radii(radii)
-    return _fit_decay(radii, [norm_at_radius(r) for r in radii], declared, name, margin)
-
-
-def _probe_radii(radii) -> np.ndarray:
     radii = np.asarray(radii, dtype=float)
     if radii.size < 4:
         raise ValueError("decay probe needs at least 4 radii")
     if np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be strictly increasing")
-    return radii
+    return _fit_decay(radii, [norm_at_radius(r) for r in radii], declared, name, margin)
 
 
 def _fit_decay(radii: np.ndarray, norms, declared: float, name: str, margin: float) -> ProbeReport:
@@ -112,124 +115,74 @@ def _radial_points(radii, u: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.concatenate([np.concatenate([r * u, t[None, :]], axis=0) for r in radii], axis=1)
 
 
-def probe_tensor_field(engine: DerivativeEngine, model: ModelSpace, fld: Field, declared: float,
-                       name: str, radii, directions: int = 8, seed: int = 1234) -> ProbeReport:
-    """Decay probe of a field from one evaluation on the probe directions at all radii.
+def probe_grid(model: ModelSpace) -> np.ndarray:
+    """The probe grid: the 8 probe directions at every radius of PROBE_RADII."""
+    u, t = direction_samples(model, PROBE_DIRECTIONS)
+    return _radial_points(PROBE_RADII, u, t)
 
-    The per-radius sup norms are read off the one batch; an FD jet inside
-    the field takes its step from the batch's largest radius.
+
+def probe_tensor_field(values: np.ndarray, declared: float, name: str, radii) -> ProbeReport:
+    """Decay probe of a field's values on the probe grid over ``radii``.
+
+    The batch axis holds the directions radius by radius; the per-radius
+    sup norms are read off the one batch.
     """
-    radii = _probe_radii(radii)
-    u, t = direction_samples(model, directions, seed)
-    values = fld.values(_radial_points(radii, u, t))
     norms = [_sup_norm(block) for block in np.split(values, len(radii), axis=-1)]
     return _fit_decay(radii, norms, declared, name, SLOPE_MARGIN)
 
 
 # ---------------------------------------------------------------------------
-# ALF / adapted-class probe suites
+# ALF / adapted-class probe suites: one jet of each field on the probe grid
 # ---------------------------------------------------------------------------
 
 
-def metric_probes(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily,
-                  radii=None, directions: int = 8, seed: int = 1234) -> list[ProbeReport]:
+def _metric_probe_values(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, pts):
+    """g - h, grad_h g and grad2_h g at pts from one metric jet2.
+
+    grad2_h g is closed-form; E_p of the h-coefficients comes from the
+    structure Jacobian.
+    """
+    gam = model.lc_coeffs_h(pts)
+    dC = model.structure_jacobian(pts)
+    dgam = 0.5 * (dC - np.swapaxes(dC, 2, 3) - np.moveaxis(dC, 3, 1))
+    g, dg, ddg = frame_jet2(engine, model, fam.as_field(), pts)
+    G, dG = _slot_jet(g, dg, ddg, gam, dgam, None, None, 0.0, 2)
+    return g - np.eye(model.dim)[:, :, None], G, lc_form_block(dG, G, gam, 3)
+
+
+def metric_probes(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily) -> list[ProbeReport]:
     """Three probes on a family: g - h, first and second model derivatives."""
     m = model.m
-    radii = geometric_radii(8.0, 128.0, 5) if radii is None else radii
-    n = model.dim
-    mfield = fam.as_field()
-
-    def dev_fn(coords):
-        g = mfield.fn(coords)
-        return [[g[i][j] - (1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
-
-    dev = Field(dev_fn, shape=(n, n), analytic=fam.analytic, name=fam.name + "-h")
-
-    def grad_fn(coords):
-        coords = np.asarray(coords, dtype=float)
-        g, dg = frame_jet1(engine, model, mfield, coords)
-        return lc_form_block(dg, g, model.lc_coeffs_h(coords), 2)
-
-    grad = Field(grad_fn, shape=(n, n, n), analytic=False, name="grad_h(" + fam.name + ")")
-
-    def grad2_fn(coords):
-        # closed form from one metric jet2; E_p of the h-coefficients from the structure Jacobian
-        coords = np.asarray(coords, dtype=float)
-        gam = model.lc_coeffs_h(coords)
-        dC = model.structure_jacobian(coords)
-        dgam = 0.5 * (dC - np.swapaxes(dC, 2, 3) - np.moveaxis(dC, 3, 1))
-        G, dG = _slot_jet(*frame_jet2(engine, model, mfield, coords), gam, dgam, None, None, 0.0, 2)
-        return lc_form_block(dG, G, gam, 3)
-
-    grad2 = Field(grad2_fn, shape=(n, n, n, n), analytic=False, name="grad2_h(" + fam.name + ")")
-
-    required = [2 - m, 1 - m, -m]
-    reports = []
-    for fld, req, tag in zip((dev, grad, grad2), required, ("g-h", "grad_h g", "grad2_h g")):
-        reports.append(probe_tensor_field(engine, model, fld, req, f"{fam.name}:{tag}", radii, directions, seed))
-    return reports
+    values = _metric_probe_values(engine, model, fam, probe_grid(model))
+    return [probe_tensor_field(v, req, f"{fam.name}:{tag}", PROBE_RADII)
+            for v, req, tag in zip(values, (2 - m, 1 - m, -m), ("g-h", "grad_h g", "grad2_h g"))]
 
 
-def lee_probes(engine: DerivativeEngine, model: ModelSpace, lee: LeeFormField,
-               radii=None, directions: int = 8, seed: int = 1234) -> list[ProbeReport]:
+def lee_probes(engine: DerivativeEngine, model: ModelSpace, lee: LeeFormField) -> list[ProbeReport]:
     """Weyl-ALF probes: theta at rate 1-m and d(theta) at rate 2-m."""
     m = model.m
-    radii = geometric_radii(8.0, 128.0, 5) if radii is None else radii
-    lfield = lee.as_field()
-
-    def dtheta_fn(coords):
-        coords = np.asarray(coords, dtype=float)
-        theta, dtheta = frame_jet1(engine, model, lfield, coords)
-        return _faraday_components(theta, dtheta, model.structure_constants(coords))
-
-    dfield = Field(dtheta_fn, shape=(model.dim, model.dim), analytic=False, name="d(" + lee.name + ")")
-    return [
-        probe_tensor_field(engine, model, lfield, 1 - m, f"{lee.name}:theta", radii, directions, seed),
-        probe_tensor_field(engine, model, dfield, 2 - m, f"{lee.name}:dtheta", radii, directions, seed),
-    ]
+    pts = probe_grid(model)
+    theta, dtheta = frame_jet1(engine, model, lee.as_field(), pts)
+    dtheta = _faraday_components(theta, dtheta, model.structure_constants(pts))
+    return [probe_tensor_field(theta, 1 - m, f"{lee.name}:theta", PROBE_RADII),
+            probe_tensor_field(dtheta, 2 - m, f"{lee.name}:dtheta", PROBE_RADII)]
 
 
-def connection_probe(engine: DerivativeEngine, model: ModelSpace, radii=None,
-                     directions: int = 8, seed: int = 1234) -> ProbeReport:
+def connection_probe(model: ModelSpace) -> ProbeReport:
     """Fibration curvature |d(eta)|_h at the required rate 1-m (zero when trivial)."""
-    m = model.m
-    radii = geometric_radii(8.0, 128.0, 5) if radii is None else radii
-
-    def omega_fn(coords):
-        coords = np.asarray(coords, dtype=float)
-        x, _ = model.split(coords)
-        return model.deta(x)
-
-    fld = Field(omega_fn, shape=(m, m), analytic=False, name="deta")
-    return probe_tensor_field(engine, model, fld, 1 - m, f"{model.fibration}:deta", radii, directions, seed)
+    x, _ = model.split(probe_grid(model))
+    return probe_tensor_field(model.deta(x), 1 - model.m, f"{model.fibration}:deta", PROBE_RADII)
 
 
-def adapted_metric_check(engine: DerivativeEngine, model: ModelSpace, f: ScalarField,
-                         radii=None, directions: int = 8, seed: int = 1234) -> list[ProbeReport]:
-    """Membership probes for the adapted conformal-factor class:
+def adapted_metric_check(engine: DerivativeEngine, model: ModelSpace, f: ScalarField) -> list[ProbeReport]:
+    """Membership probes for the adapted conformal-factor class, from one jet2 of f:
 
     f - 1 at rate 2-m, first derivatives at 1-m, second derivatives at -m.
     """
     m = model.m
-    radii = geometric_radii(8.0, 128.0, 5) if radii is None else radii
-
-    def dev_fn(coords):
-        return f.fn(coords) - 1.0
-
-    dev = Field(dev_fn, shape=(), analytic=f.analytic, name=f.name + "-1")
-    grad = f.grad_field()
-
-    def hess_fn(coords):
-        coords = np.asarray(coords, dtype=float)
-        _, dgrad = frame_jet1(engine, model, grad, coords)
-        return dgrad
-
-    hess = Field(hess_fn, shape=(model.dim, model.dim), analytic=False, name="dd(" + f.name + ")")
-    return [
-        probe_tensor_field(engine, model, dev, 2 - m, f"{f.name}:f-1", radii, directions, seed),
-        probe_tensor_field(engine, model, grad, 1 - m, f"{f.name}:df", radii, directions, seed),
-        probe_tensor_field(engine, model, hess, -m, f"{f.name}:ddf", radii, directions, seed),
-    ]
+    val, df, ddf = frame_jet2(engine, model, f.as_field(), probe_grid(model))
+    return [probe_tensor_field(v, req, f"{f.name}:{tag}", PROBE_RADII)
+            for v, req, tag in zip((val - 1.0, df, ddf), (2 - m, 1 - m, -m), ("f-1", "df", "ddf"))]
 
 
 def _failed_probes(reports: list[ProbeReport]) -> str:
@@ -241,8 +194,8 @@ def _factor_label(f: ScalarField) -> str:
     return f"{f.name}(" + ", ".join(f"{k}={v!r}" for k, v in f.params.items()) + ")"
 
 
-def require_adapted(engine: DerivativeEngine, model: ModelSpace, f: ScalarField, **kw) -> None:
-    names = _failed_probes(adapted_metric_check(engine, model, f, **kw))
+def require_adapted(engine: DerivativeEngine, model: ModelSpace, f: ScalarField) -> None:
+    names = _failed_probes(adapted_metric_check(engine, model, f))
     if names:
         raise MassNotDefinedError(f"conformal factor {_factor_label(f)} is not adapted: "
                                   f"rejected by probe {names}")
@@ -255,7 +208,7 @@ def require_positive(model: ModelSpace, f: ScalarField, rmax: float) -> None:
     directions at POSITIVITY_RADII geometric radii from just outside the
     excised radius R to rmax.
     """
-    u, t = direction_samples(model, 8)
+    u, t = direction_samples(model, PROBE_DIRECTIONS)
     radii = geometric_radii(model.R * (1.0 + 1e-6), rmax, POSITIVITY_RADII)
     pts = _radial_points(radii, u, t)
     vals = np.broadcast_to(np.asarray(f.fn(pts), dtype=float), pts.shape[1:])
@@ -265,8 +218,8 @@ def require_positive(model: ModelSpace, f: ScalarField, rmax: float) -> None:
                                   f"f = {vals[k]:.6g} at r = {radii[k // u.shape[1]]:.6g}")
 
 
-def require_alf(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, **kw) -> list[ProbeReport]:
-    reports = metric_probes(engine, model, fam, **kw)
+def require_alf(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily) -> list[ProbeReport]:
+    reports = metric_probes(engine, model, fam)
     names = _failed_probes(reports)
     if names:
         raise MassNotDefinedError(f"metric family {fam.name!r} fails decay probes: {names}")
@@ -274,9 +227,9 @@ def require_alf(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, 
 
 
 def require_weyl_alf(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily,
-                     lee: LeeFormField, **kw) -> list[ProbeReport]:
-    reports = require_alf(engine, model, fam, **kw)
-    lreports = lee_probes(engine, model, lee, **kw)
+                     lee: LeeFormField) -> list[ProbeReport]:
+    reports = require_alf(engine, model, fam)
+    lreports = lee_probes(engine, model, lee)
     names = _failed_probes(lreports)
     if names:
         raise MassNotDefinedError(f"lee form {lee.name!r} fails decay probes: {names}")

@@ -19,7 +19,8 @@ from weylmass.identities import (check_bochner_divergence, check_bochner_integra
                                  check_curvature_split, check_d_squared, check_d_transform,
                                  check_torsion, resolve_bochner_sign)
 from weylmass.mass import gauge_audit, mass_matrix, ricci_positivity_floor
-from weylmass.probes import connection_probe, lee_probes, metric_probes, probe_tensor_field
+from weylmass.probes import (PROBE_RADII, connection_probe, lee_probes, metric_probes, probe_grid,
+                             probe_tensor_field)
 from weylmass.quadrature import QuadratureSpec
 from weylmass.weyl import WeylStructure
 
@@ -154,7 +155,7 @@ def test_criterion_7_decay_probes(model, hopf_space):
     for rep in metric_probes(engine, hopf_space, hopf_model(hopf_space)):
         assert rep.passed
         checked.append(rep.name)
-    assert connection_probe(engine, hopf_space).passed
+    assert connection_probe(hopf_space).passed
 
     for lee in (radial_lee(model, 0.5), mixed_lee(model, 0.5, 0.3), zero_lee(model)):
         for rep in lee_probes(engine, model, lee):
@@ -164,9 +165,8 @@ def test_criterion_7_decay_probes(model, hopf_space):
     # the negative-control family reproduces its own declared (slow) exponents
     # while failing the asymptotic requirement
     slow = slow_tail(model, mu=1.0)
-    own = probe_tensor_field(engine, model,
-                             _deviation_field(slow), slow.decay_g, "slow_tail:own-rate",
-                             radii=[8.0, 16.0, 32.0, 64.0, 128.0])
+    own = probe_tensor_field(_deviation_field(slow).values(probe_grid(model)), slow.decay_g,
+                             "slow_tail:own-rate", PROBE_RADII)
     assert own.passed and own.slope == pytest.approx(-0.5, abs=0.05)
     alf = metric_probes(engine, model, slow)
     assert not all(r.passed for r in alf)

@@ -130,7 +130,7 @@ def test_frame_jet_uses_connection_on_hopf(hopf_space, engine):
 
 
 def test_engine_step_schedule():
-    eng = DerivativeEngine(mode="fd", rel_step=1e-4, min_step=1e-5)
+    eng = DerivativeEngine(mode="fd")
     assert eng.step(np.array([100.0, 0, 0, 0])) == pytest.approx(1e-2)
     assert eng.step(np.array([0.01, 0, 0, 0])) == pytest.approx(1e-5)
 

@@ -1,5 +1,5 @@
 """The CI workflow installs the test extra, runs CLI smoke commands (a Hopf and an m = 5 mass, a pointwise
-and an annulus verify, then a Hopf sweep), summarizes every report they wrote, and runs the tier-1 command
+and an annulus verify, then Hopf sweeps), summarizes every report they wrote, and runs the tier-1 command
 that ROADMAP.md names, with a time limit."""
 
 import json
@@ -68,7 +68,9 @@ def test_workflow_smoke_runs_an_annulus_verify():
 
 def test_workflow_sweep_smoke_runs_a_hopf_sweep():
     """After the verify smoke and before the report smoke, a 2-value radial_profile sweep on the Hopf
-    fibration, in dual and in fd mode (the swept jets come from the product rule in both)."""
+    fibration, in dual and in fd mode (the swept jets come from the product rule in both), then a dual
+    directional_profile sweep there: its factor has an angular df and an off-diagonal ddf, so the factor
+    probe reads a full frame Hessian on the anholonomic chart."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
@@ -77,11 +79,13 @@ def test_workflow_sweep_smoke_runs_a_hopf_sweep():
     smoke = job["steps"][names.index("Sweep smoke")]["run"]
     configs = [json.loads(c) for c in re.findall(r"echo '([^']+)' > \"\$RUNNER_TEMP/", smoke)]
     sweep = {"name": "radial_profile", "param": "beta", "values": [0.2, 0.4]}
+    directional = {"name": "directional_profile", "param": "beta", "values": [0.2, 0.3]}
     assert configs == [{"model": {"fibration": "hopf"}, "sweep": sweep},
-                       {"model": {"fibration": "hopf"}, "mode": "fd", "sweep": sweep}]
+                       {"model": {"fibration": "hopf"}, "mode": "fd", "sweep": sweep},
+                       {"model": {"fibration": "hopf"}, "sweep": directional}]
     runs = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" .*\bsweep$",
                       smoke, re.MULTILINE)
-    assert runs == ["sweep", "sweep_fd"]
+    assert runs == ["sweep", "sweep_fd", "sweep_dir"]
 
 
 def test_workflow_mass_smoke_runs_a_hopf_mass():
@@ -105,8 +109,8 @@ def test_workflow_mass_smoke_runs_a_hopf_mass():
 
 def test_workflow_report_smoke_reads_every_smoke_report():
     """Between the sweep smoke and the tier-1 tests, ``python -m weylmass report`` reads every JSONL report
-    the smoke steps wrote, in order, so a mass record that did not converge fails the job (``mass`` itself
-    exits 0 on it)."""
+    the smoke steps wrote, in order, so a mass record that did not converge (``mass`` itself exits 0 on it)
+    or a sweep record whose audit or mass-shift prediction failed fails the job."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
@@ -116,7 +120,7 @@ def test_workflow_report_smoke_reads_every_smoke_report():
                for name in ("Mass smoke", "CLI smoke", "Sweep smoke")
                for out, command in re.findall(r"--out \"\$RUNNER_TEMP/(\w+)\" (\w+)$",
                                               job["steps"][names.index(name)]["run"], re.MULTILINE)]
-    assert len(written) == 6
+    assert len(written) == 7
     (line,) = job["steps"][names.index("Report smoke")]["run"].strip().splitlines()
     prefix = "PYTHONPATH=src python -m weylmass report "
     assert line.startswith(prefix)

@@ -202,6 +202,24 @@ def test_report_subcommand(tmp_path):
     assert res2.returncode == 1
 
 
+def test_report_fails_a_sweep_whose_prediction_failed(tmp_path):
+    """``report`` checks each sweep record's prediction against the file's own mass tolerance, as ``sweep``
+    does: a rel_error of 1.0 fails it although every audit passed."""
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli(["--config", str(cfg), "sweep"], out).returncode == 0
+    path = out / "sweep_report.jsonl"
+    res = run_cli(["report", str(path)], out)
+    assert res.returncode == 0, res.stderr + res.stdout
+    assert res.stdout.count("[PASS] mass-shift prediction") == 2
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    records[2]["prediction"]["rel_error"] = 1.0
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    res = run_cli(["report", str(path)], out)
+    assert res.returncode == 1, res.stderr + res.stdout
+    assert res.stdout.count("[FAIL]") == 1 and "[FAIL] mass-shift prediction" in res.stdout
+
+
 def test_out_env_var(tmp_path, monkeypatch):
     import os
     import subprocess as sp

@@ -386,65 +386,88 @@ def test_builtin_families_pass_alf_probes(model, engine, name, params):
 def test_hopf_family_passes_probes(hopf_space, engine):
     for rep in metric_probes(engine, hopf_space, hopf_model(hopf_space)):
         assert rep.passed
-    rep = connection_probe(engine, hopf_space)
+    rep = connection_probe(hopf_space)
     assert rep.passed
     assert rep.slope == pytest.approx(1 - hopf_space.m, abs=0.05)
 
 
 @pytest.mark.parametrize("chart,fiber", [("model", False), ("model", True),
                                          ("hopf_space", False), ("hopf_space", True)])
-def test_grad2_probe_matches_nested_fd(request, engine, monkeypatch, chart, fiber):
+def test_grad2_probe_matches_nested_fd(request, engine, chart, fiber):
     """The closed-form grad2_h g against frame FD of the (non-analytic) grad_h g field."""
     from weylmass import probes
-    from weylmass.engine import frame_jet1
+    from weylmass.engine import Field, frame_jet1
     from weylmass.identities import _rng, trial_point
     from weylmass.weyl import lc_form_block
 
     space = request.getfixturevalue(chart)
-    fields = {}
-    monkeypatch.setattr(probes, "probe_tensor_field",
-                        lambda eng, mdl, fld, declared, name, *a, **kw: fields.setdefault(name.split(":")[1], fld))
-    probes.metric_probes(engine, space, random_local_metric(space, seed=46, fiber_dependence=fiber))
+    fam = random_local_metric(space, seed=46, fiber_dependence=fiber)
+    n = space.dim
+    grad = Field(lambda c: probes._metric_probe_values(engine, space, fam, np.asarray(c, dtype=float))[1],
+                 shape=(n, n, n), analytic=False)
     rng = _rng(46, 35, 0)
     pts = np.stack([trial_point(space, rng) for _ in range(3)], axis=1)
-    G, dG = frame_jet1(engine, space, fields["grad_h g"], pts)
+    G, dG = frame_jet1(engine, space, grad, pts)
     oracle = lc_form_block(dG, G, space.lc_coeffs_h(pts), 3)
-    got = fields["grad2_h g"].values(pts)
+    got = probes._metric_probe_values(engine, space, fam, pts)[2]
     assert np.max(np.abs(got - oracle)) < 1e-9 * np.max(np.abs(oracle))
 
 
 @pytest.mark.parametrize("chart", ["model", "hopf_space"])
 def test_batched_probe_norms_equal_per_radius_norms(request, engine, monkeypatch, chart):
-    """Each probe's one batch over all radii gives bitwise the norms of one evaluation per radius."""
+    """Each suite's one jet over all radii gives bitwise the norms of one jet per radius (dual mode)."""
     from weylmass import probes
     from weylmass.families import directional_profile, random_adapted_scalar, random_local_lee
 
     space = request.getfixturevalue(chart)
-    batched = probes.probe_tensor_field
-    seen = []
 
-    def per_radius(eng, mdl, fld, declared, name, radii, directions=8, seed=1234):
-        rep = batched(eng, mdl, fld, declared, name, radii, directions, seed)
-        u, t = probes.direction_samples(mdl, directions, seed)
-        alone = [probes._sup_norm(fld.values(np.concatenate([r * u, t[None, :]], axis=0))) for r in radii]
-        assert rep.norms == alone, name
-        seen.append(name)
-        return rep
+    def run_suites():
+        reports = []
+        for fam in (kaluza_perturbation(space, mu=1.0), random_local_metric(space, seed=3, fiber_dependence=True)):
+            reports += probes.metric_probes(engine, space, fam)
+        for lee in (radial_lee(space, 0.4), random_local_lee(space, seed=3, fiber_dependence=True)):
+            reports += probes.lee_probes(engine, space, lee)
+        for f in (radial_profile(space, beta=0.3), random_adapted_scalar(space, seed=5),
+                  directional_profile(space, beta=0.3)):
+            reports += probes.adapted_metric_check(engine, space, f)
+        return reports + [probes.connection_probe(space)]
 
-    monkeypatch.setattr(probes, "probe_tensor_field", per_radius)
-    for fam in (kaluza_perturbation(space, mu=1.0), random_local_metric(space, seed=3, fiber_dependence=True)):
-        probes.metric_probes(engine, space, fam)
-    for lee in (radial_lee(space, 0.4), random_local_lee(space, seed=3, fiber_dependence=True)):
-        probes.lee_probes(engine, space, lee)
-    for f in (radial_profile(space, beta=0.3), random_adapted_scalar(space, seed=5),
-              directional_profile(space, beta=0.3)):
-        probes.adapted_metric_check(engine, space, f)
-    probes.connection_probe(engine, space)
-    assert len(seen) == 2 * 3 + 2 * 2 + 3 * 3 + 1
+    batched = run_suites()
+    alone = []
+    for r in probes.PROBE_RADII:
+        monkeypatch.setattr(probes, "PROBE_RADII", np.array([r]))
+        alone.append(run_suites())
+    assert len(batched) == 2 * 3 + 2 * 2 + 3 * 3 + 1
+    for k, rep in enumerate(batched):
+        assert rep.norms == [reports[k].norms[0] for reports in alone], rep.name
 
 
-def test_trivial_connection_probe(model, engine):
-    rep = connection_probe(engine, model)
+@pytest.mark.parametrize("mode", ["dual", "fd"])
+def test_probe_suites_take_one_jet_per_field(model, monkeypatch, mode):
+    """require_weyl_alf takes one metric jet2 and one Lee-form jet1; require_adapted one jet2 of f."""
+    from weylmass.engine import DerivativeEngine
+    from weylmass.probes import require_adapted, require_weyl_alf
+
+    jets = []
+    for method in ("jet1", "jet2"):
+        original = getattr(DerivativeEngine, method)
+
+        def counted(self, fld, coords, method=method, original=original):
+            jets.append((method, fld.name))
+            return original(self, fld, coords)
+
+        monkeypatch.setattr(DerivativeEngine, method, counted)
+    engine = DerivativeEngine(mode=mode)
+    fam, lee, f = kaluza_perturbation(model, mu=1.0), radial_lee(model, 0.5), radial_profile(model, beta=0.3)
+    require_weyl_alf(engine, model, fam, lee)
+    assert jets == [("jet2", fam.name), ("jet1", lee.name)]
+    jets.clear()
+    require_adapted(engine, model, f)
+    assert jets == [("jet2", f.name)]
+
+
+def test_trivial_connection_probe(model):
+    rep = connection_probe(model)
     assert rep.passed and rep.slope == -math.inf
 
 

@@ -7,7 +7,6 @@ delta^D, Lap^D and their curvatures, and verifies the Bochner-type
 identities and mass gauge laws by independent numerical paths.
 """
 
-from .algebra import PointMetric, TensorValue, WeightedForm, flat, form_inner, hodge_star, interior, sharp, wedge
 from .engine import DerivativeEngine, Field
 from .errors import (ChartDomainError, ConfigError, DegreeError, DimensionMismatchError,
                      GaugeMismatchError, MassNotDefinedError)
@@ -30,20 +29,11 @@ __all__ = [
     "MassNotDefinedError",
     "MetricFamily",
     "ModelSpace",
-    "PointMetric",
     "ScalarField",
-    "TensorValue",
-    "WeightedForm",
     "WeylStructure",
     "build_lee",
     "build_metric",
     "build_scalar",
-    "flat",
-    "form_inner",
     "gauge_change",
-    "hodge_star",
-    "interior",
-    "sharp",
     "sphere_volume",
-    "wedge",
 ]

@@ -45,9 +45,6 @@ class Field:
     analytic: bool = True
     name: str = ""
 
-    def __call__(self, coords):
-        return self.fn(coords)
-
     def values(self, coords) -> np.ndarray:
         coords = np.asarray(coords, dtype=float)
         return _as_float_array(self.fn(list(coords)), self.shape, coords.shape[1:])

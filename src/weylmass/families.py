@@ -52,9 +52,6 @@ class MetricFamily:
         n = self.model.dim
         return Field(self.fn, shape=(n, n), analytic=self.analytic, name=self.name)
 
-    def __call__(self, coords):
-        return self.fn(coords)
-
 
 @dataclass
 class LeeFormField:
@@ -71,9 +68,6 @@ class LeeFormField:
     def as_field(self) -> Field:
         return Field(self.fn, shape=(self.model.dim,), analytic=self.analytic, name=self.name)
 
-    def __call__(self, coords):
-        return self.fn(coords)
-
 
 @dataclass
 class ScalarField:
@@ -89,23 +83,6 @@ class ScalarField:
 
     def as_field(self) -> Field:
         return Field(self.fn, shape=(), analytic=self.analytic, name=self.name)
-
-    def __call__(self, coords):
-        return self.fn(coords)
-
-    def inverse(self) -> "ScalarField":
-        def fn(coords):
-            return 1.0 / self.fn(coords)
-
-        def grad_fn(coords):
-            f = self.fn(coords)
-            g = self.grad_fn(coords)
-            return [-gi / (f * f) for gi in g]
-
-        return ScalarField(
-            f"inv({self.name})", self.model, fn, grad_fn,
-            params=self.params, analytic=self.analytic, decay_fm1=self.decay_fm1,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -200,20 +177,6 @@ def conformal_sweep(base: MetricFamily, factor: ScalarField) -> MetricFamily:
         decay_dg=None if decay is None else decay - 1,
         decay_ddg=None if decay is None else decay - 2,
     )
-
-
-def sphere_block_test(model: ModelSpace) -> MetricFamily:
-    """Round-sphere block in the (x1, x2) slot; compact sanity chart, not ALF."""
-    n = model.dim
-
-    def fn(coords):
-        s = am.sin(coords[0])
-        rows = []
-        for i in range(n):
-            rows.append([((s * s) if (i == j == 1) else (1.0 if i == j else 0.0)) for j in range(n)])
-        return rows
-
-    return MetricFamily("sphere_block_test", model, fn, is_alf=False)
 
 
 def random_local_metric(model: ModelSpace, seed: int, amplitude: float = 0.12,
@@ -412,38 +375,6 @@ def log_slow_profile(model: ModelSpace, beta: float = 1.0) -> ScalarField:
 def sqrt_slow_profile(model: ModelSpace, beta: float = 1.0) -> ScalarField:
     """f = 1 + beta/sqrt(r): decays, but slower than any adapted rate for m >= 3."""
     return radial_profile(model, beta=beta, power=-0.5)
-
-
-def random_adapted_scalar(model: ModelSpace, seed: int, scale: float = 0.4) -> ScalarField:
-    """Random positive member of the adapted class: radial plus angular tail terms."""
-    m = model.m
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 903]))
-    beta = float(rng.uniform(0.2, 1.0)) * scale
-    gamma = float(rng.uniform(-0.5, 0.5)) * scale
-    axis = int(rng.integers(0, m))
-    base = radial_profile(model, beta=beta)
-    extra = directional_profile(model, beta=gamma, axis=axis)
-
-    def fn(coords):
-        return base.fn(coords) + (extra.fn(coords) - 1.0)
-
-    def grad_fn(coords):
-        gb = base.grad_fn(coords)
-        ge = extra.grad_fn(coords)
-        return [a + b for a, b in zip(gb, ge)]
-
-    return ScalarField(
-        f"random_adapted_scalar(seed={seed})", model, fn, grad_fn,
-        params={"seed": seed, "beta": beta, "gamma": gamma, "axis": axis}, decay_fm1=2 - m,
-    )
-
-
-def eval_metric(fam: MetricFamily, coords):
-    """Pointwise metric with chart-domain and positive-definiteness checks."""
-    from .algebra import PointMetric
-
-    fam.model.require_in_chart(coords)
-    return PointMetric.from_matrix(fam.as_field().values(coords))
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,9 @@ form stays the same.  ``flux_pass`` is the one loop over the shells: on
 each shell g takes one coordinate jet, each factor f of a sweep takes one
 scalar jet, and the jet of f g is formed by the product rule
 (f g, f dg + g df) and contracted exactly as g's own, so g is
-differentiated once per shell however long the sweep.  The Lee-type form
-of df, read off the same factor jet, gives the predicted shift of the Q
+differentiated once per shell however long the sweep.  The same factor
+jet gives the Lee form theta - df/(2f) of gauge f g, with theta evaluated
+once per shell, and the Lee-type form of df, the predicted shift of the Q
 part.  ``mass_matrix`` runs the pass with no factors and ``gauge_audit``
 with the factors of a sweep.  The per-direction densities of q(Z) and of
 the Lee term are kept in the test suite as the independent oracle.
@@ -46,7 +47,7 @@ import numpy as np
 
 from .engine import DerivativeEngine
 from .errors import ChartDomainError
-from .families import LeeFormField, ScalarField
+from .families import ScalarField, conformal_sweep
 from .model import ModelSpace, sphere_volume
 from .probes import geometric_radii, require_adapted, require_positive, require_weyl_alf
 from .quadrature import QuadratureSpec, shell_nodes
@@ -62,8 +63,8 @@ def _lee_type_form(m: int, oneform, wn) -> np.ndarray:
     return 0.5 * (1 - m) * (b + b.T) - np.trace(b) * np.eye(m)
 
 
-def _contract_shell(model: ModelSpace, name: str, g, dg, lee: LeeFormField, pts, wn, gam) -> tuple:
-    """Symmetric m x m forms (Q, C) of one shell from a coordinate jet (g, dg).
+def _contract_shell(model: ModelSpace, name: str, g, dg, theta, pts, wn, gam) -> tuple:
+    """Symmetric m x m forms (Q, C) of one shell from a coordinate jet (g, dg) and the Lee form's values.
 
     ``wn`` is weights * normals and ``gam`` is ``model.lc_coeffs_h(pts)``.
     Raises ChartDomainError if g is not positive definite at some node.
@@ -90,7 +91,7 @@ def _contract_shell(model: ModelSpace, name: str, g, dg, lee: LeeFormField, pts,
     a = np.einsum("kN,cN->kc", v[:m], wn)
     d = np.einsum("cabN,cN->ab", dg[:m, :m, :m], wn)
     q = 0.5 * (a + a.T) - 0.25 * (d + d.T)
-    return q, _lee_type_form(m, lee.as_field().values(pts), wn)
+    return q, _lee_type_form(m, theta, wn)
 
 
 def _rescaled_jet(f_jet, g_jet) -> tuple:
@@ -146,7 +147,8 @@ def flux_pass(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[Sca
     Weyl-ALF decay probes run on g and on the first swept gauge, also
     before it.  On each shell g takes one coordinate jet and each factor
     one scalar jet, and the jet of f g comes from the two by the product
-    rule.  The h-Christoffel coefficients are taken once per shell.
+    rule.  theta and the h-Christoffel coefficients are taken once per
+    shell; the Lee form of f g is theta - df/(2f) with df off the factor jet.
     """
     model = ws.model
     m = model.m
@@ -159,13 +161,13 @@ def flux_pass(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[Sca
     for f in factors:
         require_positive(model, f, radii[-1])
         require_adapted(engine, model, f)
-    gauges = [ws] + [gauge_change(ws, f) for f in factors]
     if check_decay:
-        for w in gauges[:2]:
+        for w in [ws] + [gauge_change(ws, f) for f in factors[:1]]:
             require_weyl_alf(engine, model, w.metric, w.lee)
 
     # shells outside, gauges inside: one shell's metric jet is alive at a time
-    q_forms = np.empty((len(gauges), len(radii), m, m))
+    names = [ws.metric.name] + [conformal_sweep(ws.metric, f).name for f in factors]
+    q_forms = np.empty((len(names), len(radii), m, m))
     c_forms = np.empty_like(q_forms)
     df_forms = np.empty((len(factors), len(radii), m, m))
     metric = ws.metric.as_field()
@@ -173,14 +175,17 @@ def flux_pass(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[Sca
     for s, (pts, weights, normals) in enumerate(shells):
         model.require_in_chart(pts)
         wn = weights * normals
+        # theta before the jet: taken after it, its small heap arrays raised peak RSS by 2-3 MB at m = 5
+        theta = ws.lee.as_field().values(pts)
         jet = engine.jet1(metric, pts)
         gam = model.lc_coeffs_h(pts)
-        q_forms[0, s], c_forms[0, s] = _contract_shell(model, ws.metric.name, *jet, ws.lee, pts, wn, gam)
-        for k, (f, w) in enumerate(zip(factors, gauges[1:]), 1):
+        q_forms[0, s], c_forms[0, s] = _contract_shell(model, names[0], *jet, theta, pts, wn, gam)
+        for k, f in enumerate(factors, 1):
             f_jet = engine.jet1(f.as_field(), pts)
-            q_forms[k, s], c_forms[k, s] = _contract_shell(model, w.metric.name, *_rescaled_jet(f_jet, jet),
-                                                           w.lee, pts, wn, gam)
             df = model.frame_from_coord(f_jet[1], model.split(pts)[0])
+            # the Lee form of gauge f g, theta - df/(2f), off the factor jet
+            q_forms[k, s], c_forms[k, s] = _contract_shell(model, names[k], *_rescaled_jet(f_jet, jet),
+                                                           theta - df / (2.0 * f_jet[0]), pts, wn, gam)
             df_forms[k - 1, s] = _lee_type_form(m, df, wn)
         del jet, gam  # at m = 5 a second live jet would add about 13 MB of peak RSS
     norm = sphere_volume(m) * model.L

@@ -31,6 +31,12 @@ derivatives D(Dw) are algebra on the same jet plus one second-order jet of
 the form (``covd2_form_block``), so Lap^D, d^D d^D and delta^D d^D carry no
 finite-difference error in dual mode.
 
+The operators return plain component arrays; the degree and weight of the
+result follow from the input spec.  ``dD`` and ``deltaD`` read d^D and
+delta^D off one ``covd_form_block``, so the Dirac-type pair (delta^D w, d^D w)
+is the two of them on one block, and Lap^D w = -g^{ab} DH[a; b] is the trace
+of ``covd2_form_block``.
+
 Conventions: component arrays keep tensor axes first and batch axes last;
 a derivative block H[i; J] holds (D_{E_i} w)_J with the direction slot first.
 """
@@ -42,7 +48,6 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import WeightedForm
 from .engine import DerivativeEngine, Field, frame_jet1, frame_jet2
 from .errors import DegreeError, GaugeMismatchError
 from .families import LeeFormField, MetricFamily, ScalarField, conformal_sweep
@@ -57,26 +62,6 @@ class FormFieldSpec:
     degree: int
     weight: float
     gauge: str = "g"
-
-    def regauge(self, factor: ScalarField, new_gauge: str) -> "FormFieldSpec":
-        k = self.weight
-
-        def fn(coords):
-            w = self.field.fn(coords)
-            scale = factor.fn(coords) ** (k / 2.0)
-            return _scale_tree(w, scale)
-
-        return FormFieldSpec(
-            Field(fn, shape=self.field.shape, analytic=self.field.analytic and factor.analytic,
-                  name=self.field.name + "~regauged"),
-            self.degree, self.weight, new_gauge,
-        )
-
-
-def _scale_tree(tree, scale):
-    if isinstance(tree, (list, tuple)):
-        return [_scale_tree(e, scale) for e in tree]
-    return tree * scale
 
 
 @dataclass
@@ -96,9 +81,6 @@ class WeylStructure:
 
     def theta(self, coords) -> np.ndarray:
         return self.lee.as_field().values(coords)
-
-    def form(self, degree: int, weight: float, components) -> WeightedForm:
-        return WeightedForm(self.model.dim, degree, weight, components, self.gauge)
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +185,6 @@ def _christoffel_jet(engine: DerivativeEngine, model: ModelSpace, fam: MetricFam
     dgam = (np.einsum("pijk...,kl...->pijl...", _koszul(ddg, dcg, lead=1), ginv)
             - np.einsum("ija...,pal...->pijl...", gam, dg_ginv))
     return gam, dgam, g, dg, ginv
-
-
-def metric_compat_residual(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, coords) -> float:
-    """Max |nabla g| recomputed from the coefficients; zero up to derivative error."""
-    g, dg = frame_jet1(engine, model, fam.as_field(), coords)
-    gam = christoffel(engine, model, fam, coords)[0]
-    nabla = dg - np.einsum("ijl...,lk...->ijk...", gam, g) - np.einsum("ikl...,jl...->ijk...", gam, g)
-    return float(np.max(np.abs(nabla)))
 
 
 def _add_delta_terms(out: np.ndarray, t: np.ndarray, lead: int) -> None:
@@ -332,6 +306,11 @@ def _slot_jet(S, dS, ddS, W, dW, theta, dtheta, k: float, nslots: int):
     return _covd_slots(S, dS, W, theta, k, q), ddS + np.moveaxis(conn, q + 1, 0)
 
 
+def _require_gauge(ws: WeylStructure, spec: FormFieldSpec) -> None:
+    if spec.gauge != ws.gauge:
+        raise GaugeMismatchError(f"form in gauge {spec.gauge!r}, structure in gauge {ws.gauge!r}")
+
+
 def lc_form_block(dw: np.ndarray, w: np.ndarray, gam: np.ndarray, p: int) -> np.ndarray:
     """Riemannian covariant derivative of a p-form from its frame jet: the theta = 0 kernel."""
     return _covd_slots(w, dw, gam, None, 0.0, p)
@@ -346,8 +325,7 @@ def covd_form_block(engine: DerivativeEngine, ws: WeylStructure, spec: FormField
     ``weyl_coeffs`` tuple (W, g, g^-1, theta), handed out so callers read the
     form, the metric and its inverse off the jets that H already takes.
     """
-    if spec.gauge != ws.gauge:
-        raise GaugeMismatchError(f"form in gauge {spec.gauge!r}, structure in gauge {ws.gauge!r}")
+    _require_gauge(ws, spec)
     coords = np.asarray(coords, dtype=float)
     w, dw = frame_jet1(engine, ws.model, spec.field, coords)
     jet = weyl_coeffs(engine, ws, coords)
@@ -364,8 +342,7 @@ def covd2_form_block(engine: DerivativeEngine, ws: WeylStructure, spec: FormFiel
     handed out so callers read g^-1 and the curvature (``_jet_curvature``)
     off the same metric jet.
     """
-    if spec.gauge != ws.gauge:
-        raise GaugeMismatchError(f"form in gauge {spec.gauge!r}, structure in gauge {ws.gauge!r}")
+    _require_gauge(ws, spec)
     coords = np.asarray(coords, dtype=float)
     p, k = spec.degree, spec.weight
     jet = _weyl_jet(engine, ws, coords)
@@ -381,8 +358,8 @@ def covd2_form_block(engine: DerivativeEngine, ws: WeylStructure, spec: FormFiel
 
 
 def dD(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords,
-       block: tuple | None = None) -> WeightedForm:
-    """d^D w = sum_i e*_i ^ D_{E_i} w; degree rises, weight unchanged.
+       block: tuple | None = None) -> np.ndarray:
+    """d^D w = sum_i e*_i ^ D_{E_i} w, shape (n,)^(p+1) + batch; the weight is unchanged.
 
     ``block`` is a ``covd_form_block`` result already taken at coords.
     """
@@ -390,49 +367,27 @@ def dD(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords,
     if p >= ws.model.dim:
         raise DegreeError("d of a top-degree form")
     H = (block or covd_form_block(engine, ws, spec, coords))[1]
-    return ws.form(p + 1, spec.weight, insert_alt(H, p))
+    return insert_alt(H, p)
 
 
 def deltaD(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords,
-           block: tuple | None = None) -> WeightedForm:
-    """delta^D w = -g^{ab} E_a _| D_{E_b} w; degree drops by 1, weight by 2.
+           block: tuple | None = None) -> np.ndarray:
+    """delta^D w = -g^{ab} E_a _| D_{E_b} w, shape (n,)^(p-1) + batch; the weight drops by 2.
 
     ``block`` is a ``covd_form_block`` result already taken at coords.
     """
-    p = spec.degree
+    _require_gauge(ws, spec)
     coords = np.asarray(coords, dtype=float)
-    if p == 0:
-        batch = coords.shape[1:]
-        return ws.form(0, spec.weight - 2.0, np.zeros(batch))
+    if spec.degree == 0:
+        return np.zeros(coords.shape[1:])
     _, H, jet = block or covd_form_block(engine, ws, spec, coords)
-    comps = -np.einsum("ab...,ab...->...", jet[2], H)
-    return ws.form(p - 1, spec.weight - 2.0, comps)
+    return -np.einsum("ab...,ab...->...", jet[2], H)
 
 
 def form_field_of(ws: WeylStructure, fn: Callable, degree: int, weight: float,
                   analytic: bool = True, name: str = "") -> FormFieldSpec:
     n = ws.model.dim
     return FormFieldSpec(Field(fn, shape=(n,) * degree, analytic=analytic, name=name), degree, weight, ws.gauge)
-
-
-def laplacian_D(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords) -> WeightedForm:
-    """Delta^D w = -g^{ab} D(Dw)[a; b]: trace of the closed-form second derivative."""
-    _, _, DH, jet = covd2_form_block(engine, ws, spec, coords)
-    comps = -np.einsum("ab...,ab...->...", jet[3], DH)
-    return ws.form(spec.degree, spec.weight - 2.0, comps)
-
-
-def dirac_D(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords):
-    """(delta^D w, d^D w): the two graded pieces of the Dirac-type operator."""
-    block = covd_form_block(engine, ws, spec, coords)
-    return (deltaD(engine, ws, spec, coords, block=block), dD(engine, ws, spec, coords, block=block))
-
-
-def faraday(engine: DerivativeEngine, ws: WeylStructure, coords) -> WeightedForm:
-    """F^D = d(theta) in the frame, including the anholonomic bracket term."""
-    coords = np.asarray(coords, dtype=float)
-    theta, dtheta = frame_jet1(engine, ws.model, ws.lee_field(), coords)
-    return ws.form(2, 0.0, _faraday_components(theta, dtheta, _brackets(ws.model, coords)))
 
 
 def _faraday_components(theta: np.ndarray, dtheta: np.ndarray, C: np.ndarray | None) -> np.ndarray:
@@ -459,17 +414,6 @@ class CurvatureBundle:
     split_residual: float    # max |sym part of R - F (x) Id|
 
     scal_weight: float = -2.0
-
-
-def lc_riemann(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, coords) -> np.ndarray:
-    """Riemann tensor of the Levi-Civita connection in the frame: R[i,j,k,m].
-
-    The theta = 0 case of ``weyl_curvature``: the same curvature algebra on
-    (G, dG) from one second-order metric jet.
-    """
-    coords = np.asarray(coords, dtype=float)
-    gam, dgam = _christoffel_jet(engine, model, fam, coords)[:2]
-    return _coeff_curvature(gam, dgam, _brackets(model, coords))
 
 
 def _coeff_curvature(W: np.ndarray, dW: np.ndarray, C: np.ndarray | None) -> np.ndarray:
@@ -522,15 +466,6 @@ def _ricci(R: np.ndarray, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     """
     raised = np.einsum("ab...,iabl...->il...", ginv, R)
     return 0.5 * (np.einsum("il...,lj...->ij...", raised, g) - np.einsum("iaja...->ij...", R))
-
-
-def ricci_trace_convention(R: np.ndarray) -> np.ndarray:
-    """Ric(X, Y) = trace(Z -> R(Z, X) Y); metric-free trace for diagnostics."""
-    n = R.shape[0]
-    out = 0.0
-    for a in range(n):
-        out = out + R[a, :, :, a]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,18 +21,36 @@ slot).  The references here compute the same quantities on other routes:
   densities of one horizontal direction Z, evaluated pointwise, and
   ``direction_limits`` integrates them shell by shell with
   ``flux_model_metric`` and extrapolates: the per-direction route that
-  ``weylmass.mass.flux_pass`` reads off its symmetric shell forms.
+  ``weylmass.mass.flux_pass`` reads off its symmetric shell forms;
+* the pointwise multilinear algebra at one point (``PointMetric``,
+  ``WeightedForm``, ``wedge``, ``hodge_star``, ...) is the reference for
+  the wedge form of D and for delta = -*d*; test-only fields follow it.
+
+Pointwise algebra conventions: tensors are dense component arrays in a
+fixed frame.  Differential forms are stored as fully antisymmetric arrays
+with the determinant (shuffle) wedge convention and no 1/p!q! prefactors,
+so ``(dx1 ^ dx2)(e1, e2) = 1``.  The inner product on p-forms is the
+Gram-determinant product, which makes ``a ^ star(b) = <a, b> vol`` hold
+exactly.  Weighted forms carry a conformal weight ``k`` and the name of the
+metric gauge that trivializes them; rescaling the gauge metric by a
+positive factor ``f`` multiplies the components by ``f**(k/2)``.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+from dataclasses import dataclass
+from functools import lru_cache
+
 import numpy as np
 
+from weylmass import autodiff as am
 from weylmass.engine import DerivativeEngine, Field, frame_jet1, frame_jet2
-from weylmass.errors import GaugeMismatchError
-from weylmass.families import LeeFormField, MetricFamily
-from weylmass.identities import (IdentityReport, _rng, _weight_pool, random_form_field, trial_point,
-                                 trial_structure)
+from weylmass.errors import DegreeError, DimensionMismatchError, GaugeMismatchError
+from weylmass.families import LeeFormField, MetricFamily, ScalarField, directional_profile, radial_profile
+from weylmass.identities import (IdentityReport, _perm_sign, _rng, _weight_pool, antisymmetrize,
+                                 random_form_field, trial_point, trial_structure)
 from weylmass.mass import richardson_limit
 from weylmass.model import ModelSpace, sphere_volume
 from weylmass.probes import geometric_radii
@@ -270,3 +288,296 @@ def direction_limits(engine: DerivativeEngine, ws: WeylStructure, z, radii=None,
                                         normals, weights) / norm)
     rate = 2 - model.m
     return richardson_limit(radii, q_vals, rate), richardson_limit(radii, c_vals, rate)
+
+
+# --- pointwise multilinear algebra at one chart point ------------------------
+
+_ATOL = 1e-12
+
+
+@dataclass(frozen=True)
+class TensorValue:
+    """Pointwise multilinear array: ``p`` contravariant and ``q`` covariant slots."""
+
+    dim: int
+    p: int
+    q: int
+    components: np.ndarray
+
+    def __post_init__(self):
+        comps = np.asarray(self.components, dtype=float)
+        object.__setattr__(self, "components", comps)
+        if comps.shape != (self.dim,) * (self.p + self.q):
+            raise DimensionMismatchError(
+                f"components shape {comps.shape} does not match valence ({self.p},{self.q}) in dim {self.dim}"
+            )
+
+    @classmethod
+    def vector(cls, comps) -> "TensorValue":
+        comps = np.asarray(comps, dtype=float)
+        return cls(comps.shape[0], 1, 0, comps)
+
+    @classmethod
+    def covector(cls, comps) -> "TensorValue":
+        comps = np.asarray(comps, dtype=float)
+        return cls(comps.shape[0], 0, 1, comps)
+
+
+@dataclass(frozen=True)
+class PointMetric:
+    """Metric at a point: matrix, inverse, determinant and orientation."""
+
+    dim: int
+    g: np.ndarray
+    g_inv: np.ndarray
+    det: float
+    orientation: int = 1
+
+    @classmethod
+    def from_matrix(cls, g, orientation: int = 1) -> "PointMetric":
+        g = np.asarray(g, dtype=float)
+        if g.ndim != 2 or g.shape[0] != g.shape[1]:
+            raise DimensionMismatchError(f"metric matrix must be square, got {g.shape}")
+        if np.max(np.abs(g - g.T)) > _ATOL:
+            raise ValueError("metric matrix is not symmetric within 1e-12")
+        try:
+            np.linalg.cholesky(g)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("metric matrix is not positive definite") from exc
+        det = float(np.linalg.det(g))
+        return cls(g.shape[0], g, np.linalg.inv(g), det, orientation)
+
+    @property
+    def sqrt_det(self) -> float:
+        return math.sqrt(self.det)
+
+
+@dataclass(frozen=True)
+class WeightedForm:
+    """Antisymmetric form plus conformal weight and trivializing gauge tag."""
+
+    dim: int
+    degree: int
+    weight: float
+    components: np.ndarray
+    gauge: str = "g"
+
+    def __post_init__(self):
+        comps = np.asarray(self.components, dtype=float)
+        object.__setattr__(self, "components", comps)
+        if self.degree > self.dim:
+            raise DegreeError(f"degree {self.degree} exceeds dimension {self.dim}")
+        if comps.shape[: self.degree] != (self.dim,) * self.degree:
+            raise DimensionMismatchError(
+                f"components shape {comps.shape} does not match degree {self.degree} in dim {self.dim}"
+            )
+
+    def regauge(self, factor: float, new_gauge: str) -> "WeightedForm":
+        """Components in the gauge ``f*g``: multiply by ``f**(k/2)``."""
+        return WeightedForm(
+            self.dim, self.degree, self.weight, self.components * factor ** (self.weight / 2.0), new_gauge
+        )
+
+    def antisymmetry_defect(self) -> float:
+        if self.degree < 2:
+            return 0.0
+        c = self.components
+        worst = 0.0
+        for i in range(self.degree - 1):
+            axes = list(range(self.degree))
+            axes[i], axes[i + 1] = axes[i + 1], axes[i]
+            worst = max(worst, float(np.max(np.abs(c + np.transpose(c, axes)))))
+        return worst
+
+
+@lru_cache(maxsize=8)
+def levi_civita(dim: int) -> np.ndarray:
+    eps = np.zeros((dim,) * dim)
+    for perm in itertools.permutations(range(dim)):
+        eps[perm] = _perm_sign(perm)
+    return eps
+
+
+def sharp(alpha: TensorValue, metric: PointMetric) -> TensorValue:
+    """Raise a covector with the inverse metric."""
+    if alpha.p != 0 or alpha.q != 1:
+        raise DimensionMismatchError("sharp expects a degree-1 covariant tensor")
+    if alpha.dim != metric.dim:
+        raise DimensionMismatchError(f"covector dim {alpha.dim} != metric dim {metric.dim}")
+    return TensorValue.vector(metric.g_inv @ alpha.components)
+
+
+def flat(vec: TensorValue, metric: PointMetric) -> TensorValue:
+    """Lower a vector with the metric."""
+    if vec.p != 1 or vec.q != 0:
+        raise DimensionMismatchError("flat expects a degree-1 contravariant tensor")
+    if vec.dim != metric.dim:
+        raise DimensionMismatchError(f"vector dim {vec.dim} != metric dim {metric.dim}")
+    return TensorValue.covector(metric.g @ vec.components)
+
+
+def wedge(a: WeightedForm, b: WeightedForm) -> WeightedForm:
+    """Shuffle-convention wedge; weights add, gauges must agree."""
+    if a.gauge != b.gauge:
+        raise GaugeMismatchError(f"gauge mismatch: {a.gauge!r} vs {b.gauge!r} (regauge first)")
+    if a.dim != b.dim:
+        raise DimensionMismatchError("wedge operands live in different dimensions")
+    p, q = a.degree, b.degree
+    if p + q > a.dim:
+        raise DegreeError(f"degree {p}+{q} exceeds dimension {a.dim}")
+    if p == 0:
+        comps = float(a.components) * b.components
+    elif q == 0:
+        comps = float(b.components) * a.components
+    else:
+        outer = np.multiply.outer(a.components, b.components)
+        comps = antisymmetrize(outer) * (math.factorial(p + q) / (math.factorial(p) * math.factorial(q)))
+    return WeightedForm(a.dim, p + q, a.weight + b.weight, comps, a.gauge)
+
+
+def interior(vec: TensorValue, w: WeightedForm) -> WeightedForm:
+    """Interior product: contract the vector into the first slot."""
+    if vec.p != 1 or vec.q != 0:
+        raise DimensionMismatchError("interior product expects a vector")
+    if w.degree == 0:
+        raise DegreeError("interior product of a 0-form is undefined")
+    if vec.dim != w.dim:
+        raise DimensionMismatchError("vector and form dimensions differ")
+    comps = np.tensordot(vec.components, w.components, axes=(0, 0))
+    return WeightedForm(w.dim, w.degree - 1, w.weight, comps, w.gauge)
+
+
+def volume_form(metric: PointMetric, gauge: str = "g") -> WeightedForm:
+    n = metric.dim
+    comps = metric.orientation * metric.sqrt_det * levi_civita(n)
+    return WeightedForm(n, n, 0.0, comps, gauge)
+
+
+def raise_all(comps: np.ndarray, metric: PointMetric) -> np.ndarray:
+    out = comps
+    for axis in range(comps.ndim):
+        out = np.moveaxis(np.tensordot(metric.g_inv, out, axes=(1, axis)), 0, axis)
+    return out
+
+
+def form_inner(a: WeightedForm, b: WeightedForm, metric: PointMetric) -> float:
+    """Gram inner product of same-degree forms: <dx^I, dx^I> = 1 for orthonormal frames."""
+    if a.degree != b.degree:
+        raise DegreeError(f"degree mismatch: {a.degree} vs {b.degree}")
+    if a.gauge != b.gauge:
+        raise GaugeMismatchError(f"gauge mismatch: {a.gauge!r} vs {b.gauge!r}")
+    if a.degree == 0:
+        return float(a.components) * float(b.components)
+    raised = raise_all(b.components, metric)
+    return float(np.tensordot(a.components, raised, axes=a.degree)) / math.factorial(a.degree)
+
+
+def hodge_star(w: WeightedForm, metric: PointMetric) -> WeightedForm:
+    """Hodge dual pinned by ``a ^ star(b) = <a, b> vol``."""
+    if w.dim != metric.dim:
+        raise DimensionMismatchError("form and metric dimensions differ")
+    n, p = w.dim, w.degree
+    eps = levi_civita(n)
+    if p == 0:
+        comps = float(w.components) * metric.sqrt_det * eps * metric.orientation
+        return WeightedForm(n, n, w.weight, comps, w.gauge)
+    raised = raise_all(w.components, metric)
+    comps = np.tensordot(raised, eps, axes=(tuple(range(p)), tuple(range(p))))
+    comps *= metric.orientation * metric.sqrt_det / math.factorial(p)
+    return WeightedForm(n, n - p, w.weight, comps, w.gauge)
+
+
+# --- test-only references, regaugings and fields ----------------------------
+
+
+def metric_compat_residual(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, coords) -> float:
+    """Max |nabla g| recomputed from the coefficients; zero up to derivative error."""
+    g, dg = frame_jet1(engine, model, fam.as_field(), coords)
+    gam = christoffel(engine, model, fam, coords)[0]
+    nabla = dg - np.einsum("ijl...,lk...->ijk...", gam, g) - np.einsum("ikl...,jl...->ijk...", gam, g)
+    return float(np.max(np.abs(nabla)))
+
+
+def ricci_trace_convention(R: np.ndarray) -> np.ndarray:
+    """Ric(X, Y) = trace(Z -> R(Z, X) Y); metric-free trace for diagnostics."""
+    n = R.shape[0]
+    out = 0.0
+    for a in range(n):
+        out = out + R[a, :, :, a]
+    return out
+
+
+def regauge(spec: FormFieldSpec, factor: ScalarField, new_gauge: str) -> FormFieldSpec:
+    """The form field in the gauge ``factor * g``: components times f**(k/2)."""
+    k = spec.weight
+
+    def fn(coords):
+        w = spec.field.fn(coords)
+        scale = factor.fn(coords) ** (k / 2.0)
+        return _scale_tree(w, scale)
+
+    return FormFieldSpec(
+        Field(fn, shape=spec.field.shape, analytic=spec.field.analytic and factor.analytic,
+              name=spec.field.name + "~regauged"),
+        spec.degree, spec.weight, new_gauge,
+    )
+
+
+def _scale_tree(tree, scale):
+    if isinstance(tree, (list, tuple)):
+        return [_scale_tree(e, scale) for e in tree]
+    return tree * scale
+
+
+def inverse(f: ScalarField) -> ScalarField:
+    """The factor 1/f with its closed-form frame gradient -df/f^2."""
+    def fn(coords):
+        return 1.0 / f.fn(coords)
+
+    def grad_fn(coords):
+        fv = f.fn(coords)
+        g = f.grad_fn(coords)
+        return [-gi / (fv * fv) for gi in g]
+
+    return ScalarField(
+        f"inv({f.name})", f.model, fn, grad_fn,
+        params=f.params, analytic=f.analytic, decay_fm1=f.decay_fm1,
+    )
+
+
+def sphere_block_test(model: ModelSpace) -> MetricFamily:
+    """Round-sphere block in the (x1, x2) slot; compact sanity chart, not ALF."""
+    n = model.dim
+
+    def fn(coords):
+        s = am.sin(coords[0])
+        rows = []
+        for i in range(n):
+            rows.append([((s * s) if (i == j == 1) else (1.0 if i == j else 0.0)) for j in range(n)])
+        return rows
+
+    return MetricFamily("sphere_block_test", model, fn, is_alf=False)
+
+
+def random_adapted_scalar(model: ModelSpace, seed: int, scale: float = 0.4) -> ScalarField:
+    """Random positive member of the adapted class: radial plus angular tail terms."""
+    m = model.m
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 903]))
+    beta = float(rng.uniform(0.2, 1.0)) * scale
+    gamma = float(rng.uniform(-0.5, 0.5)) * scale
+    axis = int(rng.integers(0, m))
+    base = radial_profile(model, beta=beta)
+    extra = directional_profile(model, beta=gamma, axis=axis)
+
+    def fn(coords):
+        return base.fn(coords) + (extra.fn(coords) - 1.0)
+
+    def grad_fn(coords):
+        gb = base.grad_fn(coords)
+        ge = extra.grad_fn(coords)
+        return [a + b for a, b in zip(gb, ge)]
+
+    return ScalarField(
+        f"random_adapted_scalar(seed={seed})", model, fn, grad_fn,
+        params={"seed": seed, "beta": beta, "gamma": gamma, "axis": axis}, decay_fm1=2 - m,
+    )

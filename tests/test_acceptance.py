@@ -13,7 +13,7 @@ from weylmass.engine import DerivativeEngine
 from weylmass.errors import MassNotDefinedError
 from weylmass.families import (build_metric, flat_product, hopf_model, kaluza_perturbation,
                                kaluza_two_term, log_slow_profile, mixed_lee, radial_lee,
-                               radial_profile, random_adapted_scalar, slow_tail, zero_lee)
+                               radial_profile, slow_tail, zero_lee)
 from weylmass.identities import (check_bochner_divergence, check_bochner_integral,
                                  check_bochner_pointwise, check_codifferential_transform,
                                  check_curvature_split, check_d_squared, check_d_transform,
@@ -24,7 +24,7 @@ from weylmass.probes import (PROBE_RADII, connection_probe, lee_probes, metric_p
 from weylmass.quadrature import QuadratureSpec
 from weylmass.weyl import WeylStructure
 
-from oracles import direction_limits
+from oracles import direction_limits, random_adapted_scalar
 
 SEED = 42
 

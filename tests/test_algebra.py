@@ -1,4 +1,7 @@
-"""Pointwise multilinear algebra: musical maps, wedge, interior, Hodge, inner."""
+"""Pointwise multilinear algebra (the test oracle layer): musical maps, wedge, interior, Hodge, inner.
+
+The package's one form-algebra kernel, ``insert_alt``, builds F ^ w for a 2-form F by the same pair
+alternation that gives (d^D)^2 w; it is checked here against the oracle ``wedge``."""
 
 import itertools
 import math
@@ -6,9 +9,11 @@ import math
 import numpy as np
 import pytest
 
-from weylmass.algebra import (PointMetric, TensorValue, WeightedForm, flat, form_inner,
-                              hodge_star, interior, levi_civita, sharp, volume_form, wedge)
 from weylmass.errors import DegreeError, DimensionMismatchError, GaugeMismatchError
+from weylmass.identities import alternate_pair, antisymmetrize
+
+from oracles import (PointMetric, TensorValue, WeightedForm, flat, form_inner, hodge_star, interior,
+                     levi_civita, sharp, volume_form, wedge)
 
 RNG = np.random.default_rng(1234)
 
@@ -21,8 +26,6 @@ def random_metric(n, scale=0.25):
 def random_form(n, p, gauge="g", weight=0.0):
     comps = RNG.normal(size=(n,) * p) if p else np.asarray(RNG.normal())
     if p >= 2:
-        from weylmass.algebra import antisymmetrize
-
         comps = antisymmetrize(comps)
     return WeightedForm(n, p, weight, comps, gauge)
 
@@ -132,6 +135,27 @@ def test_wedge_gauge_mismatch_rejected():
     b = random_form(4, 1, gauge="g2")
     with pytest.raises(GaugeMismatchError):
         wedge(a, b)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_pair_alternation_of_a_two_form_is_twice_the_wedge(n):
+    """1/2 ``alternate_pair`` of F (x) w is the oracle F ^ w for p = 0..n-2, at a point and on a batch.
+
+    The batch is batch-last, as in the package; each of its columns equals the point result bitwise.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([n, 2024]))
+    batch = 3
+    for p in range(n - 1):
+        Fs = [antisymmetrize(rng.normal(size=(n, n))) for _ in range(batch)]
+        ws = [antisymmetrize(rng.normal(size=(n,) * p)) for _ in range(batch)]
+        F, w = np.stack(Fs, axis=-1), np.stack(ws, axis=-1)
+        got = 0.5 * alternate_pair(F.reshape((n, n) + (1,) * p + (batch,)) * w, p)
+        assert got.shape == (n,) * (p + 2) + (batch,)
+        for b in range(batch):
+            at_point = 0.5 * alternate_pair(np.multiply.outer(Fs[b], ws[b]), p)
+            assert np.array_equal(got[..., b], at_point)
+            want = wedge(WeightedForm(n, 2, 0.0, Fs[b]), WeightedForm(n, p, 0.0, ws[b])).components
+            assert np.max(np.abs(at_point - want)) < 1e-13
 
 
 def test_wedge_weights_add():

@@ -1,6 +1,6 @@
-"""The CI workflow installs the test extra, runs CLI smoke commands (a Hopf and an m = 5 mass, a pointwise
-and an annulus verify, then Hopf sweeps), summarizes every report they wrote, and runs the tier-1 command
-that ROADMAP.md names, with a time limit."""
+"""The CI workflow installs the test extra, runs CLI smoke commands (a Hopf and an m = 5 mass, a pointwise,
+an annulus and an fd-mode pointwise verify, then Hopf sweeps), summarizes every report they wrote, and runs
+the tier-1 command that ROADMAP.md names, with a time limit."""
 
 import json
 import os
@@ -51,7 +51,8 @@ def test_workflow_smoke_runs_verify_as_module():
 
 
 def test_workflow_smoke_runs_an_annulus_verify():
-    """The same step then runs ``verify`` on one Bochner-integral trial, the streamed annulus."""
+    """The same step then runs ``verify`` on one Bochner-integral trial, the streamed annulus, and the
+    pointwise verify in fd mode, which takes d^D, delta^D and the (d^D)^2 check through the FD jets."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
@@ -60,10 +61,11 @@ def test_workflow_smoke_runs_an_annulus_verify():
     assert [(json.loads(c), name) for c, name in configs] == [
         ({"trials": {"identity": 6, "bochner": 3, "integral": 0}}, "smoke"),
         ({"trials": {"identity": 0, "bochner": 1, "integral": 1}}, "annulus"),
+        ({"mode": "fd", "trials": {"identity": 6, "bochner": 3, "integral": 0}}, "smoke_fd"),
     ]
     commands = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" .*\bverify$",
                           smoke, re.MULTILINE)
-    assert commands == ["smoke", "annulus"]
+    assert commands == ["smoke", "annulus", "smoke_fd"]
 
 
 def test_workflow_sweep_smoke_runs_a_hopf_sweep():
@@ -120,7 +122,7 @@ def test_workflow_report_smoke_reads_every_smoke_report():
                for name in ("Mass smoke", "CLI smoke", "Sweep smoke")
                for out, command in re.findall(r"--out \"\$RUNNER_TEMP/(\w+)\" (\w+)$",
                                               job["steps"][names.index(name)]["run"], re.MULTILINE)]
-    assert len(written) == 7
+    assert len(written) == 8
     (line,) = job["steps"][names.index("Report smoke")]["run"].strip().splitlines()
     prefix = "PYTHONPATH=src python -m weylmass report "
     assert line.startswith(prefix)

@@ -30,6 +30,17 @@ def test_operator_identity_checks_small_runs(engine, model):
         assert rep.passed, f"{rep.identity}: {rep.max_residual}"
 
 
+def test_d_squared_check_fails_on_a_wrong_curvature(engine, model, monkeypatch):
+    """Negative control: with F^D replaced by -F^D, (d^D)^2 w = k F^D ^ w fails on weighted trials."""
+    from weylmass import identities
+
+    assert check_d_squared(engine, model, seed=3, trials=12, tolerance=1e-6).passed
+    faraday = identities._faraday_components
+    monkeypatch.setattr(identities, "_faraday_components", lambda *args: -faraday(*args))
+    rep = check_d_squared(engine, model, seed=3, trials=12, tolerance=1e-6)
+    assert not rep.passed and rep.max_residual > 1e-3
+
+
 def test_bochner_flat_trivial_case(engine, model):
     ws = WeylStructure(model, flat_product(model), zero_lee(model))
     spec = form_field_of(ws, lambda c: [1.0, 0.0, 0.0, 0.0], degree=1, weight=0.0)

@@ -7,14 +7,16 @@ import pytest
 import sympy as sp
 
 from weylmass.errors import ChartDomainError, MassNotDefinedError
-from weylmass.families import (build_metric, conformal_sweep, eval_metric, flat_product,
+from weylmass.families import (build_metric, conformal_sweep, flat_product,
                                hopf_model, kaluza_perturbation, log_slow_profile, mixed_lee,
-                               radial_lee, radial_profile, random_local_metric, sphere_block_test,
-                               sqrt_slow_profile, unit_scalar)
+                               radial_lee, radial_profile, random_local_metric,
+                               sqrt_slow_profile, unit_scalar, zero_lee)
 from weylmass.model import ModelSpace, sphere_volume
 from weylmass.probes import (adapted_metric_check, connection_probe, decay_probe,
                              geometric_radii, lee_probes, metric_probes, require_alf)
-from weylmass.weyl import christoffel, lc_riemann, metric_compat_residual, ricci_trace_convention
+from weylmass.weyl import WeylStructure, christoffel, weyl_curvature
+
+from oracles import inverse, metric_compat_residual, random_adapted_scalar, ricci_trace_convention, sphere_block_test
 
 
 def test_model_validation():
@@ -31,27 +33,10 @@ def test_sphere_volume_values():
     assert sphere_volume(4) == pytest.approx(2 * math.pi**2)
 
 
-def test_eval_metric_flat_and_kaluza(model):
-    flat = flat_product(model)
-    p = model.point([2.0, 1.0, -0.5], 0.3)
-    assert np.allclose(eval_metric(flat, p).g, np.eye(4))
-
-    kal = kaluza_perturbation(model, mu=1.0)
-    p2 = model.point([2.0, 0.0, 0.0], 0.0)
-    assert np.allclose(eval_metric(kal, p2).g, np.diag([2.0, 2.0, 2.0, 1.0]))
-
-
-def test_eval_metric_domain_error(model):
+def test_christoffel_rejects_points_in_the_excised_ball(model, engine):
     kal = kaluza_perturbation(model, mu=1.0)
     with pytest.raises(ChartDomainError):
-        eval_metric(kal, model.point([0.5, 0.0, 0.0], 0.0))
-
-
-def test_eval_metric_positive_definite(model):
-    fam = kaluza_perturbation(model, mu=0.7)
-    for r in (1.5, 3.0, 10.0):
-        pm = eval_metric(fam, model.point([r, 0.1, -0.2], 0.7))
-        assert np.min(np.linalg.eigvalsh(pm.g)) > 0
+        christoffel(engine, model, kal, model.point([0.5, 0.0, 0.0], 0.0))
 
 
 # --- Hopf chart ------------------------------------------------------------
@@ -113,7 +98,7 @@ def test_hopf_frame_metric_matches_coordinate_oracle(hopf_space):
     J[3, :3] = -A
     J[3, 3] = 1.0
     frame_metric = J.T @ h_coord @ J
-    got = eval_metric(hopf_model(space), p).g
+    got = hopf_model(space).as_field().values(p)
     assert np.max(np.abs(frame_metric - np.eye(4))) < 1e-12
     assert np.allclose(got, np.eye(4))
 
@@ -304,6 +289,11 @@ def test_metric_compatibility_fd_mode(model, fd_engine):
 # --- curvature of the gauge metric ------------------------------------------
 
 
+def lc_riemann(engine, model, fam, coords):
+    """Riemann tensor of the Levi-Civita connection: ``weyl_curvature`` at theta = 0."""
+    return weyl_curvature(engine, WeylStructure(model, fam, zero_lee(model)), coords).R
+
+
 def test_lc_riemann_flat_zero(model, engine):
     R = lc_riemann(engine, model, flat_product(model), model.point([2, 0.5, -1], 0.1))
     assert np.max(np.abs(R)) < 1e-14
@@ -417,7 +407,7 @@ def test_grad2_probe_matches_nested_fd(request, engine, chart, fiber):
 def test_batched_probe_norms_equal_per_radius_norms(request, engine, monkeypatch, chart):
     """Each suite's one jet over all radii gives bitwise the norms of one jet per radius (dual mode)."""
     from weylmass import probes
-    from weylmass.families import directional_profile, random_adapted_scalar, random_local_lee
+    from weylmass.families import directional_profile, random_local_lee
 
     space = request.getfixturevalue(chart)
 
@@ -500,7 +490,7 @@ def test_adapted_metric_check_cases(model, engine):
 
 def test_scalar_inverse_roundtrip(model):
     f = radial_profile(model, beta=0.7)
-    finv = f.inverse()
+    finv = inverse(f)
     p = model.point([3.0, 1.0, 0.5], 0.2)
     pt = list(p)
     assert f.fn(pt) * finv.fn(pt) == pytest.approx(1.0, abs=1e-14)

@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 
 from weylmass import autodiff as am
-from weylmass.algebra import PointMetric, WeightedForm, hodge_star
 from weylmass.engine import Field, frame_jet1
-from weylmass.errors import GaugeMismatchError
+from weylmass.errors import DegreeError, GaugeMismatchError
 from weylmass.families import (LeeFormField, flat_product, kaluza_perturbation,
                                radial_lee, radial_profile, random_local_metric,
                                unit_scalar, zero_lee)
 from weylmass.identities import _rng, random_form_field, trial_point, trial_structure
 from weylmass.weyl import (FormFieldSpec, WeylStructure, _christoffel_jet, _coeff_curvature, _covd_slots, _weyl_jet,
-                           christoffel, covd2_form_block, covd_form_block, dD, deltaD, dirac_D, faraday,
-                           form_field_of, gauge_change, laplacian_D, lc_form_block, lc_riemann,
-                           lie_bracket, weyl_coeffs, weyl_connect_vec, weyl_curvature,
-                           ricci_trace_convention)
+                           christoffel, covd2_form_block, covd_form_block, dD, deltaD, form_field_of,
+                           gauge_change, lc_form_block, lie_bracket, weyl_coeffs, weyl_connect_vec,
+                           weyl_curvature)
 
-from oracles import (frame_exterior_derivative, full_christoffel_jet, full_coeff_curvature, full_weyl_jet,
+from oracles import (PointMetric, WeightedForm, frame_exterior_derivative, full_christoffel_jet,
+                     full_coeff_curvature, full_weyl_jet, hodge_star, inverse, regauge, ricci_trace_convention,
                      wedge_covd_form_block)
 
 CHARTS = [("model", False), ("model", True), ("hopf_space", False), ("hopf_space", True)]
@@ -120,7 +119,7 @@ def test_covd_form_block_matches_wedge_oracle(request, chart, fiber, mode, deg):
 
 def test_weighted_derivative_operator_against_algebra_ops(model, engine):
     """D_X w assembled independently from the pointwise algebra primitives."""
-    from weylmass.algebra import PointMetric, TensorValue, WeightedForm, interior, sharp, wedge
+    from oracles import PointMetric, TensorValue, WeightedForm, interior, sharp, wedge
 
     ws = trial_structure(model, 29, 0)
     rng = _rng(29, 16, 0)
@@ -160,19 +159,28 @@ def test_dD_weight_zero_equals_exterior_derivative(model, engine):
     for deg in (0, 1, 2):
         spec = random_form_field(ws, rng, deg, 0.0)
         p = trial_point(model, rng)
-        got = dD(engine, ws, spec, p).components
+        got = dD(engine, ws, spec, p)
         oracle = frame_exterior_derivative(engine, model, spec.field, deg, p)
+        assert got.shape == oracle.shape == (4,) * (deg + 1)
         assert np.max(np.abs(got - oracle)) < 1e-10
 
 
-def test_dD_weight_and_degree_bookkeeping(model, engine):
+def test_dD_and_deltaD_return_batch_last_component_arrays(model, engine):
+    """d^D w has shape (n,)^(p+1) + batch and delta^D w (n,)^(p-1) + batch; d^D of a 4-form is refused."""
     ws = trial_structure(model, 14, 0)
     rng = _rng(14, 5, 0)
-    spec = random_form_field(ws, rng, 1, -2.0)
-    p = trial_point(model, rng)
-    out = dD(engine, ws, spec, p)
-    assert out.degree == 2 and out.weight == -2.0
-    assert out.antisymmetry_defect() < 1e-12
+    pts = np.stack([trial_point(model, rng) for _ in range(3)], axis=1)
+    for deg in range(5):
+        spec = random_form_field(ws, rng, deg, -2.0)
+        for op, out_deg in ((dD, deg + 1), (deltaD, max(deg - 1, 0))):
+            if out_deg > 4:
+                with pytest.raises(DegreeError):
+                    op(engine, ws, spec, pts)
+                continue
+            got = op(engine, ws, spec, pts)
+            assert got.shape == (4,) * out_deg + (3,)
+            for j in range(3):
+                assert np.allclose(got[..., j], op(engine, ws, spec, pts[:, j]), rtol=1e-13, atol=1e-13)
 
 
 def test_dD_gauge_mismatch_rejected(model, engine):
@@ -182,6 +190,12 @@ def test_dD_gauge_mismatch_rejected(model, engine):
     bad = FormFieldSpec(spec.field, spec.degree, spec.weight, "other_gauge")
     with pytest.raises(GaugeMismatchError):
         dD(engine, ws, bad, trial_point(model, rng))
+    # d^D and delta^D at degrees 0 and 1: a 0-form has delta^D = 0, but only in its own gauge
+    for deg in (0, 1):
+        other = FormFieldSpec(random_form_field(ws, rng, deg, 0.0).field, deg, 0.0, "other_gauge")
+        for operator in (dD, deltaD):
+            with pytest.raises(GaugeMismatchError):
+                operator(engine, ws, other, trial_point(model, rng))
 
 
 # --- delta^D ----------------------------------------------------------------------
@@ -191,8 +205,8 @@ def test_deltaD_of_scalar_is_zero(model, engine):
     ws = trial_structure(model, 16, 0)
     spec = form_field_of(ws, lambda c: 1.0 + 0.0 * c[0], degree=0, weight=2.0)
     out = deltaD(engine, ws, spec, model.point([2, 1, 0.5], 0.2))
-    assert out.degree == 0 and out.weight == 0.0
-    assert float(out.components) == 0.0
+    assert out.shape == ()
+    assert float(out) == 0.0
 
 
 def test_deltaD_matches_hodge_codifferential_oracle(model, engine):
@@ -213,7 +227,7 @@ def test_deltaD_matches_hodge_codifferential_oracle(model, engine):
     d_star = frame_exterior_derivative(engine, model, star_field, 3, p)
     pm = PointMetric.from_matrix(fam.as_field().values(p))
     star_d_star = hodge_star(WeightedForm(4, 4, 0.0, d_star), pm).components
-    got = deltaD(engine, ws, spec, p).components
+    got = deltaD(engine, ws, spec, p)
     sign = (-1.0) ** (4 * (1 + 1) + 1)  # = -1: delta = -*d* for n = 4
     assert np.max(np.abs(got - sign * star_d_star)) < 1e-8
 
@@ -233,22 +247,22 @@ def test_codifferential_shift_printed_variant_fails(model, engine):
 
 def test_faraday_zero_for_exact_lee(model, engine):
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), radial_lee(model, 0.7))
-    F = faraday(engine, ws, model.point([2.5, 0.3, -0.8], 0.9))
-    assert np.max(np.abs(F.components)) < 1e-12
+    F = weyl_curvature(engine, ws, model.point([2.5, 0.3, -0.8], 0.9)).F
+    assert np.max(np.abs(F)) < 1e-12
 
 
 def test_faraday_linear_lee_hand_case(model, engine):
     # theta = x2 dx1 -> F = -dx1 ^ dx2
     lee = LeeFormField("x2dx1", model, lambda c: [c[1], 0.0, 0.0, 0.0])
     ws = WeylStructure(model, flat_product(model), lee)
-    F = faraday(engine, ws, model.point([2.0, 1.5, 0.0], 0.0)).components
+    F = weyl_curvature(engine, ws, model.point([2.0, 1.5, 0.0], 0.0)).F
     assert F[0, 1] == pytest.approx(-1.0, abs=1e-12)
     assert F[1, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_faraday_flat_zero(model, engine):
     ws = WeylStructure(model, flat_product(model), zero_lee(model))
-    F = faraday(engine, ws, model.point([2.0, 1.5, 0.0], 0.0)).components
+    F = weyl_curvature(engine, ws, model.point([2.0, 1.5, 0.0], 0.0)).F
     assert np.max(np.abs(F)) == 0.0
 
 
@@ -258,15 +272,15 @@ def test_faraday_closed_and_gauge_independent(model, engine):
     n = model.dim
 
     def F_fn(c):
-        return faraday(engine, ws, np.asarray(c, dtype=float)).components
+        return weyl_curvature(engine, ws, np.asarray(c, dtype=float)).F
 
     F_field = Field(F_fn, shape=(n, n), analytic=False)
     dF = frame_exterior_derivative(engine, model, F_field, 2, p)
     assert np.max(np.abs(dF)) < 1e-6
 
     ws2 = gauge_change(ws, radial_profile(model, beta=0.5))
-    F1 = faraday(engine, ws, p).components
-    F2 = faraday(engine, ws2, p).components
+    F1 = weyl_curvature(engine, ws, p).F
+    F2 = weyl_curvature(engine, ws2, p).F
     assert np.max(np.abs(F1 - F2)) < 1e-8
 
 
@@ -286,7 +300,7 @@ def test_ricci_matches_riemannian_oracle_at_zero_lee(model, engine):
     ws = WeylStructure(model, fam, zero_lee(model))
     p = model.point([2.3, 0.6, -0.2], 0.8)
     bundle = weyl_curvature(engine, ws, p)
-    R = lc_riemann(engine, model, fam, p)
+    R = bundle.R
     ric_oracle = ricci_trace_convention(R)
     assert np.max(np.abs(bundle.Ric - ric_oracle)) < 1e-6
     g = ws.gram(p)
@@ -325,7 +339,7 @@ def test_lc_riemann_matches_nested_fd(request, engine, chart, fiber):
     p = trial_point(space, _rng(42, 31, 0))
     gam, dgam = _nested_fd_jet(engine, space, lambda c: christoffel(engine, space, fam, c)[0], p)
     oracle = _coeff_curvature(gam, dgam, space.structure_constants(p))
-    R = lc_riemann(engine, space, fam, p)
+    R = weyl_curvature(engine, WeylStructure(space, fam, zero_lee(space)), p).R
     assert np.max(np.abs(R - oracle)) < 1e-9 * np.max(np.abs(oracle))
 
 
@@ -433,32 +447,25 @@ def _const_scalar(model, c):
 # --- laplacian and dirac ------------------------------------------------------------
 
 
+def laplacian(engine, ws, spec, p):
+    """Lap^D w = -g^{ab} D(Dw)[a; b]: the trace of ``covd2_form_block``."""
+    _, _, DH, jet = covd2_form_block(engine, ws, spec, p)
+    return -np.einsum("ab...,ab...->...", jet[3], DH)
+
+
 def test_laplacian_flat_cases(model, engine):
     ws = WeylStructure(model, flat_product(model), zero_lee(model))
     p = model.point([2.0, 0.8, -0.5], 0.3)
     const = form_field_of(ws, lambda c: [1.0, 0.0, 0.0, 0.0], degree=1, weight=0.0)
-    assert np.max(np.abs(laplacian_D(engine, ws, const, p).components)) < 1e-10
-    delta_part, d_part = dirac_D(engine, ws, const, p)
-    assert abs(float(delta_part.components)) < 1e-10
-    assert np.max(np.abs(d_part.components)) < 1e-10
+    assert np.max(np.abs(laplacian(engine, ws, const, p))) < 1e-10
+    block = covd_form_block(engine, ws, const, p)  # the Dirac pair: delta^D and d^D on one block
+    assert abs(float(deltaD(engine, ws, const, p, block=block))) < 1e-10
+    assert np.max(np.abs(dD(engine, ws, const, p, block=block))) < 1e-10
 
     sine = form_field_of(ws, lambda c: [am.sin(c[1]), 0.0, 0.0, 0.0], degree=1, weight=0.0)
-    lap = laplacian_D(engine, ws, sine, p).components
+    lap = laplacian(engine, ws, sine, p)
     expected = np.array([np.sin(p[1]), 0, 0, 0])
     assert np.max(np.abs(lap - expected)) < 1e-9
-
-
-def test_dirac_weight_bookkeeping(model, engine):
-    ws = trial_structure(model, 25, 0)
-    rng = _rng(25, 12, 0)
-    k = 1.5
-    spec = random_form_field(ws, rng, 1, k)
-    p = trial_point(model, rng)
-    lap = laplacian_D(engine, ws, spec, p)
-    assert lap.weight == k - 2.0 and lap.degree == 1
-    delta_part, d_part = dirac_D(engine, ws, spec, p)
-    assert delta_part.weight == k - 2.0 and delta_part.degree == 0
-    assert d_part.weight == k and d_part.degree == 2
 
 
 # --- gauge change ---------------------------------------------------------------------
@@ -488,7 +495,7 @@ def test_gauge_change_analytic_gradient_oracle(model, engine):
 def test_gauge_change_roundtrip(model, engine):
     ws = trial_structure(model, 27, 0)
     f = radial_profile(model, beta=0.6)
-    back = gauge_change(gauge_change(ws, f), f.inverse())
+    back = gauge_change(gauge_change(ws, f), inverse(f))
     p = trial_point(model, _rng(27, 14, 0))
     assert np.max(np.abs(back.theta(p) - ws.theta(p))) < 1e-12
     assert np.max(np.abs(back.gram(p) - ws.gram(p))) < 1e-12
@@ -503,18 +510,13 @@ def test_gauge_covariance_of_operators(model, engine, op):
     rng = _rng(28, 15, hash(op) % 1000)
     k = 1.0
     spec = random_form_field(ws, rng, 1, k)
-    spec2 = spec.regauge(f, ws2.gauge)
+    spec2 = regauge(spec, f, ws2.gauge)
     p = trial_point(model, rng)
     fval = float(f.fn(list(p)))
-    if op == "dD":
-        out1 = dD(engine, ws, spec, p)
-        out2 = dD(engine, ws2, spec2, p)
-    elif op == "deltaD":
-        out1 = deltaD(engine, ws, spec, p)
-        out2 = deltaD(engine, ws2, spec2, p)
-    else:
-        out1 = laplacian_D(engine, ws, spec, p)
-        out2 = laplacian_D(engine, ws2, spec2, p)
-    expected = out1.components * fval ** (out1.weight / 2.0)
+    # the output weight: d^D keeps k, delta^D and Lap^D lower it by 2
+    operator, weight = {"dD": (dD, k), "deltaD": (deltaD, k - 2.0), "laplacian": (laplacian, k - 2.0)}[op]
+    out1 = operator(engine, ws, spec, p)
+    out2 = operator(engine, ws2, spec2, p)
+    expected = out1 * fval ** (weight / 2.0)
     scale = max(1.0, float(np.max(np.abs(expected))))
-    assert np.max(np.abs(out2.components - expected)) / scale < 1e-6
+    assert np.max(np.abs(out2 - expected)) / scale < 1e-6

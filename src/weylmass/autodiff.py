@@ -1,4 +1,4 @@
-"""Forward-mode automatic differentiation with second-order Taylor jets.
+"""Forward-mode automatic differentiation with first- and second-order Taylor jets.
 
 A ``Taylor2`` carries a value together with its gradient and Hessian with
 respect to a fixed set of ``d`` seed coordinates.  The payloads are plain
@@ -10,6 +10,12 @@ every component at once; the batch axes let it hold a whole batch of
 evaluation points.  Every arithmetic operation propagates value, gradient
 and Hessian exactly, which makes first and second derivatives of analytic
 field evaluators exact to machine precision.
+
+A first-order jet (``seed_point(coords, order=1)``) carries no Hessian: its
+``hess`` is the shared empty array ``NO_HESSIAN``, and every operation skips
+the second-order terms, computing the value and gradient by the same
+products and sums as a second-order jet.  An operation that mixes orders
+returns a first-order jet.
 
 Operands broadcast against each other's values as numpy arrays do (batch
 axes last); the derivative axes stay in front, so jets of different rank
@@ -29,6 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "NO_HESSIAN",
     "Taylor2",
     "seed_point",
     "collect_jet",
@@ -41,6 +48,10 @@ __all__ = [
     "cos",
 ]
 
+# the Hessian of every first-order jet, tested by identity
+NO_HESSIAN = np.empty((0, 0))
+NO_HESSIAN.flags.writeable = False
+
 
 class Taylor2:
     """Truncated second-order Taylor jet ``f + g·dx + dx·h·dx/2`` of a scalar or tensor."""
@@ -49,17 +60,17 @@ class Taylor2:
     # numpy defers to the reflected operators instead of building object arrays
     __array_ufunc__ = None
 
-    def __init__(self, val, grad, hess):
+    def __init__(self, val, grad, hess=NO_HESSIAN):
         self.val = np.asarray(val, dtype=float)
         self.grad = np.asarray(grad, dtype=float)
         self.hess = np.asarray(hess, dtype=float)
 
     @classmethod
-    def variable(cls, value, index: int, nvars: int) -> "Taylor2":
+    def variable(cls, value, index: int, nvars: int, order: int = 2) -> "Taylor2":
         v = np.asarray(value, dtype=float)
         g = np.zeros((nvars,) + v.shape)
         g[index] = 1.0
-        return cls(v, g, np.zeros((nvars, nvars) + v.shape))
+        return cls(v, g, np.zeros((nvars, nvars) + v.shape) if order == 2 else NO_HESSIAN)
 
     # -- helpers ----------------------------------------------------------
 
@@ -68,40 +79,50 @@ class Taylor2:
         if ndim <= self.val.ndim:
             return self.grad, self.hess
         pad = (1,) * (ndim - self.val.ndim)
-        return (self.grad.reshape(self.grad.shape[:1] + pad + self.val.shape),
-                self.hess.reshape(self.hess.shape[:2] + pad + self.val.shape))
+        hess = self.hess
+        if hess is not NO_HESSIAN:
+            hess = hess.reshape(hess.shape[:2] + pad + self.val.shape)
+        return self.grad.reshape(self.grad.shape[:1] + pad + self.val.shape), hess
 
     def _apply(self, u0, u1, u2) -> "Taylor2":
-        """Chain rule for a scalar function u with u(f)=u0, u'(f)=u1, u''(f)=u2."""
+        """Chain rule for a scalar function u with u(f)=u0, u'(f)=u1 and u''(f)=u2().
+
+        u2 is a thunk: a first-order jet never evaluates it.
+        """
+        if self.hess is NO_HESSIAN:
+            return Taylor2(u0, u1 * self.grad)
         outer = self.grad[:, None] * self.grad[None, :]
-        return Taylor2(u0, u1 * self.grad, u1 * self.hess + u2 * outer)
+        return Taylor2(u0, u1 * self.grad, u1 * self.hess + u2() * outer)
 
     def _inv(self) -> "Taylor2":
         f = self.val
-        return self._apply(1.0 / f, -1.0 / f**2, 2.0 / f**3)
+        return self._apply(1.0 / f, -1.0 / f**2, lambda: 2.0 / f**3)
 
     def __getitem__(self, idx) -> "Taylor2":
         """Index the leading component axes; the derivative axes are kept."""
         idx = idx if isinstance(idx, tuple) else (idx,)
         full = slice(None)
-        return Taylor2(self.val[idx], self.grad[(full,) + idx], self.hess[(full, full) + idx])
+        hess = self.hess if self.hess is NO_HESSIAN else self.hess[(full, full) + idx]
+        return Taylor2(self.val[idx], self.grad[(full,) + idx], hess)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Taylor2):
             if self.val.ndim == other.val.ndim:  # no lifting: the common case, kept cheap
-                return Taylor2(self.val + other.val, self.grad + other.grad, self.hess + other.hess)
-            (g1, h1), (g2, h2) = self._lifted(other.val.ndim), other._lifted(self.val.ndim)
-            return Taylor2(self.val + other.val, g1 + g2, h1 + h2)
+                (g1, h1), (g2, h2) = (self.grad, self.hess), (other.grad, other.hess)
+            else:
+                (g1, h1), (g2, h2) = self._lifted(other.val.ndim), other._lifted(self.val.ndim)
+            second = h1 is not NO_HESSIAN and h2 is not NO_HESSIAN
+            return Taylor2(self.val + other.val, g1 + g2, h1 + h2 if second else NO_HESSIAN)
         pad = np.zeros(np.shape(other))
         grad, hess = self._lifted(pad.ndim)
-        return Taylor2(self.val + other, grad + pad, hess + pad)
+        return Taylor2(self.val + other, grad + pad, hess if hess is NO_HESSIAN else hess + pad)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Taylor2(-self.val, -self.grad, -self.hess)
+        return Taylor2(-self.val, -self.grad, self.hess if self.hess is NO_HESSIAN else -self.hess)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Taylor2) else -np.asarray(other))
@@ -114,6 +135,8 @@ class Taylor2:
             g1, h1, g2, h2 = self.grad, self.hess, other.grad, other.hess
             if self.val.ndim != other.val.ndim:
                 (g1, h1), (g2, h2) = self._lifted(other.val.ndim), other._lifted(self.val.ndim)
+            if h1 is NO_HESSIAN or h2 is NO_HESSIAN:
+                return Taylor2(self.val * other.val, self.val * g2 + other.val * g1)
             cross = g1[:, None] * g2[None, :]
             return Taylor2(
                 self.val * other.val,
@@ -121,7 +144,7 @@ class Taylor2:
                 self.val * h2 + other.val * h1 + cross + np.swapaxes(cross, 0, 1),
             )
         grad, hess = self._lifted(0 if isinstance(other, (int, float)) else np.ndim(other))
-        return Taylor2(self.val * other, grad * other, hess * other)
+        return Taylor2(self.val * other, grad * other, hess if hess is NO_HESSIAN else hess * other)
 
     __rmul__ = __mul__
 
@@ -135,17 +158,17 @@ class Taylor2:
 
     def __pow__(self, e):
         f = self.val
-        return self._apply(f**e, e * f ** (e - 1), e * (e - 1) * f ** (e - 2))
+        return self._apply(f**e, e * f ** (e - 1), lambda: e * (e - 1) * f ** (e - 2))
 
     def __repr__(self):
         return f"Taylor2(val={self.val!r})"
 
 
-def seed_point(coords) -> list[Taylor2]:
-    """Turn an ``(n,) + batch`` coordinate array into a list of Taylor2 seeds."""
+def seed_point(coords, order: int = 2) -> list[Taylor2]:
+    """Turn an ``(n,) + batch`` coordinate array into a list of Taylor2 seeds of order 1 or 2."""
     coords = np.asarray(coords, dtype=float)
     n = coords.shape[0]
-    return [Taylor2.variable(coords[i], i, n) for i in range(n)]
+    return [Taylor2.variable(coords[i], i, n, order) for i in range(n)]
 
 
 def _value(x):
@@ -169,9 +192,10 @@ def lincomb(coefs, terms):
     ``terms`` are scalars at the evaluation points: rank-0 Taylor2 jets,
     batch arrays or numbers.  The result has the component axes
     ``coefs.shape[:-1]`` and is one Taylor2 if any term is one, so a linear
-    combination of m coordinates costs one jet, not 2m.  Each component
-    takes the same products and sums, in the same order, as the loop
-    ``acc = acc + coefs[..., a] * terms[a]`` over scalar jets.
+    combination of m coordinates costs one jet, not 2m; it is first-order
+    if any term is.  Each component takes the same products and sums, in
+    the same order, as the loop ``acc = acc + coefs[..., a] * terms[a]``
+    over scalar jets.
     """
     coefs = np.asarray(coefs, dtype=float)
     comp = coefs.shape[:-1]
@@ -184,17 +208,22 @@ def lincomb(coefs, terms):
         val = part if val is None else val + part
         if isinstance(term, Taylor2):
             g = term.grad.reshape(term.grad.shape[:1] + lift + term.val.shape)
-            h = term.hess.reshape(term.hess.shape[:2] + lift + term.val.shape)
+            h = term.hess
+            if h is not NO_HESSIAN:
+                h = h.reshape(h.shape[:2] + lift + term.val.shape)
             if grad is None:
-                grad, hess = c * g, c * h
+                grad, hess = c * g, h if h is NO_HESSIAN else c * h
                 continue
             # accumulate in place through one scratch pair: on large batches
             # the derivative arrays dominate and fresh temporaries cost more
             # than the arithmetic
             if scratch is None:
-                scratch = np.empty_like(grad), np.empty_like(hess)
+                scratch = np.empty_like(grad), hess if hess is NO_HESSIAN else np.empty_like(hess)
             grad += np.multiply(c, g, out=scratch[0])
-            hess += np.multiply(c, h, out=scratch[1])
+            if h is NO_HESSIAN:
+                hess = NO_HESSIAN
+            elif hess is not NO_HESSIAN:
+                hess += np.multiply(c, h, out=scratch[1])
     return val if grad is None else Taylor2(val, grad, hess)
 
 
@@ -207,35 +236,41 @@ def collect_jet(tree, nvars: int, batch_shape: tuple = ()):
     layout and is returned without gathering; a nested list is gathered
     leaf by leaf, with non-Taylor2 leaves treated as constants.  Both paths
     hold the component axes outermost in memory, so downstream reductions
-    see the same strides and round the same way.
+    see the same strides and round the same way.  The Hessian is
+    ``NO_HESSIAN`` if the tree holds a first-order jet.
     """
     if isinstance(tree, Taylor2):
         k = tree.val.ndim - len(batch_shape)
         grad = np.moveaxis(np.asarray(np.moveaxis(tree.grad, 0, k), order="C"), k, 0)
-        hess = np.moveaxis(np.asarray(np.moveaxis(tree.hess, (0, 1), (k, k + 1)), order="C"), (k, k + 1), (0, 1))
+        hess = tree.hess
+        if hess is not NO_HESSIAN:
+            hess = np.moveaxis(np.asarray(np.moveaxis(hess, (0, 1), (k, k + 1)), order="C"), (k, k + 1), (0, 1))
         return np.asarray(tree.val, order="C"), grad, hess
     arr = np.array(tree, dtype=object)
     comp = arr.shape
+    second = not any(isinstance(leaf, Taylor2) and leaf.hess is NO_HESSIAN for leaf in arr.flat)
     val = np.zeros(comp + batch_shape)
     grad = np.zeros(comp + (nvars,) + batch_shape)
-    hess = np.zeros(comp + (nvars, nvars) + batch_shape)
+    hess = np.zeros(comp + (nvars, nvars) + batch_shape) if second else NO_HESSIAN
     for idx in np.ndindex(comp):
         leaf = arr[idx]
         if isinstance(leaf, Taylor2):
             val[idx] = leaf.val
             grad[idx] = leaf.grad
-            hess[idx] = leaf.hess
+            if second:
+                hess[idx] = leaf.hess
         else:
             val[idx] = leaf
     grad = np.moveaxis(grad, len(comp), 0)
-    hess = np.moveaxis(hess, (len(comp), len(comp) + 1), (0, 1))
+    if second:
+        hess = np.moveaxis(hess, (len(comp), len(comp) + 1), (0, 1))
     return val, grad, hess
 
 
 def _dispatch(x, np_fn, u1_fn, u2_fn):
     if isinstance(x, Taylor2):
         f = x.val
-        return x._apply(np_fn(f), u1_fn(f), u2_fn(f))
+        return x._apply(np_fn(f), u1_fn(f), lambda: u2_fn(f))
     return np_fn(np.asarray(x, dtype=float) if not np.isscalar(x) else x)
 
 

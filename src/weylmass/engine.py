@@ -10,6 +10,9 @@ first in all jet outputs, derivative axes lead:
 * ``jet1`` returns ``(value, d1)`` with ``d1[i] = d(value)/d(coord_i)``,
 * ``jet2`` additionally returns ``d2[i, j]`` of second partials.
 
+In dual mode ``jet1`` seeds first-order jets, which propagate value and
+gradient only and never build a Hessian; ``jet2`` seeds second-order jets.
+
 Fields that cannot take Taylor2 coordinates (non-analytic inputs such as
 ``compact_lee``) set ``analytic=False``; the engine differentiates them by
 finite differences even in dual mode, with the fixed step schedule
@@ -84,7 +87,7 @@ class DerivativeEngine:
     def jet1(self, fld: Field, coords):
         coords = np.asarray(coords, dtype=float)
         if self.mode == "dual" and fld.analytic:
-            val, grad, _ = self._dual_jet(fld, coords)
+            val, grad, _ = self._dual_jet(fld, coords, order=1)
             return val, grad
         return self._fd_jet1(fld, coords)
 
@@ -98,12 +101,10 @@ class DerivativeEngine:
 
     # -- dual path --------------------------------------------------------------
 
-    def _dual_jet(self, fld: Field, coords):
-        n = coords.shape[0]
-        batch = coords.shape[1:]
-        out = fld.fn(seed_point(coords))
-        val, grad, hess = collect_jet(out, n, batch)
-        return val, grad, hess
+    def _dual_jet(self, fld: Field, coords, order: int = 2):
+        """(value, gradient, Hessian) from Taylor seeds of ``order``; the Hessian is NO_HESSIAN at order 1."""
+        out = fld.fn(seed_point(coords, order))
+        return collect_jet(out, coords.shape[0], coords.shape[1:])
 
     # -- finite differences -------------------------------------------------------
 

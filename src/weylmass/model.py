@@ -180,6 +180,8 @@ class ModelSpace:
         survive the Koszul formula.
         """
         C = self.structure_constants(coords)
+        if self.fibration == "trivial":
+            return C  # all brackets vanish, and so does G
         return 0.5 * (C - np.swapaxes(C, 1, 2) - np.moveaxis(C, 2, 0))
 
     # -- frame derivatives ----------------------------------------------------

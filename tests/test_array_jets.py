@@ -161,11 +161,11 @@ def assert_same_jet(new_fn, old_fn, p):
 # ---------------------------------------------------------------------------
 
 
-def _rank_jets():
+def _rank_jets(order=2):
     """A rank-0, rank-1 and rank-2 jet at d = n = 4 over a batch of 4 points."""
     rng = np.random.default_rng(7)
     p = rng.uniform(0.5, 1.5, size=(4, 4))
-    x = am.seed_point(p)
+    x = am.seed_point(p, order)
     s = am.sin(am.lincomb(rng.normal(size=5), [1.0] + x))
     v = am.sin(am.lincomb(rng.normal(size=(4, 5)), [1.0] + x)) + 2.0
     t = am.lincomb(rng.normal(size=(4, 4, 4)), x) * am.constant(rng.normal(size=(4, 4)), x[0])
@@ -224,6 +224,79 @@ def test_constant_operands_broadcast_over_points():
 
 
 # ---------------------------------------------------------------------------
+# first-order jets
+# ---------------------------------------------------------------------------
+
+_C4 = np.arange(1.0, 5.0)
+_LINCOMB = np.random.default_rng(3).normal(size=(2, 3, 4))
+
+# every Taylor2 operator and math function, on scalar, vector and matrix jets (v > 1 everywhere)
+FIRST_ORDER_CASES = {
+    "add": lambda s, v, t: v + v,
+    "add-mixed-rank": lambda s, v, t: t + v,
+    "radd": lambda s, v, t: 2.0 + s,
+    "add-constant": lambda s, v, t: v + am.constant(_C4, s),
+    "sub": lambda s, v, t: t - v,
+    "rsub": lambda s, v, t: 1.0 - v,
+    "neg": lambda s, v, t: -t,
+    "mul": lambda s, v, t: s * t,
+    "rmul": lambda s, v, t: 3.0 * v,
+    "mul-constant": lambda s, v, t: am.constant(_C4, s) * s,
+    "div": lambda s, v, t: t / v,
+    "rtruediv": lambda s, v, t: 1.0 / v,
+    "div-number": lambda s, v, t: v / 2.0,
+    "pow": lambda s, v, t: v ** 1.5,
+    "sqrt": lambda s, v, t: am.sqrt(v),
+    "exp": lambda s, v, t: am.exp(s),
+    "log": lambda s, v, t: am.log(v),
+    "sin": lambda s, v, t: am.sin(t),
+    "cos": lambda s, v, t: am.cos(t),
+    "getitem": lambda s, v, t: t[1],
+    "getitem-pair": lambda s, v, t: t[1, 2],
+    "getitem-slice": lambda s, v, t: t[:, 0],
+    "lincomb": lambda s, v, t: am.lincomb(_LINCOMB, [s, v[0], 1.0, v[2]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_ORDER_CASES))
+def test_first_order_jets_carry_no_hessian(case):
+    """A first-order jet keeps NO_HESSIAN through every operation, with the second-order path's gradient."""
+    f = FIRST_ORDER_CASES[case]
+    first, second = f(*_rank_jets(order=1)), f(*_rank_jets(order=2))
+    assert all(j.hess is am.NO_HESSIAN for j in _rank_jets(order=1))
+    assert first.hess is am.NO_HESSIAN
+    assert second.hess.shape == (4, 4) + second.val.shape
+    assert np.array_equal(first.val, second.val) and np.array_equal(first.grad, second.grad)
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_mixed_orders_give_first_order(op):
+    s1, v1, _ = _rank_jets(order=1)
+    s2, v2, _ = _rank_jets(order=2)
+    for a, b, ref in ((s1, v2, OPS[op](s2, v2)), (v2, s1, OPS[op](v2, s2))):
+        out = OPS[op](a, b)
+        assert out.hess is am.NO_HESSIAN
+        assert np.array_equal(out.val, ref.val) and np.array_equal(out.grad, ref.grad)
+    for terms in (lambda s: [s, v2[0], v2[1]], lambda s: [v2[0], s, v2[1]]):
+        out = am.lincomb(_LINCOMB[:, :, :3], terms(s1))
+        ref = am.lincomb(_LINCOMB[:, :, :3], terms(s2))
+        assert out.hess is am.NO_HESSIAN
+        assert np.array_equal(out.val, ref.val) and np.array_equal(out.grad, ref.grad)
+
+
+def test_collect_jet_of_first_order_tree_has_no_hessian():
+    _, v1, t1 = _rank_jets(order=1)
+    _, v2, t2 = _rank_jets(order=2)
+    trees = [(t1, t2), ([[t1[i, j] for j in range(4)] for i in range(4)], [[t2[i, j] for j in range(4)] for i in range(4)]),
+             ([v1[0], 2.0, v1[2], v1[3]], [v2[0], 2.0, v2[2], v2[3]])]
+    for first, second in trees:
+        val, grad, hess = am.collect_jet(first, 4, (4,))
+        ref = am.collect_jet(second, 4, (4,))
+        assert hess is am.NO_HESSIAN and ref[2].shape == (4, 4) + ref[0].shape
+        assert np.array_equal(val, ref[0]) and np.array_equal(grad, ref[1])
+
+
+# ---------------------------------------------------------------------------
 # trial evaluators against their nested-list form
 # ---------------------------------------------------------------------------
 
@@ -244,6 +317,24 @@ def test_trial_evaluators_equal_nested_oracles(request, chart, fiber, batch):
         assert_same_jet(spec.field.fn, nested_form(space, np.random.default_rng(degree), degree, fiber), p)
     assert_same_jet(random_vector_field(space, np.random.default_rng(9)).fn,
                     nested_vector(space, np.random.default_rng(9)), p)
+
+
+@pytest.mark.parametrize("chart,fiber", CHARTS)
+@pytest.mark.parametrize("batch", [None, 5])
+def test_dual_jet1_equals_jet2_on_trial_fields(request, chart, fiber, batch):
+    """engine.jet1 returns jet2's value and gradient bitwise, from first-order seeds."""
+    space = request.getfixturevalue(chart)
+    p = _points(space, 6, batch)
+    engine = DerivativeEngine(mode="dual")
+    ws = trial_structure(space, 5, 1)
+    fields = [random_local_metric(space, 11, fiber_dependence=fiber).as_field(),
+              random_local_lee(space, 11, fiber_dependence=fiber).as_field()]
+    fields += [random_form_field(ws, np.random.default_rng(degree), degree, 0.5, fiber_dependence=fiber).field
+               for degree in range(space.dim + 1)]
+    for fld in fields:
+        first, second = engine.jet1(fld, p), engine.jet2(fld, p)
+        for a, b in zip(first, second[:2]):
+            assert a.shape == b.shape and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("chart", ["model", "hopf_space"])

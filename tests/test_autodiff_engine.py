@@ -5,8 +5,12 @@ import pytest
 
 from weylmass import autodiff as am
 from weylmass.engine import DerivativeEngine, Field, frame_jet1
-from weylmass.families import (kaluza_perturbation, kaluza_two_term, mixed_lee,
-                               radial_lee, slow_tail)
+from weylmass.families import (LEE_BUILDERS, METRIC_BUILDERS, SCALAR_BUILDERS, conformal_sweep,
+                               kaluza_perturbation, kaluza_two_term, mixed_lee, radial_lee,
+                               radial_profile, slow_tail)
+from weylmass.identities import trial_point, trial_structure
+from weylmass.mass import flux_pass
+from weylmass.quadrature import QuadratureSpec
 
 
 def cubic_field():
@@ -138,3 +142,64 @@ def test_engine_step_schedule():
 def test_engine_rejects_bad_mode():
     with pytest.raises(ValueError):
         DerivativeEngine(mode="symbolic")
+
+
+# ---------------------------------------------------------------------------
+# first-order jets: jet1 in dual mode seeds no Hessian
+# ---------------------------------------------------------------------------
+
+
+def _trial_points(space, batch):
+    rng = np.random.default_rng(17)
+    if batch is None:
+        return trial_point(space, rng)
+    return np.stack([trial_point(space, rng) for _ in range(batch)], axis=1)
+
+
+@pytest.mark.parametrize("chart", ["model", "hopf_space"])
+@pytest.mark.parametrize("batch", [None, 5])
+def test_dual_jet1_equals_jet2_on_builtin_fields(request, engine, chart, batch):
+    """Every built-in metric family, Lee form and conformal factor, and a conformal sweep."""
+    space = request.getfixturevalue(chart)
+    builders = [b for table in (METRIC_BUILDERS, LEE_BUILDERS, SCALAR_BUILDERS) for name, b in table.items()
+                if name != "hopf_model" or space.fibration == "hopf"]
+    fields = [b(space).as_field() for b in builders]
+    fields.append(conformal_sweep(kaluza_perturbation(space, mu=0.7), radial_profile(space, beta=0.4)).as_field())
+    p = _trial_points(space, batch)
+    for fld in fields:
+        first, second = engine.jet1(fld, p), engine.jet2(fld, p)
+        assert len(first) == 2
+        for a, b in zip(first, second[:2]):
+            assert a.shape == b.shape and np.array_equal(a, b), fld.name
+
+
+def _recording(fn, seen):
+    def rec(coords):
+        seen.extend(c.hess for c in coords if isinstance(c, am.Taylor2))
+        return fn(coords)
+    return rec
+
+
+def test_dual_jet1_never_seeds_a_hessian():
+    seen = []
+    fld = Field(_recording(cubic_field().fn, seen), shape=(2,))
+    p = np.array([0.7, -1.2, 2.1, 0.4])
+    val, d1 = DerivativeEngine(mode="dual").jet1(fld, p)
+    assert len(seen) == 4 and all(h is am.NO_HESSIAN for h in seen)
+    v0, g0, _ = cubic_jets(p)
+    assert np.max(np.abs(val - v0)) < 1e-13 and np.max(np.abs(d1 - g0)) < 1e-13
+    seen.clear()
+    DerivativeEngine(mode="dual").jet2(fld, p)
+    assert len(seen) == 4 and all(h.shape == (4, 4) for h in seen)
+
+
+@pytest.mark.parametrize("chart", ["model", "hopf_space"])
+def test_flux_pass_takes_first_order_jets_only(request, engine, chart):
+    """Without the decay probes (which take jet2) a flux pass seeds no Hessian into the metric."""
+    space = request.getfixturevalue(chart)
+    ws = trial_structure(space, 3, 0)
+    seen = []
+    ws.metric.fn = _recording(ws.metric.fn, seen)
+    flux_pass(engine, ws, [radial_profile(space, beta=0.3)], radii=[40.0, 80.0],
+              quad=QuadratureSpec(sphere=6, fiber=2), check_decay=False)
+    assert len(seen) == 2 * space.dim and all(h is am.NO_HESSIAN for h in seen)

@@ -91,8 +91,8 @@ def test_workflow_sweep_smoke_runs_a_hopf_sweep():
 
 
 def test_workflow_mass_smoke_runs_a_hopf_mass():
-    """Right after the install, ``python -m weylmass mass`` on the Hopf model, then at m = 5, where the
-    sphere rule is the Gauss-Jacobi product."""
+    """Right after the install, ``python -m weylmass mass`` on the Hopf model, then at m = 5 at the default
+    quadrature, where the sphere rule is the Gauss-Jacobi product (20,000-node shells)."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
@@ -102,7 +102,7 @@ def test_workflow_mass_smoke_runs_a_hopf_mass():
     configs = re.findall(r"echo '([^']+)' > \"\$RUNNER_TEMP/(\w+)\.json\"", smoke)
     assert [(json.loads(c), name) for c, name in configs] == [
         ({"model": {"fibration": "hopf"}, "family": {"name": "hopf_model"}}, "mass"),
-        ({"model": {"m": 5}, "quadrature": {"fiber": 2}}, "mass_m5"),
+        ({"model": {"m": 5}}, "mass_m5"),
     ]
     runs = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" .*\bmass$",
                       smoke, re.MULTILINE)

@@ -507,7 +507,8 @@ def test_gauge_covariance_of_operators(model, engine, op):
     ws = trial_structure(model, 28, 1)
     f = radial_profile(model, beta=0.5)
     ws2 = gauge_change(ws, f)
-    rng = _rng(28, 15, hash(op) % 1000)
+    # a fixed trial index per operator: str hashes change from process to process
+    rng = _rng(28, 15, {"dD": 0, "deltaD": 1, "laplacian": 2}[op])
     k = 1.0
     spec = random_form_field(ws, rng, 1, k)
     spec2 = regauge(spec, f, ws2.gauge)

@@ -8,8 +8,7 @@ identities and mass gauge laws by independent numerical paths.
 """
 
 from .engine import DerivativeEngine, Field
-from .errors import (ChartDomainError, ConfigError, DegreeError, DimensionMismatchError,
-                     GaugeMismatchError, MassNotDefinedError)
+from .errors import ChartDomainError, ConfigError, DegreeError, GaugeMismatchError, MassNotDefinedError
 from .families import LeeFormField, MetricFamily, ScalarField, build_lee, build_metric, build_scalar
 from .model import ModelSpace, sphere_volume
 from .weyl import FormFieldSpec, WeylStructure, gauge_change
@@ -21,7 +20,6 @@ __all__ = [
     "ConfigError",
     "DegreeError",
     "DerivativeEngine",
-    "DimensionMismatchError",
     "Field",
     "FormFieldSpec",
     "GaugeMismatchError",

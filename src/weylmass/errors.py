@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class DimensionMismatchError(ValueError):
-    """Operands live in different dimensions or have incompatible valence."""
-
-
 class DegreeError(ValueError):
     """Form degree incompatible with the requested operation."""
 

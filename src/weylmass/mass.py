@@ -4,10 +4,11 @@ The flux density of a horizontal field Z with model-dual 1-form a_Z is
 
     q(Z) = sum_b (grad^h_{E_b} g)(E_b, Z) a_Z - d(tr_h g)(Z) a_Z / 2 - d(g(Z,Z)) / 2,
 
-summed over the full model frame including the fiber direction.  The mass
-quadratic form is the normalized limit of shell fluxes of q(Z); the
-conformal mass adds the normalized limit of shell fluxes of the Lee-type
-density of theta,
+summed over the full model frame including the fiber direction; on a
+holonomic frame (the trivial fibration) grad^h is the frame derivative.
+The mass quadratic form is the normalized limit of shell fluxes of q(Z);
+the conformal mass adds the normalized limit of shell fluxes of the
+Lee-type density of theta,
 
     (1 - m) <theta, a_Z>_h a_Z - |a_Z|_h^2 theta.
 
@@ -66,7 +67,8 @@ def _lee_type_form(m: int, oneform, wn) -> np.ndarray:
 def _contract_shell(model: ModelSpace, name: str, g, dg, theta, pts, wn, gam) -> tuple:
     """Symmetric m x m forms (Q, C) of one shell from a coordinate jet (g, dg) and the Lee form's values.
 
-    ``wn`` is weights * normals and ``gam`` is ``model.lc_coeffs_h(pts)``.
+    ``wn`` is weights * normals and ``gam`` is ``model.lc_coeffs_h(pts)``, or
+    None on a holonomic frame, which skips the zero h-connection terms.
     Raises ChartDomainError if g is not positive definite at some node.
     """
     m = model.m
@@ -86,8 +88,10 @@ def _contract_shell(model: ModelSpace, name: str, g, dg, theta, pts, wn, gam) ->
             f" (smallest eigenvalue {lam[bad]:.6g})"
         ) from None
     # v_k = sum_b (grad^h_{E_b} g)(E_b, E_k) - E_k(tr_h g) / 2
-    v = (np.einsum("bbk...->k...", dg) - np.einsum("bbl...,lk...->k...", gam, g)
-         - np.einsum("bkl...,bl...->k...", gam, g) - 0.5 * np.einsum("kbb...->k...", dg))
+    v = np.einsum("bbk...->k...", dg)
+    if gam is not None:
+        v = v - np.einsum("bbl...,lk...->k...", gam, g) - np.einsum("bkl...,bl...->k...", gam, g)
+    v = v - 0.5 * np.einsum("kbb...->k...", dg)
     a = np.einsum("kN,cN->kc", v[:m], wn)
     d = np.einsum("cabN,cN->ab", dg[:m, :m, :m], wn)
     q = 0.5 * (a + a.T) - 0.25 * (d + d.T)
@@ -147,8 +151,9 @@ def flux_pass(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[Sca
     Weyl-ALF decay probes run on g and on the first swept gauge, also
     before it.  On each shell g takes one coordinate jet and each factor
     one scalar jet, and the jet of f g comes from the two by the product
-    rule.  theta and the h-Christoffel coefficients are taken once per
-    shell; the Lee form of f g is theta - df/(2f) with df off the factor jet.
+    rule.  theta and the h-Christoffel coefficients (none on a holonomic
+    frame) are taken once per shell; the Lee form of f g is
+    theta - df/(2f) with df off the factor jet.
     """
     model = ws.model
     m = model.m
@@ -178,7 +183,7 @@ def flux_pass(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[Sca
         # theta before the jet: taken after it, its small heap arrays raised peak RSS by 2-3 MB at m = 5
         theta = ws.lee.as_field().values(pts)
         jet = engine.jet1(metric, pts)
-        gam = model.lc_coeffs_h(pts)
+        gam = None if model.holonomic else model.lc_coeffs_h(pts)
         q_forms[0, s], c_forms[0, s] = _contract_shell(model, names[0], *jet, theta, pts, wn, gam)
         for k, f in enumerate(factors, 1):
             f_jet = engine.jet1(f.as_field(), pts)
@@ -187,7 +192,7 @@ def flux_pass(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[Sca
             q_forms[k, s], c_forms[k, s] = _contract_shell(model, names[k], *_rescaled_jet(f_jet, jet),
                                                            theta - df / (2.0 * f_jet[0]), pts, wn, gam)
             df_forms[k - 1, s] = _lee_type_form(m, df, wn)
-        del jet, gam  # kept alive into the next shell they raise m = 5 peak RSS by about 4 MB
+        del jet, gam  # kept alive into the next shell, the jet raises default m = 5 peak RSS by about 18 MB
     norm = sphere_volume(m) * model.L
     return FluxForms(radii, quad, pts.shape[1], q_forms / norm, c_forms / norm, df_forms / norm)
 

@@ -191,14 +191,17 @@ class ModelSpace:
 
         ``E_a F = dF/dx_a - A_a dF/dt`` and ``T F = dF/dt``.  The potential is
         only evaluated when fiber dependence is actually present, keeping the
-        Hopf seam out of computations with invariant fields.
+        Hopf seam out of computations with invariant fields.  It copies only
+        to subtract A dF/dt; otherwise (trivial fibration, or dF/dt = 0) it
+        returns its input, and callers must not write to the result.
         """
-        out = np.array(coord_derivs, dtype=float, copy=True)
         dt = coord_derivs[self.m]
-        if self.fibration != "trivial" and np.any(dt != 0.0):
-            A = self.connection_potential(np.asarray(x, dtype=float))
-            for a in range(self.m):
-                out[a] = out[a] - A[a] * dt
+        if self.fibration == "trivial" or not np.any(dt != 0.0):
+            return coord_derivs
+        out = np.array(coord_derivs, dtype=float, copy=True)
+        A = self.connection_potential(np.asarray(x, dtype=float))
+        for a in range(self.m):
+            out[a] = out[a] - A[a] * dt
         return out
 
     def frame_hessian_from_coord(self, coord_d1: np.ndarray, coord_d2: np.ndarray, x) -> np.ndarray:
@@ -207,12 +210,14 @@ class ModelSpace:
         E_p E_i F = E_p^mu E_i^nu d_mu d_nu F - (X_p A_i) dF/dt: the frame
         coefficients of E_i move with x through A.  As in
         ``frame_from_coord``, A and its Jacobian are only evaluated where
-        fiber dependence is present.
+        fiber dependence is present.  The result may be ``coord_d2`` itself
+        and must not be written to; ``coord_d2`` is never changed.
         """
         inner = np.moveaxis(self.frame_from_coord(np.moveaxis(coord_d2, 1, 0), x), 0, 1)
         out = self.frame_from_coord(inner, x)
         dt = coord_d1[self.m]
         if self.fibration != "trivial" and np.any(dt != 0.0):
             J = self.connection_jacobian(np.asarray(x, dtype=float))
+            out = np.array(out, copy=True)  # out may be coord_d2, which the in-place term must not change
             out[: self.m, : self.m] -= np.einsum("ba...,...->ba...", J, dt)
         return out

@@ -29,7 +29,7 @@ from .engine import DerivativeEngine, frame_jet1, frame_jet2
 from .errors import MassNotDefinedError
 from .families import LeeFormField, MetricFamily, ScalarField
 from .model import ModelSpace
-from .weyl import _faraday_components, _slot_jet, lc_form_block
+from .weyl import _brackets, _faraday_components, _slot_jet, lc_form_block
 
 SLOPE_MARGIN = 0.2
 ZERO_FLOOR = 1e-13
@@ -140,12 +140,15 @@ def _metric_probe_values(engine: DerivativeEngine, model: ModelSpace, fam: Metri
     """g - h, grad_h g and grad2_h g at pts from one metric jet2.
 
     grad2_h g is closed-form; E_p of the h-coefficients comes from the
-    structure Jacobian.
+    structure Jacobian.  On a holonomic frame h's coefficients vanish, and
+    grad_h g and grad2_h g are the frame derivatives dg and ddg.
     """
+    g, dg, ddg = frame_jet2(engine, model, fam.as_field(), pts)
+    if model.holonomic:
+        return g - np.eye(model.dim)[:, :, None], dg, ddg
     gam = model.lc_coeffs_h(pts)
     dC = model.structure_jacobian(pts)
     dgam = 0.5 * (dC - np.swapaxes(dC, 2, 3) - np.moveaxis(dC, 3, 1))
-    g, dg, ddg = frame_jet2(engine, model, fam.as_field(), pts)
     G, dG = _slot_jet(g, dg, ddg, gam, dgam, None, None, 0.0, 2)
     return g - np.eye(model.dim)[:, :, None], G, lc_form_block(dG, G, gam, 3)
 
@@ -163,7 +166,7 @@ def lee_probes(engine: DerivativeEngine, model: ModelSpace, lee: LeeFormField) -
     m = model.m
     pts = probe_grid(model)
     theta, dtheta = frame_jet1(engine, model, lee.as_field(), pts)
-    dtheta = _faraday_components(theta, dtheta, model.structure_constants(pts))
+    dtheta = _faraday_components(theta, dtheta, _brackets(model, pts))
     return [probe_tensor_field(theta, 1 - m, f"{lee.name}:theta", PROBE_RADII),
             probe_tensor_field(dtheta, 2 - m, f"{lee.name}:dtheta", PROBE_RADII)]
 

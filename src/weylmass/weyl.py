@@ -24,7 +24,9 @@ f**(k/2) regauging rule.
 Curvature is algebra on (W, dW, C): the coefficients W of D, their frame
 derivatives dW and the frame structure constants C.  On a holonomic frame
 (``ModelSpace.holonomic``, the trivial fibration) C and its derivatives
-vanish, and every bracket term is skipped rather than built from zeros.
+vanish, and every bracket term is skipped rather than built from zeros;
+the same rule holds in ``lie_bracket``, in the flux pass (no h-Christoffel
+terms) and in the decay probes (no h-connection or bracket terms).
 dW is closed form in one second-order jet of g and one first-order jet of
 theta (``_weyl_jet``); the Levi-Civita case is theta = 0.  Second covariant
 derivatives D(Dw) are algebra on the same jet plus one second-order jet of
@@ -258,7 +260,9 @@ def lie_bracket(engine: DerivativeEngine, model: ModelSpace, x_field: Field, y_f
     xv, dx = frame_jet1(engine, model, x_field, coords)
     yv, dy = frame_jet1(engine, model, y_field, coords)
     out = np.einsum("i...,ij...->j...", xv, dy) - np.einsum("i...,ij...->j...", yv, dx)
-    out += np.einsum("i...,j...,ijk...->k...", xv, yv, model.structure_constants(coords))
+    C = _brackets(model, coords)
+    if C is not None:
+        out += np.einsum("i...,j...,ijk...->k...", xv, yv, C)
     return out
 
 

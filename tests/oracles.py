@@ -25,6 +25,8 @@ slot).  The references here compute the same quantities on other routes:
 * the pointwise multilinear algebra at one point (``PointMetric``,
   ``WeightedForm``, ``wedge``, ``hodge_star``, ...) is the reference for
   the wedge form of D and for delta = -*d*; test-only fields follow it.
+  Its operand checks raise ``DimensionMismatchError``, defined here because
+  nothing in the package raises it.
 
 Pointwise algebra conventions: tensors are dense component arrays in a
 fixed frame.  Differential forms are stored as fully antisymmetric arrays
@@ -47,7 +49,7 @@ import numpy as np
 
 from weylmass import autodiff as am
 from weylmass.engine import DerivativeEngine, Field, frame_jet1, frame_jet2
-from weylmass.errors import DegreeError, DimensionMismatchError, GaugeMismatchError
+from weylmass.errors import DegreeError, GaugeMismatchError
 from weylmass.families import LeeFormField, MetricFamily, ScalarField, directional_profile, radial_profile
 from weylmass.identities import (IdentityReport, _perm_sign, _rng, _weight_pool, antisymmetrize,
                                  random_form_field, trial_point, trial_structure)
@@ -293,6 +295,10 @@ def direction_limits(engine: DerivativeEngine, ws: WeylStructure, z, radii=None,
 # --- pointwise multilinear algebra at one chart point ------------------------
 
 _ATOL = 1e-12
+
+
+class DimensionMismatchError(ValueError):
+    """Operands live in different dimensions or have incompatible valence."""
 
 
 @dataclass(frozen=True)

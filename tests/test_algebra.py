@@ -9,11 +9,11 @@ import math
 import numpy as np
 import pytest
 
-from weylmass.errors import DegreeError, DimensionMismatchError, GaugeMismatchError
+from weylmass.errors import DegreeError, GaugeMismatchError
 from weylmass.identities import alternate_pair, antisymmetrize
 
-from oracles import (PointMetric, TensorValue, WeightedForm, flat, form_inner, hodge_star, interior,
-                     levi_civita, sharp, volume_form, wedge)
+from oracles import (DimensionMismatchError, PointMetric, TensorValue, WeightedForm, flat, form_inner, hodge_star,
+                     interior, levi_civita, sharp, volume_form, wedge)
 
 RNG = np.random.default_rng(1234)
 

@@ -1,6 +1,6 @@
 """The CI workflow installs the test extra, runs CLI smoke commands (a Hopf and an m = 5 mass, a pointwise,
-an annulus and an fd-mode pointwise verify, then Hopf sweeps), summarizes every report they wrote, and runs
-the tier-1 command that ROADMAP.md names, with a time limit."""
+an annulus and an fd-mode pointwise verify, then Hopf sweeps and a trivial-chart sweep), summarizes every
+report they wrote, and runs the tier-1 command that ROADMAP.md names, with a time limit."""
 
 import json
 import os
@@ -72,7 +72,8 @@ def test_workflow_sweep_smoke_runs_a_hopf_sweep():
     """After the verify smoke and before the report smoke, a 2-value radial_profile sweep on the Hopf
     fibration, in dual and in fd mode (the swept jets come from the product rule in both), then a dual
     directional_profile sweep there: its factor has an angular df and an off-diagonal ddf, so the factor
-    probe reads a full frame Hessian on the anholonomic chart."""
+    probe reads a full frame Hessian on the anholonomic chart.  Last, the radial_profile sweep on the
+    default trivial chart, whose holonomic frame takes the flux and probe paths without connection terms."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
@@ -84,10 +85,11 @@ def test_workflow_sweep_smoke_runs_a_hopf_sweep():
     directional = {"name": "directional_profile", "param": "beta", "values": [0.2, 0.3]}
     assert configs == [{"model": {"fibration": "hopf"}, "sweep": sweep},
                        {"model": {"fibration": "hopf"}, "mode": "fd", "sweep": sweep},
-                       {"model": {"fibration": "hopf"}, "sweep": directional}]
+                       {"model": {"fibration": "hopf"}, "sweep": directional},
+                       {"sweep": sweep}]
     runs = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" .*\bsweep$",
                       smoke, re.MULTILINE)
-    assert runs == ["sweep", "sweep_fd", "sweep_dir"]
+    assert runs == ["sweep", "sweep_fd", "sweep_dir", "sweep_trivial"]
 
 
 def test_workflow_mass_smoke_runs_a_hopf_mass():
@@ -122,7 +124,7 @@ def test_workflow_report_smoke_reads_every_smoke_report():
                for name in ("Mass smoke", "CLI smoke", "Sweep smoke")
                for out, command in re.findall(r"--out \"\$RUNNER_TEMP/(\w+)\" (\w+)$",
                                               job["steps"][names.index(name)]["run"], re.MULTILINE)]
-    assert len(written) == 8
+    assert len(written) == 9
     (line,) = job["steps"][names.index("Report smoke")]["run"].strip().splitlines()
     prefix = "PYTHONPATH=src python -m weylmass report "
     assert line.startswith(prefix)

@@ -498,6 +498,49 @@ def test_gauge_audit_sweep_takes_one_base_pass(hopf_space, monkeypatch):
         assert pred == alone_pred
 
 
+def test_holonomic_flux_and_probes_build_no_connection_terms(model, engine, monkeypatch):
+    """On the trivial chart the flux pass, the sweep with decay probes, the Weyl-ALF probes and the Lie
+    bracket never build h's Christoffel coefficients or the frame brackets, and each shell's (Q_r, C_r)
+    equals, bitwise, the contraction fed the explicit zero h-Christoffel array."""
+    import weylmass.mass as mass_mod
+    from weylmass.identities import random_vector_field
+    from weylmass.probes import require_weyl_alf
+    from weylmass.weyl import lie_bracket
+
+    ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), radial_lee(model, 0.4))
+    radii = geometric_radii(40.0, 320.0, 3)
+    quad = QuadratureSpec(sphere=6, fiber=2)
+    factors = [radial_profile(model, beta=0.2), random_adapted_scalar(model, seed=5)]
+    lc_coeffs_h = ModelSpace.lc_coeffs_h
+    calls = []
+    for name in ("lc_coeffs_h", "structure_constants", "structure_jacobian"):
+        method = getattr(ModelSpace, name)
+        monkeypatch.setattr(ModelSpace, name, lambda self, coords, name=name, method=method:
+                            calls.append(name) or method(self, coords))
+    mass_matrix(engine, ws, radii=radii, quad=quad)
+    gauge_audit(engine, ws, factors, radii=radii, quad=quad)
+    require_weyl_alf(engine, model, ws.metric, ws.lee)
+    rng = np.random.default_rng(3)
+    lie_bracket(engine, model, random_vector_field(model, rng), random_vector_field(model, rng),
+                model.point([2.0, 0.5, -1.0], 0.1))
+    forms = flux_pass(engine, ws, factors, radii=radii, quad=quad, check_decay=False)
+    assert calls == []
+
+    norm = sphere_volume(model.m) * model.L
+    for s, r in enumerate(radii):
+        pts, weights, normals = shell_nodes(model, r, quad)
+        gam = lc_coeffs_h(model, pts)
+        assert gam.shape == (4, 4, 4, pts.shape[1]) and not np.any(gam)
+        jet = engine.jet1(ws.metric.as_field(), pts)
+        theta = ws.lee.as_field().values(pts)
+        q, c = mass_mod._contract_shell(model, ws.metric.name, *jet, theta, pts, weights * normals, gam)
+        assert np.array_equal(forms.q[0, s], q / norm) and np.array_equal(forms.c[0, s], c / norm)
+        f_jet = engine.jet1(factors[0].as_field(), pts)
+        q, c = mass_mod._contract_shell(model, "f g", *mass_mod._rescaled_jet(f_jet, jet),
+                                        theta - f_jet[1] / (2.0 * f_jet[0]), pts, weights * normals, gam)
+        assert np.array_equal(forms.q[1, s], q / norm) and np.array_equal(forms.c[1, s], c / norm)
+
+
 @pytest.mark.parametrize("bad", [log_slow_profile, lambda model: radial_profile(model, beta=-3.0)])
 def test_gauge_audit_refuses_any_factor_before_flux_work(model, engine, monkeypatch, bad):
     """A non-adapted or non-positive factor anywhere in the sweep is refused before the first shell form."""

@@ -172,6 +172,41 @@ def test_frame_hessian_matches_fd_of_frame_derivative(hopf_space, engine):
     assert np.max(np.abs(got - got.T - C @ frame_jet1(engine, hopf_space, fld, p)[1])) < 1e-12
 
 
+@pytest.mark.parametrize("chart", ["model", "hopf_space"])
+def test_frame_conversion_copies_only_to_correct(request, engine, chart):
+    """frame_from_coord returns its input itself where no fiber correction applies (trivial chart, or
+    dF/dt = 0) and a corrected new array otherwise; neither conversion changes the caller's jets.
+
+    t + x1 x2 has dF/dt = 1 but no t-row in its Hessian, so only the Jacobian term of
+    frame_hessian_from_coord corrects it there, on a copy."""
+    from weylmass import autodiff as am
+    from weylmass.engine import Field
+
+    space = request.getfixturevalue(chart)
+    pts = np.vstack([HOPF_POINTS, [[0.3, 1.1, 2.0]]])
+    fields = {
+        "invariant": Field(lambda c: am.sin(0.7 * c[0] - 0.4 * c[1]) * c[2], shape=()),
+        "linear_t": Field(lambda c: c[3] + c[0] * c[1], shape=()),
+        "mixed": Field(lambda c: am.sin(0.7 * c[0] - 0.4 * c[1] + 0.3 * c[2] + c[3]) * c[2], shape=()),
+    }
+    for name, fld in fields.items():
+        _, d1, d2 = engine.jet2(fld, pts)
+        d1_before, d2_before = d1.copy(), d2.copy()
+        e1 = space.frame_from_coord(d1, HOPF_POINTS)
+        e2 = space.frame_hessian_from_coord(d1, d2, HOPF_POINTS)
+        assert np.array_equal(d1, d1_before) and np.array_equal(d2, d2_before), name
+        if space.holonomic or name == "invariant":
+            assert e1 is d1, name
+        else:
+            assert not np.shares_memory(e1, d1), name
+            A = space.connection_potential(HOPF_POINTS)
+            assert np.array_equal(e1, np.concatenate([d1[:3] - A * d1[3], d1[3:]])), name
+        if space.holonomic:
+            assert np.array_equal(e2, d2), name
+        elif name != "invariant":
+            assert not np.array_equal(e2, d2) and not np.shares_memory(e2, d2), name
+
+
 def test_hopf_seam_rejected(hopf_space):
     with pytest.raises(ChartDomainError):
         hopf_space.connection_potential(np.array([0.0, 0.0, -2.0]))

@@ -1,17 +1,18 @@
 """Numerical Weyl-connection calculus and ALF-type mass integrals.
 
-The package builds circle-fibered model charts, differentiates analytic
-tensor fields on them exactly (dual numbers) or by Richardson-extrapolated
-finite differences, realizes the conformal-connection operators d^D,
-delta^D, Lap^D and their curvatures, and verifies the Bochner-type
-identities and mass gauge laws by independent numerical paths.
+The package builds circle-fibered model charts, differentiates tensor
+fields on them exactly by Taylor jets (dual mode, with Richardson-
+extrapolated finite differences as the fd cross-check route), realizes
+the conformal-connection operators d^D, delta^D, Lap^D and their
+curvatures, and verifies the Bochner-type identities and mass gauge laws
+by independent numerical paths.
 """
 
 from .engine import DerivativeEngine, Field
 from .errors import ChartDomainError, ConfigError, DegreeError, GaugeMismatchError, MassNotDefinedError
 from .families import LeeFormField, MetricFamily, ScalarField, build_lee, build_metric, build_scalar
 from .model import ModelSpace, sphere_volume
-from .weyl import FormFieldSpec, WeylStructure, gauge_change
+from .weyl import FormFieldSpec, WeylStructure, gauge_change, lee_jet
 
 __version__ = "0.1.0"
 
@@ -33,5 +34,6 @@ __all__ = [
     "build_metric",
     "build_scalar",
     "gauge_change",
+    "lee_jet",
     "sphere_volume",
 ]

@@ -8,8 +8,8 @@ numpy arrays laid out as ``collect_jet`` returns them: value
 jet) let one Taylor2 hold a whole tensor, so one operation differentiates
 every component at once; the batch axes let it hold a whole batch of
 evaluation points.  Every arithmetic operation propagates value, gradient
-and Hessian exactly, which makes first and second derivatives of analytic
-field evaluators exact to machine precision.
+and Hessian exactly, which makes first and second derivatives of field
+evaluators exact to machine precision.
 
 A first-order jet (``seed_point(coords, order=1)``) carries no Hessian: its
 ``hess`` is the shared empty array ``NO_HESSIAN``, and every operation skips
@@ -23,7 +23,8 @@ combine componentwise.  ``jet[i]`` indexes the leading component axes.
 Constant tensors enter through two helpers that lay them out over the batch
 axes: ``constant(C, like)`` (C at every point of ``like``) and
 ``lincomb(C, terms)`` (the sum of ``C[..., a]`` times ``terms[a]`` over
-scalar jets, built as one jet).
+scalar jets, built as one jet).  ``where(cond, a, b)`` selects per value
+entry, so piecewise fields (a compactly supported bump) stay jets.
 
 Evaluators that want to be differentiated this way must be written against
 the generic math functions at the bottom of this module (``sqrt``, ``sin``,
@@ -41,6 +42,8 @@ __all__ = [
     "collect_jet",
     "constant",
     "lincomb",
+    "value",
+    "where",
     "sqrt",
     "exp",
     "log",
@@ -171,7 +174,8 @@ def seed_point(coords, order: int = 2) -> list[Taylor2]:
     return [Taylor2.variable(coords[i], i, n, order) for i in range(n)]
 
 
-def _value(x):
+def value(x):
+    """The value of a jet; any other operand is returned as it is."""
     return x.val if isinstance(x, Taylor2) else x
 
 
@@ -183,7 +187,7 @@ def constant(C, like) -> np.ndarray:
     and ``constant(C, s) * s`` is the tensor product C ⊗ s.
     """
     C = np.asarray(C, dtype=float)
-    return C.reshape(C.shape + (1,) * np.ndim(_value(like)))
+    return C.reshape(C.shape + (1,) * np.ndim(value(like)))
 
 
 def lincomb(coefs, terms):
@@ -200,11 +204,11 @@ def lincomb(coefs, terms):
     coefs = np.asarray(coefs, dtype=float)
     comp = coefs.shape[:-1]
     lift = (1,) * len(comp)
-    batch = (1,) * max(np.ndim(_value(t)) for t in terms)
+    batch = (1,) * max(np.ndim(value(t)) for t in terms)
     val = grad = hess = scratch = None
     for a, term in enumerate(terms):
         c = coefs[..., a].reshape(comp + batch)
-        part = c * _value(term)
+        part = c * value(term)
         val = part if val is None else val + part
         if isinstance(term, Taylor2):
             g = term.grad.reshape(term.grad.shape[:1] + lift + term.val.shape)
@@ -225,6 +229,27 @@ def lincomb(coefs, terms):
             elif hess is not NO_HESSIAN:
                 hess += np.multiply(c, h, out=scratch[1])
     return val if grad is None else Taylor2(val, grad, hess)
+
+
+def where(cond, a, b):
+    """``np.where`` on jets: the jet of a where cond holds, the jet of b elsewhere.
+
+    cond is a boolean array on the value axes (component and batch axes,
+    broadcast as numpy does); a and b are jets, arrays or numbers, and a
+    constant has zero derivatives.  The result is first-order if a jet
+    operand is.  Only the selected operand reaches the result, but both are
+    evaluated everywhere: an operand that would divide by zero or overflow
+    where it is not selected needs its argument guarded by an inner
+    ``where`` (``exp(-1 / where(inside, u, 1))``).
+    """
+    if not isinstance(a, Taylor2) and not isinstance(b, Taylor2):
+        return np.where(cond, a, b)
+    val = np.where(cond, value(a), value(b))
+    cond = np.broadcast_to(cond, val.shape)  # the derivative arrays take the full value shape
+    (ga, ha), (gb, hb) = (x._lifted(val.ndim) if isinstance(x, Taylor2) else (0.0, 0.0) for x in (a, b))
+    if ha is NO_HESSIAN or hb is NO_HESSIAN:
+        return Taylor2(val, np.where(cond, ga, gb))
+    return Taylor2(val, np.where(cond, ga, gb), np.where(cond, ha, hb))
 
 
 def collect_jet(tree, nvars: int, batch_shape: tuple = ()):

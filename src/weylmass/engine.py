@@ -1,26 +1,24 @@
-"""Derivative engine: exact dual-number jets for analytic fields, central
-finite differences with Richardson extrapolation for everything else.
+"""Derivative engine: exact Taylor jets (dual mode) or central finite
+differences with Richardson extrapolation (fd mode, the cross-check route).
 
 A :class:`Field` wraps an evaluator ``fn(coords) -> components`` where
 ``coords`` is a length-n sequence of scalar-likes (floats, batch arrays, or
-Taylor2 seeds for analytic fields) and the components are nested lists or
-one array (an array-valued Taylor2 for Taylor2 seeds).  Component axes come
-first in all jet outputs, derivative axes lead:
+Taylor2 seeds) and the components are nested lists or one array (an
+array-valued Taylor2 for Taylor2 seeds).  Every evaluator is written
+against the generic math of :mod:`weylmass.autodiff` (``where`` included,
+for piecewise fields), so both modes take every field.  Component axes
+come first in all jet outputs, derivative axes lead:
 
 * ``jet1`` returns ``(value, d1)`` with ``d1[i] = d(value)/d(coord_i)``,
 * ``jet2`` additionally returns ``d2[i, j]`` of second partials.
 
 In dual mode ``jet1`` seeds first-order jets, which propagate value and
 gradient only and never build a Hessian; ``jet2`` seeds second-order jets.
-
-Fields that cannot take Taylor2 coordinates (non-analytic inputs such as
-``compact_lee``) set ``analytic=False``; the engine differentiates them by
-finite differences even in dual mode, with the fixed step schedule
-``h = max(FD_REL_STEP * r, FD_MIN_STEP)`` so relative truncation error
-stays uniform as the radius grows.  No operator output is differentiated
-that way: curvature, second covariant derivatives and the decay probes
-build their derivatives in closed form from one jet of each input
-(exact Hessian in dual mode, Richardson-FD Hessian in fd mode).
+In fd mode the step schedule is ``h = max(FD_REL_STEP * r, FD_MIN_STEP)``,
+so relative truncation error stays uniform as the radius grows.  No
+operator output is differentiated either way: curvature, second covariant
+derivatives and the decay probes build their derivatives in closed form
+from one jet of each input.
 """
 
 from __future__ import annotations
@@ -41,11 +39,10 @@ FD_MIN_STEP = 1e-5
 
 @dataclass
 class Field:
-    """Evaluator plus metadata; ``analytic`` fields accept Taylor2 coordinates."""
+    """Evaluator with its component shape and a name."""
 
     fn: Callable
     shape: tuple = ()
-    analytic: bool = True
     name: str = ""
 
     def values(self, coords) -> np.ndarray:
@@ -86,14 +83,14 @@ class DerivativeEngine:
 
     def jet1(self, fld: Field, coords):
         coords = np.asarray(coords, dtype=float)
-        if self.mode == "dual" and fld.analytic:
+        if self.mode == "dual":
             val, grad, _ = self._dual_jet(fld, coords, order=1)
             return val, grad
         return self._fd_jet1(fld, coords)
 
     def jet2(self, fld: Field, coords):
         coords = np.asarray(coords, dtype=float)
-        if self.mode == "dual" and fld.analytic:
+        if self.mode == "dual":
             return self._dual_jet(fld, coords)
         val, d1 = self._fd_jet1(fld, coords)
         d2 = self._fd_hessian(fld, coords)

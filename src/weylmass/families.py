@@ -10,8 +10,9 @@ single operations act on every component (``random_local_metric`` and
 combine components index either kind as ``out[i][j]``.  All components are
 taken in the model coframe ``(dx_1..dx_m, eta)``.
 
-Declared decay exponents are carried as metadata and checked against
-measured slopes by :mod:`weylmass.probes`.
+A field carries only its evaluator, name and parameters: the decay probes
+of :mod:`weylmass.probes` test the class rates 2-m, 1-m and -m, and every
+derivative comes from the engine's jets.
 """
 
 from __future__ import annotations
@@ -36,53 +37,44 @@ def _radius(xs):
 
 @dataclass
 class MetricFamily:
-    """Analytic family of frame metric components with decay metadata."""
+    """Family of frame metric components."""
 
     name: str
     model: ModelSpace
     fn: Callable  # coords -> nested (n, n) components
     params: dict = dc_field(default_factory=dict)
-    analytic: bool = True
-    is_alf: bool = True
-    decay_g: Optional[float] = None  # exponent of g - h
-    decay_dg: Optional[float] = None
-    decay_ddg: Optional[float] = None
 
     def as_field(self) -> Field:
         n = self.model.dim
-        return Field(self.fn, shape=(n, n), analytic=self.analytic, name=self.name)
+        return Field(self.fn, shape=(n, n), name=self.name)
 
 
 @dataclass
 class LeeFormField:
-    """Frame components of a Lee form, with declared decay for theta and d(theta)."""
+    """Frame components of a Lee form theta, or of theta - df/(2f) in the gauge f g.
+
+    ``fn`` gives theta; a gauge change records its ``factor`` f instead of
+    differentiating it, and ``weyl.lee_jet`` is the one reader of the form.
+    """
 
     name: str
     model: ModelSpace
     fn: Callable  # coords -> nested (n,) components
     params: dict = dc_field(default_factory=dict)
-    analytic: bool = True
-    decay_theta: Optional[float] = None
-    decay_dtheta: Optional[float] = None
-
-    def as_field(self) -> Field:
-        return Field(self.fn, shape=(self.model.dim,), analytic=self.analytic, name=self.name)
+    factor: Optional[ScalarField] = None
 
 
 @dataclass
 class ScalarField:
-    """Positive conformal factor with a closed-form frame gradient."""
+    """Positive conformal factor."""
 
     name: str
     model: ModelSpace
     fn: Callable  # coords -> scalar
-    grad_fn: Callable  # coords -> nested (n,) frame gradient components
     params: dict = dc_field(default_factory=dict)
-    analytic: bool = True
-    decay_fm1: Optional[float] = None  # exponent of f - 1
 
     def as_field(self) -> Field:
-        return Field(self.fn, shape=(), analytic=self.analytic, name=self.name)
+        return Field(self.fn, shape=(), name=self.name)
 
 
 # ---------------------------------------------------------------------------
@@ -103,14 +95,13 @@ def flat_product(model: ModelSpace) -> MetricFamily:
     def fn(coords):
         return np.eye(n)
 
-    return MetricFamily("flat_product", model, fn, decay_g=-math.inf, decay_dg=-math.inf, decay_ddg=-math.inf)
+    return MetricFamily("flat_product", model, fn)
 
 
 def hopf_model(model: ModelSpace) -> MetricFamily:
     if model.fibration != "hopf":
         raise ValueError("hopf_model requires a hopf-fibered model space")
-    fam = flat_product(model)
-    return MetricFamily("hopf_model", model, fam.fn, decay_g=-math.inf, decay_dg=-math.inf, decay_ddg=-math.inf)
+    return MetricFamily("hopf_model", model, flat_product(model).fn)
 
 
 def kaluza_perturbation(model: ModelSpace, mu: float = 1.0) -> MetricFamily:
@@ -121,10 +112,7 @@ def kaluza_perturbation(model: ModelSpace, mu: float = 1.0) -> MetricFamily:
         r = _radius(coords[:m])
         return _diagonal_rows(1.0 + 2.0 * mu * r ** (2 - m), m)
 
-    return MetricFamily(
-        "kaluza_perturbation", model, fn, params={"mu": mu},
-        decay_g=2 - m, decay_dg=1 - m, decay_ddg=-m,
-    )
+    return MetricFamily("kaluza_perturbation", model, fn, params={"mu": mu})
 
 
 def kaluza_two_term(model: ModelSpace, mu: float = 1.0, kappa: float = 0.5) -> MetricFamily:
@@ -135,10 +123,7 @@ def kaluza_two_term(model: ModelSpace, mu: float = 1.0, kappa: float = 0.5) -> M
         r = _radius(coords[:m])
         return _diagonal_rows(1.0 + 2.0 * mu * r ** (2 - m) + kappa * r ** (2 * (2 - m)), m)
 
-    return MetricFamily(
-        "kaluza_two_term", model, fn, params={"mu": mu, "kappa": kappa},
-        decay_g=2 - m, decay_dg=1 - m, decay_ddg=-m,
-    )
+    return MetricFamily("kaluza_two_term", model, fn, params={"mu": mu, "kappa": kappa})
 
 
 def slow_tail(model: ModelSpace, mu: float = 1.0) -> MetricFamily:
@@ -149,10 +134,7 @@ def slow_tail(model: ModelSpace, mu: float = 1.0) -> MetricFamily:
         r = _radius(coords[:m])
         return _diagonal_rows(1.0 + 2.0 * mu * r ** (-0.5), m)
 
-    return MetricFamily(
-        "slow_tail", model, fn, params={"mu": mu}, is_alf=False,
-        decay_g=-0.5, decay_dg=-1.5, decay_ddg=-2.5,
-    )
+    return MetricFamily("slow_tail", model, fn, params={"mu": mu})
 
 
 def conformal_sweep(base: MetricFamily, factor: ScalarField) -> MetricFamily:
@@ -164,19 +146,8 @@ def conformal_sweep(base: MetricFamily, factor: ScalarField) -> MetricFamily:
         g = base.fn(coords)
         return [[f * g[i][j] for j in range(n)] for i in range(n)]
 
-    decay = base.decay_g
-    if factor.decay_fm1 is not None:
-        decay = factor.decay_fm1 if decay is None else max(decay, factor.decay_fm1)
-    m = base.model.m
-    return MetricFamily(
-        f"conformal_sweep({base.name},{factor.name})", base.model, fn,
-        params={**base.params, "factor": factor.name},
-        analytic=base.analytic and factor.analytic,
-        is_alf=base.is_alf and factor.decay_fm1 is not None and factor.decay_fm1 <= 2 - m,
-        decay_g=decay,
-        decay_dg=None if decay is None else decay - 1,
-        decay_ddg=None if decay is None else decay - 2,
-    )
+    return MetricFamily(f"conformal_sweep({base.name},{factor.name})", base.model, fn,
+                        params={**base.params, "factor": factor.name})
 
 
 def random_local_metric(model: ModelSpace, seed: int, amplitude: float = 0.12,
@@ -205,7 +176,7 @@ def random_local_metric(model: ModelSpace, seed: int, amplitude: float = 0.12,
             sines.append(am.sin(am.lincomb(arg_coefs[q], list(coords[:m]) + fiber + [1.0])))
         return am.lincomb(metric_coefs, sines + [1.0])
 
-    return MetricFamily(f"random_local_metric(seed={seed})", model, fn, params={"seed": seed}, is_alf=False)
+    return MetricFamily(f"random_local_metric(seed={seed})", model, fn, params={"seed": seed})
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +190,7 @@ def zero_lee(model: ModelSpace) -> LeeFormField:
     def fn(coords):
         return [0.0] * n
 
-    return LeeFormField("zero_lee", model, fn, decay_theta=-math.inf, decay_dtheta=-math.inf)
+    return LeeFormField("zero_lee", model, fn)
 
 
 def radial_lee(model: ModelSpace, amplitude: float = 0.5) -> LeeFormField:
@@ -231,10 +202,7 @@ def radial_lee(model: ModelSpace, amplitude: float = 0.5) -> LeeFormField:
         scale = amplitude * r ** (-m)
         return [scale * coords[a] for a in range(m)] + [0.0]
 
-    return LeeFormField(
-        "radial_lee", model, fn, params={"amplitude": amplitude},
-        decay_theta=1 - m, decay_dtheta=-math.inf,
-    )
+    return LeeFormField("radial_lee", model, fn, params={"amplitude": amplitude})
 
 
 def mixed_lee(model: ModelSpace, amplitude: float = 0.5, fiber_amplitude: float = 0.3) -> LeeFormField:
@@ -248,31 +216,30 @@ def mixed_lee(model: ModelSpace, amplitude: float = 0.5, fiber_amplitude: float 
         comps.append(fiber_amplitude * fall)
         return comps
 
-    return LeeFormField(
-        "mixed_lee", model, fn, params={"amplitude": amplitude, "fiber_amplitude": fiber_amplitude},
-        decay_theta=1 - m, decay_dtheta=-m,
-    )
+    return LeeFormField("mixed_lee", model, fn,
+                        params={"amplitude": amplitude, "fiber_amplitude": fiber_amplitude})
 
 
 def compact_lee(model: ModelSpace, amplitude: float = 0.5, r0: float = 2.0, r1: float = 4.0) -> LeeFormField:
-    """Smooth bump-supported Lee form; vanishes outside r in (r0, r1)."""
+    """Smooth bump-supported Lee form amplitude * exp(-1/(1 - s^2)) dr, s = (2r - r0 - r1)/(r1 - r0).
+
+    It vanishes outside r in (r0, r1).  Two ``autodiff.where`` build the
+    bump: the inner one holds 1 - s^2 at 1 off the support, where -1/(1 - s^2)
+    would divide by zero, and the outer one sets the bump to 0 there.
+    """
+    if not r0 < r1:
+        raise ValueError(f"compact_lee needs r0 < r1, got r0={r0!r} r1={r1!r}")
     m = model.m
 
     def fn(coords):
-        coords = [np.asarray(c, dtype=float) for c in coords]
         r = _radius(coords[:m])
         s = (2.0 * r - (r0 + r1)) / (r1 - r0)
-        inside = np.abs(s) < 1.0
-        bump = np.zeros_like(np.asarray(s))
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            vals = np.exp(-1.0 / np.maximum(1.0 - s**2, 1e-300))
-        bump = np.where(inside, vals, 0.0)
-        return [amplitude * bump * coords[a] / r for a in range(m)] + [np.zeros_like(np.asarray(s))]
+        u = 1.0 - s * s
+        inside = am.value(u) > 0.0
+        bump = am.where(inside, am.exp(-1.0 / am.where(inside, u, 1.0)), 0.0)
+        return [amplitude * bump * coords[a] / r for a in range(m)] + [0.0]
 
-    return LeeFormField(
-        "compact_lee", model, fn, params={"amplitude": amplitude, "r0": r0, "r1": r1},
-        analytic=False, decay_theta=-math.inf, decay_dtheta=-math.inf,
-    )
+    return LeeFormField("compact_lee", model, fn, params={"amplitude": amplitude, "r0": r0, "r1": r1})
 
 
 def random_local_lee(model: ModelSpace, seed: int, amplitude: float = 0.3,
@@ -302,15 +269,10 @@ def random_local_lee(model: ModelSpace, seed: int, amplitude: float = 0.3,
 
 
 def unit_scalar(model: ModelSpace) -> ScalarField:
-    n = model.dim
-
     def fn(coords):
         return 1.0
 
-    def grad_fn(coords):
-        return [0.0] * n
-
-    return ScalarField("unit_scalar", model, fn, grad_fn, decay_fm1=-math.inf)
+    return ScalarField("unit_scalar", model, fn)
 
 
 def radial_profile(model: ModelSpace, beta: float = 0.5, power: Optional[float] = None) -> ScalarField:
@@ -322,14 +284,7 @@ def radial_profile(model: ModelSpace, beta: float = 0.5, power: Optional[float] 
         r = _radius(coords[:m])
         return 1.0 + beta * r**s
 
-    def grad_fn(coords):
-        r = _radius(coords[:m])
-        scale = beta * s * r ** (s - 2)
-        return [scale * coords[a] for a in range(m)] + [0.0]
-
-    return ScalarField(
-        "radial_profile", model, fn, grad_fn, params={"beta": beta, "power": s}, decay_fm1=s,
-    )
+    return ScalarField("radial_profile", model, fn, params={"beta": beta, "power": s})
 
 
 def directional_profile(model: ModelSpace, beta: float = 0.3, axis: int = 0) -> ScalarField:
@@ -343,16 +298,7 @@ def directional_profile(model: ModelSpace, beta: float = 0.3, axis: int = 0) -> 
         r = _radius(coords[:m])
         return 1.0 + beta * coords[axis] * r**s
 
-    def grad_fn(coords):
-        r = _radius(coords[:m])
-        rs = r**s
-        comps = [beta * coords[axis] * s * r ** (s - 2) * coords[a] for a in range(m)]
-        comps[axis] = comps[axis] + beta * rs
-        return comps + [0.0]
-
-    return ScalarField(
-        "directional_profile", model, fn, grad_fn, params={"beta": beta, "axis": axis}, decay_fm1=2 - m,
-    )
+    return ScalarField("directional_profile", model, fn, params={"beta": beta, "axis": axis})
 
 
 def log_slow_profile(model: ModelSpace, beta: float = 1.0) -> ScalarField:
@@ -363,13 +309,7 @@ def log_slow_profile(model: ModelSpace, beta: float = 1.0) -> ScalarField:
         r = _radius(coords[:m])
         return 1.0 + beta / am.log(r)
 
-    def grad_fn(coords):
-        r = _radius(coords[:m])
-        lg = am.log(r)
-        scale = -beta / (lg * lg * r * r)
-        return [scale * coords[a] for a in range(m)] + [0.0]
-
-    return ScalarField("log_slow_profile", model, fn, grad_fn, params={"beta": beta}, decay_fm1=0.0)
+    return ScalarField("log_slow_profile", model, fn, params={"beta": beta})
 
 
 def sqrt_slow_profile(model: ModelSpace, beta: float = 1.0) -> ScalarField:

@@ -48,7 +48,7 @@ from .quadrature import (QuadratureSpec, annulus_node_count, annulus_nodes, flux
                          volume_integral_curved)
 from .weyl import (FormFieldSpec, WeylStructure, _brackets, _coeff_curvature, _covd_slots,
                    _faraday_components, _jet_curvature, _ricci, _weyl_jet, covd2_form_block, covd_form_block,
-                   dD, deltaD, form_field_of, insert_alt, inv_gram, lie_bracket, outer_front, tdot,
+                   dD, deltaD, form_field_of, insert_alt, inv_gram, lee_jet, lie_bracket, outer_front, tdot,
                    weyl_connect_vec, weyl_curvature)
 
 RESOLVED_BOCHNER_SIGN = 1.0
@@ -186,17 +186,17 @@ def random_vector_field(model: ModelSpace, rng) -> Field:
         arg = am.lincomb(arg_coefs, [1.0] + list(coords[:m]))
         return am.constant(coefs, coords[0]) * am.sin(arg)
 
-    return Field(fn, shape=(n,), analytic=True, name="random_vector")
+    return Field(fn, shape=(n,), name="random_vector")
 
 
 def extended_lee(base: LeeFormField, extra: LeeFormField) -> LeeFormField:
+    """The Lee form of base plus extra, extra taken in base's gauge."""
     def fn(coords):
         a = base.fn(coords)
         b = extra.fn(coords)
         return [x + y for x, y in zip(a, b)]
 
-    return LeeFormField(f"{base.name}+{extra.name}", base.model, fn,
-                        analytic=base.analytic and extra.analytic)
+    return LeeFormField(f"{base.name}+{extra.name}", base.model, fn, factor=base.factor)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +250,7 @@ def check_d_transform(engine: DerivativeEngine, model: ModelSpace, seed: int = 4
         spec2 = FormFieldSpec(spec.field, deg, k, ws2.gauge)
         d1 = dD(engine, ws, spec, p)
         d2 = dD(engine, ws2, spec2, p)
-        sg = sigma.as_field().values(p)
+        sg = lee_jet(engine, sigma, p)
         w = spec.field.values(p)
         shift = k * (sg * w if deg == 0 else insert_alt(outer_front(sg, np.asarray(w), deg), deg))
         worst = max(worst, float(np.max(np.abs(d2 - d1 - shift))))
@@ -281,7 +281,7 @@ def check_codifferential_transform(engine: DerivativeEngine, model: ModelSpace, 
         s1 = deltaD(engine, ws, spec, p)
         s2 = deltaD(engine, ws2, spec2, p)
         g = ws.gram(p)
-        sg = sigma.as_field().values(p)
+        sg = lee_jet(engine, sigma, p)
         ssharp = inv_gram(g) @ sg
         iw = tdot(ssharp, np.asarray(spec.field.values(p)), 0)
         diff = s2 - s1

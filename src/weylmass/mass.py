@@ -52,7 +52,7 @@ from .families import ScalarField, conformal_sweep
 from .model import ModelSpace, sphere_volume
 from .probes import geometric_radii, require_adapted, require_positive, require_weyl_alf
 from .quadrature import QuadratureSpec, shell_nodes
-from .weyl import WeylStructure, gauge_change
+from .weyl import WeylStructure, gauge_change, lee_jet
 
 
 def _lee_type_form(m: int, oneform, wn) -> np.ndarray:
@@ -181,7 +181,7 @@ def flux_pass(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[Sca
         model.require_in_chart(pts)
         wn = weights * normals
         # theta before the jet: taken after it, its small heap arrays raised peak RSS by 2-3 MB at m = 5
-        theta = ws.lee.as_field().values(pts)
+        theta = lee_jet(engine, ws.lee, pts)
         jet = engine.jet1(metric, pts)
         gam = None if model.holonomic else model.lc_coeffs_h(pts)
         q_forms[0, s], c_forms[0, s] = _contract_shell(model, names[0], *jet, theta, pts, wn, gam)

@@ -1,15 +1,16 @@
 """Decay probes: measure log-log falloff rates of fields and classify them
-against declared exponents.
+against the rates their class requires (2-m, 1-m and -m for a metric and
+a conformal factor, 1-m and 2-m for a Lee form).
 
 Every probe samples one fixed grid: the 8 directions of
 ``direction_samples`` (fixed seed) at each radius of ``PROBE_RADII``
 (8 to 128, geometric).  Each suite takes one jet of its field on that grid
 and reads every probed quantity off it: a metric jet2 gives g - h, grad_h g
-and grad2_h g, a Lee-form jet1 gives theta and d(theta), a conformal-factor
-jet2 gives f - 1, df and ddf.  A probe takes the sup of the frame norm over
+and grad2_h g, a Lee-form jet (``weyl.lee_jet``) gives theta and d(theta),
+a conformal-factor jet2 gives f - 1, df and ddf.  A probe takes the sup of the frame norm over
 the directions at each radius, fits the slope of log(norm) against log(r) by
-least squares, and PASSes when the slope is at most the declared exponent
-plus SLOPE_MARGIN (0.2, matching the acceptance tolerance).
+least squares, and PASSes when the slope is at most the required rate
+(``declared`` in the report) plus SLOPE_MARGIN (0.2, matching the acceptance tolerance).
 Identically-zero fields report slope -inf and PASS.
 
 ``require_positive`` is not a decay probe: it samples a conformal factor
@@ -25,11 +26,11 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import DerivativeEngine, frame_jet1, frame_jet2
+from .engine import DerivativeEngine, frame_jet2
 from .errors import MassNotDefinedError
 from .families import LeeFormField, MetricFamily, ScalarField
 from .model import ModelSpace
-from .weyl import _brackets, _faraday_components, _slot_jet, lc_form_block
+from .weyl import _brackets, _faraday_components, _slot_jet, lc_form_block, lee_jet
 
 SLOPE_MARGIN = 0.2
 ZERO_FLOOR = 1e-13
@@ -165,7 +166,7 @@ def lee_probes(engine: DerivativeEngine, model: ModelSpace, lee: LeeFormField) -
     """Weyl-ALF probes: theta at rate 1-m and d(theta) at rate 2-m."""
     m = model.m
     pts = probe_grid(model)
-    theta, dtheta = frame_jet1(engine, model, lee.as_field(), pts)
+    theta, dtheta = lee_jet(engine, lee, pts, order=1)
     dtheta = _faraday_components(theta, dtheta, _brackets(model, pts))
     return [probe_tensor_field(theta, 1 - m, f"{lee.name}:theta", PROBE_RADII),
             probe_tensor_field(dtheta, 2 - m, f"{lee.name}:dtheta", PROBE_RADII)]

@@ -19,7 +19,8 @@ is assembled only in the tests, as the kernel's independent oracle.
 All conformal-frame sums are realized in the fixed model frame through
 inverse-Gram contractions with g.  Weighted forms are never implicitly
 coerced between gauges; cross-gauge comparisons go through the explicit
-f**(k/2) regauging rule.
+f**(k/2) regauging rule.  A gauge change g -> f g records f on the Lee
+form, and ``lee_jet`` reads theta - df/(2f) off the jets of theta and f.
 
 Curvature is algebra on (W, dW, C): the coefficients W of D, their frame
 derivatives dW and the frame structure constants C.  On a holonomic frame
@@ -68,21 +69,42 @@ class FormFieldSpec:
 
 @dataclass
 class WeylStructure:
-    """Gauge metric, Lee form and chart; immutable after construction."""
+    """Gauge metric, Lee form and chart; immutable after construction.
+
+    The Lee form is read through ``lee_jet``, which applies the factor a
+    gauge change records on it.
+    """
 
     model: ModelSpace
     metric: MetricFamily
     lee: LeeFormField
     gauge: str = "g"
 
-    def lee_field(self) -> Field:
-        return self.lee.as_field()
-
     def gram(self, coords) -> np.ndarray:
         return self.metric.as_field().values(coords)
 
-    def theta(self, coords) -> np.ndarray:
-        return self.lee.as_field().values(coords)
+
+def lee_jet(engine: DerivativeEngine, lee: LeeFormField, coords, order: int = 0):
+    """Frame components theta of a Lee form (order 0), or (theta, E theta) (order 1).
+
+    With a recorded factor f the form is theta_fg = theta - df/(2f), with
+    E_p theta_fg = E_p theta - E_p E_i f/(2f) + E_i f E_p f/(2f^2): one jet1
+    of f at order 0 and one jet2 at order 1.
+    """
+    model, f = lee.model, lee.factor
+    fld = Field(lee.fn, shape=(model.dim,), name=lee.name)
+    if order == 0:
+        theta = fld.values(coords)
+        if f is None:
+            return theta
+        fv, df = frame_jet1(engine, model, f.as_field(), coords)
+        return theta - df / (2.0 * fv)
+    theta, dtheta = frame_jet1(engine, model, fld, coords)
+    if f is None:
+        return theta, dtheta
+    fv, df, ddf = frame_jet2(engine, model, f.as_field(), coords)
+    return (theta - df / (2.0 * fv),
+            dtheta - ddf / (2.0 * fv) + df[:, None] * df[None, :] / (2.0 * fv * fv))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +239,7 @@ def weyl_coeffs(engine: DerivativeEngine, ws: WeylStructure, coords):
     """
     coords = np.asarray(coords, dtype=float)
     gam, g, ginv = christoffel(engine, ws.model, ws.metric, coords)
-    theta = ws.theta(coords)
+    theta = lee_jet(engine, ws.lee, coords)
     theta_sharp = np.einsum("kl...,l...->k...", ginv, theta)
     return _lee_shift(gam, g, theta, theta_sharp), g, ginv, theta
 
@@ -230,7 +252,7 @@ def _weyl_jet(engine: DerivativeEngine, ws: WeylStructure, coords):
     """
     coords = np.asarray(coords, dtype=float)
     gam, dgam, g, dg, ginv = _christoffel_jet(engine, ws.model, ws.metric, coords)
-    theta, dtheta = frame_jet1(engine, ws.model, ws.lee_field(), coords)
+    theta, dtheta = lee_jet(engine, ws.lee, coords, order=1)
     theta_sharp = np.einsum("kl...,l...->k...", ginv, theta)
     dtheta_sharp = np.einsum("kl...,pl...->pk...", ginv,
                              dtheta - np.einsum("plb...,b...->pl...", dg, theta_sharp))
@@ -388,10 +410,9 @@ def deltaD(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coo
     return -np.einsum("ab...,ab...->...", jet[2], H)
 
 
-def form_field_of(ws: WeylStructure, fn: Callable, degree: int, weight: float,
-                  analytic: bool = True, name: str = "") -> FormFieldSpec:
+def form_field_of(ws: WeylStructure, fn: Callable, degree: int, weight: float, name: str = "") -> FormFieldSpec:
     n = ws.model.dim
-    return FormFieldSpec(Field(fn, shape=(n,) * degree, analytic=analytic, name=name), degree, weight, ws.gauge)
+    return FormFieldSpec(Field(fn, shape=(n,) * degree, name=name), degree, weight, ws.gauge)
 
 
 def _faraday_components(theta: np.ndarray, dtheta: np.ndarray, C: np.ndarray | None) -> np.ndarray:
@@ -478,25 +499,14 @@ def _ricci(R: np.ndarray, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
 
 
 def gauge_change(ws: WeylStructure, factor: ScalarField, new_gauge: str | None = None) -> WeylStructure:
-    """Same Weyl connection in the gauge f*g: Lee form becomes theta - df/(2f)."""
-    model = ws.model
-    n = model.dim
-    new_metric = conformal_sweep(ws.metric, factor)
-    base_lee = ws.lee
+    """Same Weyl connection in the gauge f*g: the Lee form records f and reads as theta - df/(2f).
 
-    def lee_fn(coords):
-        th = base_lee.fn(coords)
-        f = factor.fn(coords)
-        gf = factor.grad_fn(coords)
-        return [th[i] - gf[i] / (2.0 * f) for i in range(n)]
-
-    dec_t = base_lee.decay_theta
-    if factor.decay_fm1 is not None and dec_t is not None:
-        dec_t = max(dec_t, factor.decay_fm1 - 1)
-    new_lee = LeeFormField(
-        f"{base_lee.name}-dlog({factor.name})/2", model, lee_fn,
-        params={**base_lee.params, "factor": factor.name},
-        analytic=base_lee.analytic and factor.analytic,
-        decay_theta=dec_t, decay_dtheta=base_lee.decay_dtheta,
-    )
-    return WeylStructure(model, new_metric, new_lee, new_gauge or (ws.gauge + "~" + factor.name))
+    A second change records the product of the two factors.
+    """
+    lee = ws.lee
+    total = factor if lee.factor is None else ScalarField(
+        f"{lee.factor.name}*{factor.name}", ws.model, lambda c: lee.factor.fn(c) * factor.fn(c))
+    new_lee = LeeFormField(f"{lee.name}-dlog({factor.name})/2", ws.model, lee.fn,
+                           params={**lee.params, "factor": factor.name}, factor=total)
+    return WeylStructure(ws.model, conformal_sweep(ws.metric, factor), new_lee,
+                         new_gauge or (ws.gauge + "~" + factor.name))

@@ -58,7 +58,7 @@ from weylmass.model import ModelSpace, sphere_volume
 from weylmass.probes import geometric_radii
 from weylmass.quadrature import QuadratureSpec, shell_nodes
 from weylmass.weyl import (FormFieldSpec, WeylStructure, christoffel, covd_form_block, insert_alt, inv_gram,
-                           lc_form_block, outer_front, tdot)
+                           lc_form_block, lee_jet, outer_front, tdot)
 
 
 def wedge_cov_into(slot_block: np.ndarray, q: int) -> np.ndarray:
@@ -83,7 +83,7 @@ def wedge_covd_form_block(engine: DerivativeEngine, ws: WeylStructure, spec: For
     w, dw = frame_jet1(engine, ws.model, spec.field, coords)
     gam = christoffel(engine, ws.model, ws.metric, coords)[0]
     g = ws.gram(coords)
-    theta = ws.theta(coords)
+    theta = lee_jet(engine, ws.lee, coords)
     H = lc_form_block(dw, w, gam, p)
     if k != 0 or p != 0:
         H = H + (k - p) * outer_front(theta, w, p)
@@ -153,7 +153,7 @@ def check_weighted_derivative_oracle(engine: DerivativeEngine, model: ModelSpace
         a, da = frame_jet1(engine, model, spec.field, p)
         gam = christoffel(engine, model, ws.metric, p)[0]
         g = ws.gram(p)
-        theta = ws.theta(p)
+        theta = lee_jet(engine, ws.lee, p)
         nabla = lc_form_block(da, a, gam, 1)
         inner = float(inv_gram(g) @ a @ theta)
         oracle = nabla + (k - 1) * np.outer(theta, a) - np.outer(a, theta) + inner * g
@@ -191,7 +191,7 @@ def full_weyl_jet(engine: DerivativeEngine, ws: WeylStructure, coords):
     """(W, dW, g, g^-1, theta, dtheta) over ``full_christoffel_jet``, delta terms as einsums."""
     coords = np.asarray(coords, dtype=float)
     gam, dgam, g, dg, ginv = full_christoffel_jet(engine, ws.model, ws.metric, coords)
-    theta, dtheta = frame_jet1(engine, ws.model, ws.lee_field(), coords)
+    theta, dtheta = lee_jet(engine, ws.lee, coords, order=1)
     theta_sharp = np.einsum("kl...,l...->k...", ginv, theta)
     dtheta_sharp = np.einsum("kl...,pl...->pk...", ginv,
                              dtheta - np.einsum("plb...,b...->pl...", dg, theta_sharp))
@@ -252,12 +252,13 @@ def q_flux_components(engine: DerivativeEngine, model: ModelSpace, fam: MetricFa
     return (div_term - 0.5 * dtr_z) * alpha - 0.5 * dgzz
 
 
-def lee_correction_components(model: ModelSpace, lee: LeeFormField, z, coords) -> np.ndarray:
+def lee_correction_components(engine: DerivativeEngine, model: ModelSpace, lee: LeeFormField, z,
+                              coords) -> np.ndarray:
     """(1 - m) <theta, a_Z>_h a_Z - |a_Z|_h^2 theta at (batched) chart points."""
     coords = np.asarray(coords, dtype=float)
     z = horizontal_field(model, z)
     zfull = np.concatenate([z, [0.0]])
-    theta = lee.as_field().values(coords)
+    theta = lee_jet(engine, lee, coords)
     inner = np.einsum("i...,i->...", theta, zfull)
     alpha = zfull.reshape((len(zfull),) + (1,) * (theta.ndim - 1))
     return (1 - model.m) * inner * alpha - float(z @ z) * theta
@@ -286,7 +287,7 @@ def direction_limits(engine: DerivativeEngine, ws: WeylStructure, z, radii=None,
         pts, weights, normals = shell_nodes(model, r, quad)
         q_vals.append(flux_model_metric(model, q_flux_components(engine, model, ws.metric, z, pts),
                                         normals, weights) / norm)
-        c_vals.append(flux_model_metric(model, lee_correction_components(model, ws.lee, z, pts),
+        c_vals.append(flux_model_metric(model, lee_correction_components(engine, model, ws.lee, z, pts),
                                         normals, weights) / norm)
     rate = 2 - model.m
     return richardson_limit(radii, q_vals, rate), richardson_limit(radii, c_vals, rate)
@@ -523,8 +524,7 @@ def regauge(spec: FormFieldSpec, factor: ScalarField, new_gauge: str) -> FormFie
         return _scale_tree(w, scale)
 
     return FormFieldSpec(
-        Field(fn, shape=spec.field.shape, analytic=spec.field.analytic and factor.analytic,
-              name=spec.field.name + "~regauged"),
+        Field(fn, shape=spec.field.shape, name=spec.field.name + "~regauged"),
         spec.degree, spec.weight, new_gauge,
     )
 
@@ -536,19 +536,11 @@ def _scale_tree(tree, scale):
 
 
 def inverse(f: ScalarField) -> ScalarField:
-    """The factor 1/f with its closed-form frame gradient -df/f^2."""
+    """The factor 1/f."""
     def fn(coords):
         return 1.0 / f.fn(coords)
 
-    def grad_fn(coords):
-        fv = f.fn(coords)
-        g = f.grad_fn(coords)
-        return [-gi / (fv * fv) for gi in g]
-
-    return ScalarField(
-        f"inv({f.name})", f.model, fn, grad_fn,
-        params=f.params, analytic=f.analytic, decay_fm1=f.decay_fm1,
-    )
+    return ScalarField(f"inv({f.name})", f.model, fn, params=f.params)
 
 
 def sphere_block_test(model: ModelSpace) -> MetricFamily:
@@ -562,7 +554,7 @@ def sphere_block_test(model: ModelSpace) -> MetricFamily:
             rows.append([((s * s) if (i == j == 1) else (1.0 if i == j else 0.0)) for j in range(n)])
         return rows
 
-    return MetricFamily("sphere_block_test", model, fn, is_alf=False)
+    return MetricFamily("sphere_block_test", model, fn)
 
 
 def random_adapted_scalar(model: ModelSpace, seed: int, scale: float = 0.4) -> ScalarField:
@@ -578,12 +570,5 @@ def random_adapted_scalar(model: ModelSpace, seed: int, scale: float = 0.4) -> S
     def fn(coords):
         return base.fn(coords) + (extra.fn(coords) - 1.0)
 
-    def grad_fn(coords):
-        gb = base.grad_fn(coords)
-        ge = extra.grad_fn(coords)
-        return [a + b for a, b in zip(gb, ge)]
-
-    return ScalarField(
-        f"random_adapted_scalar(seed={seed})", model, fn, grad_fn,
-        params={"seed": seed, "beta": beta, "gamma": gamma, "axis": axis}, decay_fm1=2 - m,
-    )
+    return ScalarField(f"random_adapted_scalar(seed={seed})", model, fn,
+                       params={"seed": seed, "beta": beta, "gamma": gamma, "axis": axis})

@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from weylmass import autodiff as am
-from weylmass.engine import DerivativeEngine
+from weylmass.engine import DerivativeEngine, Field, frame_jet1
 from weylmass.families import radial_profile, random_local_lee, random_local_metric
 from weylmass.identities import (antisymmetrize, extended_lee, random_form_field, random_vector_field,
                                  trial_point, trial_structure)
 from weylmass.model import ModelSpace
 from weylmass.probes import metric_probes
-from weylmass.weyl import WeylStructure, gauge_change
+from weylmass.weyl import WeylStructure, gauge_change, lee_jet
 
 from oracles import regauge
 
@@ -327,8 +327,8 @@ def test_dual_jet1_equals_jet2_on_trial_fields(request, chart, fiber, batch):
     p = _points(space, 6, batch)
     engine = DerivativeEngine(mode="dual")
     ws = trial_structure(space, 5, 1)
-    fields = [random_local_metric(space, 11, fiber_dependence=fiber).as_field(),
-              random_local_lee(space, 11, fiber_dependence=fiber).as_field()]
+    lee = random_local_lee(space, 11, fiber_dependence=fiber)
+    fields = [random_local_metric(space, 11, fiber_dependence=fiber).as_field(), Field(lee.fn, shape=(space.dim,))]
     fields += [random_form_field(ws, np.random.default_rng(degree), degree, 0.5, fiber_dependence=fiber).field
                for degree in range(space.dim + 1)]
     for fld in fields:
@@ -339,7 +339,9 @@ def test_dual_jet1_equals_jet2_on_trial_fields(request, chart, fiber, batch):
 
 @pytest.mark.parametrize("chart", ["model", "hopf_space"])
 def test_gauge_change_and_extended_lee_on_array_lee(request, chart):
-    """Evaluators that index an array-valued Lee form keep their nested-list jets."""
+    """Evaluators that index an array-valued Lee form keep their nested-list jets; a gauge change keeps
+    the array-valued evaluator and records its factor, and ``lee_jet`` reads theta - df/(2f) and its
+    frame derivatives as the nested evaluator with the factor's closed-form gradient gives them."""
     space = request.getfixturevalue(chart)
     p = _points(space, 4, 3)
     base = random_local_lee(space, 21, fiber_dependence=True)
@@ -353,14 +355,19 @@ def test_gauge_change_and_extended_lee_on_array_lee(request, chart):
     ws2 = gauge_change(WeylStructure(space, fam, base), factor)
 
     def old_lee(c):
-        f, gf = factor.fn(c), factor.grad_fn(c)
+        f, r = factor.fn(c), am.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
+        gf = [0.3 * -1.0 * r ** -3.0 * c[a] for a in range(3)] + [0.0]  # d(1 + 0.3/r)
         return [th - gfi / (2.0 * f) for th, gfi in zip(old_base(c), gf)]
 
     def old_metric(c):
         f, g = factor.fn(c), nested_metric(space, 21)(c)
         return [[f * gij for gij in row] for row in g]
 
-    assert_same_jet(ws2.lee.fn, old_lee, p)
+    assert ws2.lee.fn is base.fn and ws2.lee.factor is factor
+    engine = DerivativeEngine("dual")
+    old = frame_jet1(engine, space, Field(old_lee, shape=(space.dim,)), p)
+    for got, want in zip(lee_jet(engine, ws2.lee, p, order=1), old, strict=True):
+        assert np.max(np.abs(got - want)) < 1e-15 * np.max(np.abs(want))
     assert_same_jet(ws2.metric.fn, old_metric, p)
 
 

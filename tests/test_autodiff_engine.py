@@ -5,12 +5,13 @@ import pytest
 
 from weylmass import autodiff as am
 from weylmass.engine import DerivativeEngine, Field, frame_jet1
-from weylmass.families import (LEE_BUILDERS, METRIC_BUILDERS, SCALAR_BUILDERS, conformal_sweep,
-                               kaluza_perturbation, kaluza_two_term, mixed_lee, radial_lee,
-                               radial_profile, slow_tail)
+from weylmass.families import (LEE_BUILDERS, METRIC_BUILDERS, SCALAR_BUILDERS, LeeFormField, conformal_sweep,
+                               directional_profile, kaluza_perturbation, kaluza_two_term, mixed_lee,
+                               radial_lee, radial_profile, slow_tail)
 from weylmass.identities import trial_point, trial_structure
 from weylmass.mass import flux_pass
 from weylmass.quadrature import QuadratureSpec
+from weylmass.weyl import WeylStructure, gauge_change, lee_jet
 
 
 def cubic_field():
@@ -20,7 +21,7 @@ def cubic_field():
         v = c[1] ** 3 + c[0] * c[3]
         return [u, v]
 
-    return Field(fn, shape=(2,), analytic=True)
+    return Field(fn, shape=(2,))
 
 
 def cubic_jets(p):
@@ -100,13 +101,54 @@ def test_batched_jets_match_pointwise():
 def test_fd_dual_agreement_on_builtin_fields(model, builder, kwargs):
     dual = DerivativeEngine(mode="dual")
     fd = DerivativeEngine(mode="fd")
-    obj = builder(model, **kwargs)
-    fld = obj.as_field()
+    fld = _jet_field(builder(model, **kwargs))
     p = model.point([2.0, -0.7, 1.3], 0.5)
     v1, g1 = dual.jet1(fld, p)
     v2, g2 = fd.jet1(fld, p)
     assert np.max(np.abs(v1 - v2)) < 1e-12
     assert np.max(np.abs(g1 - g2)) < 1e-6
+
+
+def _jet_field(obj):
+    """The Field of a built-in family; a Lee form with no factor is its evaluator ``fn``."""
+    if isinstance(obj, LeeFormField):
+        return Field(obj.fn, shape=(obj.model.dim,), name=obj.name)
+    return obj.as_field()
+
+
+def _covering_points(space):
+    """Points at radii 1.6 ... 6, three of them inside the compact_lee support (2, 4)."""
+    rng = np.random.default_rng(29)
+    radii = np.array([1.6, 2.4, 3.0, 3.6, 6.0])
+    u = rng.normal(size=(space.m, radii.size))
+    u /= np.linalg.norm(u, axis=0)
+    return np.concatenate([radii * u, rng.uniform(0.0, space.L, size=(1, radii.size))])
+
+
+def _assert_close_jets(got, want, rtol, name):
+    for order, (a, b, tol) in enumerate(zip(got, want, rtol)):
+        scale = max(1.0, float(np.max(np.abs(b))))
+        assert a.shape == b.shape and np.all(np.isfinite(a)), (name, order)
+        assert np.max(np.abs(a - b)) <= tol * scale, (name, order, float(np.max(np.abs(a - b))))
+
+
+@pytest.mark.parametrize("chart", ["model", "hopf_space"])
+def test_dual_jet2_agrees_with_fd_on_every_builder(request, chart):
+    """One derivative mechanism: for every registered builder, and for the Lee form of a gauge change
+    (read through ``lee_jet``, from one jet2 of its factor), the dual jets agree with the fd route."""
+    space = request.getfixturevalue(chart)
+    dual, fd = DerivativeEngine("dual"), DerivativeEngine("fd")
+    p = _covering_points(space)
+    builders = [(name, b) for table in (METRIC_BUILDERS, LEE_BUILDERS, SCALAR_BUILDERS) for name, b in table.items()
+                if name != "hopf_model" or space.fibration == "hopf"]
+    for name, b in builders:
+        fld = _jet_field(b(space))
+        _assert_close_jets(dual.jet2(fld, p), fd.jet2(fld, p), (1e-14, 1e-10, 1e-7), name)
+    assert np.any(dual.jet2(_jet_field(LEE_BUILDERS["compact_lee"](space)), p)[2])
+    ws = gauge_change(WeylStructure(space, kaluza_perturbation(space), mixed_lee(space)),
+                      directional_profile(space, beta=0.3, axis=1))
+    _assert_close_jets(lee_jet(dual, ws.lee, p, order=1), lee_jet(fd, ws.lee, p, order=1), (1e-12, 1e-8),
+                       ws.lee.name)
 
 
 def test_frame_jet_reduces_to_coordinate_jet_on_trivial_fibration(model, engine):
@@ -163,7 +205,7 @@ def test_dual_jet1_equals_jet2_on_builtin_fields(request, engine, chart, batch):
     space = request.getfixturevalue(chart)
     builders = [b for table in (METRIC_BUILDERS, LEE_BUILDERS, SCALAR_BUILDERS) for name, b in table.items()
                 if name != "hopf_model" or space.fibration == "hopf"]
-    fields = [b(space).as_field() for b in builders]
+    fields = [_jet_field(b(space)) for b in builders]
     fields.append(conformal_sweep(kaluza_perturbation(space, mu=0.7), radial_profile(space, beta=0.4)).as_field())
     p = _trial_points(space, batch)
     for fld in fields:
@@ -203,3 +245,61 @@ def test_flux_pass_takes_first_order_jets_only(request, engine, chart):
     flux_pass(engine, ws, [radial_profile(space, beta=0.3)], radii=[40.0, 80.0],
               quad=QuadratureSpec(sphere=6, fiber=2), check_decay=False)
     assert len(seen) == 2 * space.dim and all(h is am.NO_HESSIAN for h in seen)
+
+
+# ---------------------------------------------------------------------------
+# where: piecewise fields as jets
+# ---------------------------------------------------------------------------
+
+
+def _piecewise(c):
+    """sin(x0) x1 + t where x0 > 0.5, x1^3 + x0 x2 elsewhere; smooth away from x0 = 0.5."""
+    return am.where(am.value(c[0]) > 0.5, am.sin(c[0]) * c[1] + c[3], c[1] ** 3 + c[0] * c[2])
+
+
+def test_where_jets_against_fd():
+    """Value, gradient and Hessian of a where-built field against the fd jets, on a batch that takes
+    both branches; the value equals numpy's where on the float evaluation bitwise."""
+    pts = np.array([[0.2, 0.9, 1.4, -0.3], [1.1, -0.7, 0.6, 0.8], [2.0, 1.3, -0.4, 0.2], [0.3, 0.5, 0.1, 0.7]])
+    fld = Field(_piecewise, shape=())
+    val, d1, d2 = DerivativeEngine("dual").jet2(fld, pts)
+    assert np.array_equal(val, fld.values(pts))
+    _assert_close_jets((val, d1, d2), DerivativeEngine("fd").jet2(fld, pts), (0.0, 1e-9, 1e-7), "piecewise")
+    # the branches are really taken: d/dx3 is 1 on the first branch and 0 on the second
+    assert np.array_equal(d1[3], (pts[0] > 0.5).astype(float))
+
+
+def test_where_keeps_the_jet_order():
+    p = np.array([[0.9, 0.1], [0.2, 0.3], [1.4, 1.0], [-0.3, 0.5]])
+    first, second = am.seed_point(p, order=1), am.seed_point(p)
+    mask = np.array([True, False])
+    assert am.where(mask, first[0], 2.0).hess is am.NO_HESSIAN
+    assert am.where(mask, 2.0, first[1] * first[2]).hess is am.NO_HESSIAN
+    assert am.where(mask, second[0], first[1]).hess is am.NO_HESSIAN
+    both = am.where(mask, second[0], second[1] * second[1])
+    assert both.grad.shape == (4, 2) and both.hess.shape == (4, 4, 2)
+    assert np.array_equal(both.hess[:, :, 0], np.zeros((4, 4)))
+    assert np.array_equal(both.hess[:, :, 1], np.diag([0.0, 2.0, 0.0, 0.0]))
+    plain = am.where(mask, p[0], 0.0)
+    assert isinstance(plain, np.ndarray) and np.array_equal(plain, [0.9, 0.0])
+
+
+def test_where_masks_components_and_batch():
+    """A component x batch mask picks each entry's jet from its own operand; a batch mask
+    broadcasts over the components, and a scalar jet broadcasts against an array-valued one."""
+    p = np.array([[0.9, 1.2, 2.5], [0.2, -0.3, 0.7], [1.4, 1.0, -0.6], [0.3, 0.5, 0.1]])
+    c = am.seed_point(p)
+    vec = am.lincomb(np.array([[1.0, 2.0, 0.0], [0.0, -1.0, 3.0]]), [c[0], c[1], c[2]])
+    other = am.sin(vec)
+    mask = np.array([[True, False, True], [False, False, True]])
+    got = am.where(mask, vec, other)
+    for i, b in np.ndindex(mask.shape):
+        pick = vec if mask[i, b] else other
+        assert got.val[i, b] == pick.val[i, b]
+        assert np.array_equal(got.grad[:, i, b], pick.grad[:, i, b])
+        assert np.array_equal(got.hess[:, :, i, b], pick.hess[:, :, i, b])
+    rows = am.where(np.array([True, False, True]), vec, c[3])
+    assert rows.val.shape == (2, 3) and rows.grad.shape == (4, 2, 3) and rows.hess.shape == (4, 4, 2, 3)
+    for i in range(2):
+        assert np.array_equal(rows.grad[:, i, 1], c[3].grad[:, 1])
+        assert np.array_equal(rows.grad[:, i, 2], vec.grad[:, i, 2])

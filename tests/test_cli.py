@@ -269,6 +269,10 @@ def test_unknown_builder_parameter_exits_two(tmp_path, command, changes):
      "sweep.values[1]: directional_profile axis must satisfy 0 <= axis < m = 3, got -1"),
     ("mass", {"family": {"name": "hopf_model", "params": {}}},
      "family: hopf_model requires a hopf-fibered model space"),
+    ("mass", {"lee": {"name": "compact_lee", "params": {"r0": 3.0, "r1": 3.0}}},
+     "lee: compact_lee needs r0 < r1, got r0=3.0 r1=3.0"),
+    ("mass", {"lee": {"name": "compact_lee", "params": {"r0": 4, "r1": 2}}},
+     "lee: compact_lee needs r0 < r1, got r0=4 r1=2"),
 ])
 def test_builder_domain_error_exits_two(tmp_path, command, changes, message):
     cfg = write_config(tmp_path, **changes)

@@ -19,7 +19,7 @@ from weylmass.mass import flux_pass, gauge_audit, mass_matrix, ricci_positivity_
 from weylmass.model import ModelSpace, sphere_volume
 from weylmass.probes import decay_probe, geometric_radii
 from weylmass.quadrature import QuadratureSpec, shell_nodes
-from weylmass.weyl import WeylStructure
+from weylmass.weyl import WeylStructure, lee_jet
 
 from oracles import (direction_limits, flux_model_metric, horizontal_field, lee_correction_components,
                      q_flux_components, random_adapted_scalar)
@@ -103,7 +103,7 @@ def test_shell_forms_match_density_oracle(engine, m, fibration, seed):
         for _ in range(3):
             z = rng.normal(size=m)
             q = flux_model_metric(space, q_flux_components(engine, space, fam, z, pts), normals, weights)
-            c = flux_model_metric(space, lee_correction_components(space, lee, z, pts), normals, weights)
+            c = flux_model_metric(space, lee_correction_components(engine, space, lee, z, pts), normals, weights)
             assert z @ Q @ z == pytest.approx(q / norm, rel=1e-12, abs=0.0)
             assert z @ C @ z == pytest.approx(c / norm, rel=1e-12, abs=0.0)
 
@@ -200,7 +200,7 @@ def test_nonconvergent_flux_is_flagged(model, engine):
             rows.append([(V if i == j and i < 3 else (1.0 if i == j else 0.0)) for j in range(4)])
         return rows
 
-    fam = MetricFamily("oscillating", model, osc_fn, is_alf=False)
+    fam = MetricFamily("oscillating", model, osc_fn)
     ws = WeylStructure(model, fam, zero_lee(model))
     rep = x1_report(engine, ws, check_decay=False)
     assert not rep.converged
@@ -276,7 +276,7 @@ def test_conformal_correction_sympy_angular_oracle(model, engine):
 def test_conformal_mass_refuses_bad_lee_decay(model, engine):
     from weylmass.families import LeeFormField
 
-    slow = LeeFormField("slow", model, lambda c: [0.3, 0.0, 0.0, 0.0], decay_theta=0.0)
+    slow = LeeFormField("slow", model, lambda c: [0.3, 0.0, 0.0, 0.0])
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), slow)
     with pytest.raises(MassNotDefinedError):
         mass_matrix(engine, ws)
@@ -310,23 +310,16 @@ def test_prediction_kaluza_closed_form(model, engine):
 
 
 def test_prediction_compact_gradient_gives_zero(model, engine):
+    from weylmass import autodiff as am
     from weylmass.families import ScalarField
 
     def fn(c):
-        c = [np.asarray(ci, dtype=float) for ci in c]
-        r = np.sqrt(c[0] ** 2 + c[1] ** 2 + c[2] ** 2)
+        r = am.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
         s = (2.0 * r - 6.0) / 2.0
-        return 1.0 + 0.2 * np.where(np.abs(s) < 1.0, np.maximum(1.0 - s**2, 0.0) ** 4, 0.0)
+        u = 1.0 - s * s
+        return 1.0 + 0.2 * am.where(am.value(u) > 0.0, u * u * u * u, 0.0)
 
-    def grad_fn(c):
-        c = [np.asarray(ci, dtype=float) for ci in c]
-        r = np.sqrt(c[0] ** 2 + c[1] ** 2 + c[2] ** 2)
-        s = (2.0 * r - 6.0) / 2.0
-        base = np.where(np.abs(s) < 1.0, -8.0 * s * np.maximum(1.0 - s**2, 0.0) ** 3, 0.0)
-        scale = 0.2 * base / r
-        return [scale * c[0], scale * c[1], scale * c[2], np.zeros_like(r)]
-
-    f = ScalarField("compact_factor", model, fn, grad_fn, analytic=False, decay_fm1=-math.inf)
+    f = ScalarField("compact_factor", model, fn)
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), zero_lee(model))
     _, rep = gauge_audit(engine, ws, [f], check_decay=False)[0]
     assert abs(rep.predicted_delta) < 1e-14
@@ -380,13 +373,12 @@ def test_invariance_across_random_adapted_factors(model, engine):
         assert rep.rel_difference < 1e-4, f"seed {seed}: {rep.rel_difference}"
 
 
-def _audit_against_single_passes(space, engine, base, f, swept_equal, lee_equal):
+def _audit_against_single_passes(space, engine, base, f, swept_equal):
     """Run a one-factor audit and set every report against ``mass_matrix`` on each gauge alone.
 
-    The swept gauge's metric is differentiated directly there, not by the product rule.  Its Lee
-    form theta - df/(2f) is evaluated there by ``gauge_change`` from the factor's closed-form
-    gradient, where the audit reads df off the factor's jet: the swept masses, which hold the Lee
-    term, are compared with ``lee_equal``, the Q limits with ``swept_equal``.
+    The swept gauge's metric is differentiated directly there, not by the product rule: the swept
+    masses are compared with ``swept_equal``, as are the Q limits.  Both routes read the Lee form
+    theta - df/(2f) of gauge f g off the factor's jet1 (``lee_jet`` there).
     """
     from weylmass.weyl import gauge_change
 
@@ -402,7 +394,7 @@ def _audit_against_single_passes(space, engine, base, f, swept_equal, lee_equal)
     base_reports, gauged_reports = reports(ws), reports(gauge_change(ws, f))
     for audit in audits:
         assert audit.mass_base == base_reports[audit.z_label].mass
-        lee_equal(audit.mass_swept, gauged_reports[audit.z_label].mass)
+        swept_equal(audit.mass_swept, gauged_reports[audit.z_label].mass)
     swept = WeylStructure(space, conformal_sweep(ws.metric, f), ws.lee)
     assert pred.base_mass == base_reports["1*X1"].q_limit
     swept_equal(pred.swept_mass, reports(swept)["1*X1"].q_limit)
@@ -412,16 +404,11 @@ def _exactly(got, want):
     assert got == want
 
 
-def _to_roundoff(got, want):
-    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
-
-
 def test_gauge_audit_reads_every_report_off_two_passes(model, hopf_space, engine):
-    """In dual mode the base masses and the Q limits of the prediction equal the single-gauge pipelines
-    bitwise, and the swept masses agree with them to roundoff.
+    """In dual mode every report of the audit equals the single-gauge pipelines bitwise.
 
     The swept jets come from g's jet by the product rule.  The swept masses also hold the Lee form of
-    f g, which the two routes form from df in closed form and off the factor jet.  Both charts, a base
+    f g, which both routes form as theta - df/(2f) off the factor's jet1.  Both charts, a base
     that returns a nested list of jets (``kaluza_perturbation``) and one that
     returns an array-valued jet (``random_local_metric``), and three factors.
     """
@@ -431,7 +418,7 @@ def test_gauge_audit_reads_every_report_off_two_passes(model, hopf_space, engine
         for fam in (kaluza_perturbation(space, mu=1.0), random_local_metric(space, seed=4)):
             for f in (radial_profile(space, beta=0.3), random_adapted_scalar(space, seed=3),
                       directional_profile(space, beta=0.3)):
-                _audit_against_single_passes(space, engine, fam, f, _exactly, _to_roundoff)
+                _audit_against_single_passes(space, engine, fam, f, _exactly)
 
 
 @pytest.mark.parametrize("factor", [lambda s: radial_profile(s, beta=0.3),
@@ -443,7 +430,7 @@ def test_gauge_audit_fd_swept_jets_match_direct_fd(hopf_space, fd_engine, factor
         assert got == pytest.approx(want, rel=1e-8, abs=0.0)
 
     _audit_against_single_passes(hopf_space, fd_engine, kaluza_perturbation(hopf_space, mu=1.0),
-                                 factor(hopf_space), close, close)
+                                 factor(hopf_space), close)
 
 
 def _count_shell_contractions(monkeypatch) -> list:
@@ -532,7 +519,7 @@ def test_holonomic_flux_and_probes_build_no_connection_terms(model, engine, monk
         gam = lc_coeffs_h(model, pts)
         assert gam.shape == (4, 4, 4, pts.shape[1]) and not np.any(gam)
         jet = engine.jet1(ws.metric.as_field(), pts)
-        theta = ws.lee.as_field().values(pts)
+        theta = lee_jet(engine, ws.lee, pts)
         q, c = mass_mod._contract_shell(model, ws.metric.name, *jet, theta, pts, weights * normals, gam)
         assert np.array_equal(forms.q[0, s], q / norm) and np.array_equal(forms.c[0, s], c / norm)
         f_jet = engine.jet1(factors[0].as_field(), pts)

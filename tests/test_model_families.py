@@ -1,11 +1,13 @@
 """Chart model, metric families, connection coefficients and decay probes."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 import sympy as sp
 
+from weylmass.engine import frame_jet1
 from weylmass.errors import ChartDomainError, MassNotDefinedError
 from weylmass.families import (build_metric, conformal_sweep, flat_product,
                                hopf_model, kaluza_perturbation, log_slow_profile, mixed_lee,
@@ -157,15 +159,14 @@ def test_trivial_chart_jacobians_vanish(model):
 def test_frame_hessian_matches_fd_of_frame_derivative(hopf_space, engine):
     """E_p E_i F, including the -(X_p A_i) dF/dt term, against FD of frame_jet1."""
     from weylmass import autodiff as am
-    from weylmass.engine import Field, frame_jet1
+    from weylmass.engine import DerivativeEngine, Field
 
     fld = Field(lambda c: am.sin(0.7 * c[0] - 0.4 * c[1] + 0.3 * c[2] + c[3]) * c[2], shape=())
     p = hopf_space.point([1.2, -0.8, 1.5], 0.6)
     _, d1, d2 = engine.jet2(fld, p)
     got = hopf_space.frame_hessian_from_coord(d1, d2, p[:3])
-    frame_d1 = Field(lambda c: frame_jet1(engine, hopf_space, fld, np.asarray(c, dtype=float))[1],
-                     shape=(4,), analytic=False)
-    _, oracle = frame_jet1(engine, hopf_space, frame_d1, p)
+    frame_d1 = Field(lambda c: frame_jet1(engine, hopf_space, fld, np.asarray(c, dtype=float))[1], shape=(4,))
+    _, oracle = frame_jet1(DerivativeEngine("fd"), hopf_space, frame_d1, p)
     assert np.max(np.abs(got - oracle)) < 1e-9
     # the frame is anholonomic: E_a E_b - E_b E_a = C_ab^k E_k
     C = hopf_space.structure_constants(p)
@@ -266,6 +267,56 @@ def test_christoffel_conformally_flat_symbolic_oracle(model, engine):
     assert np.max(np.abs(gam - gam_sym)) < 1e-10
 
 
+@functools.lru_cache(maxsize=None)
+def _compact_lee_sympy(amplitude, r0, r1):
+    """Value, gradient and Hessian of compact_lee inside its support, in closed form: (4,), (4, 4), (4, 4, 4)."""
+    amplitude, r0, r1 = (sp.nsimplify(v) for v in (amplitude, r0, r1))
+    xs = sp.symbols("x1 x2 x3")
+    r = sp.sqrt(sum(x**2 for x in xs))
+    s = (2 * r - (r0 + r1)) / (r1 - r0)
+    comps = [amplitude * sp.exp(-1 / (1 - s**2)) * x / r for x in xs]
+    grad = [[sp.diff(c, x) for c in comps] for x in xs]
+    jets = sp.lambdify(xs, [comps, grad, [[[sp.diff(c, y) for c in row] for y in xs] for row in grad]], "numpy")
+
+    def at(point):
+        val, grad, hess = (np.array(a, dtype=float) for a in jets(*point[:3]))
+        out = np.zeros(4), np.zeros((4, 4)), np.zeros((4, 4, 4))
+        out[0][:3], out[1][:3, :3], out[2][:3, :3, :3] = val, grad, hess
+        return out
+
+    return at
+
+
+@pytest.mark.parametrize("chart", ["model", "hopf_space"])
+def test_compact_lee_jets_match_sympy_and_stay_finite_at_the_support_edge(request, chart):
+    """compact_lee is a jet through two ``autodiff.where``: inside (r0, r1) its dual jet2 is the sympy
+    closed form; at r = r0 and r = r1 exactly, and 1 ulp inside each, the dual jets are exactly zero
+    and the fd jets finite, with no floating-point error under the CLI's errstate."""
+    from weylmass.engine import DerivativeEngine, Field
+    from weylmass.families import compact_lee
+
+    space = request.getfixturevalue(chart)
+    amplitude, r0, r1 = 0.7, 2.0, 4.0
+    lee = compact_lee(space, amplitude=amplitude, r0=r0, r1=r1)
+    fld = Field(lee.fn, shape=(space.dim,))
+    closed = _compact_lee_sympy(amplitude, r0, r1)
+    dual, fd = DerivativeEngine("dual"), DerivativeEngine("fd")
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for point in (space.point([2.1, 0.9, -0.6], 0.4), space.point([-1.2, 2.0, 1.1], 1.3),
+                      space.point([0.3, -0.2, 3.7], 2.2)):
+            got = dual.jet2(fld, point)
+            for a, b in zip(got, closed(point)):
+                assert np.max(np.abs(a - b)) < 1e-13 * max(1.0, np.max(np.abs(b)))
+            assert np.max(np.abs(got[1])) > 1e-3
+        for radius in (r0, np.nextafter(r0, np.inf), np.nextafter(r1, 0.0), r1):
+            point = space.point([radius, 0.0, 0.0], 0.5)
+            assert all(not np.any(a) for a in dual.jet2(fld, point))
+            assert all(np.all(np.isfinite(a)) for a in fd.jet2(fld, point))
+    # 1 ulp inside, the closed form underflows to the same zeros (exp(-1/(1 - s^2)) ~ exp(-1e15))
+    for radius in (np.nextafter(r0, np.inf), np.nextafter(r1, 0.0)):
+        assert all(not np.any(a) for a in closed(space.point([radius, 0.0, 0.0], 0.5)))
+
+
 def test_christoffel_symmetric_on_trivial_fibration(model, engine):
     fam = kaluza_perturbation(model, mu=0.8)
     gam = christoffel(engine, model, fam, model.point([1.7, -0.6, 1.1], 0.2))[0]
@@ -290,7 +341,7 @@ def test_christoffel_conformal_change_tensor(model, engine):
     gam1 = christoffel(engine, model, swept, p)[0]
     g = base.as_field().values(p)
     fval = float(f.fn(list(p)))
-    phi = np.array(f.grad_fn(list(p)), dtype=float) / (2.0 * fval)
+    phi = frame_jet1(engine, model, f.as_field(), p)[1] / (2.0 * fval)
     n = model.dim
     expected = np.zeros((n, n, n))
     phi_sharp = np.linalg.inv(g) @ phi
@@ -419,9 +470,9 @@ def test_hopf_family_passes_probes(hopf_space, engine):
 @pytest.mark.parametrize("chart,fiber", [("model", False), ("model", True),
                                          ("hopf_space", False), ("hopf_space", True)])
 def test_grad2_probe_matches_nested_fd(request, engine, chart, fiber):
-    """The closed-form grad2_h g against frame FD of the (non-analytic) grad_h g field."""
+    """The closed-form grad2_h g against an fd-mode frame jet of the grad_h g field."""
     from weylmass import probes
-    from weylmass.engine import Field, frame_jet1
+    from weylmass.engine import DerivativeEngine, Field
     from weylmass.identities import _rng, trial_point
     from weylmass.weyl import lc_form_block
 
@@ -429,10 +480,10 @@ def test_grad2_probe_matches_nested_fd(request, engine, chart, fiber):
     fam = random_local_metric(space, seed=46, fiber_dependence=fiber)
     n = space.dim
     grad = Field(lambda c: probes._metric_probe_values(engine, space, fam, np.asarray(c, dtype=float))[1],
-                 shape=(n, n, n), analytic=False)
+                 shape=(n, n, n))
     rng = _rng(46, 35, 0)
     pts = np.stack([trial_point(space, rng) for _ in range(3)], axis=1)
-    G, dG = frame_jet1(engine, space, grad, pts)
+    G, dG = frame_jet1(DerivativeEngine("fd"), space, grad, pts)
     oracle = lc_form_block(dG, G, space.lc_coeffs_h(pts), 3)
     got = probes._metric_probe_values(engine, space, fam, pts)[2]
     assert np.max(np.abs(got - oracle)) < 1e-9 * np.max(np.abs(oracle))
@@ -523,13 +574,13 @@ def test_adapted_metric_check_cases(model, engine):
     assert not all(r.passed for r in slow2)
 
 
-def test_scalar_inverse_roundtrip(model):
+def test_scalar_inverse_roundtrip(model, engine):
     f = radial_profile(model, beta=0.7)
     finv = inverse(f)
     p = model.point([3.0, 1.0, 0.5], 0.2)
     pt = list(p)
     assert f.fn(pt) * finv.fn(pt) == pytest.approx(1.0, abs=1e-14)
-    gf = np.array(f.grad_fn(pt))
-    gfi = np.array(finv.grad_fn(pt))
+    fv, gf = engine.jet1(f.as_field(), p)
+    gfi = engine.jet1(finv.as_field(), p)[1]
     # d(1/f) = -df/f^2
-    assert np.max(np.abs(gfi + gf / f.fn(pt) ** 2)) < 1e-14
+    assert np.max(np.abs(gfi + gf / fv**2)) < 1e-14

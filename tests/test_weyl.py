@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from weylmass import autodiff as am
-from weylmass.engine import Field, frame_jet1
+from weylmass.engine import DerivativeEngine, Field, frame_jet1
 from weylmass.errors import DegreeError, GaugeMismatchError
-from weylmass.families import (LeeFormField, flat_product, kaluza_perturbation,
+from weylmass.families import (LeeFormField, directional_profile, flat_product, kaluza_perturbation,
                                radial_lee, radial_profile, random_local_metric,
                                unit_scalar, zero_lee)
 from weylmass.identities import _rng, random_form_field, trial_point, trial_structure
 from weylmass.weyl import (FormFieldSpec, WeylStructure, _christoffel_jet, _coeff_curvature, _covd_slots, _weyl_jet,
                            christoffel, covd2_form_block, covd_form_block, dD, deltaD, form_field_of,
-                           gauge_change, lc_form_block, lie_bracket, weyl_coeffs, weyl_connect_vec,
+                           gauge_change, lc_form_block, lee_jet, lie_bracket, weyl_coeffs, weyl_connect_vec,
                            weyl_curvature)
 
 from oracles import (PointMetric, WeightedForm, frame_exterior_derivative, full_christoffel_jet,
@@ -20,11 +20,13 @@ from oracles import (PointMetric, WeightedForm, frame_exterior_derivative, full_
                      wedge_covd_form_block)
 
 CHARTS = [("model", False), ("model", True), ("hopf_space", False), ("hopf_space", True)]
+# the finite-difference route for fields whose evaluators call the engine themselves
+FD = DerivativeEngine("fd")
 
 
 def constant_vec(model, comps):
     comps = list(comps)
-    return Field(lambda c: comps, shape=(model.dim,), analytic=True)
+    return Field(lambda c: comps, shape=(model.dim,))
 
 
 # --- connection on vectors -----------------------------------------------------
@@ -133,7 +135,7 @@ def test_weighted_derivative_operator_against_algebra_ops(model, engine):
         gam = christoffel(engine, model, ws.metric, p)[0]
         nabla_x = np.einsum("i,i...->...", xvec, lc_form_block(dw, w, gam, deg))
         g = ws.gram(p)
-        theta = ws.theta(p)
+        theta = lee_jet(engine, ws.lee, p)
         pm = PointMetric.from_matrix(g)
         w_wf = WeightedForm(4, deg, k, w)
         theta_wf = WeightedForm(4, 1, 0.0, theta)
@@ -223,8 +225,8 @@ def test_deltaD_matches_hodge_codifferential_oracle(model, engine):
         w = WeightedForm(4, 1, 0.0, spec.field.values(c))
         return hodge_star(w, pm).components
 
-    star_field = Field(star_spec_fn, shape=(4, 4, 4), analytic=False)
-    d_star = frame_exterior_derivative(engine, model, star_field, 3, p)
+    star_field = Field(star_spec_fn, shape=(4, 4, 4))
+    d_star = frame_exterior_derivative(FD, model, star_field, 3, p)
     pm = PointMetric.from_matrix(fam.as_field().values(p))
     star_d_star = hodge_star(WeightedForm(4, 4, 0.0, d_star), pm).components
     got = deltaD(engine, ws, spec, p)
@@ -266,22 +268,24 @@ def test_faraday_flat_zero(model, engine):
     assert np.max(np.abs(F)) == 0.0
 
 
-def test_faraday_closed_and_gauge_independent(model, engine):
-    ws = trial_structure(model, 18, 1)
-    p = trial_point(model, _rng(18, 8, 0))
-    n = model.dim
+def test_faraday_closed_and_gauge_independent(model, hopf_space, engine):
+    """On both charts dF = 0, and F is unchanged to roundoff by a gauge change: the Lee jet of f g adds
+    -E_p E_i f/(2f) + E_i f E_p f/(2f^2), whose skew part cancels the bracket term of df/(2f)."""
+    for space in (model, hopf_space):
+        ws = trial_structure(space, 18, 1)
+        p = trial_point(space, _rng(18, 8, 0))
+        n = space.dim
 
-    def F_fn(c):
-        return weyl_curvature(engine, ws, np.asarray(c, dtype=float)).F
+        def F_fn(c):
+            return weyl_curvature(engine, ws, np.asarray(c, dtype=float)).F
 
-    F_field = Field(F_fn, shape=(n, n), analytic=False)
-    dF = frame_exterior_derivative(engine, model, F_field, 2, p)
-    assert np.max(np.abs(dF)) < 1e-6
+        dF = frame_exterior_derivative(FD, space, Field(F_fn, shape=(n, n)), 2, p)
+        assert np.max(np.abs(dF)) < 1e-6
 
-    ws2 = gauge_change(ws, radial_profile(model, beta=0.5))
-    F1 = weyl_curvature(engine, ws, p).F
-    F2 = weyl_curvature(engine, ws2, p).F
-    assert np.max(np.abs(F1 - F2)) < 1e-8
+        F1 = weyl_curvature(engine, ws, p).F
+        for f in (radial_profile(space, beta=0.5), directional_profile(space, beta=0.3, axis=1)):
+            F2 = weyl_curvature(engine, gauge_change(ws, f), p).F
+            assert np.max(np.abs(F1 - F2)) < 1e-15 * max(1.0, np.max(np.abs(F1)))
 
 
 # --- curvature --------------------------------------------------------------------
@@ -314,10 +318,10 @@ def test_curvature_split_residual(model, engine):
 
 
 def _nested_fd_jet(engine, model, coeff_fn, p):
-    """The FD route: frame_jet1 of a non-analytic field wrapping a coefficient evaluator."""
+    """The FD route: an fd-mode frame_jet1 of a field wrapping a coefficient evaluator."""
     n = model.dim
-    fld = Field(lambda c: coeff_fn(np.asarray(c, dtype=float)), shape=(n, n, n), analytic=False)
-    return frame_jet1(engine, model, fld, p)
+    fld = Field(lambda c: coeff_fn(np.asarray(c, dtype=float)), shape=(n, n, n))
+    return frame_jet1(FD, model, fld, p)
 
 
 @pytest.mark.parametrize("chart,fiber", CHARTS)
@@ -385,9 +389,10 @@ def _nested_fd_covd2(engine, ws, spec, p):
     """The wedge-form oracle H, and D H as the kernel over a finite-difference jet of that oracle."""
     n = ws.model.dim
     H_field = Field(lambda c: wedge_covd_form_block(engine, ws, spec, np.asarray(c, dtype=float)),
-                    shape=(n,) * (spec.degree + 1), analytic=False)
-    H, dH = frame_jet1(engine, ws.model, H_field, p)
-    return H, _covd_slots(H, dH, weyl_coeffs(engine, ws, p)[0], ws.theta(p), spec.weight, spec.degree + 1)
+                    shape=(n,) * (spec.degree + 1))
+    H, dH = frame_jet1(FD, ws.model, H_field, p)
+    W, _, _, theta = weyl_coeffs(engine, ws, p)
+    return H, _covd_slots(H, dH, W, theta, spec.weight, spec.degree + 1)
 
 
 @pytest.mark.parametrize("chart,fiber", CHARTS)
@@ -440,8 +445,7 @@ def test_scalar_weight_tag_and_constant_rescale(model, engine):
 def _const_scalar(model, c):
     from weylmass.families import ScalarField
 
-    return ScalarField("const", model, lambda pt: c, lambda pt: [0.0] * model.dim,
-                       decay_fm1=-np.inf)
+    return ScalarField("const", model, lambda pt: c)
 
 
 # --- laplacian and dirac ------------------------------------------------------------
@@ -475,21 +479,29 @@ def test_gauge_change_unit_factor(model, engine):
     ws = trial_structure(model, 26, 0)
     ws2 = gauge_change(ws, unit_scalar(model))
     p = trial_point(model, _rng(26, 13, 0))
-    assert np.max(np.abs(ws.theta(p) - ws2.theta(p))) < 1e-14
+    assert np.max(np.abs(lee_jet(engine, ws.lee, p) - lee_jet(engine, ws2.lee, p))) < 1e-14
     assert np.max(np.abs(ws2.gram(p) - ws.gram(p))) < 1e-14
 
 
-def test_gauge_change_analytic_gradient_oracle(model, engine):
-    # theta = 0, f = 1 + 1/r: new lee = -df/(2f) with df analytic
+def test_gauge_change_analytic_gradient_oracle(model, engine, fd_engine):
+    """theta = 0, f = 1 + 1/r: the new Lee form -df/(2f) = x dx / (2 (r^3 + r^2)) and its frame
+    derivatives E_p theta_i = delta_pi / (2D) - (3r + 2) x_p x_i / (2 D^2), D = r^3 + r^2, in closed form.
+    In fd mode theta takes a Richardson jet1 of f and its derivatives a jet2."""
     ws = WeylStructure(model, flat_product(model), zero_lee(model))
     f = radial_profile(model, beta=1.0, power=-1.0)
     ws2 = gauge_change(ws, f)
     p = model.point([2.0, 1.0, -2.0], 0.4)
-    r = np.linalg.norm(p[:3])
-    df = -1.0 / r**3 * p[:3]
-    fval = 1.0 + 1.0 / r
-    expected = np.concatenate([-df / (2 * fval), [0.0]])
-    assert np.max(np.abs(ws2.theta(p) - expected)) < 1e-13
+    x = p[:3]
+    r = np.linalg.norm(x)
+    D = r**3 + r**2
+    expected = np.concatenate([x / (2.0 * D), [0.0]])
+    d_expected = np.zeros((4, 4))
+    d_expected[:3, :3] = np.eye(3) / (2.0 * D) - (3.0 * r + 2.0) * np.outer(x, x) / (2.0 * D * D)
+    for eng, tol, dtol in ((engine, 1e-15, 1e-15), (fd_engine, 1e-12, 1e-9)):
+        theta, dtheta = lee_jet(eng, ws2.lee, p, order=1)
+        assert np.array_equal(theta, lee_jet(eng, ws2.lee, p))
+        assert np.max(np.abs(theta - expected)) < tol
+        assert np.max(np.abs(dtheta - d_expected)) < dtol
 
 
 def test_gauge_change_roundtrip(model, engine):
@@ -497,7 +509,8 @@ def test_gauge_change_roundtrip(model, engine):
     f = radial_profile(model, beta=0.6)
     back = gauge_change(gauge_change(ws, f), inverse(f))
     p = trial_point(model, _rng(27, 14, 0))
-    assert np.max(np.abs(back.theta(p) - ws.theta(p))) < 1e-12
+    assert np.max(np.abs(lee_jet(engine, back.lee, p) - lee_jet(engine, ws.lee, p))) < 1e-12
+    assert back.lee.factor.name == f"{f.name}*inv({f.name})"
     assert np.max(np.abs(back.gram(p) - ws.gram(p))) < 1e-12
 
 

@@ -91,12 +91,12 @@ class RunConfig:
         data = {}
         if path is not None:
             try:
-                with open(path) as fh:
+                with open(path, encoding="utf-8") as fh:
                     data = json.load(fh)
-            except FileNotFoundError as exc:
-                raise ConfigError(f"config file not found: {path}") from exc
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+            except OSError as exc:
+                raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+            except ValueError as exc:  # not UTF-8 text, or not JSON
+                raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config must be an object, got {data!r}")
         unknown = set(data) - {f.name for f in fields(cls)}
@@ -217,9 +217,11 @@ class RunConfig:
         return WeylStructure(model, fam, lee)
 
     def out_dir(self) -> Path:
-        base = self.out or os.environ.get(OUT_ENV, "out")
-        path = Path(base)
-        path.mkdir(parents=True, exist_ok=True)
+        path = Path(self.out or os.environ.get(OUT_ENV, "out"))
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use output directory {path}: {exc.strerror}") from exc
         return path
 
     def resolved(self) -> dict:
@@ -261,14 +263,10 @@ def _check_value(where: str, param: inspect.Parameter, value) -> None:
         raise ConfigError(f"{where} must be {'an integer' if whole else 'a finite real number'}, got {value!r}")
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True)
-
-
 def _write_jsonl(path: Path, records: list) -> None:
     with open(path, "w") as fh:
         for rec in records:
-            fh.write(_dump(rec) + "\n")
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -377,39 +375,46 @@ def cmd_report(cfg: RunConfig, paths: list[str]) -> int:
     """Summarize previously written JSONL reports; exit 1 if any record failed."""
     ok = True
     for path in paths:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"report file not found: {path}")
+        try:
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
+        except OSError as exc:
+            raise ConfigError(f"cannot read report file {path}: {exc.strerror}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"report file {path} is not UTF-8 text: {exc}") from exc
         print(f"== {path}")
         config = {}
-        with open(p) as fh:
-            for line in fh:
+        for lineno, line in enumerate(lines, 1):
+            try:
                 rec = json.loads(line)
-                if "config" in rec:
-                    config = rec["config"]
-                    continue
-                if "identity" in rec:
-                    status = "PASS" if rec.get("passed") else "FAIL"
-                    ok = ok and rec.get("passed", False)
-                    print(f"  [{status}] {rec['identity']}: {rec['max_residual']:.3e}")
-                elif "audits" in rec:
-                    for audit in rec["audits"]:
-                        status = "PASS" if audit.get("passed") else "FAIL"
-                        ok = ok and audit.get("passed", False)
-                        print(f"  [{status}] invariance {rec['factor']} Z={audit['Z']}: "
-                              f"{audit['rel_difference']:.3e}")
-                    # the strict test of cmd_sweep, against the mass tolerance of the file's config
-                    tol = config["tolerances"]["mass"]
-                    rel_error = rec["prediction"]["rel_error"]
-                    ok = ok and rel_error < tol
-                    print(f"  [{'PASS' if rel_error < tol else 'FAIL'}] mass-shift prediction {rec['factor']}: "
-                          f"{rel_error:.3e} (tol {tol:g})")
-                elif "mass_matrix" in rec:
-                    print(f"  mass eigenvalues: {rec['eigenvalues']}")
-                elif "Z" in rec:
-                    conv = "converged" if rec.get("converged") else "NOT CONVERGED"
-                    ok = ok and rec.get("converged", False)
-                    print(f"  mass[{rec['Z']}] = {rec['mass']:.8e} ({conv})")
+            except ValueError:
+                rec = None
+            if not isinstance(rec, dict):
+                raise ConfigError(f"{path} line {lineno} is not a JSON report record")
+            if "config" in rec:
+                config = rec["config"]
+                continue
+            if "identity" in rec:
+                status = "PASS" if rec.get("passed") else "FAIL"
+                ok = ok and rec.get("passed", False)
+                print(f"  [{status}] {rec['identity']}: {rec['max_residual']:.3e}")
+            elif "audits" in rec:
+                for audit in rec["audits"]:
+                    status = "PASS" if audit.get("passed") else "FAIL"
+                    ok = ok and audit.get("passed", False)
+                    print(f"  [{status}] invariance {rec['factor']} Z={audit['Z']}: "
+                          f"{audit['rel_difference']:.3e}")
+                # the strict test of cmd_sweep, against the mass tolerance of the file's config
+                tol = config["tolerances"]["mass"]
+                rel_error = rec["prediction"]["rel_error"]
+                ok = ok and rel_error < tol
+                print(f"  [{'PASS' if rel_error < tol else 'FAIL'}] mass-shift prediction {rec['factor']}: "
+                      f"{rel_error:.3e} (tol {tol:g})")
+            elif "mass_matrix" in rec:
+                print(f"  mass eigenvalues: {rec['eigenvalues']}")
+            elif "Z" in rec:
+                conv = "converged" if rec.get("converged") else "NOT CONVERGED"
+                ok = ok and rec.get("converged", False)
+                print(f"  mass[{rec['Z']}] = {rec['mass']:.8e} ({conv})")
     return 0 if ok else 1
 
 
@@ -471,15 +476,10 @@ def _run(args: argparse.Namespace) -> int:
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             cfg = RunConfig.load(args.config, args)
-            if args.command == "verify":
-                return cmd_verify(cfg)
-            if args.command == "mass":
-                return cmd_mass(cfg)
-            if args.command == "sweep":
-                return cmd_sweep(cfg)
             if args.command == "report":
                 return cmd_report(cfg, args.paths)
-            raise ConfigError(f"unknown command {args.command!r}")
+            cfg.out_dir()  # an unusable output directory is refused before any work
+            return {"verify": cmd_verify, "mass": cmd_mass, "sweep": cmd_sweep}[args.command](cfg)
     except (ConfigError, ChartDomainError, MassNotDefinedError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,11 +18,16 @@ roundoff.  The accuracy of those jets is covered by the nested
 finite-difference oracle tests, as for ``curvature_split``.
 
 The integral check is a volume integral over an annulus of about 25,600
-nodes.  It is streamed in blocks sized to the cache, not by a fixed node
-count: ``ANNULUS_BLOCK_BYTES`` (1 MiB) bounds one rank-4 block array, n^4
-doubles per node, so a block holds 512 nodes at n = 4 and 101 at n = 6.
-In dual mode no bit of the result depends on the block size; in fd mode the
-step follows each block's largest radius, so fd values do.
+nodes plus the zeta flux through its two boundary shells, all streamed
+through ``quadrature.node_blocks``.  Their measured working sets per node
+at n = dim: the density about five rank-4 arrays (40 n^4 bytes: the frame
+Hessian of g, dGamma, dW, the curvature and its temporaries), so a 5 MiB
+block holds 512 nodes at n = 4 and each rank-4 array, 1 MiB, stays in a
+2 MB L2 cache (at 2,048 nodes the batch-last einsums streamed from memory,
+at 128 or fewer per-block Python overhead dominated); a zeta block about
+four rank-3 arrays (32 n^3 bytes).  In dual mode no bit of either side
+depends on the block size; in fd mode the step follows each block's
+largest radius, so fd values do.
 
 The literature carries the Bochner curvature term with both signs and two
 variants of the delta^D shift coefficient; this suite does not guess.  It
@@ -44,7 +49,7 @@ from .engine import DerivativeEngine, Field, frame_jet1
 from .families import (LeeFormField, kaluza_perturbation, random_local_lee,
                        random_local_metric, zero_lee)
 from .model import ModelSpace
-from .quadrature import (QuadratureSpec, annulus_node_count, annulus_nodes, flux_curved_metric, shell_nodes,
+from .quadrature import (QuadratureSpec, flux_curved_metric, gauss_legendre, node_blocks, sphere_rule,
                          volume_integral_curved)
 from .weyl import (FormFieldSpec, WeylStructure, _brackets, _coeff_curvature, _covd_slots,
                    _faraday_components, _jet_curvature, _ricci, _weyl_jet, covd2_form_block, covd_form_block,
@@ -52,13 +57,6 @@ from .weyl import (FormFieldSpec, WeylStructure, _brackets, _coeff_curvature, _c
                    weyl_connect_vec, weyl_curvature)
 
 RESOLVED_BOCHNER_SIGN = 1.0
-
-# Byte size of one rank-4 array of a streamed annulus block (n^4 doubles per
-# node: the frame Hessian of g, dGamma, dW).  About 1 MiB, 512 nodes at n = 4,
-# keeps a block's arrays within a 2 MB per-core L2 cache: at 2,048 nodes
-# (4 MB) the batch-last einsums streamed from memory, and blocks of 128
-# nodes or fewer paid more in per-block Python overhead.
-ANNULUS_BLOCK_BYTES = 1 << 20
 
 
 def codifferential_shift_coefficient(n: int, k: float, p: int) -> float:
@@ -518,32 +516,27 @@ def bochner_integral_sides(engine: DerivativeEngine, ws: WeylStructure, spec: Fo
                            sign: float = RESOLVED_BOCHNER_SIGN) -> tuple[float, float]:
     """(volume side, boundary side) of the integral identity on the annulus.
 
-    The annulus is streamed in blocks sized by their arrays rather than by a
-    node count: a block holds ``ANNULUS_BLOCK_BYTES // (8 n^4)`` nodes, so
-    each of its rank-4 arrays (n^4 doubles per node) fits in cache, 512
-    nodes at n = 4 and 101 at n = 6.  Memory stays bounded as the rule is
-    refined.  Each block fills its slice of one density array, summed once:
-    in dual mode the volume side does not depend on the block size.  Each
-    boundary shell reads the form, g and g^-1 off the jets of its one
-    ``covd_form_block`` call.
+    The annulus and both boundary shells are streamed in node blocks (module
+    docstring); each side sums its one array of per-node integrands once, so
+    in dual mode neither side depends on the block size.
     """
     model = ws.model
-    pts, weights = annulus_nodes(model, r1, r2, quad)
-    total = pts.shape[1]
-    chunk = max(1, ANNULUS_BLOCK_BYTES // (8 * model.dim**4))
-    g = np.empty((model.dim, model.dim, total))
-    density = np.empty(total)
-    for start in range(0, total, chunk):
-        block = slice(start, start + chunk)
-        g[:, :, block], density[block] = _bochner_density(engine, ws, spec, pts[:, block], sign)
-    volume_side = volume_integral_curved(g, density, weights)
-
+    n = model.dim
+    volume = np.concatenate([
+        volume_integral_curved(*_bochner_density(engine, ws, spec, pts, sign), weights)
+        for pts, weights, _ in node_blocks(model, *gauss_legendre(r1, r2, quad.radial), quad, 5 * 8 * n**4)])
     boundary = 0.0
     for r, orient in ((r2, +1.0), (r1, -1.0)):
-        spts, sweights, snormals = shell_nodes(model, r, quad)
-        a, H, (_, gsh, ginv, _) = covd_form_block(engine, ws, spec, spts)
-        boundary += orient * flux_curved_metric(model, _zeta(a, H, ginv), gsh, snormals, sweights)
-    return volume_side, boundary
+        flux = np.concatenate([_zeta_flux(engine, ws, spec, *block)
+                               for block in node_blocks(model, [r], [1.0], quad, 4 * 8 * n**3)])
+        boundary += orient * float(np.sum(flux))
+    return float(np.sum(volume)), boundary
+
+
+def _zeta_flux(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, pts, weights, normals):
+    """Per-node terms of the outward zeta flux of one shell block, from its one ``covd_form_block`` call."""
+    a, H, (_, g, ginv, _) = covd_form_block(engine, ws, spec, pts)
+    return flux_curved_metric(_zeta(a, H, ginv), g, normals, weights)
 
 
 def check_bochner_integral(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,
@@ -554,6 +547,7 @@ def check_bochner_integral(engine: DerivativeEngine, model: ModelSpace, seed: in
     worst = 0.0
     k = (4.0 - model.dim) / 2.0
     quad = quad or QuadratureSpec(sphere=100, fiber=16, radial=8)
+    nodes = quad.radial * sphere_rule(model.m, quad.sphere)[1].size * quad.fiber
     pairs = []
     for trial in range(trials):
         rng = _rng(seed, 20, trial)
@@ -568,7 +562,7 @@ def check_bochner_integral(engine: DerivativeEngine, model: ModelSpace, seed: in
     return IdentityReport(
         "bochner_integral", trials, worst, tolerance, worst < tolerance,
         # nodes actually used: none when no trial ran
-        details={"weight": k, "annulus_nodes": annulus_node_count(model, quad) if trials else 0,
+        details={"weight": k, "annulus_nodes": nodes if trials else 0,
                  "sides": [(f"{v:.6e}", f"{b:.6e}", f"{r:.2e}") for v, b, r in pairs]},
     )
 

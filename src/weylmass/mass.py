@@ -13,21 +13,25 @@ Lee-type density of theta,
     (1 - m) <theta, a_Z>_h a_Z - |a_Z|_h^2 theta.
 
 Both densities are quadratic in Z, so one metric jet and one evaluation of
-theta per shell fix the whole form: each shell is contracted against its
+theta per node fix the whole form: each shell is contracted against its
 weights and normals into two symmetric m x m matrices Q_r and C_r with
-flux of q(Z) = z^T Q_r z and flux of the Lee term = z^T C_r z.  The
-Lee-type flux form of any 1-form a is C = (1 - m) sym(B) - tr(B) I for
-B = sum w a (x) nu.  The mass matrix, the Q-part matrix and every
-per-direction report are read off these forms.
+flux of q(Z) = z^T Q_r z and flux of the Lee term = z^T C_r z, the sums
+of the forms of the shell's blocks from ``quadrature.node_blocks``.  A
+flux block's measured working set is 12 n^3 bytes per node, so a block
+holds 2,022 nodes at m = 5 (the default 20,000-node shells are ten blocks)
+and 5,461 at m = 3 (a 416-node shell is one): large blocks, since each
+pays a fixed Python overhead.  The Lee-type flux form of any 1-form a is
+C = (1 - m) sym(B) - tr(B) I for B = sum w a (x) nu.  The mass matrix,
+the Q-part matrix and every per-direction report are read off these forms.
 
 Under g -> f g the Lee form becomes theta - df/(2f) and the conformal mass
 form stays the same.  ``flux_pass`` is the one loop over the shells: on
-each shell g takes one coordinate jet, each factor f of a sweep takes one
-scalar jet, and the jet of f g is formed by the product rule
+each node block g takes one coordinate jet, each factor f of a sweep takes
+one scalar jet, and the jet of f g is formed by the product rule
 (f g, f dg + g df) and contracted exactly as g's own, so g is
-differentiated once per shell however long the sweep.  The same factor
+differentiated once per node however long the sweep.  The same factor
 jet gives the Lee form theta - df/(2f) of gauge f g, with theta evaluated
-once per shell, and the Lee-type form of df, the predicted shift of the Q
+once per block, and the Lee-type form of df, the predicted shift of the Q
 part.  ``mass_matrix`` runs the pass with no factors and ``gauge_audit``
 with the factors of a sweep.  The per-direction densities of q(Z) and of
 the Lee term are kept in the test suite as the independent oracle.
@@ -41,7 +45,9 @@ never assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import reduce
+from operator import add
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,7 +57,7 @@ from .errors import ChartDomainError
 from .families import ScalarField, conformal_sweep
 from .model import ModelSpace, sphere_volume
 from .probes import geometric_radii, require_adapted, require_positive, require_weyl_alf
-from .quadrature import QuadratureSpec, shell_nodes
+from .quadrature import QuadratureSpec, node_blocks
 from .weyl import WeylStructure, gauge_change, lee_jet
 
 
@@ -65,7 +71,7 @@ def _lee_type_form(m: int, oneform, wn) -> np.ndarray:
 
 
 def _contract_shell(model: ModelSpace, name: str, g, dg, theta, pts, wn, gam) -> tuple:
-    """Symmetric m x m forms (Q, C) of one shell from a coordinate jet (g, dg) and the Lee form's values.
+    """Symmetric m x m forms (Q, C) of one shell block from a coordinate jet (g, dg) and the Lee form's values.
 
     ``wn`` is weights * normals and ``gam`` is ``model.lc_coeffs_h(pts)``, or
     None on a holonomic frame, which skips the zero h-connection terms.
@@ -113,6 +119,32 @@ def _rescaled_jet(f_jet, g_jet) -> tuple:
     return f * g, np.moveaxis(grad, k, 0)
 
 
+def _block_forms(engine: DerivativeEngine, ws: WeylStructure, factors, names, pts, weights, normals) -> tuple:
+    """(Q, C, df forms, node count) of one node block of a flux shell, for g and every gauge f g.
+
+    Q and C are (1 + factors, m, m), the df forms (factors, m, m).  The
+    block's jets are local, so they are freed before the next block's.
+    """
+    model = ws.model
+    m = model.m
+    model.require_in_chart(pts)
+    wn = weights * normals
+    theta = lee_jet(engine, ws.lee, pts)
+    jet = engine.jet1(ws.metric.as_field(), pts)
+    gam = None if model.holonomic else model.lc_coeffs_h(pts)
+    q, c = np.empty((2, len(names), m, m))
+    df_forms = np.empty((len(factors), m, m))
+    q[0], c[0] = _contract_shell(model, names[0], *jet, theta, pts, wn, gam)
+    for k, f in enumerate(factors, 1):
+        f_jet = engine.jet1(f.as_field(), pts)
+        df = model.frame_from_coord(f_jet[1], model.split(pts)[0])
+        # the Lee form of gauge f g, theta - df/(2f), off the factor jet
+        q[k], c[k] = _contract_shell(model, names[k], *_rescaled_jet(f_jet, jet), theta - df / (2.0 * f_jet[0]),
+                                     pts, wn, gam)
+        df_forms[k - 1] = _lee_type_form(m, df, wn)
+    return q, c, df_forms, weights.size
+
+
 def richardson_limit(radii: Sequence[float], values: Sequence[float], rate: float) -> float:
     """One extrapolation step on the last pair assuming a c * r^rate remainder."""
     r1, r2 = radii[-2], radii[-1]
@@ -142,17 +174,17 @@ class FluxForms:
 
 def flux_pass(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[ScalarField] = (),
               radii=None, quad: Optional[QuadratureSpec] = None, check_decay: bool = True) -> FluxForms:
-    """The shell forms of gauge g and of the gauge f g of every factor f, from one metric jet per shell.
+    """The shell forms of gauge g and of the gauge f g of every factor f, from one metric jet per node block.
 
     ``radii`` defaults to 6 geometric radii from 40 to 320 and must hold at
     least two radii, strictly increasing and above R.  Every factor is
     probed for positivity out to the largest radius and for membership in
     the adapted class before any flux work; with ``check_decay`` the
     Weyl-ALF decay probes run on g and on the first swept gauge, also
-    before it.  On each shell g takes one coordinate jet and each factor
-    one scalar jet, and the jet of f g comes from the two by the product
-    rule.  theta and the h-Christoffel coefficients (none on a holonomic
-    frame) are taken once per shell; the Lee form of f g is
+    before it.  On each node block g takes one coordinate jet and each
+    factor one scalar jet, and the jet of f g comes from the two by the
+    product rule.  theta and the h-Christoffel coefficients (none on a
+    holonomic frame) are taken once per block; the Lee form of f g is
     theta - df/(2f) with df off the factor jet.
     """
     model = ws.model
@@ -170,31 +202,17 @@ def flux_pass(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[Sca
         for w in [ws] + [gauge_change(ws, f) for f in factors[:1]]:
             require_weyl_alf(engine, model, w.metric, w.lee)
 
-    # shells outside, gauges inside: one shell's metric jet is alive at a time
     names = [ws.metric.name] + [conformal_sweep(ws.metric, f).name for f in factors]
-    q_forms = np.empty((len(names), len(radii), m, m))
-    c_forms = np.empty_like(q_forms)
-    df_forms = np.empty((len(factors), len(radii), m, m))
-    metric = ws.metric.as_field()
-    shells = [shell_nodes(model, r, quad) for r in radii]
-    for s, (pts, weights, normals) in enumerate(shells):
-        model.require_in_chart(pts)
-        wn = weights * normals
-        # theta before the jet: taken after it, its small heap arrays raised peak RSS by 2-3 MB at m = 5
-        theta = lee_jet(engine, ws.lee, pts)
-        jet = engine.jet1(metric, pts)
-        gam = None if model.holonomic else model.lc_coeffs_h(pts)
-        q_forms[0, s], c_forms[0, s] = _contract_shell(model, names[0], *jet, theta, pts, wn, gam)
-        for k, f in enumerate(factors, 1):
-            f_jet = engine.jet1(f.as_field(), pts)
-            df = model.frame_from_coord(f_jet[1], model.split(pts)[0])
-            # the Lee form of gauge f g, theta - df/(2f), off the factor jet
-            q_forms[k, s], c_forms[k, s] = _contract_shell(model, names[k], *_rescaled_jet(f_jet, jet),
-                                                           theta - df / (2.0 * f_jet[0]), pts, wn, gam)
-            df_forms[k - 1, s] = _lee_type_form(m, df, wn)
-        del jet, gam  # kept alive into the next shell, the jet raises default m = 5 peak RSS by about 18 MB
+    shells = []
+    for r in radii:
+        # measured working set: one and a half rank-3 arrays (n^3 doubles) per node
+        blocks = [_block_forms(engine, ws, factors, names, *block)
+                  for block in node_blocks(model, [r], [1.0], quad, 12 * model.dim**3)]
+        # a shell's forms and node count are sums over its blocks; one block is taken as it is
+        shells.append([reduce(add, part) for part in zip(*blocks)])
+    q, c, df, nodes = zip(*shells)
     norm = sphere_volume(m) * model.L
-    return FluxForms(radii, quad, pts.shape[1], q_forms / norm, c_forms / norm, df_forms / norm)
+    return FluxForms(radii, quad, nodes[-1], np.stack(q, 1) / norm, np.stack(c, 1) / norm, np.stack(df, 1) / norm)
 
 
 @dataclass
@@ -270,7 +288,7 @@ def _build_report(model: ModelSpace, z: np.ndarray, forms: FluxForms, gauge: int
         tol_conv=tol_conv,
         omega_n=sphere_volume(model.m),
         fiber_length=model.L,
-        quad=forms.quad.as_dict(),
+        quad=asdict(forms.quad),
         shell_nodes=forms.nodes,
         extrapolation_rate=rate,
     )

@@ -12,12 +12,26 @@ symmetric eigensolver, so numpy is the package's only runtime dependency.
 Hypersurface fluxes over {r = const} use the product measure
 r^(m-1) dsigma x dt, which is exact for the model metric; fluxes measured
 with a curved metric g go through the Leray form sqrt(det G) g^{-1}(w, dr).
+
+``node_blocks`` is the one builder of chart nodes.  Every shell and annulus
+integral streams its radial x sphere x fiber nodes through it, one block
+of ``BLOCK_BYTES // node_bytes`` nodes at a time: each caller passes its
+working set per node as a closed form in n = m + 1 and says why its blocks
+have that size (the L2 cache for the Bochner annulus, per-block Python
+overhead for the flux shells).  It first allocates and frees one array of
+the budget: glibc's malloc then keeps up to twice that much freed memory
+mapped, where a block of several arrays, each smaller than its working
+set, would otherwise be returned to the system and faulted in again by the
+next block (66,520 minor page faults per Bochner annulus without it, 20
+with it).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +42,9 @@ _W26 = (1.0 / 21.0, 4.0 / 105.0, 27.0 / 840.0)
 
 # Fixed generic rotation keeping rule nodes off coordinate axes (and the Hopf seam).
 _TILT = np.array([0.41, 0.79, 1.13])
+
+# Working-set budget of one node block of ``node_blocks``, in bytes (module docstring).
+BLOCK_BYTES = 5 << 20
 
 
 def _rotation(m: int) -> np.ndarray:
@@ -46,31 +63,13 @@ def _rotation(m: int) -> np.ndarray:
 
 def sphere_rule_oct26() -> tuple[np.ndarray, np.ndarray]:
     """26-node octahedral rule on S^2, weights scaled to total 4*pi."""
-    pts, wts = [], []
-    for i in range(3):
-        for s in (-1.0, 1.0):
-            u = np.zeros(3)
-            u[i] = s
-            pts.append(u)
-            wts.append(_W26[0])
-    inv = 1.0 / math.sqrt(2.0)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            for si in (-1.0, 1.0):
-                for sj in (-1.0, 1.0):
-                    u = np.zeros(3)
-                    u[i], u[j] = si * inv, sj * inv
-                    pts.append(u)
-                    wts.append(_W26[1])
-    inv3 = 1.0 / math.sqrt(3.0)
-    for sx in (-1.0, 1.0):
-        for sy in (-1.0, 1.0):
-            for sz in (-1.0, 1.0):
-                pts.append(np.array([sx, sy, sz]) * inv3)
-                wts.append(_W26[2])
-    pts = np.array(pts) @ _rotation(3).T
-    wts = np.array(wts) * (4.0 * math.pi)
-    return pts.T, wts
+    eye, signs = np.eye(3), (-1.0, 1.0)
+    inv, inv3 = 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(3.0)
+    pts = ([s * eye[i] for i in range(3) for s in signs]
+           + [(si * eye[i] + sj * eye[j]) * inv for i, j in ((0, 1), (0, 2), (1, 2)) for si in signs for sj in signs]
+           + [np.array(corner) * inv3 for corner in itertools.product(signs, repeat=3)])
+    wts = np.repeat(_W26, (6, 12, 8)) * (4.0 * math.pi)
+    return (np.array(pts) @ _rotation(3).T).T, wts
 
 
 def sphere_rule_product(m: int, n_polar: int) -> tuple[np.ndarray, np.ndarray]:
@@ -98,12 +97,13 @@ def sphere_rule_product(m: int, n_polar: int) -> tuple[np.ndarray, np.ndarray]:
     return rot @ pts, wts
 
 
+@lru_cache(maxsize=8)
 def sphere_rule(m: int, nodes: int = 26) -> tuple[np.ndarray, np.ndarray]:
-    """Unit directions (m, N) and weights (N,) summing to vol(S^(m-1))."""
-    if m == 3 and nodes <= 26:
-        return sphere_rule_oct26()
-    n_polar = max(4, int(round(math.sqrt(nodes))))
-    return sphere_rule_product(m, n_polar)
+    """Unit directions (m, N) and weights (N,) summing to vol(S^(m-1)); cached, so read-only."""
+    rule = sphere_rule_oct26() if m == 3 and nodes <= 26 else sphere_rule_product(m, max(4, round(math.sqrt(nodes))))
+    for part in rule:
+        part.setflags(write=False)
+    return rule
 
 
 def fiber_rule(L: float, nodes: int = 16) -> tuple[np.ndarray, np.ndarray]:
@@ -158,59 +158,47 @@ class QuadratureSpec:
     fiber: int = 16
     radial: int = 8
 
-    def as_dict(self) -> dict:
-        return {"sphere": self.sphere, "fiber": self.fiber, "radial": self.radial}
 
+def node_blocks(model: ModelSpace, radii, radial_weights, quad: QuadratureSpec, node_bytes: int):
+    """Yield (points, weights, normals) blocks of the radial x sphere x fiber nodes, built one at a time.
 
-def shell_nodes(model: ModelSpace, r: float, quad: QuadratureSpec):
-    """Batched chart points on {|x| = r} with product weights (area = r^(m-1) w_s w_f)."""
+    Nodes run radius-major, then sphere direction, then fiber node: node
+    (i, j, k) is (r_i u_j, t_k) with weight r_i^(m-1) w_i w_j w_k and
+    outward unit normal u_j; a shell is one radius of weight 1.0.  A block
+    holds ``BLOCK_BYTES // node_bytes`` nodes, at least one.
+    """
     u, wu = sphere_rule(model.m, quad.sphere)
     t, wt = fiber_rule(model.L, quad.fiber)
-    nu, nt = u.shape[1], t.shape[0]
-    x = r * np.repeat(u, nt, axis=1)
-    tt = np.tile(t, nu)
-    pts = np.concatenate([x, tt[None, :]], axis=0)
-    weights = r ** (model.m - 1) * np.repeat(wu, nt) * np.tile(wt, nu)
-    normals = np.repeat(u, nt, axis=1)
-    return pts, weights, normals
+    r, wr = np.asarray(radii, dtype=float), np.asarray(radial_weights, dtype=float)
+    nu, nt = wu.size, wt.size
+    total, size = r.size * nu * nt, max(1, BLOCK_BYTES // node_bytes)
+    np.empty(BLOCK_BYTES // 8)  # freed at once, so the allocator keeps blocks mapped (module docstring)
+    for start in range(0, total, size):
+        node = np.arange(start, min(start + size, total))
+        R, U, T = node // (nu * nt), node // nt % nu, node % nt
+        normals = np.take(u, U, axis=1)  # C order: u[:, U] is F order, and einsum sums in memory order
+        pts = np.concatenate([r[R] * normals, t[T][None, :]], axis=0)
+        yield pts, r[R] ** (model.m - 1) * wr[R] * wu[U] * wt[T], normals
 
 
-def flux_curved_metric(model: ModelSpace, oneform_values: np.ndarray, gram: np.ndarray,
-                       normals: np.ndarray, weights: np.ndarray) -> float:
-    """Flux of a 1-form through the shell w.r.t. a curved metric g.
+def flux_curved_metric(oneform_values: np.ndarray, gram: np.ndarray, normals: np.ndarray,
+                       weights: np.ndarray) -> np.ndarray:
+    """Per-node terms of the flux of a 1-form through a shell w.r.t. a curved metric g.
 
     Uses the Leray identity: integrand = sqrt(det G) g^{-1}(w, dr) against the
     model product measure, equal to the hypersurface integral of *_g w with
-    outward orientation.
+    outward orientation.  The flux is the sum of the terms.
     """
     moved = np.moveaxis(gram, (0, 1), (-2, -1))
     ginv = np.moveaxis(np.linalg.inv(moved), (-2, -1), (0, 1))
     dets = np.linalg.det(moved)
     dr = np.concatenate([normals, np.zeros((1, normals.shape[1]))], axis=0)
     contracted = np.einsum("ab...,a...,b...->...", ginv, oneform_values, dr)
-    return float(np.sum(np.sqrt(dets) * contracted * weights))
+    return np.sqrt(dets) * contracted * weights
 
 
-def annulus_nodes(model: ModelSpace, r1: float, r2: float, quad: QuadratureSpec):
-    """Batched chart points filling {r1 <= r <= r2} with model volume weights."""
-    r, wr = gauss_legendre(r1, r2, quad.radial)
-    u, wu = sphere_rule(model.m, quad.sphere)
-    t, wt = fiber_rule(model.L, quad.fiber)
-    R, U, T = np.meshgrid(np.arange(len(r)), np.arange(u.shape[1]), np.arange(len(t)), indexing="ij")
-    R, U, T = R.ravel(), U.ravel(), T.ravel()
-    x = r[R] * u[:, U]
-    pts = np.concatenate([x, t[T][None, :]], axis=0)
-    weights = r[R] ** (model.m - 1) * wr[R] * wu[U] * wt[T]
-    return pts, weights
-
-
-def annulus_node_count(model: ModelSpace, quad: QuadratureSpec) -> int:
-    """Nodes ``annulus_nodes`` actually uses; ``sphere_rule`` may upgrade the sphere request."""
-    return quad.radial * sphere_rule(model.m, quad.sphere)[1].size * quad.fiber
-
-
-def volume_integral_curved(gram: np.ndarray, values: np.ndarray, weights: np.ndarray) -> float:
-    """Integral of a scalar density component against vol_g = sqrt(det G) vol_h."""
+def volume_integral_curved(gram: np.ndarray, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per-node terms of the integral of a scalar density against vol_g = sqrt(det G) vol_h."""
     moved = np.moveaxis(gram, (0, 1), (-2, -1))
     dets = np.linalg.det(moved)
-    return float(np.sum(values * np.sqrt(dets) * weights))
+    return values * np.sqrt(dets) * weights

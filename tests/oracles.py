@@ -21,7 +21,8 @@ slot).  The references here compute the same quantities on other routes:
   densities of one horizontal direction Z, evaluated pointwise, and
   ``direction_limits`` integrates them shell by shell with
   ``flux_model_metric`` and extrapolates: the per-direction route that
-  ``weylmass.mass.flux_pass`` reads off its symmetric shell forms;
+  ``weylmass.mass.flux_pass`` reads off its symmetric shell forms.
+  ``shell_nodes`` takes a whole shell as one block of ``node_blocks``;
 * the pointwise multilinear algebra at one point (``PointMetric``,
   ``WeightedForm``, ``wedge``, ``hodge_star``, ...) is the reference for
   the wedge form of D and for delta = -*d*; test-only fields follow it.
@@ -56,7 +57,7 @@ from weylmass.identities import (IdentityReport, _perm_sign, _rng, _weight_pool,
 from weylmass.mass import richardson_limit
 from weylmass.model import ModelSpace, sphere_volume
 from weylmass.probes import geometric_radii
-from weylmass.quadrature import QuadratureSpec, shell_nodes
+from weylmass.quadrature import QuadratureSpec, node_blocks
 from weylmass.weyl import (FormFieldSpec, WeylStructure, christoffel, covd_form_block, insert_alt, inv_gram,
                            lc_form_block, lee_jet, outer_front, tdot)
 
@@ -269,6 +270,12 @@ def flux_model_metric(model: ModelSpace, oneform_values: np.ndarray, normals: np
     """Flux of a 1-form through the shell w.r.t. the model metric h."""
     contracted = np.sum(oneform_values[: model.m] * normals, axis=0)
     return float(np.sum(contracted * weights))
+
+
+def shell_nodes(model: ModelSpace, r: float, quad: QuadratureSpec) -> tuple:
+    """(points, weights, normals) of the whole flux shell {|x| = r}: one ``node_blocks`` block of every node."""
+    (block,) = node_blocks(model, [r], [1.0], quad, node_bytes=1)
+    return block
 
 
 def direction_limits(engine: DerivativeEngine, ws: WeylStructure, z, radii=None, quad=None) -> tuple:

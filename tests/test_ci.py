@@ -1,5 +1,5 @@
-"""The CI workflow installs the test extra, runs CLI smoke commands (a Hopf, an m = 5 and a Hopf compact_lee
-mass, a pointwise, an annulus and an fd-mode pointwise verify, then Hopf sweeps and a trivial-chart sweep),
+"""The CI workflow installs the test extra, runs CLI smoke commands (a Hopf, an m = 5, a refined m = 5 and a
+Hopf compact_lee mass, a pointwise, an annulus and an fd-mode pointwise verify, then Hopf sweeps and a trivial-chart sweep),
 summarizes every report they wrote, and runs the tier-1 command that ROADMAP.md names, with a time limit."""
 
 import json
@@ -94,8 +94,9 @@ def test_workflow_sweep_smoke_runs_a_hopf_sweep():
 
 def test_workflow_mass_smoke_runs_a_hopf_mass():
     """Right after the install, ``python -m weylmass mass`` on the Hopf model, then at m = 5 at the default
-    quadrature, where the sphere rule is the Gauss-Jacobi product (20,000-node shells), then in dual mode
-    with the bump-supported ``compact_lee`` on the Hopf chart, whose jets go through ``autodiff.where``."""
+    quadrature, where the sphere rule is the Gauss-Jacobi product (20,000-node shells), then at m = 5 with
+    fiber 64 (80,000-node shells, streamed in node blocks), then in dual mode with the bump-supported
+    ``compact_lee`` on the Hopf chart, whose jets go through ``autodiff.where``."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
@@ -106,12 +107,13 @@ def test_workflow_mass_smoke_runs_a_hopf_mass():
     assert [(json.loads(c), name) for c, name in configs] == [
         ({"model": {"fibration": "hopf"}, "family": {"name": "hopf_model"}}, "mass"),
         ({"model": {"m": 5}}, "mass_m5"),
+        ({"model": {"m": 5}, "quadrature": {"fiber": 64}}, "mass_m5_fine"),
         ({"model": {"fibration": "hopf"}, "family": {"name": "hopf_model"}, "lee": {"name": "compact_lee"}},
          "mass_compact"),
     ]
     runs = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" .*\bmass$",
                       smoke, re.MULTILINE)
-    assert runs == ["mass", "mass_m5", "mass_compact"]
+    assert runs == ["mass", "mass_m5", "mass_m5_fine", "mass_compact"]
 
 
 def test_workflow_report_smoke_reads_every_smoke_report():
@@ -127,7 +129,7 @@ def test_workflow_report_smoke_reads_every_smoke_report():
                for name in ("Mass smoke", "CLI smoke", "Sweep smoke")
                for out, command in re.findall(r"--out \"\$RUNNER_TEMP/(\w+)\" (\w+)$",
                                               job["steps"][names.index(name)]["run"], re.MULTILINE)]
-    assert len(written) == 10
+    assert len(written) == 11
     (line,) = job["steps"][names.index("Report smoke")]["run"].strip().splitlines()
     prefix = "PYTHONPATH=src python -m weylmass report "
     assert line.startswith(prefix)

@@ -239,6 +239,33 @@ def assert_one_error_line(res):
     assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
 
 
+@pytest.mark.parametrize("case", ["config_directory", "config_not_utf8", "report_line_not_json",
+                                  "report_directory", "out_is_a_file"])
+def test_unusable_path_exits_two_naming_it(tmp_path, case):
+    """A --config that is a directory or not UTF-8, a report that is a directory or holds a line that is not
+    JSON, and an --out naming an existing file each exit 2 with one ``error:`` line naming the path (and the
+    report line).  The output directory is refused before any work: ``mass`` prints nothing."""
+    bad, out = tmp_path / "bad", tmp_path / "out"
+    args, named = ["--config", str(bad), "mass"], str(bad)
+    if case in ("config_directory", "report_directory"):
+        bad.mkdir()
+    elif case == "config_not_utf8":
+        bad.write_bytes(b'{"seed": 1, "mode": "\xff"}')
+    elif case == "report_line_not_json":
+        bad.write_text(json.dumps({"config": {}}) + "\nnot json\n")
+        named = f"{bad} line 2"
+    else:
+        bad.write_text("")
+        args, out = ["--config", str(write_config(tmp_path)), "mass"], bad
+    if case.startswith("report"):
+        args = ["report", str(bad)]
+    res = run_cli(args, out)
+    assert_one_error_line(res)
+    assert named in res.stderr
+    if case == "out_is_a_file":
+        assert res.stdout == "" and bad.read_text() == ""
+
+
 def test_mass_indefinite_metric_exits_two(tmp_path):
     cfg = write_config(tmp_path, family={"name": "kaluza_perturbation", "params": {"mu": -1.0}},
                        radii={"r0": 1.5, "rmax": 12.0, "count": 6})

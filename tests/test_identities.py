@@ -1,5 +1,11 @@
 """Identity suite behavior: residuals, sign resolution, quadrature order."""
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +16,7 @@ from weylmass.identities import (IdentityReport, _rng, bochner_divergence_residu
                                  check_codifferential_transform, check_curvature_split,
                                  check_d_squared, check_d_transform, check_torsion, random_form_field,
                                  resolve_bochner_sign, run_suite, trial_point, trial_structure)
-from weylmass.quadrature import QuadratureSpec
+from weylmass.quadrature import QuadratureSpec, gauss_legendre, node_blocks
 from weylmass.weyl import WeylStructure, form_field_of
 
 from oracles import check_weighted_derivative_oracle
@@ -121,29 +127,79 @@ def test_bochner_integral_flat_harmonic(engine, model):
 
 @pytest.mark.parametrize("chart", ["model", "hopf_space"], ids=["trivial", "hopf"])
 def test_bochner_integral_sides_independent_of_chunk_size(engine, chart, request, monkeypatch):
-    """Streaming the annulus changes no bit of either side: 2,496 nodes in blocks of 512 (the
-    last one partial) vs one block.  On the Hopf chart the blocks run the bracket terms."""
-    from weylmass import identities
+    """Streaming changes no bit of either side.  At the default budget the 2,496-node annulus runs in
+    blocks of 512 (the last one partial) and each 416-node zeta shell in one block; with the budget cut
+    to 37 annulus nodes the zeta shells run in blocks of 185, and with it raised to the whole annulus
+    every loop is one block.  On the Hopf chart the blocks run the bracket terms."""
+    from weylmass import quadrature
 
     space = request.getfixturevalue(chart)
     ws = trial_structure(space, 42, 0, fiber_dependence=True, wave_scale=0.45)
     spec = random_form_field(ws, _rng(42, 20, 0), 1, 0.0, fiber_dependence=True, wave_scale=0.45)
     quad = QuadratureSpec(sphere=26, fiber=16, radial=6)
-    total = 26 * 16 * 6
-    per_node = 8 * space.dim**4
-    assert identities.ANNULUS_BLOCK_BYTES // per_node == 512 and total % 512
+    total, density_bytes, zeta_bytes = 26 * 16 * 6, 40 * space.dim**4, 32 * space.dim**3
+    assert quadrature.BLOCK_BYTES // density_bytes == 512 and total % 512
+    assert quadrature.BLOCK_BYTES // zeta_bytes >= 26 * 16
     streamed = bochner_integral_sides(engine, ws, spec, 1.4, 1.9, quad)
-    monkeypatch.setattr(identities, "ANNULUS_BLOCK_BYTES", total * per_node)
+    monkeypatch.setattr(quadrature, "BLOCK_BYTES", 37 * density_bytes)
+    assert quadrature.BLOCK_BYTES // zeta_bytes == 185
+    assert bochner_integral_sides(engine, ws, spec, 1.4, 1.9, quad) == streamed
+    monkeypatch.setattr(quadrature, "BLOCK_BYTES", total * density_bytes)
     assert bochner_integral_sides(engine, ws, spec, 1.4, 1.9, quad) == streamed
 
 
-def test_bochner_integral_reports_annulus_nodes(engine, model):
-    from weylmass.quadrature import annulus_node_count, annulus_nodes
+def test_bochner_integral_memory_stays_bounded_as_the_sphere_rule_is_refined(engine, model):
+    """A 4x finer sphere rule (1,600 -> 6,400 nodes in the annulus and in each zeta shell) keeps the
+    traced peak of ``bochner_integral_sides`` within 1.5x: the annulus and both shells are streamed."""
+    import tracemalloc
 
+    ws = trial_structure(model, 42, 0, fiber_dependence=True, wave_scale=0.45)
+    spec = random_form_field(ws, _rng(42, 20, 0), 1, 0.0, fiber_dependence=True, wave_scale=0.45)
+
+    def peak(sphere):
+        tracemalloc.start()
+        try:
+            bochner_integral_sides(engine, ws, spec, 1.4, 1.9, QuadratureSpec(sphere=sphere, fiber=8, radial=1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100)  # first-call allocations are not the integral's
+    coarse, fine = peak(100), peak(400)
+    assert fine <= 1.5 * coarse, (coarse, fine)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts the page faults of glibc's malloc")
+def test_streamed_blocks_stay_mapped_between_blocks():
+    """In a fresh process, a repeated 5-block annulus integral takes almost no minor page faults: the
+    blocks' freed arrays stay mapped for the next block (without the allocation ``node_blocks`` makes
+    first, 6,741 faults per call against 1)."""
+    script = """
+import resource
+from weylmass.engine import DerivativeEngine
+from weylmass.identities import _rng, bochner_integral_sides, random_form_field, trial_structure
+from weylmass.model import ModelSpace
+from weylmass.quadrature import QuadratureSpec
+ws = trial_structure(ModelSpace(m=3), 42, 0, fiber_dependence=True, wave_scale=0.45)
+spec = random_form_field(ws, _rng(42, 20, 0), 1, 0.0, fiber_dependence=True, wave_scale=0.45)
+args = (DerivativeEngine("dual"), ws, spec, 1.4, 1.9, QuadratureSpec(26, 16, 6))
+bochner_integral_sides(*args)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+bochner_integral_sides(*args)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) < 500
+
+
+def test_bochner_integral_reports_annulus_nodes(engine, model):
     assert check_bochner_integral(engine, model, seed=42, trials=0).details["annulus_nodes"] == 0
     # a sphere request of 100 becomes the 10 x 20 product rule
-    quad = QuadratureSpec(sphere=100, fiber=16, radial=8)
-    assert annulus_node_count(model, quad) == annulus_nodes(model, 1.3, 1.8, quad)[0].shape[1] == 25600
+    for quad, nodes in ((QuadratureSpec(sphere=100, fiber=16, radial=8), 25600), (QuadratureSpec(26, 4, 2), 208)):
+        blocks = node_blocks(model, *gauss_legendre(1.3, 1.8, quad.radial), quad, 40 * model.dim**4)
+        assert sum(weights.size for _, weights, _ in blocks) == nodes
     rep = check_bochner_integral(engine, model, seed=42, trials=1, quad=QuadratureSpec(26, 4, 2))
     assert rep.details["annulus_nodes"] == 26 * 4 * 2
 

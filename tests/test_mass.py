@@ -18,11 +18,11 @@ from weylmass.families import (MetricFamily, compact_lee, conformal_sweep, flat_
 from weylmass.mass import flux_pass, gauge_audit, mass_matrix, ricci_positivity_floor, richardson_limit
 from weylmass.model import ModelSpace, sphere_volume
 from weylmass.probes import decay_probe, geometric_radii
-from weylmass.quadrature import QuadratureSpec, shell_nodes
+from weylmass.quadrature import QuadratureSpec
 from weylmass.weyl import WeylStructure, lee_jet
 
 from oracles import (direction_limits, flux_model_metric, horizontal_field, lee_correction_components,
-                     q_flux_components, random_adapted_scalar)
+                     q_flux_components, random_adapted_scalar, shell_nodes)
 
 
 def x1_report(engine, ws, **kw):
@@ -106,6 +106,49 @@ def test_shell_forms_match_density_oracle(engine, m, fibration, seed):
             c = flux_model_metric(space, lee_correction_components(engine, space, lee, z, pts), normals, weights)
             assert z @ Q @ z == pytest.approx(q / norm, rel=1e-12, abs=0.0)
             assert z @ C @ z == pytest.approx(c / norm, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("chart", ["model", "hopf_space"], ids=["trivial", "hopf"])
+def test_flux_pass_independent_of_block_size(engine, chart, request, monkeypatch):
+    """416-node shells cut into blocks of 37 nodes give the forms of the shells taken whole, each form to
+    1e-14 of its largest entry: summing the blocks' forms only regroups the sums over the nodes.  Two
+    swept factors cover the rescaled gauges and the df forms; the Hopf chart runs the connection terms."""
+    from weylmass import quadrature
+
+    space = request.getfixturevalue(chart)
+    ws = WeylStructure(space, kaluza_perturbation(space, mu=1.0), radial_lee(space, 0.4))
+    factors = [radial_profile(space, beta=0.2), random_adapted_scalar(space, seed=5)]
+    radii = [40.0, 80.0, 160.0]
+    assert quadrature.BLOCK_BYTES // (12 * space.dim**3) >= 416
+    whole = flux_pass(engine, ws, factors, radii=radii, check_decay=False)
+    monkeypatch.setattr(quadrature, "BLOCK_BYTES", 37 * 12 * space.dim**3)
+    split = flux_pass(engine, ws, factors, radii=radii, check_decay=False)
+    assert split.nodes == whole.nodes == 416
+    for a, b in ((whole.q, split.q), (whole.c, split.c), (whole.df, split.df)):
+        scale = np.max(np.abs(a), axis=(-2, -1))
+        assert np.all(np.max(np.abs(a - b), axis=(-2, -1)) <= 1e-14 * scale) and np.all(scale > 0)
+        assert np.array_equal(b, np.swapaxes(b, -2, -1))
+
+
+def test_flux_pass_memory_stays_bounded_as_the_rule_is_refined(engine):
+    """m = 5 shells of 20,000 nodes (fiber 16) keep the traced peak of a flux pass within 1.5x of its
+    peak at 2,500 nodes (fiber 2): each shell is streamed in node blocks, never held whole."""
+    import tracemalloc
+
+    space = ModelSpace(m=5)
+    ws = WeylStructure(space, kaluza_perturbation(space, mu=1.0), radial_lee(space, 0.4))
+
+    def peak(fiber):
+        tracemalloc.start()
+        try:
+            flux_pass(engine, ws, quad=QuadratureSpec(fiber=fiber), check_decay=False)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # first-call allocations are not the pass's
+    coarse, fine = peak(2), peak(16)
+    assert fine <= 1.5 * coarse, (coarse, fine)
 
 
 def test_shell_forms_refuse_indefinite_metric(model, engine):
@@ -221,7 +264,7 @@ def test_flux_radii_validation(model, engine, monkeypatch):
     import weylmass.mass as mass_mod
 
     calls = []
-    monkeypatch.setattr(mass_mod, "shell_nodes", lambda *args: calls.append(args))
+    monkeypatch.setattr(mass_mod, "node_blocks", lambda *args: calls.append(args))
     ws = WeylStructure(model, flat_product(model), zero_lee(model))
     for radii in ([0.5, 2.0], [40.0, 30.0], [80.0], [80.0, 80.0], [], [40.0, float("nan")]):
         with pytest.raises(ValueError, match="flux radii"):

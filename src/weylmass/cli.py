@@ -1,33 +1,38 @@
 """Command-line front end: verify identities, compute masses, sweep gauges.
 
-Configuration is a single JSON file plus flag overrides; every report embeds
-the resolved configuration so runs are reproducible byte for byte from the
-report alone.  Reports are JSON-lines (one object per record) next to CSV
-tables with a versioned schema comment.
+Configuration is a single JSON file plus flag overrides.  ``SCHEMA`` gives
+every config key its default and its rule; ``RunConfig.load`` checks a
+configuration once and keeps the chart, engine, Weyl structure and sweep
+factors it built for the commands.  Every report starts with a ``config``
+record holding the fully resolved configuration: every section with every
+key, the family and Lee parameters completed from the builders' defaults.
+Written out as a config file, that record resolves to itself, so a run is
+reproducible byte for byte from its report alone.  Reports are JSON-lines
+(one object per record) next to CSV tables with a versioned schema comment.
 
 Exit codes: 0 all checks pass, 1 an identity or audit failed, 2 invalid
-configuration or a domain error (mass not defined, unknown family, ...).
+configuration or report, or a domain error (mass not defined, ...).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import inspect
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field as dc_field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .engine import DerivativeEngine
 from .errors import ChartDomainError, ConfigError, MassNotDefinedError
-from .families import (LEE_BUILDERS, METRIC_BUILDERS, SCALAR_BUILDERS, build_lee, build_metric,
-                       build_scalar)
-from .identities import run_suite
-from .mass import gauge_audit, mass_matrix
+from .families import LEE_BUILDERS, METRIC_BUILDERS, SCALAR_BUILDERS
+from .identities import SUITE_TOLERANCES, SUITE_TRIALS, run_suite
+from .mass import FLUX_RADII, gauge_audit, mass_matrix
 from .model import ModelSpace
 from .probes import geometric_radii
 from .quadrature import QuadratureSpec
@@ -35,28 +40,6 @@ from .weyl import WeylStructure
 
 CSV_SCHEMA = "# schema=mass_table_v1 columns=radius,Q_flux,conf_correction,extrapolated"
 OUT_ENV = "WEYLMASS_OUT"
-
-DEFAULT_TOLERANCES = {
-    "identity": 1e-6,
-    "bochner": 1e-5,
-    "integral": 1e-4,
-    "mass": 1e-4,
-    "convergence": 1e-6,
-}
-
-DEFAULT_TRIALS = {"identity": 100, "bochner": 20, "integral": 5}
-
-# object-valued sections: the defaults of the keys a partial section leaves out
-SECTION_DEFAULTS = {
-    "model": {"m": 3, "R": 1.0, "L": 6.283185307179586, "fibration": "trivial"},
-    "radii": {"r0": 40.0, "rmax": 320.0, "count": 6},
-    "quadrature": {"sphere": 26, "fiber": 16, "radial": 8},
-}
-
-# the keys each object-valued section accepts
-SECTION_KEYS = {**SECTION_DEFAULTS, "family": ("name", "params"), "lee": ("name", "params"),
-                "sweep": ("name", "param", "values"), "tolerances": DEFAULT_TOLERANCES,
-                "trials": DEFAULT_TRIALS}
 
 
 def _integer(v) -> bool:
@@ -68,23 +51,60 @@ def _real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-@dataclass
-class RunConfig:
-    """Validated run configuration; invalid input raises ConfigError."""
+def _default(fn, name: str):
+    return inspect.signature(fn).parameters[name].default
 
-    model: dict = dc_field(default_factory=lambda: dict(SECTION_DEFAULTS["model"]))
-    family: dict = dc_field(default_factory=lambda: {"name": "kaluza_perturbation", "params": {"mu": 1.0}})
-    lee: dict = dc_field(default_factory=lambda: {"name": "radial_lee", "params": {"amplitude": 0.4}})
-    sweep: dict = dc_field(default_factory=lambda: {"name": "radial_profile", "param": "beta",
-                                                    "values": [0.1, 0.2, 0.3, 0.4, 0.5]})
-    radii: dict = dc_field(default_factory=lambda: dict(SECTION_DEFAULTS["radii"]))
-    quadrature: dict = dc_field(default_factory=lambda: dict(SECTION_DEFAULTS["quadrature"]))
-    tolerances: dict = dc_field(default_factory=dict)
-    trials: dict = dc_field(default_factory=dict)
-    seed: int = 42
-    mode: str = "dual"
-    out: str | None = None
-    corrupt_bochner_sign: bool = False  # negative-control test hook
+
+def _one_of(builders) -> tuple:
+    return f"one of {sorted(builders)}", lambda v: isinstance(v, str) and v in builders
+
+
+POSITIVE = ("a positive finite number", lambda v: _real(v) and v > 0)
+SIZE = ("a positive integer", lambda v: _integer(v) and v > 0)
+COUNT = ("a non-negative integer", lambda v: _integer(v) and v >= 0)
+LATER = (None, None)  # checked by the object the key configures, or with other keys
+
+# Every config key: its default, then what it must be and the test of that; a
+# section is a dict of its keys.  Defaults the library states are read from
+# it.  A partial section takes the defaults of the keys it leaves out, but a
+# family, lee or sweep section that names a builder owns its params and
+# values: left out, they are empty, and the builder takes its own defaults.
+SCHEMA = {
+    "model": {"m": (ModelSpace.m, "an integer", _integer), "R": (ModelSpace.R, *POSITIVE),
+              "L": (ModelSpace.L, *POSITIVE), "fibration": (ModelSpace.fibration, *LATER)},
+    "family": {"name": ("kaluza_perturbation", *_one_of(METRIC_BUILDERS)),
+               "params": ({}, "an object", lambda v: isinstance(v, dict))},
+    "lee": {"name": ("radial_lee", *_one_of(LEE_BUILDERS)),
+            "params": ({"amplitude": 0.4}, "an object", lambda v: isinstance(v, dict))},
+    "sweep": {"name": ("radial_profile", *_one_of(SCALAR_BUILDERS)),
+              "param": ("beta", "a parameter name", lambda v: isinstance(v, str)),
+              "values": ([0.1, 0.2, 0.3, 0.4, 0.5], "a list", lambda v: isinstance(v, list))},
+    "radii": {"r0": (FLUX_RADII["r0"], *LATER), "rmax": (FLUX_RADII["rmax"], *LATER),
+              "count": (FLUX_RADII["count"], "an integer >= 2", lambda v: _integer(v) and v >= 2)},
+    "quadrature": {f.name: (f.default, *SIZE) for f in fields(QuadratureSpec)},
+    "tolerances": {key: (value, *POSITIVE) for key, value in {
+        **SUITE_TOLERANCES, "mass": _default(gauge_audit, "tolerance"),
+        "convergence": _default(mass_matrix, "tol_conv")}.items()},
+    "trials": {key: (value, *COUNT) for key, value in SUITE_TRIALS.items()},
+    "seed": (_default(run_suite, "seed"), "a non-negative integer", lambda v: _integer(v) and v >= 0),
+    "mode": (DerivativeEngine.mode, *LATER),
+    "out": (None, "a directory name", lambda v: v is None or isinstance(v, str)),
+    "corrupt_bochner_sign": (False, "true or false", lambda v: isinstance(v, bool)),  # negative-control hook
+}
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """A checked run configuration and the objects it names; ``load`` refuses invalid input with ConfigError."""
+
+    config: dict  # the resolved configuration every report embeds; the output directory is not part of it
+    out: str | None
+    model: ModelSpace
+    engine: DerivativeEngine
+    structure: WeylStructure
+    factors: list  # the sweep's conformal factors, one per value
+    radii: list
+    quad: QuadratureSpec
 
     @classmethod
     def load(cls, path: str | None, overrides: argparse.Namespace) -> "RunConfig":
@@ -99,122 +119,73 @@ class RunConfig:
                 raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config must be an object, got {data!r}")
-        unknown = set(data) - {f.name for f in fields(cls)}
+        unknown = set(data) - set(SCHEMA)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**data)
-        for where, known in SECTION_KEYS.items():
-            given = getattr(cfg, where)
-            if not isinstance(given, dict):
-                raise ConfigError(f"{where} must be an object, got {given!r}")
-            for k in given:
-                if k not in known:
-                    raise ConfigError(f"unknown {where} key {k!r}")
+        cfg = {}
+        for where, rule in SCHEMA.items():
+            given = data.get(where, rule[0] if isinstance(rule, tuple) else {})
+            if isinstance(rule, dict):
+                if not isinstance(given, dict):
+                    raise ConfigError(f"{where} must be an object, got {given!r}")
+                for key in given:
+                    if key not in rule:
+                        raise ConfigError(f"unknown {where} key {key!r}")
+                owned = "name" in given
+                given = {**{k: type(d)() if owned and k in ("params", "values") else copy.copy(d)
+                            for k, (d, _, _) in rule.items()}, **given}
+            cfg[where] = given
         if overrides.seed is not None:
-            cfg.seed = overrides.seed
+            cfg["seed"] = overrides.seed
         if overrides.out is not None:
-            cfg.out = overrides.out
+            cfg["out"] = overrides.out
         if overrides.radii is not None:
             parts = overrides.radii.split(":")
             if len(parts) != 3:
                 raise ConfigError("--radii expects r0:rmax:count")
             try:
-                cfg.radii = {"r0": float(parts[0]), "rmax": float(parts[1]), "count": int(parts[2])}
+                cfg["radii"] = {"r0": float(parts[0]), "rmax": float(parts[1]), "count": int(parts[2])}
             except ValueError as exc:
                 raise ConfigError(f"bad --radii value: {overrides.radii!r}") from exc
         if overrides.tol is not None:
-            cfg.tolerances = {**cfg.tolerances, "identity": overrides.tol, "mass": overrides.tol}
-        cfg.validate()
-        return cfg
+            cfg["tolerances"].update(identity=overrides.tol, mass=overrides.tol)
+        return cls._checked(cfg)
 
-    def section(self, where: str) -> dict:
-        """A section with the defaults filled in for the keys it leaves out."""
-        return {**SECTION_DEFAULTS[where], **getattr(self, where)}
-
-    def validate(self) -> None:
-        """Check every value; ``load`` has checked that the sections are objects with known keys."""
-        model, radii = self.section("model"), self.section("radii")
-        m, fib = model["m"], model["fibration"]
-        _require([("model.m", m, "an integer >= 3", _integer(m) and m >= 3),
-                  ("model.fibration", fib, "'trivial' or 'hopf'", fib in ("trivial", "hopf"))]
-                 + [(f"model.{k}", model[k], "a positive finite number", _real(model[k]) and model[k] > 0)
-                    for k in ("R", "L")])
-        if fib == "hopf" and m != 3:
-            raise ConfigError("hopf fibration requires m = 3")
-        for where, builders, kind in (("family", METRIC_BUILDERS, "metric family"),
-                                      ("lee", LEE_BUILDERS, "lee form"), ("sweep", SCALAR_BUILDERS, "scalar family")):
-            name = getattr(self, where).get("name")
-            if not isinstance(name, str) or name not in builders:
-                raise ConfigError(f"unknown {kind} {name!r}; known: {sorted(builders)}")
-        for where, builders in (("family", METRIC_BUILDERS), ("lee", LEE_BUILDERS)):
-            spec = getattr(self, where)
-            params = spec.get("params", {})
-            sig = _check_params(f"{where}.params", builders[spec["name"]], params)
-            for name, value in params.items():
-                _check_value(f"{where}.params.{name}", sig.parameters[name], value)
-        param = self.sweep.get("param", "beta")
-        if not isinstance(param, str):
-            raise ConfigError(f"sweep.param must be a parameter name, got {param!r}")
-        sig = _check_params("sweep.param", SCALAR_BUILDERS[self.sweep["name"]], {param: None})
-        values = self.sweep.get("values", [])
-        if not isinstance(values, list):
-            raise ConfigError(f"sweep.values must be a list, got {values!r}")
-        for i, value in enumerate(values):
-            _check_value(f"sweep.values[{i}]", sig.parameters[param], value)
-        # builders refuse parameters outside their domain with ValueError
-        space = self.model_space()
-        built = [("family", METRIC_BUILDERS[self.family["name"]], self.family.get("params", {})),
-                 ("lee", LEE_BUILDERS[self.lee["name"]], self.lee.get("params", {}))]
-        built += [(f"sweep.values[{i}]", SCALAR_BUILDERS[self.sweep["name"]], {param: value})
-                  for i, value in enumerate(values)]
-        for where, builder, params in built:
-            try:
-                builder(space, **params)
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}") from exc
-        r0, rmax, count = radii["r0"], radii["rmax"], radii["count"]
-        _require([("radii.count", count, "an integer >= 2", _integer(count) and count >= 2)])
+    @classmethod
+    def _checked(cls, cfg: dict) -> "RunConfig":
+        """Check every value of a resolved configuration and build what it names."""
+        for where, rule in SCHEMA.items():
+            for key, (_, what, test) in rule.items() if isinstance(rule, dict) else [(None, rule)]:
+                value = cfg[where] if key is None else cfg[where][key]
+                if test is not None and not test(value):
+                    raise ConfigError(f"{where if key is None else f'{where}.{key}'} must be {what}, got {value!r}")
+        model = _construct("model", ModelSpace, **cfg["model"])
+        engine = _construct("mode", DerivativeEngine, cfg["mode"])
+        r0, rmax = cfg["radii"]["r0"], cfg["radii"]["rmax"]
         if not (_real(r0) and _real(rmax) and 0 < r0 < rmax):
             raise ConfigError(f"radii must satisfy 0 < r0 < rmax < inf, got r0={r0!r} rmax={rmax!r}")
-        if r0 <= space.R:
-            raise ConfigError(f"radii.r0={r0} must exceed the excised radius R={space.R}")
-        seed, flag = self.seed, self.corrupt_bochner_sign
-        _require([(f"quadrature.{k}", v, "a positive integer", _integer(v) and v > 0)
-                  for k, v in self.quadrature.items()]
-                 + [("mode", self.mode, "'dual' or 'fd'", self.mode in ("dual", "fd")),
-                    ("seed", seed, "a non-negative integer", _integer(seed) and seed >= 0),
-                    ("corrupt_bochner_sign", flag, "true or false", isinstance(flag, bool)),
-                    ("out", self.out, "a directory name", self.out is None or isinstance(self.out, str))]
-                 + [(f"tolerances.{k}", v, "a positive finite number", _real(v) and v > 0)
-                    for k, v in self.tolerances.items()]
-                 + [(f"trials.{k}", v, "a non-negative integer", _integer(v) and v >= 0)
-                    for k, v in self.trials.items()])
-
-    # -- resolved pieces ----------------------------------------------------
-
-    def model_space(self) -> ModelSpace:
-        return ModelSpace(**self.section("model"))
-
-    def engine(self) -> DerivativeEngine:
-        return DerivativeEngine(mode=self.mode)
-
-    def radii_schedule(self) -> list:
-        radii = self.section("radii")
-        return [float(r) for r in geometric_radii(radii["r0"], radii["rmax"], radii["count"])]
-
-    def quad_spec(self) -> QuadratureSpec:
-        return QuadratureSpec(**self.section("quadrature"))
-
-    def tol(self, key: str) -> float:
-        return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))
-
-    def ntrials(self, key: str) -> int:
-        return int(self.trials.get(key, DEFAULT_TRIALS[key]))
-
-    def structure(self, model: ModelSpace) -> WeylStructure:
-        fam = build_metric(self.family["name"], model, **self.family.get("params", {}))
-        lee = build_lee(self.lee["name"], model, **self.lee.get("params", {}))
-        return WeylStructure(model, fam, lee)
+        if r0 <= model.R:
+            raise ConfigError(f"radii.r0={r0} must exceed the excised radius R={model.R}")
+        built = {}
+        for where, builders in (("family", METRIC_BUILDERS), ("lee", LEE_BUILDERS)):
+            spec, builder = cfg[where], builders[cfg[where]["name"]]
+            bound = _bind(f"{where}.params", builder, spec["params"])
+            for name, value in spec["params"].items():
+                _check_value(f"{where}.params.{name}", bound.signature.parameters[name], value)
+            bound.apply_defaults()
+            spec["params"] = {name: value for name, value in bound.arguments.items() if name != "model"}
+            built[where] = _construct(where, builder, model, **spec["params"])
+        sweep = cfg["sweep"]
+        builder, param = SCALAR_BUILDERS[sweep["name"]], sweep["param"]
+        bound = _bind("sweep.param", builder, {param: None})
+        for i, value in enumerate(sweep["values"]):
+            _check_value(f"sweep.values[{i}]", bound.signature.parameters[param], value)
+        factors = [_construct(f"sweep.values[{i}]", builder, model, **{param: value})
+                   for i, value in enumerate(sweep["values"])]
+        return cls({k: v for k, v in cfg.items() if k != "out"}, cfg["out"], model, engine,
+                   WeylStructure(model, built["family"], built["lee"]), factors,
+                   [float(r) for r in geometric_radii(r0, rmax, cfg["radii"]["count"])],
+                   QuadratureSpec(**cfg["quadrature"]))
 
     def out_dir(self) -> Path:
         path = Path(self.out or os.environ.get(OUT_ENV, "out"))
@@ -224,34 +195,23 @@ class RunConfig:
             raise ConfigError(f"cannot use output directory {path}: {exc.strerror}") from exc
         return path
 
-    def resolved(self) -> dict:
-        data = asdict(self)
-        data["tolerances"] = {**DEFAULT_TOLERANCES, **self.tolerances}
-        data["trials"] = {**DEFAULT_TRIALS, **self.trials}
-        # the output directory is where the report lives, not an input; keeping
-        # it out of the embedded config makes reruns byte-identical
-        data.pop("out", None)
-        return data
+
+def _construct(where: str, builder, *args, **params):
+    """Call a library constructor; a value outside its domain (ValueError) is a config error at ``where``."""
+    try:
+        return builder(*args, **params)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _require(checks) -> None:
-    """Refuse the first (name, value, what it must be, valid) entry that is not valid."""
-    for where, value, kind, valid in checks:
-        if not valid:
-            raise ConfigError(f"{where} must be {kind}, got {value!r}")
-
-
-def _check_params(where: str, builder, params) -> inspect.Signature:
-    """Reject parameters the builder does not take, or required ones left out."""
-    if not isinstance(params, dict):
-        raise ConfigError(f"{where} must be an object, got {params!r}")
+def _bind(where: str, builder, params) -> inspect.BoundArguments:
+    """Bind params to a builder, refusing parameters it does not take or required ones left out."""
     sig = inspect.signature(builder)
     try:
-        sig.bind(None, **params)
+        return sig.bind(None, **params)
     except TypeError as exc:
         accepted = [name for name in sig.parameters if name != "model"]
         raise ConfigError(f"{where} for {builder.__name__}: {exc}; accepted: {accepted}") from exc
-    return sig
 
 
 def _check_value(where: str, param: inspect.Parameter, value) -> None:
@@ -275,18 +235,13 @@ def _write_jsonl(path: Path, records: list) -> None:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    model = cfg.model_space()
-    engine = cfg.engine()
-    tol = cfg.tol("identity") if cfg.mode == "dual" else max(cfg.tol("identity"), 1e-5)
-    reports = run_suite(
-        engine, model, seed=cfg.seed,
-        trials=cfg.ntrials("identity"), bochner_trials=cfg.ntrials("bochner"),
-        integral_trials=cfg.ntrials("integral"),
-        tolerance=tol, bochner_tolerance=cfg.tol("bochner"),
-        integral_tolerance=cfg.tol("integral"),
-        corrupt_bochner_sign=cfg.corrupt_bochner_sign,
-    )
-    records = [{"config": cfg.resolved()}]
+    conf = cfg.config
+    tolerances = {group: float(tol) for group, tol in conf["tolerances"].items()}
+    if cfg.engine.mode == "fd":
+        tolerances["identity"] = max(tolerances["identity"], 1e-5)
+    reports = run_suite(cfg.engine, cfg.model, seed=conf["seed"], trials=conf["trials"], tolerances=tolerances,
+                        corrupt_bochner_sign=conf["corrupt_bochner_sign"])
+    records = [{"config": conf}]
     ok = True
     for rep in reports:
         records.append(rep.as_dict())
@@ -301,13 +256,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_mass(cfg: RunConfig) -> int:
-    model = cfg.model_space()
-    engine = cfg.engine()
-    ws = cfg.structure(model)
-    radii = cfg.radii_schedule()
-    quad = cfg.quad_spec()
-    matrix, q_matrix, reports = mass_matrix(engine, ws, radii=radii, quad=quad,
-                                            tol_conv=cfg.tol("convergence"))
+    matrix, q_matrix, reports = mass_matrix(cfg.engine, cfg.structure, radii=cfg.radii, quad=cfg.quad,
+                                            tol_conv=float(cfg.config["tolerances"]["convergence"]))
     print("polarized conformal-mass matrix over the horizontal basis:")
     for row in matrix:
         print("  [" + "  ".join(f"{v: .8e}" for v in row) + "]")
@@ -318,12 +268,12 @@ def cmd_mass(cfg: RunConfig) -> int:
         print(f"warning: flux sequence not converged for {non_conv}")
 
     out = cfg.out_dir()
-    records = [{"config": cfg.resolved()},
+    records = [{"config": cfg.config},
                {"mass_matrix": matrix.tolist(), "eigenvalues": eigs.tolist(),
                 "q_matrix": q_matrix.tolist()}]
     records += [rep.as_dict() for rep in reports.values()]
     _write_jsonl(out / "mass_report.jsonl", records)
-    for b in range(model.m):
+    for b in range(cfg.model.m):
         key = f"1*X{b + 1}"
         rep = reports[key]
         csv_path = out / f"mass_table_X{b + 1}.csv"
@@ -337,22 +287,14 @@ def cmd_mass(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    model = cfg.model_space()
-    engine = cfg.engine()
-    ws = cfg.structure(model)
-    radii = cfg.radii_schedule()
-    quad = cfg.quad_spec()
-    name = cfg.sweep["name"]
-    param = cfg.sweep.get("param", "beta")
-    values = cfg.sweep.get("values", [])
+    param, values = cfg.config["sweep"]["param"], cfg.config["sweep"]["values"]
     if not values:
         raise ConfigError("sweep.values is empty")
-    tol = cfg.tol("mass")
-    factors = [build_scalar(name, model, **{param: value}) for value in values]
-    results = gauge_audit(engine, ws, factors, radii=radii, quad=quad, tolerance=tol)
-    records = [{"config": cfg.resolved()}]
+    tol = float(cfg.config["tolerances"]["mass"])
+    results = gauge_audit(cfg.engine, cfg.structure, cfg.factors, radii=cfg.radii, quad=cfg.quad, tolerance=tol)
+    records = [{"config": cfg.config}]
     ok = True
-    for value, f, (audits, pred) in zip(values, factors, results):
+    for value, f, (audits, pred) in zip(values, cfg.factors, results):
         row = {"factor": f.name, param: value, "audits": [a.as_dict() for a in audits],
                "prediction": pred.as_dict()}
         for b, audit in enumerate(audits):
@@ -371,7 +313,32 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_report(cfg: RunConfig, paths: list[str]) -> int:
+def _summarize(rec: dict, config) -> bool:
+    """Print one report record's summary; True if it passed."""
+    if "identity" in rec:
+        print(f"  [{'PASS' if rec.get('passed') else 'FAIL'}] {rec['identity']}: {rec['max_residual']:.3e}")
+        return bool(rec.get("passed", False))
+    if "audits" in rec:
+        ok = True
+        for audit in rec["audits"]:
+            ok = ok and bool(audit.get("passed", False))
+            print(f"  [{'PASS' if audit.get('passed') else 'FAIL'}] invariance {rec['factor']} Z={audit['Z']}: "
+                  f"{audit['rel_difference']:.3e}")
+        # the strict test of cmd_sweep, against the mass tolerance of the file's config record
+        tol = config["tolerances"]["mass"]
+        rel_error = rec["prediction"]["rel_error"]
+        print(f"  [{'PASS' if rel_error < tol else 'FAIL'}] mass-shift prediction {rec['factor']}: "
+              f"{rel_error:.3e} (tol {tol:g})")
+        return ok and rel_error < tol
+    if "mass_matrix" in rec:
+        print(f"  mass eigenvalues: {rec['eigenvalues']}")
+    elif "Z" in rec:
+        print(f"  mass[{rec['Z']}] = {rec['mass']:.8e} ({'converged' if rec.get('converged') else 'NOT CONVERGED'})")
+        return bool(rec.get("converged", False))
+    return True
+
+
+def cmd_report(paths: list[str]) -> int:
     """Summarize previously written JSONL reports; exit 1 if any record failed."""
     ok = True
     for path in paths:
@@ -393,28 +360,11 @@ def cmd_report(cfg: RunConfig, paths: list[str]) -> int:
             if "config" in rec:
                 config = rec["config"]
                 continue
-            if "identity" in rec:
-                status = "PASS" if rec.get("passed") else "FAIL"
-                ok = ok and rec.get("passed", False)
-                print(f"  [{status}] {rec['identity']}: {rec['max_residual']:.3e}")
-            elif "audits" in rec:
-                for audit in rec["audits"]:
-                    status = "PASS" if audit.get("passed") else "FAIL"
-                    ok = ok and audit.get("passed", False)
-                    print(f"  [{status}] invariance {rec['factor']} Z={audit['Z']}: "
-                          f"{audit['rel_difference']:.3e}")
-                # the strict test of cmd_sweep, against the mass tolerance of the file's config
-                tol = config["tolerances"]["mass"]
-                rel_error = rec["prediction"]["rel_error"]
-                ok = ok and rel_error < tol
-                print(f"  [{'PASS' if rel_error < tol else 'FAIL'}] mass-shift prediction {rec['factor']}: "
-                      f"{rel_error:.3e} (tol {tol:g})")
-            elif "mass_matrix" in rec:
-                print(f"  mass eigenvalues: {rec['eigenvalues']}")
-            elif "Z" in rec:
-                conv = "converged" if rec.get("converged") else "NOT CONVERGED"
-                ok = ok and rec.get("converged", False)
-                print(f"  mass[{rec['Z']}] = {rec['mass']:.8e} ({conv})")
+            try:
+                ok = _summarize(rec, config) and ok
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:  # a field missing or of a wrong type
+                raise ConfigError(f"{path} line {lineno} is not a valid report record: "
+                                  f"{type(exc).__name__}: {exc}") from exc
     return 0 if ok else 1
 
 
@@ -477,10 +427,10 @@ def _run(args: argparse.Namespace) -> int:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             cfg = RunConfig.load(args.config, args)
             if args.command == "report":
-                return cmd_report(cfg, args.paths)
+                return cmd_report(args.paths)
             cfg.out_dir()  # an unusable output directory is refused before any work
             return {"verify": cmd_verify, "mass": cmd_mass, "sweep": cmd_sweep}[args.command](cfg)
-    except (ConfigError, ChartDomainError, MassNotDefinedError, KeyError) as exc:
+    except (ConfigError, ChartDomainError, MassNotDefinedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FloatingPointError, OverflowError, np.linalg.LinAlgError) as exc:

@@ -32,7 +32,7 @@ from .autodiff import collect_jet, seed_point
 
 # (weight, step scale) of the two-level Richardson combination of central differences
 RICHARDSON_WEIGHTS = ((-1.0 / 3.0, 1.0), (4.0 / 3.0, 0.5))
-# FD step schedule: h = max(FD_REL_STEP * r, FD_MIN_STEP) at the batch's largest radius r
+# FD step schedule: h = max(FD_REL_STEP * r, FD_MIN_STEP) at the batch's largest base radius r
 FD_REL_STEP = 1e-4
 FD_MIN_STEP = 1e-5
 
@@ -106,7 +106,8 @@ class DerivativeEngine:
     # -- finite differences -------------------------------------------------------
 
     def step(self, coords) -> float:
-        r = float(np.max(np.sqrt(np.sum(np.asarray(coords, dtype=float) ** 2, axis=0))))
+        """The FD step at the largest base radius of ``coords``; the last row, the fiber coordinate t, is not in r."""
+        r = float(np.max(np.sqrt(np.sum(np.asarray(coords, dtype=float)[:-1] ** 2, axis=0))))
         return max(FD_REL_STEP * r, FD_MIN_STEP)
 
     def _central(self, fld: Field, coords, i: int, h: float) -> np.ndarray:

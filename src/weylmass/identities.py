@@ -41,6 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import Mapping
 
 import numpy as np
 
@@ -585,23 +586,22 @@ SUITE_CHECKS = (
 )
 
 
-def run_suite(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,
-              trials: int = 100, bochner_trials: int = 20, integral_trials: int = 5,
-              tolerance: float = 1e-6, bochner_tolerance: float = 1e-5,
-              integral_tolerance: float = 1e-4,
-              corrupt_bochner_sign: bool = False) -> list[IdentityReport]:
+# default trials and tolerance of each group
+SUITE_TRIALS = {"identity": 100, "bochner": 20, "integral": 5}
+SUITE_TOLERANCES = {"identity": 1e-6, "bochner": 1e-5, "integral": 1e-4}
+
+
+def run_suite(engine: DerivativeEngine, model: ModelSpace, seed: int = 42, trials: Mapping = SUITE_TRIALS,
+              tolerances: Mapping = SUITE_TOLERANCES, corrupt_bochner_sign: bool = False) -> list[IdentityReport]:
     """Run every check of ``SUITE_CHECKS`` with its group's trial count and tolerance.
 
-    ``corrupt_bochner_sign`` is a negative-control hook: it flips the resolved
-    sign so the Bochner checks must fail, exercising the failure path.
+    ``trials`` and ``tolerances`` map every group to its value.
+    ``corrupt_bochner_sign`` is a negative-control hook: it flips the
+    resolved sign so the Bochner checks must fail, exercising the failure
+    path.
     """
     sign = -RESOLVED_BOCHNER_SIGN if corrupt_bochner_sign else RESOLVED_BOCHNER_SIGN
-    groups = {
-        "identity": (trials, tolerance),
-        "bochner": (bochner_trials, bochner_tolerance),
-        "integral": (integral_trials, integral_tolerance),
-    }
     return [
-        check(engine, model, seed, *groups[group], **({"sign": sign} if signed else {}))
+        check(engine, model, seed, trials[group], tolerances[group], **({"sign": sign} if signed else {}))
         for check, group, signed in SUITE_CHECKS
     ]

@@ -60,6 +60,9 @@ from .probes import geometric_radii, require_adapted, require_positive, require_
 from .quadrature import QuadratureSpec, node_blocks
 from .weyl import WeylStructure, gauge_change, lee_jet
 
+# the default flux radii: ``count`` geometric radii from r0 to rmax
+FLUX_RADII = {"r0": 40.0, "rmax": 320.0, "count": 6}
+
 
 def _lee_type_form(m: int, oneform, wn) -> np.ndarray:
     """Flux form C = (1 - m) sym(B) - tr(B) I, B = sum w a (x) nu, of a 1-form a; ``wn`` = weights * normals.
@@ -176,10 +179,10 @@ def flux_pass(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[Sca
               radii=None, quad: Optional[QuadratureSpec] = None, check_decay: bool = True) -> FluxForms:
     """The shell forms of gauge g and of the gauge f g of every factor f, from one metric jet per node block.
 
-    ``radii`` defaults to 6 geometric radii from 40 to 320 and must hold at
-    least two radii, strictly increasing and above R.  Every factor is
-    probed for positivity out to the largest radius and for membership in
-    the adapted class before any flux work; with ``check_decay`` the
+    ``radii`` defaults to ``FLUX_RADII`` and must hold at least two radii,
+    strictly increasing and above R.  Every factor is probed for positivity
+    out to the largest radius and for membership in the adapted class
+    before any flux work; with ``check_decay`` the
     Weyl-ALF decay probes run on g and on the first swept gauge, also
     before it.  On each node block g takes one coordinate jet and each
     factor one scalar jet, and the jet of f g comes from the two by the
@@ -189,7 +192,7 @@ def flux_pass(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[Sca
     """
     model = ws.model
     m = model.m
-    radii = geometric_radii(40.0, 320.0, 6) if radii is None else radii
+    radii = geometric_radii(**FLUX_RADII) if radii is None else radii
     radii = [float(r) for r in radii]
     if len(radii) < 2 or not all(model.R < a < b for a, b in zip(radii, radii[1:])):
         raise ValueError(f"flux radii must be at least two, strictly increasing and above R={model.R:g};"

@@ -44,21 +44,9 @@ class ProbeReport:
     name: str
     declared: float
     slope: float
-    residual_band: float
     passed: bool
     radii: list = dc_field(default_factory=list)
     norms: list = dc_field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "declared": self.declared,
-            "slope": self.slope,
-            "residual_band": self.residual_band,
-            "passed": bool(self.passed),
-            "radii": [float(r) for r in self.radii],
-            "norms": [float(v) for v in self.norms],
-        }
 
 
 def geometric_radii(r0: float, rmax: float, count: int) -> np.ndarray:
@@ -94,15 +82,12 @@ def decay_probe(norm_at_radius: Callable[[float], float], radii, declared: float
 def _fit_decay(radii: np.ndarray, norms, declared: float, name: str, margin: float) -> ProbeReport:
     norms = np.array([float(v) for v in norms])
     if np.all(norms < ZERO_FLOOR):
-        return ProbeReport(name, declared, -math.inf, 0.0, True, list(radii), list(norms))
+        return ProbeReport(name, declared, -math.inf, True, list(radii), list(norms))
     lx = np.log(radii)
     ly = np.log(np.maximum(norms, 1e-300))
     A = np.vstack([lx, np.ones_like(lx)]).T
-    coef, res, _, _ = np.linalg.lstsq(A, ly, rcond=None)
-    slope = float(coef[0])
-    band = float(np.sqrt(res[0] / len(lx))) if res.size else 0.0
-    passed = slope <= declared + margin
-    return ProbeReport(name, declared, slope, band, passed, list(radii), list(norms))
+    slope = float(np.linalg.lstsq(A, ly, rcond=None)[0][0])
+    return ProbeReport(name, declared, slope, slope <= declared + margin, list(radii), list(norms))
 
 
 def _sup_norm(values: np.ndarray) -> float:

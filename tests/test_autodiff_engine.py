@@ -179,6 +179,10 @@ def test_engine_step_schedule():
     eng = DerivativeEngine(mode="fd")
     assert eng.step(np.array([100.0, 0, 0, 0])) == pytest.approx(1e-2)
     assert eng.step(np.array([0.01, 0, 0, 0])) == pytest.approx(1e-5)
+    # r is the base radius: the fiber coordinate t (the last row) does not enlarge the step
+    assert eng.step(np.array([3.0, 4.0, 0.0, 6.0])) == pytest.approx(5e-4)
+    # a batch of base radii 1 and 2, at t = 0 and t = 6: the largest base radius sets the step
+    assert eng.step(np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0], [0.0, 6.0]])) == pytest.approx(2e-4)
 
 
 def test_engine_rejects_bad_mode():

@@ -1,6 +1,7 @@
 """The CI workflow installs the test extra, runs CLI smoke commands (a Hopf, an m = 5, a refined m = 5 and a
 Hopf compact_lee mass, a pointwise, an annulus and an fd-mode pointwise verify, then Hopf sweeps and a trivial-chart sweep),
-summarizes every report they wrote, and runs the tier-1 command that ROADMAP.md names, with a time limit."""
+summarizes every report they wrote, reruns a mass from the config its report embeds, and runs the tier-1 command
+that ROADMAP.md names, with a time limit."""
 
 import json
 import os
@@ -124,7 +125,7 @@ def test_workflow_report_smoke_reads_every_smoke_report():
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
     names = [step.get("name") for step in job["steps"]]
-    assert names.index("Sweep smoke") + 1 == names.index("Report smoke") == names.index("Tier-1 tests") - 1
+    assert names.index("Sweep smoke") + 1 == names.index("Report smoke") == names.index("Reproduce smoke") - 1
     written = [f"$RUNNER_TEMP/{out}/{command}_report.jsonl"
                for name in ("Mass smoke", "CLI smoke", "Sweep smoke")
                for out, command in re.findall(r"--out \"\$RUNNER_TEMP/(\w+)\" (\w+)$",
@@ -134,6 +135,33 @@ def test_workflow_report_smoke_reads_every_smoke_report():
     prefix = "PYTHONPATH=src python -m weylmass report "
     assert line.startswith(prefix)
     assert re.findall(r'"([^"]+)"', line[len(prefix):]) == written
+
+
+def test_workflow_reproduces_a_mass_from_its_report(tmp_path):
+    """Right before the tier-1 tests, a partial-section Hopf mass, then a mass from the config record its report
+    embeds: the two reports must be the same bytes.  The step's commands are run here as CI runs them."""
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    (job,) = workflow["jobs"].values()
+    names = [step.get("name") for step in job["steps"]]
+    assert names.index("Report smoke") + 1 == names.index("Reproduce smoke") == names.index("Tier-1 tests") - 1
+    smoke = job["steps"][names.index("Reproduce smoke")]["run"]
+    configs = re.findall(r"echo '([^']+)' > \"\$RUNNER_TEMP/(\w+)\.json\"", smoke)
+    assert [(json.loads(c), name) for c, name in configs] == [
+        ({"model": {"fibration": "hopf"}, "family": {"name": "hopf_model"}, "radii": {"r0": 30},
+          "quadrature": {"fiber": 4}}, "partial")]
+    runs = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" "
+                      r"--out \"\$RUNNER_TEMP/(\w+)\" mass$", smoke, re.MULTILINE)
+    assert runs == [("partial", "partial"), ("reproduce", "reproduce")]
+    assert smoke.strip().splitlines()[-1] == ('cmp "$RUNNER_TEMP/partial/mass_report.jsonl" '
+                                              '"$RUNNER_TEMP/reproduce/mass_report.jsonl"')
+    # `python` in the step is this interpreter where its directory has one
+    path = f"{Path(sys.executable).parent}{os.pathsep}{os.environ.get('PATH', '')}"
+    env = {**os.environ, "RUNNER_TEMP": str(tmp_path), "PATH": path}
+    res = subprocess.run(["bash", "-eo", "pipefail", "-c", smoke], capture_output=True, text=True, env=env,
+                         cwd=ROOT, timeout=300)
+    assert res.returncode == 0, res.stderr + res.stdout
+    assert json.loads((tmp_path / "reproduce.json").read_text())["radii"] == {"r0": 30, "rmax": 320.0, "count": 6}
 
 
 def test_package_runs_as_module_without_install(tmp_path):

@@ -346,6 +346,100 @@ def test_invalid_tolerance_or_trials_exits_two(tmp_path, command, changes, messa
     assert message in res.stderr
 
 
+@pytest.mark.parametrize("record", [
+    {"identity": "x", "max_residual": "a", "passed": True},
+    {"Z": "z", "mass": None, "converged": True},
+    {"factor": "f", "audits": [], "prediction": {"rel_error": 0.0}},
+])
+def test_report_refuses_malformed_records(tmp_path, record):
+    """A record with a field of the wrong type, or a sweep record with no config record before it to give
+    the mass tolerance: one ``error:`` line naming the path and the line, exit 2, no traceback."""
+    path = tmp_path / "report.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    res = run_cli(["report", str(path)], tmp_path / "out")
+    assert_one_error_line(res)
+    assert f"{path} line 1" in res.stderr
+
+
+# A config that leaves keys out of every section it gives; the family, lee and sweep builders take defaults.
+PARTIAL_CONFIG = {
+    "model": {"R": 2.0},
+    "family": {"name": "kaluza_two_term", "params": {"mu": 0.5}},
+    "lee": {"name": "compact_lee", "params": {"r1": 5.0}},
+    "sweep": {"values": [0.2]},
+    "radii": {"r0": 30},
+    "quadrature": {"fiber": 4},
+    "trials": {"identity": 1, "bochner": 1, "integral": 0},
+}
+
+RESOLVED_PARTIAL_CONFIG = {
+    "model": {"m": 3, "R": 2.0, "L": 6.283185307179586, "fibration": "trivial"},
+    "family": {"name": "kaluza_two_term", "params": {"mu": 0.5, "kappa": 0.5}},
+    "lee": {"name": "compact_lee", "params": {"amplitude": 0.5, "r0": 2.0, "r1": 5.0}},
+    "sweep": {"name": "radial_profile", "param": "beta", "values": [0.2]},
+    "radii": {"r0": 30, "rmax": 320.0, "count": 6},
+    "quadrature": {"sphere": 26, "fiber": 4, "radial": 8},
+    "tolerances": {"identity": 1e-6, "bochner": 1e-5, "integral": 1e-4, "mass": 1e-4, "convergence": 1e-6},
+    "trials": {"identity": 1, "bochner": 1, "integral": 0},
+    "seed": 42,
+    "mode": "dual",
+    "corrupt_bochner_sign": False,
+}
+
+
+@pytest.mark.parametrize("command", ["mass", "sweep", "verify"])
+def test_config_record_is_the_resolved_config_and_reproduces_the_run(tmp_path, command):
+    """The config record of a partial-section run holds every key of every section and the builders'
+    default parameters; written out as a config, it resolves to itself and the rerun's report is the same."""
+    from weylmass.cli import RunConfig, build_parser
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(PARTIAL_CONFIG))
+    assert run_cli(["--config", str(path), command], tmp_path / "out").returncode == 0
+    report = (tmp_path / "out" / f"{command}_report.jsonl").read_bytes()
+    record = json.loads(report.splitlines()[0])["config"]
+    assert record == RESOLVED_PARTIAL_CONFIG
+    again = tmp_path / "again.json"
+    again.write_text(json.dumps(record))
+    assert RunConfig.load(str(again), build_parser().parse_args([command])).config == record
+    assert run_cli(["--config", str(again), command], tmp_path / "again").returncode == 0
+    assert (tmp_path / "again" / f"{command}_report.jsonl").read_bytes() == report
+
+
+def test_sweep_calls_each_builder_once(tmp_path, monkeypatch):
+    """Loading the config builds the family, the Lee form and every factor; the command runs on those."""
+    import functools
+
+    from weylmass import cli, families
+
+    calls = []
+
+    def counted(builder):
+        @functools.wraps(builder)
+        def wrapper(*args, **params):
+            calls.append(builder.__name__)
+            return builder(*args, **params)
+        return wrapper
+
+    for table, name in ((families.METRIC_BUILDERS, "kaluza_perturbation"), (families.LEE_BUILDERS, "radial_lee"),
+                        (families.SCALAR_BUILDERS, "radial_profile")):
+        monkeypatch.setitem(table, name, counted(table[name]))
+    cfg = write_config(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "sweep"]) == 0
+    assert sorted(calls) == ["kaluza_perturbation", "radial_lee", "radial_profile", "radial_profile"]
+
+
+def test_readme_default_config_is_the_resolved_default():
+    """README's Configuration section shows the default config as every report embeds it."""
+    from weylmass.cli import RunConfig, build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("### Configuration"):]
+    block = section[section.index("```json\n") + len("```json\n"):section.index("```\n", section.index("```json"))]
+    assert json.loads(block) == RunConfig.load(None, build_parser().parse_args(["verify"])).config
+
+
 def test_partial_radii_take_the_defaults(tmp_path):
     """A section that leaves keys out takes their defaults, as model and quadrature do."""
     cfg = {**BASE_CONFIG, "radii": {"r0": 30.0}}

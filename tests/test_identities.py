@@ -218,7 +218,7 @@ def test_bochner_integral_quadrature_order(engine, model):
 
 
 def test_run_suite_passes_and_serializes(engine, model):
-    reports = run_suite(engine, model, seed=4, trials=6, bochner_trials=3, integral_trials=1)
+    reports = run_suite(engine, model, seed=4, trials={"identity": 6, "bochner": 3, "integral": 1})
     assert all(r.passed for r in reports)
     names = [r.identity for r in reports]
     assert names == ["torsion_free", "d_transform", "codifferential_transform",
@@ -230,7 +230,7 @@ def test_run_suite_passes_and_serializes(engine, model):
 
 
 def test_run_suite_corrupted_sign_fails(engine, model):
-    reports = run_suite(engine, model, seed=4, trials=4, bochner_trials=3, integral_trials=1,
+    reports = run_suite(engine, model, seed=4, trials={"identity": 4, "bochner": 3, "integral": 1},
                         corrupt_bochner_sign=True)
     failed = {r.identity for r in reports if not r.passed}
     assert "bochner_pointwise" in failed
@@ -249,7 +249,7 @@ def test_fd_mode_meets_relaxed_tolerance(fd_engine, model):
 
 def test_dual_mode_takes_no_fd_jet(engine, model, hopf_space, monkeypatch):
     """Analytic inputs in dual mode: the suite without an integral trial and a default mass run use no FD."""
-    from weylmass.cli import RunConfig
+    from weylmass.cli import RunConfig, build_parser
     from weylmass.engine import DerivativeEngine
     from weylmass.mass import mass_matrix
 
@@ -259,8 +259,7 @@ def test_dual_mode_takes_no_fd_jet(engine, model, hopf_space, monkeypatch):
     monkeypatch.setattr(DerivativeEngine, "_fd_jet1", refuse)
     monkeypatch.setattr(DerivativeEngine, "_fd_hessian", refuse)
     for space in (model, hopf_space):
-        reports = run_suite(engine, space, seed=4, trials=4, bochner_trials=3, integral_trials=0)
+        reports = run_suite(engine, space, seed=4, trials={"identity": 4, "bochner": 3, "integral": 0})
         assert all(r.passed for r in reports)
-    cfg = RunConfig()
-    space = cfg.model_space()
-    mass_matrix(cfg.engine(), cfg.structure(space), radii=cfg.radii_schedule(), quad=cfg.quad_spec())
+    cfg = RunConfig.load(None, build_parser().parse_args(["mass"]))
+    mass_matrix(cfg.engine, cfg.structure, radii=cfg.radii, quad=cfg.quad)

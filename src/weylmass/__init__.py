@@ -1,8 +1,7 @@
 """Numerical Weyl-connection calculus and ALF-type mass integrals.
 
 The package builds circle-fibered model charts, differentiates tensor
-fields on them exactly by Taylor jets (dual mode, with Richardson-
-extrapolated finite differences as the fd cross-check route), realizes
+fields on them exactly by Taylor jets, realizes
 the conformal-connection operators d^D, delta^D, Lap^D and their
 curvatures, and verifies the Bochner-type identities and mass gauge laws
 by independent numerical paths.

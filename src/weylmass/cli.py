@@ -87,7 +87,6 @@ SCHEMA = {
         "convergence": _default(mass_matrix, "tol_conv")}.items()},
     "trials": {key: (value, *COUNT) for key, value in SUITE_TRIALS.items()},
     "seed": (_default(run_suite, "seed"), "a non-negative integer", lambda v: _integer(v) and v >= 0),
-    "mode": (DerivativeEngine.mode, *LATER),
     "out": (None, "a directory name", lambda v: v is None or isinstance(v, str)),
     "corrupt_bochner_sign": (False, "true or false", lambda v: isinstance(v, bool)),  # negative-control hook
 }
@@ -160,7 +159,6 @@ class RunConfig:
                 if test is not None and not test(value):
                     raise ConfigError(f"{where if key is None else f'{where}.{key}'} must be {what}, got {value!r}")
         model = _construct("model", ModelSpace, **cfg["model"])
-        engine = _construct("mode", DerivativeEngine, cfg["mode"])
         r0, rmax = cfg["radii"]["r0"], cfg["radii"]["rmax"]
         if not (_real(r0) and _real(rmax) and 0 < r0 < rmax):
             raise ConfigError(f"radii must satisfy 0 < r0 < rmax < inf, got r0={r0!r} rmax={rmax!r}")
@@ -182,7 +180,7 @@ class RunConfig:
             _check_value(f"sweep.values[{i}]", bound.signature.parameters[param], value)
         factors = [_construct(f"sweep.values[{i}]", builder, model, **{param: value})
                    for i, value in enumerate(sweep["values"])]
-        return cls({k: v for k, v in cfg.items() if k != "out"}, cfg["out"], model, engine,
+        return cls({k: v for k, v in cfg.items() if k != "out"}, cfg["out"], model, DerivativeEngine(),
                    WeylStructure(model, built["family"], built["lee"]), factors,
                    [float(r) for r in geometric_radii(r0, rmax, cfg["radii"]["count"])],
                    QuadratureSpec(**cfg["quadrature"]))
@@ -236,10 +234,8 @@ def _write_jsonl(path: Path, records: list) -> None:
 
 def cmd_verify(cfg: RunConfig) -> int:
     conf = cfg.config
-    tolerances = {group: float(tol) for group, tol in conf["tolerances"].items()}
-    if cfg.engine.mode == "fd":
-        tolerances["identity"] = max(tolerances["identity"], 1e-5)
-    reports = run_suite(cfg.engine, cfg.model, seed=conf["seed"], trials=conf["trials"], tolerances=tolerances,
+    reports = run_suite(cfg.engine, cfg.model, seed=conf["seed"], trials=conf["trials"],
+                        tolerances={group: float(tol) for group, tol in conf["tolerances"].items()},
                         corrupt_bochner_sign=conf["corrupt_bochner_sign"])
     records = [{"config": conf}]
     ok = True

@@ -1,24 +1,27 @@
-"""Derivative engine: exact Taylor jets (dual mode) or central finite
-differences with Richardson extrapolation (fd mode, the cross-check route).
+"""Derivative engine: exact Taylor jets of every field.
 
 A :class:`Field` wraps an evaluator ``fn(coords) -> components`` where
 ``coords`` is a length-n sequence of scalar-likes (floats, batch arrays, or
 Taylor2 seeds) and the components are nested lists or one array (an
 array-valued Taylor2 for Taylor2 seeds).  Every evaluator is written
 against the generic math of :mod:`weylmass.autodiff` (``where`` included,
-for piecewise fields), so both modes take every field.  Component axes
+for piecewise fields), so every field has exact jets.  Component axes
 come first in all jet outputs, derivative axes lead:
 
 * ``jet1`` returns ``(value, d1)`` with ``d1[i] = d(value)/d(coord_i)``,
 * ``jet2`` additionally returns ``d2[i, j]`` of second partials.
 
-In dual mode ``jet1`` seeds first-order jets, which propagate value and
-gradient only and never build a Hessian; ``jet2`` seeds second-order jets.
-In fd mode the step schedule is ``h = max(FD_REL_STEP * r, FD_MIN_STEP)``,
-so relative truncation error stays uniform as the radius grows.  No
-operator output is differentiated either way: curvature, second covariant
-derivatives and the decay probes build their derivatives in closed form
-from one jet of each input.
+``jet1`` seeds first-order jets, which propagate value and gradient only
+and never build a Hessian; ``jet2`` seeds second-order jets.  No operator
+output is differentiated: curvature, second covariant derivatives and the
+decay probes build their derivatives in closed form from one jet of each
+input.
+
+The engine also keeps central finite differences with Richardson
+extrapolation (``_fd_jet1``, ``_fd_hessian``), which nothing in the package
+calls: they are the tests' reference route, selected by a subclass.  Their
+step schedule is ``h = max(FD_REL_STEP * r, FD_MIN_STEP)``, so relative
+truncation error stays uniform as the radius grows.
 """
 
 from __future__ import annotations
@@ -69,41 +72,22 @@ def _as_float_array(tree, comp_shape: tuple, batch_shape: tuple) -> np.ndarray:
     return np.ascontiguousarray(np.broadcast_to(pad, target))
 
 
-@dataclass
 class DerivativeEngine:
-    """Switchable dual-number / finite-difference jet provider."""
-
-    mode: str = "dual"
-
-    def __post_init__(self):
-        if self.mode not in ("dual", "fd"):
-            raise ValueError(f"unknown derivative mode {self.mode!r}")
-
-    # -- public API -----------------------------------------------------------
+    """Exact Taylor-jet provider."""
 
     def jet1(self, fld: Field, coords):
-        coords = np.asarray(coords, dtype=float)
-        if self.mode == "dual":
-            val, grad, _ = self._dual_jet(fld, coords, order=1)
-            return val, grad
-        return self._fd_jet1(fld, coords)
+        val, grad, _ = self._dual_jet(fld, np.asarray(coords, dtype=float), order=1)
+        return val, grad
 
     def jet2(self, fld: Field, coords):
-        coords = np.asarray(coords, dtype=float)
-        if self.mode == "dual":
-            return self._dual_jet(fld, coords)
-        val, d1 = self._fd_jet1(fld, coords)
-        d2 = self._fd_hessian(fld, coords)
-        return val, d1, d2
-
-    # -- dual path --------------------------------------------------------------
+        return self._dual_jet(fld, np.asarray(coords, dtype=float))
 
     def _dual_jet(self, fld: Field, coords, order: int = 2):
         """(value, gradient, Hessian) from Taylor seeds of ``order``; the Hessian is NO_HESSIAN at order 1."""
         out = fld.fn(seed_point(coords, order))
         return collect_jet(out, coords.shape[0], coords.shape[1:])
 
-    # -- finite differences -------------------------------------------------------
+    # -- finite differences: the tests' reference route (tests/oracles.py FDEngine); perfbench traces two --
 
     def step(self, coords) -> float:
         """The FD step at the largest base radius of ``coords``; the last row, the fiber coordinate t, is not in r."""

@@ -268,13 +268,6 @@ def random_local_lee(model: ModelSpace, seed: int, amplitude: float = 0.3,
 # ---------------------------------------------------------------------------
 
 
-def unit_scalar(model: ModelSpace) -> ScalarField:
-    def fn(coords):
-        return 1.0
-
-    return ScalarField("unit_scalar", model, fn)
-
-
 def radial_profile(model: ModelSpace, beta: float = 0.5, power: Optional[float] = None) -> ScalarField:
     """f = 1 + beta * r^power with power defaulting to the adapted rate 2-m."""
     m = model.m
@@ -337,7 +330,6 @@ LEE_BUILDERS = {
 }
 
 SCALAR_BUILDERS = {
-    "unit_scalar": unit_scalar,
     "radial_profile": radial_profile,
     "directional_profile": directional_profile,
     "log_slow_profile": log_slow_profile,

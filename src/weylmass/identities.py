@@ -13,8 +13,7 @@ reports the worst residual over seeded random trials:
 (d^D)^2 and the pointwise and divergence Bochner checks set the
 Weitzenboeck algebra on the closed-form second derivative D(Dw)
 (``weyl.covd2_form_block``) against the curvature algebra on (W, dW); both
-are read off the same jets, so in dual mode their residuals sit at
-roundoff.  The accuracy of those jets is covered by the nested
+are read off the same jets, so their residuals sit at roundoff.  The accuracy of those jets is covered by the nested
 finite-difference oracle tests, as for ``curvature_split``.
 
 The integral check is a volume integral over an annulus of about 25,600
@@ -25,9 +24,8 @@ Hessian of g, dGamma, dW, the curvature and its temporaries), so a 5 MiB
 block holds 512 nodes at n = 4 and each rank-4 array, 1 MiB, stays in a
 2 MB L2 cache (at 2,048 nodes the batch-last einsums streamed from memory,
 at 128 or fewer per-block Python overhead dominated); a zeta block about
-four rank-3 arrays (32 n^3 bytes).  In dual mode no bit of either side
-depends on the block size; in fd mode the step follows each block's
-largest radius, so fd values do.
+four rank-3 arrays (32 n^3 bytes).  No bit of either side depends on
+the block size.
 
 The literature carries the Bochner curvature term with both signs and two
 variants of the delta^D shift coefficient; this suite does not guess.  It
@@ -519,7 +517,7 @@ def bochner_integral_sides(engine: DerivativeEngine, ws: WeylStructure, spec: Fo
 
     The annulus and both boundary shells are streamed in node blocks (module
     docstring); each side sums its one array of per-node integrands once, so
-    in dual mode neither side depends on the block size.
+    neither side depends on the block size.
     """
     model = ws.model
     n = model.dim

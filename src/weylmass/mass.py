@@ -44,7 +44,6 @@ never assumed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from functools import reduce
 from operator import add
@@ -383,29 +382,6 @@ def gauge_audit(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[S
         results.append((audits, ConformalChangeReport(base[0].z_label, predicted, base[0].q_limit,
                                                       reports[0].q_limit)))
     return results
-
-
-def ricci_positivity_floor(engine: DerivativeEngine, ws: WeylStructure, sample_count: int = 12,
-                           seed: int = 7, r_range=(1.5, 6.0)) -> float:
-    """Smallest eigenvalue of the symmetrized connection Ricci over sample points.
-
-    A non-negative floor numerically certifies (at the samples) the curvature
-    hypothesis under which the mass form is expected to be non-negative.
-    """
-    from .weyl import weyl_curvature
-
-    model = ws.model
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 31]))
-    floor = math.inf
-    for _ in range(sample_count):
-        u = rng.normal(size=model.m)
-        u /= np.linalg.norm(u)
-        r = rng.uniform(*r_range)
-        p = model.point(r * u, rng.uniform(0.0, model.L))
-        ric = weyl_curvature(engine, ws, p).Ric
-        sym = 0.5 * (ric + ric.T)
-        floor = min(floor, float(np.min(np.linalg.eigvalsh(sym))))
-    return floor
 
 
 def mass_matrix(engine: DerivativeEngine, ws: WeylStructure, radii=None,

@@ -32,7 +32,7 @@ dW is closed form in one second-order jet of g and one first-order jet of
 theta (``_weyl_jet``); the Levi-Civita case is theta = 0.  Second covariant
 derivatives D(Dw) are algebra on the same jet plus one second-order jet of
 the form (``covd2_form_block``), so Lap^D, d^D d^D and delta^D d^D carry no
-finite-difference error in dual mode.
+finite-difference error.
 
 The operators return plain component arrays; the degree and weight of the
 result follow from the input spec.  ``dD`` and ``deltaD`` read d^D and
@@ -459,7 +459,7 @@ def weyl_curvature(engine: DerivativeEngine, ws: WeylStructure, coords) -> Curva
 
     R comes from (W, dW) in closed form (``_weyl_jet``): one second-order
     jet of g and one first-order jet of theta, so the result carries no
-    finite-difference error in dual mode.
+    finite-difference error.
     """
     coords = np.asarray(coords, dtype=float)
     return _jet_curvature(_weyl_jet(engine, ws, coords), _brackets(ws.model, coords))

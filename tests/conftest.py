@@ -4,6 +4,8 @@ import pytest
 from weylmass.engine import DerivativeEngine
 from weylmass.model import ModelSpace
 
+from oracles import FDEngine
+
 
 @pytest.fixture(scope="session")
 def model():
@@ -17,9 +19,9 @@ def hopf_space():
 
 @pytest.fixture(scope="session")
 def engine():
-    return DerivativeEngine(mode="dual")
+    return DerivativeEngine()
 
 
 @pytest.fixture(scope="session")
 def fd_engine():
-    return DerivativeEngine(mode="fd")
+    return FDEngine()

@@ -4,6 +4,9 @@
 D to forms and tensors (the slot form: Levi-Civita plus one theta-term per
 slot).  The references here compute the same quantities on other routes:
 
+* ``FDEngine`` takes every jet by Richardson-extrapolated central
+  differences (``DerivativeEngine._fd_jet1`` and ``_fd_hessian``) instead
+  of Taylor seeds: the reference route for the exact jets;
 * ``wedge_covd_form_block`` assembles D on p-forms in wedge form,
 
       D_X w = nabla^g_X w + (k - p) theta(X) w - theta ^ (X _| w) + X^b ^ (theta# _| w),
@@ -27,7 +30,10 @@ slot).  The references here compute the same quantities on other routes:
   ``WeightedForm``, ``wedge``, ``hodge_star``, ...) is the reference for
   the wedge form of D and for delta = -*d*; test-only fields follow it.
   Its operand checks raise ``DimensionMismatchError``, defined here because
-  nothing in the package raises it.
+  nothing in the package raises it;
+* ``unit_scalar`` (the factor f = 1) and ``ricci_positivity_floor`` (the
+  smallest eigenvalue of the symmetrized connection Ricci over samples)
+  have test callers only.
 
 Pointwise algebra conventions: tensors are dense component arrays in a
 fixed frame.  Differential forms are stored as fully antisymmetric arrays
@@ -59,7 +65,18 @@ from weylmass.model import ModelSpace, sphere_volume
 from weylmass.probes import geometric_radii
 from weylmass.quadrature import QuadratureSpec, node_blocks
 from weylmass.weyl import (FormFieldSpec, WeylStructure, christoffel, covd_form_block, insert_alt, inv_gram,
-                           lc_form_block, lee_jet, outer_front, tdot)
+                           lc_form_block, lee_jet, outer_front, tdot, weyl_curvature)
+
+
+class FDEngine(DerivativeEngine):
+    """The finite-difference reference route: Richardson central differences in place of Taylor jets."""
+
+    def jet1(self, fld: Field, coords):
+        return self._fd_jet1(fld, np.asarray(coords, dtype=float))
+
+    def jet2(self, fld: Field, coords):
+        coords = np.asarray(coords, dtype=float)
+        return (*self._fd_jet1(fld, coords), self._fd_hessian(fld, coords))
 
 
 def wedge_cov_into(slot_block: np.ndarray, q: int) -> np.ndarray:
@@ -579,3 +596,31 @@ def random_adapted_scalar(model: ModelSpace, seed: int, scale: float = 0.4) -> S
 
     return ScalarField(f"random_adapted_scalar(seed={seed})", model, fn,
                        params={"seed": seed, "beta": beta, "gamma": gamma, "axis": axis})
+
+
+def unit_scalar(model: ModelSpace) -> ScalarField:
+    def fn(coords):
+        return 1.0
+
+    return ScalarField("unit_scalar", model, fn)
+
+
+def ricci_positivity_floor(engine: DerivativeEngine, ws: WeylStructure, sample_count: int = 12,
+                           seed: int = 7, r_range=(1.5, 6.0)) -> float:
+    """Smallest eigenvalue of the symmetrized connection Ricci over sample points.
+
+    A non-negative floor numerically certifies (at the samples) the curvature
+    hypothesis under which the mass form is expected to be non-negative.
+    """
+    model = ws.model
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 31]))
+    floor = math.inf
+    for _ in range(sample_count):
+        u = rng.normal(size=model.m)
+        u /= np.linalg.norm(u)
+        r = rng.uniform(*r_range)
+        p = model.point(r * u, rng.uniform(0.0, model.L))
+        ric = weyl_curvature(engine, ws, p).Ric
+        sym = 0.5 * (ric + ric.T)
+        floor = min(floor, float(np.min(np.linalg.eigvalsh(sym))))
+    return floor

@@ -18,13 +18,13 @@ from weylmass.identities import (check_bochner_divergence, check_bochner_integra
                                  check_bochner_pointwise, check_codifferential_transform,
                                  check_curvature_split, check_d_squared, check_d_transform,
                                  check_torsion, resolve_bochner_sign)
-from weylmass.mass import gauge_audit, mass_matrix, ricci_positivity_floor
+from weylmass.mass import gauge_audit, mass_matrix
 from weylmass.probes import (PROBE_RADII, connection_probe, lee_probes, metric_probes, probe_grid,
                              probe_tensor_field)
 from weylmass.quadrature import QuadratureSpec
 from weylmass.weyl import WeylStructure
 
-from oracles import direction_limits, random_adapted_scalar
+from oracles import FDEngine, direction_limits, random_adapted_scalar, ricci_positivity_floor
 
 SEED = 42
 
@@ -39,8 +39,7 @@ def test_criterion_1_operator_identity_suite(model):
               check_curvature_split, check_torsion)
     t0 = time.monotonic()
     worst = {}
-    for mode, tol in (("dual", 1e-6), ("fd", 1e-5)):
-        engine = DerivativeEngine(mode=mode)
+    for mode, engine, tol in (("dual", DerivativeEngine(), 1e-6), ("fd", FDEngine(), 1e-5)):
         for check in checks:
             rep = check(engine, model, seed=SEED, trials=100, tolerance=tol)
             assert rep.trials >= 100
@@ -54,7 +53,7 @@ def test_criterion_1_operator_identity_suite(model):
 
 def test_criterion_2_bochner_sign_resolution(model):
     """Unique sign across >= 20 curved trials; pointwise and divergence < 1e-5."""
-    engine = DerivativeEngine(mode="dual")
+    engine = DerivativeEngine()
     sign_rep = resolve_bochner_sign(engine, model, seed=SEED, trials=20, tolerance=1e-5)
     assert sign_rep.trials >= 20
     assert sign_rep.passed
@@ -69,7 +68,7 @@ def test_criterion_2_bochner_sign_resolution(model):
 
 def test_criterion_3_integral_bochner(model):
     """Volume vs boundary within 1e-4 relative on >= 5 triples; order check."""
-    engine = DerivativeEngine(mode="dual")
+    engine = DerivativeEngine()
     rep = check_bochner_integral(engine, model, seed=SEED, trials=5, tolerance=1e-4)
     assert rep.trials >= 5 and rep.passed
     coarse = check_bochner_integral(engine, model, seed=SEED, trials=2,
@@ -86,7 +85,7 @@ def test_criterion_4_flat_mass_baseline(model):
 
     Each per-direction limit comes from the density oracles, one direction at a time.
     """
-    engine = DerivativeEngine(mode="dual")
+    engine = DerivativeEngine()
     ws = WeylStructure(model, flat_product(model), zero_lee(model))
     worst = 0.0
     for z in (0, 1, 2, np.array([1.0, 1.0, 0.0]), np.array([0.3, -0.7, 1.1])):
@@ -107,7 +106,7 @@ def test_criterion_4_flat_mass_baseline(model):
 
 def test_criterion_5_conformal_change_law(model):
     """Predicted vs recomputed mass shift within 1e-4 for >= 3 adapted factors."""
-    engine = DerivativeEngine(mode="dual")
+    engine = DerivativeEngine()
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), zero_lee(model))
     factors = [radial_profile(model, beta=0.3), radial_profile(model, beta=-0.2),
                random_adapted_scalar(model, seed=4), random_adapted_scalar(model, seed=9)]
@@ -124,7 +123,7 @@ def test_criterion_5_conformal_change_law(model):
 
 def test_criterion_6_gauge_invariance(model):
     """|m(g) - m(fg)| relative < 1e-4 for >= 5 random factors, all basis fields."""
-    engine = DerivativeEngine(mode="dual")
+    engine = DerivativeEngine()
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), radial_lee(model, 0.4))
     t0 = time.monotonic()
     worst = 0.0
@@ -144,7 +143,7 @@ def test_criterion_6_gauge_invariance(model):
 
 def test_criterion_7_decay_probes(model, hopf_space):
     """Measured slopes reproduce the declared exponents for every built-in family."""
-    engine = DerivativeEngine(mode="dual")
+    engine = DerivativeEngine()
     checked = []
     for name, params in (("flat_product", {}), ("kaluza_perturbation", {"mu": 1.0}),
                          ("kaluza_two_term", {"mu": 1.0, "kappa": 0.5})):
@@ -188,7 +187,7 @@ def _deviation_field(fam):
 
 def test_criterion_8_soft_positivity(model, hopf_space):
     """Where the sampled connection Ricci is certified >= 0, mass eigenvalues >= -1e-4."""
-    engine = DerivativeEngine(mode="dual")
+    engine = DerivativeEngine()
     examples = [
         ("flat_product", WeylStructure(model, flat_product(model), zero_lee(model))),
         ("hopf_model", WeylStructure(hopf_space, hopf_model(hopf_space), zero_lee(hopf_space))),

@@ -325,7 +325,7 @@ def test_dual_jet1_equals_jet2_on_trial_fields(request, chart, fiber, batch):
     """engine.jet1 returns jet2's value and gradient bitwise, from first-order seeds."""
     space = request.getfixturevalue(chart)
     p = _points(space, 6, batch)
-    engine = DerivativeEngine(mode="dual")
+    engine = DerivativeEngine()
     ws = trial_structure(space, 5, 1)
     lee = random_local_lee(space, 11, fiber_dependence=fiber)
     fields = [random_local_metric(space, 11, fiber_dependence=fiber).as_field(), Field(lee.fn, shape=(space.dim,))]
@@ -364,7 +364,7 @@ def test_gauge_change_and_extended_lee_on_array_lee(request, chart):
         return [[f * gij for gij in row] for row in g]
 
     assert ws2.lee.fn is base.fn and ws2.lee.factor is factor
-    engine = DerivativeEngine("dual")
+    engine = DerivativeEngine()
     old = frame_jet1(engine, space, Field(old_lee, shape=(space.dim,)), p)
     for got, want in zip(lee_jet(engine, ws2.lee, p, order=1), old, strict=True):
         assert np.max(np.abs(got - want)) < 1e-15 * np.max(np.abs(want))
@@ -387,7 +387,7 @@ def test_regauge_and_probe_deviation_on_array_fields(request, chart):
         old = nested_form(space, np.random.default_rng(degree), degree, True)
         assert_same_jet(regauge(spec, factor, "g~f").field.fn,
                         lambda c, old=old: _scale_leaves(old(c), factor.fn(c) ** 0.75), p)
-    engine = DerivativeEngine(mode="dual")
+    engine = DerivativeEngine()
     reports = metric_probes(engine, space, random_local_metric(space, 8))
     assert len(reports) == 3 and all(np.isfinite(r.slope) for r in reports)
 
@@ -418,6 +418,6 @@ def test_dual_engine_returns_array_jet_unchanged():
     space = ModelSpace(m=3, R=1.0, L=2.0 * np.pi, fibration="trivial")
     fld = random_local_metric(space, 2).as_field()
     p = _points(space, 1, 6)
-    val, grad, hess = DerivativeEngine(mode="dual").jet2(fld, p)
+    val, grad, hess = DerivativeEngine().jet2(fld, p)
     assert val.shape == (4, 4, 6) and grad.shape == (4, 4, 4, 6) and hess.shape == (4, 4, 4, 4, 6)
     assert np.array_equal(val, fld.values(p))

@@ -1,4 +1,4 @@
-"""Derivative engine: dual-number exactness, FD accuracy, mode agreement."""
+"""Derivative engine: Taylor-jet exactness, FD reference accuracy, agreement of the two routes."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,8 @@ from weylmass.identities import trial_point, trial_structure
 from weylmass.mass import flux_pass
 from weylmass.quadrature import QuadratureSpec
 from weylmass.weyl import WeylStructure, gauge_change, lee_jet
+
+from oracles import FDEngine, unit_scalar
 
 
 def cubic_field():
@@ -45,7 +47,7 @@ def cubic_jets(p):
 
 
 def test_dual_jets_exact_on_polynomials():
-    eng = DerivativeEngine(mode="dual")
+    eng = DerivativeEngine()
     p = np.array([0.7, -1.2, 2.1, 0.4])
     val, d1, d2 = eng.jet2(cubic_field(), p)
     v0, g0, h0 = cubic_jets(p)
@@ -55,7 +57,7 @@ def test_dual_jets_exact_on_polynomials():
 
 
 def test_fd_second_derivatives_on_polynomials():
-    eng = DerivativeEngine(mode="fd")
+    eng = FDEngine()
     p = np.array([0.7, -1.2, 2.1, 0.4])
     val, d1, d2 = eng.jet2(cubic_field(), p)
     v0, g0, h0 = cubic_jets(p)
@@ -64,7 +66,7 @@ def test_fd_second_derivatives_on_polynomials():
 
 
 def test_dual_transcendental_jets():
-    eng = DerivativeEngine(mode="dual")
+    eng = DerivativeEngine()
 
     def fn(c):
         return am.sin(c[0]) * am.exp(0.3 * c[1]) + am.log(2.0 + c[2]) / am.sqrt(1.0 + c[3] ** 2)
@@ -81,7 +83,7 @@ def test_dual_transcendental_jets():
 
 
 def test_batched_jets_match_pointwise():
-    eng = DerivativeEngine(mode="dual")
+    eng = DerivativeEngine()
     fld = cubic_field()
     pts = np.stack([[0.7, -1.2, 2.1, 0.4], [1.0, 0.3, -0.6, 2.2]], axis=-1)
     val, d1 = eng.jet1(fld, pts)
@@ -99,8 +101,8 @@ def test_batched_jets_match_pointwise():
     (mixed_lee, {"amplitude": 0.4, "fiber_amplitude": 0.2}),
 ])
 def test_fd_dual_agreement_on_builtin_fields(model, builder, kwargs):
-    dual = DerivativeEngine(mode="dual")
-    fd = DerivativeEngine(mode="fd")
+    dual = DerivativeEngine()
+    fd = FDEngine()
     fld = _jet_field(builder(model, **kwargs))
     p = model.point([2.0, -0.7, 1.3], 0.5)
     v1, g1 = dual.jet1(fld, p)
@@ -137,10 +139,10 @@ def test_dual_jet2_agrees_with_fd_on_every_builder(request, chart):
     """One derivative mechanism: for every registered builder, and for the Lee form of a gauge change
     (read through ``lee_jet``, from one jet2 of its factor), the dual jets agree with the fd route."""
     space = request.getfixturevalue(chart)
-    dual, fd = DerivativeEngine("dual"), DerivativeEngine("fd")
+    dual, fd = DerivativeEngine(), FDEngine()
     p = _covering_points(space)
     builders = [(name, b) for table in (METRIC_BUILDERS, LEE_BUILDERS, SCALAR_BUILDERS) for name, b in table.items()
-                if name != "hopf_model" or space.fibration == "hopf"]
+                if name != "hopf_model" or space.fibration == "hopf"] + [("unit_scalar", unit_scalar)]
     for name, b in builders:
         fld = _jet_field(b(space))
         _assert_close_jets(dual.jet2(fld, p), fd.jet2(fld, p), (1e-14, 1e-10, 1e-7), name)
@@ -176,7 +178,7 @@ def test_frame_jet_uses_connection_on_hopf(hopf_space, engine):
 
 
 def test_engine_step_schedule():
-    eng = DerivativeEngine(mode="fd")
+    eng = FDEngine()
     assert eng.step(np.array([100.0, 0, 0, 0])) == pytest.approx(1e-2)
     assert eng.step(np.array([0.01, 0, 0, 0])) == pytest.approx(1e-5)
     # r is the base radius: the fiber coordinate t (the last row) does not enlarge the step
@@ -185,13 +187,8 @@ def test_engine_step_schedule():
     assert eng.step(np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0], [0.0, 6.0]])) == pytest.approx(2e-4)
 
 
-def test_engine_rejects_bad_mode():
-    with pytest.raises(ValueError):
-        DerivativeEngine(mode="symbolic")
-
-
 # ---------------------------------------------------------------------------
-# first-order jets: jet1 in dual mode seeds no Hessian
+# first-order jets: jet1 seeds no Hessian
 # ---------------------------------------------------------------------------
 
 
@@ -230,12 +227,12 @@ def test_dual_jet1_never_seeds_a_hessian():
     seen = []
     fld = Field(_recording(cubic_field().fn, seen), shape=(2,))
     p = np.array([0.7, -1.2, 2.1, 0.4])
-    val, d1 = DerivativeEngine(mode="dual").jet1(fld, p)
+    val, d1 = DerivativeEngine().jet1(fld, p)
     assert len(seen) == 4 and all(h is am.NO_HESSIAN for h in seen)
     v0, g0, _ = cubic_jets(p)
     assert np.max(np.abs(val - v0)) < 1e-13 and np.max(np.abs(d1 - g0)) < 1e-13
     seen.clear()
-    DerivativeEngine(mode="dual").jet2(fld, p)
+    DerivativeEngine().jet2(fld, p)
     assert len(seen) == 4 and all(h.shape == (4, 4) for h in seen)
 
 
@@ -266,9 +263,9 @@ def test_where_jets_against_fd():
     both branches; the value equals numpy's where on the float evaluation bitwise."""
     pts = np.array([[0.2, 0.9, 1.4, -0.3], [1.1, -0.7, 0.6, 0.8], [2.0, 1.3, -0.4, 0.2], [0.3, 0.5, 0.1, 0.7]])
     fld = Field(_piecewise, shape=())
-    val, d1, d2 = DerivativeEngine("dual").jet2(fld, pts)
+    val, d1, d2 = DerivativeEngine().jet2(fld, pts)
     assert np.array_equal(val, fld.values(pts))
-    _assert_close_jets((val, d1, d2), DerivativeEngine("fd").jet2(fld, pts), (0.0, 1e-9, 1e-7), "piecewise")
+    _assert_close_jets((val, d1, d2), FDEngine().jet2(fld, pts), (0.0, 1e-9, 1e-7), "piecewise")
     # the branches are really taken: d/dx3 is 1 on the first branch and 0 on the second
     assert np.array_equal(d1[3], (pts[0] > 0.5).astype(float))
 

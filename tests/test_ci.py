@@ -1,5 +1,5 @@
 """The CI workflow installs the test extra, runs CLI smoke commands (a Hopf, an m = 5, a refined m = 5 and a
-Hopf compact_lee mass, a pointwise, an annulus and an fd-mode pointwise verify, then Hopf sweeps and a trivial-chart sweep),
+Hopf compact_lee mass, a pointwise and an annulus verify, then Hopf sweeps and a trivial-chart sweep),
 summarizes every report they wrote, reruns a mass from the config its report embeds, and runs the tier-1 command
 that ROADMAP.md names, with a time limit."""
 
@@ -52,8 +52,7 @@ def test_workflow_smoke_runs_verify_as_module():
 
 
 def test_workflow_smoke_runs_an_annulus_verify():
-    """The same step then runs ``verify`` on one Bochner-integral trial, the streamed annulus, and the
-    pointwise verify in fd mode, which takes d^D, delta^D and the (d^D)^2 check through the FD jets."""
+    """The same step then runs ``verify`` on one Bochner-integral trial, the streamed annulus."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
@@ -62,16 +61,15 @@ def test_workflow_smoke_runs_an_annulus_verify():
     assert [(json.loads(c), name) for c, name in configs] == [
         ({"trials": {"identity": 6, "bochner": 3, "integral": 0}}, "smoke"),
         ({"trials": {"identity": 0, "bochner": 1, "integral": 1}}, "annulus"),
-        ({"mode": "fd", "trials": {"identity": 6, "bochner": 3, "integral": 0}}, "smoke_fd"),
     ]
     commands = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" .*\bverify$",
                           smoke, re.MULTILINE)
-    assert commands == ["smoke", "annulus", "smoke_fd"]
+    assert commands == ["smoke", "annulus"]
 
 
 def test_workflow_sweep_smoke_runs_a_hopf_sweep():
     """After the verify smoke and before the report smoke, a 2-value radial_profile sweep on the Hopf
-    fibration, in dual and in fd mode (the swept jets come from the product rule in both), then a dual
+    fibration (the swept jets come from the product rule), then a
     directional_profile sweep there: its factor has an angular df and an off-diagonal ddf, so the factor
     probe reads a full frame Hessian on the anholonomic chart.  Last, the radial_profile sweep on the
     default trivial chart, whose holonomic frame takes the flux and probe paths without connection terms."""
@@ -85,18 +83,17 @@ def test_workflow_sweep_smoke_runs_a_hopf_sweep():
     sweep = {"name": "radial_profile", "param": "beta", "values": [0.2, 0.4]}
     directional = {"name": "directional_profile", "param": "beta", "values": [0.2, 0.3]}
     assert configs == [{"model": {"fibration": "hopf"}, "sweep": sweep},
-                       {"model": {"fibration": "hopf"}, "mode": "fd", "sweep": sweep},
                        {"model": {"fibration": "hopf"}, "sweep": directional},
                        {"sweep": sweep}]
     runs = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" .*\bsweep$",
                       smoke, re.MULTILINE)
-    assert runs == ["sweep", "sweep_fd", "sweep_dir", "sweep_trivial"]
+    assert runs == ["sweep", "sweep_dir", "sweep_trivial"]
 
 
 def test_workflow_mass_smoke_runs_a_hopf_mass():
     """Right after the install, ``python -m weylmass mass`` on the Hopf model, then at m = 5 at the default
     quadrature, where the sphere rule is the Gauss-Jacobi product (20,000-node shells), then at m = 5 with
-    fiber 64 (80,000-node shells, streamed in node blocks), then in dual mode with the bump-supported
+    fiber 64 (80,000-node shells, streamed in node blocks), then with the bump-supported
     ``compact_lee`` on the Hopf chart, whose jets go through ``autodiff.where``."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
@@ -130,7 +127,7 @@ def test_workflow_report_smoke_reads_every_smoke_report():
                for name in ("Mass smoke", "CLI smoke", "Sweep smoke")
                for out, command in re.findall(r"--out \"\$RUNNER_TEMP/(\w+)\" (\w+)$",
                                               job["steps"][names.index(name)]["run"], re.MULTILINE)]
-    assert len(written) == 11
+    assert len(written) == 9
     (line,) = job["steps"][names.index("Report smoke")]["run"].strip().splitlines()
     prefix = "PYTHONPATH=src python -m weylmass report "
     assert line.startswith(prefix)

@@ -23,7 +23,6 @@ BASE_CONFIG = {
     "quadrature": {"sphere": 26, "fiber": 16, "radial": 8},
     "trials": {"identity": 6, "bochner": 3, "integral": 1},
     "seed": 42,
-    "mode": "dual",
 }
 
 
@@ -177,8 +176,6 @@ def test_sweep_refuses_non_positive_factor_before_any_audit(tmp_path, values):
 
 
 def test_sweep_unit_factor_zero_deltas(tmp_path):
-    cfg = write_config(tmp_path, sweep={"name": "unit_scalar", "param": None, "values": [None]})
-    # unit_scalar takes no parameters; encode as empty param dict via values hack
     cfg = write_config(tmp_path, sweep={"name": "radial_profile", "param": "beta", "values": [0.0]})
     res = run_cli(["--config", str(cfg), "sweep"], tmp_path / "out")
     assert res.returncode == 0
@@ -250,7 +247,7 @@ def test_unusable_path_exits_two_naming_it(tmp_path, case):
     if case in ("config_directory", "report_directory"):
         bad.mkdir()
     elif case == "config_not_utf8":
-        bad.write_bytes(b'{"seed": 1, "mode": "\xff"}')
+        bad.write_bytes(b'{"seed": 1, "out": "\xff"}')
     elif case == "report_line_not_json":
         bad.write_text(json.dumps({"config": {}}) + "\nnot json\n")
         named = f"{bad} line 2"
@@ -334,6 +331,10 @@ def test_builder_domain_error_exits_two(tmp_path, command, changes, message):
     ("verify", {"corrupt_bochner_sign": "yes"}, "corrupt_bochner_sign must be true or false, got 'yes'"),
     ("mass", {"model": {"m": 3, "foo": 1}}, "unknown model key 'foo'"),
     ("mass", {"radii": {"r0": 40.0, "rmax": 320.0, "count": 6, "x": 1}}, "unknown radii key 'x'"),
+    ("verify", {"mode": "fd"}, "unknown config keys: ['mode']"),
+    ("sweep", {"sweep": {"name": "unit_scalar", "param": "beta", "values": [1.0]}},
+     "sweep.name must be one of ['directional_profile', 'log_slow_profile', 'radial_profile', 'sqrt_slow_profile'], "
+     "got 'unit_scalar'"),
 ])
 def test_invalid_tolerance_or_trials_exits_two(tmp_path, command, changes, message):
     """A malformed value, section or config (a list replaces the whole config): one error line."""
@@ -382,7 +383,6 @@ RESOLVED_PARTIAL_CONFIG = {
     "tolerances": {"identity": 1e-6, "bochner": 1e-5, "integral": 1e-4, "mass": 1e-4, "convergence": 1e-6},
     "trials": {"identity": 1, "bochner": 1, "integral": 0},
     "seed": 42,
-    "mode": "dual",
     "corrupt_bochner_sign": False,
 }
 
@@ -571,7 +571,6 @@ SCHEMA_BASE = {
     "tolerances": {"identity": 1e-6, "bochner": 1e-5, "integral": 1e-4, "mass": 1e-4, "convergence": 1e-6},
     "trials": {"identity": 1, "bochner": 1, "integral": 0},
     "seed": 1,
-    "mode": "dual",
     "out": "out",
     "corrupt_bochner_sign": False,
 }

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from weylmass.families import flat_product, zero_lee
-from weylmass.identities import (IdentityReport, _rng, bochner_divergence_residual,
+from weylmass.identities import (SUITE_TOLERANCES, IdentityReport, _rng, bochner_divergence_residual,
                                  bochner_integral_sides, bochner_pointwise_residual,
                                  check_bochner_divergence, check_bochner_integral, check_bochner_pointwise,
                                  check_codifferential_transform, check_curvature_split,
@@ -19,7 +19,7 @@ from weylmass.identities import (IdentityReport, _rng, bochner_divergence_residu
 from weylmass.quadrature import QuadratureSpec, gauss_legendre, node_blocks
 from weylmass.weyl import WeylStructure, form_field_of
 
-from oracles import check_weighted_derivative_oracle
+from oracles import FDEngine, check_weighted_derivative_oracle
 
 
 def test_identity_report_pass_iff_within_tolerance():
@@ -108,12 +108,12 @@ def test_bochner_integral_compact_support(engine, model):
         zero = np.zeros_like(bump)
         return [bump, 0.3 * bump, zero, zero]
 
-    from weylmass.engine import DerivativeEngine, Field
+    from weylmass.engine import Field
     from weylmass.weyl import FormFieldSpec
 
     spec = FormFieldSpec(Field(bump_fn, shape=(n,)), 1, 0.0, ws.gauge)
     # annulus strictly containing the support; the bump is numpy-only, so its jets are fd-mode
-    vol, bnd = bochner_integral_sides(DerivativeEngine("fd"), ws, spec, 1.6, 2.6, QuadratureSpec(64, 8, 48))
+    vol, bnd = bochner_integral_sides(FDEngine(), ws, spec, 1.6, 2.6, QuadratureSpec(64, 8, 48))
     assert abs(bnd) < 1e-12
     assert abs(vol) < 1e-4
 
@@ -182,7 +182,7 @@ from weylmass.model import ModelSpace
 from weylmass.quadrature import QuadratureSpec
 ws = trial_structure(ModelSpace(m=3), 42, 0, fiber_dependence=True, wave_scale=0.45)
 spec = random_form_field(ws, _rng(42, 20, 0), 1, 0.0, fiber_dependence=True, wave_scale=0.45)
-args = (DerivativeEngine("dual"), ws, spec, 1.4, 1.9, QuadratureSpec(26, 16, 6))
+args = (DerivativeEngine(), ws, spec, 1.4, 1.9, QuadratureSpec(26, 16, 6))
 bochner_integral_sides(*args)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 bochner_integral_sides(*args)
@@ -238,6 +238,8 @@ def test_run_suite_corrupted_sign_fails(engine, model):
 
 
 def test_fd_mode_meets_relaxed_tolerance(fd_engine, model):
+    """The FD route passes every pointwise check at identity tolerance 1e-5, check by check and as the
+    suite at 6/3/0 trials and seed 42 (d^D, delta^D and the (d^D)^2 check through the FD jets)."""
     for check in (check_torsion, check_d_transform, check_codifferential_transform,
                   check_d_squared, check_curvature_split):
         rep = check(fd_engine, model, seed=3, trials=8, tolerance=1e-5)
@@ -245,6 +247,9 @@ def test_fd_mode_meets_relaxed_tolerance(fd_engine, model):
     for check in (check_bochner_pointwise, check_bochner_divergence):
         rep = check(fd_engine, model, seed=3, trials=3, tolerance=1e-5)
         assert rep.passed, f"{rep.identity}: {rep.max_residual}"
+    reports = run_suite(fd_engine, model, seed=42, trials={"identity": 6, "bochner": 3, "integral": 0},
+                        tolerances={**SUITE_TOLERANCES, "identity": 1e-5})
+    assert all(rep.passed for rep in reports), [(rep.identity, rep.max_residual) for rep in reports]
 
 
 def test_dual_mode_takes_no_fd_jet(engine, model, hopf_space, monkeypatch):

@@ -4,6 +4,7 @@ The per-direction densities and their shell fluxes (``tests/oracles.py``)
 are the independent route that the package's flux pass is set against.
 """
 
+import json
 import math
 
 import numpy as np
@@ -13,16 +14,16 @@ import sympy as sp
 from weylmass.errors import ChartDomainError, MassNotDefinedError
 from weylmass.families import (MetricFamily, compact_lee, conformal_sweep, flat_product,
                                hopf_model, kaluza_perturbation, kaluza_two_term,
-                               log_slow_profile, radial_lee, radial_profile,
-                               unit_scalar, zero_lee)
-from weylmass.mass import flux_pass, gauge_audit, mass_matrix, ricci_positivity_floor, richardson_limit
+                               log_slow_profile, radial_lee, radial_profile, zero_lee)
+from weylmass.mass import flux_pass, gauge_audit, mass_matrix, richardson_limit
 from weylmass.model import ModelSpace, sphere_volume
 from weylmass.probes import decay_probe, geometric_radii
 from weylmass.quadrature import QuadratureSpec
 from weylmass.weyl import WeylStructure, lee_jet
 
 from oracles import (direction_limits, flux_model_metric, horizontal_field, lee_correction_components,
-                     q_flux_components, random_adapted_scalar, shell_nodes)
+                     q_flux_components, random_adapted_scalar, ricci_positivity_floor, shell_nodes,
+                     unit_scalar)
 
 
 def x1_report(engine, ws, **kw):
@@ -466,14 +467,31 @@ def test_gauge_audit_reads_every_report_off_two_passes(model, hopf_space, engine
 
 @pytest.mark.parametrize("factor", [lambda s: radial_profile(s, beta=0.3),
                                     lambda s: random_adapted_scalar(s, seed=3)])
-def test_gauge_audit_fd_swept_jets_match_direct_fd(hopf_space, fd_engine, factor):
-    """In fd mode the product rule on FD jets of f and g agrees with the FD jet of f g to 1e-8."""
+def test_gauge_audit_fd_swept_jets_match_direct_fd(hopf_space, fd_engine, factor, tmp_path):
+    """On the FD route the product rule on FD jets of f and g agrees with the FD jet of f g to 1e-8.
+
+    Then the Hopf sweep of radial_profile at beta 0.2 and 0.4, with this factor appended, runs as
+    ``weylmass sweep`` runs that config but on the FD route: every audit and prediction passes at 1e-4.
+    """
+    from weylmass.cli import RunConfig, build_parser
 
     def close(got, want):
         assert got == pytest.approx(want, rel=1e-8, abs=0.0)
 
     _audit_against_single_passes(hopf_space, fd_engine, kaluza_perturbation(hopf_space, mu=1.0),
                                  factor(hopf_space), close)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"model": {"fibration": "hopf"},
+                                "sweep": {"name": "radial_profile", "param": "beta", "values": [0.2, 0.4]}}))
+    cfg = RunConfig.load(str(path), build_parser().parse_args(["sweep"]))
+    tol = cfg.config["tolerances"]["mass"]
+    assert tol == 1e-4
+    results = gauge_audit(fd_engine, cfg.structure, cfg.factors + [factor(cfg.model)], radii=cfg.radii,
+                          quad=cfg.quad, tolerance=tol)
+    assert len(results) == 3
+    for audits, pred in results:
+        assert all(audit.passed for audit in audits), [audit.rel_difference for audit in audits]
+        assert pred.rel_error < tol, pred.rel_error
 
 
 def _count_shell_contractions(monkeypatch) -> list:
@@ -499,7 +517,7 @@ def test_gauge_audit_sweep_takes_one_base_pass(hopf_space, monkeypatch):
     """
     from weylmass.engine import DerivativeEngine
 
-    engine = DerivativeEngine(mode="dual")
+    engine = DerivativeEngine()
     ws = WeylStructure(hopf_space, kaluza_perturbation(hopf_space, mu=1.0), radial_lee(hopf_space, 0.4))
     radii = geometric_radii(40.0, 320.0, 3)
     quad = QuadratureSpec(sphere=6, fiber=2)

@@ -12,13 +12,14 @@ from weylmass.errors import ChartDomainError, MassNotDefinedError
 from weylmass.families import (build_metric, conformal_sweep, flat_product,
                                hopf_model, kaluza_perturbation, log_slow_profile, mixed_lee,
                                radial_lee, radial_profile, random_local_metric,
-                               sqrt_slow_profile, unit_scalar, zero_lee)
+                               sqrt_slow_profile, zero_lee)
 from weylmass.model import ModelSpace, sphere_volume
 from weylmass.probes import (adapted_metric_check, connection_probe, decay_probe,
                              geometric_radii, lee_probes, metric_probes, require_alf)
 from weylmass.weyl import WeylStructure, christoffel, weyl_curvature
 
-from oracles import inverse, metric_compat_residual, random_adapted_scalar, ricci_trace_convention, sphere_block_test
+from oracles import (FDEngine, inverse, metric_compat_residual, random_adapted_scalar, ricci_trace_convention,
+                     sphere_block_test, unit_scalar)
 
 
 def test_model_validation():
@@ -159,14 +160,14 @@ def test_trivial_chart_jacobians_vanish(model):
 def test_frame_hessian_matches_fd_of_frame_derivative(hopf_space, engine):
     """E_p E_i F, including the -(X_p A_i) dF/dt term, against FD of frame_jet1."""
     from weylmass import autodiff as am
-    from weylmass.engine import DerivativeEngine, Field
+    from weylmass.engine import Field
 
     fld = Field(lambda c: am.sin(0.7 * c[0] - 0.4 * c[1] + 0.3 * c[2] + c[3]) * c[2], shape=())
     p = hopf_space.point([1.2, -0.8, 1.5], 0.6)
     _, d1, d2 = engine.jet2(fld, p)
     got = hopf_space.frame_hessian_from_coord(d1, d2, p[:3])
     frame_d1 = Field(lambda c: frame_jet1(engine, hopf_space, fld, np.asarray(c, dtype=float))[1], shape=(4,))
-    _, oracle = frame_jet1(DerivativeEngine("fd"), hopf_space, frame_d1, p)
+    _, oracle = frame_jet1(FDEngine(), hopf_space, frame_d1, p)
     assert np.max(np.abs(got - oracle)) < 1e-9
     # the frame is anholonomic: E_a E_b - E_b E_a = C_ab^k E_k
     C = hopf_space.structure_constants(p)
@@ -300,7 +301,7 @@ def test_compact_lee_jets_match_sympy_and_stay_finite_at_the_support_edge(reques
     lee = compact_lee(space, amplitude=amplitude, r0=r0, r1=r1)
     fld = Field(lee.fn, shape=(space.dim,))
     closed = _compact_lee_sympy(amplitude, r0, r1)
-    dual, fd = DerivativeEngine("dual"), DerivativeEngine("fd")
+    dual, fd = DerivativeEngine(), FDEngine()
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         for point in (space.point([2.1, 0.9, -0.6], 0.4), space.point([-1.2, 2.0, 1.1], 1.3),
                       space.point([0.3, -0.2, 3.7], 2.2)):
@@ -472,7 +473,7 @@ def test_hopf_family_passes_probes(hopf_space, engine):
 def test_grad2_probe_matches_nested_fd(request, engine, chart, fiber):
     """The closed-form grad2_h g against an fd-mode frame jet of the grad_h g field."""
     from weylmass import probes
-    from weylmass.engine import DerivativeEngine, Field
+    from weylmass.engine import Field
     from weylmass.identities import _rng, trial_point
     from weylmass.weyl import lc_form_block
 
@@ -483,7 +484,7 @@ def test_grad2_probe_matches_nested_fd(request, engine, chart, fiber):
                  shape=(n, n, n))
     rng = _rng(46, 35, 0)
     pts = np.stack([trial_point(space, rng) for _ in range(3)], axis=1)
-    G, dG = frame_jet1(DerivativeEngine("fd"), space, grad, pts)
+    G, dG = frame_jet1(FDEngine(), space, grad, pts)
     oracle = lc_form_block(dG, G, space.lc_coeffs_h(pts), 3)
     got = probes._metric_probe_values(engine, space, fam, pts)[2]
     assert np.max(np.abs(got - oracle)) < 1e-9 * np.max(np.abs(oracle))
@@ -524,16 +525,17 @@ def test_probe_suites_take_one_jet_per_field(model, monkeypatch, mode):
     from weylmass.engine import DerivativeEngine
     from weylmass.probes import require_adapted, require_weyl_alf
 
+    cls = {"dual": DerivativeEngine, "fd": FDEngine}[mode]
     jets = []
     for method in ("jet1", "jet2"):
-        original = getattr(DerivativeEngine, method)
+        original = getattr(cls, method)
 
         def counted(self, fld, coords, method=method, original=original):
             jets.append((method, fld.name))
             return original(self, fld, coords)
 
-        monkeypatch.setattr(DerivativeEngine, method, counted)
-    engine = DerivativeEngine(mode=mode)
+        monkeypatch.setattr(cls, method, counted)
+    engine = cls()
     fam, lee, f = kaluza_perturbation(model, mu=1.0), radial_lee(model, 0.5), radial_profile(model, beta=0.3)
     require_weyl_alf(engine, model, fam, lee)
     assert jets == [("jet2", fam.name), ("jet1", lee.name)]

@@ -4,24 +4,23 @@ import numpy as np
 import pytest
 
 from weylmass import autodiff as am
-from weylmass.engine import DerivativeEngine, Field, frame_jet1
+from weylmass.engine import Field, frame_jet1
 from weylmass.errors import DegreeError, GaugeMismatchError
 from weylmass.families import (LeeFormField, directional_profile, flat_product, kaluza_perturbation,
-                               radial_lee, radial_profile, random_local_metric,
-                               unit_scalar, zero_lee)
+                               radial_lee, radial_profile, random_local_metric, zero_lee)
 from weylmass.identities import _rng, random_form_field, trial_point, trial_structure
 from weylmass.weyl import (FormFieldSpec, WeylStructure, _christoffel_jet, _coeff_curvature, _covd_slots, _weyl_jet,
                            christoffel, covd2_form_block, covd_form_block, dD, deltaD, form_field_of,
                            gauge_change, lc_form_block, lee_jet, lie_bracket, weyl_coeffs, weyl_connect_vec,
                            weyl_curvature)
 
-from oracles import (PointMetric, WeightedForm, frame_exterior_derivative, full_christoffel_jet,
+from oracles import (FDEngine, PointMetric, WeightedForm, frame_exterior_derivative, full_christoffel_jet,
                      full_coeff_curvature, full_weyl_jet, hodge_star, inverse, regauge, ricci_trace_convention,
-                     wedge_covd_form_block)
+                     unit_scalar, wedge_covd_form_block)
 
 CHARTS = [("model", False), ("model", True), ("hopf_space", False), ("hopf_space", True)]
 # the finite-difference route for fields whose evaluators call the engine themselves
-FD = DerivativeEngine("fd")
+FD = FDEngine()
 
 
 def constant_vec(model, comps):

@@ -26,6 +26,13 @@ axes: ``constant(C, like)`` (C at every point of ``like``) and
 scalar jets, built as one jet).  ``where(cond, a, b)`` selects per value
 entry, so piecewise fields (a compactly supported bump) stay jets.
 
+The layout is what the arrays show, not necessarily how they sit in
+memory: ``lincomb`` accumulates its gradient and Hessian component-major,
+as ``comp + (d,) + batch`` and ``comp + (d, d) + batch`` C-order arrays,
+and hands them out as transposed views in the layout above.  That is the
+memory order ``collect_jet`` gives every jet, so it returns them without a
+copy.
+
 Evaluators that want to be differentiated this way must be written against
 the generic math functions at the bottom of this module (``sqrt``, ``sin``,
 ...), which dispatch on the argument type.
@@ -200,10 +207,16 @@ def lincomb(coefs, terms):
     if any term is.  Each component takes the same products and sums, in
     the same order, as the loop ``acc = acc + coefs[..., a] * terms[a]``
     over scalar jets.
+
+    The gradient and Hessian payloads are component-major in memory: they
+    are accumulated as C-order ``comp + (d,) + batch`` and
+    ``comp + (d, d) + batch`` arrays, so each coefficient entry scales one
+    contiguous derivative block, and are returned as transposed views with
+    the derivative axes leading (module docstring).
     """
     coefs = np.asarray(coefs, dtype=float)
     comp = coefs.shape[:-1]
-    lift = (1,) * len(comp)
+    k = len(comp)
     batch = (1,) * max(np.ndim(value(t)) for t in terms)
     val = grad = hess = scratch = None
     for a, term in enumerate(terms):
@@ -211,24 +224,31 @@ def lincomb(coefs, terms):
         part = c * value(term)
         val = part if val is None else val + part
         if isinstance(term, Taylor2):
-            g = term.grad.reshape(term.grad.shape[:1] + lift + term.val.shape)
+            # component-major: coefficient entry c[I] scales the contiguous block out[I];
+            # with no component axes (k = 0) the two layouts agree and c multiplies as it is
             h = term.hess
-            if h is not NO_HESSIAN:
-                h = h.reshape(h.shape[:2] + lift + term.val.shape)
+            cg = c.reshape(comp + (1,) + batch) if k else c
+            ch = None if h is NO_HESSIAN else c.reshape(comp + (1, 1) + batch) if k else c
             if grad is None:
-                grad, hess = c * g, h if h is NO_HESSIAN else c * h
+                grad, hess = cg * term.grad, h if ch is None else ch * h
                 continue
             # accumulate in place through one scratch pair: on large batches
             # the derivative arrays dominate and fresh temporaries cost more
             # than the arithmetic
             if scratch is None:
                 scratch = np.empty_like(grad), hess if hess is NO_HESSIAN else np.empty_like(hess)
-            grad += np.multiply(c, g, out=scratch[0])
-            if h is NO_HESSIAN:
+            grad += np.multiply(cg, term.grad, out=scratch[0])
+            if ch is None:
                 hess = NO_HESSIAN
             elif hess is not NO_HESSIAN:
-                hess += np.multiply(c, h, out=scratch[1])
-    return val if grad is None else Taylor2(val, grad, hess)
+                hess += np.multiply(ch, h, out=scratch[1])
+    if grad is None:
+        return val
+    if k:  # the jet's layout leads with the derivative axes: transposed views, no copy
+        grad = grad.transpose((k, *range(k), *range(k + 1, grad.ndim)))
+        if hess is not NO_HESSIAN:
+            hess = hess.transpose((k, k + 1, *range(k), *range(k + 2, hess.ndim)))
+    return Taylor2(val, grad, hess)
 
 
 def where(cond, a, b):

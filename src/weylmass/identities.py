@@ -18,14 +18,16 @@ finite-difference oracle tests, as for ``curvature_split``.
 
 The integral check is a volume integral over an annulus of about 25,600
 nodes plus the zeta flux through its two boundary shells, all streamed
-through ``quadrature.node_blocks``.  Their measured working sets per node
-at n = dim: the density about five rank-4 arrays (40 n^4 bytes: the frame
-Hessian of g, dGamma, dW, the curvature and its temporaries), so a 5 MiB
-block holds 512 nodes at n = 4 and each rank-4 array, 1 MiB, stays in a
-2 MB L2 cache (at 2,048 nodes the batch-last einsums streamed from memory,
-at 128 or fewer per-block Python overhead dominated); a zeta block about
-four rank-3 arrays (32 n^3 bytes).  No bit of either side depends on
-the block size.
+through ``quadrature.node_blocks``.  The density reads Ric^D by traces
+(``weyl._ricci_jet``), so its block holds the metric jet (the frame
+Hessian of g and its Koszul combination) but no dGamma, dW or curvature:
+its measured peak is about 28 n^4 bytes per node on the trivial chart and
+42 n^4 on the Hopf chart.  Its budget stays at 40 n^4 bytes per node, so
+a 5 MiB block holds 512 nodes at n = 4 and each rank-4 array, 1 MiB,
+stays in a 2 MB L2 cache (at 2,048 nodes the batch-last einsums streamed
+from memory, at 128 or fewer per-block Python overhead dominated); a
+zeta block holds about four rank-3 arrays (32 n^3 bytes).  No bit of
+either side depends on the block size.
 
 The literature carries the Bochner curvature term with both signs and two
 variants of the delta^D shift coefficient; this suite does not guess.  It
@@ -51,7 +53,7 @@ from .model import ModelSpace
 from .quadrature import (QuadratureSpec, flux_curved_metric, gauss_legendre, node_blocks, sphere_rule,
                          volume_integral_curved)
 from .weyl import (FormFieldSpec, WeylStructure, _brackets, _coeff_curvature, _covd_slots,
-                   _faraday_components, _jet_curvature, _ricci, _weyl_jet, covd2_form_block, covd_form_block,
+                   _faraday_components, _jet_curvature, _ricci, _ricci_jet, covd2_form_block, covd_form_block,
                    dD, deltaD, form_field_of, insert_alt, inv_gram, lee_jet, lie_bracket, outer_front, tdot,
                    weyl_connect_vec, weyl_curvature)
 
@@ -457,15 +459,10 @@ def _pair_norm(ginv, T):
     return np.einsum("ad...,db...,ab...->...", raised, ginv, T)
 
 
-def _density(jet, C, a, H, sign: float):
-    """|Da|^2 + sign Ric(a#, a#) - |DiracD a|^2 from a ``_weyl_jet`` and (a, H).
-
-    Reads only Ric off the curvature: no curvature bundle is built.
-    """
-    W, dW, g, ginv = jet[:4]
+def _density(ric, ginv, a, H, sign: float):
+    """|Da|^2 + sign Ric(a#, a#) - |DiracD a|^2 from Ric^D, g^-1 and (a, H)."""
     delta = -np.einsum("ab...,ab...->...", ginv, H)
     ash = np.einsum("ab...,b...->a...", ginv, a)
-    ric = _ricci(_coeff_curvature(W, dW, C), g, ginv)
     ric_term = np.einsum("a...,ab...,b...->...", ash, ric, ash)
     return _pair_norm(ginv, H) + sign * ric_term - (delta**2 + 0.5 * _pair_norm(ginv, insert_alt(H, 1)))
 
@@ -474,24 +471,27 @@ def _bochner_density(engine: DerivativeEngine, ws: WeylStructure, spec: FormFiel
                      sign: float):
     """(g, |Da|^2 + sign Ric(a#, a#) - |DiracD a|^2) at a point or node block.
 
-    H (``_covd_slots``) and Ric^D come off one ``_weyl_jet`` and one jet of a.
+    H (``_covd_slots``) and Ric^D come off one ``_ricci_jet`` and one jet of a:
+    Ric^D is read by traces, with no rank-4 curvature built.
     """
-    jet = _weyl_jet(engine, ws, coords)
+    W, g, ginv, theta, ric = _ricci_jet(engine, ws, coords)
     a, dA = frame_jet1(engine, ws.model, spec.field, coords)
-    H = _covd_slots(a, dA, jet[0], jet[4], spec.weight, 1)
-    return jet[2], _density(jet, _brackets(ws.model, coords), a, H, sign)
+    H = _covd_slots(a, dA, W, theta, spec.weight, 1)
+    return g, _density(ric, ginv, a, H, sign)
 
 
 def bochner_divergence_residual(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec,
                                 coords, sign: float = RESOLVED_BOCHNER_SIGN) -> float:
     """Residual of |Da|^2 + sign Ric(a#, a#) - |DiracD a|^2 + delta^D(zeta) = 0.
 
-    Both terms come off the one metric jet of ``covd2_form_block``.
+    Both terms come off the one metric jet of ``covd2_form_block``; Ric^D
+    takes the curvature route (``_coeff_curvature``, ``_ricci``) on its jet.
     """
     coords = np.asarray(coords, dtype=float)
     a, H, DH, jet = covd2_form_block(engine, ws, spec, coords)
-    density = _density(jet, _brackets(ws.model, coords), a, H, sign)
-    return abs(float(density) + float(_zeta_codifferential(a, H, DH, jet[3])))
+    W, dW, g, ginv = jet[:4]
+    ric = _ricci(_coeff_curvature(W, dW, _brackets(ws.model, coords)), g, ginv)
+    return abs(float(_density(ric, ginv, a, H, sign)) + float(_zeta_codifferential(a, H, DH, ginv)))
 
 
 def check_bochner_divergence(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,
@@ -535,7 +535,7 @@ def bochner_integral_sides(engine: DerivativeEngine, ws: WeylStructure, spec: Fo
 def _zeta_flux(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, pts, weights, normals):
     """Per-node terms of the outward zeta flux of one shell block, from its one ``covd_form_block`` call."""
     a, H, (_, g, ginv, _) = covd_form_block(engine, ws, spec, pts)
-    return flux_curved_metric(_zeta(a, H, ginv), g, normals, weights)
+    return flux_curved_metric(_zeta(a, H, ginv), g, ginv, normals, weights)
 
 
 def check_bochner_integral(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,

@@ -181,17 +181,16 @@ def node_blocks(model: ModelSpace, radii, radial_weights, quad: QuadratureSpec, 
         yield pts, r[R] ** (model.m - 1) * wr[R] * wu[U] * wt[T], normals
 
 
-def flux_curved_metric(oneform_values: np.ndarray, gram: np.ndarray, normals: np.ndarray,
+def flux_curved_metric(oneform_values: np.ndarray, gram: np.ndarray, ginv: np.ndarray, normals: np.ndarray,
                        weights: np.ndarray) -> np.ndarray:
     """Per-node terms of the flux of a 1-form through a shell w.r.t. a curved metric g.
 
     Uses the Leray identity: integrand = sqrt(det G) g^{-1}(w, dr) against the
     model product measure, equal to the hypersurface integral of *_g w with
-    outward orientation.  The flux is the sum of the terms.
+    outward orientation.  The flux is the sum of the terms.  ``ginv`` is the
+    inverse of ``gram``, which the caller already holds.
     """
-    moved = np.moveaxis(gram, (0, 1), (-2, -1))
-    ginv = np.moveaxis(np.linalg.inv(moved), (-2, -1), (0, 1))
-    dets = np.linalg.det(moved)
+    dets = np.linalg.det(np.moveaxis(gram, (0, 1), (-2, -1)))
     dr = np.concatenate([normals, np.zeros((1, normals.shape[1]))], axis=0)
     contracted = np.einsum("ab...,a...,b...->...", ginv, oneform_values, dr)
     return np.sqrt(dets) * contracted * weights

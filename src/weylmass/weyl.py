@@ -34,6 +34,14 @@ derivatives D(Dw) are algebra on the same jet plus one second-order jet of
 the form (``covd2_form_block``), so Lap^D, d^D d^D and delta^D d^D carry no
 finite-difference error.
 
+The Bochner annulus density needs only Ric^D, which ``_ricci_jet`` reads by
+traces off the same two jets: g^-1 traces of the Koszul combination of the
+frame Hessian of g, closed-form Lee-form terms, and W W (and, on the Hopf
+chart, C W) traces, all n^4 per node, so neither dW nor the rank-4 R is
+built.  The pointwise checks and ``curvature_split`` keep the full route
+(``_jet_curvature``, ``_ricci`` on ``_coeff_curvature``); the tests hold
+the two to 1e-13.
+
 The operators return plain component arrays; the degree and weight of the
 result follow from the input spec.  ``dD`` and ``deltaD`` read d^D and
 delta^D off one ``covd_form_block``, so the Dirac-type pair (delta^D w, d^D w)
@@ -187,12 +195,12 @@ def christoffel(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, 
     return np.einsum("ijk...,kl...->ijl...", _koszul(dg, cg), ginv), g, ginv
 
 
-def _christoffel_jet(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, coords):
-    """(G, dG, g, dg, g^-1) from one second-order metric jet; dG[p] = E_p G.
+def _koszul_jet(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, coords):
+    """(G, K, g, dg, g^-1, C) from one second-order metric jet; K[p] = E_p low.
 
-    E_p G = (E_p low) g^-1 - G (E_p g) g^-1, where E_p low is the Koszul
-    combination of the frame Hessian E_p E_i g_jk and of E_p (C g).  On a
-    holonomic frame both bracket terms are zero and are not built.
+    low is the lowered Koszul combination (G = low g^-1), and E_p low is the
+    Koszul combination of the frame Hessian E_p E_i g_jk and of E_p (C g).
+    On a holonomic frame C is None and both bracket terms are not built.
     """
     coords = np.asarray(coords, dtype=float)
     model.require_in_chart(coords)
@@ -205,8 +213,17 @@ def _christoffel_jet(engine: DerivativeEngine, model: ModelSpace, fam: MetricFam
                + np.einsum("ijl...,plk...->pijk...", C, dg))
     ginv = inv_gram(g)
     gam = np.einsum("ijk...,kl...->ijl...", _koszul(dg, cg), ginv)
+    return gam, _koszul(ddg, dcg, lead=1), g, dg, ginv, C
+
+
+def _christoffel_jet(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, coords):
+    """(G, dG, g, dg, g^-1) from one second-order metric jet; dG[p] = E_p G.
+
+    E_p G = (E_p low) g^-1 - G (E_p g) g^-1, with E_p low from ``_koszul_jet``.
+    """
+    gam, K, g, dg, ginv, _ = _koszul_jet(engine, model, fam, coords)
     dg_ginv = np.einsum("pab...,bl...->pal...", dg, ginv)
-    dgam = (np.einsum("pijk...,kl...->pijl...", _koszul(ddg, dcg, lead=1), ginv)
+    dgam = (np.einsum("pijk...,kl...->pijl...", K, ginv)
             - np.einsum("ija...,pal...->pijl...", gam, dg_ginv))
     return gam, dgam, g, dg, ginv
 
@@ -261,6 +278,60 @@ def _weyl_jet(engine: DerivativeEngine, ws: WeylStructure, coords):
     dW -= np.einsum("pij...,k...->pijk...", dg, theta_sharp)
     dW -= np.einsum("ij...,pk...->pijk...", g, dtheta_sharp)
     return _lee_shift(gam, g, theta, theta_sharp), dW, g, ginv, theta, dtheta
+
+
+def _ricci_jet(engine: DerivativeEngine, ws: WeylStructure, coords):
+    """(W, g, g^-1, theta, Ric^D) from one metric jet2 and one Lee-form jet1, by traces.
+
+    Ric_ij = 1/2 (A_ij - B_ij), A_ij = g^{ab} R_{iab}^l g_lj and B_ij = R_{iaj}^a
+    (``_ricci``), with R = E W - E W + W W - W W - C W (``_coeff_curvature``)
+    taken term by term:
+
+    * E_p G = M[p] g^-1 with M = K - G (E_p g) lowered (``_koszul_jet``), so
+      the g^-1 of E G cancels against the lowering of A: its part of A and
+      B is four g^-1 traces of M, each a trace of K less one of G dg;
+    * the Lee-form part of dW (``_weyl_jet``) traces in closed form, in
+      dtheta, dg, theta and theta#, using g^{ab} g_bj = delta_aj;
+    * W W and C W are traced with one index of W lowered or raised.
+
+    Every contraction is n^4 per node: dW, E G and R are never built.  W, g,
+    g^-1 and theta are those of ``_weyl_jet``, bit for bit.
+    """
+    coords = np.asarray(coords, dtype=float)
+    n = ws.model.dim
+    gam, K, g, dg, ginv, C = _koszul_jet(engine, ws.model, ws.metric, coords)
+    theta, dtheta = lee_jet(engine, ws.lee, coords, order=1)
+    theta_sharp = np.einsum("kl...,l...->k...", ginv, theta)
+    W = _lee_shift(gam, g, theta, theta_sharp)
+
+    # E G: traces of K and of G dg against g^-1
+    dg_up = np.einsum("iec...,ca...->iea...", dg, ginv)
+    gam_up = np.einsum("ab...,ibc...->iac...", ginv, gam)
+    ric2 = (np.einsum("ab...,iabj...->ij...", ginv, K) - np.einsum("ab...,aibj...->ij...", ginv, K)
+            - np.einsum("ca...,iajc...->ij...", ginv, K) + np.einsum("ca...,aijc...->ij...", ginv, K)
+            - np.einsum("c...,icj...->ij...", np.einsum("abc...,ab...->c...", gam, ginv), dg)
+            + np.einsum("iac...,acj...->ij...", gam_up, dg)
+            + np.einsum("aje...,iea...->ij...", gam, dg_up) - np.einsum("ije...,aea...->ij...", gam, dg_up))
+
+    # Lee-form part of dW
+    rho = np.einsum("ab...,aib...->i...", ginv, dg)                     # g^{ab} E_a g_ib
+    tau = np.einsum("ab...,iab...->i...", ginv, dg)                     # g^{ab} E_i g_ab
+    sigma = np.einsum("ab...,ab...->...", ginv, dtheta)                 # g^{ab} E_a theta_b
+    dg_sharp = np.einsum("ijb...,b...->ij...", dg, theta_sharp)         # (E_i g_jb) theta#^b
+    ric2 += ((4.0 - 2.0 * n) * dtheta + (n - 1.0) * dg_sharp + (rho - tau)[:, None] * theta[None, :]
+             - np.einsum("a...,aij...->ij...", theta_sharp, dg)
+             - (2.0 * sigma - np.einsum("b...,b...->...", rho, theta_sharp)) * g)
+
+    # W W and C W, with W[i, c, l] g_lj lowered
+    W_low = np.einsum("icl...,lj...->icj...", W, g)
+    W_up = np.einsum("ab...,ibc...->iac...", ginv, W)
+    ric2 += (np.einsum("c...,icj...->ij...", np.einsum("abc...,ab...->c...", W, ginv), W_low)
+             - np.einsum("iac...,acj...->ij...", W_up, W_low)
+             - np.einsum("ica...,ajc...->ij...", W, W) + np.einsum("ijc...,aca...->ij...", W, W))
+    if C is not None:
+        ric2 += (np.einsum("iac...,cja...->ij...", C, W)
+                 - np.einsum("icb...,cbj...->ij...", np.einsum("iac...,ab...->icb...", C, ginv), W_low))
+    return W, g, ginv, theta, 0.5 * ric2
 
 
 def weyl_connect_vec(engine: DerivativeEngine, ws: WeylStructure, x_field: Field, y_field: Field,

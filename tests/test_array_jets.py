@@ -184,6 +184,37 @@ def test_collect_jet_of_array_jet_equals_nested_components():
             assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("batch", [(), (1,), (512,)], ids=["point", "batch1", "batch512"])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("comp", [(), (4,), (4, 4)], ids=["rank0", "rank1", "rank2"])
+def test_collect_jet_of_lincomb_shares_its_memory(comp, order, batch):
+    """``lincomb`` accumulates component-major and hands out transposed views, so ``collect_jet`` returns
+    the jet's own gradient and Hessian, not copies, with the values of the loop over scalar jets."""
+    rng = np.random.default_rng(17)
+    x = am.seed_point(rng.uniform(0.5, 1.5, size=(4,) + batch), order)
+    terms = [am.sin(am.lincomb(rng.normal(size=5), [1.0] + x)) for _ in range(3)] + [1.0]
+    coefs = rng.normal(size=comp + (4,))
+    jet = am.lincomb(coefs, terms)
+    val, grad, hess = am.collect_jet(jet, 4, batch)
+    assert grad.shape == (4,) + comp + batch and np.shares_memory(grad, jet.grad)
+    if order == 1:
+        assert hess is am.NO_HESSIAN and jet.hess is am.NO_HESSIAN
+    else:
+        assert hess.shape == (4, 4) + comp + batch and np.shares_memory(hess, jet.hess)
+
+
+    def nested(index):  # one scalar jet per component, summed left to right
+        if len(index) < len(comp):
+            return [nested(index + (i,)) for i in range(comp[len(index)])]
+        acc = 0.0
+        for a, term in enumerate(terms):
+            acc = acc + coefs[index + (a,)] * term
+        return acc
+
+    for got, want in zip((val, grad, hess), am.collect_jet(nested(()), 4, batch)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
 OPS = {
     "add": lambda a, b: a + b,
     "sub": lambda a, b: a - b,

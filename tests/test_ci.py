@@ -1,5 +1,6 @@
 """The CI workflow installs the test extra, runs CLI smoke commands (a Hopf, an m = 5, a refined m = 5 and a
-Hopf compact_lee mass, a pointwise and an annulus verify, then Hopf sweeps and a trivial-chart sweep),
+Hopf compact_lee mass, a pointwise verify and an annulus verify at m = 3 and m = 4, then Hopf sweeps and a
+trivial-chart sweep),
 summarizes every report they wrote, reruns a mass from the config its report embeds, and runs the tier-1 command
 that ROADMAP.md names, with a time limit."""
 
@@ -61,10 +62,25 @@ def test_workflow_smoke_runs_an_annulus_verify():
     assert [(json.loads(c), name) for c, name in configs] == [
         ({"trials": {"identity": 6, "bochner": 3, "integral": 0}}, "smoke"),
         ({"trials": {"identity": 0, "bochner": 1, "integral": 1}}, "annulus"),
+        ({"model": {"m": 4}, "trials": {"identity": 0, "bochner": 1, "integral": 1}}, "annulus_m4"),
     ]
     commands = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" .*\bverify$",
                           smoke, re.MULTILINE)
-    assert commands == ["smoke", "annulus"]
+    assert commands == ["smoke", "annulus", "annulus_m4"]
+
+
+def test_workflow_smoke_runs_an_m4_annulus_verify():
+    """Last in the same step, ``verify`` on one Bochner-integral trial at m = 4: the only CLI run of the
+    annulus density (Ric^D by traces) at n = 5."""
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    (job,) = workflow["jobs"].values()
+    (smoke,) = [step["run"] for step in job["steps"] if step.get("name") == "CLI smoke"]
+    lines = smoke.strip().splitlines()
+    assert lines[-2] == ('echo \'{"model": {"m": 4}, "trials": {"identity": 0, "bochner": 1, "integral": 1}}\' '
+                         '> "$RUNNER_TEMP/annulus_m4.json"')
+    assert lines[-1] == ('PYTHONPATH=src python -m weylmass --config "$RUNNER_TEMP/annulus_m4.json" '
+                         '--out "$RUNNER_TEMP/annulus_m4" verify')
 
 
 def test_workflow_sweep_smoke_runs_a_hopf_sweep():
@@ -127,7 +143,7 @@ def test_workflow_report_smoke_reads_every_smoke_report():
                for name in ("Mass smoke", "CLI smoke", "Sweep smoke")
                for out, command in re.findall(r"--out \"\$RUNNER_TEMP/(\w+)\" (\w+)$",
                                               job["steps"][names.index(name)]["run"], re.MULTILINE)]
-    assert len(written) == 9
+    assert len(written) == 10
     (line,) = job["steps"][names.index("Report smoke")]["run"].strip().splitlines()
     prefix = "PYTHONPATH=src python -m weylmass report "
     assert line.startswith(prefix)

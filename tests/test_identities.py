@@ -235,6 +235,24 @@ def test_run_suite_corrupted_sign_fails(engine, model):
     failed = {r.identity for r in reports if not r.passed}
     assert "bochner_pointwise" in failed
     assert "bochner_divergence" in failed
+    assert "bochner_integral" in failed
+
+
+def test_bochner_integral_fails_without_the_ricci_term(engine, model, monkeypatch):
+    """Negative control for the annulus density's Ric^D by traces: with ``_ricci_jet`` returning Ric = 0,
+    the integral identity fails."""
+    from weylmass import identities
+
+    assert check_bochner_integral(engine, model, seed=4, trials=1).passed
+    ricci_jet = identities._ricci_jet
+
+    def no_ricci(*args):
+        *rest, ric = ricci_jet(*args)
+        return (*rest, np.zeros_like(ric))
+
+    monkeypatch.setattr(identities, "_ricci_jet", no_ricci)
+    rep = check_bochner_integral(engine, model, seed=4, trials=1)
+    assert not rep.passed and rep.max_residual > 1e-2
 
 
 def test_fd_mode_meets_relaxed_tolerance(fd_engine, model):

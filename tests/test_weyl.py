@@ -9,8 +9,9 @@ from weylmass.errors import DegreeError, GaugeMismatchError
 from weylmass.families import (LeeFormField, directional_profile, flat_product, kaluza_perturbation,
                                radial_lee, radial_profile, random_local_metric, zero_lee)
 from weylmass.identities import _rng, random_form_field, trial_point, trial_structure
-from weylmass.weyl import (FormFieldSpec, WeylStructure, _christoffel_jet, _coeff_curvature, _covd_slots, _weyl_jet,
-                           christoffel, covd2_form_block, covd_form_block, dD, deltaD, form_field_of,
+from weylmass.model import ModelSpace
+from weylmass.weyl import (FormFieldSpec, WeylStructure, _brackets, _christoffel_jet, _coeff_curvature, _covd_slots,
+                           _ricci, _ricci_jet, _weyl_jet, christoffel, covd2_form_block, covd_form_block, dD, deltaD, form_field_of,
                            gauge_change, lc_form_block, lee_jet, lie_bracket, weyl_coeffs, weyl_connect_vec,
                            weyl_curvature)
 
@@ -365,6 +366,27 @@ def test_jets_equal_full_bracket_formulas(request, engine, chart, batch):
     assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
     R = _coeff_curvature(got[0], got[1], None if space.holonomic else C)
     assert np.array_equal(R, full_coeff_curvature(want[0], want[1], C))
+
+
+@pytest.mark.parametrize("batch", [None, 512], ids=["point", "block512"])
+@pytest.mark.parametrize("m,fibration", [(3, "trivial"), (3, "hopf"), (5, "trivial")],
+                         ids=["trivial-m3", "hopf-m3", "trivial-m5"])
+def test_ricci_jet_traces_equal_the_curvature_route(engine, m, fibration, batch):
+    """Ric^D read by traces equals Ric^D of the full curvature R of ``_weyl_jet`` to 1e-13 relative, on
+    fiber-dependent data with a Lee form, and in a recorded gauge; W, g, g^-1 and theta are the same bits."""
+    space = ModelSpace(m=m, fibration=fibration)
+    ws = trial_structure(space, 46, 0, fiber_dependence=True)
+    rng = _rng(46, 35, 0)
+    p = (trial_point(space, rng) if batch is None
+         else np.stack([trial_point(space, rng) for _ in range(batch)], axis=1))
+    for structure in (ws, gauge_change(ws, radial_profile(space, beta=0.3))):
+        W, g, ginv, theta, ric = _ricci_jet(engine, structure, p)
+        jet = _weyl_jet(engine, structure, p)
+        for got, want in zip((W, g, ginv, theta), (jet[0], jet[2], jet[3], jet[4]), strict=True):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        want = _ricci(_coeff_curvature(jet[0], jet[1], _brackets(space, p)), jet[2], jet[3])
+        assert ric.shape == want.shape == (space.dim, space.dim) + p.shape[1:]
+        assert np.max(np.abs(ric - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("chart,fiber", CHARTS)

@@ -287,9 +287,9 @@ def _ricci_jet(engine: DerivativeEngine, ws: WeylStructure, coords):
     (``_ricci``), with R = E W - E W + W W - W W - C W (``_coeff_curvature``)
     taken term by term:
 
-    * E_p G = M[p] g^-1 with M = K - G (E_p g) lowered (``_koszul_jet``), so
-      the g^-1 of E G cancels against the lowering of A: its part of A and
-      B is four g^-1 traces of M, each a trace of K less one of G dg;
+    * E_p G = M[p] g^-1 with M[p] = K[p] - G (E_p g), K from ``_koszul_jet``;
+      the g^-1 cancels against the lowering in A, so E G enters A and B as
+      four g^-1 traces of M, each a trace of K less one of G (E g);
     * the Lee-form part of dW (``_weyl_jet``) traces in closed form, in
       dtheta, dg, theta and theta#, using g^{ab} g_bj = delta_aj;
     * W W and C W are traced with one index of W lowered or raised.

@@ -21,8 +21,8 @@ nodes plus the zeta flux through its two boundary shells, all streamed
 through ``quadrature.node_blocks``.  The density reads Ric^D by traces
 (``weyl._ricci_jet``), so its block holds the metric jet (the frame
 Hessian of g and its Koszul combination) but no dGamma, dW or curvature:
-its measured peak is about 28 n^4 bytes per node on the trivial chart and
-42 n^4 on the Hopf chart.  Its budget stays at 40 n^4 bytes per node, so
+its measured peak is about 27 n^4 bytes per node on the trivial chart and
+34 n^4 on the Hopf chart.  Its budget stays at 40 n^4 bytes per node, so
 a 5 MiB block holds 512 nodes at n = 4 and each rank-4 array, 1 MiB,
 stays in a 2 MB L2 cache (at 2,048 nodes the batch-last einsums streamed
 from memory, at 128 or fewer per-block Python overhead dominated); a

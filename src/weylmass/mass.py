@@ -20,21 +20,28 @@ of the forms of the shell's blocks from ``quadrature.node_blocks``.  A
 flux block's measured working set is 12 n^3 bytes per node, so a block
 holds 2,022 nodes at m = 5 (the default 20,000-node shells are ten blocks)
 and 5,461 at m = 3 (a 416-node shell is one): large blocks, since each
-pays a fixed Python overhead.  The Lee-type flux form of any 1-form a is
-C = (1 - m) sym(B) - tr(B) I for B = sum w a (x) nu.  The mass matrix,
-the Q-part matrix and every per-direction report are read off these forms.
+pays a fixed Python overhead.  Each swept gauge adds up to 16.4 n^2 bytes
+per node, budgeted at 20 n^2.  The Lee-type flux form of any 1-form a is C = (1 - m) sym(B) -
+tr(B) I for B = sum w a (x) nu.  The mass matrix, the Q-part matrix and
+every per-direction report are read off these forms.
 
 Under g -> f g the Lee form becomes theta - df/(2f) and the conformal mass
 form stays the same.  ``flux_pass`` is the one loop over the shells: on
-each node block g takes one coordinate jet, each factor f of a sweep takes
-one scalar jet, and the jet of f g is formed by the product rule
-(f g, f dg + g df) and contracted exactly as g's own, so g is
-differentiated once per node however long the sweep.  The same factor
-jet gives the Lee form theta - df/(2f) of gauge f g, with theta evaluated
-once per block, and the Lee-type form of df, the predicted shift of the Q
-part.  ``mass_matrix`` runs the pass with no factors and ``gauge_audit``
-with the factors of a sweep.  The per-direction densities of q(Z) and of
-the Lee term are kept in the test suite as the independent oracle.
+each node block g takes one coordinate jet and each factor f of a sweep
+one scalar jet, and ``_contract_shell`` contracts every gauge of the block
+in one pass, with the factors stacked on a batch axis.  The integrands of
+f g are linear in the factor jet, so they are formed per node from g's by
+the product rule: v_k(f g) = f v_k(g) + g_kb E_b f - tr_h(g) E_k f / 2,
+and the d integrand f E_c g_ab + E_c f g_ab.  So g is differentiated,
+frame-converted and checked for positive definiteness once per block
+however long the sweep, and f g is positive definite where f is finite
+and positive.  The same factor jet gives the Lee form theta - df/(2f) of
+gauge f g, with theta evaluated once per block, and the Lee-type form of
+df, the predicted shift of the Q part.  ``mass_matrix`` runs the pass with
+no factors and ``gauge_audit`` with the factors of a sweep.  The
+per-direction densities of q(Z) and of the Lee term, and the per-gauge
+route that contracts the jet of f g as a gauge of its own, are kept in the
+test suite as the independent oracles.
 
 Limits are realized on a geometric radius schedule with one Richardson
 extrapolation step at the generic remainder rate r^(2-m) of the integrated
@@ -51,11 +58,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import DerivativeEngine
+from .engine import DerivativeEngine, frame_jet2
 from .errors import ChartDomainError
 from .families import ScalarField, conformal_sweep
 from .model import ModelSpace, sphere_volume
-from .probes import geometric_radii, require_adapted, require_positive, require_weyl_alf
+from .probes import (geometric_radii, probe_grid, require_adapted, require_positive, require_weyl_alf,
+                     rescaled_frame_jet2)
 from .quadrature import QuadratureSpec, node_blocks
 from .weyl import WeylStructure, gauge_change, lee_jet
 
@@ -66,35 +74,49 @@ FLUX_RADII = {"r0": 40.0, "rmax": 320.0, "count": 6}
 def _lee_type_form(m: int, oneform, wn) -> np.ndarray:
     """Flux form C = (1 - m) sym(B) - tr(B) I, B = sum w a (x) nu, of a 1-form a; ``wn`` = weights * normals.
 
-    z^T C z is the flux of (1 - m) <a, a_Z>_h a_Z - |a_Z|_h^2 a.
+    z^T C z is the flux of (1 - m) <a, a_Z>_h a_Z - |a_Z|_h^2 a.  Axes of a
+    between its component axis and its node axis batch the form, (..., m, m).
     """
-    b = np.einsum("kN,cN->kc", oneform[:m], wn)
-    return 0.5 * (1 - m) * (b + b.T) - np.trace(b) * np.eye(m)
+    b = np.einsum("k...N,cN->...kc", oneform[:m], wn)
+    trace = np.trace(b, axis1=-2, axis2=-1)[..., None, None]
+    return 0.5 * (1 - m) * (b + b.swapaxes(-2, -1)) - trace * np.eye(m)
 
 
-def _contract_shell(model: ModelSpace, name: str, g, dg, theta, pts, wn, gam) -> tuple:
-    """Symmetric m x m forms (Q, C) of one shell block from a coordinate jet (g, dg) and the Lee form's values.
+def _refuse_indefinite(model: ModelSpace, name: str, gram, pts):
+    """Raise ChartDomainError at the node of ``gram`` (batch, n, n) with the smallest eigenvalue."""
+    finite = np.all(np.isfinite(gram), axis=(-2, -1))
+    lam = np.full(finite.shape, np.nan)
+    lam[finite] = np.min(np.linalg.eigvalsh(gram[finite]), axis=-1)
+    bad = int(np.argmin(np.where(finite, lam, -np.inf)))
+    raise ChartDomainError(
+        f"metric {name!r} is not positive definite on the flux shell r={model.radius(pts)[bad]:.6g}"
+        f" (smallest eigenvalue {lam[bad]:.6g})"
+    )
 
-    ``wn`` is weights * normals and ``gam`` is ``model.lc_coeffs_h(pts)``, or
-    None on a holonomic frame, which skips the zero h-connection terms.
-    Raises ChartDomainError if g is not positive definite at some node.
+
+def _contract_shell(model: ModelSpace, names, g, dg, theta, f, df, pts, wn, gam) -> tuple:
+    """Forms of one shell block in gauge g and in the gauge f g of every factor, from g's and the factors' jets.
+
+    (g, dg) is g's coordinate jet and theta its Lee form's values; f (F, N)
+    and df (d, F, N) stack the factors' coordinate jets, F >= 0.  ``wn`` is
+    weights * normals and ``gam`` is ``model.lc_coeffs_h(pts)``, or None on
+    a holonomic frame, which skips the zero h-connection terms.  Returns Q
+    and C, (1 + F, m, m), g's first, and the df forms (F, m, m).  The swept
+    forms are linear in the factor jet: v_k and the d integrand of f g come
+    from g's by the product rule, so nothing of f g is differentiated or
+    factorized.  Raises ChartDomainError if g is not positive definite at
+    some node, or f g, i.e. f is not finite and positive there.
     """
     m = model.m
-    dg = model.frame_from_coord(dg, model.split(pts)[0])
+    x = model.split(pts)[0]
+    dg = model.frame_from_coord(dg, x)
     gram = np.moveaxis(g, (0, 1), (-2, -1))
     try:
         definite = bool(np.all(np.isfinite(np.linalg.cholesky(gram))))
     except np.linalg.LinAlgError:
         definite = False
     if not definite:
-        finite = np.all(np.isfinite(gram), axis=(-2, -1))
-        lam = np.full(finite.shape, np.nan)
-        lam[finite] = np.min(np.linalg.eigvalsh(gram[finite]), axis=-1)
-        bad = int(np.argmin(np.where(finite, lam, -np.inf)))
-        raise ChartDomainError(
-            f"metric {name!r} is not positive definite on the flux shell r={model.radius(pts)[bad]:.6g}"
-            f" (smallest eigenvalue {lam[bad]:.6g})"
-        ) from None
+        _refuse_indefinite(model, names[0], gram, pts)
     # v_k = sum_b (grad^h_{E_b} g)(E_b, E_k) - E_k(tr_h g) / 2
     v = np.einsum("bbk...->k...", dg)
     if gam is not None:
@@ -103,22 +125,26 @@ def _contract_shell(model: ModelSpace, name: str, g, dg, theta, pts, wn, gam) ->
     a = np.einsum("kN,cN->kc", v[:m], wn)
     d = np.einsum("cabN,cN->ab", dg[:m, :m, :m], wn)
     q = 0.5 * (a + a.T) - 0.25 * (d + d.T)
-    return q, _lee_type_form(m, theta, wn)
-
-
-def _rescaled_jet(f_jet, g_jet) -> tuple:
-    """Coordinate jet of f g from the jets of a scalar f and a tensor g (product rule).
-
-    The gradient f dg + g df is built with the component axes outermost in
-    memory, the layout ``collect_jet`` gives a gathered jet, so the
-    contractions downstream round exactly as on a jet of f g taken directly.
-    """
-    f, df = f_jet
-    g, dg = g_jet
-    k = g.ndim - f.ndim
-    grad = np.empty(g.shape[:k] + df.shape)
-    np.add(f * np.moveaxis(dg, 0, k), g[(slice(None),) * k + (None,)] * df, out=grad)
-    return f * g, np.moveaxis(grad, k, 0)
+    c = _lee_type_form(m, theta, wn)
+    if not len(f):  # no sweep: none of the swept work below, whose fixed per-call costs add up over many blocks
+        return q[None], c[None], np.empty((0, m, m))
+    # g is positive definite at every node, so f g is where f is finite and positive
+    for k in np.flatnonzero(~np.all(np.isfinite(f) & (f > 0), axis=-1)):
+        _refuse_indefinite(model, names[k + 1], f[k, :, None, None] * gram, pts)
+    df = model.frame_from_coord(df, x)
+    # v_k of f g: f v_k + g_kb E_b f - tr_h(g) E_k f / 2
+    vf = (f[:, None] * v[:m] + np.einsum("kbN,bFN->FkN", g[:m], df)
+          - 0.5 * np.einsum("bbN->N", g) * np.moveaxis(df[:m], 1, 0))
+    a = np.einsum("FkN,cN->Fkc", vf, wn)
+    # the d integrand of f g, f E_c g_ab + E_c f g_ab against wn_c, is formed per node before the node sum:
+    # summing its two terms over the nodes apart rounds about twice as far from a longdouble evaluation
+    d = f[:, None, None] * np.einsum("cabN,cN->abN", dg[:m, :m, :m], wn)
+    d += np.einsum("cFN,cN->FN", df[:m], wn)[:, None, None] * g[:m, :m]
+    d = np.sum(d, axis=-1)
+    qf = 0.5 * (a + a.swapaxes(1, 2)) - 0.25 * (d + d.swapaxes(1, 2))
+    # the Lee form of gauge f g, theta - df/(2f), off the factor jet
+    cf = _lee_type_form(m, theta[:, None] - df / (2.0 * f), wn)
+    return np.concatenate(([q], qf)), np.concatenate(([c], cf)), _lee_type_form(m, df, wn)
 
 
 def _block_forms(engine: DerivativeEngine, ws: WeylStructure, factors, names, pts, weights, normals) -> tuple:
@@ -128,23 +154,15 @@ def _block_forms(engine: DerivativeEngine, ws: WeylStructure, factors, names, pt
     block's jets are local, so they are freed before the next block's.
     """
     model = ws.model
-    m = model.m
     model.require_in_chart(pts)
-    wn = weights * normals
     theta = lee_jet(engine, ws.lee, pts)
     jet = engine.jet1(ws.metric.as_field(), pts)
     gam = None if model.holonomic else model.lc_coeffs_h(pts)
-    q, c = np.empty((2, len(names), m, m))
-    df_forms = np.empty((len(factors), m, m))
-    q[0], c[0] = _contract_shell(model, names[0], *jet, theta, pts, wn, gam)
-    for k, f in enumerate(factors, 1):
-        f_jet = engine.jet1(f.as_field(), pts)
-        df = model.frame_from_coord(f_jet[1], model.split(pts)[0])
-        # the Lee form of gauge f g, theta - df/(2f), off the factor jet
-        q[k], c[k] = _contract_shell(model, names[k], *_rescaled_jet(f_jet, jet), theta - df / (2.0 * f_jet[0]),
-                                     pts, wn, gam)
-        df_forms[k - 1] = _lee_type_form(m, df, wn)
-    return q, c, df_forms, weights.size
+    f = np.empty((len(factors), weights.size))
+    df = np.empty((model.dim,) + f.shape)
+    for k, factor in enumerate(factors):
+        f[k], df[:, k] = engine.jet1(factor.as_field(), pts)
+    return (*_contract_shell(model, names, *jet, theta, f, df, pts, weights * normals, gam), weights.size)
 
 
 def richardson_limit(radii: Sequence[float], values: Sequence[float], rate: float) -> float:
@@ -174,6 +192,26 @@ class FluxForms:
     df: np.ndarray      # (factors, shells, m, m): Lee-type form of each factor's df
 
 
+def _probe_gauges(engine: DerivativeEngine, ws: WeylStructure, factors, rmax: float, check_decay: bool) -> None:
+    """Refuse a factor that is not positive out to ``rmax`` or not adapted, then with ``check_decay`` data
+    that fails the Weyl-ALF probes in gauge g or in the first swept gauge.
+
+    The swept gauge's metric probes read the probe-grid jet2 of f g off g's and f's by the product rule.
+    The probe jets are local, so none is held through the flux work.
+    """
+    model = ws.model
+    f_jets = []
+    for f in factors:
+        require_positive(model, f, rmax)
+        f_jets.append(require_adapted(engine, model, f))
+    if check_decay:
+        g_jet = frame_jet2(engine, model, ws.metric.as_field(), probe_grid(model))
+        require_weyl_alf(engine, model, ws.metric, ws.lee, g_jet)
+        for f, f_jet in zip(factors[:1], f_jets):
+            swept = gauge_change(ws, f)
+            require_weyl_alf(engine, model, swept.metric, swept.lee, rescaled_frame_jet2(f_jet, g_jet))
+
+
 def flux_pass(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[ScalarField] = (),
               radii=None, quad: Optional[QuadratureSpec] = None, check_decay: bool = True) -> FluxForms:
     """The shell forms of gauge g and of the gauge f g of every factor f, from one metric jet per node block.
@@ -181,13 +219,15 @@ def flux_pass(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[Sca
     ``radii`` defaults to ``FLUX_RADII`` and must hold at least two radii,
     strictly increasing and above R.  Every factor is probed for positivity
     out to the largest radius and for membership in the adapted class
-    before any flux work; with ``check_decay`` the
-    Weyl-ALF decay probes run on g and on the first swept gauge, also
-    before it.  On each node block g takes one coordinate jet and each
-    factor one scalar jet, and the jet of f g comes from the two by the
-    product rule.  theta and the h-Christoffel coefficients (none on a
-    holonomic frame) are taken once per block; the Lee form of f g is
-    theta - df/(2f) with df off the factor jet.
+    before any flux work; with ``check_decay`` the Weyl-ALF decay probes run
+    on g and on the first swept gauge, also before it.  The swept gauge's
+    metric probes read the probe-grid jet2 of f g off those of g and f by
+    the second-order product rule.  On each node block g takes one
+    coordinate jet and each factor one scalar jet, and one
+    ``_contract_shell`` forms every gauge's integrands from them.  theta
+    and the h-Christoffel coefficients (none on a holonomic frame) are
+    taken once per block; the Lee form of f g is theta - df/(2f) with df
+    off the factor jet.
     """
     model = ws.model
     m = model.m
@@ -197,19 +237,16 @@ def flux_pass(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[Sca
         raise ValueError(f"flux radii must be at least two, strictly increasing and above R={model.R:g};"
                          f" got {radii}")
     quad = quad or QuadratureSpec()
-    for f in factors:
-        require_positive(model, f, radii[-1])
-        require_adapted(engine, model, f)
-    if check_decay:
-        for w in [ws] + [gauge_change(ws, f) for f in factors[:1]]:
-            require_weyl_alf(engine, model, w.metric, w.lee)
+    _probe_gauges(engine, ws, factors, radii[-1], check_decay)
 
     names = [ws.metric.name] + [conformal_sweep(ws.metric, f).name for f in factors]
+    # measured working set per node: one and a half rank-3 arrays (n^3 doubles), and up to 16.4 n^2 bytes per
+    # swept gauge (m = 3 and 5), budgeted at 20 n^2
+    node_bytes = (12 * model.dim + 20 * len(factors)) * model.dim**2
     shells = []
     for r in radii:
-        # measured working set: one and a half rank-3 arrays (n^3 doubles) per node
         blocks = [_block_forms(engine, ws, factors, names, *block)
-                  for block in node_blocks(model, [r], [1.0], quad, 12 * model.dim**3)]
+                  for block in node_blocks(model, [r], [1.0], quad, node_bytes)]
         # a shell's forms and node count are sums over its blocks; one block is taken as it is
         shells.append([reduce(add, part) for part in zip(*blocks)])
     q, c, df, nodes = zip(*shells)

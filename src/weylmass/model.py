@@ -218,6 +218,7 @@ class ModelSpace:
         dt = coord_d1[self.m]
         if self.fibration != "trivial" and np.any(dt != 0.0):
             J = self.connection_jacobian(np.asarray(x, dtype=float))
-            out = np.array(out, copy=True)  # out may be coord_d2, which the in-place term must not change
+            if np.may_share_memory(out, coord_d2):
+                out = out.copy()  # out is still coord_d2, which the in-place term must not change
             out[: self.m, : self.m] -= np.einsum("ba...,...->ba...", J, dt)
         return out

@@ -7,7 +7,9 @@ Every probe samples one fixed grid: the 8 directions of
 (8 to 128, geometric).  Each suite takes one jet of its field on that grid
 and reads every probed quantity off it: a metric jet2 gives g - h, grad_h g
 and grad2_h g, a Lee-form jet (``weyl.lee_jet``) gives theta and d(theta),
-a conformal-factor jet2 gives f - 1, df and ddf.  A probe takes the sup of the frame norm over
+a conformal-factor jet2 gives f - 1, df and ddf.  A suite handed its jet takes
+none: the metric jet2 of a swept gauge f g is read off those of g and f by
+the product rule (``rescaled_frame_jet2``).  A probe takes the sup of the frame norm over
 the directions at each radius, fits the slope of log(norm) against log(r) by
 least squares, and PASSes when the slope is at most the required rate
 (``declared`` in the report) plus SLOPE_MARGIN (0.2, matching the acceptance tolerance).
@@ -122,14 +124,15 @@ def probe_tensor_field(values: np.ndarray, declared: float, name: str, radii) ->
 # ---------------------------------------------------------------------------
 
 
-def _metric_probe_values(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, pts):
+def _metric_probe_values(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, pts, jet=None):
     """g - h, grad_h g and grad2_h g at pts from one metric jet2.
 
+    ``jet`` is the family's frame jet2 at pts, taken here when not given.
     grad2_h g is closed-form; E_p of the h-coefficients comes from the
     structure Jacobian.  On a holonomic frame h's coefficients vanish, and
     grad_h g and grad2_h g are the frame derivatives dg and ddg.
     """
-    g, dg, ddg = frame_jet2(engine, model, fam.as_field(), pts)
+    g, dg, ddg = jet or frame_jet2(engine, model, fam.as_field(), pts)
     if model.holonomic:
         return g - np.eye(model.dim)[:, :, None], dg, ddg
     gam = model.lc_coeffs_h(pts)
@@ -139,10 +142,10 @@ def _metric_probe_values(engine: DerivativeEngine, model: ModelSpace, fam: Metri
     return g - np.eye(model.dim)[:, :, None], G, lc_form_block(dG, G, gam, 3)
 
 
-def metric_probes(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily) -> list[ProbeReport]:
-    """Three probes on a family: g - h, first and second model derivatives."""
+def metric_probes(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, jet=None) -> list[ProbeReport]:
+    """Three probes on a family: g - h, first and second model derivatives (``jet``: its probe-grid frame jet2)."""
     m = model.m
-    values = _metric_probe_values(engine, model, fam, probe_grid(model))
+    values = _metric_probe_values(engine, model, fam, probe_grid(model), jet)
     return [probe_tensor_field(v, req, f"{fam.name}:{tag}", PROBE_RADII)
             for v, req, tag in zip(values, (2 - m, 1 - m, -m), ("g-h", "grad_h g", "grad2_h g"))]
 
@@ -163,13 +166,15 @@ def connection_probe(model: ModelSpace) -> ProbeReport:
     return probe_tensor_field(model.deta(x), 1 - model.m, f"{model.fibration}:deta", PROBE_RADII)
 
 
-def adapted_metric_check(engine: DerivativeEngine, model: ModelSpace, f: ScalarField) -> list[ProbeReport]:
+def adapted_metric_check(engine: DerivativeEngine, model: ModelSpace, f: ScalarField,
+                         jet=None) -> list[ProbeReport]:
     """Membership probes for the adapted conformal-factor class, from one jet2 of f:
 
     f - 1 at rate 2-m, first derivatives at 1-m, second derivatives at -m.
+    ``jet`` is f's frame jet2 on the probe grid, taken here when not given.
     """
     m = model.m
-    val, df, ddf = frame_jet2(engine, model, f.as_field(), probe_grid(model))
+    val, df, ddf = jet or frame_jet2(engine, model, f.as_field(), probe_grid(model))
     return [probe_tensor_field(v, req, f"{f.name}:{tag}", PROBE_RADII)
             for v, req, tag in zip((val - 1.0, df, ddf), (2 - m, 1 - m, -m), ("f-1", "df", "ddf"))]
 
@@ -183,11 +188,25 @@ def _factor_label(f: ScalarField) -> str:
     return f"{f.name}(" + ", ".join(f"{k}={v!r}" for k, v in f.params.items()) + ")"
 
 
-def require_adapted(engine: DerivativeEngine, model: ModelSpace, f: ScalarField) -> None:
-    names = _failed_probes(adapted_metric_check(engine, model, f))
+def require_adapted(engine: DerivativeEngine, model: ModelSpace, f: ScalarField) -> tuple:
+    """Refuse a factor outside the adapted class; return the frame jet2 of f on the probe grid it read."""
+    jet = frame_jet2(engine, model, f.as_field(), probe_grid(model))
+    names = _failed_probes(adapted_metric_check(engine, model, f, jet))
     if names:
         raise MassNotDefinedError(f"conformal factor {_factor_label(f)} is not adapted: "
                                   f"rejected by probe {names}")
+    return jet
+
+
+def rescaled_frame_jet2(f_jet, g_jet) -> tuple:
+    """Frame jet2 of f g from the frame jet2s of a scalar f and a 2-tensor g (the product rule).
+
+    E_p E_i (f g) = f E_p E_i g + E_p f E_i g + E_i f E_p g + (E_p E_i f) g.
+    """
+    f, df, ddf = f_jet
+    g, dg, ddg = g_jet
+    return (f * g, f * dg + df[:, None, None] * g,
+            f * ddg + df[:, None, None, None] * dg + df[:, None, None] * dg[:, None] + ddf[:, :, None, None] * g)
 
 
 def require_positive(model: ModelSpace, f: ScalarField, rmax: float) -> None:
@@ -207,8 +226,8 @@ def require_positive(model: ModelSpace, f: ScalarField, rmax: float) -> None:
                                   f"f = {vals[k]:.6g} at r = {radii[k // u.shape[1]]:.6g}")
 
 
-def require_alf(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily) -> list[ProbeReport]:
-    reports = metric_probes(engine, model, fam)
+def require_alf(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, jet=None) -> list[ProbeReport]:
+    reports = metric_probes(engine, model, fam, jet)
     names = _failed_probes(reports)
     if names:
         raise MassNotDefinedError(f"metric family {fam.name!r} fails decay probes: {names}")
@@ -216,8 +235,9 @@ def require_alf(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily) 
 
 
 def require_weyl_alf(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily,
-                     lee: LeeFormField) -> list[ProbeReport]:
-    reports = require_alf(engine, model, fam)
+                     lee: LeeFormField, jet=None) -> list[ProbeReport]:
+    """Metric and Lee-form decay probes; ``jet`` is the metric's probe-grid frame jet2, taken when not given."""
+    reports = require_alf(engine, model, fam, jet)
     lreports = lee_probes(engine, model, lee)
     names = _failed_probes(lreports)
     if names:

@@ -172,10 +172,15 @@ def _koszul(dg: np.ndarray, cg: np.ndarray | None, lead: int = 0) -> np.ndarray:
     with dg[i, j, k] = E_i g_jk and cg[i, j, k] = C_ij^l g_lk (None: no brackets).
     """
     i, j, k = lead, lead + 1, lead + 2
-    low = dg + np.swapaxes(dg, i, j) - np.swapaxes(dg, i, k)
-    if cg is None:
-        return 0.5 * low
-    return 0.5 * (low + cg - np.swapaxes(cg, j, k) - np.moveaxis(cg, k, i))
+    # accumulated in place: at lead 1 (the frame Hessian) each temporary is a rank-4 array per node
+    low = dg + np.swapaxes(dg, i, j)
+    low -= np.swapaxes(dg, i, k)
+    if cg is not None:
+        low += cg
+        low -= np.swapaxes(cg, j, k)
+        low -= np.moveaxis(cg, k, i)
+    low *= 0.5
+    return low
 
 
 def christoffel(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, coords):

@@ -26,6 +26,11 @@ slot).  The references here compute the same quantities on other routes:
   ``flux_model_metric`` and extrapolates: the per-direction route that
   ``weylmass.mass.flux_pass`` reads off its symmetric shell forms.
   ``shell_nodes`` takes a whole shell as one block of ``node_blocks``;
+* ``per_gauge_shell_forms`` is the per-gauge route for a swept gauge f g:
+  the coordinate jet of f g by the product rule (``rescaled_jet``),
+  contracted as a gauge of its own, where the package forms the swept
+  integrands from g's; ``longdouble_shell_forms`` evaluates the same forms
+  from the same float jets in ``np.longdouble``, the reference for both;
 * the pointwise multilinear algebra at one point (``PointMetric``,
   ``WeightedForm``, ``wedge``, ``hodge_star``, ...) is the reference for
   the wedge form of D and for delta = -*d*; test-only fields follow it.
@@ -60,7 +65,7 @@ from weylmass.errors import DegreeError, GaugeMismatchError
 from weylmass.families import LeeFormField, MetricFamily, ScalarField, directional_profile, radial_profile
 from weylmass.identities import (IdentityReport, _perm_sign, _rng, _weight_pool, antisymmetrize,
                                  random_form_field, trial_point, trial_structure)
-from weylmass.mass import richardson_limit
+from weylmass.mass import _contract_shell, richardson_limit
 from weylmass.model import ModelSpace, sphere_volume
 from weylmass.probes import geometric_radii
 from weylmass.quadrature import QuadratureSpec, node_blocks
@@ -315,6 +320,62 @@ def direction_limits(engine: DerivativeEngine, ws: WeylStructure, z, radii=None,
                                         normals, weights) / norm)
     rate = 2 - model.m
     return richardson_limit(radii, q_vals, rate), richardson_limit(radii, c_vals, rate)
+
+
+def rescaled_jet(f_jet, g_jet) -> tuple:
+    """Coordinate jet of f g from the jets of a scalar f and a tensor g (product rule).
+
+    The gradient f dg + g df is built with the component axes outermost in
+    memory, the layout ``collect_jet`` gives a gathered jet, so the
+    contractions downstream round exactly as on a jet of f g taken directly.
+    """
+    f, df = f_jet
+    g, dg = g_jet
+    k = g.ndim - f.ndim
+    grad = np.empty(g.shape[:k] + df.shape)
+    np.add(f * np.moveaxis(dg, 0, k), g[(slice(None),) * k + (None,)] * df, out=grad)
+    return f * g, np.moveaxis(grad, k, 0)
+
+
+def per_gauge_shell_forms(model: ModelSpace, name: str, g_jet, theta, f_jet, pts, wn, gam) -> tuple:
+    """(Q, C) of gauge f g on one shell block by the per-gauge route: the jet of f g from ``rescaled_jet``,
+    contracted by ``_contract_shell`` as its base gauge (no factors), with the Lee form theta - df/(2f)."""
+    f, df = f_jet
+    theta_f = theta - model.frame_from_coord(df, model.split(pts)[0]) / (2.0 * f)
+    none = np.empty((0,) + f.shape)
+    q, c, _ = _contract_shell(model, [name], *rescaled_jet(f_jet, g_jet), theta_f, none,
+                              np.empty((model.dim,) + none.shape), pts, wn, gam)
+    return q[0], c[0]
+
+
+def longdouble_shell_forms(model: ModelSpace, g_jet, theta, f_jet, pts, wn, gam) -> tuple:
+    """(Q, C) of gauge f g on one shell block from the same float jets, evaluated in ``np.longdouble``.
+
+    The jet of f g, the frame conversion, v_k, the d term and the Lee form are
+    the formulas of ``_contract_shell`` with every operation rounded in the
+    wider type; ``gam`` is the h-Christoffel array (zeros on a holonomic
+    frame).  No definiteness check.
+    """
+    ld = np.longdouble
+    m = model.m
+    f, df = (np.asarray(a, dtype=ld) for a in f_jet)
+    g, dg = (np.asarray(a, dtype=ld) for a in g_jet)
+    A = np.asarray(model.connection_potential(model.split(pts)[0]), dtype=ld)
+
+    def frame(d):
+        out = d.copy()
+        for a in range(m):
+            out[a] = d[a] - A[a] * d[m]
+        return out
+
+    g, dg, df = f * g, frame(f * dg + g * df[:, None, None]), frame(df)
+    gam, wn, theta = (np.asarray(a, dtype=ld) for a in (gam, wn, theta))
+    v = (np.einsum("bbk...->k...", dg) - np.einsum("bbl...,lk...->k...", gam, g)
+         - np.einsum("bkl...,bl...->k...", gam, g) - np.einsum("kbb...->k...", dg) / 2)
+    a = np.einsum("kN,cN->kc", v[:m], wn)
+    d = np.einsum("cabN,cN->ab", dg[:m, :m, :m], wn)
+    b = np.einsum("kN,cN->kc", (theta - df / (2 * f))[:m], wn)
+    return (a + a.T) / 2 - (d + d.T) / 4, (1 - m) * (b + b.T) / 2 - np.trace(b) * np.eye(m, dtype=ld)
 
 
 # --- pointwise multilinear algebra at one chart point ------------------------

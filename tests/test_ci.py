@@ -1,6 +1,6 @@
 """The CI workflow installs the test extra, runs CLI smoke commands (a Hopf, an m = 5, a refined m = 5 and a
-Hopf compact_lee mass, a pointwise verify and an annulus verify at m = 3 and m = 4, then Hopf sweeps and a
-trivial-chart sweep),
+Hopf compact_lee mass, a pointwise verify and an annulus verify at m = 3 and m = 4, then Hopf sweeps, a
+trivial-chart sweep and a one-value Hopf sweep),
 summarizes every report they wrote, reruns a mass from the config its report embeds, and runs the tier-1 command
 that ROADMAP.md names, with a time limit."""
 
@@ -87,8 +87,10 @@ def test_workflow_sweep_smoke_runs_a_hopf_sweep():
     """After the verify smoke and before the report smoke, a 2-value radial_profile sweep on the Hopf
     fibration (the swept jets come from the product rule), then a
     directional_profile sweep there: its factor has an angular df and an off-diagonal ddf, so the factor
-    probe reads a full frame Hessian on the anholonomic chart.  Last, the radial_profile sweep on the
-    default trivial chart, whose holonomic frame takes the flux and probe paths without connection terms."""
+    probe reads a full frame Hessian on the anholonomic chart.  Then the radial_profile sweep on the
+    default trivial chart, whose holonomic frame takes the flux and probe paths without connection terms.
+    Last, a one-value Hopf sweep: one factor, the edge case of the factor axis that the shell kernel
+    stacks."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
@@ -98,12 +100,14 @@ def test_workflow_sweep_smoke_runs_a_hopf_sweep():
     configs = [json.loads(c) for c in re.findall(r"echo '([^']+)' > \"\$RUNNER_TEMP/", smoke)]
     sweep = {"name": "radial_profile", "param": "beta", "values": [0.2, 0.4]}
     directional = {"name": "directional_profile", "param": "beta", "values": [0.2, 0.3]}
+    one = {"name": "radial_profile", "param": "beta", "values": [0.3]}
     assert configs == [{"model": {"fibration": "hopf"}, "sweep": sweep},
                        {"model": {"fibration": "hopf"}, "sweep": directional},
-                       {"sweep": sweep}]
+                       {"sweep": sweep},
+                       {"model": {"fibration": "hopf"}, "sweep": one}]
     runs = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" .*\bsweep$",
                       smoke, re.MULTILINE)
-    assert runs == ["sweep", "sweep_dir", "sweep_trivial"]
+    assert runs == ["sweep", "sweep_dir", "sweep_trivial", "sweep_one"]
 
 
 def test_workflow_mass_smoke_runs_a_hopf_mass():
@@ -143,7 +147,8 @@ def test_workflow_report_smoke_reads_every_smoke_report():
                for name in ("Mass smoke", "CLI smoke", "Sweep smoke")
                for out, command in re.findall(r"--out \"\$RUNNER_TEMP/(\w+)\" (\w+)$",
                                               job["steps"][names.index(name)]["run"], re.MULTILINE)]
-    assert len(written) == 10
+    assert len(written) == 11
+    assert written[-1] == "$RUNNER_TEMP/sweep_one/sweep_report.jsonl"
     (line,) = job["steps"][names.index("Report smoke")]["run"].strip().splitlines()
     prefix = "PYTHONPATH=src python -m weylmass report "
     assert line.startswith(prefix)

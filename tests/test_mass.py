@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from weylmass.engine import frame_jet1
 from weylmass.errors import ChartDomainError, MassNotDefinedError
 from weylmass.families import (MetricFamily, compact_lee, conformal_sweep, flat_product,
                                hopf_model, kaluza_perturbation, kaluza_two_term,
@@ -22,8 +23,8 @@ from weylmass.quadrature import QuadratureSpec
 from weylmass.weyl import WeylStructure, lee_jet
 
 from oracles import (direction_limits, flux_model_metric, horizontal_field, lee_correction_components,
-                     q_flux_components, random_adapted_scalar, ricci_positivity_floor, shell_nodes,
-                     unit_scalar)
+                     longdouble_shell_forms, per_gauge_shell_forms, q_flux_components, random_adapted_scalar,
+                     ricci_positivity_floor, shell_nodes, unit_scalar)
 
 
 def x1_report(engine, ws, **kw):
@@ -422,8 +423,11 @@ def _audit_against_single_passes(space, engine, base, f, swept_equal):
 
     The swept gauge's metric is differentiated directly there, not by the product rule: the swept
     masses are compared with ``swept_equal``, as are the Q limits.  Both routes read the Lee form
-    theta - df/(2f) of gauge f g off the factor's jet1 (``lee_jet`` there).
+    theta - df/(2f) of gauge f g off the factor's jet1 (``lee_jet`` there).  The base masses and Q
+    limits are equal, and so is the predicted shift: half the correction limit of a structure whose Lee
+    form is the factor's df.
     """
+    from weylmass.families import LeeFormField
     from weylmass.weyl import gauge_change
 
     ws = WeylStructure(space, base, radial_lee(space, 0.4))
@@ -442,17 +446,21 @@ def _audit_against_single_passes(space, engine, base, f, swept_equal):
     swept = WeylStructure(space, conformal_sweep(ws.metric, f), ws.lee)
     assert pred.base_mass == base_reports["1*X1"].q_limit
     swept_equal(pred.swept_mass, reports(swept)["1*X1"].q_limit)
+    df_lee = LeeFormField("df", space, lambda c: frame_jet1(engine, space, f.as_field(), np.asarray(c))[1])
+    assert pred.predicted_delta == 0.5 * reports(WeylStructure(space, base, df_lee))["1*X1"].correction_limit
 
 
-def _exactly(got, want):
-    assert got == want
+def _to_roundoff(got, want):
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_gauge_audit_reads_every_report_off_two_passes(model, hopf_space, engine):
-    """In dual mode every report of the audit equals the single-gauge pipelines bitwise.
+    """In dual mode the audit's base reports and predicted shift equal the single-gauge pipelines bitwise,
+    and its swept masses and Q limits equal them to 1e-14 relative.
 
-    The swept jets come from g's jet by the product rule.  The swept masses also hold the Lee form of
-    f g, which both routes form as theta - df/(2f) off the factor's jet1.  Both charts, a base
+    The swept forms come from g's integrands by the product rule, summed over the nodes in a different
+    order than on the jet of f g, so they agree to roundoff, not bitwise.  The swept masses also hold the
+    Lee form of f g, which both routes form as theta - df/(2f) off the factor's jet1.  Both charts, a base
     that returns a nested list of jets (``kaluza_perturbation``) and one that
     returns an array-valued jet (``random_local_metric``), and three factors.
     """
@@ -462,7 +470,7 @@ def test_gauge_audit_reads_every_report_off_two_passes(model, hopf_space, engine
         for fam in (kaluza_perturbation(space, mu=1.0), random_local_metric(space, seed=4)):
             for f in (radial_profile(space, beta=0.3), random_adapted_scalar(space, seed=3),
                       directional_profile(space, beta=0.3)):
-                _audit_against_single_passes(space, engine, fam, f, _exactly)
+                _audit_against_single_passes(space, engine, fam, f, _to_roundoff)
 
 
 @pytest.mark.parametrize("factor", [lambda s: radial_profile(s, beta=0.3),
@@ -495,23 +503,24 @@ def test_gauge_audit_fd_swept_jets_match_direct_fd(hopf_space, fd_engine, factor
 
 
 def _count_shell_contractions(monkeypatch) -> list:
-    """Names of the metrics whose shell forms are contracted, one entry per shell and gauge."""
+    """Names of the metrics whose shell forms are contracted, one list of every gauge's per block."""
     import weylmass.mass as mass_mod
 
     calls = []
     contract = mass_mod._contract_shell
 
-    def counted(model, name, *args):
-        calls.append(name)
-        return contract(model, name, *args)
+    def counted(model, names, *args):
+        calls.append(list(names))
+        return contract(model, names, *args)
 
     monkeypatch.setattr(mass_mod, "_contract_shell", counted)
     return calls
 
 
 def test_gauge_audit_sweep_takes_one_base_pass(hopf_space, monkeypatch):
-    """N factors on R radii cost R metric jets, R N factor jets, R (N + 1) shell contractions and R evaluations
-    of the h-Christoffel coefficients; no f g is differentiated.
+    """N factors on R radii cost R metric jets, R N factor jets, R shell contractions (each of all N + 1
+    gauges), R Cholesky factorizations and R evaluations of the h-Christoffel coefficients; no f g is
+    differentiated.
 
     Each factor's reports equal a one-factor call.
     """
@@ -531,10 +540,14 @@ def test_gauge_audit_sweep_takes_one_base_pass(hopf_space, monkeypatch):
     lc_coeffs_h = ModelSpace.lc_coeffs_h
     monkeypatch.setattr(ModelSpace, "lc_coeffs_h",
                         lambda self, coords: lc_calls.append(1) or lc_coeffs_h(self, coords))
+    cholesky_calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: cholesky_calls.append(a.shape) or cholesky(a))
     results = gauge_audit(engine, ws, factors, radii=radii, quad=quad, check_decay=False)
     assert len(lc_calls) == len(radii)
+    assert len(cholesky_calls) == len(radii)
     swept_names = [conformal_sweep(ws.metric, f).name for f in factors]
-    assert calls == ([ws.metric.name] + swept_names) * len(radii)
+    assert calls == [[ws.metric.name] + swept_names] * len(radii)
     assert jets.count(ws.metric.name) == len(radii)
     assert not [name for name in jets if name.startswith("conformal_sweep(")]
     assert sum(jets.count(name) for name in {f.name for f in factors}) == len(radii) * len(factors)
@@ -546,10 +559,16 @@ def test_gauge_audit_sweep_takes_one_base_pass(hopf_space, monkeypatch):
         assert pred == alone_pred
 
 
+def _stacked(f_jets) -> tuple:
+    """The factor jets of one block stacked as ``_contract_shell`` takes them: f (F, N) and df (d, F, N)."""
+    return np.array([f for f, _ in f_jets]), np.stack([df for _, df in f_jets], axis=1)
+
+
 def test_holonomic_flux_and_probes_build_no_connection_terms(model, engine, monkeypatch):
     """On the trivial chart the flux pass, the sweep with decay probes, the Weyl-ALF probes and the Lie
-    bracket never build h's Christoffel coefficients or the frame brackets, and each shell's (Q_r, C_r)
-    equals, bitwise, the contraction fed the explicit zero h-Christoffel array."""
+    bracket never build h's Christoffel coefficients or the frame brackets, and each shell's forms of
+    every gauge (Q_r, C_r and the df forms) equal, bitwise, the contraction fed the explicit zero
+    h-Christoffel array."""
     import weylmass.mass as mass_mod
     from weylmass.identities import random_vector_field
     from weylmass.probes import require_weyl_alf
@@ -581,12 +600,111 @@ def test_holonomic_flux_and_probes_build_no_connection_terms(model, engine, monk
         assert gam.shape == (4, 4, 4, pts.shape[1]) and not np.any(gam)
         jet = engine.jet1(ws.metric.as_field(), pts)
         theta = lee_jet(engine, ws.lee, pts)
-        q, c = mass_mod._contract_shell(model, ws.metric.name, *jet, theta, pts, weights * normals, gam)
-        assert np.array_equal(forms.q[0, s], q / norm) and np.array_equal(forms.c[0, s], c / norm)
-        f_jet = engine.jet1(factors[0].as_field(), pts)
-        q, c = mass_mod._contract_shell(model, "f g", *mass_mod._rescaled_jet(f_jet, jet),
-                                        theta - f_jet[1] / (2.0 * f_jet[0]), pts, weights * normals, gam)
-        assert np.array_equal(forms.q[1, s], q / norm) and np.array_equal(forms.c[1, s], c / norm)
+        f, df = _stacked([engine.jet1(f.as_field(), pts) for f in factors])
+        q, c, df_forms = mass_mod._contract_shell(model, ["g", "f g", "f' g"], *jet, theta, f, df, pts,
+                                                  weights * normals, gam)
+        assert np.array_equal(forms.q[:, s], q / norm) and np.array_equal(forms.c[:, s], c / norm)
+        assert np.array_equal(forms.df[:, s], df_forms / norm)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="longdouble is double here")
+@pytest.mark.parametrize("chart", ["model", "hopf_space"])
+def test_swept_forms_are_no_farther_from_longdouble_than_the_per_gauge_route(request, engine, chart):
+    """The swept (Q, C) that ``_contract_shell`` forms from g's integrands by the product rule are, over
+    two bases, three factors and two radii, no farther from a ``np.longdouble`` evaluation of the same
+    float jets than the per-gauge route: the jet of f g by ``rescaled_jet``, contracted as a gauge of its
+    own."""
+    from weylmass.families import directional_profile, random_local_metric
+    from weylmass.mass import _contract_shell
+
+    space = request.getfixturevalue(chart)
+    factors = [radial_profile(space, beta=0.3), random_adapted_scalar(space, seed=3),
+               directional_profile(space, beta=0.3)]
+    err = {"kernel": 0.0, "per_gauge": 0.0}
+    for fam in (kaluza_perturbation(space, mu=1.0), random_local_metric(space, seed=4)):
+        ws = WeylStructure(space, fam, radial_lee(space, 0.4))
+        for r in (40.0, 320.0):
+            pts, weights, normals = shell_nodes(space, r, QuadratureSpec())
+            wn, gam = weights * normals, space.lc_coeffs_h(pts)
+            gam_or_none = None if space.holonomic else gam
+            jet, theta = engine.jet1(fam.as_field(), pts), lee_jet(engine, ws.lee, pts)
+            f_jets = [engine.jet1(f.as_field(), pts) for f in factors]
+            q, c, _ = _contract_shell(space, ["g"] * 4, *jet, theta, *_stacked(f_jets), pts, wn, gam_or_none)
+            for k, f_jet in enumerate(f_jets, 1):
+                want = longdouble_shell_forms(space, jet, theta, f_jet, pts, wn, gam)
+                scale = max(float(np.max(np.abs(w))) for w in want)
+                per_gauge = per_gauge_shell_forms(space, "f g", jet, theta, f_jet, pts, wn, gam_or_none)
+                for route, got in (("kernel", (q[k], c[k])), ("per_gauge", per_gauge)):
+                    err[route] = max(err[route], *(float(np.max(np.abs(a - b))) / scale
+                                                   for a, b in zip(got, want)))
+    assert 0.0 < err["kernel"] <= err["per_gauge"] < 1e-13, err
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, np.nan])
+@pytest.mark.parametrize("chart", ["model", "hopf_space"])
+def test_factor_not_positive_at_flux_nodes_past_the_probes_is_refused_as_before(request, engine, chart, bad):
+    """A factor that is zero, negative or NaN only at the flux nodes of r = 40 nearest the X1 axis passes
+    the positivity and adapted-class probes, which do not sample there.  The flux pass then raises the
+    ChartDomainError of the per-gauge route on the same block, which factorizes the gram of f g: the
+    message names the swept metric, the shell and the smallest eigenvalue."""
+    from weylmass import autodiff as am
+    from weylmass.engine import DerivativeEngine
+    from weylmass.families import ScalarField
+
+    space = request.getfixturevalue(chart)
+    smooth = radial_profile(space, beta=0.4)
+
+    def fn(c):
+        x = [am.value(c[a]) for a in range(space.m)]
+        dent = (x[0] > 39.2) & (np.sqrt(sum(v * v for v in x)) < 40.01)
+        return am.where(dent, bad, smooth.fn(c))
+
+    dented = ScalarField("dented", space, fn)
+    ws = WeylStructure(space, kaluza_perturbation(space, mu=1.0), radial_lee(space, 0.4))
+    pts, weights, normals = shell_nodes(space, 40.0, QuadratureSpec())
+    f_jet = engine.jet1(dented.as_field(), pts)
+    assert 0 < np.sum(~(f_jet[0] > 0)) < pts.shape[1]
+    with pytest.raises(ChartDomainError) as want, np.errstate(invalid="ignore"):  # theta - df/(2f) at f = 0
+        per_gauge_shell_forms(space, conformal_sweep(ws.metric, dented).name, engine.jet1(ws.metric.as_field(), pts),
+                              lee_jet(engine, ws.lee, pts), f_jet, pts, weights * normals,
+                              None if space.holonomic else space.lc_coeffs_h(pts))
+    assert "conformal_sweep(kaluza_perturbation,dented)' is not positive definite on the flux shell r=40 " \
+        in str(want.value)
+    with pytest.raises(ChartDomainError) as got:
+        gauge_audit(DerivativeEngine(), ws, [radial_profile(space, beta=0.2), dented], radii=[40.0, 80.0, 160.0])
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("chart", ["model", "hopf_space"])
+def test_swept_decay_probe_reads_f_g_off_the_probe_jets(request, monkeypatch, chart):
+    """With decay checks, a sweep takes one probe-grid jet2 of g and one of each factor, and no jet of any
+    f g: the first swept gauge's metric probes read f g off g's and f's jet2 by the second-order product
+    rule.  Those probes equal the ones of a direct jet2 of f g in pass/fail, and in norms and slopes to
+    1e-14, for a factor with an angular df and an off-diagonal ddf."""
+    from weylmass.engine import DerivativeEngine, frame_jet2
+    from weylmass.families import directional_profile
+    from weylmass.probes import metric_probes, probe_grid, rescaled_frame_jet2
+    from weylmass.weyl import gauge_change
+
+    space = request.getfixturevalue(chart)
+    ws = WeylStructure(space, kaluza_perturbation(space, mu=1.0), radial_lee(space, 0.4))
+    factors = [directional_profile(space, beta=0.3), radial_profile(space, beta=0.2)]
+    jets = []
+    jet2 = DerivativeEngine.jet2
+    monkeypatch.setattr(DerivativeEngine, "jet2", lambda self, fld, c: jets.append(fld.name) or jet2(self, fld, c))
+    engine = DerivativeEngine()
+    flux_pass(engine, ws, factors, radii=[40.0, 80.0], quad=QuadratureSpec(sphere=6, fiber=2))
+    assert jets.count(ws.metric.name) == 1
+    assert not [name for name in jets if name.startswith("conformal_sweep(")]
+
+    pts = probe_grid(space)
+    f_jet, g_jet = (frame_jet2(engine, space, fld.as_field(), pts) for fld in (factors[0], ws.metric))
+    swept = gauge_change(ws, factors[0]).metric
+    direct = metric_probes(engine, space, swept)
+    for want, got in zip(direct, metric_probes(engine, space, swept, rescaled_frame_jet2(f_jet, g_jet)), strict=True):
+        assert (got.name, got.passed) == (want.name, want.passed) and want.passed
+        assert got.norms == pytest.approx(want.norms, rel=1e-14, abs=0.0)
+        assert got.slope == pytest.approx(want.slope, rel=1e-14)
 
 
 @pytest.mark.parametrize("bad", [log_slow_profile, lambda model: radial_profile(model, beta=-3.0)])

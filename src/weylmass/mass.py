@@ -17,13 +17,18 @@ theta per node fix the whole form: each shell is contracted against its
 weights and normals into two symmetric m x m matrices Q_r and C_r with
 flux of q(Z) = z^T Q_r z and flux of the Lee term = z^T C_r z, the sums
 of the forms of the shell's blocks from ``quadrature.node_blocks``.  A
-flux block's measured working set is 12 n^3 bytes per node, so a block
-holds 2,022 nodes at m = 5 (the default 20,000-node shells are ten blocks)
-and 5,461 at m = 3 (a 416-node shell is one): large blocks, since each
-pays a fixed Python overhead.  Each swept gauge adds up to 16.4 n^2 bytes
-per node, budgeted at 20 n^2.  The Lee-type flux form of any 1-form a is C = (1 - m) sym(B) -
-tr(B) I for B = sum w a (x) nu.  The mass matrix, the Q-part matrix and
-every per-direction report are read off these forms.
+flux block is budgeted 12 n^3 bytes per node, so a block holds 2,022 nodes
+at m = 5 (the default 20,000-node shells are ten blocks) and 5,461 at
+m = 3 (a 416-node shell is one): large blocks, since each pays a fixed
+Python overhead.  Under tracemalloc one block with no factors peaks at
+11.4 n^3 bytes per node at m = 5 (2,022 nodes), the only case where a
+shell spans several blocks; at m = 3 it peaks at 13.8 n^3 on the trivial
+chart and 36.6 n^3 on the Hopf chart (416 nodes, about 1 MB), where
+``lc_coeffs_h`` builds rank-3 structure constants and Christoffel arrays.
+Each swept gauge adds up to 16.4 n^2 bytes per node, budgeted at 20 n^2.
+The Lee-type flux form of any 1-form a is C = (1 - m) sym(B) - tr(B) I
+for B = sum w a (x) nu.  The mass matrix, the Q-part matrix and every
+per-direction report are read off these forms.
 
 Under g -> f g the Lee form becomes theta - df/(2f) and the conformal mass
 form stays the same.  ``flux_pass`` is the one loop over the shells: on
@@ -35,13 +40,18 @@ the product rule: v_k(f g) = f v_k(g) + g_kb E_b f - tr_h(g) E_k f / 2,
 and the d integrand f E_c g_ab + E_c f g_ab.  So g is differentiated,
 frame-converted and checked for positive definiteness once per block
 however long the sweep, and f g is positive definite where f is finite
-and positive.  The same factor jet gives the Lee form theta - df/(2f) of
-gauge f g, with theta evaluated once per block, and the Lee-type form of
-df, the predicted shift of the Q part.  ``mass_matrix`` runs the pass with
-no factors and ``gauge_audit`` with the factors of a sweep.  The
-per-direction densities of q(Z) and of the Lee term, and the per-gauge
-route that contracts the jet of f g as a gauge of its own, are kept in the
-test suite as the independent oracles.
+and positive.  The check is the verdict of ``weyl.gram_factor``, the
+package's one Cholesky kernel for batch-last blocks: every pivot finite
+and > 0.  It factors the whole block by vector operations along the node
+axis, where LAPACK copies each n x n matrix out of the batch-last block
+and factors it in a call of its own (0.26 ms against 0.56-0.93 ms on a
+2,022-node block at m = 5).  The same factor jet gives the Lee form
+theta - df/(2f) of gauge f g, with theta evaluated once per block, and
+the Lee-type form of df, the predicted shift of the Q part.
+``mass_matrix`` runs the pass with no factors and ``gauge_audit`` with
+the factors of a sweep.  The per-direction densities of q(Z) and of the
+Lee term, and the per-gauge route that contracts the jet of f g as a
+gauge of its own, are kept in the test suite as the independent oracles.
 
 Limits are realized on a geometric radius schedule with one Richardson
 extrapolation step at the generic remainder rate r^(2-m) of the integrated
@@ -65,7 +75,7 @@ from .model import ModelSpace, sphere_volume
 from .probes import (geometric_radii, probe_grid, require_adapted, require_positive, require_weyl_alf,
                      rescaled_frame_jet2)
 from .quadrature import QuadratureSpec, node_blocks
-from .weyl import WeylStructure, gauge_change, lee_jet
+from .weyl import WeylStructure, gauge_change, gram_factor, lee_jet, regauged_lee_jet
 
 # the default flux radii: ``count`` geometric radii from r0 to rmax
 FLUX_RADII = {"r0": 40.0, "rmax": 320.0, "count": 6}
@@ -105,17 +115,14 @@ def _contract_shell(model: ModelSpace, names, g, dg, theta, f, df, pts, wn, gam)
     forms are linear in the factor jet: v_k and the d integrand of f g come
     from g's by the product rule, so nothing of f g is differentiated or
     factorized.  Raises ChartDomainError if g is not positive definite at
-    some node, or f g, i.e. f is not finite and positive there.
+    some node (a pivot of ``gram_factor`` that is not finite and > 0), or
+    f g, i.e. f is not finite and positive there.
     """
     m = model.m
     x = model.split(pts)[0]
     dg = model.frame_from_coord(dg, x)
     gram = np.moveaxis(g, (0, 1), (-2, -1))
-    try:
-        definite = bool(np.all(np.isfinite(np.linalg.cholesky(gram))))
-    except np.linalg.LinAlgError:
-        definite = False
-    if not definite:
+    if not np.all(gram_factor(g)[1]):
         _refuse_indefinite(model, names[0], gram, pts)
     # v_k = sum_b (grad^h_{E_b} g)(E_b, E_k) - E_k(tr_h g) / 2
     v = np.einsum("bbk...->k...", dg)
@@ -196,8 +203,8 @@ def _probe_gauges(engine: DerivativeEngine, ws: WeylStructure, factors, rmax: fl
     """Refuse a factor that is not positive out to ``rmax`` or not adapted, then with ``check_decay`` data
     that fails the Weyl-ALF probes in gauge g or in the first swept gauge.
 
-    The swept gauge's metric probes read the probe-grid jet2 of f g off g's and f's by the product rule.
-    The probe jets are local, so none is held through the flux work.
+    The swept gauge's probes take no jet: its metric jet2 is read off g's and f's by the product rule, and its
+    Lee jet off g's Lee jet and f's jet2.  The probe jets are local, so none is held through the flux work.
     """
     model = ws.model
     f_jets = []
@@ -205,11 +212,14 @@ def _probe_gauges(engine: DerivativeEngine, ws: WeylStructure, factors, rmax: fl
         require_positive(model, f, rmax)
         f_jets.append(require_adapted(engine, model, f))
     if check_decay:
-        g_jet = frame_jet2(engine, model, ws.metric.as_field(), probe_grid(model))
-        require_weyl_alf(engine, model, ws.metric, ws.lee, g_jet)
+        pts = probe_grid(model)
+        g_jet = frame_jet2(engine, model, ws.metric.as_field(), pts)
+        theta_jet = lee_jet(engine, ws.lee, pts, order=1)
+        require_weyl_alf(engine, model, ws.metric, ws.lee, g_jet, theta_jet)
         for f, f_jet in zip(factors[:1], f_jets):
             swept = gauge_change(ws, f)
-            require_weyl_alf(engine, model, swept.metric, swept.lee, rescaled_frame_jet2(f_jet, g_jet))
+            require_weyl_alf(engine, model, swept.metric, swept.lee, rescaled_frame_jet2(f_jet, g_jet),
+                             regauged_lee_jet(theta_jet, f_jet))
 
 
 def flux_pass(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[ScalarField] = (),
@@ -240,8 +250,8 @@ def flux_pass(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[Sca
     _probe_gauges(engine, ws, factors, radii[-1], check_decay)
 
     names = [ws.metric.name] + [conformal_sweep(ws.metric, f).name for f in factors]
-    # measured working set per node: one and a half rank-3 arrays (n^3 doubles), and up to 16.4 n^2 bytes per
-    # swept gauge (m = 3 and 5), budgeted at 20 n^2
+    # working set per node (module docstring): about one and a half rank-3 arrays (n^3 doubles), 11.4 n^3 bytes
+    # measured at m = 5, and up to 16.4 n^2 bytes per swept gauge (m = 3 and 5), budgeted at 20 n^2
     node_bytes = (12 * model.dim + 20 * len(factors)) * model.dim**2
     shells = []
     for r in radii:

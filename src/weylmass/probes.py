@@ -9,7 +9,8 @@ and reads every probed quantity off it: a metric jet2 gives g - h, grad_h g
 and grad2_h g, a Lee-form jet (``weyl.lee_jet``) gives theta and d(theta),
 a conformal-factor jet2 gives f - 1, df and ddf.  A suite handed its jet takes
 none: the metric jet2 of a swept gauge f g is read off those of g and f by
-the product rule (``rescaled_frame_jet2``).  A probe takes the sup of the frame norm over
+the product rule (``rescaled_frame_jet2``), and its Lee jet off g's Lee jet
+and f's jet2 (``weyl.regauged_lee_jet``).  A probe takes the sup of the frame norm over
 the directions at each radius, fits the slope of log(norm) against log(r) by
 least squares, and PASSes when the slope is at most the required rate
 (``declared`` in the report) plus SLOPE_MARGIN (0.2, matching the acceptance tolerance).
@@ -150,11 +151,11 @@ def metric_probes(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily
             for v, req, tag in zip(values, (2 - m, 1 - m, -m), ("g-h", "grad_h g", "grad2_h g"))]
 
 
-def lee_probes(engine: DerivativeEngine, model: ModelSpace, lee: LeeFormField) -> list[ProbeReport]:
-    """Weyl-ALF probes: theta at rate 1-m and d(theta) at rate 2-m."""
+def lee_probes(engine: DerivativeEngine, model: ModelSpace, lee: LeeFormField, jet=None) -> list[ProbeReport]:
+    """Weyl-ALF probes: theta at rate 1-m and d(theta) at rate 2-m (``jet``: its probe-grid ``lee_jet`` at order 1)."""
     m = model.m
     pts = probe_grid(model)
-    theta, dtheta = lee_jet(engine, lee, pts, order=1)
+    theta, dtheta = jet or lee_jet(engine, lee, pts, order=1)
     dtheta = _faraday_components(theta, dtheta, _brackets(model, pts))
     return [probe_tensor_field(theta, 1 - m, f"{lee.name}:theta", PROBE_RADII),
             probe_tensor_field(dtheta, 2 - m, f"{lee.name}:dtheta", PROBE_RADII)]
@@ -235,10 +236,11 @@ def require_alf(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, 
 
 
 def require_weyl_alf(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily,
-                     lee: LeeFormField, jet=None) -> list[ProbeReport]:
-    """Metric and Lee-form decay probes; ``jet`` is the metric's probe-grid frame jet2, taken when not given."""
+                     lee: LeeFormField, jet=None, theta_jet=None) -> list[ProbeReport]:
+    """Metric and Lee-form decay probes; ``jet`` is the metric's probe-grid frame jet2 and ``theta_jet`` the
+    Lee form's probe-grid jet1, each taken when not given."""
     reports = require_alf(engine, model, fam, jet)
-    lreports = lee_probes(engine, model, lee)
+    lreports = lee_probes(engine, model, lee, theta_jet)
     names = _failed_probes(lreports)
     if names:
         raise MassNotDefinedError(f"lee form {lee.name!r} fails decay probes: {names}")

@@ -12,6 +12,11 @@ symmetric eigensolver, so numpy is the package's only runtime dependency.
 Hypersurface fluxes over {r = const} use the product measure
 r^(m-1) dsigma x dt, which is exact for the model metric; fluxes measured
 with a curved metric g go through the Leray form sqrt(det G) g^{-1}(w, dr).
+sqrt(det G) is the product of the pivots of ``weyl.gram_factor``'s Cholesky
+factor (``weyl.sqrt_det_gram``) and g^{-1} comes from the same kernel
+(``weyl.inv_gram``): both run along the node axis of a block, with no
+per-matrix LAPACK call, and refuse a gram that is not positive definite at
+some node with a ChartDomainError.
 
 ``node_blocks`` is the one builder of chart nodes.  Every shell and annulus
 integral streams its radial x sphere x fiber nodes through it, one block
@@ -36,6 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .model import ModelSpace
+from .weyl import sqrt_det_gram
 
 # 26-point octahedral rule on S^2: 6 axis points, 12 edge midpoints, 8 cube corners.
 _W26 = (1.0 / 21.0, 4.0 / 105.0, 27.0 / 840.0)
@@ -190,14 +196,11 @@ def flux_curved_metric(oneform_values: np.ndarray, gram: np.ndarray, ginv: np.nd
     outward orientation.  The flux is the sum of the terms.  ``ginv`` is the
     inverse of ``gram``, which the caller already holds.
     """
-    dets = np.linalg.det(np.moveaxis(gram, (0, 1), (-2, -1)))
     dr = np.concatenate([normals, np.zeros((1, normals.shape[1]))], axis=0)
     contracted = np.einsum("ab...,a...,b...->...", ginv, oneform_values, dr)
-    return np.sqrt(dets) * contracted * weights
+    return sqrt_det_gram(gram) * contracted * weights
 
 
 def volume_integral_curved(gram: np.ndarray, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Per-node terms of the integral of a scalar density against vol_g = sqrt(det G) vol_h."""
-    moved = np.moveaxis(gram, (0, 1), (-2, -1))
-    dets = np.linalg.det(moved)
-    return values * np.sqrt(dets) * weights
+    return values * sqrt_det_gram(gram) * weights

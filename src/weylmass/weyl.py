@@ -17,10 +17,14 @@ D_X w = nabla^g_X w + (k - p) theta(X) w - theta ^ (X _| w) + X^b ^ (theta# _| w
 is assembled only in the tests, as the kernel's independent oracle.
 
 All conformal-frame sums are realized in the fixed model frame through
-inverse-Gram contractions with g.  Weighted forms are never implicitly
-coerced between gauges; cross-gauge comparisons go through the explicit
-f**(k/2) regauging rule.  A gauge change g -> f g records f on the Lee
-form, and ``lee_jet`` reads theta - df/(2f) off the jets of theta and f.
+inverse-Gram contractions with g.  On a node block g^-1 comes from
+``gram_factor``, an unpivoted Cholesky run along the batch axis, the one
+kernel that also gives the flux pass its definiteness check and the
+curved quadratures sqrt(det g); a single batch-less gram keeps LAPACK.
+Weighted forms are never implicitly coerced between gauges; cross-gauge
+comparisons go through the explicit f**(k/2) regauging rule.  A gauge
+change g -> f g records f on the Lee form, and ``lee_jet`` reads
+theta - df/(2f) off the jets of theta and f.
 
 Curvature is algebra on (W, dW, C): the coefficients W of D, their frame
 derivatives dW and the frame structure constants C.  On a holonomic frame
@@ -55,12 +59,14 @@ a derivative block H[i; J] holds (D_{E_i} w)_J with the direction slot first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 from typing import Callable
 
 import numpy as np
 
 from .engine import DerivativeEngine, Field, frame_jet1, frame_jet2
-from .errors import DegreeError, GaugeMismatchError
+from .errors import ChartDomainError, DegreeError, GaugeMismatchError
 from .families import LeeFormField, MetricFamily, ScalarField, conformal_sweep
 from .model import ModelSpace
 
@@ -107,10 +113,19 @@ def lee_jet(engine: DerivativeEngine, lee: LeeFormField, coords, order: int = 0)
             return theta
         fv, df = frame_jet1(engine, model, f.as_field(), coords)
         return theta - df / (2.0 * fv)
-    theta, dtheta = frame_jet1(engine, model, fld, coords)
+    theta_jet = frame_jet1(engine, model, fld, coords)
     if f is None:
-        return theta, dtheta
-    fv, df, ddf = frame_jet2(engine, model, f.as_field(), coords)
+        return theta_jet
+    return regauged_lee_jet(theta_jet, frame_jet2(engine, model, f.as_field(), coords))
+
+
+def regauged_lee_jet(theta_jet, f_jet) -> tuple:
+    """(theta_fg, E theta_fg) of theta_fg = theta - df/(2f), from the frame jet1 of theta and the frame jet2 of f.
+
+    E_p theta_fg = E_p theta - E_p E_i f/(2f) + E_i f E_p f/(2f^2).
+    """
+    theta, dtheta = theta_jet
+    fv, df, ddf = f_jet
     return (theta - df / (2.0 * fv),
             dtheta - ddf / (2.0 * fv) + df[:, None] * df[None, :] / (2.0 * fv * fv))
 
@@ -120,12 +135,81 @@ def lee_jet(engine: DerivativeEngine, lee: LeeFormField, coords, order: int = 0)
 # ---------------------------------------------------------------------------
 
 
+def gram_factor(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factor L (g = L L^T, lower triangular) of a batch-last gram (n, n) + batch, and its verdict.
+
+    Unpivoted, one column at a time (Golub & Van Loan, *Matrix Computations*,
+    sec. 4.2), every operation elementwise along the batch axes: nothing is
+    reduced across nodes, so no bit of a node depends on the block size.
+    Only the lower triangle of g is read.  The verdict (batch) is True where
+    every pivot is finite and > 0, i.e. where g is positive definite; a
+    failing pivot is reported, never raised, whatever the caller's errstate.
+    """
+    n = g.shape[0]
+    # L^T: row j holds column j of L, so each update reads and writes one contiguous run of rows
+    lt = np.zeros(g.shape)
+    with np.errstate(all="ignore"):
+        for j in range(n):
+            s = lt[j, j:]
+            s[...] = g[j:, j]
+            for k in range(j):
+                s -= lt[k, j:] * lt[k, j]
+            np.sqrt(s[0], out=s[0])
+            s[1:] /= s[0]
+        # sqrt(p) is finite and > 0 exactly where the pivot p is
+        pivots = np.diagonal(lt)
+        definite = np.all(np.isfinite(pivots) & (pivots > 0), axis=-1)
+    return lt.swapaxes(0, 1), definite
+
+
+def _definite_factor(g: np.ndarray) -> np.ndarray:
+    """``gram_factor``'s L of a batch-last gram; ChartDomainError where g is not positive definite."""
+    L, definite = gram_factor(g)
+    if not np.all(definite):
+        raise ChartDomainError(f"metric is not positive definite at {np.sum(~definite)} of {definite.size}"
+                               " nodes of a node block")
+    return L
+
+
 def inv_gram(g: np.ndarray) -> np.ndarray:
+    """g^-1 of one gram (n, n), or of a batch-last block (n, n) + batch, returned C-order and batch-last.
+
+    A block is inverted as L^-T L^-1 from ``gram_factor``: L^-1 by forward
+    substitution, then the lower triangle of the product, mirrored, all
+    elementwise along the batch.  A block where g is not positive definite
+    raises ChartDomainError.  The batch-less gram of the pointwise checks
+    keeps LAPACK's ``inv``: on one 4 x 4 matrix the column loops, a fixed
+    count of numpy calls, take 0.11 ms against LAPACK's 0.005 ms.
+    """
     if g.ndim == 2:
         return np.linalg.inv(g)
-    moved = np.moveaxis(g, (0, 1), (-2, -1))
-    # contiguous: einsum runs several times faster on batch-last C-order operands
-    return np.ascontiguousarray(np.moveaxis(np.linalg.inv(moved), (-2, -1), (0, 1)))
+    L = _definite_factor(g)
+    n = g.shape[0]
+    linv = np.zeros(g.shape)
+    for i in range(n):
+        linv[i, i] = 1.0 / L[i, i]
+        if i:
+            acc = L[i, 0] * linv[0, :i]
+            for k in range(1, i):
+                acc += L[i, k] * linv[k, :i]
+            np.multiply(acc, -linv[i, i], out=linv[i, :i])
+    out = np.empty(g.shape)
+    for a in range(n):
+        for b in range(a + 1):
+            s = linv[a, a] * linv[a, b]
+            for k in range(a + 1, n):
+                s += linv[k, a] * linv[k, b]
+            out[a, b] = out[b, a] = s
+    return out
+
+
+def sqrt_det_gram(g: np.ndarray) -> np.ndarray:
+    """sqrt(det g) of a batch-last gram block, the product of ``gram_factor``'s pivots L_jj.
+
+    Raises ChartDomainError where g is not positive definite, as ``inv_gram``.
+    """
+    L = _definite_factor(g)
+    return reduce(mul, (L[j, j] for j in range(g.shape[0])))
 
 
 def tdot(vec: np.ndarray, arr: np.ndarray, axis: int = 0) -> np.ndarray:

@@ -1,6 +1,6 @@
 """The CI workflow installs the test extra, runs CLI smoke commands (a Hopf, an m = 5, a refined m = 5 and a
 Hopf compact_lee mass, a pointwise verify and an annulus verify at m = 3 and m = 4, then Hopf sweeps, a
-trivial-chart sweep and a one-value Hopf sweep),
+trivial-chart sweep, a one-value Hopf sweep and an m = 5 sweep),
 summarizes every report they wrote, reruns a mass from the config its report embeds, and runs the tier-1 command
 that ROADMAP.md names, with a time limit."""
 
@@ -89,8 +89,9 @@ def test_workflow_sweep_smoke_runs_a_hopf_sweep():
     directional_profile sweep there: its factor has an angular df and an off-diagonal ddf, so the factor
     probe reads a full frame Hessian on the anholonomic chart.  Then the radial_profile sweep on the
     default trivial chart, whose holonomic frame takes the flux and probe paths without connection terms.
-    Last, a one-value Hopf sweep: one factor, the edge case of the factor axis that the shell kernel
-    stacks."""
+    Then a one-value Hopf sweep: one factor, the edge case of the factor axis that the shell kernel
+    stacks.  Last, a 2-value radial_profile sweep at m = 5: the one smoke where the Cholesky kernel runs
+    at n = 6 on blocks with swept gauges."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
@@ -104,10 +105,11 @@ def test_workflow_sweep_smoke_runs_a_hopf_sweep():
     assert configs == [{"model": {"fibration": "hopf"}, "sweep": sweep},
                        {"model": {"fibration": "hopf"}, "sweep": directional},
                        {"sweep": sweep},
-                       {"model": {"fibration": "hopf"}, "sweep": one}]
+                       {"model": {"fibration": "hopf"}, "sweep": one},
+                       {"model": {"m": 5}, "sweep": sweep}]
     runs = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" .*\bsweep$",
                       smoke, re.MULTILINE)
-    assert runs == ["sweep", "sweep_dir", "sweep_trivial", "sweep_one"]
+    assert runs == ["sweep", "sweep_dir", "sweep_trivial", "sweep_one", "sweep_m5"]
 
 
 def test_workflow_mass_smoke_runs_a_hopf_mass():
@@ -147,8 +149,8 @@ def test_workflow_report_smoke_reads_every_smoke_report():
                for name in ("Mass smoke", "CLI smoke", "Sweep smoke")
                for out, command in re.findall(r"--out \"\$RUNNER_TEMP/(\w+)\" (\w+)$",
                                               job["steps"][names.index(name)]["run"], re.MULTILINE)]
-    assert len(written) == 11
-    assert written[-1] == "$RUNNER_TEMP/sweep_one/sweep_report.jsonl"
+    assert len(written) == 12
+    assert written[-1] == "$RUNNER_TEMP/sweep_m5/sweep_report.jsonl"
     (line,) = job["steps"][names.index("Report smoke")]["run"].strip().splitlines()
     prefix = "PYTHONPATH=src python -m weylmass report "
     assert line.startswith(prefix)

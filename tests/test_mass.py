@@ -160,6 +160,28 @@ def test_shell_forms_refuse_indefinite_metric(model, engine):
         mass_matrix(engine, ws, radii=geometric_radii(1.5, 12.0, 6), check_decay=False)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("chart", ["model", "hopf_space"])
+def test_metric_not_finite_at_flux_nodes_is_refused_as_not_positive_definite(request, engine, chart, bad):
+    """A metric that is NaN or infinite only at the flux nodes of r = 40 nearest the X1 axis is refused with
+    the ChartDomainError of the definiteness check, under the CLI's errstate: the Cholesky kernel reports
+    its non-finite pivots instead of raising FloatingPointError ("numerical failure")."""
+    from weylmass import autodiff as am
+
+    space = request.getfixturevalue(chart)
+    smooth = kaluza_perturbation(space, mu=1.0)
+
+    def fn(c):
+        x = [am.value(c[a]) for a in range(space.m)]
+        hole = (x[0] > 39.2) & (np.sqrt(sum(v * v for v in x)) < 40.01)
+        return [[am.where(hole, bad, e) for e in row] for row in smooth.fn(c)]
+
+    ws = WeylStructure(space, MetricFamily("holed", space, fn), radial_lee(space, 0.4))
+    with pytest.raises(ChartDomainError) as exc, np.errstate(over="raise", divide="raise", invalid="raise"):
+        mass_matrix(engine, ws, radii=[40.0, 80.0], check_decay=False)
+    assert str(exc.value).startswith("metric 'holed' is not positive definite on the flux shell r=40 ")
+
+
 # --- Riemannian mass -----------------------------------------------------------------
 
 
@@ -519,11 +541,12 @@ def _count_shell_contractions(monkeypatch) -> list:
 
 def test_gauge_audit_sweep_takes_one_base_pass(hopf_space, monkeypatch):
     """N factors on R radii cost R metric jets, R N factor jets, R shell contractions (each of all N + 1
-    gauges), R Cholesky factorizations and R evaluations of the h-Christoffel coefficients; no f g is
-    differentiated.
+    gauges), R calls of the Cholesky kernel ``gram_factor`` and R evaluations of the h-Christoffel
+    coefficients; no f g is differentiated.
 
     Each factor's reports equal a one-factor call.
     """
+    import weylmass.mass as mass_mod
     from weylmass.engine import DerivativeEngine
 
     engine = DerivativeEngine()
@@ -540,12 +563,12 @@ def test_gauge_audit_sweep_takes_one_base_pass(hopf_space, monkeypatch):
     lc_coeffs_h = ModelSpace.lc_coeffs_h
     monkeypatch.setattr(ModelSpace, "lc_coeffs_h",
                         lambda self, coords: lc_calls.append(1) or lc_coeffs_h(self, coords))
-    cholesky_calls = []
-    cholesky = np.linalg.cholesky
-    monkeypatch.setattr(np.linalg, "cholesky", lambda a: cholesky_calls.append(a.shape) or cholesky(a))
+    factor_calls = []
+    gram_factor = mass_mod.gram_factor
+    monkeypatch.setattr(mass_mod, "gram_factor", lambda g: factor_calls.append(g.shape) or gram_factor(g))
     results = gauge_audit(engine, ws, factors, radii=radii, quad=quad, check_decay=False)
     assert len(lc_calls) == len(radii)
-    assert len(cholesky_calls) == len(radii)
+    assert len(factor_calls) == len(radii)
     swept_names = [conformal_sweep(ws.metric, f).name for f in factors]
     assert calls == [[ws.metric.name] + swept_names] * len(radii)
     assert jets.count(ws.metric.name) == len(radii)
@@ -705,6 +728,42 @@ def test_swept_decay_probe_reads_f_g_off_the_probe_jets(request, monkeypatch, ch
         assert (got.name, got.passed) == (want.name, want.passed) and want.passed
         assert got.norms == pytest.approx(want.norms, rel=1e-14, abs=0.0)
         assert got.slope == pytest.approx(want.slope, rel=1e-14)
+
+
+@pytest.mark.parametrize("chart", ["model", "hopf_space"])
+def test_swept_lee_probes_read_theta_f_g_off_the_probe_jets(request, monkeypatch, chart):
+    """With decay checks, the probes take one probe-grid jet1 of the Lee form (the base gauge's) and one jet2
+    of each factor (its adapted-class probe) and nothing else of either: the first swept gauge's Lee probes
+    read theta - df/(2f) off those jets by ``weyl.regauged_lee_jet``, the rule ``lee_jet`` applies.  Its
+    probes equal those of a direct ``lee_jet`` of the swept Lee form, bit for bit."""
+    from weylmass.engine import DerivativeEngine, frame_jet2
+    from weylmass.families import directional_profile
+    from weylmass.probes import lee_probes, probe_grid
+    from weylmass.weyl import gauge_change, regauged_lee_jet
+
+    space = request.getfixturevalue(chart)
+    ws = WeylStructure(space, kaluza_perturbation(space, mu=1.0), radial_lee(space, 0.4))
+    factors = [directional_profile(space, beta=0.3), radial_profile(space, beta=0.2)]
+    jets = []
+    for order in ("jet1", "jet2"):
+        method = getattr(DerivativeEngine, order)
+        monkeypatch.setattr(DerivativeEngine, order,
+                            lambda self, fld, c, order=order, method=method: (jets.append((order, fld.name, c.shape))
+                                                                               or method(self, fld, c)))
+    engine = DerivativeEngine()
+    flux_pass(engine, ws, factors, radii=[40.0, 80.0], quad=QuadratureSpec(sphere=6, fiber=2))
+    probe_nodes = (space.dim, 40)
+    assert [j for j in jets if j[2] == probe_nodes] == [("jet2", f.name, probe_nodes) for f in factors] + [
+        ("jet2", ws.metric.name, probe_nodes), ("jet1", ws.lee.name, probe_nodes)]
+
+    monkeypatch.undo()
+    pts = probe_grid(space)
+    swept = gauge_change(ws, factors[0]).lee
+    got = lee_probes(engine, space, swept, regauged_lee_jet(lee_jet(engine, ws.lee, pts, order=1),
+                                                            frame_jet2(engine, space, factors[0].as_field(), pts)))
+    want = lee_probes(engine, space, swept)
+    assert all(w.passed for w in want)
+    assert [(r.name, r.passed, r.norms, r.slope) for r in got] == [(r.name, r.passed, r.norms, r.slope) for r in want]
 
 
 @pytest.mark.parametrize("bad", [log_slow_profile, lambda model: radial_profile(model, beta=-3.0)])

@@ -555,3 +555,102 @@ def test_gauge_covariance_of_operators(model, engine, op):
     expected = out1 * fval ** (weight / 2.0)
     scale = max(1.0, float(np.max(np.abs(expected))))
     assert np.max(np.abs(out2 - expected)) / scale < 1e-6
+
+
+# --- the Cholesky kernel of gram blocks ---------------------------------------------
+
+
+def _gram_block(n: int, seed: int):
+    """A batch-last (n, n, N) block and the condition number of each of its symmetric matrices.
+
+    Random SPD matrices with condition numbers from 1 up to 1e10 (one at exactly 1e10), then, with
+    condition number inf: a semidefinite matrix whose 2 x 2 block [[1, 1], [1, 1]] gives an exactly zero
+    pivot, an indefinite one, and matrices holding NaN, +inf or -inf entries.
+    """
+    rng = np.random.default_rng([seed, n])
+    conds = np.concatenate([[1.0, 1e10], 10.0 ** rng.uniform(0.0, 10.0, 38)])
+    q = np.linalg.qr(rng.normal(size=(conds.size, n, n)))[0]
+    eig = rng.uniform(0.1, 10.0, (conds.size, 1)) * conds[:, None] ** np.linspace(0.0, 1.0, n)
+    spd = (q * eig[:, None, :]) @ q.swapaxes(1, 2)
+    spd = 0.5 * (spd + spd.swapaxes(1, 2))
+    semi = np.eye(n)
+    semi[1, 2] = semi[2, 1] = semi[2, 2] = 1.0
+    indefinite = q[0] @ np.diag(np.r_[-1.0, np.linspace(1.0, 2.0, n - 1)]) @ q[0].T
+    bad = []
+    for i, j, v in ((0, 0, np.nan), (n - 1, 0, np.nan), (1, 1, np.inf), (n - 1, 1, np.inf), (2, 2, -np.inf)):
+        a = spd[2].copy()
+        a[i, j] = a[j, i] = v
+        bad.append(a)
+    mats = np.concatenate([spd, [semi, indefinite], bad])
+    return np.ascontiguousarray(np.moveaxis(mats, 0, -1)), np.concatenate([conds, np.full(2 + len(bad), np.inf)])
+
+
+def _lapack_verdict(a) -> bool:
+    """np.linalg.cholesky's verdict on one matrix: it factors a, and the factor is finite."""
+    try:
+        return bool(np.all(np.isfinite(np.linalg.cholesky(a))))
+    except np.linalg.LinAlgError:
+        return False
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_gram_factor_agrees_with_lapack_node_by_node(n):
+    """The verdict equals np.linalg.cholesky's at every node, raising nothing under errstate(all="raise");
+    on the SPD nodes g^-1 and sqrt(det g) agree with np.linalg.inv and sqrt(np.linalg.det) to 1e-12
+    relative, scaled by the node's condition number."""
+    from weylmass.weyl import gram_factor, inv_gram, sqrt_det_gram
+
+    block, conds = _gram_block(n, 3)
+    with np.errstate(all="raise"):
+        L, definite = gram_factor(block)
+    assert L.shape == block.shape and definite.shape == block.shape[2:]
+    assert definite.tolist() == [_lapack_verdict(a) for a in np.moveaxis(block, -1, 0)]
+    assert definite.tolist() == list(np.isfinite(conds))
+
+    spd = block[..., definite]
+    mats = np.moveaxis(spd, -1, 0)
+    ginv = inv_gram(spd)
+    assert ginv.flags.c_contiguous and ginv.shape == spd.shape
+    inv_err = np.max(np.abs(np.moveaxis(ginv, -1, 0) - np.linalg.inv(mats)), axis=(1, 2))
+    assert np.all(inv_err <= 1e-12 * conds[definite] * np.max(np.abs(np.linalg.inv(mats)), axis=(1, 2)))
+    ref = np.sqrt(np.linalg.det(mats))
+    assert np.all(np.abs(sqrt_det_gram(spd) - ref) <= 1e-12 * conds[definite] * ref)
+    assert np.allclose(np.einsum("ik...,jk...->ij...", L[..., definite], L[..., definite]), spd,
+                       rtol=0.0, atol=1e-12 * np.max(np.abs(spd)))
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_gram_factor_is_independent_of_the_block_size(n):
+    """A block factored whole equals its nodes factored in smaller blocks, or on a second batch axis, bit for
+    bit; so do g^-1 and sqrt(det g) of its SPD nodes."""
+    from weylmass.weyl import gram_factor, inv_gram, sqrt_det_gram
+
+    block, conds = _gram_block(n, 4)
+    L, definite = gram_factor(block)
+    parts = [gram_factor(block[..., a:b]) for a, b in ((0, 1), (1, 8), (8, block.shape[-1]))]
+    assert np.array_equal(np.concatenate([p[0] for p in parts], axis=-1), L, equal_nan=True)
+    assert np.array_equal(np.concatenate([p[1] for p in parts]), definite)
+    L2, definite2 = gram_factor(block[..., :40].reshape(n, n, 5, 8))
+    assert np.array_equal(L2.reshape(n, n, 40), L[..., :40]) and np.array_equal(definite2.ravel(), definite[:40])
+    spd = block[..., definite]
+    for fn in (inv_gram, sqrt_det_gram):
+        whole = fn(spd)
+        assert np.array_equal(np.concatenate([fn(spd[..., :1]), fn(spd[..., 1:7]), fn(spd[..., 7:])], axis=-1), whole)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_batched_inv_gram_refuses_an_indefinite_block_in_one_line(n):
+    """A block with nodes that are not SPD raises one ChartDomainError line from inv_gram and sqrt_det_gram
+    (never FloatingPointError under the CLI's errstate); the batch-less gram keeps LAPACK's inv."""
+    from weylmass.errors import ChartDomainError
+    from weylmass.weyl import inv_gram, sqrt_det_gram
+
+    block, conds = _gram_block(n, 5)
+    for fn in (inv_gram, sqrt_det_gram):
+        with pytest.raises(ChartDomainError) as exc, np.errstate(over="raise", divide="raise", invalid="raise"):
+            fn(block)
+        message = str(exc.value)
+        assert "\n" not in message
+        assert message == f"metric is not positive definite at 7 of {conds.size} nodes of a node block"
+    indefinite = block[..., -6]
+    assert np.array_equal(inv_gram(indefinite), np.linalg.inv(indefinite))

@@ -19,14 +19,18 @@ finite-difference oracle tests, as for ``curvature_split``.
 The integral check is a volume integral over an annulus of about 25,600
 nodes plus the zeta flux through its two boundary shells, all streamed
 through ``quadrature.node_blocks``.  The density reads Ric^D by traces
-(``weyl._ricci_jet``), so its block holds the metric jet (the frame
-Hessian of g and its Koszul combination) but no dGamma, dW or curvature:
-its measured peak is about 27 n^4 bytes per node on the trivial chart and
-34 n^4 on the Hopf chart.  Its budget stays at 40 n^4 bytes per node, so
+straight off the frame Hessian of g (``weyl._ricci_jet``), so its block
+holds the metric jet but no Koszul jet of the Hessian, dGamma, dW or
+curvature: its measured peak is about 27 n^4 bytes per node on the trivial
+chart and 34 n^4 on the Hopf chart, where E (C g) is built, both reached
+while the Hessian is taken.  Its budget stays at 40 n^4 bytes per node, so
 a 5 MiB block holds 512 nodes at n = 4 and each rank-4 array, 1 MiB,
 stays in a 2 MB L2 cache (at 2,048 nodes the batch-last einsums streamed
-from memory, at 128 or fewer per-block Python overhead dominated); a
-zeta block holds about four rank-3 arrays (32 n^3 bytes).  No bit of
+from memory, at 128 or fewer per-block Python overhead dominated).  A
+zeta block holds about six rank-3 arrays (48 n^3 bytes per node; measured
+31.7 n^3 on the trivial chart and 39.2 n^3 on the Hopf chart).  Each
+block factors its gram once: g^-1 and sqrt(det g) come off one factor
+and the block hands sqrt(det g) to the curved quadrature.  No bit of
 either side depends on the block size.
 
 The literature carries the Bochner curvature term with both signs and two
@@ -469,15 +473,15 @@ def _density(ric, ginv, a, H, sign: float):
 
 def _bochner_density(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords,
                      sign: float):
-    """(g, |Da|^2 + sign Ric(a#, a#) - |DiracD a|^2) at a point or node block.
+    """(sqrt(det g), |Da|^2 + sign Ric(a#, a#) - |DiracD a|^2) at a point or node block.
 
     H (``_covd_slots``) and Ric^D come off one ``_ricci_jet`` and one jet of a:
     Ric^D is read by traces, with no rank-4 curvature built.
     """
-    W, g, ginv, theta, ric = _ricci_jet(engine, ws, coords)
+    W, _, ginv, theta, ric, vol = _ricci_jet(engine, ws, coords)
     a, dA = frame_jet1(engine, ws.model, spec.field, coords)
     H = _covd_slots(a, dA, W, theta, spec.weight, 1)
-    return g, _density(ric, ginv, a, H, sign)
+    return vol, _density(ric, ginv, a, H, sign)
 
 
 def bochner_divergence_residual(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec,
@@ -527,15 +531,15 @@ def bochner_integral_sides(engine: DerivativeEngine, ws: WeylStructure, spec: Fo
     boundary = 0.0
     for r, orient in ((r2, +1.0), (r1, -1.0)):
         flux = np.concatenate([_zeta_flux(engine, ws, spec, *block)
-                               for block in node_blocks(model, [r], [1.0], quad, 4 * 8 * n**3)])
+                               for block in node_blocks(model, [r], [1.0], quad, 6 * 8 * n**3)])
         boundary += orient * float(np.sum(flux))
     return float(np.sum(volume)), boundary
 
 
 def _zeta_flux(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, pts, weights, normals):
     """Per-node terms of the outward zeta flux of one shell block, from its one ``covd_form_block`` call."""
-    a, H, (_, g, ginv, _) = covd_form_block(engine, ws, spec, pts)
-    return flux_curved_metric(_zeta(a, H, ginv), g, ginv, normals, weights)
+    a, H, (_, _, ginv, _, vol) = covd_form_block(engine, ws, spec, pts)
+    return flux_curved_metric(_zeta(a, H, ginv), ginv, vol, normals, weights)
 
 
 def check_bochner_integral(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,

@@ -93,14 +93,18 @@ def _lee_type_form(m: int, oneform, wn) -> np.ndarray:
 
 
 def _refuse_indefinite(model: ModelSpace, name: str, gram, pts):
-    """Raise ChartDomainError at the node of ``gram`` (batch, n, n) with the smallest eigenvalue."""
+    """Raise ChartDomainError at a node of ``gram`` (batch, n, n) where it is not finite, else at its node
+    with the smallest eigenvalue."""
     finite = np.all(np.isfinite(gram), axis=(-2, -1))
-    lam = np.full(finite.shape, np.nan)
-    lam[finite] = np.min(np.linalg.eigvalsh(gram[finite]), axis=-1)
-    bad = int(np.argmin(np.where(finite, lam, -np.inf)))
+    if np.all(finite):
+        lam = np.min(np.linalg.eigvalsh(gram), axis=-1)
+        bad = int(np.argmin(lam))
+        why = f"smallest eigenvalue {lam[bad]:.6g}"
+    else:
+        bad = int(np.argmin(finite))
+        why = "g is not finite there"
     raise ChartDomainError(
-        f"metric {name!r} is not positive definite on the flux shell r={model.radius(pts)[bad]:.6g}"
-        f" (smallest eigenvalue {lam[bad]:.6g})"
+        f"metric {name!r} is not positive definite on the flux shell r={model.radius(pts)[bad]:.6g} ({why})"
     )
 
 

@@ -41,7 +41,6 @@ from functools import lru_cache
 import numpy as np
 
 from .model import ModelSpace
-from .weyl import sqrt_det_gram
 
 # 26-point octahedral rule on S^2: 6 axis points, 12 edge midpoints, 8 cube corners.
 _W26 = (1.0 / 21.0, 4.0 / 105.0, 27.0 / 840.0)
@@ -187,20 +186,20 @@ def node_blocks(model: ModelSpace, radii, radial_weights, quad: QuadratureSpec, 
         yield pts, r[R] ** (model.m - 1) * wr[R] * wu[U] * wt[T], normals
 
 
-def flux_curved_metric(oneform_values: np.ndarray, gram: np.ndarray, ginv: np.ndarray, normals: np.ndarray,
+def flux_curved_metric(oneform_values: np.ndarray, ginv: np.ndarray, sqrt_det: np.ndarray, normals: np.ndarray,
                        weights: np.ndarray) -> np.ndarray:
     """Per-node terms of the flux of a 1-form through a shell w.r.t. a curved metric g.
 
     Uses the Leray identity: integrand = sqrt(det G) g^{-1}(w, dr) against the
     model product measure, equal to the hypersurface integral of *_g w with
-    outward orientation.  The flux is the sum of the terms.  ``ginv`` is the
-    inverse of ``gram``, which the caller already holds.
+    outward orientation.  The flux is the sum of the terms.  ``ginv`` and
+    ``sqrt_det`` are g^{-1} and sqrt(det g), which the caller already holds.
     """
     dr = np.concatenate([normals, np.zeros((1, normals.shape[1]))], axis=0)
     contracted = np.einsum("ab...,a...,b...->...", ginv, oneform_values, dr)
-    return sqrt_det_gram(gram) * contracted * weights
+    return sqrt_det * contracted * weights
 
 
-def volume_integral_curved(gram: np.ndarray, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per-node terms of the integral of a scalar density against vol_g = sqrt(det G) vol_h."""
-    return values * sqrt_det_gram(gram) * weights
+def volume_integral_curved(sqrt_det: np.ndarray, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per-node terms of the integral of a scalar density against vol_g = sqrt(det G) vol_h, sqrt(det G) given."""
+    return values * sqrt_det * weights

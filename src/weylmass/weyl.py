@@ -19,8 +19,9 @@ is assembled only in the tests, as the kernel's independent oracle.
 All conformal-frame sums are realized in the fixed model frame through
 inverse-Gram contractions with g.  On a node block g^-1 comes from
 ``gram_factor``, an unpivoted Cholesky run along the batch axis, the one
-kernel that also gives the flux pass its definiteness check and the
-curved quadratures sqrt(det g); a single batch-less gram keeps LAPACK.
+kernel that also gives the flux pass its definiteness check and, from the
+same factor, the curved quadratures sqrt(det g); a single batch-less gram
+keeps LAPACK.
 Weighted forms are never implicitly coerced between gauges; cross-gauge
 comparisons go through the explicit f**(k/2) regauging rule.  A gauge
 change g -> f g records f on the Lee form, and ``lee_jet`` reads
@@ -39,12 +40,21 @@ the form (``covd2_form_block``), so Lap^D, d^D d^D and delta^D d^D carry no
 finite-difference error.
 
 The Bochner annulus density needs only Ric^D, which ``_ricci_jet`` reads by
-traces off the same two jets: g^-1 traces of the Koszul combination of the
-frame Hessian of g, closed-form Lee-form terms, and W W (and, on the Hopf
-chart, C W) traces, all n^4 per node, so neither dW nor the rank-4 R is
-built.  The pointwise checks and ``curvature_split`` keep the full route
-(``_jet_curvature``, ``_ricci`` on ``_coeff_curvature``); the tests hold
-the two to 1e-13.
+traces off the same two jets, straight off the frame Hessian
+H[p, i, j, k] = E_p E_i g_jk: the Koszul part of 2 Ric is
+
+    g^{ab} (E_i E_b g_aj + E_a E_j g_ib - E_i E_j g_ab - E_a E_b g_ij),
+
+which uses only the symmetry of H in (j, k) and so holds on the
+anholonomic Hopf frame, where five g^-1 traces of E_p (C g) add the
+bracket terms.  With closed-form Lee-form terms and W W (and, on the Hopf
+chart, C W) traces, every contraction is n^4 per node, so neither the
+rank-4 Koszul jet of H nor dW nor the rank-4 R is built; g^-1 and
+sqrt(det g) come off one factorization of g (``inv_gram_volume``), and
+the zeta shells read both off ``christoffel`` the same way.  The pointwise
+checks and ``curvature_split`` keep the full route (``_jet_curvature``,
+``_ricci`` on ``_coeff_curvature``, whose dG takes the Koszul jet of H);
+the tests hold the two to 1e-13.
 
 The operators return plain component arrays; the degree and weight of the
 result follow from the input spec.  ``dD`` and ``deltaD`` read d^D and
@@ -171,21 +181,11 @@ def _definite_factor(g: np.ndarray) -> np.ndarray:
     return L
 
 
-def inv_gram(g: np.ndarray) -> np.ndarray:
-    """g^-1 of one gram (n, n), or of a batch-last block (n, n) + batch, returned C-order and batch-last.
-
-    A block is inverted as L^-T L^-1 from ``gram_factor``: L^-1 by forward
-    substitution, then the lower triangle of the product, mirrored, all
-    elementwise along the batch.  A block where g is not positive definite
-    raises ChartDomainError.  The batch-less gram of the pointwise checks
-    keeps LAPACK's ``inv``: on one 4 x 4 matrix the column loops, a fixed
-    count of numpy calls, take 0.11 ms against LAPACK's 0.005 ms.
-    """
-    if g.ndim == 2:
-        return np.linalg.inv(g)
-    L = _definite_factor(g)
-    n = g.shape[0]
-    linv = np.zeros(g.shape)
+def _factor_inverse(L: np.ndarray) -> np.ndarray:
+    """g^-1 = L^-T L^-1 of a batch-last Cholesky factor L: L^-1 by forward substitution, then the lower
+    triangle of the product, mirrored, all elementwise along the batch; returned C-order."""
+    n = L.shape[0]
+    linv = np.zeros(L.shape)
     for i in range(n):
         linv[i, i] = 1.0 / L[i, i]
         if i:
@@ -193,7 +193,7 @@ def inv_gram(g: np.ndarray) -> np.ndarray:
             for k in range(1, i):
                 acc += L[i, k] * linv[k, :i]
             np.multiply(acc, -linv[i, i], out=linv[i, :i])
-    out = np.empty(g.shape)
+    out = np.empty(L.shape)
     for a in range(n):
         for b in range(a + 1):
             s = linv[a, a] * linv[a, b]
@@ -203,13 +203,32 @@ def inv_gram(g: np.ndarray) -> np.ndarray:
     return out
 
 
-def sqrt_det_gram(g: np.ndarray) -> np.ndarray:
-    """sqrt(det g) of a batch-last gram block, the product of ``gram_factor``'s pivots L_jj.
+def inv_gram(g: np.ndarray) -> np.ndarray:
+    """g^-1 of one gram (n, n), or of a batch-last block (n, n) + batch, returned C-order and batch-last.
 
-    Raises ChartDomainError where g is not positive definite, as ``inv_gram``.
+    A block is inverted as L^-T L^-1 from ``gram_factor``; a block where g
+    is not positive definite raises ChartDomainError.  The batch-less gram
+    of the pointwise checks keeps LAPACK's ``inv``: on one 4 x 4 matrix the
+    column loops, a fixed count of numpy calls, take 0.11 ms against
+    LAPACK's 0.005 ms.
     """
+    if g.ndim == 2:
+        return np.linalg.inv(g)
+    return _factor_inverse(_definite_factor(g))
+
+
+def inv_gram_volume(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(g^-1, sqrt(det g)) of a gram or a batch-last block, from one factorization.
+
+    On a block both come off one ``gram_factor``: g^-1 as in ``inv_gram``,
+    bit for bit, and sqrt(det g) as the product of the pivots L_jj.  A
+    block where g is not positive definite raises ChartDomainError; a
+    batch-less gram keeps LAPACK, as in ``inv_gram``.
+    """
+    if g.ndim == 2:
+        return np.linalg.inv(g), np.sqrt(np.linalg.det(g))
     L = _definite_factor(g)
-    return reduce(mul, (L[j, j] for j in range(g.shape[0])))
+    return _factor_inverse(L), reduce(mul, (L[j, j] for j in range(g.shape[0])))
 
 
 def tdot(vec: np.ndarray, arr: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -268,51 +287,54 @@ def _koszul(dg: np.ndarray, cg: np.ndarray | None, lead: int = 0) -> np.ndarray:
 
 
 def christoffel(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, coords):
-    """(G, g, g^-1): Levi-Civita coefficients in the model frame, nabla_{E_i} E_j = G[i,j,k] E_k.
+    """(G, g, g^-1, sqrt(det g)): Levi-Civita coefficients in the model frame, nabla_{E_i} E_j = G[i,j,k] E_k.
 
     Koszul formula with the frame structure constants; on the anholonomic
     Hopf frame the (i, j) asymmetry equals the structure constants
     (torsion-freeness), on holonomic frames the coefficients are symmetric.
-    g and g^-1 are read off the same first-order metric jet.
+    g is read off the first-order metric jet, and g^-1 and sqrt(det g) off
+    one factorization of it (``inv_gram_volume``).
     """
     coords = np.asarray(coords, dtype=float)
     model.require_in_chart(coords)
     g, dg = frame_jet1(engine, model, fam.as_field(), coords)
-    C = _brackets(model, coords)
-    cg = None if C is None else np.einsum("ijl...,lk...->ijk...", C, g)
-    ginv = inv_gram(g)
-    return np.einsum("ijk...,kl...->ijl...", _koszul(dg, cg), ginv), g, ginv
+    # C itself is not kept: on a shell block it would be one more rank-3 array in the block's peak
+    cg = None if model.holonomic else np.einsum("ijl...,lk...->ijk...", model.structure_constants(coords), g)
+    ginv, vol = inv_gram_volume(g)
+    return np.einsum("ijk...,kl...->ijl...", _koszul(dg, cg), ginv), g, ginv, vol
 
 
-def _koszul_jet(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, coords):
-    """(G, K, g, dg, g^-1, C) from one second-order metric jet; K[p] = E_p low.
+def _hessian_jet(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, coords):
+    """(g, dg, ddg, C, cg, dcg) from one second-order metric jet; ddg[p, i, j, k] = E_p E_i g_jk.
 
-    low is the lowered Koszul combination (G = low g^-1), and E_p low is the
-    Koszul combination of the frame Hessian E_p E_i g_jk and of E_p (C g).
-    On a holonomic frame C is None and both bracket terms are not built.
+    cg[i, j, k] = C_ij^l g_lk and dcg[p] = E_p cg are the bracket terms of
+    the Koszul combination and of its frame derivative; on a holonomic
+    frame C, cg and dcg are None and not built.
     """
     coords = np.asarray(coords, dtype=float)
     model.require_in_chart(coords)
     g, dg, ddg = frame_jet2(engine, model, fam.as_field(), coords)
     C = _brackets(model, coords)
-    cg = dcg = None
-    if C is not None:
-        cg = np.einsum("ijl...,lk...->ijk...", C, g)
-        dcg = (np.einsum("pijl...,lk...->pijk...", model.structure_jacobian(coords), g)
-               + np.einsum("ijl...,plk...->pijk...", C, dg))
-    ginv = inv_gram(g)
-    gam = np.einsum("ijk...,kl...->ijl...", _koszul(dg, cg), ginv)
-    return gam, _koszul(ddg, dcg, lead=1), g, dg, ginv, C
+    if C is None:
+        return g, dg, ddg, None, None, None
+    cg = np.einsum("ijl...,lk...->ijk...", C, g)
+    dcg = (np.einsum("pijl...,lk...->pijk...", model.structure_jacobian(coords), g)
+           + np.einsum("ijl...,plk...->pijk...", C, dg))
+    return g, dg, ddg, C, cg, dcg
 
 
 def _christoffel_jet(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, coords):
     """(G, dG, g, dg, g^-1) from one second-order metric jet; dG[p] = E_p G.
 
-    E_p G = (E_p low) g^-1 - G (E_p g) g^-1, with E_p low from ``_koszul_jet``.
+    E_p G = K[p] g^-1 - G (E_p g) g^-1, with K[p] = E_p low the Koszul
+    combination of the frame Hessian E_p E_i g_jk and of E_p (C g), and low
+    the lowered Koszul combination (G = low g^-1).
     """
-    gam, K, g, dg, ginv, _ = _koszul_jet(engine, model, fam, coords)
+    g, dg, ddg, _, cg, dcg = _hessian_jet(engine, model, fam, coords)
+    ginv = inv_gram(g)
+    gam = np.einsum("ijk...,kl...->ijl...", _koszul(dg, cg), ginv)
     dg_ginv = np.einsum("pab...,bl...->pal...", dg, ginv)
-    dgam = (np.einsum("pijk...,kl...->pijl...", K, ginv)
+    dgam = (np.einsum("pijk...,kl...->pijl...", _koszul(ddg, dcg, lead=1), ginv)
             - np.einsum("ija...,pal...->pijl...", gam, dg_ginv))
     return gam, dgam, g, dg, ginv
 
@@ -338,16 +360,16 @@ def _lee_shift(gam: np.ndarray, g: np.ndarray, theta: np.ndarray, theta_sharp: n
 
 
 def weyl_coeffs(engine: DerivativeEngine, ws: WeylStructure, coords):
-    """(W, g, g^-1, theta): connection coefficients of D on TM, D_{E_i} E_j = W[i,j,k] E_k.
+    """(W, g, g^-1, theta, sqrt(det g)): connection coefficients of D on TM, D_{E_i} E_j = W[i,j,k] E_k.
 
-    g and g^-1 come off the metric jet of ``christoffel``; theta is
-    evaluated once.
+    g, g^-1 and sqrt(det g) come off the metric jet of ``christoffel``;
+    theta is evaluated once.
     """
     coords = np.asarray(coords, dtype=float)
-    gam, g, ginv = christoffel(engine, ws.model, ws.metric, coords)
+    gam, g, ginv, vol = christoffel(engine, ws.model, ws.metric, coords)
     theta = lee_jet(engine, ws.lee, coords)
     theta_sharp = np.einsum("kl...,l...->k...", ginv, theta)
-    return _lee_shift(gam, g, theta, theta_sharp), g, ginv, theta
+    return _lee_shift(gam, g, theta, theta_sharp), g, ginv, theta, vol
 
 
 def _weyl_jet(engine: DerivativeEngine, ws: WeylStructure, coords):
@@ -370,37 +392,56 @@ def _weyl_jet(engine: DerivativeEngine, ws: WeylStructure, coords):
 
 
 def _ricci_jet(engine: DerivativeEngine, ws: WeylStructure, coords):
-    """(W, g, g^-1, theta, Ric^D) from one metric jet2 and one Lee-form jet1, by traces.
+    """(W, g, g^-1, theta, Ric^D, sqrt(det g)) from one metric jet2 and one Lee-form jet1, by traces.
 
     Ric_ij = 1/2 (A_ij - B_ij), A_ij = g^{ab} R_{iab}^l g_lj and B_ij = R_{iaj}^a
     (``_ricci``), with R = E W - E W + W W - W W - C W (``_coeff_curvature``)
     taken term by term:
 
-    * E_p G = M[p] g^-1 with M[p] = K[p] - G (E_p g), K from ``_koszul_jet``;
-      the g^-1 cancels against the lowering in A, so E G enters A and B as
-      four g^-1 traces of M, each a trace of K less one of G (E g);
+    * E_p G = (K[p] - G (E_p g)) g^-1 (``_christoffel_jet``); the g^-1
+      cancels against the lowering in A, so E G enters 2 Ric as four g^-1
+      traces of K less four of G (E g).  With H[p, i, j, k] = E_p E_i g_jk
+      the frame Hessian, the K traces are read straight off H,
+
+          g^{ab} (E_i E_b g_aj + E_a E_j g_ib - E_i E_j g_ab - E_a E_b g_ij),
+
+      which uses only the symmetry of H in (j, k), so it holds on the
+      anholonomic Hopf frame, where H is not symmetric in (p, i).  There
+      the bracket part of K, from D[p, i, j, k] = E_p (C_ij^l g_lk), adds
+
+          g^{ab} (D_{abji} + D_{aijb} - D_{aibj} - 3/2 D_{iajb} + 1/2 D_{ijab}),
+
+      by the antisymmetry of D in (i, j); K itself is never built;
     * the Lee-form part of dW (``_weyl_jet``) traces in closed form, in
       dtheta, dg, theta and theta#, using g^{ab} g_bj = delta_aj;
     * W W and C W are traced with one index of W lowered or raised.
 
     Every contraction is n^4 per node: dW, E G and R are never built.  W, g,
-    g^-1 and theta are those of ``_weyl_jet``, bit for bit.
+    g^-1 and theta are those of ``_weyl_jet``, bit for bit, and g^-1 and
+    sqrt(det g) come off one factorization of g (``inv_gram_volume``).
     """
     coords = np.asarray(coords, dtype=float)
     n = ws.model.dim
-    gam, K, g, dg, ginv, C = _koszul_jet(engine, ws.model, ws.metric, coords)
+    g, dg, ddg, C, cg, dcg = _hessian_jet(engine, ws.model, ws.metric, coords)
+    ginv, vol = inv_gram_volume(g)
+    gam = np.einsum("ijk...,kl...->ijl...", _koszul(dg, cg), ginv)
     theta, dtheta = lee_jet(engine, ws.lee, coords, order=1)
     theta_sharp = np.einsum("kl...,l...->k...", ginv, theta)
     W = _lee_shift(gam, g, theta, theta_sharp)
 
-    # E G: traces of K and of G dg against g^-1
+    # E G: traces of the frame Hessian (and of E (C g)) and of G dg against g^-1
     dg_up = np.einsum("iec...,ca...->iea...", dg, ginv)
     gam_up = np.einsum("ab...,ibc...->iac...", ginv, gam)
-    ric2 = (np.einsum("ab...,iabj...->ij...", ginv, K) - np.einsum("ab...,aibj...->ij...", ginv, K)
-            - np.einsum("ca...,iajc...->ij...", ginv, K) + np.einsum("ca...,aijc...->ij...", ginv, K)
+    ric2 = (np.einsum("ab...,iabj...->ij...", ginv, ddg) + np.einsum("ab...,ajib...->ij...", ginv, ddg)
+            - np.einsum("ab...,ijab...->ij...", ginv, ddg) - np.einsum("ab...,abij...->ij...", ginv, ddg)
             - np.einsum("c...,icj...->ij...", np.einsum("abc...,ab...->c...", gam, ginv), dg)
             + np.einsum("iac...,acj...->ij...", gam_up, dg)
             + np.einsum("aje...,iea...->ij...", gam, dg_up) - np.einsum("ije...,aea...->ij...", gam, dg_up))
+    if dcg is not None:
+        ric2 += (np.einsum("ab...,abji...->ij...", ginv, dcg) + np.einsum("ab...,aijb...->ij...", ginv, dcg)
+                 - np.einsum("ab...,aibj...->ij...", ginv, dcg) - 1.5 * np.einsum("ab...,iajb...->ij...", ginv, dcg)
+                 + 0.5 * np.einsum("ab...,ijab...->ij...", ginv, dcg))
+    del ddg, dcg  # traced: the rank-4 arrays do not stay for the rank-3 work below
 
     # Lee-form part of dW
     rho = np.einsum("ab...,aib...->i...", ginv, dg)                     # g^{ab} E_a g_ib
@@ -420,7 +461,9 @@ def _ricci_jet(engine: DerivativeEngine, ws: WeylStructure, coords):
     if C is not None:
         ric2 += (np.einsum("iac...,cja...->ij...", C, W)
                  - np.einsum("icb...,cbj...->ij...", np.einsum("iac...,ab...->icb...", C, ginv), W_low))
-    return W, g, ginv, theta, 0.5 * ric2
+    # C order whatever layout the einsums over the transposed Hessian view chose: the density's
+    # three-operand einsum sums in memory order, so a block-size-dependent layout would move its bits
+    return W, g, ginv, theta, np.ascontiguousarray(0.5 * ric2), vol
 
 
 def weyl_connect_vec(engine: DerivativeEngine, ws: WeylStructure, x_field: Field, y_field: Field,
@@ -508,8 +551,9 @@ def covd_form_block(engine: DerivativeEngine, ws: WeylStructure, spec: FormField
     The slot form of D: the kernel ``_covd_slots`` over the form's first-order
     jet and ``weyl_coeffs``.  The wedge form of D (module docstring) is its
     test oracle.  w is the value of the form's jet and ``jet`` the
-    ``weyl_coeffs`` tuple (W, g, g^-1, theta), handed out so callers read the
-    form, the metric and its inverse off the jets that H already takes.
+    ``weyl_coeffs`` tuple (W, g, g^-1, theta, sqrt(det g)), handed out so
+    callers read the form, the metric, its inverse and its volume factor off
+    the jets that H already takes.
     """
     _require_gauge(ws, spec)
     coords = np.asarray(coords, dtype=float)

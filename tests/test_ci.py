@@ -1,8 +1,8 @@
 """The CI workflow installs the test extra, runs CLI smoke commands (a Hopf, an m = 5, a refined m = 5 and a
 Hopf compact_lee mass, a pointwise verify and an annulus verify at m = 3 and m = 4, then Hopf sweeps, a
 trivial-chart sweep, a one-value Hopf sweep and an m = 5 sweep),
-summarizes every report they wrote, reruns a mass from the config its report embeds, and runs the tier-1 command
-that ROADMAP.md names, with a time limit."""
+summarizes every report they wrote, reruns a mass and the m = 3 annulus verify from the configs their reports
+embed, and runs the tier-1 command that ROADMAP.md names, with a time limit."""
 
 import json
 import os
@@ -159,7 +159,9 @@ def test_workflow_report_smoke_reads_every_smoke_report():
 
 def test_workflow_reproduces_a_mass_from_its_report(tmp_path):
     """Right before the tier-1 tests, a partial-section Hopf mass, then a mass from the config record its report
-    embeds: the two reports must be the same bytes.  The step's commands are run here as CI runs them."""
+    embeds: the two reports must be the same bytes.  Then the same for the one-trial annulus verify of the CLI
+    smoke: a verify from the config its report embeds must write the same bytes.  The step's commands are run
+    here as CI runs them, after the CLI smoke's annulus commands."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
@@ -171,17 +173,26 @@ def test_workflow_reproduces_a_mass_from_its_report(tmp_path):
         ({"model": {"fibration": "hopf"}, "family": {"name": "hopf_model"}, "radii": {"r0": 30},
           "quadrature": {"fiber": 4}}, "partial")]
     runs = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" "
-                      r"--out \"\$RUNNER_TEMP/(\w+)\" mass$", smoke, re.MULTILINE)
-    assert runs == [("partial", "partial"), ("reproduce", "reproduce")]
-    assert smoke.strip().splitlines()[-1] == ('cmp "$RUNNER_TEMP/partial/mass_report.jsonl" '
-                                              '"$RUNNER_TEMP/reproduce/mass_report.jsonl"')
+                      r"--out \"\$RUNNER_TEMP/(\w+)\" (\w+)$", smoke, re.MULTILINE)
+    assert runs == [("partial", "partial", "mass"), ("reproduce", "reproduce", "mass"),
+                    ("reproduce_annulus", "reproduce_annulus", "verify")]
+    lines = smoke.strip().splitlines()
+    assert lines[4] == 'cmp "$RUNNER_TEMP/partial/mass_report.jsonl" "$RUNNER_TEMP/reproduce/mass_report.jsonl"'
+    assert lines[5].startswith('head -n 1 "$RUNNER_TEMP/annulus/verify_report.jsonl" | ')
+    assert lines[-1] == ('cmp "$RUNNER_TEMP/annulus/verify_report.jsonl" '
+                         '"$RUNNER_TEMP/reproduce_annulus/verify_report.jsonl"')
+    cli = job["steps"][names.index("CLI smoke")]["run"]
+    annulus = "\n".join(line for line in cli.strip().splitlines() if re.search(r'"\$RUNNER_TEMP/annulus[."]', line))
+    assert annulus.count("\n") == 1
     # `python` in the step is this interpreter where its directory has one
     path = f"{Path(sys.executable).parent}{os.pathsep}{os.environ.get('PATH', '')}"
     env = {**os.environ, "RUNNER_TEMP": str(tmp_path), "PATH": path}
-    res = subprocess.run(["bash", "-eo", "pipefail", "-c", smoke], capture_output=True, text=True, env=env,
-                         cwd=ROOT, timeout=300)
+    res = subprocess.run(["bash", "-eo", "pipefail", "-c", annulus + "\n" + smoke], capture_output=True, text=True,
+                         env=env, cwd=ROOT, timeout=300)
     assert res.returncode == 0, res.stderr + res.stdout
     assert json.loads((tmp_path / "reproduce.json").read_text())["radii"] == {"r0": 30, "rmax": 320.0, "count": 6}
+    assert json.loads((tmp_path / "reproduce_annulus.json").read_text())["trials"] == {
+        "identity": 0, "bochner": 1, "integral": 1}
 
 
 def test_package_runs_as_module_without_install(tmp_path):

@@ -129,7 +129,7 @@ def test_bochner_integral_flat_harmonic(engine, model):
 def test_bochner_integral_sides_independent_of_chunk_size(engine, chart, request, monkeypatch):
     """Streaming changes no bit of either side.  At the default budget the 2,496-node annulus runs in
     blocks of 512 (the last one partial) and each 416-node zeta shell in one block; with the budget cut
-    to 37 annulus nodes the zeta shells run in blocks of 185, and with it raised to the whole annulus
+    to 37 annulus nodes the zeta shells run in blocks of 123, and with it raised to the whole annulus
     every loop is one block.  On the Hopf chart the blocks run the bracket terms."""
     from weylmass import quadrature
 
@@ -137,12 +137,12 @@ def test_bochner_integral_sides_independent_of_chunk_size(engine, chart, request
     ws = trial_structure(space, 42, 0, fiber_dependence=True, wave_scale=0.45)
     spec = random_form_field(ws, _rng(42, 20, 0), 1, 0.0, fiber_dependence=True, wave_scale=0.45)
     quad = QuadratureSpec(sphere=26, fiber=16, radial=6)
-    total, density_bytes, zeta_bytes = 26 * 16 * 6, 40 * space.dim**4, 32 * space.dim**3
+    total, density_bytes, zeta_bytes = 26 * 16 * 6, 40 * space.dim**4, 48 * space.dim**3
     assert quadrature.BLOCK_BYTES // density_bytes == 512 and total % 512
     assert quadrature.BLOCK_BYTES // zeta_bytes >= 26 * 16
     streamed = bochner_integral_sides(engine, ws, spec, 1.4, 1.9, quad)
     monkeypatch.setattr(quadrature, "BLOCK_BYTES", 37 * density_bytes)
-    assert quadrature.BLOCK_BYTES // zeta_bytes == 185
+    assert quadrature.BLOCK_BYTES // zeta_bytes == 123
     assert bochner_integral_sides(engine, ws, spec, 1.4, 1.9, quad) == streamed
     monkeypatch.setattr(quadrature, "BLOCK_BYTES", total * density_bytes)
     assert bochner_integral_sides(engine, ws, spec, 1.4, 1.9, quad) == streamed
@@ -152,7 +152,8 @@ def test_bochner_integral_sides_independent_of_chunk_size(engine, chart, request
 def test_density_block_stays_within_its_declared_working_set(request, engine, chart):
     """One 512-node annulus block of the fiber-dependent Bochner density peaks, under tracemalloc, within
     the 40 n^4 bytes per node that ``bochner_integral_sides`` declares to ``node_blocks``: on the Hopf chart
-    too, where the frame Hessian takes the fiber correction (34.3 n^4 measured, 27.0 on the trivial chart)."""
+    too, where the frame Hessian takes the fiber correction and E (C g) is built (34.3 n^4 measured, 27.0 on
+    the trivial chart; both peak while the frame Hessian is taken, before any trace)."""
     import tracemalloc
 
     from weylmass.identities import RESOLVED_BOCHNER_SIGN, _bochner_density
@@ -176,6 +177,65 @@ def test_density_block_stays_within_its_declared_working_set(request, engine, ch
     finally:
         tracemalloc.stop()
     assert peak <= 40 * n**4 * pts.shape[1], peak / (n**4 * pts.shape[1])
+
+
+@pytest.mark.parametrize("chart", ["model", "hopf_space"])
+def test_zeta_block_stays_within_its_declared_working_set(request, engine, chart, monkeypatch):
+    """One zeta-shell block of the fiber-dependent Bochner current peaks, under tracemalloc, within the bytes
+    per node that ``bochner_integral_sides`` declares to ``node_blocks`` for its shells, 48 n^3: 31.7 n^3
+    measured on the trivial chart and 39.2 n^3 on the Hopf chart, where the frame structure constants
+    enter C g."""
+    import tracemalloc
+
+    from weylmass import identities
+
+    space = request.getfixturevalue(chart)
+    n = space.dim
+    ws = trial_structure(space, 42, 0, fiber_dependence=True, wave_scale=0.45)
+    spec = random_form_field(ws, _rng(42, 20, 0), 1, 0.0, fiber_dependence=True, wave_scale=0.45)
+    declared = []
+    blocks = identities.node_blocks
+    monkeypatch.setattr(identities, "node_blocks", lambda model, radii, wr, quad, node_bytes: declared.append(
+        (len(radii), node_bytes)) or blocks(model, radii, wr, quad, node_bytes))
+    bochner_integral_sides(engine, ws, spec, 1.4, 1.9, QuadratureSpec(26, 2, 2))
+    (node_bytes,) = {nb for radii, nb in declared if radii == 1}
+    assert node_bytes == 48 * n**3
+    block = next(node_blocks(space, [3.0], [1.0], QuadratureSpec(100, 16, 8), node_bytes))
+    assert block[0].shape[1] == 1706
+
+    identities._zeta_flux(engine, ws, spec, *block)  # first-call allocations are not the block's
+    tracemalloc.start()
+    try:
+        identities._zeta_flux(engine, ws, spec, *block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= node_bytes * block[0].shape[1], peak / (n**3 * block[0].shape[1])
+
+
+@pytest.mark.parametrize("chart", ["model", "hopf_space"])
+def test_bochner_integral_factors_each_block_once(request, engine, chart, monkeypatch):
+    """Over one whole ``bochner_integral_sides``, the Cholesky kernel ``gram_factor`` runs exactly once per
+    annulus block and once per zeta-shell block: g^-1 and sqrt(det g) come off one factor.  No Koszul
+    combination of the frame Hessian (``_koszul`` at lead 1) is built on the annulus path."""
+    from weylmass import weyl
+
+    space = request.getfixturevalue(chart)
+    n = space.dim
+    ws = trial_structure(space, 42, 0, fiber_dependence=True, wave_scale=0.45)
+    spec = random_form_field(ws, _rng(42, 20, 0), 1, 0.0, fiber_dependence=True, wave_scale=0.45)
+    quad = QuadratureSpec(sphere=26, fiber=16, radial=6)
+    annulus = sum(1 for _ in node_blocks(space, *gauss_legendre(1.4, 1.9, 6), quad, 40 * n**4))
+    shell = sum(1 for _ in node_blocks(space, [1.9], [1.0], quad, 48 * n**3))
+    assert (annulus, shell) == (5, 1)
+    factored, leads = [], []
+    gram_factor, koszul = weyl.gram_factor, weyl._koszul
+    monkeypatch.setattr(weyl, "gram_factor", lambda g: factored.append(g.shape[-1]) or gram_factor(g))
+    monkeypatch.setattr(weyl, "_koszul", lambda dg, cg, lead=0: leads.append(lead) or koszul(dg, cg, lead))
+    bochner_integral_sides(engine, ws, spec, 1.4, 1.9, quad)
+    assert len(factored) == annulus + 2 * shell
+    assert sum(factored) == 26 * 16 * (6 + 2)
+    assert leads == [0] * (annulus + 2 * shell)
 
 
 def test_bochner_integral_memory_stays_bounded_as_the_sphere_rule_is_refined(engine, model):

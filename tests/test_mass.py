@@ -165,7 +165,8 @@ def test_shell_forms_refuse_indefinite_metric(model, engine):
 def test_metric_not_finite_at_flux_nodes_is_refused_as_not_positive_definite(request, engine, chart, bad):
     """A metric that is NaN or infinite only at the flux nodes of r = 40 nearest the X1 axis is refused with
     the ChartDomainError of the definiteness check, under the CLI's errstate: the Cholesky kernel reports
-    its non-finite pivots instead of raising FloatingPointError ("numerical failure")."""
+    its non-finite pivots instead of raising FloatingPointError ("numerical failure"), and the message says
+    that g is not finite there, where it named a NaN eigenvalue."""
     from weylmass import autodiff as am
 
     space = request.getfixturevalue(chart)
@@ -180,6 +181,7 @@ def test_metric_not_finite_at_flux_nodes_is_refused_as_not_positive_definite(req
     with pytest.raises(ChartDomainError) as exc, np.errstate(over="raise", divide="raise", invalid="raise"):
         mass_matrix(engine, ws, radii=[40.0, 80.0], check_decay=False)
     assert str(exc.value).startswith("metric 'holed' is not positive definite on the flux shell r=40 ")
+    assert str(exc.value).endswith(" (g is not finite there)")
 
 
 # --- Riemannian mass -----------------------------------------------------------------

@@ -369,21 +369,24 @@ def test_jets_equal_full_bracket_formulas(request, engine, chart, batch):
 
 
 @pytest.mark.parametrize("batch", [None, 512], ids=["point", "block512"])
-@pytest.mark.parametrize("m,fibration", [(3, "trivial"), (3, "hopf"), (5, "trivial")],
-                         ids=["trivial-m3", "hopf-m3", "trivial-m5"])
+@pytest.mark.parametrize("m,fibration", [(3, "trivial"), (3, "hopf"), (4, "trivial"), (5, "trivial")],
+                         ids=["trivial-m3", "hopf-m3", "trivial-m4", "trivial-m5"])
 def test_ricci_jet_traces_equal_the_curvature_route(engine, m, fibration, batch):
     """Ric^D read by traces equals Ric^D of the full curvature R of ``_weyl_jet`` to 1e-13 relative, on
-    fiber-dependent data with a Lee form, and in a recorded gauge; W, g, g^-1 and theta are the same bits."""
+    fiber-dependent data with a Lee form, and in a recorded gauge; W, g, g^-1 and theta are the same bits,
+    and sqrt(det g) is LAPACK's to 1e-14 relative.  m = 4 is the n of the m = 4 annulus smoke in CI."""
     space = ModelSpace(m=m, fibration=fibration)
     ws = trial_structure(space, 46, 0, fiber_dependence=True)
     rng = _rng(46, 35, 0)
     p = (trial_point(space, rng) if batch is None
          else np.stack([trial_point(space, rng) for _ in range(batch)], axis=1))
     for structure in (ws, gauge_change(ws, radial_profile(space, beta=0.3))):
-        W, g, ginv, theta, ric = _ricci_jet(engine, structure, p)
+        W, g, ginv, theta, ric, vol = _ricci_jet(engine, structure, p)
         jet = _weyl_jet(engine, structure, p)
         for got, want in zip((W, g, ginv, theta), (jet[0], jet[2], jet[3], jet[4]), strict=True):
             assert got.shape == want.shape and np.array_equal(got, want)
+        det = np.sqrt(np.linalg.det(np.moveaxis(g, (0, 1), (-2, -1))))
+        assert vol.shape == det.shape and np.max(np.abs(vol - det) / det) <= 1e-14
         want = _ricci(_coeff_curvature(jet[0], jet[1], _brackets(space, p)), jet[2], jet[3])
         assert ric.shape == want.shape == (space.dim, space.dim) + p.shape[1:]
         assert np.max(np.abs(ric - want)) <= 1e-13 * np.max(np.abs(want))
@@ -412,7 +415,7 @@ def _nested_fd_covd2(engine, ws, spec, p):
     H_field = Field(lambda c: wedge_covd_form_block(engine, ws, spec, np.asarray(c, dtype=float)),
                     shape=(n,) * (spec.degree + 1))
     H, dH = frame_jet1(FD, ws.model, H_field, p)
-    W, _, _, theta = weyl_coeffs(engine, ws, p)
+    W, _, _, theta, _ = weyl_coeffs(engine, ws, p)
     return H, _covd_slots(H, dH, W, theta, spec.weight, spec.degree + 1)
 
 
@@ -597,8 +600,9 @@ def _lapack_verdict(a) -> bool:
 def test_gram_factor_agrees_with_lapack_node_by_node(n):
     """The verdict equals np.linalg.cholesky's at every node, raising nothing under errstate(all="raise");
     on the SPD nodes g^-1 and sqrt(det g) agree with np.linalg.inv and sqrt(np.linalg.det) to 1e-12
-    relative, scaled by the node's condition number."""
-    from weylmass.weyl import gram_factor, inv_gram, sqrt_det_gram
+    relative, scaled by the node's condition number.  ``inv_gram_volume`` gives the same g^-1 bits as
+    ``inv_gram``."""
+    from weylmass.weyl import gram_factor, inv_gram, inv_gram_volume
 
     block, conds = _gram_block(n, 3)
     with np.errstate(all="raise"):
@@ -613,8 +617,10 @@ def test_gram_factor_agrees_with_lapack_node_by_node(n):
     assert ginv.flags.c_contiguous and ginv.shape == spd.shape
     inv_err = np.max(np.abs(np.moveaxis(ginv, -1, 0) - np.linalg.inv(mats)), axis=(1, 2))
     assert np.all(inv_err <= 1e-12 * conds[definite] * np.max(np.abs(np.linalg.inv(mats)), axis=(1, 2)))
+    ginv2, vol = inv_gram_volume(spd)
+    assert np.array_equal(ginv2, ginv)
     ref = np.sqrt(np.linalg.det(mats))
-    assert np.all(np.abs(sqrt_det_gram(spd) - ref) <= 1e-12 * conds[definite] * ref)
+    assert np.all(np.abs(vol - ref) <= 1e-12 * conds[definite] * ref)
     assert np.allclose(np.einsum("ik...,jk...->ij...", L[..., definite], L[..., definite]), spd,
                        rtol=0.0, atol=1e-12 * np.max(np.abs(spd)))
 
@@ -623,7 +629,7 @@ def test_gram_factor_agrees_with_lapack_node_by_node(n):
 def test_gram_factor_is_independent_of_the_block_size(n):
     """A block factored whole equals its nodes factored in smaller blocks, or on a second batch axis, bit for
     bit; so do g^-1 and sqrt(det g) of its SPD nodes."""
-    from weylmass.weyl import gram_factor, inv_gram, sqrt_det_gram
+    from weylmass.weyl import gram_factor, inv_gram, inv_gram_volume
 
     block, conds = _gram_block(n, 4)
     L, definite = gram_factor(block)
@@ -633,20 +639,20 @@ def test_gram_factor_is_independent_of_the_block_size(n):
     L2, definite2 = gram_factor(block[..., :40].reshape(n, n, 5, 8))
     assert np.array_equal(L2.reshape(n, n, 40), L[..., :40]) and np.array_equal(definite2.ravel(), definite[:40])
     spd = block[..., definite]
-    for fn in (inv_gram, sqrt_det_gram):
+    for fn in (inv_gram, lambda g: inv_gram_volume(g)[1]):
         whole = fn(spd)
         assert np.array_equal(np.concatenate([fn(spd[..., :1]), fn(spd[..., 1:7]), fn(spd[..., 7:])], axis=-1), whole)
 
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_batched_inv_gram_refuses_an_indefinite_block_in_one_line(n):
-    """A block with nodes that are not SPD raises one ChartDomainError line from inv_gram and sqrt_det_gram
+    """A block with nodes that are not SPD raises one ChartDomainError line from inv_gram and inv_gram_volume
     (never FloatingPointError under the CLI's errstate); the batch-less gram keeps LAPACK's inv."""
     from weylmass.errors import ChartDomainError
-    from weylmass.weyl import inv_gram, sqrt_det_gram
+    from weylmass.weyl import inv_gram, inv_gram_volume
 
     block, conds = _gram_block(n, 5)
-    for fn in (inv_gram, sqrt_det_gram):
+    for fn in (inv_gram, inv_gram_volume):
         with pytest.raises(ChartDomainError) as exc, np.errstate(over="raise", divide="raise", invalid="raise"):
             fn(block)
         message = str(exc.value)

@@ -22,9 +22,10 @@ through ``quadrature.node_blocks``.  The density reads Ric^D by traces
 straight off the frame Hessian of g (``weyl._ricci_jet``), so its block
 holds the metric jet but no Koszul jet of the Hessian, dGamma, dW or
 curvature: its measured peak is about 27 n^4 bytes per node on the trivial
-chart and 34 n^4 on the Hopf chart, where E (C g) is built, both reached
-while the Hessian is taken.  Its budget stays at 40 n^4 bytes per node, so
-a 5 MiB block holds 512 nodes at n = 4 and each rank-4 array, 1 MiB,
+chart, reached while the metric jet is taken, and 34 n^4 on the Hopf
+chart, where E (C g) is built and traced next to the Hessian.  Its budget
+stays at 40 n^4 bytes per node, so a 5 MiB block holds 512 nodes at
+n = 4 and each rank-4 array, 1 MiB,
 stays in a 2 MB L2 cache (at 2,048 nodes the batch-last einsums streamed
 from memory, at 128 or fewer per-block Python overhead dominated).  A
 zeta block holds about six rank-3 arrays (48 n^3 bytes per node; measured

@@ -152,8 +152,8 @@ def test_bochner_integral_sides_independent_of_chunk_size(engine, chart, request
 def test_density_block_stays_within_its_declared_working_set(request, engine, chart):
     """One 512-node annulus block of the fiber-dependent Bochner density peaks, under tracemalloc, within
     the 40 n^4 bytes per node that ``bochner_integral_sides`` declares to ``node_blocks``: on the Hopf chart
-    too, where the frame Hessian takes the fiber correction and E (C g) is built (34.3 n^4 measured, 27.0 on
-    the trivial chart; both peak while the frame Hessian is taken, before any trace)."""
+    too, where the frame Hessian takes the fiber correction and E (C g) is built and traced next to it (34.3 n^4
+    measured, 27.0 on the trivial chart)."""
     import tracemalloc
 
     from weylmass.identities import RESOLVED_BOCHNER_SIGN, _bochner_density

@@ -12,11 +12,11 @@ symmetric eigensolver, so numpy is the package's only runtime dependency.
 Hypersurface fluxes over {r = const} use the product measure
 r^(m-1) dsigma x dt, which is exact for the model metric; fluxes measured
 with a curved metric g go through the Leray form sqrt(det G) g^{-1}(w, dr).
-sqrt(det G) is the product of the pivots of ``weyl.gram_factor``'s Cholesky
-factor (``weyl.sqrt_det_gram``) and g^{-1} comes from the same kernel
-(``weyl.inv_gram``): both run along the node axis of a block, with no
-per-matrix LAPACK call, and refuse a gram that is not positive definite at
-some node with a ChartDomainError.
+The curved integrators take g^{-1} and sqrt(det G) from the caller, who
+reads both off one factorization of the block's gram
+(``weyl.inv_gram_volume``: the product of the pivots of
+``weyl.gram_factor``'s Cholesky factor, and L^-T L^-1), so no block is
+factored twice.
 
 ``node_blocks`` is the one builder of chart nodes.  Every shell and annulus
 integral streams its radial x sphere x fiber nodes through it, one block

@@ -18,11 +18,12 @@ weights and normals into two symmetric m x m matrices Q_r and C_r with
 flux of q(Z) = z^T Q_r z and flux of the Lee term = z^T C_r z, the sums
 of the forms of the shell's blocks from ``quadrature.node_blocks``.  A
 flux block is budgeted 12 n^3 bytes per node, so a block holds 2,022 nodes
-at m = 5 (the default 20,000-node shells are ten blocks) and 5,461 at
-m = 3 (a 416-node shell is one): large blocks, since each pays a fixed
-Python overhead.  Under tracemalloc one block with no factors peaks at
-11.4 n^3 bytes per node at m = 5 (2,022 nodes), the only case where a
-shell spans several blocks; at m = 3 it peaks at 13.8 n^3 on the trivial
+at m = 5 and 5,461 at m = 3: large blocks, since each pays a fixed Python
+overhead.  The default shells are one block each (416 nodes at m = 3,
+1,312 on the 82-direction symmetric rule at m = 5); a shell spans several
+only at a finer fiber or on the product rule of a larger sphere request.
+Under tracemalloc one block with no factors peaks at 11.4 n^3 bytes per
+node at m = 5 (2,022 nodes); at m = 3 it peaks at 13.8 n^3 on the trivial
 chart and 36.6 n^3 on the Hopf chart (416 nodes, about 1 MB), where
 ``lc_coeffs_h`` builds rank-3 structure constants and Christoffel arrays.
 Each swept gauge adds up to 16.4 n^2 bytes per node, budgeted at 20 n^2.
@@ -56,7 +57,12 @@ gauge of its own, are kept in the test suite as the independent oracles.
 Limits are realized on a geometric radius schedule with one Richardson
 extrapolation step at the generic remainder rate r^(2-m) of the integrated
 flux; the raw sequence is always reported and convergence is declared,
-never assumed.
+never assumed.  Where the shells use the symmetric degree-7 sphere rule,
+``mass_matrix`` also sums g's Q and C on its embedded degree-5 rule, on the
+same nodes and integrands, and each report gives the gap between the two
+rules' limits as ``angular_error``: the accuracy the rule gives up on data
+with more angular content than degree 7.  The swept gauges of a sweep sum
+no such forms.
 """
 
 from __future__ import annotations
@@ -74,7 +80,7 @@ from .families import ScalarField, conformal_sweep
 from .model import ModelSpace, sphere_volume
 from .probes import (geometric_radii, probe_grid, require_adapted, require_positive, require_weyl_alf,
                      rescaled_frame_jet2)
-from .quadrature import QuadratureSpec, node_blocks
+from .quadrature import QuadratureSpec, embedded_weights, node_blocks, sphere_rule_name
 from .weyl import WeylStructure, gauge_change, gram_factor, lee_jet, regauged_lee_jet
 
 # the default flux radii: ``count`` geometric radii from r0 to rmax
@@ -108,14 +114,16 @@ def _refuse_indefinite(model: ModelSpace, name: str, gram, pts):
     )
 
 
-def _contract_shell(model: ModelSpace, names, g, dg, theta, f, df, pts, wn, gam) -> tuple:
+def _contract_shell(model: ModelSpace, names, g, dg, theta, f, df, pts, wn, gam, wn5=None) -> tuple:
     """Forms of one shell block in gauge g and in the gauge f g of every factor, from g's and the factors' jets.
 
     (g, dg) is g's coordinate jet and theta its Lee form's values; f (F, N)
     and df (d, F, N) stack the factors' coordinate jets, F >= 0.  ``wn`` is
     weights * normals and ``gam`` is ``model.lc_coeffs_h(pts)``, or None on
-    a holonomic frame, which skips the zero h-connection terms.  Returns Q
-    and C, (1 + F, m, m), g's first, and the df forms (F, m, m).  The swept
+    a holonomic frame, which skips the zero h-connection terms.  ``wn5`` is
+    the embedded degree-5 rule's weights * normals, or None.  Returns Q
+    and C, (1 + F, m, m), g's first, the df forms (F, m, m), and g's Q and C
+    on ``wn5`` stacked, (2, m, m), or (0, m, m) without it.  The swept
     forms are linear in the factor jet: v_k and the d integrand of f g come
     from g's by the product rule, so nothing of f g is differentiated or
     factorized.  Raises ChartDomainError if g is not positive definite at
@@ -133,12 +141,16 @@ def _contract_shell(model: ModelSpace, names, g, dg, theta, f, df, pts, wn, gam)
     if gam is not None:
         v = v - np.einsum("bbl...,lk...->k...", gam, g) - np.einsum("bkl...,bl...->k...", gam, g)
     v = v - 0.5 * np.einsum("kbb...->k...", dg)
-    a = np.einsum("kN,cN->kc", v[:m], wn)
-    d = np.einsum("cabN,cN->ab", dg[:m, :m, :m], wn)
-    q = 0.5 * (a + a.T) - 0.25 * (d + d.T)
-    c = _lee_type_form(m, theta, wn)
+
+    def g_forms(wn):
+        a = np.einsum("kN,cN->kc", v[:m], wn)
+        d = np.einsum("cabN,cN->ab", dg[:m, :m, :m], wn)
+        return 0.5 * (a + a.T) - 0.25 * (d + d.T), _lee_type_form(m, theta, wn)
+
+    q, c = g_forms(wn)
+    embedded = np.empty((0, m, m)) if wn5 is None else np.stack(g_forms(wn5))
     if not len(f):  # no sweep: none of the swept work below, whose fixed per-call costs add up over many blocks
-        return q[None], c[None], np.empty((0, m, m))
+        return q[None], c[None], np.empty((0, m, m)), embedded
     # g is positive definite at every node, so f g is where f is finite and positive
     for k in np.flatnonzero(~np.all(np.isfinite(f) & (f > 0), axis=-1)):
         _refuse_indefinite(model, names[k + 1], f[k, :, None, None] * gram, pts)
@@ -155,17 +167,20 @@ def _contract_shell(model: ModelSpace, names, g, dg, theta, f, df, pts, wn, gam)
     qf = 0.5 * (a + a.swapaxes(1, 2)) - 0.25 * (d + d.swapaxes(1, 2))
     # the Lee form of gauge f g, theta - df/(2f), off the factor jet
     cf = _lee_type_form(m, theta[:, None] - df / (2.0 * f), wn)
-    return np.concatenate(([q], qf)), np.concatenate(([c], cf)), _lee_type_form(m, df, wn)
+    return np.concatenate(([q], qf)), np.concatenate(([c], cf)), _lee_type_form(m, df, wn), embedded
 
 
 def _block_forms(engine: DerivativeEngine, ws: WeylStructure, factors, names, pts, weights, normals) -> tuple:
-    """(Q, C, df forms, node count) of one node block of a flux shell, for g and every gauge f g.
+    """(Q, C, df forms, embedded forms, node count) of one node block of a flux shell, for g and every gauge f g.
 
-    Q and C are (1 + factors, m, m), the df forms (factors, m, m).  The
+    Q and C are (1 + factors, m, m), the df forms (factors, m, m).  Weights
+    (2, N) from ``node_blocks(..., embedded=True)`` also give g's Q and C on
+    the embedded degree-5 rule, (2, m, m); else that part is (0, m, m).  The
     block's jets are local, so they are freed before the next block's.
     """
     model = ws.model
     model.require_in_chart(pts)
+    weights, weights5 = (weights, None) if weights.ndim == 1 else weights
     theta = lee_jet(engine, ws.lee, pts)
     jet = engine.jet1(ws.metric.as_field(), pts)
     gam = None if model.holonomic else model.lc_coeffs_h(pts)
@@ -173,7 +188,8 @@ def _block_forms(engine: DerivativeEngine, ws: WeylStructure, factors, names, pt
     df = np.empty((model.dim,) + f.shape)
     for k, factor in enumerate(factors):
         f[k], df[:, k] = engine.jet1(factor.as_field(), pts)
-    return (*_contract_shell(model, names, *jet, theta, f, df, pts, weights * normals, gam), weights.size)
+    wn5 = None if weights5 is None else weights5 * normals
+    return (*_contract_shell(model, names, *jet, theta, f, df, pts, weights * normals, gam, wn5), weights.size)
 
 
 def richardson_limit(radii: Sequence[float], values: Sequence[float], rate: float) -> float:
@@ -201,6 +217,7 @@ class FluxForms:
     q: np.ndarray       # (1 + factors, shells, m, m): Q_r of g, then of each f g
     c: np.ndarray       # same shape: C_r, the Lee term, of each gauge
     df: np.ndarray      # (factors, shells, m, m): Lee-type form of each factor's df
+    embedded: Optional[np.ndarray]  # (2, shells, m, m): Q_r and C_r of g on the embedded degree-5 rule, or None
 
 
 def _probe_gauges(engine: DerivativeEngine, ws: WeylStructure, factors, rmax: float, check_decay: bool) -> None:
@@ -227,7 +244,8 @@ def _probe_gauges(engine: DerivativeEngine, ws: WeylStructure, factors, rmax: fl
 
 
 def flux_pass(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[ScalarField] = (),
-              radii=None, quad: Optional[QuadratureSpec] = None, check_decay: bool = True) -> FluxForms:
+              radii=None, quad: Optional[QuadratureSpec] = None, check_decay: bool = True,
+              angular: bool = False) -> FluxForms:
     """The shell forms of gauge g and of the gauge f g of every factor f, from one metric jet per node block.
 
     ``radii`` defaults to ``FLUX_RADII`` and must hold at least two radii,
@@ -241,7 +259,9 @@ def flux_pass(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[Sca
     ``_contract_shell`` forms every gauge's integrands from them.  theta
     and the h-Christoffel coefficients (none on a holonomic frame) are
     taken once per block; the Lee form of f g is theta - df/(2f) with df
-    off the factor jet.
+    off the factor jet.  With ``angular``, and where the sphere rule is the
+    symmetric one, g's Q and C are also summed on its embedded degree-5
+    rule, over the same nodes: the angular error estimate of a mass report.
     """
     model = ws.model
     m = model.m
@@ -257,15 +277,17 @@ def flux_pass(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[Sca
     # working set per node (module docstring): about one and a half rank-3 arrays (n^3 doubles), 11.4 n^3 bytes
     # measured at m = 5, and up to 16.4 n^2 bytes per swept gauge (m = 3 and 5), budgeted at 20 n^2
     node_bytes = (12 * model.dim + 20 * len(factors)) * model.dim**2
+    embedded = angular and embedded_weights(m, quad.sphere) is not None
     shells = []
     for r in radii:
         blocks = [_block_forms(engine, ws, factors, names, *block)
-                  for block in node_blocks(model, [r], [1.0], quad, node_bytes)]
+                  for block in node_blocks(model, [r], [1.0], quad, node_bytes, embedded)]
         # a shell's forms and node count are sums over its blocks; one block is taken as it is
         shells.append([reduce(add, part) for part in zip(*blocks)])
-    q, c, df, nodes = zip(*shells)
+    q, c, df, forms5, nodes = zip(*shells)
     norm = sphere_volume(m) * model.L
-    return FluxForms(radii, quad, nodes[-1], np.stack(q, 1) / norm, np.stack(c, 1) / norm, np.stack(df, 1) / norm)
+    return FluxForms(radii, quad, nodes[-1], np.stack(q, 1) / norm, np.stack(c, 1) / norm, np.stack(df, 1) / norm,
+                     np.stack(forms5, 1) / norm if embedded else None)
 
 
 @dataclass
@@ -285,6 +307,8 @@ class MassReport:
     quad: dict
     shell_nodes: int               # nodes per flux shell actually used
     extrapolation_rate: float
+    sphere_rule: str               # the sphere rule of the flux shells
+    angular_error: Optional[float]  # |mass - its limit on the embedded degree-5 rule|, None on the product rule
 
     @property
     def mass(self) -> float:
@@ -310,6 +334,8 @@ class MassReport:
             "quadrature": self.quad,
             "shell_nodes": self.shell_nodes,
             "extrapolation_rate": self.extrapolation_rate,
+            "sphere_rule": self.sphere_rule,
+            "angular_error": self.angular_error,
         }
 
     def csv_rows(self) -> list:
@@ -320,13 +346,26 @@ class MassReport:
         ]
 
 
+def _limits(radii, q_forms, c_forms, z: np.ndarray, rate: float) -> tuple:
+    """(Q values, C values, Q limit, C limit) of direction z; the C limit is 0 where every C value is."""
+    q_vals = [float(z @ q @ z) for q in q_forms]
+    c_vals = [float(z @ c @ z) for c in c_forms]
+    c_limit = richardson_limit(radii, c_vals, rate) if any(c != 0.0 for c in c_vals) else 0.0
+    return q_vals, c_vals, richardson_limit(radii, q_vals, rate), c_limit
+
+
 def _build_report(model: ModelSpace, z: np.ndarray, forms: FluxForms, gauge: int, tol_conv) -> MassReport:
-    """Report of direction z in gauge ``gauge`` (0 for g, k for the k-th factor) of a flux pass."""
-    q_vals = [float(z @ q @ z) for q in forms.q[gauge]]
-    c_vals = [float(z @ c @ z) for c in forms.c[gauge]]
+    """Report of direction z in gauge ``gauge`` (0 for g, k for the k-th factor) of a flux pass.
+
+    Its ``angular_error`` is the gap between its mass and the same limit of
+    g's forms on the embedded degree-5 rule, where the pass summed them.
+    """
     rate = 2 - model.m
-    q_limit = richardson_limit(forms.radii, q_vals, rate)
-    c_limit = richardson_limit(forms.radii, c_vals, rate) if any(c != 0.0 for c in c_vals) else 0.0
+    q_vals, c_vals, q_limit, c_limit = _limits(forms.radii, forms.q[gauge], forms.c[gauge], z, rate)
+    angular_error = None
+    if gauge == 0 and forms.embedded is not None:
+        q5_limit, c5_limit = _limits(forms.radii, *forms.embedded, z, rate)[2:]
+        angular_error = abs(q_limit + c_limit - (q5_limit + c5_limit))
     totals = [q + c for q, c in zip(q_vals, c_vals)]
     gap = abs(totals[-1] - totals[-2])
     converged = gap < tol_conv * max(1.0, abs(totals[-1]))
@@ -344,6 +383,8 @@ def _build_report(model: ModelSpace, z: np.ndarray, forms: FluxForms, gauge: int
         quad=asdict(forms.quad),
         shell_nodes=forms.nodes,
         extrapolation_rate=rate,
+        sphere_rule=sphere_rule_name(model.m, forms.quad.sphere),
+        angular_error=angular_error,
     )
 
 
@@ -441,9 +482,10 @@ def mass_matrix(engine: DerivativeEngine, ws: WeylStructure, radii=None,
 
     The matrices are the extrapolated limits of Q_r + C_r and of Q_r.
     Returns (matrix, q_matrix, reports) with reports keyed by the basis
-    directions X_b and the polarization directions X_b + X_c.
+    directions X_b and the polarization directions X_b + X_c; each report
+    names the sphere rule and, on the symmetric rule, its angular error.
     """
-    forms = flux_pass(engine, ws, radii=radii, quad=quad, check_decay=check_decay)
+    forms = flux_pass(engine, ws, radii=radii, quad=quad, check_decay=check_decay, angular=True)
     model = ws.model
     m = model.m
     rate = 2 - m

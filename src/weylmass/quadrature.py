@@ -1,13 +1,25 @@
 """Quadrature on spheres, fibers, radial shells and annuli of the chart.
 
 Sphere rules return unit directions and weights summing to vol(S^(m-1)).
-The default for m = 3 is the classic 26-point octahedral rule (exact through
-degree 7), rotated by a fixed generic rotation so no node sits on the fiber
-chart seam.  A Gauss-Jacobi x azimuth product rule covers arbitrary m and
-arbitrary density (used for refined-quadrature cross checks).  Its polar
-nodes come from ``gauss_jacobi``, the Golub-Welsch method (Golub & Welsch,
-"Calculation of Gauss quadrature rules", Math. Comp. 23, 1969) on numpy's
-symmetric eigensolver, so numpy is the package's only runtime dependency.
+A request of up to 26 directions at 3 <= m <= 7 gets the fully symmetric
+degree-7 rule of ``sphere_rule_symmetric`` (Stroud, *Approximate
+Calculation of Multiple Integrals*, 1971, ch. 8): the 2m axis points, the
+2m(m-1) edge points (+-e_i +- e_j)/sqrt(2) and the 2^m corner points
+(+-1, ..., +-1)/sqrt(m), with closed-form weights, 26 / 48 / 82 / 136 / 226
+nodes at m = 3 ... 7.  At m = 3 it is the classic 26-point octahedral rule,
+rotated by a fixed generic rotation so no node sits on the fiber chart
+seam; at m >= 4 the charts are trivial-only and the rule is not rotated.
+Its axis weight (8 - m) / (m (m + 2) (m + 4)) vanishes at m = 8 and is
+negative after, so m >= 8 and every larger request get a Gauss-Jacobi x
+azimuth product rule of 2 n_polar^(m-1) directions, n_polar =
+round(sqrt(request)), which covers any m and density (the Bochner annulus
+and refined-quadrature cross checks).  The axis and corner orbits alone,
+reweighted, are an embedded degree-5 rule (``embedded_weights``): summed
+over the same nodes, it gives the angular error estimate of a flux shell
+at no extra node.  The product rule's polar nodes come from
+``gauss_jacobi``, the Golub-Welsch method (Golub & Welsch, "Calculation of
+Gauss quadrature rules", Math. Comp. 23, 1969) on numpy's symmetric
+eigensolver, so numpy is the package's only runtime dependency.
 
 Hypersurface fluxes over {r = const} use the product measure
 r^(m-1) dsigma x dt, which is exact for the model metric; fluxes measured
@@ -37,13 +49,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
-from .model import ModelSpace
+from .model import ModelSpace, sphere_volume
 
-# 26-point octahedral rule on S^2: 6 axis points, 12 edge midpoints, 8 cube corners.
-_W26 = (1.0 / 21.0, 4.0 / 105.0, 27.0 / 840.0)
+# the names of the two sphere rules, as mass reports give them
+SYMMETRIC_RULE, PRODUCT_RULE = "symmetric_degree7", "gauss_jacobi_product"
 
 # Fixed generic rotation keeping rule nodes off coordinate axes (and the Hopf seam).
 _TILT = np.array([0.41, 0.79, 1.13])
@@ -66,15 +79,34 @@ def _rotation(m: int) -> np.ndarray:
     return rot
 
 
-def sphere_rule_oct26() -> tuple[np.ndarray, np.ndarray]:
-    """26-node octahedral rule on S^2, weights scaled to total 4*pi."""
-    eye, signs = np.eye(3), (-1.0, 1.0)
-    inv, inv3 = 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(3.0)
-    pts = ([s * eye[i] for i in range(3) for s in signs]
-           + [(si * eye[i] + sj * eye[j]) * inv for i, j in ((0, 1), (0, 2), (1, 2)) for si in signs for sj in signs]
-           + [np.array(corner) * inv3 for corner in itertools.product(signs, repeat=3)])
-    wts = np.repeat(_W26, (6, 12, 8)) * (4.0 * math.pi)
-    return (np.array(pts) @ _rotation(3).T).T, wts
+def _symmetric_fractions(m: int) -> tuple:
+    """Per-node weights of the axis, edge and corner orbits of the degree-7 rule, as fractions of vol(S^(m-1))."""
+    return (8 - m) / (m * (m + 2) * (m + 4)), 4 / (m * (m + 2) * (m + 4)), m * m / (2**m * (m + 2) * (m + 4))
+
+
+@lru_cache(maxsize=8)
+def sphere_rule_symmetric(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fully symmetric degree-7 rule on S^(m-1), 3 <= m <= 7: directions (m, N), weights (N,) summing to
+    vol(S^(m-1)) and the weights (N,) of its embedded degree-5 rule; cached, so read-only.
+
+    Nodes run axis points, edge points, corner points.  The embedded rule
+    weighs the axis points 1 / (m (m + 2)) and the corner points
+    m / (2^m (m + 2)) of vol(S^(m-1)) each, and the edge points 0.  At m = 3
+    the rule is rotated off the Hopf seam.
+    """
+    eye, signs = np.eye(m), (-1.0, 1.0)
+    inv, inv_m = 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(m)
+    pts = np.array([s * eye[i] for i in range(m) for s in signs]
+                   + [(si * eye[i] + sj * eye[j]) * inv for i, j in itertools.combinations(range(m), 2)
+                      for si in signs for sj in signs]
+                   + [np.array(corner) * inv_m for corner in itertools.product(signs, repeat=m)])
+    counts, vol = (2 * m, 2 * m * (m - 1), 2**m), sphere_volume(m)
+    rule = ((pts @ _rotation(3).T).T if m == 3 else pts.T,
+            np.repeat(_symmetric_fractions(m), counts) * vol,
+            np.repeat((1 / (m * (m + 2)), 0.0, m / (2**m * (m + 2))), counts) * vol)
+    for part in rule:
+        part.setflags(write=False)
+    return rule
 
 
 def sphere_rule_product(m: int, n_polar: int) -> tuple[np.ndarray, np.ndarray]:
@@ -102,13 +134,27 @@ def sphere_rule_product(m: int, n_polar: int) -> tuple[np.ndarray, np.ndarray]:
     return rot @ pts, wts
 
 
+def sphere_rule_name(m: int, nodes: int) -> str:
+    """The rule ``sphere_rule(m, nodes)`` gives: the symmetric one up to 26 directions while its weights are
+    positive (3 <= m <= 7), else the product rule."""
+    return SYMMETRIC_RULE if 3 <= m and nodes <= 26 and _symmetric_fractions(m)[0] > 0 else PRODUCT_RULE
+
+
 @lru_cache(maxsize=8)
 def sphere_rule(m: int, nodes: int = 26) -> tuple[np.ndarray, np.ndarray]:
     """Unit directions (m, N) and weights (N,) summing to vol(S^(m-1)); cached, so read-only."""
-    rule = sphere_rule_oct26() if m == 3 and nodes <= 26 else sphere_rule_product(m, max(4, round(math.sqrt(nodes))))
+    if sphere_rule_name(m, nodes) == SYMMETRIC_RULE:
+        return sphere_rule_symmetric(m)[:2]
+    rule = sphere_rule_product(m, max(4, round(math.sqrt(nodes))))
     for part in rule:
         part.setflags(write=False)
     return rule
+
+
+def embedded_weights(m: int, nodes: int) -> Optional[np.ndarray]:
+    """Weights (N,) of the embedded degree-5 rule on the directions of ``sphere_rule(m, nodes)``, or None
+    where that is the product rule, which has none."""
+    return sphere_rule_symmetric(m)[2] if sphere_rule_name(m, nodes) == SYMMETRIC_RULE else None
 
 
 def fiber_rule(L: float, nodes: int = 16) -> tuple[np.ndarray, np.ndarray]:
@@ -164,18 +210,23 @@ class QuadratureSpec:
     radial: int = 8
 
 
-def node_blocks(model: ModelSpace, radii, radial_weights, quad: QuadratureSpec, node_bytes: int):
+def node_blocks(model: ModelSpace, radii, radial_weights, quad: QuadratureSpec, node_bytes: int,
+                embedded: bool = False):
     """Yield (points, weights, normals) blocks of the radial x sphere x fiber nodes, built one at a time.
 
     Nodes run radius-major, then sphere direction, then fiber node: node
     (i, j, k) is (r_i u_j, t_k) with weight r_i^(m-1) w_i w_j w_k and
     outward unit normal u_j; a shell is one radius of weight 1.0.  A block
-    holds ``BLOCK_BYTES // node_bytes`` nodes, at least one.
+    holds ``BLOCK_BYTES // node_bytes`` nodes, at least one.  With
+    ``embedded`` the weights are (2, nodes): the rule's, then those of its
+    embedded degree-5 rule, which the sphere rule must have.
     """
     u, wu = sphere_rule(model.m, quad.sphere)
+    if embedded:
+        wu = np.stack([wu, embedded_weights(model.m, quad.sphere)])
     t, wt = fiber_rule(model.L, quad.fiber)
     r, wr = np.asarray(radii, dtype=float), np.asarray(radial_weights, dtype=float)
-    nu, nt = wu.size, wt.size
+    nu, nt = wu.shape[-1], wt.size
     total, size = r.size * nu * nt, max(1, BLOCK_BYTES // node_bytes)
     np.empty(BLOCK_BYTES // 8)  # freed at once, so the allocator keeps blocks mapped (module docstring)
     for start in range(0, total, size):
@@ -183,7 +234,7 @@ def node_blocks(model: ModelSpace, radii, radial_weights, quad: QuadratureSpec, 
         R, U, T = node // (nu * nt), node // nt % nu, node % nt
         normals = np.take(u, U, axis=1)  # C order: u[:, U] is F order, and einsum sums in memory order
         pts = np.concatenate([r[R] * normals, t[T][None, :]], axis=0)
-        yield pts, r[R] ** (model.m - 1) * wr[R] * wu[U] * wt[T], normals
+        yield pts, r[R] ** (model.m - 1) * wr[R] * wu[..., U] * wt[T], normals
 
 
 def flux_curved_metric(oneform_values: np.ndarray, ginv: np.ndarray, sqrt_det: np.ndarray, normals: np.ndarray,

@@ -36,6 +36,10 @@ slot).  The references here compute the same quantities on other routes:
   the wedge form of D and for delta = -*d*; test-only fields follow it.
   Its operand checks raise ``DimensionMismatchError``, defined here because
   nothing in the package raises it;
+* ``anisotropic_metric`` (g = h + A r^(2-m) on the horizontal block, with
+  its closed-form mass matrix ``anisotropic_mass_matrix``) and
+  ``translated_metric`` (a family's source moved off the origin) are the
+  non-radial data of the mass-matrix oracles and of the angular error;
 * ``unit_scalar`` (the factor f = 1) and ``ricci_positivity_floor`` (the
   smallest eigenvalue of the symmetrized connection Ricci over samples)
   have test callers only.
@@ -62,7 +66,7 @@ import numpy as np
 from weylmass import autodiff as am
 from weylmass.engine import DerivativeEngine, Field, frame_jet1, frame_jet2
 from weylmass.errors import DegreeError, GaugeMismatchError
-from weylmass.families import LeeFormField, MetricFamily, ScalarField, directional_profile, radial_profile
+from weylmass.families import LeeFormField, MetricFamily, ScalarField, _radius, directional_profile, radial_profile
 from weylmass.identities import (IdentityReport, _perm_sign, _rng, _weight_pool, antisymmetrize,
                                  random_form_field, trial_point, trial_structure)
 from weylmass.mass import _contract_shell, richardson_limit
@@ -343,8 +347,8 @@ def per_gauge_shell_forms(model: ModelSpace, name: str, g_jet, theta, f_jet, pts
     f, df = f_jet
     theta_f = theta - model.frame_from_coord(df, model.split(pts)[0]) / (2.0 * f)
     none = np.empty((0,) + f.shape)
-    q, c, _ = _contract_shell(model, [name], *rescaled_jet(f_jet, g_jet), theta_f, none,
-                              np.empty((model.dim,) + none.shape), pts, wn, gam)
+    q, c, _, _ = _contract_shell(model, [name], *rescaled_jet(f_jet, g_jet), theta_f, none,
+                                 np.empty((model.dim,) + none.shape), pts, wn, gam)
     return q[0], c[0]
 
 
@@ -640,6 +644,39 @@ def sphere_block_test(model: ModelSpace) -> MetricFamily:
         return rows
 
     return MetricFamily("sphere_block_test", model, fn)
+
+
+def anisotropic_metric(model: ModelSpace, A) -> MetricFamily:
+    """g_ab = delta_ab + A_ab r^(2-m) on the horizontal block, A symmetric and constant; the fiber block is h's.
+
+    With ``zero_lee`` its mass matrix is (m - 2) / (2m) (tr A I + (m - 2) A): a
+    non-radial metric whose matrix has off-diagonal entries.
+    """
+    m, n = model.m, model.dim
+    A = np.asarray(A, dtype=float)
+
+    def fn(coords):
+        fall = _radius(coords[:m]) ** (2 - m)
+        return [[(float(i == j) + A[i, j] * fall if i < m and j < m else float(i == j)) for j in range(n)]
+                for i in range(n)]
+
+    return MetricFamily("anisotropic_metric", model, fn, params={"A": A.tolist()})
+
+
+def anisotropic_mass_matrix(A) -> np.ndarray:
+    """The closed-form mass matrix of ``anisotropic_metric`` with ``zero_lee``."""
+    m = len(A)
+    return (m - 2) / (2 * m) * (np.trace(A) * np.eye(m) + (m - 2) * np.asarray(A))
+
+
+def translated_metric(fam: MetricFamily, centre) -> MetricFamily:
+    """The metric of ``fam`` with its base coordinates x replaced by x - centre: the source moved to centre."""
+    m = fam.model.m
+
+    def fn(coords):
+        return fam.fn([x - c for x, c in zip(coords[:m], centre)] + list(coords[m:]))
+
+    return MetricFamily(f"translated({fam.name})", fam.model, fn, params={**fam.params, "centre": list(centre)})
 
 
 def random_adapted_scalar(model: ModelSpace, seed: int, scale: float = 0.4) -> ScalarField:

@@ -1,8 +1,8 @@
-"""The CI workflow installs the test extra, runs CLI smoke commands (a Hopf, an m = 5, a refined m = 5 and a
-Hopf compact_lee mass, a pointwise verify and an annulus verify at m = 3 and m = 4, then Hopf sweeps, a
-trivial-chart sweep, a one-value Hopf sweep and an m = 5 sweep),
-summarizes every report they wrote, reruns a mass and the m = 3 annulus verify from the configs their reports
-embed, and runs the tier-1 command that ROADMAP.md names, with a time limit."""
+"""The CI workflow installs the test extra, runs CLI smoke commands (a Hopf, an m = 5, a refined m = 5, a
+Hopf compact_lee, an m = 6 and an m = 7 mass, a pointwise verify and an annulus verify at m = 3 and m = 4, then
+Hopf sweeps, a trivial-chart sweep, a one-value Hopf sweep and an m = 5 sweep),
+summarizes every report they wrote, reruns a mass, the m = 3 annulus verify and the m = 5 mass from the configs
+their reports embed, and runs the tier-1 command that ROADMAP.md names, with a time limit."""
 
 import json
 import os
@@ -114,9 +114,10 @@ def test_workflow_sweep_smoke_runs_a_hopf_sweep():
 
 def test_workflow_mass_smoke_runs_a_hopf_mass():
     """Right after the install, ``python -m weylmass mass`` on the Hopf model, then at m = 5 at the default
-    quadrature, where the sphere rule is the Gauss-Jacobi product (20,000-node shells), then at m = 5 with
-    fiber 64 (80,000-node shells, streamed in node blocks), then with the bump-supported
-    ``compact_lee`` on the Hopf chart, whose jets go through ``autodiff.where``."""
+    quadrature, where the sphere rule is the 82-direction symmetric rule (1,312-node shells), then at m = 5
+    with fiber 64 (5,248-node shells, streamed in three node blocks), then with the bump-supported
+    ``compact_lee`` on the Hopf chart, whose jets go through ``autodiff.where``.  Last, the default mass at
+    m = 6 and m = 7, on the 136- and 226-direction symmetric rules."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
@@ -130,10 +131,12 @@ def test_workflow_mass_smoke_runs_a_hopf_mass():
         ({"model": {"m": 5}, "quadrature": {"fiber": 64}}, "mass_m5_fine"),
         ({"model": {"fibration": "hopf"}, "family": {"name": "hopf_model"}, "lee": {"name": "compact_lee"}},
          "mass_compact"),
+        ({"model": {"m": 6}}, "mass_m6"),
+        ({"model": {"m": 7}}, "mass_m7"),
     ]
     runs = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" .*\bmass$",
                       smoke, re.MULTILINE)
-    assert runs == ["mass", "mass_m5", "mass_m5_fine", "mass_compact"]
+    assert runs == ["mass", "mass_m5", "mass_m5_fine", "mass_compact", "mass_m6", "mass_m7"]
 
 
 def test_workflow_report_smoke_reads_every_smoke_report():
@@ -149,7 +152,7 @@ def test_workflow_report_smoke_reads_every_smoke_report():
                for name in ("Mass smoke", "CLI smoke", "Sweep smoke")
                for out, command in re.findall(r"--out \"\$RUNNER_TEMP/(\w+)\" (\w+)$",
                                               job["steps"][names.index(name)]["run"], re.MULTILINE)]
-    assert len(written) == 12
+    assert len(written) == 14
     assert written[-1] == "$RUNNER_TEMP/sweep_m5/sweep_report.jsonl"
     (line,) = job["steps"][names.index("Report smoke")]["run"].strip().splitlines()
     prefix = "PYTHONPATH=src python -m weylmass report "
@@ -160,8 +163,9 @@ def test_workflow_report_smoke_reads_every_smoke_report():
 def test_workflow_reproduces_a_mass_from_its_report(tmp_path):
     """Right before the tier-1 tests, a partial-section Hopf mass, then a mass from the config record its report
     embeds: the two reports must be the same bytes.  Then the same for the one-trial annulus verify of the CLI
-    smoke: a verify from the config its report embeds must write the same bytes.  The step's commands are run
-    here as CI runs them, after the CLI smoke's annulus commands."""
+    smoke: a verify from the config its report embeds must write the same bytes.  Last, the same for the
+    default m = 5 mass of the mass smoke.  The step's commands are run here as CI runs them, after the CLI
+    smoke's annulus commands and the mass smoke's m = 5 commands."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
@@ -175,24 +179,31 @@ def test_workflow_reproduces_a_mass_from_its_report(tmp_path):
     runs = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" "
                       r"--out \"\$RUNNER_TEMP/(\w+)\" (\w+)$", smoke, re.MULTILINE)
     assert runs == [("partial", "partial", "mass"), ("reproduce", "reproduce", "mass"),
-                    ("reproduce_annulus", "reproduce_annulus", "verify")]
+                    ("reproduce_annulus", "reproduce_annulus", "verify"), ("reproduce_m5", "reproduce_m5", "mass")]
     lines = smoke.strip().splitlines()
     assert lines[4] == 'cmp "$RUNNER_TEMP/partial/mass_report.jsonl" "$RUNNER_TEMP/reproduce/mass_report.jsonl"'
     assert lines[5].startswith('head -n 1 "$RUNNER_TEMP/annulus/verify_report.jsonl" | ')
-    assert lines[-1] == ('cmp "$RUNNER_TEMP/annulus/verify_report.jsonl" '
-                         '"$RUNNER_TEMP/reproduce_annulus/verify_report.jsonl"')
+    assert lines[7] == ('cmp "$RUNNER_TEMP/annulus/verify_report.jsonl" '
+                        '"$RUNNER_TEMP/reproduce_annulus/verify_report.jsonl"')
+    assert lines[8].startswith('head -n 1 "$RUNNER_TEMP/mass_m5/mass_report.jsonl" | ')
+    assert lines[-1] == 'cmp "$RUNNER_TEMP/mass_m5/mass_report.jsonl" "$RUNNER_TEMP/reproduce_m5/mass_report.jsonl"'
     cli = job["steps"][names.index("CLI smoke")]["run"]
     annulus = "\n".join(line for line in cli.strip().splitlines() if re.search(r'"\$RUNNER_TEMP/annulus[."]', line))
     assert annulus.count("\n") == 1
+    mass = job["steps"][names.index("Mass smoke")]["run"]
+    mass_m5 = "\n".join(line for line in mass.strip().splitlines() if re.search(r'"\$RUNNER_TEMP/mass_m5[."]', line))
+    assert mass_m5.count("\n") == 1
     # `python` in the step is this interpreter where its directory has one
     path = f"{Path(sys.executable).parent}{os.pathsep}{os.environ.get('PATH', '')}"
     env = {**os.environ, "RUNNER_TEMP": str(tmp_path), "PATH": path}
-    res = subprocess.run(["bash", "-eo", "pipefail", "-c", annulus + "\n" + smoke], capture_output=True, text=True,
-                         env=env, cwd=ROOT, timeout=300)
+    res = subprocess.run(["bash", "-eo", "pipefail", "-c", "\n".join((annulus, mass_m5, smoke))], capture_output=True,
+                         text=True, env=env, cwd=ROOT, timeout=300)
     assert res.returncode == 0, res.stderr + res.stdout
     assert json.loads((tmp_path / "reproduce.json").read_text())["radii"] == {"r0": 30, "rmax": 320.0, "count": 6}
     assert json.loads((tmp_path / "reproduce_annulus.json").read_text())["trials"] == {
         "identity": 0, "bochner": 1, "integral": 1}
+    assert json.loads((tmp_path / "reproduce_m5.json").read_text())["quadrature"] == {
+        "sphere": 26, "fiber": 16, "radial": 8}
 
 
 def test_package_runs_as_module_without_install(tmp_path):

@@ -127,6 +127,24 @@ def test_mass_kaluza_isotropic_and_csv_schema(tmp_path):
     assert len(csv_lines) == 2 + 6
 
 
+def test_mass_records_state_the_sphere_rule_and_its_angular_error(tmp_path):
+    """Each direction record names the sphere rule of its shells.  On the symmetric rule (any request up to
+    26 directions) ``angular_error`` is the gap to the embedded degree-5 rule, at roundoff on centred radial
+    data; on the product rule (a request of 30) it is null.  ``report`` reads both."""
+    for sphere, rule in ((26, "symmetric_degree7"), (30, "gauss_jacobi_product")):
+        out = tmp_path / rule
+        cfg = write_config(out.parent, quadrature={"sphere": sphere, "fiber": 2})
+        res = run_cli(["--config", str(cfg), "mass"], out)
+        assert res.returncode == 0, res.stderr
+        records = [json.loads(line) for line in (out / "mass_report.jsonl").read_text().splitlines()[2:]]
+        assert len(records) == 6 and all(rec["sphere_rule"] == rule for rec in records)
+        if rule == "symmetric_degree7":
+            assert all(0.0 <= rec["angular_error"] < 1e-13 for rec in records)
+        else:
+            assert all(rec["angular_error"] is None for rec in records)
+        assert run_cli(["report", str(out / "mass_report.jsonl")], out).returncode == 0
+
+
 def test_mass_rejects_undefined_mass(tmp_path):
     cfg = write_config(tmp_path, family={"name": "slow_tail", "params": {"mu": 1.0}})
     res = run_cli(["--config", str(cfg), "mass"], tmp_path / "out")

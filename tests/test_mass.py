@@ -19,12 +19,13 @@ from weylmass.families import (MetricFamily, compact_lee, conformal_sweep, flat_
 from weylmass.mass import flux_pass, gauge_audit, mass_matrix, richardson_limit
 from weylmass.model import ModelSpace, sphere_volume
 from weylmass.probes import decay_probe, geometric_radii
-from weylmass.quadrature import QuadratureSpec
+from weylmass.quadrature import PRODUCT_RULE, SYMMETRIC_RULE, QuadratureSpec
 from weylmass.weyl import WeylStructure, lee_jet
 
-from oracles import (direction_limits, flux_model_metric, horizontal_field, lee_correction_components,
-                     longdouble_shell_forms, per_gauge_shell_forms, q_flux_components, random_adapted_scalar,
-                     ricci_positivity_floor, shell_nodes, unit_scalar)
+from oracles import (anisotropic_mass_matrix, anisotropic_metric, direction_limits, flux_model_metric,
+                     horizontal_field, lee_correction_components, longdouble_shell_forms, per_gauge_shell_forms,
+                     q_flux_components, random_adapted_scalar, ricci_positivity_floor, shell_nodes,
+                     translated_metric, unit_scalar)
 
 
 def x1_report(engine, ws, **kw):
@@ -134,7 +135,8 @@ def test_flux_pass_independent_of_block_size(engine, chart, request, monkeypatch
 
 def test_flux_pass_memory_stays_bounded_as_the_rule_is_refined(engine):
     """m = 5 shells of 20,000 nodes (fiber 16) keep the traced peak of a flux pass within 1.5x of its
-    peak at 2,500 nodes (fiber 2): each shell is streamed in node blocks, never held whole."""
+    peak at 2,500 nodes (fiber 2): each shell is streamed in node blocks, never held whole.  The request of
+    30 directions keeps the 1,250-direction product rule, so the fine shells span ten blocks."""
     import tracemalloc
 
     space = ModelSpace(m=5)
@@ -143,7 +145,7 @@ def test_flux_pass_memory_stays_bounded_as_the_rule_is_refined(engine):
     def peak(fiber):
         tracemalloc.start()
         try:
-            flux_pass(engine, ws, quad=QuadratureSpec(fiber=fiber), check_decay=False)
+            flux_pass(engine, ws, quad=QuadratureSpec(sphere=30, fiber=fiber), check_decay=False)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -248,14 +250,19 @@ def test_mass_report_diagnostics(model, engine):
 
 
 def test_mass_report_counts_nodes_actually_used(model, engine):
-    """The sphere request is rounded to a rule; the report gives the nodes of that rule."""
+    """The sphere request is rounded to a rule; the report gives the nodes of that rule: the symmetric rule up
+    to 26 directions (26 at m = 3, 82 at m = 5), the product rule above (2 * 6^3 directions at m = 4)."""
     ws = WeylStructure(model, flat_product(model), zero_lee(model))
     rep = x1_report(engine, ws, quad=QuadratureSpec(sphere=10, fiber=3))
     assert rep.as_dict()["shell_nodes"] == 26 * 3
     space = ModelSpace(m=5)
     ws5 = WeylStructure(space, flat_product(space), zero_lee(space))
     rep5 = x1_report(engine, ws5, quad=QuadratureSpec(sphere=26, fiber=1))
-    assert rep5.as_dict()["shell_nodes"] == 1250
+    assert rep5.as_dict()["shell_nodes"] == 82
+    space = ModelSpace(m=4)
+    ws4 = WeylStructure(space, flat_product(space), zero_lee(space))
+    rep4 = x1_report(engine, ws4, quad=QuadratureSpec(sphere=36, fiber=1))
+    assert rep4.as_dict()["shell_nodes"] == 432
 
 
 def test_nonconvergent_flux_is_flagged(model, engine):
@@ -626,8 +633,8 @@ def test_holonomic_flux_and_probes_build_no_connection_terms(model, engine, monk
         jet = engine.jet1(ws.metric.as_field(), pts)
         theta = lee_jet(engine, ws.lee, pts)
         f, df = _stacked([engine.jet1(f.as_field(), pts) for f in factors])
-        q, c, df_forms = mass_mod._contract_shell(model, ["g", "f g", "f' g"], *jet, theta, f, df, pts,
-                                                  weights * normals, gam)
+        q, c, df_forms, _ = mass_mod._contract_shell(model, ["g", "f g", "f' g"], *jet, theta, f, df, pts,
+                                                     weights * normals, gam)
         assert np.array_equal(forms.q[:, s], q / norm) and np.array_equal(forms.c[:, s], c / norm)
         assert np.array_equal(forms.df[:, s], df_forms / norm)
 
@@ -654,7 +661,7 @@ def test_swept_forms_are_no_farther_from_longdouble_than_the_per_gauge_route(req
             gam_or_none = None if space.holonomic else gam
             jet, theta = engine.jet1(fam.as_field(), pts), lee_jet(engine, ws.lee, pts)
             f_jets = [engine.jet1(f.as_field(), pts) for f in factors]
-            q, c, _ = _contract_shell(space, ["g"] * 4, *jet, theta, *_stacked(f_jets), pts, wn, gam_or_none)
+            q, c, _, _ = _contract_shell(space, ["g"] * 4, *jet, theta, *_stacked(f_jets), pts, wn, gam_or_none)
             for k, f_jet in enumerate(f_jets, 1):
                 want = longdouble_shell_forms(space, jet, theta, f_jet, pts, wn, gam)
                 scale = max(float(np.max(np.abs(w))) for w in want)
@@ -836,6 +843,110 @@ def test_mass_matrix_isotropy(model, engine):
     off = mat - np.diag(np.diag(mat))
     assert np.max(np.abs(off)) < 1e-6
     assert set(reports) >= {"1*X1", "1*X2", "1*X3"}
+
+
+# --- non-radial oracles and the angular error of the symmetric sphere rule ------------------------
+
+ANISOTROPIC_CHARTS = [(3, "trivial"), (3, "hopf"), (4, "trivial"), (5, "trivial")]
+
+
+def random_symmetric(m: int, seed: int) -> np.ndarray:
+    b = np.random.default_rng(np.random.SeedSequence([seed, 905])).normal(size=(m, m))
+    return 0.5 * (b + b.T)
+
+
+def anisotropic_matrix(engine, space, A, sphere=26) -> tuple:
+    """(mass matrix, 1*X1 report) of ``anisotropic_metric`` with ``zero_lee``; the metric is t-independent."""
+    ws = WeylStructure(space, anisotropic_metric(space, A), zero_lee(space))
+    matrix, _, reports = mass_matrix(engine, ws, quad=QuadratureSpec(sphere=sphere, fiber=2))
+    return matrix, reports["1*X1"]
+
+
+@pytest.mark.parametrize("sphere", [26, 30], ids=["symmetric", "product"])
+@pytest.mark.parametrize("m,fibration", ANISOTROPIC_CHARTS)
+def test_anisotropic_mass_matrix_closed_form(engine, m, fibration, sphere):
+    """g = h + A r^(2-m) on the horizontal block has the mass matrix (m - 2) / (2m) (tr A I + (m - 2) A), off-
+    diagonal entries included, to 1e-12 of its largest entry: on both sphere rules (26 directions and 30)."""
+    space = ModelSpace(m=m, fibration=fibration)
+    A = random_symmetric(m, seed=m)
+    want = anisotropic_mass_matrix(A)
+    assert np.max(np.abs(want - np.diag(np.diag(want)))) > 0.1
+    matrix, rep = anisotropic_matrix(engine, space, A, sphere)
+    assert rep.sphere_rule == (SYMMETRIC_RULE if sphere <= 26 else PRODUCT_RULE)
+    assert np.max(np.abs(matrix - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m,fibration", [(3, "trivial"), (3, "hopf"), (5, "trivial")])
+def test_anisotropic_mass_matrix_is_equivariant(engine, m, fibration):
+    """A -> P A P^T for an orthogonal P gives M -> P M P^T, to 1e-12 of the largest entry of M."""
+    space = ModelSpace(m=m, fibration=fibration)
+    A = random_symmetric(m, seed=10 + m)
+    P = np.linalg.qr(np.random.default_rng(m).normal(size=(m, m)))[0]
+    matrix = anisotropic_matrix(engine, space, A)[0]
+    rotated = anisotropic_matrix(engine, space, P @ A @ P.T)[0]
+    assert np.max(np.abs(rotated - P @ matrix @ P.T)) <= 1e-12 * np.max(np.abs(matrix))
+
+
+def test_anisotropic_closed_form_tells_the_off_diagonal_part(engine):
+    """Negative control: with A's off-diagonal part dropped, the matrix meets the closed form of that
+    diagonal A but misses the full A's by more than 1e-2 of its largest entry."""
+    space = ModelSpace(m=5)
+    A = random_symmetric(5, seed=5)
+    matrix = anisotropic_matrix(engine, space, np.diag(np.diag(A)))[0]
+    assert np.max(np.abs(matrix - anisotropic_mass_matrix(np.diag(np.diag(A))))) <= 1e-12 * np.max(np.abs(matrix))
+    want = anisotropic_mass_matrix(A)
+    assert np.max(np.abs(matrix - want)) > 1e-2 * np.max(np.abs(want))
+
+
+def test_off_centre_source_lies_within_its_angular_error(engine):
+    """kaluza_perturbation moved to (3, -2, 1.5, 2, -1) at m = 5, with radial_lee: by translation invariance
+    its mass is the centred closed form |z|^2 (2 mu (m-1)(m-2)/m - amplitude (2m-1)/m).  On the symmetric
+    rule each direction's mass misses it, by more than roundoff, but by less than its ``angular_error``;
+    on the product rule (30 directions requested) each mass is within 1e-12 and ``angular_error`` is None."""
+    space = ModelSpace(m=5)
+    mu, amplitude = 1.3, 0.45
+    ws = WeylStructure(space, translated_metric(kaluza_perturbation(space, mu=mu), (3.0, -2.0, 1.5, 2.0, -1.0)),
+                       radial_lee(space, amplitude))
+    diag = 2.0 * mu * 4 * 3 / 5 - amplitude * 9 / 5
+    reports = mass_matrix(engine, ws, quad=QuadratureSpec(fiber=2))[2]
+    misses = []
+    for key, rep in reports.items():
+        want = diag * (key.count("+") + 1)
+        assert rep.sphere_rule == SYMMETRIC_RULE
+        assert abs(rep.mass - want) <= rep.angular_error < 1e-6
+        misses.append(abs(rep.mass - want))
+    assert max(misses) > 1e-11
+    for key, rep in mass_matrix(engine, ws, quad=QuadratureSpec(sphere=30, fiber=2))[2].items():
+        assert rep.sphere_rule == PRODUCT_RULE and rep.angular_error is None
+        assert rep.mass == pytest.approx(diag * (key.count("+") + 1), rel=1e-12)
+
+
+def test_angular_error_is_the_gap_to_the_embedded_rule(engine, monkeypatch):
+    """A mass pass sums g's forms on the embedded degree-5 rule too, and each report's ``angular_error`` is
+    |mass - the limit of those forms|: the same forms as a pass on the degree-5 weights alone (patched in as
+    the sphere rule), to 1e-14 of their largest entry, and the same gap to the roundoff of masses near 1
+    (4e-15), on an off-centre source where the gap is above 1e-10.  A pass without ``angular``, as a sweep
+    makes, sums none."""
+    from weylmass import quadrature
+
+    space = ModelSpace(m=4)
+    ws = WeylStructure(space, translated_metric(kaluza_perturbation(space, mu=1.0), (2.0, -1.0, 0.5, 1.0)),
+                       radial_lee(space, 0.3))
+    quad = QuadratureSpec(fiber=2)
+    forms = flux_pass(engine, ws, quad=quad, angular=True)
+    assert forms.embedded.shape == (2, 6, 4, 4) and flux_pass(engine, ws, quad=quad).embedded is None
+    u, _, w5 = quadrature.sphere_rule_symmetric(4)
+    monkeypatch.setattr(quadrature, "sphere_rule", lambda m, nodes: (u, w5))
+    degree5 = flux_pass(engine, ws, quad=quad)
+    monkeypatch.undo()
+    for mine, theirs in zip(forms.embedded, (degree5.q[0], degree5.c[0])):
+        assert np.max(np.abs(mine - theirs)) <= 1e-14 * np.max(np.abs(theirs))
+    for key, rep in mass_matrix(engine, ws, quad=quad)[2].items():
+        z = sum(np.eye(4)[int(term[len("1*X"):]) - 1] for term in key.split("+"))
+        q5 = richardson_limit(forms.radii, [z @ q @ z for q in degree5.q[0]], -2)
+        c5 = richardson_limit(forms.radii, [z @ c @ z for c in degree5.c[0]], -2)
+        assert rep.angular_error == pytest.approx(abs(rep.mass - q5 - c5), rel=0.0, abs=4e-15)
+        assert rep.angular_error > 1e-10
 
 
 def test_ricci_positivity_floor_flat(model, engine):

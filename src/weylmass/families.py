@@ -77,6 +77,13 @@ class ScalarField:
         return Field(self.fn, shape=(), name=self.name)
 
 
+def stacked_factors(factors) -> Field:
+    """One field of shape (F,) over conformal factors, each evaluated on the same seeds: a sweep pays one
+    jet's fixed costs per node block or probe grid, not one per factor."""
+    return Field(lambda coords: [f.fn(coords) for f in factors], shape=(len(factors),),
+                 name="stacked(" + ",".join(f.name for f in factors) + ")")
+
+
 # ---------------------------------------------------------------------------
 # metric families
 # ---------------------------------------------------------------------------

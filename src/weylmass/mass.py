@@ -33,11 +33,11 @@ per-direction report are read off these forms.
 
 Under g -> f g the Lee form becomes theta - df/(2f) and the conformal mass
 form stays the same.  ``flux_pass`` is the one loop over the shells: on
-each node block g takes one coordinate jet and each factor f of a sweep
-one scalar jet, and ``_contract_shell`` contracts every gauge of the block
-in one pass, with the factors stacked on a batch axis.  The integrands of
-f g are linear in the factor jet, so they are formed per node from g's by
-the product rule: v_k(f g) = f v_k(g) + g_kb E_b f - tr_h(g) E_k f / 2,
+each node block g takes one coordinate jet and the factors of a sweep one
+jet of ``families.stacked_factors``, and ``_contract_shell`` contracts
+every gauge of the block in one pass, with the factors stacked on a batch
+axis.  The integrands of f g are linear in the factor jet, so they are
+formed per node from g's by the product rule: v_k(f g) = f v_k(g) + g_kb E_b f - tr_h(g) E_k f / 2,
 and the d integrand f E_c g_ab + E_c f g_ab.  So g is differentiated,
 frame-converted and checked for positive definiteness once per block
 however long the sweep, and f g is positive definite where f is finite
@@ -76,10 +76,10 @@ import numpy as np
 
 from .engine import DerivativeEngine, frame_jet2
 from .errors import ChartDomainError
-from .families import ScalarField, conformal_sweep
+from .families import ScalarField, conformal_sweep, stacked_factors
 from .model import ModelSpace, sphere_volume
-from .probes import (geometric_radii, probe_grid, require_adapted, require_positive, require_weyl_alf,
-                     rescaled_frame_jet2)
+from .probes import (geometric_radii, positivity_grid, probe_grid, require_adapted, require_positive,
+                     require_weyl_alf, rescaled_frame_jet2)
 from .quadrature import QuadratureSpec, embedded_weights, node_blocks, sphere_rule_name
 from .weyl import WeylStructure, gauge_change, gram_factor, lee_jet, regauged_lee_jet
 
@@ -118,9 +118,10 @@ def _contract_shell(model: ModelSpace, names, g, dg, theta, f, df, pts, wn, gam,
     """Forms of one shell block in gauge g and in the gauge f g of every factor, from g's and the factors' jets.
 
     (g, dg) is g's coordinate jet and theta its Lee form's values; f (F, N)
-    and df (d, F, N) stack the factors' coordinate jets, F >= 0.  ``wn`` is
-    weights * normals and ``gam`` is ``model.lc_coeffs_h(pts)``, or None on
-    a holonomic frame, which skips the zero h-connection terms.  ``wn5`` is
+    and df (d, F, N) stack the factors' coordinate jets, F >= 0 (df unread
+    at F = 0).  ``wn`` is weights * normals and ``gam`` is
+    ``model.lc_coeffs_h(pts)``, or None on a holonomic frame, which skips
+    the zero h-connection terms.  ``wn5`` is
     the embedded degree-5 rule's weights * normals, or None.  Returns Q
     and C, (1 + F, m, m), g's first, the df forms (F, m, m), and g's Q and C
     on ``wn5`` stacked, (2, m, m), or (0, m, m) without it.  The swept
@@ -170,9 +171,10 @@ def _contract_shell(model: ModelSpace, names, g, dg, theta, f, df, pts, wn, gam,
     return np.concatenate(([q], qf)), np.concatenate(([c], cf)), _lee_type_form(m, df, wn), embedded
 
 
-def _block_forms(engine: DerivativeEngine, ws: WeylStructure, factors, names, pts, weights, normals) -> tuple:
+def _block_forms(engine: DerivativeEngine, ws: WeylStructure, stacked, names, pts, weights, normals) -> tuple:
     """(Q, C, df forms, embedded forms, node count) of one node block of a flux shell, for g and every gauge f g.
 
+    ``stacked`` is the sweep's ``stacked_factors``, or None without factors.
     Q and C are (1 + factors, m, m), the df forms (factors, m, m).  Weights
     (2, N) from ``node_blocks(..., embedded=True)`` also give g's Q and C on
     the embedded degree-5 rule, (2, m, m); else that part is (0, m, m).  The
@@ -184,10 +186,8 @@ def _block_forms(engine: DerivativeEngine, ws: WeylStructure, factors, names, pt
     theta = lee_jet(engine, ws.lee, pts)
     jet = engine.jet1(ws.metric.as_field(), pts)
     gam = None if model.holonomic else model.lc_coeffs_h(pts)
-    f = np.empty((len(factors), weights.size))
-    df = np.empty((model.dim,) + f.shape)
-    for k, factor in enumerate(factors):
-        f[k], df[:, k] = engine.jet1(factor.as_field(), pts)
+    # one jet of all the factors: f (F, N) and df (d, F, N)
+    f, df = (np.empty((0, weights.size)), None) if stacked is None else engine.jet1(stacked, pts)
     wn5 = None if weights5 is None else weights5 * normals
     return (*_contract_shell(model, names, *jet, theta, f, df, pts, weights * normals, gam, wn5), weights.size)
 
@@ -221,17 +221,23 @@ class FluxForms:
 
 
 def _probe_gauges(engine: DerivativeEngine, ws: WeylStructure, factors, rmax: float, check_decay: bool) -> None:
-    """Refuse a factor that is not positive out to ``rmax`` or not adapted, then with ``check_decay`` data
-    that fails the Weyl-ALF probes in gauge g or in the first swept gauge.
+    """Refuse the first factor, in sweep order, that is not positive out to ``rmax``, then the first that is
+    not adapted, then with ``check_decay`` data that fails the Weyl-ALF probes in gauge g or in the first
+    swept gauge.
 
-    The swept gauge's probes take no jet: its metric jet2 is read off g's and f's by the product rule, and its
-    Lee jet off g's Lee jet and f's jet2.  The probe jets are local, so none is held through the flux work.
+    Every factor is checked for positivity before any is differentiated.  The factors then take one
+    probe-grid jet2 of ``stacked_factors``, and each adapted-class check reads its slice.  The swept gauge's
+    probes take no jet: its metric jet2 is read off g's and factor 0's by the product rule, and its Lee jet
+    off g's Lee jet and factor 0's.  The probe jets are local, so none is held through the flux work.
     """
     model = ws.model
     f_jets = []
-    for f in factors:
-        require_positive(model, f, rmax)
-        f_jets.append(require_adapted(engine, model, f))
+    if factors:
+        grid = positivity_grid(model, rmax)
+        for f in factors:
+            require_positive(model, f, rmax, grid)
+        jet = frame_jet2(engine, model, stacked_factors(factors), probe_grid(model))
+        f_jets = [require_adapted(engine, model, f, tuple(a[..., k, :] for a in jet)) for k, f in enumerate(factors)]
     if check_decay:
         pts = probe_grid(model)
         g_jet = frame_jet2(engine, model, ws.metric.as_field(), pts)
@@ -250,14 +256,16 @@ def flux_pass(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[Sca
 
     ``radii`` defaults to ``FLUX_RADII`` and must hold at least two radii,
     strictly increasing and above R.  Every factor is probed for positivity
-    out to the largest radius and for membership in the adapted class
-    before any flux work; with ``check_decay`` the Weyl-ALF decay probes run
-    on g and on the first swept gauge, also before it.  The swept gauge's
-    metric probes read the probe-grid jet2 of f g off those of g and f by
+    out to the largest radius, every one before any is differentiated, and
+    then for membership in the adapted class, all before any flux work;
+    with ``check_decay`` the Weyl-ALF decay probes run on g and on the first
+    swept gauge, also before it.  The factors take one probe-grid jet2 of
+    ``stacked_factors`` for all their adapted-class checks, and the swept
+    gauge's metric probes read the jet2 of f g off g's and factor 0's by
     the second-order product rule.  On each node block g takes one
-    coordinate jet and each factor one scalar jet, and one
-    ``_contract_shell`` forms every gauge's integrands from them.  theta
-    and the h-Christoffel coefficients (none on a holonomic frame) are
+    coordinate jet and the factors one stacked jet (none without factors),
+    and one ``_contract_shell`` forms every gauge's integrands from them.
+    theta and the h-Christoffel coefficients (none on a holonomic frame) are
     taken once per block; the Lee form of f g is theta - df/(2f) with df
     off the factor jet.  With ``angular``, and where the sphere rule is the
     symmetric one, g's Q and C are also summed on its embedded degree-5
@@ -274,13 +282,14 @@ def flux_pass(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[Sca
     _probe_gauges(engine, ws, factors, radii[-1], check_decay)
 
     names = [ws.metric.name] + [conformal_sweep(ws.metric, f).name for f in factors]
+    stacked = stacked_factors(factors) if factors else None
     # working set per node (module docstring): about one and a half rank-3 arrays (n^3 doubles), 11.4 n^3 bytes
     # measured at m = 5, and up to 16.4 n^2 bytes per swept gauge (m = 3 and 5), budgeted at 20 n^2
     node_bytes = (12 * model.dim + 20 * len(factors)) * model.dim**2
     embedded = angular and embedded_weights(m, quad.sphere) is not None
     shells = []
     for r in radii:
-        blocks = [_block_forms(engine, ws, factors, names, *block)
+        blocks = [_block_forms(engine, ws, stacked, names, *block)
                   for block in node_blocks(model, [r], [1.0], quad, node_bytes, embedded)]
         # a shell's forms and node count are sums over its blocks; one block is taken as it is
         shells.append([reduce(add, part) for part in zip(*blocks)])

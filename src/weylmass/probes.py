@@ -8,17 +8,21 @@ Every probe samples one fixed grid: the 8 directions of
 and reads every probed quantity off it: a metric jet2 gives g - h, grad_h g
 and grad2_h g, a Lee-form jet (``weyl.lee_jet``) gives theta and d(theta),
 a conformal-factor jet2 gives f - 1, df and ddf.  A suite handed its jet takes
-none: the metric jet2 of a swept gauge f g is read off those of g and f by
-the product rule (``rescaled_frame_jet2``), and its Lee jet off g's Lee jet
-and f's jet2 (``weyl.regauged_lee_jet``).  A probe takes the sup of the frame norm over
-the directions at each radius, fits the slope of log(norm) against log(r) by
-least squares, and PASSes when the slope is at most the required rate
-(``declared`` in the report) plus SLOPE_MARGIN (0.2, matching the acceptance tolerance).
-Identically-zero fields report slope -inf and PASS.
+none: a sweep hands each factor its slice of one jet2 of all its factors
+(``families.stacked_factors``), the metric jet2 of a swept gauge f g is read
+off those of g and f by the product rule (``rescaled_frame_jet2``), and its
+Lee jet off g's Lee jet and f's jet2 (``weyl.regauged_lee_jet``).  A probe
+takes the sup of the frame norm over the directions at each radius, read off
+one (radii, directions) reshape of the grid's batch axis, fits the slope of
+log(norm) against log(r) by least squares in closed form, and PASSes when
+the slope is at most the required rate (``declared`` in the report) plus
+SLOPE_MARGIN (0.2, matching the acceptance tolerance).  Identically-zero
+fields report slope -inf and PASS.
 
-``require_positive`` is not a decay probe: it samples a conformal factor
-from just outside the excised sphere out to the largest flux radius and
-refuses it where it is not positive.
+``require_positive`` is not a decay probe: it samples a conformal factor on
+``positivity_grid``, from just outside the excised sphere out to the largest
+flux radius, and refuses it where it is not positive.  A sweep builds that
+grid once and checks every factor on it before it differentiates any.
 """
 
 from __future__ import annotations
@@ -83,25 +87,22 @@ def decay_probe(norm_at_radius: Callable[[float], float], radii, declared: float
 
 
 def _fit_decay(radii: np.ndarray, norms, declared: float, name: str, margin: float) -> ProbeReport:
-    norms = np.array([float(v) for v in norms])
+    """The least-squares slope of log(norm) against log(r), in closed form on the centered logs."""
+    norms = np.asarray(norms, dtype=float)
     if np.all(norms < ZERO_FLOOR):
         return ProbeReport(name, declared, -math.inf, True, list(radii), list(norms))
     lx = np.log(radii)
     ly = np.log(np.maximum(norms, 1e-300))
-    A = np.vstack([lx, np.ones_like(lx)]).T
-    slope = float(np.linalg.lstsq(A, ly, rcond=None)[0][0])
+    dx = lx - np.mean(lx)
+    with np.errstate(invalid="ignore"):  # a single radius fits no slope: 0/0, nan, and the probe fails
+        slope = float(dx @ (ly - np.mean(ly)) / (dx @ dx))
     return ProbeReport(name, declared, slope, slope <= declared + margin, list(radii), list(norms))
 
 
-def _sup_norm(values: np.ndarray) -> float:
-    """Frame (h-orthonormal) sup norm over the trailing batch axis."""
-    comp_axes = tuple(range(values.ndim - 1))
-    return float(np.max(np.sqrt(np.sum(values**2, axis=comp_axes)))) if comp_axes else float(np.max(np.abs(values)))
-
-
 def _radial_points(radii, u: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The directions (u, t) at every radius, concatenated radius by radius along the batch axis."""
-    return np.concatenate([np.concatenate([r * u, t[None, :]], axis=0) for r in radii], axis=1)
+    """The directions (u, t) at every radius, radius by radius along the batch axis."""
+    x = u[:, None] * np.asarray(radii, dtype=float)[:, None]
+    return np.concatenate([x, np.broadcast_to(t, (1,) + x.shape[1:])]).reshape(len(u) + 1, -1)
 
 
 def probe_grid(model: ModelSpace) -> np.ndarray:
@@ -114,9 +115,12 @@ def probe_tensor_field(values: np.ndarray, declared: float, name: str, radii) ->
     """Decay probe of a field's values on the probe grid over ``radii``.
 
     The batch axis holds the directions radius by radius; the per-radius
-    sup norms are read off the one batch.
+    sups of the frame (h-orthonormal) norm are read off one reshape of it
+    to (radii, directions).
     """
-    norms = [_sup_norm(block) for block in np.split(values, len(radii), axis=-1)]
+    blocks = values.reshape(values.shape[:-1] + (len(radii), -1))
+    comp_axes = tuple(range(values.ndim - 1))
+    norms = np.max(np.sqrt(np.sum(blocks**2, axis=comp_axes)) if comp_axes else np.abs(blocks), axis=-1)
     return _fit_decay(radii, norms, declared, name, SLOPE_MARGIN)
 
 
@@ -189,9 +193,12 @@ def _factor_label(f: ScalarField) -> str:
     return f"{f.name}(" + ", ".join(f"{k}={v!r}" for k, v in f.params.items()) + ")"
 
 
-def require_adapted(engine: DerivativeEngine, model: ModelSpace, f: ScalarField) -> tuple:
-    """Refuse a factor outside the adapted class; return the frame jet2 of f on the probe grid it read."""
-    jet = frame_jet2(engine, model, f.as_field(), probe_grid(model))
+def require_adapted(engine: DerivativeEngine, model: ModelSpace, f: ScalarField, jet=None) -> tuple:
+    """Refuse a factor outside the adapted class; return the frame jet2 of f on the probe grid it read.
+
+    ``jet`` is that jet, taken here when not given (a sweep hands in its slice of the stacked factors' jet).
+    """
+    jet = jet or frame_jet2(engine, model, f.as_field(), probe_grid(model))
     names = _failed_probes(adapted_metric_check(engine, model, f, jet))
     if names:
         raise MassNotDefinedError(f"conformal factor {_factor_label(f)} is not adapted: "
@@ -210,21 +217,25 @@ def rescaled_frame_jet2(f_jet, g_jet) -> tuple:
             f * ddg + df[:, None, None, None] * dg + df[:, None, None] * dg[:, None] + ddf[:, :, None, None] * g)
 
 
-def require_positive(model: ModelSpace, f: ScalarField, rmax: float) -> None:
+def positivity_grid(model: ModelSpace, rmax: float) -> tuple:
+    """(radii, points): the 8 probe directions at POSITIVITY_RADII geometric radii from just outside the
+    excised radius R to rmax."""
+    radii = geometric_radii(model.R * (1.0 + 1e-6), rmax, POSITIVITY_RADII)
+    return radii, _radial_points(radii, *direction_samples(model, PROBE_DIRECTIONS))
+
+
+def require_positive(model: ModelSpace, f: ScalarField, rmax: float, grid=None) -> None:
     """Refuse a conformal factor that is not positive (and finite) out to radius rmax.
 
-    f g is a metric only where f > 0.  f is sampled on the 8 probe
-    directions at POSITIVITY_RADII geometric radii from just outside the
-    excised radius R to rmax.
+    f g is a metric only where f > 0.  f is sampled on ``grid``, the
+    ``positivity_grid(model, rmax)``, built here when not given.
     """
-    u, t = direction_samples(model, PROBE_DIRECTIONS)
-    radii = geometric_radii(model.R * (1.0 + 1e-6), rmax, POSITIVITY_RADII)
-    pts = _radial_points(radii, u, t)
+    radii, pts = grid or positivity_grid(model, rmax)
     vals = np.broadcast_to(np.asarray(f.fn(pts), dtype=float), pts.shape[1:])
     if not np.all(np.isfinite(vals) & (vals > 0)):
         k = int(np.argmin(np.where(np.isfinite(vals), vals, -np.inf)))
         raise MassNotDefinedError(f"conformal factor {_factor_label(f)} is not positive: "
-                                  f"f = {vals[k]:.6g} at r = {radii[k // u.shape[1]]:.6g}")
+                                  f"f = {vals[k]:.6g} at r = {radii[k // PROBE_DIRECTIONS]:.6g}")
 
 
 def require_alf(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, jet=None) -> list[ProbeReport]:

@@ -1,8 +1,9 @@
 """The CI workflow installs the test extra, runs CLI smoke commands (a Hopf, an m = 5, a refined m = 5, a
 Hopf compact_lee, an m = 6 and an m = 7 mass, a pointwise verify and an annulus verify at m = 3 and m = 4, then
 Hopf sweeps, a trivial-chart sweep, a one-value Hopf sweep and an m = 5 sweep),
-summarizes every report they wrote, reruns a mass, the m = 3 annulus verify and the m = 5 mass from the configs
-their reports embed, and runs the tier-1 command that ROADMAP.md names, with a time limit."""
+summarizes every report they wrote, reruns a mass, the m = 3 annulus verify, the m = 5 mass and the Hopf
+directional_profile sweep from the configs their reports embed, and runs the tier-1 command that ROADMAP.md
+names, with a time limit."""
 
 import json
 import os
@@ -163,9 +164,11 @@ def test_workflow_report_smoke_reads_every_smoke_report():
 def test_workflow_reproduces_a_mass_from_its_report(tmp_path):
     """Right before the tier-1 tests, a partial-section Hopf mass, then a mass from the config record its report
     embeds: the two reports must be the same bytes.  Then the same for the one-trial annulus verify of the CLI
-    smoke: a verify from the config its report embeds must write the same bytes.  Last, the same for the
-    default m = 5 mass of the mass smoke.  The step's commands are run here as CI runs them, after the CLI
-    smoke's annulus commands and the mass smoke's m = 5 commands."""
+    smoke: a verify from the config its report embeds must write the same bytes.  Then the same for the
+    default m = 5 mass of the mass smoke.  Last, the same for the Hopf directional_profile sweep of the sweep
+    smoke, whose factors take their flux and probe jets as one stacked field.  The step's commands are run
+    here as CI runs them, after the CLI smoke's annulus commands, the mass smoke's m = 5 commands and the
+    sweep smoke's directional_profile commands."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
@@ -179,24 +182,32 @@ def test_workflow_reproduces_a_mass_from_its_report(tmp_path):
     runs = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" "
                       r"--out \"\$RUNNER_TEMP/(\w+)\" (\w+)$", smoke, re.MULTILINE)
     assert runs == [("partial", "partial", "mass"), ("reproduce", "reproduce", "mass"),
-                    ("reproduce_annulus", "reproduce_annulus", "verify"), ("reproduce_m5", "reproduce_m5", "mass")]
+                    ("reproduce_annulus", "reproduce_annulus", "verify"), ("reproduce_m5", "reproduce_m5", "mass"),
+                    ("reproduce_sweep", "reproduce_sweep", "sweep")]
     lines = smoke.strip().splitlines()
     assert lines[4] == 'cmp "$RUNNER_TEMP/partial/mass_report.jsonl" "$RUNNER_TEMP/reproduce/mass_report.jsonl"'
     assert lines[5].startswith('head -n 1 "$RUNNER_TEMP/annulus/verify_report.jsonl" | ')
     assert lines[7] == ('cmp "$RUNNER_TEMP/annulus/verify_report.jsonl" '
                         '"$RUNNER_TEMP/reproduce_annulus/verify_report.jsonl"')
     assert lines[8].startswith('head -n 1 "$RUNNER_TEMP/mass_m5/mass_report.jsonl" | ')
-    assert lines[-1] == 'cmp "$RUNNER_TEMP/mass_m5/mass_report.jsonl" "$RUNNER_TEMP/reproduce_m5/mass_report.jsonl"'
+    assert lines[10] == 'cmp "$RUNNER_TEMP/mass_m5/mass_report.jsonl" "$RUNNER_TEMP/reproduce_m5/mass_report.jsonl"'
+    assert lines[11].startswith('head -n 1 "$RUNNER_TEMP/sweep_dir/sweep_report.jsonl" | ')
+    assert lines[-1] == ('cmp "$RUNNER_TEMP/sweep_dir/sweep_report.jsonl" '
+                         '"$RUNNER_TEMP/reproduce_sweep/sweep_report.jsonl"')
     cli = job["steps"][names.index("CLI smoke")]["run"]
     annulus = "\n".join(line for line in cli.strip().splitlines() if re.search(r'"\$RUNNER_TEMP/annulus[."]', line))
     assert annulus.count("\n") == 1
     mass = job["steps"][names.index("Mass smoke")]["run"]
     mass_m5 = "\n".join(line for line in mass.strip().splitlines() if re.search(r'"\$RUNNER_TEMP/mass_m5[."]', line))
     assert mass_m5.count("\n") == 1
+    sweep = job["steps"][names.index("Sweep smoke")]["run"]
+    sweep_dir = "\n".join(line for line in sweep.strip().splitlines()
+                          if re.search(r'"\$RUNNER_TEMP/sweep_dir[."]', line))
+    assert sweep_dir.count("\n") == 1
     # `python` in the step is this interpreter where its directory has one
     path = f"{Path(sys.executable).parent}{os.pathsep}{os.environ.get('PATH', '')}"
     env = {**os.environ, "RUNNER_TEMP": str(tmp_path), "PATH": path}
-    res = subprocess.run(["bash", "-eo", "pipefail", "-c", "\n".join((annulus, mass_m5, smoke))], capture_output=True,
+    res = subprocess.run(["bash", "-eo", "pipefail", "-c", "\n".join((annulus, mass_m5, sweep_dir, smoke))], capture_output=True,
                          text=True, env=env, cwd=ROOT, timeout=300)
     assert res.returncode == 0, res.stderr + res.stdout
     assert json.loads((tmp_path / "reproduce.json").read_text())["radii"] == {"r0": 30, "rmax": 320.0, "count": 6}
@@ -204,6 +215,8 @@ def test_workflow_reproduces_a_mass_from_its_report(tmp_path):
         "identity": 0, "bochner": 1, "integral": 1}
     assert json.loads((tmp_path / "reproduce_m5.json").read_text())["quadrature"] == {
         "sphere": 26, "fiber": 16, "radial": 8}
+    assert json.loads((tmp_path / "reproduce_sweep.json").read_text())["sweep"] == {
+        "name": "directional_profile", "param": "beta", "values": [0.2, 0.3]}
 
 
 def test_package_runs_as_module_without_install(tmp_path):

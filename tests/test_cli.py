@@ -193,6 +193,17 @@ def test_sweep_refuses_non_positive_factor_before_any_audit(tmp_path, values):
     assert "[PASS]" not in res.stdout and "[FAIL]" not in res.stdout
 
 
+def test_sweep_checks_every_factor_for_positivity_before_any_adapted_class_probe(tmp_path):
+    """f = 1 + beta/log r over [ok, not adapted, not positive]: beta = 0 is f = 1, beta = 1.0 decays too
+    slowly for the adapted class, and beta = -1.0 is negative just outside R.  Positivity is checked for
+    every factor, in sweep order, before any factor is differentiated, so the refusal names the last one."""
+    cfg = write_config(tmp_path, sweep={"name": "log_slow_profile", "param": "beta", "values": [0.0, 1.0, -1.0]})
+    res = run_cli(["--config", str(cfg), "sweep"], tmp_path / "out")
+    assert_one_error_line(res)
+    assert "conformal factor log_slow_profile(beta=-1.0) is not positive: f = " in res.stderr
+    assert "[PASS]" not in res.stdout and "[FAIL]" not in res.stdout
+
+
 def test_sweep_unit_factor_zero_deltas(tmp_path):
     cfg = write_config(tmp_path, sweep={"name": "radial_profile", "param": "beta", "values": [0.0]})
     res = run_cli(["--config", str(cfg), "sweep"], tmp_path / "out")

@@ -15,7 +15,7 @@ from weylmass.engine import frame_jet1
 from weylmass.errors import ChartDomainError, MassNotDefinedError
 from weylmass.families import (MetricFamily, compact_lee, conformal_sweep, flat_product,
                                hopf_model, kaluza_perturbation, kaluza_two_term,
-                               log_slow_profile, radial_lee, radial_profile, zero_lee)
+                               log_slow_profile, radial_lee, radial_profile, stacked_factors, zero_lee)
 from weylmass.mass import flux_pass, gauge_audit, mass_matrix, richardson_limit
 from weylmass.model import ModelSpace, sphere_volume
 from weylmass.probes import decay_probe, geometric_radii
@@ -549,9 +549,9 @@ def _count_shell_contractions(monkeypatch) -> list:
 
 
 def test_gauge_audit_sweep_takes_one_base_pass(hopf_space, monkeypatch):
-    """N factors on R radii cost R metric jets, R N factor jets, R shell contractions (each of all N + 1
-    gauges), R calls of the Cholesky kernel ``gram_factor`` and R evaluations of the h-Christoffel
-    coefficients; no f g is differentiated.
+    """N factors on R radii cost R metric jets, R stacked factor jets (no jet of a factor on its own), R shell
+    contractions (each of all N + 1 gauges), R calls of the Cholesky kernel ``gram_factor`` and R evaluations
+    of the h-Christoffel coefficients; no f g is differentiated.
 
     Each factor's reports equal a one-factor call.
     """
@@ -582,7 +582,8 @@ def test_gauge_audit_sweep_takes_one_base_pass(hopf_space, monkeypatch):
     assert calls == [[ws.metric.name] + swept_names] * len(radii)
     assert jets.count(ws.metric.name) == len(radii)
     assert not [name for name in jets if name.startswith("conformal_sweep(")]
-    assert sum(jets.count(name) for name in {f.name for f in factors}) == len(radii) * len(factors)
+    assert jets.count(stacked_factors(factors).name) == len(radii)
+    assert sum(jets.count(name) for name in {f.name for f in factors}) == 0
     assert len(results) == len(factors)
     for f, (audits, pred) in zip(factors, results):
         alone_audits, alone_pred = gauge_audit(engine, ws, [f], radii=radii, quad=quad, check_decay=False)[0]
@@ -709,8 +710,8 @@ def test_factor_not_positive_at_flux_nodes_past_the_probes_is_refused_as_before(
 
 @pytest.mark.parametrize("chart", ["model", "hopf_space"])
 def test_swept_decay_probe_reads_f_g_off_the_probe_jets(request, monkeypatch, chart):
-    """With decay checks, a sweep takes one probe-grid jet2 of g and one of each factor, and no jet of any
-    f g: the first swept gauge's metric probes read f g off g's and f's jet2 by the second-order product
+    """With decay checks, a sweep takes one probe-grid jet2 of g and one of its stacked factors, and no jet of
+    any f g: the first swept gauge's metric probes read f g off g's and f's jet2 by the second-order product
     rule.  Those probes equal the ones of a direct jet2 of f g in pass/fail, and in norms and slopes to
     1e-14, for a factor with an angular df and an off-diagonal ddf."""
     from weylmass.engine import DerivativeEngine, frame_jet2
@@ -742,9 +743,9 @@ def test_swept_decay_probe_reads_f_g_off_the_probe_jets(request, monkeypatch, ch
 @pytest.mark.parametrize("chart", ["model", "hopf_space"])
 def test_swept_lee_probes_read_theta_f_g_off_the_probe_jets(request, monkeypatch, chart):
     """With decay checks, the probes take one probe-grid jet1 of the Lee form (the base gauge's) and one jet2
-    of each factor (its adapted-class probe) and nothing else of either: the first swept gauge's Lee probes
-    read theta - df/(2f) off those jets by ``weyl.regauged_lee_jet``, the rule ``lee_jet`` applies.  Its
-    probes equal those of a direct ``lee_jet`` of the swept Lee form, bit for bit."""
+    of the stacked factors (their adapted-class probes) and nothing else of either: the first swept gauge's
+    Lee probes read theta - df/(2f) off those jets by ``weyl.regauged_lee_jet``, the rule ``lee_jet``
+    applies.  Its probes equal those of a direct ``lee_jet`` of the swept Lee form, bit for bit."""
     from weylmass.engine import DerivativeEngine, frame_jet2
     from weylmass.families import directional_profile
     from weylmass.probes import lee_probes, probe_grid
@@ -762,7 +763,7 @@ def test_swept_lee_probes_read_theta_f_g_off_the_probe_jets(request, monkeypatch
     engine = DerivativeEngine()
     flux_pass(engine, ws, factors, radii=[40.0, 80.0], quad=QuadratureSpec(sphere=6, fiber=2))
     probe_nodes = (space.dim, 40)
-    assert [j for j in jets if j[2] == probe_nodes] == [("jet2", f.name, probe_nodes) for f in factors] + [
+    assert [j for j in jets if j[2] == probe_nodes] == [("jet2", stacked_factors(factors).name, probe_nodes),
         ("jet2", ws.metric.name, probe_nodes), ("jet1", ws.lee.name, probe_nodes)]
 
     monkeypatch.undo()
@@ -773,6 +774,49 @@ def test_swept_lee_probes_read_theta_f_g_off_the_probe_jets(request, monkeypatch
     want = lee_probes(engine, space, swept)
     assert all(w.passed for w in want)
     assert [(r.name, r.passed, r.norms, r.slope) for r in got] == [(r.name, r.passed, r.norms, r.slope) for r in want]
+
+
+@pytest.mark.parametrize("chart", ["model", "hopf_space"])
+def test_stacked_factor_jets_equal_the_per_factor_jets_bitwise(request, engine, chart):
+    """The jet of ``stacked_factors`` equals each factor's own jet bit for bit: value and frame gradient
+    (``frame_jet1``) on a flux shell, value, frame gradient and frame Hessian (``frame_jet2``) on the probe
+    grid.  The fiber-dependent factor between two that are not makes ``frame_from_coord`` convert the
+    whole stack on the Hopf chart, where the others alone would be returned as they are."""
+    from weylmass import autodiff as am
+    from weylmass.engine import frame_jet2
+    from weylmass.families import ScalarField
+    from weylmass.probes import probe_grid
+
+    space = request.getfixturevalue(chart)
+    smooth = radial_profile(space, beta=0.3)
+
+    def fn(c):
+        return smooth.fn(c) + 0.1 * am.sin(2.0 * math.pi * c[space.m] / space.L)
+
+    fiber = ScalarField("fiber_wave", space, fn)
+    factors = [radial_profile(space, beta=0.2), fiber, random_adapted_scalar(space, seed=5)]
+    stacked = stacked_factors(factors)
+    pts = shell_nodes(space, 40.0, QuadratureSpec())[0]
+    for frame_jet, grid in ((frame_jet1, pts), (frame_jet2, probe_grid(space))):
+        got = frame_jet(engine, space, stacked, grid)
+        assert got[0].shape == (3, grid.shape[1])
+        for k, f in enumerate(factors):
+            want = frame_jet(engine, space, f.as_field(), grid)
+            assert np.any(want[1][space.m]) == (f is fiber)
+            for g, w in zip(got, want, strict=True):
+                assert np.ascontiguousarray(g[..., k, :]).tobytes() == np.ascontiguousarray(w).tobytes()
+
+
+def test_radial_points_equal_the_per_radius_concatenation(hopf_space):
+    """The broadcast grid is, bit for bit, the directions concatenated radius by radius."""
+    from weylmass.probes import PROBE_DIRECTIONS, _radial_points, direction_samples, positivity_grid
+
+    u, t = direction_samples(hopf_space, PROBE_DIRECTIONS)
+    radii, pts = positivity_grid(hopf_space, 320.0)
+    for rr in (radii, list(radii[:5]), [7.5]):
+        want = np.concatenate([np.concatenate([r * u, t[None, :]], axis=0) for r in rr], axis=1)
+        assert _radial_points(rr, u, t).tobytes() == want.tobytes()
+    assert pts.tobytes() == _radial_points(radii, u, t).tobytes()
 
 
 @pytest.mark.parametrize("bad", [log_slow_profile, lambda model: radial_profile(model, beta=-3.0)])

@@ -13,6 +13,14 @@ taken in the model coframe ``(dx_1..dx_m, eta)``.
 A field carries only its evaluator, name and parameters: the decay probes
 of :mod:`weylmass.probes` test the class rates 2-m, 1-m and -m, and every
 derivative comes from the engine's jets.
+
+The conformal-factor builders read the radius r = |(x_1..x_m)| and its
+powers r^s through ``_radial``.  ``stacked_factors`` hands its factors one
+shared coordinate list per evaluation, on which ``_radial`` builds r once
+and each r^s once per distinct exponent, for all the factors of a sweep;
+the stored jets go with the list when the evaluation returns.  On any other
+coordinates ``_radial`` builds them afresh, by the same operations, so a
+factor's jets are the same bits whether it is evaluated alone or stacked.
 """
 
 from __future__ import annotations
@@ -33,6 +41,36 @@ def _radius(xs):
     for xi in xs[1:]:
         acc = acc + xi * xi
     return am.sqrt(acc)
+
+
+class _SharedCoords(list):
+    """The coordinates of one ``stacked_factors`` evaluation, with the radius jets its factors have built.
+
+    ``jets`` maps (m, s) to r**s for r = |(x_1..x_m)|, and (m, None) to r itself.  It is filled by
+    ``_radial`` and dropped with the list when the evaluation returns.
+    """
+
+    __slots__ = ("jets",)
+
+    def __init__(self, coords):
+        super().__init__(coords)
+        self.jets = {}
+
+
+def _radial(coords, m: int, s=None):
+    """r = |(x_1..x_m)| of ``coords``, or r**s when s is given.
+
+    On the shared coordinates of ``stacked_factors`` each is built once and reused, r**s from the stored r,
+    keyed by the exponent's value; on any other coordinates both are computed as ``_radius(coords[:m]) ** s``.
+    Either way a factor sees the same operations on the same operands, so its jets do not change.
+    """
+    if not isinstance(coords, _SharedCoords):
+        r = _radius(coords[:m])
+        return r if s is None else r**s
+    key = (m, s)
+    if key not in coords.jets:
+        coords.jets[key] = _radius(coords[:m]) if s is None else _radial(coords, m) ** s
+    return coords.jets[key]
 
 
 @dataclass
@@ -79,9 +117,18 @@ class ScalarField:
 
 def stacked_factors(factors) -> Field:
     """One field of shape (F,) over conformal factors, each evaluated on the same seeds: a sweep pays one
-    jet's fixed costs per node block or probe grid, not one per factor."""
-    return Field(lambda coords: [f.fn(coords) for f in factors], shape=(len(factors),),
-                 name="stacked(" + ",".join(f.name for f in factors) + ")")
+    jet's fixed costs per node block or probe grid, not one per factor.
+
+    Each evaluation hands every factor one ``_SharedCoords`` list, so the built-in factors, which read r and
+    r**s through ``_radial``, build the radius jet once and each r**s once per distinct exponent between
+    them.  Those jets live for that one evaluation; a hand-built factor reads the list as plain coordinates.
+    """
+
+    def fn(coords):
+        shared = _SharedCoords(coords)
+        return [f.fn(shared) for f in factors]
+
+    return Field(fn, shape=(len(factors),), name="stacked(" + ",".join(f.name for f in factors) + ")")
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +328,7 @@ def radial_profile(model: ModelSpace, beta: float = 0.5, power: Optional[float] 
     s = (2 - m) if power is None else power
 
     def fn(coords):
-        r = _radius(coords[:m])
-        return 1.0 + beta * r**s
+        return 1.0 + beta * _radial(coords, m, s)
 
     return ScalarField("radial_profile", model, fn, params={"beta": beta, "power": s})
 
@@ -295,8 +341,7 @@ def directional_profile(model: ModelSpace, beta: float = 0.3, axis: int = 0) -> 
     s = 1 - m
 
     def fn(coords):
-        r = _radius(coords[:m])
-        return 1.0 + beta * coords[axis] * r**s
+        return 1.0 + beta * coords[axis] * _radial(coords, m, s)
 
     return ScalarField("directional_profile", model, fn, params={"beta": beta, "axis": axis})
 
@@ -306,8 +351,7 @@ def log_slow_profile(model: ModelSpace, beta: float = 1.0) -> ScalarField:
     m = model.m
 
     def fn(coords):
-        r = _radius(coords[:m])
-        return 1.0 + beta / am.log(r)
+        return 1.0 + beta / am.log(_radial(coords, m))
 
     return ScalarField("log_slow_profile", model, fn, params={"beta": beta})
 

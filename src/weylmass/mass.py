@@ -34,7 +34,8 @@ per-direction report are read off these forms.
 Under g -> f g the Lee form becomes theta - df/(2f) and the conformal mass
 form stays the same.  ``flux_pass`` is the one loop over the shells: on
 each node block g takes one coordinate jet and the factors of a sweep one
-jet of ``families.stacked_factors``, and ``_contract_shell`` contracts
+jet of ``families.stacked_factors``, whose factors share one radius jet and
+one r^s per distinct exponent, and ``_contract_shell`` contracts
 every gauge of the block in one pass, with the factors stacked on a batch
 axis.  The integrands of f g are linear in the factor jet, so they are
 formed per node from g's by the product rule: v_k(f g) = f v_k(g) + g_kb E_b f - tr_h(g) E_k f / 2,

@@ -1,6 +1,7 @@
 """The CI workflow installs the test extra, runs CLI smoke commands (a Hopf, an m = 5, a refined m = 5, a
 Hopf compact_lee, an m = 6 and an m = 7 mass, a pointwise verify and an annulus verify at m = 3 and m = 4, then
-Hopf sweeps, a trivial-chart sweep, a one-value Hopf sweep and an m = 5 sweep),
+Hopf sweeps, a trivial-chart sweep, a one-value Hopf sweep, a Hopf sweep over the directional_profile axis and an
+m = 5 sweep),
 summarizes every report they wrote, reruns a mass, the m = 3 annulus verify, the m = 5 mass and the Hopf
 directional_profile sweep from the configs their reports embed, and runs the tier-1 command that ROADMAP.md
 names, with a time limit."""
@@ -91,8 +92,10 @@ def test_workflow_sweep_smoke_runs_a_hopf_sweep():
     probe reads a full frame Hessian on the anholonomic chart.  Then the radial_profile sweep on the
     default trivial chart, whose holonomic frame takes the flux and probe paths without connection terms.
     Then a one-value Hopf sweep: one factor, the edge case of the factor axis that the shell kernel
-    stacks.  Last, a 2-value radial_profile sweep at m = 5: the one smoke where the Cholesky kernel runs
-    at n = 6 on blocks with swept gauges."""
+    stacks.  Then a Hopf directional_profile sweep over ``axis`` 0, 1, 2: its factors share one exponent
+    and so one stored r**s per evaluation of the stacked field, while each reads its own coordinate slot.
+    Last, a 2-value radial_profile sweep at m = 5: the one smoke where the Cholesky kernel runs at n = 6
+    on blocks with swept gauges."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
@@ -103,14 +106,16 @@ def test_workflow_sweep_smoke_runs_a_hopf_sweep():
     sweep = {"name": "radial_profile", "param": "beta", "values": [0.2, 0.4]}
     directional = {"name": "directional_profile", "param": "beta", "values": [0.2, 0.3]}
     one = {"name": "radial_profile", "param": "beta", "values": [0.3]}
+    axes = {"name": "directional_profile", "param": "axis", "values": [0, 1, 2]}
     assert configs == [{"model": {"fibration": "hopf"}, "sweep": sweep},
                        {"model": {"fibration": "hopf"}, "sweep": directional},
                        {"sweep": sweep},
                        {"model": {"fibration": "hopf"}, "sweep": one},
+                       {"model": {"fibration": "hopf"}, "sweep": axes},
                        {"model": {"m": 5}, "sweep": sweep}]
     runs = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" .*\bsweep$",
                       smoke, re.MULTILINE)
-    assert runs == ["sweep", "sweep_dir", "sweep_trivial", "sweep_one", "sweep_m5"]
+    assert runs == ["sweep", "sweep_dir", "sweep_trivial", "sweep_one", "sweep_axis", "sweep_m5"]
 
 
 def test_workflow_mass_smoke_runs_a_hopf_mass():
@@ -153,7 +158,7 @@ def test_workflow_report_smoke_reads_every_smoke_report():
                for name in ("Mass smoke", "CLI smoke", "Sweep smoke")
                for out, command in re.findall(r"--out \"\$RUNNER_TEMP/(\w+)\" (\w+)$",
                                               job["steps"][names.index(name)]["run"], re.MULTILINE)]
-    assert len(written) == 14
+    assert len(written) == 15
     assert written[-1] == "$RUNNER_TEMP/sweep_m5/sweep_report.jsonl"
     (line,) = job["steps"][names.index("Report smoke")]["run"].strip().splitlines()
     prefix = "PYTHONPATH=src python -m weylmass report "

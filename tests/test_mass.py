@@ -13,12 +13,12 @@ import sympy as sp
 
 from weylmass.engine import frame_jet1
 from weylmass.errors import ChartDomainError, MassNotDefinedError
-from weylmass.families import (MetricFamily, compact_lee, conformal_sweep, flat_product,
-                               hopf_model, kaluza_perturbation, kaluza_two_term,
-                               log_slow_profile, radial_lee, radial_profile, stacked_factors, zero_lee)
+from weylmass.families import (MetricFamily, compact_lee, conformal_sweep, directional_profile, flat_product,
+                               hopf_model, kaluza_perturbation, kaluza_two_term, log_slow_profile, radial_lee,
+                               radial_profile, sqrt_slow_profile, stacked_factors, zero_lee)
 from weylmass.mass import flux_pass, gauge_audit, mass_matrix, richardson_limit
 from weylmass.model import ModelSpace, sphere_volume
-from weylmass.probes import decay_probe, geometric_radii
+from weylmass.probes import decay_probe, geometric_radii, probe_grid
 from weylmass.quadrature import PRODUCT_RULE, SYMMETRIC_RULE, QuadratureSpec
 from weylmass.weyl import WeylStructure, lee_jet
 
@@ -805,6 +805,67 @@ def test_stacked_factor_jets_equal_the_per_factor_jets_bitwise(request, engine, 
             assert np.any(want[1][space.m]) == (f is fiber)
             for g, w in zip(got, want, strict=True):
                 assert np.ascontiguousarray(g[..., k, :]).tobytes() == np.ascontiguousarray(w).tobytes()
+
+
+def _hand_built_factor(space):
+    """A factor that reads r by ``_radius`` itself, not through the shared jets, and varies along the fiber."""
+    from weylmass import autodiff as am
+    from weylmass.families import ScalarField, _radius
+
+    def fn(c):
+        return 1.0 + 0.2 * _radius(c[:space.m]) ** -1 + 0.1 * am.sin(2.0 * math.pi * c[space.m] / space.L)
+
+    return ScalarField("hand_built", space, fn)
+
+
+SHARED_RADIUS_SWEEPS = {
+    "beta": lambda s: [radial_profile(s, beta=b) for b in (0.1, 0.25, 0.4)],
+    # distinct exponents, and an int and a float exponent of equal value (the shared jets key on the value)
+    "power": lambda s: [radial_profile(s, beta=0.3, power=p) for p in (-1, -2, -1.0, 0.5, -2.0)],
+    "axis": lambda s: [directional_profile(s, beta=0.3, axis=a) for a in range(s.m)],
+    "mixed": lambda s: [radial_profile(s, beta=0.2), _hand_built_factor(s), directional_profile(s, axis=1),
+                        log_slow_profile(s), random_adapted_scalar(s, seed=5), sqrt_slow_profile(s),
+                        radial_profile(s, beta=0.3, power=-1.0)],
+}
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("sweep", sorted(SHARED_RADIUS_SWEEPS))
+@pytest.mark.parametrize("chart", ["model", "hopf_space"])
+def test_stacked_factors_sharing_radius_jets_equal_the_per_factor_jets_bitwise(request, engine, chart, sweep,
+                                                                               reverse):
+    """The factors of one stacked evaluation share the radius jet and each r**s; the stacked ``jet1`` and
+    ``jet2`` and the plain values still equal each factor's own, bit for bit.  Reversing the factors
+    changes which one builds each shared jet, so a factor that changed a jet it was handed would show."""
+    space = request.getfixturevalue(chart)
+    factors = SHARED_RADIUS_SWEEPS[sweep](space)[::-1 if reverse else 1]
+    stacked = stacked_factors(factors)
+    pts = np.concatenate([shell_nodes(space, 40.0, QuadratureSpec())[0], probe_grid(space)], axis=1)
+    for jet in (engine.jet1, engine.jet2, lambda fld, c: (fld.values(c),)):
+        got = jet(stacked, pts)
+        for k, f in enumerate(factors):
+            want = jet(f.as_field(), pts)
+            for g, w in zip(got, want, strict=True):
+                assert np.ascontiguousarray(g[..., k, :]).tobytes() == np.ascontiguousarray(w).tobytes(), f.params
+
+
+@pytest.mark.parametrize("count", [1, 4, 12])
+def test_stacked_factors_build_one_radius_jet_per_evaluation(model, monkeypatch, count):
+    """One evaluation of ``stacked_factors`` over F radial factors of one exponent builds one radius jet and one
+    r**s, not F of each; a second evaluation builds them again, so the shared jets live for one call."""
+    from weylmass import autodiff as am
+    from weylmass import families
+
+    radius_calls, powers = [], []
+    radius = families._radius
+    monkeypatch.setattr(families, "_radius", lambda xs: radius_calls.append(1) or radius(xs))
+    power = am.Taylor2.__pow__
+    monkeypatch.setattr(am.Taylor2, "__pow__", lambda self, e: powers.append(e) or power(self, e))
+    stacked = stacked_factors([radial_profile(model, beta=0.05 * (k + 1)) for k in range(count)])
+    pts = shell_nodes(model, 40.0, QuadratureSpec())[0]
+    for evaluation in (1, 2):
+        stacked.fn(am.seed_point(pts, order=evaluation))
+        assert (len(radius_calls), len(powers)) == (evaluation, evaluation)
 
 
 def test_radial_points_equal_the_per_radius_concatenation(hopf_space):

@@ -9,7 +9,7 @@ by independent numerical paths.
 
 from .engine import DerivativeEngine, Field
 from .errors import ChartDomainError, ConfigError, DegreeError, GaugeMismatchError, MassNotDefinedError
-from .families import LeeFormField, MetricFamily, ScalarField, build_lee, build_metric, build_scalar
+from .families import LeeFormField, MetricFamily, ScalarField
 from .model import ModelSpace, sphere_volume
 from .weyl import FormFieldSpec, WeylStructure, gauge_change, lee_jet
 
@@ -29,9 +29,6 @@ __all__ = [
     "ModelSpace",
     "ScalarField",
     "WeylStructure",
-    "build_lee",
-    "build_metric",
-    "build_scalar",
     "gauge_change",
     "lee_jet",
     "sphere_volume",

@@ -386,21 +386,3 @@ SCALAR_BUILDERS = {
     "log_slow_profile": log_slow_profile,
     "sqrt_slow_profile": sqrt_slow_profile,
 }
-
-
-def build_metric(name: str, model: ModelSpace, **params) -> MetricFamily:
-    if name not in METRIC_BUILDERS:
-        raise KeyError(f"unknown metric family {name!r}; known: {sorted(METRIC_BUILDERS)}")
-    return METRIC_BUILDERS[name](model, **params)
-
-
-def build_lee(name: str, model: ModelSpace, **params) -> LeeFormField:
-    if name not in LEE_BUILDERS:
-        raise KeyError(f"unknown lee form {name!r}; known: {sorted(LEE_BUILDERS)}")
-    return LEE_BUILDERS[name](model, **params)
-
-
-def build_scalar(name: str, model: ModelSpace, **params) -> ScalarField:
-    if name not in SCALAR_BUILDERS:
-        raise KeyError(f"unknown scalar family {name!r}; known: {sorted(SCALAR_BUILDERS)}")
-    return SCALAR_BUILDERS[name](model, **params)

@@ -52,8 +52,7 @@ import numpy as np
 
 from . import autodiff as am
 from .engine import DerivativeEngine, Field, frame_jet1
-from .families import (LeeFormField, kaluza_perturbation, random_local_lee,
-                       random_local_metric, zero_lee)
+from .families import LeeFormField, random_local_lee, random_local_metric, zero_lee
 from .model import ModelSpace
 from .quadrature import (QuadratureSpec, flux_curved_metric, gauss_legendre, node_blocks, sphere_rule,
                          volume_integral_curved)
@@ -115,12 +114,10 @@ def trial_point(model: ModelSpace, rng) -> np.ndarray:
     return model.point(r * u, rng.uniform(0.0, model.L))
 
 
-def trial_structure(model: ModelSpace, seed: int, trial: int, curved: bool = True,
-                    with_lee: bool = True, fiber_dependence: bool = False,
-                    wave_scale: float = 0.7) -> WeylStructure:
-    fam = (random_local_metric(model, seed=seed * 1000 + trial, fiber_dependence=fiber_dependence,
-                               wave_scale=wave_scale)
-           if curved else kaluza_perturbation(model, mu=0.5))
+def trial_structure(model: ModelSpace, seed: int, trial: int, with_lee: bool = True,
+                    fiber_dependence: bool = False, wave_scale: float = 0.7) -> WeylStructure:
+    fam = random_local_metric(model, seed=seed * 1000 + trial, fiber_dependence=fiber_dependence,
+                              wave_scale=wave_scale)
     lee = (random_local_lee(model, seed=seed * 1000 + trial, fiber_dependence=fiber_dependence,
                             wave_scale=min(wave_scale, 0.6))
            if with_lee else zero_lee(model))

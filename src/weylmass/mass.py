@@ -221,46 +221,45 @@ class FluxForms:
     embedded: Optional[np.ndarray]  # (2, shells, m, m): Q_r and C_r of g on the embedded degree-5 rule, or None
 
 
-def _probe_gauges(engine: DerivativeEngine, ws: WeylStructure, factors, rmax: float, check_decay: bool) -> None:
+def _probe_gauges(engine: DerivativeEngine, ws: WeylStructure, factors, rmax: float) -> None:
     """Refuse the first factor, in sweep order, that is not positive out to ``rmax``, then the first that is
-    not adapted, then with ``check_decay`` data that fails the Weyl-ALF probes in gauge g or in the first
-    swept gauge.
+    not adapted, then data that fails the Weyl-ALF probes in gauge g or in the first swept gauge.
 
     Every factor is checked for positivity before any is differentiated.  The factors then take one
-    probe-grid jet2 of ``stacked_factors``, and each adapted-class check reads its slice.  The swept gauge's
-    probes take no jet: its metric jet2 is read off g's and factor 0's by the product rule, and its Lee jet
-    off g's Lee jet and factor 0's.  The probe jets are local, so none is held through the flux work.
+    probe-grid jet2 of ``stacked_factors``, and each adapted-class check reads its slice.  g takes one
+    probe-grid jet2 and its Lee form one jet1.  The swept gauge's probes take no jet: its metric jet2 is read
+    off g's and factor 0's by the product rule, and its Lee jet off g's Lee jet and factor 0's.  The probe
+    jets are local, so none is held through the flux work.
     """
     model = ws.model
+    pts = probe_grid(model)
     f_jets = []
     if factors:
         grid = positivity_grid(model, rmax)
         for f in factors:
-            require_positive(model, f, rmax, grid)
-        jet = frame_jet2(engine, model, stacked_factors(factors), probe_grid(model))
-        f_jets = [require_adapted(engine, model, f, tuple(a[..., k, :] for a in jet)) for k, f in enumerate(factors)]
-    if check_decay:
-        pts = probe_grid(model)
-        g_jet = frame_jet2(engine, model, ws.metric.as_field(), pts)
-        theta_jet = lee_jet(engine, ws.lee, pts, order=1)
-        require_weyl_alf(engine, model, ws.metric, ws.lee, g_jet, theta_jet)
-        for f, f_jet in zip(factors[:1], f_jets):
-            swept = gauge_change(ws, f)
-            require_weyl_alf(engine, model, swept.metric, swept.lee, rescaled_frame_jet2(f_jet, g_jet),
-                             regauged_lee_jet(theta_jet, f_jet))
+            require_positive(f, grid)
+        jet = frame_jet2(engine, model, stacked_factors(factors), pts)
+        f_jets = [tuple(a[..., k, :] for a in jet) for k in range(len(factors))]
+        for f, f_jet in zip(factors, f_jets):
+            require_adapted(model, f, f_jet)
+    g_jet = frame_jet2(engine, model, ws.metric.as_field(), pts)
+    theta_jet = lee_jet(engine, ws.lee, pts, order=1)
+    require_weyl_alf(ws, g_jet, theta_jet)
+    for f, f_jet in zip(factors[:1], f_jets):
+        require_weyl_alf(gauge_change(ws, f), rescaled_frame_jet2(f_jet, g_jet), regauged_lee_jet(theta_jet, f_jet))
 
 
 def flux_pass(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[ScalarField] = (),
-              radii=None, quad: Optional[QuadratureSpec] = None, check_decay: bool = True,
-              angular: bool = False) -> FluxForms:
+              radii=None, quad: Optional[QuadratureSpec] = None, angular: bool = False) -> FluxForms:
     """The shell forms of gauge g and of the gauge f g of every factor f, from one metric jet per node block.
 
     ``radii`` defaults to ``FLUX_RADII`` and must hold at least two radii,
     strictly increasing and above R.  Every factor is probed for positivity
     out to the largest radius, every one before any is differentiated, and
-    then for membership in the adapted class, all before any flux work;
-    with ``check_decay`` the Weyl-ALF decay probes run on g and on the first
-    swept gauge, also before it.  The factors take one probe-grid jet2 of
+    then for membership in the adapted class, and g and the first swept
+    gauge for the Weyl-ALF decay probes, all before any flux work: the
+    conformal mass is defined only for Weyl-ALF data, so no caller skips
+    them.  The factors take one probe-grid jet2 of
     ``stacked_factors`` for all their adapted-class checks, and the swept
     gauge's metric probes read the jet2 of f g off g's and factor 0's by
     the second-order product rule.  On each node block g takes one
@@ -280,7 +279,7 @@ def flux_pass(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[Sca
         raise ValueError(f"flux radii must be at least two, strictly increasing and above R={model.R:g};"
                          f" got {radii}")
     quad = quad or QuadratureSpec()
-    _probe_gauges(engine, ws, factors, radii[-1], check_decay)
+    _probe_gauges(engine, ws, factors, radii[-1])
 
     names = [ws.metric.name] + [conformal_sweep(ws.metric, f).name for f in factors]
     stacked = stacked_factors(factors) if factors else None
@@ -462,8 +461,7 @@ class InvarianceReport:
 
 
 def gauge_audit(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[ScalarField],
-                radii=None, quad: Optional[QuadratureSpec] = None, tolerance: float = 1e-4,
-                check_decay: bool = True) -> list:
+                radii=None, quad: Optional[QuadratureSpec] = None, tolerance: float = 1e-4) -> list:
     """Conformal mass in gauge g versus gauge f g for every factor f of a sweep, from one ``flux_pass``.
 
     Returns one (audits, prediction) pair per factor, in order: one
@@ -472,7 +470,7 @@ def gauge_audit(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[S
     of the df density) is set against the Q limits of the two gauges; the
     metric of gauge f g is conformal_sweep(g, f).
     """
-    forms = flux_pass(engine, ws, factors, radii, quad, check_decay)
+    forms = flux_pass(engine, ws, factors, radii, quad)
     model = ws.model
     base, *swept = [[_build_report(model, z, forms, k, 1e-6) for z in np.eye(model.m)]
                     for k in range(len(factors) + 1)]
@@ -487,7 +485,7 @@ def gauge_audit(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[S
 
 
 def mass_matrix(engine: DerivativeEngine, ws: WeylStructure, radii=None,
-                quad: Optional[QuadratureSpec] = None, tol_conv: float = 1e-6, check_decay: bool = True):
+                quad: Optional[QuadratureSpec] = None, tol_conv: float = 1e-6):
     """Mass matrix, Q-part matrix and per-direction reports from one ``flux_pass``.
 
     The matrices are the extrapolated limits of Q_r + C_r and of Q_r.
@@ -495,7 +493,7 @@ def mass_matrix(engine: DerivativeEngine, ws: WeylStructure, radii=None,
     directions X_b and the polarization directions X_b + X_c; each report
     names the sphere rule and, on the symmetric rule, its angular error.
     """
-    forms = flux_pass(engine, ws, radii=radii, quad=quad, check_decay=check_decay, angular=True)
+    forms = flux_pass(engine, ws, radii=radii, quad=quad, angular=True)
     model = ws.model
     m = model.m
     rate = 2 - m

@@ -4,20 +4,20 @@ a conformal factor, 1-m and 2-m for a Lee form).
 
 Every probe samples one fixed grid: the 8 directions of
 ``direction_samples`` (fixed seed) at each radius of ``PROBE_RADII``
-(8 to 128, geometric).  Each suite takes one jet of its field on that grid
-and reads every probed quantity off it: a metric jet2 gives g - h, grad_h g
-and grad2_h g, a Lee-form jet (``weyl.lee_jet``) gives theta and d(theta),
-a conformal-factor jet2 gives f - 1, df and ddf.  A suite handed its jet takes
-none: a sweep hands each factor its slice of one jet2 of all its factors
-(``families.stacked_factors``), the metric jet2 of a swept gauge f g is read
-off those of g and f by the product rule (``rescaled_frame_jet2``), and its
-Lee jet off g's Lee jet and f's jet2 (``weyl.regauged_lee_jet``).  A probe
-takes the sup of the frame norm over the directions at each radius, read off
-one (radii, directions) reshape of the grid's batch axis, fits the slope of
-log(norm) against log(r) by least squares in closed form, and PASSes when
-the slope is at most the required rate (``declared`` in the report) plus
-SLOPE_MARGIN (0.2, matching the acceptance tolerance).  Identically-zero
-fields report slope -inf and PASS.
+(8 to 128, geometric).  Each suite reads every probed quantity off one jet
+of its field on that grid, taken by its caller (``mass._probe_gauges``): a
+metric jet2 gives g - h, grad_h g and grad2_h g, a Lee-form jet
+(``weyl.lee_jet`` at order 1) gives theta and d(theta), a conformal-factor
+jet2 gives f - 1, df and ddf.  A sweep hands each factor its slice of one
+jet2 of all its factors (``families.stacked_factors``), the metric jet2 of
+a swept gauge f g is read off those of g and f by the product rule
+(``rescaled_frame_jet2``), and its Lee jet off g's Lee jet and f's jet2
+(``weyl.regauged_lee_jet``).  A probe takes the sup of the frame norm over
+the directions at each radius, read off one (radii, directions) reshape of
+the grid's batch axis, fits the slope of log(norm) against log(r) by least
+squares in closed form, and PASSes when the slope is at most the required
+rate (``declared`` in the report) plus SLOPE_MARGIN (0.2, matching the
+acceptance tolerance).  Identically-zero fields report slope -inf and PASS.
 
 ``require_positive`` is not a decay probe: it samples a conformal factor on
 ``positivity_grid``, from just outside the excised sphere out to the largest
@@ -33,11 +33,10 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import DerivativeEngine, frame_jet2
 from .errors import MassNotDefinedError
-from .families import LeeFormField, MetricFamily, ScalarField
+from .families import ScalarField
 from .model import ModelSpace
-from .weyl import _brackets, _faraday_components, _slot_jet, lc_form_block, lee_jet
+from .weyl import WeylStructure, _brackets, _faraday_components, _slot_jet, lc_form_block
 
 SLOPE_MARGIN = 0.2
 ZERO_FLOOR = 1e-13
@@ -76,17 +75,17 @@ def direction_samples(model: ModelSpace, count: int) -> np.ndarray:
 
 
 def decay_probe(norm_at_radius: Callable[[float], float], radii, declared: float,
-                name: str = "field", margin: float = SLOPE_MARGIN) -> ProbeReport:
+                name: str = "field") -> ProbeReport:
     """Fit sup-norm samples against radius; classify against the declared rate."""
     radii = np.asarray(radii, dtype=float)
     if radii.size < 4:
         raise ValueError("decay probe needs at least 4 radii")
     if np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be strictly increasing")
-    return _fit_decay(radii, [norm_at_radius(r) for r in radii], declared, name, margin)
+    return _fit_decay(radii, [norm_at_radius(r) for r in radii], declared, name)
 
 
-def _fit_decay(radii: np.ndarray, norms, declared: float, name: str, margin: float) -> ProbeReport:
+def _fit_decay(radii: np.ndarray, norms, declared: float, name: str) -> ProbeReport:
     """The least-squares slope of log(norm) against log(r), in closed form on the centered logs."""
     norms = np.asarray(norms, dtype=float)
     if np.all(norms < ZERO_FLOOR):
@@ -96,7 +95,7 @@ def _fit_decay(radii: np.ndarray, norms, declared: float, name: str, margin: flo
     dx = lx - np.mean(lx)
     with np.errstate(invalid="ignore"):  # a single radius fits no slope: 0/0, nan, and the probe fails
         slope = float(dx @ (ly - np.mean(ly)) / (dx @ dx))
-    return ProbeReport(name, declared, slope, slope <= declared + margin, list(radii), list(norms))
+    return ProbeReport(name, declared, slope, slope <= declared + SLOPE_MARGIN, list(radii), list(norms))
 
 
 def _radial_points(radii, u: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -121,7 +120,7 @@ def probe_tensor_field(values: np.ndarray, declared: float, name: str, radii) ->
     blocks = values.reshape(values.shape[:-1] + (len(radii), -1))
     comp_axes = tuple(range(values.ndim - 1))
     norms = np.max(np.sqrt(np.sum(blocks**2, axis=comp_axes)) if comp_axes else np.abs(blocks), axis=-1)
-    return _fit_decay(radii, norms, declared, name, SLOPE_MARGIN)
+    return _fit_decay(radii, norms, declared, name)
 
 
 # ---------------------------------------------------------------------------
@@ -129,15 +128,14 @@ def probe_tensor_field(values: np.ndarray, declared: float, name: str, radii) ->
 # ---------------------------------------------------------------------------
 
 
-def _metric_probe_values(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, pts, jet=None):
-    """g - h, grad_h g and grad2_h g at pts from one metric jet2.
+def _metric_probe_values(model: ModelSpace, pts, jet):
+    """g - h, grad_h g and grad2_h g at pts from ``jet``, the metric's frame jet2 there.
 
-    ``jet`` is the family's frame jet2 at pts, taken here when not given.
     grad2_h g is closed-form; E_p of the h-coefficients comes from the
     structure Jacobian.  On a holonomic frame h's coefficients vanish, and
     grad_h g and grad2_h g are the frame derivatives dg and ddg.
     """
-    g, dg, ddg = jet or frame_jet2(engine, model, fam.as_field(), pts)
+    g, dg, ddg = jet
     if model.holonomic:
         return g - np.eye(model.dim)[:, :, None], dg, ddg
     gam = model.lc_coeffs_h(pts)
@@ -147,22 +145,22 @@ def _metric_probe_values(engine: DerivativeEngine, model: ModelSpace, fam: Metri
     return g - np.eye(model.dim)[:, :, None], G, lc_form_block(dG, G, gam, 3)
 
 
-def metric_probes(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, jet=None) -> list[ProbeReport]:
-    """Three probes on a family: g - h, first and second model derivatives (``jet``: its probe-grid frame jet2)."""
+def metric_probes(model: ModelSpace, name: str, jet) -> list[ProbeReport]:
+    """Three probes on metric ``name``: g - h, first and second model derivatives, off its probe-grid frame jet2."""
     m = model.m
-    values = _metric_probe_values(engine, model, fam, probe_grid(model), jet)
-    return [probe_tensor_field(v, req, f"{fam.name}:{tag}", PROBE_RADII)
+    values = _metric_probe_values(model, probe_grid(model), jet)
+    return [probe_tensor_field(v, req, f"{name}:{tag}", PROBE_RADII)
             for v, req, tag in zip(values, (2 - m, 1 - m, -m), ("g-h", "grad_h g", "grad2_h g"))]
 
 
-def lee_probes(engine: DerivativeEngine, model: ModelSpace, lee: LeeFormField, jet=None) -> list[ProbeReport]:
-    """Weyl-ALF probes: theta at rate 1-m and d(theta) at rate 2-m (``jet``: its probe-grid ``lee_jet`` at order 1)."""
+def lee_probes(model: ModelSpace, name: str, jet) -> list[ProbeReport]:
+    """Weyl-ALF probes of Lee form ``name``: theta at rate 1-m and d(theta) at rate 2-m, off its probe-grid
+    ``lee_jet`` at order 1."""
     m = model.m
-    pts = probe_grid(model)
-    theta, dtheta = jet or lee_jet(engine, lee, pts, order=1)
-    dtheta = _faraday_components(theta, dtheta, _brackets(model, pts))
-    return [probe_tensor_field(theta, 1 - m, f"{lee.name}:theta", PROBE_RADII),
-            probe_tensor_field(dtheta, 2 - m, f"{lee.name}:dtheta", PROBE_RADII)]
+    theta, dtheta = jet
+    dtheta = _faraday_components(theta, dtheta, _brackets(model, probe_grid(model)))
+    return [probe_tensor_field(theta, 1 - m, f"{name}:theta", PROBE_RADII),
+            probe_tensor_field(dtheta, 2 - m, f"{name}:dtheta", PROBE_RADII)]
 
 
 def connection_probe(model: ModelSpace) -> ProbeReport:
@@ -171,16 +169,14 @@ def connection_probe(model: ModelSpace) -> ProbeReport:
     return probe_tensor_field(model.deta(x), 1 - model.m, f"{model.fibration}:deta", PROBE_RADII)
 
 
-def adapted_metric_check(engine: DerivativeEngine, model: ModelSpace, f: ScalarField,
-                         jet=None) -> list[ProbeReport]:
-    """Membership probes for the adapted conformal-factor class, from one jet2 of f:
+def adapted_metric_check(model: ModelSpace, name: str, jet) -> list[ProbeReport]:
+    """Membership probes for the adapted conformal-factor class, off ``jet``, the factor's probe-grid frame jet2:
 
     f - 1 at rate 2-m, first derivatives at 1-m, second derivatives at -m.
-    ``jet`` is f's frame jet2 on the probe grid, taken here when not given.
     """
     m = model.m
-    val, df, ddf = jet or frame_jet2(engine, model, f.as_field(), probe_grid(model))
-    return [probe_tensor_field(v, req, f"{f.name}:{tag}", PROBE_RADII)
+    val, df, ddf = jet
+    return [probe_tensor_field(v, req, f"{name}:{tag}", PROBE_RADII)
             for v, req, tag in zip((val - 1.0, df, ddf), (2 - m, 1 - m, -m), ("f-1", "df", "ddf"))]
 
 
@@ -193,17 +189,12 @@ def _factor_label(f: ScalarField) -> str:
     return f"{f.name}(" + ", ".join(f"{k}={v!r}" for k, v in f.params.items()) + ")"
 
 
-def require_adapted(engine: DerivativeEngine, model: ModelSpace, f: ScalarField, jet=None) -> tuple:
-    """Refuse a factor outside the adapted class; return the frame jet2 of f on the probe grid it read.
-
-    ``jet`` is that jet, taken here when not given (a sweep hands in its slice of the stacked factors' jet).
-    """
-    jet = jet or frame_jet2(engine, model, f.as_field(), probe_grid(model))
-    names = _failed_probes(adapted_metric_check(engine, model, f, jet))
+def require_adapted(model: ModelSpace, f: ScalarField, jet) -> None:
+    """Refuse a factor outside the adapted class, read off ``jet``, its frame jet2 on the probe grid."""
+    names = _failed_probes(adapted_metric_check(model, f.name, jet))
     if names:
         raise MassNotDefinedError(f"conformal factor {_factor_label(f)} is not adapted: "
                                   f"rejected by probe {names}")
-    return jet
 
 
 def rescaled_frame_jet2(f_jet, g_jet) -> tuple:
@@ -224,13 +215,12 @@ def positivity_grid(model: ModelSpace, rmax: float) -> tuple:
     return radii, _radial_points(radii, *direction_samples(model, PROBE_DIRECTIONS))
 
 
-def require_positive(model: ModelSpace, f: ScalarField, rmax: float, grid=None) -> None:
-    """Refuse a conformal factor that is not positive (and finite) out to radius rmax.
+def require_positive(f: ScalarField, grid) -> None:
+    """Refuse a conformal factor that is not positive (and finite) on ``grid``, a ``positivity_grid``.
 
-    f g is a metric only where f > 0.  f is sampled on ``grid``, the
-    ``positivity_grid(model, rmax)``, built here when not given.
+    f g is a metric only where f > 0.
     """
-    radii, pts = grid or positivity_grid(model, rmax)
+    radii, pts = grid
     vals = np.broadcast_to(np.asarray(f.fn(pts), dtype=float), pts.shape[1:])
     if not np.all(np.isfinite(vals) & (vals > 0)):
         k = int(np.argmin(np.where(np.isfinite(vals), vals, -np.inf)))
@@ -238,21 +228,21 @@ def require_positive(model: ModelSpace, f: ScalarField, rmax: float, grid=None) 
                                   f"f = {vals[k]:.6g} at r = {radii[k // PROBE_DIRECTIONS]:.6g}")
 
 
-def require_alf(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, jet=None) -> list[ProbeReport]:
-    reports = metric_probes(engine, model, fam, jet)
+def require_alf(model: ModelSpace, name: str, jet) -> list[ProbeReport]:
+    """Refuse metric ``name`` where its probe-grid frame jet2 ``jet`` fails the ALF decay probes."""
+    reports = metric_probes(model, name, jet)
     names = _failed_probes(reports)
     if names:
-        raise MassNotDefinedError(f"metric family {fam.name!r} fails decay probes: {names}")
+        raise MassNotDefinedError(f"metric family {name!r} fails decay probes: {names}")
     return reports
 
 
-def require_weyl_alf(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily,
-                     lee: LeeFormField, jet=None, theta_jet=None) -> list[ProbeReport]:
-    """Metric and Lee-form decay probes; ``jet`` is the metric's probe-grid frame jet2 and ``theta_jet`` the
-    Lee form's probe-grid jet1, each taken when not given."""
-    reports = require_alf(engine, model, fam, jet)
-    lreports = lee_probes(engine, model, lee, theta_jet)
+def require_weyl_alf(ws: WeylStructure, jet, theta_jet) -> list[ProbeReport]:
+    """Metric and Lee-form decay probes of ``ws``, off its metric's probe-grid frame jet2 ``jet`` and its
+    Lee form's probe-grid jet1 ``theta_jet``."""
+    reports = require_alf(ws.model, ws.metric.name, jet)
+    lreports = lee_probes(ws.model, ws.lee.name, theta_jet)
     names = _failed_probes(lreports)
     if names:
-        raise MassNotDefinedError(f"lee form {lee.name!r} fails decay probes: {names}")
+        raise MassNotDefinedError(f"lee form {ws.lee.name!r} fails decay probes: {names}")
     return reports + lreports

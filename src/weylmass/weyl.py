@@ -57,10 +57,9 @@ checks and ``curvature_split`` keep the full route (``_jet_curvature``,
 the tests hold the two to 1e-13.
 
 The operators return plain component arrays; the degree and weight of the
-result follow from the input spec.  ``dD`` and ``deltaD`` read d^D and
-delta^D off one ``covd_form_block``, so the Dirac-type pair (delta^D w, d^D w)
-is the two of them on one block, and Lap^D w = -g^{ab} DH[a; b] is the trace
-of ``covd2_form_block``.
+result follow from the input spec.  ``dD`` reads d^D and ``deltaD`` reads
+delta^D off one ``covd_form_block``, and Lap^D w = -g^{ab} DH[a; b] is the
+trace of ``covd2_form_block``.
 
 Conventions: component arrays keep tensor axes first and batch axes last;
 a derivative block H[i; J] holds (D_{E_i} w)_J with the direction slot first.
@@ -587,30 +586,21 @@ def covd2_form_block(engine: DerivativeEngine, ws: WeylStructure, spec: FormFiel
 # ---------------------------------------------------------------------------
 
 
-def dD(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords,
-       block: tuple | None = None) -> np.ndarray:
-    """d^D w = sum_i e*_i ^ D_{E_i} w, shape (n,)^(p+1) + batch; the weight is unchanged.
-
-    ``block`` is a ``covd_form_block`` result already taken at coords.
-    """
+def dD(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords) -> np.ndarray:
+    """d^D w = sum_i e*_i ^ D_{E_i} w, shape (n,)^(p+1) + batch; the weight is unchanged."""
     p = spec.degree
     if p >= ws.model.dim:
         raise DegreeError("d of a top-degree form")
-    H = (block or covd_form_block(engine, ws, spec, coords))[1]
-    return insert_alt(H, p)
+    return insert_alt(covd_form_block(engine, ws, spec, coords)[1], p)
 
 
-def deltaD(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords,
-           block: tuple | None = None) -> np.ndarray:
-    """delta^D w = -g^{ab} E_a _| D_{E_b} w, shape (n,)^(p-1) + batch; the weight drops by 2.
-
-    ``block`` is a ``covd_form_block`` result already taken at coords.
-    """
+def deltaD(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords) -> np.ndarray:
+    """delta^D w = -g^{ab} E_a _| D_{E_b} w, shape (n,)^(p-1) + batch; the weight drops by 2."""
     _require_gauge(ws, spec)
     coords = np.asarray(coords, dtype=float)
     if spec.degree == 0:
         return np.zeros(coords.shape[1:])
-    _, H, jet = block or covd_form_block(engine, ws, spec, coords)
+    _, H, jet = covd_form_block(engine, ws, spec, coords)
     return -np.einsum("ab...,ab...->...", jet[2], H)
 
 
@@ -702,7 +692,7 @@ def _ricci(R: np.ndarray, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def gauge_change(ws: WeylStructure, factor: ScalarField, new_gauge: str | None = None) -> WeylStructure:
+def gauge_change(ws: WeylStructure, factor: ScalarField) -> WeylStructure:
     """Same Weyl connection in the gauge f*g: the Lee form records f and reads as theta - df/(2f).
 
     A second change records the product of the two factors.
@@ -712,5 +702,4 @@ def gauge_change(ws: WeylStructure, factor: ScalarField, new_gauge: str | None =
         f"{lee.factor.name}*{factor.name}", ws.model, lambda c: lee.factor.fn(c) * factor.fn(c))
     new_lee = LeeFormField(f"{lee.name}-dlog({factor.name})/2", ws.model, lee.fn,
                            params={**lee.params, "factor": factor.name}, factor=total)
-    return WeylStructure(ws.model, conformal_sweep(ws.metric, factor), new_lee,
-                         new_gauge or (ws.gauge + "~" + factor.name))
+    return WeylStructure(ws.model, conformal_sweep(ws.metric, factor), new_lee, ws.gauge + "~" + factor.name)

@@ -71,7 +71,7 @@ from weylmass.identities import (IdentityReport, _perm_sign, _rng, _weight_pool,
                                  random_form_field, trial_point, trial_structure)
 from weylmass.mass import _contract_shell, richardson_limit
 from weylmass.model import ModelSpace, sphere_volume
-from weylmass.probes import geometric_radii
+from weylmass.probes import geometric_radii, probe_grid
 from weylmass.quadrature import QuadratureSpec, node_blocks
 from weylmass.weyl import (FormFieldSpec, WeylStructure, christoffel, covd_form_block, insert_alt, inv_gram,
                            lc_form_block, lee_jet, outer_front, tdot, weyl_curvature)
@@ -302,6 +302,16 @@ def shell_nodes(model: ModelSpace, r: float, quad: QuadratureSpec) -> tuple:
     """(points, weights, normals) of the whole flux shell {|x| = r}: one ``node_blocks`` block of every node."""
     (block,) = node_blocks(model, [r], [1.0], quad, node_bytes=1)
     return block
+
+
+def probe_jet(engine: DerivativeEngine, fld) -> tuple:
+    """The frame jet2 of a metric family or scalar field on the probe grid, the jet its probe suite reads."""
+    return frame_jet2(engine, fld.model, fld.as_field(), probe_grid(fld.model))
+
+
+def probe_lee_jet(engine: DerivativeEngine, lee: LeeFormField) -> tuple:
+    """The jet1 of a Lee form on the probe grid, the jet ``probes.lee_probes`` reads."""
+    return lee_jet(engine, lee, probe_grid(lee.model), order=1)
 
 
 def direction_limits(engine: DerivativeEngine, ws: WeylStructure, z, radii=None, quad=None) -> tuple:

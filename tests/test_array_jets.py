@@ -19,7 +19,7 @@ from weylmass.model import ModelSpace
 from weylmass.probes import metric_probes
 from weylmass.weyl import WeylStructure, gauge_change, lee_jet
 
-from oracles import regauge
+from oracles import probe_jet, regauge
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +419,8 @@ def test_regauge_and_probe_deviation_on_array_fields(request, chart):
         assert_same_jet(regauge(spec, factor, "g~f").field.fn,
                         lambda c, old=old: _scale_leaves(old(c), factor.fn(c) ** 0.75), p)
     engine = DerivativeEngine()
-    reports = metric_probes(engine, space, random_local_metric(space, 8))
+    fam = random_local_metric(space, 8)
+    reports = metric_probes(space, fam.name, probe_jet(engine, fam))
     assert len(reports) == 3 and all(np.isfinite(r.slope) for r in reports)
 
 

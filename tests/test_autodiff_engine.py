@@ -237,15 +237,18 @@ def test_dual_jet1_never_seeds_a_hessian():
 
 
 @pytest.mark.parametrize("chart", ["model", "hopf_space"])
-def test_flux_pass_takes_first_order_jets_only(request, engine, chart):
-    """Without the decay probes (which take jet2) a flux pass seeds no Hessian into the metric."""
+def test_flux_pass_takes_first_order_jets_only(request, engine, chart, skip_weyl_alf_probes):
+    """A flux pass seeds a Hessian into the metric only for the decay probes' one jet2 on the probe grid; its
+    node blocks take jet1 (the trial metric is not ALF, so its probes are switched off, not its jets)."""
     space = request.getfixturevalue(chart)
     ws = trial_structure(space, 3, 0)
     seen = []
     ws.metric.fn = _recording(ws.metric.fn, seen)
     flux_pass(engine, ws, [radial_profile(space, beta=0.3)], radii=[40.0, 80.0],
-              quad=QuadratureSpec(sphere=6, fiber=2), check_decay=False)
-    assert len(seen) == 2 * space.dim and all(h is am.NO_HESSIAN for h in seen)
+              quad=QuadratureSpec(sphere=6, fiber=2))
+    n = space.dim
+    assert len(seen) == 3 * n and not any(h is am.NO_HESSIAN for h in seen[:n])
+    assert all(h is am.NO_HESSIAN for h in seen[n:])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The CI workflow installs the test extra, runs CLI smoke commands (a Hopf, an m = 5, a refined m = 5, a
 Hopf compact_lee, an m = 6 and an m = 7 mass, a pointwise verify and an annulus verify at m = 3 and m = 4, then
-Hopf sweeps, a trivial-chart sweep, a one-value Hopf sweep, a Hopf sweep over the directional_profile axis and an
-m = 5 sweep),
+Hopf sweeps, a trivial-chart sweep, a one-value Hopf sweep, a Hopf sweep over the directional_profile axis, an
+m = 5 sweep and a Hopf sweep on the hopf_model base),
 summarizes every report they wrote, reruns a mass, the m = 3 annulus verify, the m = 5 mass and the Hopf
 directional_profile sweep from the configs their reports embed, and runs the tier-1 command that ROADMAP.md
 names, with a time limit."""
@@ -94,8 +94,9 @@ def test_workflow_sweep_smoke_runs_a_hopf_sweep():
     Then a one-value Hopf sweep: one factor, the edge case of the factor axis that the shell kernel
     stacks.  Then a Hopf directional_profile sweep over ``axis`` 0, 1, 2: its factors share one exponent
     and so one stored r**s per evaluation of the stacked field, while each reads its own coordinate slot.
-    Last, a 2-value radial_profile sweep at m = 5: the one smoke where the Cholesky kernel runs at n = 6
-    on blocks with swept gauges."""
+    Then a 2-value radial_profile sweep at m = 5: the one smoke where the Cholesky kernel runs at n = 6
+    on blocks with swept gauges.  Last, that Hopf radial_profile sweep on the Hopf-adapted base
+    ``hopf_model`` (g = h in the Hopf frame), the base of the Hopf mass smoke."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
@@ -112,10 +113,11 @@ def test_workflow_sweep_smoke_runs_a_hopf_sweep():
                        {"sweep": sweep},
                        {"model": {"fibration": "hopf"}, "sweep": one},
                        {"model": {"fibration": "hopf"}, "sweep": axes},
-                       {"model": {"m": 5}, "sweep": sweep}]
+                       {"model": {"m": 5}, "sweep": sweep},
+                       {"model": {"fibration": "hopf"}, "family": {"name": "hopf_model"}, "sweep": sweep}]
     runs = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" .*\bsweep$",
                       smoke, re.MULTILINE)
-    assert runs == ["sweep", "sweep_dir", "sweep_trivial", "sweep_one", "sweep_axis", "sweep_m5"]
+    assert runs == ["sweep", "sweep_dir", "sweep_trivial", "sweep_one", "sweep_axis", "sweep_m5", "sweep_hopf_model"]
 
 
 def test_workflow_mass_smoke_runs_a_hopf_mass():
@@ -158,8 +160,8 @@ def test_workflow_report_smoke_reads_every_smoke_report():
                for name in ("Mass smoke", "CLI smoke", "Sweep smoke")
                for out, command in re.findall(r"--out \"\$RUNNER_TEMP/(\w+)\" (\w+)$",
                                               job["steps"][names.index(name)]["run"], re.MULTILINE)]
-    assert len(written) == 15
-    assert written[-1] == "$RUNNER_TEMP/sweep_m5/sweep_report.jsonl"
+    assert len(written) == 16
+    assert written[-1] == "$RUNNER_TEMP/sweep_hopf_model/sweep_report.jsonl"
     (line,) = job["steps"][names.index("Report smoke")]["run"].strip().splitlines()
     prefix = "PYTHONPATH=src python -m weylmass report "
     assert line.startswith(prefix)

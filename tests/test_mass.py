@@ -6,6 +6,7 @@ are the independent route that the package's flux pass is set against.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,17 +16,17 @@ from weylmass.engine import frame_jet1
 from weylmass.errors import ChartDomainError, MassNotDefinedError
 from weylmass.families import (MetricFamily, compact_lee, conformal_sweep, directional_profile, flat_product,
                                hopf_model, kaluza_perturbation, kaluza_two_term, log_slow_profile, radial_lee,
-                               radial_profile, sqrt_slow_profile, stacked_factors, zero_lee)
+                               radial_profile, slow_tail, sqrt_slow_profile, stacked_factors, zero_lee)
 from weylmass.mass import flux_pass, gauge_audit, mass_matrix, richardson_limit
 from weylmass.model import ModelSpace, sphere_volume
 from weylmass.probes import decay_probe, geometric_radii, probe_grid
 from weylmass.quadrature import PRODUCT_RULE, SYMMETRIC_RULE, QuadratureSpec
 from weylmass.weyl import WeylStructure, lee_jet
 
-from oracles import (anisotropic_mass_matrix, anisotropic_metric, direction_limits, flux_model_metric,
+from oracles import (FDEngine, anisotropic_mass_matrix, anisotropic_metric, direction_limits, flux_model_metric,
                      horizontal_field, lee_correction_components, longdouble_shell_forms, per_gauge_shell_forms,
-                     q_flux_components, random_adapted_scalar, ricci_positivity_floor, shell_nodes,
-                     translated_metric, unit_scalar)
+                     probe_jet, probe_lee_jet, q_flux_components, random_adapted_scalar, ricci_positivity_floor,
+                     shell_nodes, translated_metric, unit_scalar)
 
 
 def x1_report(engine, ws, **kw):
@@ -89,7 +90,7 @@ def test_q_quadratic_in_direction_termwise(model, engine):
 
 
 @pytest.mark.parametrize("m,fibration,seed", [(5, "trivial", 3), (3, "hopf", 4)])
-def test_shell_forms_match_density_oracle(engine, m, fibration, seed):
+def test_shell_forms_match_density_oracle(engine, m, fibration, seed, skip_weyl_alf_probes):
     """z^T Q z and z^T C z of the flux pass equal the fluxes of the per-Z densities for random z."""
     from weylmass.families import random_local_lee, random_local_metric
 
@@ -97,7 +98,7 @@ def test_shell_forms_match_density_oracle(engine, m, fibration, seed):
     fam = random_local_metric(space, seed=seed, fiber_dependence=True)
     lee = random_local_lee(space, seed=seed, fiber_dependence=True)
     quad = QuadratureSpec(sphere=9, fiber=3)
-    forms = flux_pass(engine, WeylStructure(space, fam, lee), radii=[2.5, 7.0], quad=quad, check_decay=False)
+    forms = flux_pass(engine, WeylStructure(space, fam, lee), radii=[2.5, 7.0], quad=quad)
     norm = sphere_volume(m) * space.L
     rng = np.random.default_rng(seed)
     for r, Q, C in zip((2.5, 7.0), forms.q[0], forms.c[0]):
@@ -123,9 +124,9 @@ def test_flux_pass_independent_of_block_size(engine, chart, request, monkeypatch
     factors = [radial_profile(space, beta=0.2), random_adapted_scalar(space, seed=5)]
     radii = [40.0, 80.0, 160.0]
     assert quadrature.BLOCK_BYTES // (12 * space.dim**3) >= 416
-    whole = flux_pass(engine, ws, factors, radii=radii, check_decay=False)
+    whole = flux_pass(engine, ws, factors, radii=radii)
     monkeypatch.setattr(quadrature, "BLOCK_BYTES", 37 * 12 * space.dim**3)
-    split = flux_pass(engine, ws, factors, radii=radii, check_decay=False)
+    split = flux_pass(engine, ws, factors, radii=radii)
     assert split.nodes == whole.nodes == 416
     for a, b in ((whole.q, split.q), (whole.c, split.c), (whole.df, split.df)):
         scale = np.max(np.abs(a), axis=(-2, -1))
@@ -145,7 +146,7 @@ def test_flux_pass_memory_stays_bounded_as_the_rule_is_refined(engine):
     def peak(fiber):
         tracemalloc.start()
         try:
-            flux_pass(engine, ws, quad=QuadratureSpec(sphere=30, fiber=fiber), check_decay=False)
+            flux_pass(engine, ws, quad=QuadratureSpec(sphere=30, fiber=fiber))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -159,7 +160,7 @@ def test_shell_forms_refuse_indefinite_metric(model, engine):
     """mu = -1 makes g negative at r < 2: the flux pass raises instead of integrating."""
     ws = WeylStructure(model, kaluza_perturbation(model, mu=-1.0), radial_lee(model, 0.4))
     with pytest.raises(ChartDomainError, match="not positive definite"):
-        mass_matrix(engine, ws, radii=geometric_radii(1.5, 12.0, 6), check_decay=False)
+        mass_matrix(engine, ws, radii=geometric_radii(1.5, 12.0, 6))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -181,7 +182,7 @@ def test_metric_not_finite_at_flux_nodes_is_refused_as_not_positive_definite(req
 
     ws = WeylStructure(space, MetricFamily("holed", space, fn), radial_lee(space, 0.4))
     with pytest.raises(ChartDomainError) as exc, np.errstate(over="raise", divide="raise", invalid="raise"):
-        mass_matrix(engine, ws, radii=[40.0, 80.0], check_decay=False)
+        mass_matrix(engine, ws, radii=[40.0, 80.0])
     assert str(exc.value).startswith("metric 'holed' is not positive definite on the flux shell r=40 ")
     assert str(exc.value).endswith(" (g is not finite there)")
 
@@ -265,7 +266,7 @@ def test_mass_report_counts_nodes_actually_used(model, engine):
     assert rep4.as_dict()["shell_nodes"] == 432
 
 
-def test_nonconvergent_flux_is_flagged(model, engine):
+def test_nonconvergent_flux_is_flagged(model, engine, skip_weyl_alf_probes):
     from weylmass import autodiff as am
 
     def osc_fn(coords):
@@ -278,17 +279,24 @@ def test_nonconvergent_flux_is_flagged(model, engine):
 
     fam = MetricFamily("oscillating", model, osc_fn)
     ws = WeylStructure(model, fam, zero_lee(model))
-    rep = x1_report(engine, ws, check_decay=False)
+    rep = x1_report(engine, ws)
     assert not rep.converged
 
 
-def test_mass_requires_alf_decay(model, engine):
+def test_mass_requires_alf_decay(model, engine, monkeypatch):
+    """flux_pass, gauge_audit and mass_matrix each run the Weyl-ALF probes, which no argument skips: a metric
+    conformal to the flat product by a sqrt-slow factor, and the slow_tail metric, whose deviation decays as
+    r^(-1/2), are refused before any shell form."""
     from weylmass.families import sqrt_slow_profile
 
-    fam = conformal_sweep(flat_product(model), sqrt_slow_profile(model, beta=1.0))
-    ws = WeylStructure(model, fam, zero_lee(model))
-    with pytest.raises(MassNotDefinedError):
-        mass_matrix(engine, ws)
+    calls = _count_shell_contractions(monkeypatch)
+    for fam in (conformal_sweep(flat_product(model), sqrt_slow_profile(model, beta=1.0)), slow_tail(model, mu=1.0)):
+        ws = WeylStructure(model, fam, zero_lee(model))
+        for run in (lambda: flux_pass(engine, ws), lambda: gauge_audit(engine, ws, [radial_profile(model, beta=0.3)]),
+                    lambda: mass_matrix(engine, ws)):
+            with pytest.raises(MassNotDefinedError, match=re.escape(f"metric family '{fam.name}' fails decay probes")):
+                run()
+    assert calls == []
 
 
 def test_flux_radii_validation(model, engine, monkeypatch):
@@ -363,7 +371,7 @@ def test_conformal_mass_refuses_bad_lee_decay(model, engine):
 
 def test_prediction_zero_for_unit_factor(model, engine):
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), zero_lee(model))
-    _, rep = gauge_audit(engine, ws, [unit_scalar(model)], check_decay=False)[0]
+    _, rep = gauge_audit(engine, ws, [unit_scalar(model)])[0]
     assert abs(rep.predicted_delta) < 1e-14
     assert abs(rep.direct_delta) < 1e-10
 
@@ -372,7 +380,7 @@ def test_prediction_matches_direct_recompute(model, engine):
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), zero_lee(model))
     for f in (radial_profile(model, beta=0.3), radial_profile(model, beta=-0.2),
               random_adapted_scalar(model, seed=2)):
-        _, rep = gauge_audit(engine, ws, [f], check_decay=False)[0]
+        _, rep = gauge_audit(engine, ws, [f])[0]
         assert rep.rel_error < 1e-4, f"{f.name}: {rep.rel_error}"
 
 
@@ -380,7 +388,7 @@ def test_prediction_kaluza_closed_form(model, engine):
     # f = 1 + beta/r on the Kaluza profile: delta Q = 5 beta / 6 exactly
     beta = 0.3
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), zero_lee(model))
-    _, rep = gauge_audit(engine, ws, [radial_profile(model, beta=beta)], check_decay=False)[0]
+    _, rep = gauge_audit(engine, ws, [radial_profile(model, beta=beta)])[0]
     assert rep.predicted_delta == pytest.approx(5 * beta / 6, abs=1e-10)
     assert rep.direct_delta == pytest.approx(5 * beta / 6, abs=1e-8)
 
@@ -397,7 +405,7 @@ def test_prediction_compact_gradient_gives_zero(model, engine):
 
     f = ScalarField("compact_factor", model, fn)
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), zero_lee(model))
-    _, rep = gauge_audit(engine, ws, [f], check_decay=False)[0]
+    _, rep = gauge_audit(engine, ws, [f])[0]
     assert abs(rep.predicted_delta) < 1e-14
     assert abs(rep.direct_delta) < 1e-8
 
@@ -413,7 +421,7 @@ def test_prediction_rejects_non_adapted_factor(model, engine):
 
 def test_invariance_unit_factor_exact(model, engine):
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), radial_lee(model, 0.4))
-    rep = gauge_audit(engine, ws, [unit_scalar(model)], check_decay=False)[0][0][0]
+    rep = gauge_audit(engine, ws, [unit_scalar(model)])[0][0][0]
     assert rep.abs_difference < 1e-12
     assert rep.passed
 
@@ -421,7 +429,7 @@ def test_invariance_unit_factor_exact(model, engine):
 def test_invariance_kaluza_with_lee(model, engine):
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), radial_lee(model, 0.4))
     f = radial_profile(model, beta=0.5)
-    rep = gauge_audit(engine, ws, [f], check_decay=False)[0][0][0]
+    rep = gauge_audit(engine, ws, [f])[0][0][0]
     assert rep.rel_difference < 1e-4
     assert rep.passed
 
@@ -430,14 +438,14 @@ def test_invariance_zero_lee_termwise_cancellation(model, engine):
     """theta = 0: the mass-shift prediction must cancel the induced Lee correction."""
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), zero_lee(model))
     f = radial_profile(model, beta=0.4)
-    _, pred = gauge_audit(engine, ws, [f], check_decay=False)[0]
+    _, pred = gauge_audit(engine, ws, [f])[0]
     from weylmass.weyl import gauge_change
 
     ws2 = gauge_change(ws, f)
-    rep2 = x1_report(engine, ws2, check_decay=False)
+    rep2 = x1_report(engine, ws2)
     # Q_{fg} - Q_g == - correction(theta_{fg}) up to the audit tolerance
     assert pred.direct_delta == pytest.approx(-rep2.correction_limit, rel=1e-5)
-    base = x1_report(engine, ws, check_decay=False).mass
+    base = x1_report(engine, ws).mass
     assert rep2.mass == pytest.approx(base, rel=1e-6)
 
 
@@ -445,7 +453,7 @@ def test_invariance_across_random_adapted_factors(model, engine):
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), radial_lee(model, 0.4))
     for seed in range(5):
         f = random_adapted_scalar(model, seed=seed)
-        rep = gauge_audit(engine, ws, [f], check_decay=False)[0][0][seed % 3]
+        rep = gauge_audit(engine, ws, [f])[0][0][seed % 3]
         assert rep.rel_difference < 1e-4, f"seed {seed}: {rep.rel_difference}"
 
 
@@ -456,8 +464,11 @@ def _audit_against_single_passes(space, engine, base, f, swept_equal):
     masses are compared with ``swept_equal``, as are the Q limits.  Both routes read the Lee form
     theta - df/(2f) of gauge f g off the factor's jet1 (``lee_jet`` there).  The base masses and Q
     limits are equal, and so is the predicted shift: half the correction limit of a structure whose Lee
-    form is the factor's df.
+    form is the factor's df.  That Lee form is read off a jet of its own, which the probe grid's Lee jet
+    cannot differentiate, so its ``mass_matrix`` runs with the gauge probes stubbed out; the per-direction
+    route (``direction_limits``) gives the same shift to roundoff.
     """
+    import weylmass.mass as mass_mod
     from weylmass.families import LeeFormField
     from weylmass.weyl import gauge_change
 
@@ -466,9 +477,9 @@ def _audit_against_single_passes(space, engine, base, f, swept_equal):
     quad = QuadratureSpec(sphere=26, fiber=4)
 
     def reports(w):
-        return mass_matrix(engine, w, radii=radii, quad=quad, check_decay=False)[2]
+        return mass_matrix(engine, w, radii=radii, quad=quad)[2]
 
-    audits, pred = gauge_audit(engine, ws, [f], radii=radii, quad=quad, check_decay=False)[0]
+    audits, pred = gauge_audit(engine, ws, [f], radii=radii, quad=quad)[0]
     assert [a.z_label for a in audits] == ["1*X1", "1*X2", "1*X3"]
     base_reports, gauged_reports = reports(ws), reports(gauge_change(ws, f))
     for audit in audits:
@@ -478,14 +489,20 @@ def _audit_against_single_passes(space, engine, base, f, swept_equal):
     assert pred.base_mass == base_reports["1*X1"].q_limit
     swept_equal(pred.swept_mass, reports(swept)["1*X1"].q_limit)
     df_lee = LeeFormField("df", space, lambda c: frame_jet1(engine, space, f.as_field(), np.asarray(c))[1])
-    assert pred.predicted_delta == 0.5 * reports(WeylStructure(space, base, df_lee))["1*X1"].correction_limit
+    df_ws = WeylStructure(space, base, df_lee)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mass_mod, "_probe_gauges", lambda *args: None)
+        correction = reports(df_ws)["1*X1"].correction_limit
+    assert pred.predicted_delta == 0.5 * correction
+    direct = direction_limits(engine, df_ws, np.eye(space.m)[0], radii, quad)[1]
+    assert pred.predicted_delta == pytest.approx(0.5 * direct, rel=1e-14, abs=1e-16)
 
 
 def _to_roundoff(got, want):
     assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
-def test_gauge_audit_reads_every_report_off_two_passes(model, hopf_space, engine):
+def test_gauge_audit_reads_every_report_off_two_passes(model, hopf_space, engine, skip_weyl_alf_probes):
     """In dual mode the audit's base reports and predicted shift equal the single-gauge pipelines bitwise,
     and its swept masses and Q limits equal them to 1e-14 relative.
 
@@ -551,7 +568,8 @@ def _count_shell_contractions(monkeypatch) -> list:
 def test_gauge_audit_sweep_takes_one_base_pass(hopf_space, monkeypatch):
     """N factors on R radii cost R metric jets, R stacked factor jets (no jet of a factor on its own), R shell
     contractions (each of all N + 1 gauges), R calls of the Cholesky kernel ``gram_factor`` and R evaluations
-    of the h-Christoffel coefficients; no f g is differentiated.
+    of the h-Christoffel coefficients, plus one more for the metric probes of g and of the first swept gauge
+    each; no f g is differentiated.
 
     Each factor's reports equal a one-factor call.
     """
@@ -575,8 +593,8 @@ def test_gauge_audit_sweep_takes_one_base_pass(hopf_space, monkeypatch):
     factor_calls = []
     gram_factor = mass_mod.gram_factor
     monkeypatch.setattr(mass_mod, "gram_factor", lambda g: factor_calls.append(g.shape) or gram_factor(g))
-    results = gauge_audit(engine, ws, factors, radii=radii, quad=quad, check_decay=False)
-    assert len(lc_calls) == len(radii)
+    results = gauge_audit(engine, ws, factors, radii=radii, quad=quad)
+    assert len(lc_calls) == len(radii) + 2
     assert len(factor_calls) == len(radii)
     swept_names = [conformal_sweep(ws.metric, f).name for f in factors]
     assert calls == [[ws.metric.name] + swept_names] * len(radii)
@@ -586,7 +604,7 @@ def test_gauge_audit_sweep_takes_one_base_pass(hopf_space, monkeypatch):
     assert sum(jets.count(name) for name in {f.name for f in factors}) == 0
     assert len(results) == len(factors)
     for f, (audits, pred) in zip(factors, results):
-        alone_audits, alone_pred = gauge_audit(engine, ws, [f], radii=radii, quad=quad, check_decay=False)[0]
+        alone_audits, alone_pred = gauge_audit(engine, ws, [f], radii=radii, quad=quad)[0]
         assert [a.factor for a in audits] == [f.name] * hopf_space.m
         assert audits == alone_audits
         assert pred == alone_pred
@@ -619,11 +637,11 @@ def test_holonomic_flux_and_probes_build_no_connection_terms(model, engine, monk
                             calls.append(name) or method(self, coords))
     mass_matrix(engine, ws, radii=radii, quad=quad)
     gauge_audit(engine, ws, factors, radii=radii, quad=quad)
-    require_weyl_alf(engine, model, ws.metric, ws.lee)
+    require_weyl_alf(ws, probe_jet(engine, ws.metric), probe_lee_jet(engine, ws.lee))
     rng = np.random.default_rng(3)
     lie_bracket(engine, model, random_vector_field(model, rng), random_vector_field(model, rng),
                 model.point([2.0, 0.5, -1.0], 0.1))
-    forms = flux_pass(engine, ws, factors, radii=radii, quad=quad, check_decay=False)
+    forms = flux_pass(engine, ws, factors, radii=radii, quad=quad)
     assert calls == []
 
     norm = sphere_volume(model.m) * model.L
@@ -710,10 +728,10 @@ def test_factor_not_positive_at_flux_nodes_past_the_probes_is_refused_as_before(
 
 @pytest.mark.parametrize("chart", ["model", "hopf_space"])
 def test_swept_decay_probe_reads_f_g_off_the_probe_jets(request, monkeypatch, chart):
-    """With decay checks, a sweep takes one probe-grid jet2 of g and one of its stacked factors, and no jet of
-    any f g: the first swept gauge's metric probes read f g off g's and f's jet2 by the second-order product
-    rule.  Those probes equal the ones of a direct jet2 of f g in pass/fail, and in norms and slopes to
-    1e-14, for a factor with an angular df and an off-diagonal ddf."""
+    """A sweep takes one probe-grid jet2 of g and one of its stacked factors, and no jet of any f g: the first
+    swept gauge's metric probes read f g off g's and f's jet2 by the second-order product rule.  Those probes
+    equal the ones of a direct jet2 of f g in pass/fail, and in norms and slopes to 1e-14, for a factor with
+    an angular df and an off-diagonal ddf."""
     from weylmass.engine import DerivativeEngine, frame_jet2
     from weylmass.families import directional_profile
     from weylmass.probes import metric_probes, probe_grid, rescaled_frame_jet2
@@ -733,8 +751,8 @@ def test_swept_decay_probe_reads_f_g_off_the_probe_jets(request, monkeypatch, ch
     pts = probe_grid(space)
     f_jet, g_jet = (frame_jet2(engine, space, fld.as_field(), pts) for fld in (factors[0], ws.metric))
     swept = gauge_change(ws, factors[0]).metric
-    direct = metric_probes(engine, space, swept)
-    for want, got in zip(direct, metric_probes(engine, space, swept, rescaled_frame_jet2(f_jet, g_jet)), strict=True):
+    direct = metric_probes(space, swept.name, probe_jet(engine, swept))
+    for want, got in zip(direct, metric_probes(space, swept.name, rescaled_frame_jet2(f_jet, g_jet)), strict=True):
         assert (got.name, got.passed) == (want.name, want.passed) and want.passed
         assert got.norms == pytest.approx(want.norms, rel=1e-14, abs=0.0)
         assert got.slope == pytest.approx(want.slope, rel=1e-14)
@@ -742,10 +760,10 @@ def test_swept_decay_probe_reads_f_g_off_the_probe_jets(request, monkeypatch, ch
 
 @pytest.mark.parametrize("chart", ["model", "hopf_space"])
 def test_swept_lee_probes_read_theta_f_g_off_the_probe_jets(request, monkeypatch, chart):
-    """With decay checks, the probes take one probe-grid jet1 of the Lee form (the base gauge's) and one jet2
-    of the stacked factors (their adapted-class probes) and nothing else of either: the first swept gauge's
-    Lee probes read theta - df/(2f) off those jets by ``weyl.regauged_lee_jet``, the rule ``lee_jet``
-    applies.  Its probes equal those of a direct ``lee_jet`` of the swept Lee form, bit for bit."""
+    """The probes take one probe-grid jet1 of the Lee form (the base gauge's) and one jet2 of the stacked
+    factors (their adapted-class probes) and nothing else of either: the first swept gauge's Lee probes read
+    theta - df/(2f) off those jets by ``weyl.regauged_lee_jet``, the rule ``lee_jet`` applies.  Its probes
+    equal those of a direct ``lee_jet`` of the swept Lee form, bit for bit."""
     from weylmass.engine import DerivativeEngine, frame_jet2
     from weylmass.families import directional_profile
     from weylmass.probes import lee_probes, probe_grid
@@ -769,11 +787,35 @@ def test_swept_lee_probes_read_theta_f_g_off_the_probe_jets(request, monkeypatch
     monkeypatch.undo()
     pts = probe_grid(space)
     swept = gauge_change(ws, factors[0]).lee
-    got = lee_probes(engine, space, swept, regauged_lee_jet(lee_jet(engine, ws.lee, pts, order=1),
-                                                            frame_jet2(engine, space, factors[0].as_field(), pts)))
-    want = lee_probes(engine, space, swept)
+    got = lee_probes(space, swept.name, regauged_lee_jet(lee_jet(engine, ws.lee, pts, order=1),
+                                                         frame_jet2(engine, space, factors[0].as_field(), pts)))
+    want = lee_probes(space, swept.name, probe_lee_jet(engine, swept))
     assert all(w.passed for w in want)
     assert [(r.name, r.passed, r.norms, r.slope) for r in got] == [(r.name, r.passed, r.norms, r.slope) for r in want]
+
+
+@pytest.mark.parametrize("mode", ["dual", "fd"])
+def test_flux_pass_probes_take_one_jet_per_field(model, monkeypatch, mode):
+    """On the probe grid a one-factor sweep takes one jet2 of the stacked factors, one jet2 of g and one jet1
+    of its Lee form, in that order, and nothing else: the swept gauge's probes read their jets off these."""
+    from weylmass.engine import DerivativeEngine
+
+    cls = {"dual": DerivativeEngine, "fd": FDEngine}[mode]
+    jets = []
+    for method in ("jet1", "jet2"):
+        original = getattr(cls, method)
+
+        def counted(self, fld, coords, method=method, original=original):
+            jets.append((method, fld.name, np.shape(coords)))
+            return original(self, fld, coords)
+
+        monkeypatch.setattr(cls, method, counted)
+    ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), radial_lee(model, 0.5))
+    factors = [radial_profile(model, beta=0.3)]
+    flux_pass(cls(), ws, factors, radii=[40.0, 80.0], quad=QuadratureSpec(sphere=6, fiber=2))
+    grid = probe_grid(model).shape
+    assert [j[:2] for j in jets if j[2] == grid] == [
+        ("jet2", stacked_factors(factors).name), ("jet2", ws.metric.name), ("jet1", ws.lee.name)]
 
 
 @pytest.mark.parametrize("chart", ["model", "hopf_space"])
@@ -886,18 +928,19 @@ def test_gauge_audit_refuses_any_factor_before_flux_work(model, engine, monkeypa
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), radial_lee(model, 0.4))
     calls = _count_shell_contractions(monkeypatch)
     with pytest.raises(MassNotDefinedError):
-        gauge_audit(engine, ws, [radial_profile(model, beta=0.3), bad(model)], check_decay=False)
+        gauge_audit(engine, ws, [radial_profile(model, beta=0.3), bad(model)])
     assert calls == []
 
 
 def test_positivity_probe_reports_the_smallest_sample(model):
-    from weylmass.probes import require_positive
+    from weylmass.probes import positivity_grid, require_positive
 
-    require_positive(model, radial_profile(model, beta=-0.9), 320.0)
-    require_positive(model, unit_scalar(model), 320.0)
+    grid = positivity_grid(model, 320.0)
+    require_positive(radial_profile(model, beta=-0.9), grid)
+    require_positive(unit_scalar(model), grid)
     with pytest.raises(MassNotDefinedError, match=r"radial_profile\(beta=-3.0, power=-1\) is not positive: "
                                                   r"f = -2 at r = 1\b"):
-        require_positive(model, radial_profile(model, beta=-3.0), 320.0)
+        require_positive(radial_profile(model, beta=-3.0), grid)
 
 
 # --- flux sequence rates -----------------------------------------------------------------------
@@ -943,7 +986,7 @@ def test_richardson_limit_exact_on_model_sequence():
 
 def test_mass_matrix_isotropy(model, engine):
     ws = WeylStructure(model, kaluza_perturbation(model, mu=1.0), zero_lee(model))
-    mat, _, reports = mass_matrix(engine, ws, check_decay=False)
+    mat, _, reports = mass_matrix(engine, ws)
     assert np.allclose(np.diag(mat), 4.0 / 3.0, atol=1e-9)
     off = mat - np.diag(np.diag(mat))
     assert np.max(np.abs(off)) < 1e-6
@@ -983,13 +1026,15 @@ def test_anisotropic_mass_matrix_closed_form(engine, m, fibration, sphere):
 
 @pytest.mark.parametrize("m,fibration", [(3, "trivial"), (3, "hopf"), (5, "trivial")])
 def test_anisotropic_mass_matrix_is_equivariant(engine, m, fibration):
-    """A -> P A P^T for an orthogonal P gives M -> P M P^T, to 1e-12 of the largest entry of M."""
+    """A -> P A P^T for an orthogonal P gives M -> P M P^T, to 1e-12 of the largest entry of M: for a random
+    P and for the reflection diag(-1, 1, ..., 1)."""
     space = ModelSpace(m=m, fibration=fibration)
     A = random_symmetric(m, seed=10 + m)
-    P = np.linalg.qr(np.random.default_rng(m).normal(size=(m, m)))[0]
     matrix = anisotropic_matrix(engine, space, A)[0]
-    rotated = anisotropic_matrix(engine, space, P @ A @ P.T)[0]
-    assert np.max(np.abs(rotated - P @ matrix @ P.T)) <= 1e-12 * np.max(np.abs(matrix))
+    reflection = np.diag([-1.0] + [1.0] * (m - 1))
+    for P in (np.linalg.qr(np.random.default_rng(m).normal(size=(m, m)))[0], reflection):
+        moved = anisotropic_matrix(engine, space, P @ A @ P.T)[0]
+        assert np.max(np.abs(moved - P @ matrix @ P.T)) <= 1e-12 * np.max(np.abs(matrix))
 
 
 def test_anisotropic_closed_form_tells_the_off_diagonal_part(engine):
@@ -1071,6 +1116,6 @@ def test_soft_positivity_on_verified_examples(model, hopf_space, engine):
         floor = ricci_positivity_floor(engine, ws, sample_count=8)
         if floor >= -1e-6:
             verified += 1
-            mat, _, _ = mass_matrix(engine, ws, check_decay=False)
+            mat, _, _ = mass_matrix(engine, ws)
             assert np.min(np.linalg.eigvalsh(mat)) >= -1e-4
     assert verified >= 1  # at least the flat product must qualify

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from weylmass.engine import frame_jet1
+from weylmass.engine import frame_jet1, frame_jet2
 from weylmass.errors import ChartDomainError, MassNotDefinedError
-from weylmass.families import (build_metric, conformal_sweep, flat_product,
+from weylmass.families import (METRIC_BUILDERS, conformal_sweep, flat_product,
                                hopf_model, kaluza_perturbation, log_slow_profile, mixed_lee,
                                radial_lee, radial_profile, random_local_metric,
                                sqrt_slow_profile, zero_lee)
@@ -18,8 +18,8 @@ from weylmass.probes import (adapted_metric_check, connection_probe, decay_probe
                              geometric_radii, lee_probes, metric_probes, require_alf)
 from weylmass.weyl import WeylStructure, christoffel, weyl_curvature
 
-from oracles import (FDEngine, inverse, metric_compat_residual, random_adapted_scalar, ricci_trace_convention,
-                     sphere_block_test, unit_scalar)
+from oracles import (FDEngine, inverse, metric_compat_residual, probe_jet, probe_lee_jet, random_adapted_scalar,
+                     ricci_trace_convention, sphere_block_test, unit_scalar)
 
 
 def test_model_validation():
@@ -454,14 +454,15 @@ def test_decay_probe_needs_four_radii():
     ("kaluza_two_term", {"mu": 1.0, "kappa": 0.5}),
 ])
 def test_builtin_families_pass_alf_probes(model, engine, name, params):
-    fam = build_metric(name, model, **params)
-    reports = metric_probes(engine, model, fam)
+    fam = METRIC_BUILDERS[name](model, **params)
+    reports = metric_probes(model, fam.name, probe_jet(engine, fam))
     for rep in reports:
         assert rep.passed, f"{rep.name}: slope {rep.slope} vs {rep.declared}"
 
 
 def test_hopf_family_passes_probes(hopf_space, engine):
-    for rep in metric_probes(engine, hopf_space, hopf_model(hopf_space)):
+    fam = hopf_model(hopf_space)
+    for rep in metric_probes(hopf_space, fam.name, probe_jet(engine, fam)):
         assert rep.passed
     rep = connection_probe(hopf_space)
     assert rep.passed
@@ -480,13 +481,16 @@ def test_grad2_probe_matches_nested_fd(request, engine, chart, fiber):
     space = request.getfixturevalue(chart)
     fam = random_local_metric(space, seed=46, fiber_dependence=fiber)
     n = space.dim
-    grad = Field(lambda c: probes._metric_probe_values(engine, space, fam, np.asarray(c, dtype=float))[1],
-                 shape=(n, n, n))
+    def probe_values(c):
+        c = np.asarray(c, dtype=float)
+        return probes._metric_probe_values(space, c, frame_jet2(engine, space, fam.as_field(), c))
+
+    grad = Field(lambda c: probe_values(c)[1], shape=(n, n, n))
     rng = _rng(46, 35, 0)
     pts = np.stack([trial_point(space, rng) for _ in range(3)], axis=1)
     G, dG = frame_jet1(FDEngine(), space, grad, pts)
     oracle = lc_form_block(dG, G, space.lc_coeffs_h(pts), 3)
-    got = probes._metric_probe_values(engine, space, fam, pts)[2]
+    got = probe_values(pts)[2]
     assert np.max(np.abs(got - oracle)) < 1e-9 * np.max(np.abs(oracle))
 
 
@@ -501,12 +505,12 @@ def test_batched_probe_norms_equal_per_radius_norms(request, engine, monkeypatch
     def run_suites():
         reports = []
         for fam in (kaluza_perturbation(space, mu=1.0), random_local_metric(space, seed=3, fiber_dependence=True)):
-            reports += probes.metric_probes(engine, space, fam)
+            reports += probes.metric_probes(space, fam.name, probe_jet(engine, fam))
         for lee in (radial_lee(space, 0.4), random_local_lee(space, seed=3, fiber_dependence=True)):
-            reports += probes.lee_probes(engine, space, lee)
+            reports += probes.lee_probes(space, lee.name, probe_lee_jet(engine, lee))
         for f in (radial_profile(space, beta=0.3), random_adapted_scalar(space, seed=5),
                   directional_profile(space, beta=0.3)):
-            reports += probes.adapted_metric_check(engine, space, f)
+            reports += probes.adapted_metric_check(space, f.name, probe_jet(engine, f))
         return reports + [probes.connection_probe(space)]
 
     batched = run_suites()
@@ -519,61 +523,36 @@ def test_batched_probe_norms_equal_per_radius_norms(request, engine, monkeypatch
         assert rep.norms == [reports[k].norms[0] for reports in alone], rep.name
 
 
-@pytest.mark.parametrize("mode", ["dual", "fd"])
-def test_probe_suites_take_one_jet_per_field(model, monkeypatch, mode):
-    """require_weyl_alf takes one metric jet2 and one Lee-form jet1; require_adapted one jet2 of f."""
-    from weylmass.engine import DerivativeEngine
-    from weylmass.probes import require_adapted, require_weyl_alf
-
-    cls = {"dual": DerivativeEngine, "fd": FDEngine}[mode]
-    jets = []
-    for method in ("jet1", "jet2"):
-        original = getattr(cls, method)
-
-        def counted(self, fld, coords, method=method, original=original):
-            jets.append((method, fld.name))
-            return original(self, fld, coords)
-
-        monkeypatch.setattr(cls, method, counted)
-    engine = cls()
-    fam, lee, f = kaluza_perturbation(model, mu=1.0), radial_lee(model, 0.5), radial_profile(model, beta=0.3)
-    require_weyl_alf(engine, model, fam, lee)
-    assert jets == [("jet2", fam.name), ("jet1", lee.name)]
-    jets.clear()
-    require_adapted(engine, model, f)
-    assert jets == [("jet2", f.name)]
-
-
 def test_trivial_connection_probe(model):
     rep = connection_probe(model)
     assert rep.passed and rep.slope == -math.inf
 
 
 def test_lee_probes(model, engine):
-    for rep in lee_probes(engine, model, radial_lee(model, 0.5)):
-        assert rep.passed
-    for rep in lee_probes(engine, model, mixed_lee(model, 0.5, 0.3)):
-        assert rep.passed
+    for lee in (radial_lee(model, 0.5), mixed_lee(model, 0.5, 0.3)):
+        for rep in lee_probes(model, lee.name, probe_lee_jet(engine, lee)):
+            assert rep.passed
 
 
 def test_swept_family_passes_probes(model, engine):
     fam = conformal_sweep(kaluza_perturbation(model, mu=1.0), radial_profile(model, beta=0.4))
-    require_alf(engine, model, fam)
+    require_alf(model, fam.name, probe_jet(engine, fam))
 
 
 def test_require_alf_rejects_slow_metric(model, engine):
     fam = conformal_sweep(flat_product(model), sqrt_slow_profile(model, beta=1.0))
     with pytest.raises(MassNotDefinedError):
-        require_alf(engine, model, fam)
+        require_alf(model, fam.name, probe_jet(engine, fam))
 
 
 def test_adapted_metric_check_cases(model, engine):
-    assert all(r.passed for r in adapted_metric_check(engine, model, unit_scalar(model)))
-    assert all(r.passed for r in adapted_metric_check(engine, model, radial_profile(model, beta=1.0)))
-    slow = adapted_metric_check(engine, model, log_slow_profile(model))
-    assert not all(r.passed for r in slow)
-    slow2 = adapted_metric_check(engine, model, sqrt_slow_profile(model))
-    assert not all(r.passed for r in slow2)
+    def check(f):
+        return adapted_metric_check(model, f.name, probe_jet(engine, f))
+
+    assert all(r.passed for r in check(unit_scalar(model)))
+    assert all(r.passed for r in check(radial_profile(model, beta=1.0)))
+    assert not all(r.passed for r in check(log_slow_profile(model)))
+    assert not all(r.passed for r in check(sqrt_slow_profile(model)))
 
 
 def test_scalar_inverse_roundtrip(model, engine):

@@ -486,9 +486,8 @@ def test_laplacian_flat_cases(model, engine):
     p = model.point([2.0, 0.8, -0.5], 0.3)
     const = form_field_of(ws, lambda c: [1.0, 0.0, 0.0, 0.0], degree=1, weight=0.0)
     assert np.max(np.abs(laplacian(engine, ws, const, p))) < 1e-10
-    block = covd_form_block(engine, ws, const, p)  # the Dirac pair: delta^D and d^D on one block
-    assert abs(float(deltaD(engine, ws, const, p, block=block))) < 1e-10
-    assert np.max(np.abs(dD(engine, ws, const, p, block=block))) < 1e-10
+    assert abs(float(deltaD(engine, ws, const, p))) < 1e-10  # the Dirac pair: delta^D and d^D
+    assert np.max(np.abs(dD(engine, ws, const, p))) < 1e-10
 
     sine = form_field_of(ws, lambda c: [am.sin(c[1]), 0.0, 0.0, 0.0], degree=1, weight=0.0)
     lap = laplacian(engine, ws, sine, p)

@@ -1,14 +1,15 @@
 """Command-line front end: verify identities, compute masses, sweep gauges.
 
-Configuration is a single JSON file plus flag overrides.  ``SCHEMA`` gives
-every config key its default and its rule; ``RunConfig.load`` checks a
-configuration once and keeps the chart, engine, Weyl structure and sweep
-factors it built for the commands.  Every report starts with a ``config``
-record holding the fully resolved configuration: every section with every
-key, the family and Lee parameters completed from the builders' defaults.
-Written out as a config file, that record resolves to itself, so a run is
-reproducible byte for byte from its report alone.  Reports are JSON-lines
-(one object per record) next to CSV tables with a versioned schema comment.
+Configuration is a single JSON file; only ``--seed`` and ``--out`` override
+it from the command line.  ``SCHEMA`` gives every config key its default
+and its rule; ``RunConfig.load`` checks a configuration once and keeps the
+chart, engine, Weyl structure and sweep factors it built for the commands.
+Every report starts with a ``config`` record holding the fully resolved
+configuration: every section with every key, the family and Lee parameters
+completed from the builders' defaults.  Written out as a config file, that
+record resolves to itself, so a run is reproducible byte for byte from its
+report alone.  Reports are JSON-lines (one object per record) next to CSV
+tables with a versioned schema comment.
 
 Exit codes: 0 all checks pass, 1 an identity or audit failed, 2 invalid
 configuration or report, or a domain error (mass not defined, ...).
@@ -88,7 +89,6 @@ SCHEMA = {
     "trials": {key: (value, *COUNT) for key, value in SUITE_TRIALS.items()},
     "seed": (_default(run_suite, "seed"), "a non-negative integer", lambda v: _integer(v) and v >= 0),
     "out": (None, "a directory name", lambda v: v is None or isinstance(v, str)),
-    "corrupt_bochner_sign": (False, "true or false", lambda v: isinstance(v, bool)),  # negative-control hook
 }
 
 
@@ -138,16 +138,6 @@ class RunConfig:
             cfg["seed"] = overrides.seed
         if overrides.out is not None:
             cfg["out"] = overrides.out
-        if overrides.radii is not None:
-            parts = overrides.radii.split(":")
-            if len(parts) != 3:
-                raise ConfigError("--radii expects r0:rmax:count")
-            try:
-                cfg["radii"] = {"r0": float(parts[0]), "rmax": float(parts[1]), "count": int(parts[2])}
-            except ValueError as exc:
-                raise ConfigError(f"bad --radii value: {overrides.radii!r}") from exc
-        if overrides.tol is not None:
-            cfg["tolerances"].update(identity=overrides.tol, mass=overrides.tol)
         return cls._checked(cfg)
 
     @classmethod
@@ -235,8 +225,7 @@ def _write_jsonl(path: Path, records: list) -> None:
 def cmd_verify(cfg: RunConfig) -> int:
     conf = cfg.config
     reports = run_suite(cfg.engine, cfg.model, seed=conf["seed"], trials=conf["trials"],
-                        tolerances={group: float(tol) for group, tol in conf["tolerances"].items()},
-                        corrupt_bochner_sign=conf["corrupt_bochner_sign"])
+                        tolerances={group: float(tol) for group, tol in conf["tolerances"].items()})
     records = [{"config": conf}]
     ok = True
     for rep in reports:
@@ -372,8 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="path to a JSON run configuration")
     parser.add_argument("--seed", type=int, default=None, help="override the RNG seed")
     parser.add_argument("--out", default=None, help=f"output directory (default ${OUT_ENV} or ./out)")
-    parser.add_argument("--radii", default=None, help="geometric radius schedule r0:rmax:count")
-    parser.add_argument("--tol", type=float, default=None, help="override identity/mass tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("verify", help="run the operator-identity suite")
     sub.add_parser("mass", help="compute the mass quadratic form of the configured family")

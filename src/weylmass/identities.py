@@ -37,8 +37,12 @@ either side depends on the block size.
 The literature carries the Bochner curvature term with both signs and two
 variants of the delta^D shift coefficient; this suite does not guess.  It
 fits the constants from the two-path residuals, asserts they are stable
-across trials, and ships the resolved values (sign +1; coefficient
-2p - n - k) as defaults, keeping the rejected variants in the report.
+across trials, and ships the resolved values, keeping the rejected variants
+in the report.  The sign is one constant, ``RESOLVED_BOCHNER_SIGN`` (+1):
+every Bochner kernel reads it when called, and ``resolve_bochner_sign``
+(``bochner_sign`` in the report) fails unless the trials of its run elect
+it.  The shift coefficient is ``codifferential_shift_coefficient``
+(2p - n - k).
 """
 
 from __future__ import annotations
@@ -374,14 +378,14 @@ def _bochner_pointwise_terms(engine: DerivativeEngine, ws: WeylStructure, spec: 
 
 
 def bochner_pointwise_residual(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec,
-                               coords, sign: float) -> tuple[float, float, float]:
-    """Residual of <(DiracD)^2 a, a> = <Lap^D a, a> + sign Ric^D(a#, a#).
+                               coords) -> tuple[float, float, float]:
+    """Residual of <(DiracD)^2 a, a> = <Lap^D a, a> + s Ric^D(a#, a#), s = ``RESOLVED_BOCHNER_SIGN``.
 
     Returns (residual, |Ric term|, |contracted F term|); the last is the
     k F^D(a#, a#) contraction that must vanish by antisymmetry.
     """
     diff, ric_term, f_term = _bochner_pointwise_terms(engine, ws, spec, np.asarray(coords, dtype=float))
-    return abs(diff - sign * ric_term), abs(ric_term), f_term
+    return abs(diff - RESOLVED_BOCHNER_SIGN * ric_term), abs(ric_term), f_term
 
 
 def resolve_bochner_sign(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,
@@ -419,8 +423,7 @@ def resolve_bochner_sign(engine: DerivativeEngine, model: ModelSpace, seed: int 
 
 
 def check_bochner_pointwise(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,
-                            trials: int = 20, tolerance: float = 1e-5,
-                            sign: float = RESOLVED_BOCHNER_SIGN) -> IdentityReport:
+                            trials: int = 20, tolerance: float = 1e-5) -> IdentityReport:
     worst = 0.0
     worst_f = 0.0
     for trial in range(trials):
@@ -429,12 +432,12 @@ def check_bochner_pointwise(engine: DerivativeEngine, model: ModelSpace, seed: i
         p = trial_point(model, rng)
         k = _weight_pool(model)[int(rng.integers(0, 4))]
         spec = random_form_field(ws, rng, 1, k)
-        res, _, f_term = bochner_pointwise_residual(engine, ws, spec, p, sign)
+        res, _, f_term = bochner_pointwise_residual(engine, ws, spec, p)
         worst = max(worst, res)
         worst_f = max(worst_f, f_term)
     return IdentityReport(
         "bochner_pointwise", trials, worst, tolerance, worst < tolerance,
-        details={"sign": sign, "max_contracted_faraday_term": worst_f},
+        details={"sign": RESOLVED_BOCHNER_SIGN, "max_contracted_faraday_term": worst_f},
     )
 
 
@@ -461,17 +464,17 @@ def _pair_norm(ginv, T):
     return np.einsum("ad...,db...,ab...->...", raised, ginv, T)
 
 
-def _density(ric, ginv, a, H, sign: float):
-    """|Da|^2 + sign Ric(a#, a#) - |DiracD a|^2 from Ric^D, g^-1 and (a, H)."""
+def _density(ric, ginv, a, H):
+    """|Da|^2 + s Ric(a#, a#) - |DiracD a|^2 from Ric^D, g^-1 and (a, H), s = ``RESOLVED_BOCHNER_SIGN``."""
     delta = -np.einsum("ab...,ab...->...", ginv, H)
     ash = np.einsum("ab...,b...->a...", ginv, a)
     ric_term = np.einsum("a...,ab...,b...->...", ash, ric, ash)
-    return _pair_norm(ginv, H) + sign * ric_term - (delta**2 + 0.5 * _pair_norm(ginv, insert_alt(H, 1)))
+    dirac = delta**2 + 0.5 * _pair_norm(ginv, insert_alt(H, 1))
+    return _pair_norm(ginv, H) + RESOLVED_BOCHNER_SIGN * ric_term - dirac
 
 
-def _bochner_density(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords,
-                     sign: float):
-    """(sqrt(det g), |Da|^2 + sign Ric(a#, a#) - |DiracD a|^2) at a point or node block.
+def _bochner_density(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords):
+    """(sqrt(det g), |Da|^2 + s Ric(a#, a#) - |DiracD a|^2) at a point or node block.
 
     H (``_covd_slots``) and Ric^D come off one ``_ricci_jet`` and one jet of a:
     Ric^D is read by traces, with no rank-4 curvature built.
@@ -479,12 +482,11 @@ def _bochner_density(engine: DerivativeEngine, ws: WeylStructure, spec: FormFiel
     W, _, ginv, theta, ric, vol = _ricci_jet(engine, ws, coords)
     a, dA = frame_jet1(engine, ws.model, spec.field, coords)
     H = _covd_slots(a, dA, W, theta, spec.weight, 1)
-    return vol, _density(ric, ginv, a, H, sign)
+    return vol, _density(ric, ginv, a, H)
 
 
-def bochner_divergence_residual(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec,
-                                coords, sign: float = RESOLVED_BOCHNER_SIGN) -> float:
-    """Residual of |Da|^2 + sign Ric(a#, a#) - |DiracD a|^2 + delta^D(zeta) = 0.
+def bochner_divergence_residual(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords) -> float:
+    """Residual of |Da|^2 + s Ric(a#, a#) - |DiracD a|^2 + delta^D(zeta) = 0, s = ``RESOLVED_BOCHNER_SIGN``.
 
     Both terms come off the one metric jet of ``covd2_form_block``; Ric^D
     takes the curvature route (``_coeff_curvature``, ``_ricci``) on its jet.
@@ -493,12 +495,11 @@ def bochner_divergence_residual(engine: DerivativeEngine, ws: WeylStructure, spe
     a, H, DH, jet = covd2_form_block(engine, ws, spec, coords)
     W, dW, g, ginv = jet[:4]
     ric = _ricci(_coeff_curvature(W, dW, _brackets(ws.model, coords)), g, ginv)
-    return abs(float(_density(ric, ginv, a, H, sign)) + float(_zeta_codifferential(a, H, DH, ginv)))
+    return abs(float(_density(ric, ginv, a, H)) + float(_zeta_codifferential(a, H, DH, ginv)))
 
 
 def check_bochner_divergence(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,
-                             trials: int = 20, tolerance: float = 1e-5,
-                             sign: float = RESOLVED_BOCHNER_SIGN) -> IdentityReport:
+                             trials: int = 20, tolerance: float = 1e-5) -> IdentityReport:
     worst = 0.0
     for trial in range(trials):
         rng = _rng(seed, 19, trial)
@@ -507,14 +508,13 @@ def check_bochner_divergence(engine: DerivativeEngine, model: ModelSpace, seed: 
         ks = _weight_pool(model) + [(4.0 - model.dim) / 2.0]
         k = ks[int(rng.integers(0, len(ks)))]
         spec = random_form_field(ws, rng, 1, k)
-        worst = max(worst, bochner_divergence_residual(engine, ws, spec, p, sign))
+        worst = max(worst, bochner_divergence_residual(engine, ws, spec, p))
     return IdentityReport("bochner_divergence", trials, worst, tolerance, worst < tolerance,
-                          details={"sign": sign})
+                          details={"sign": RESOLVED_BOCHNER_SIGN})
 
 
 def bochner_integral_sides(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec,
-                           r1: float, r2: float, quad: QuadratureSpec,
-                           sign: float = RESOLVED_BOCHNER_SIGN) -> tuple[float, float]:
+                           r1: float, r2: float, quad: QuadratureSpec) -> tuple[float, float]:
     """(volume side, boundary side) of the integral identity on the annulus.
 
     The annulus and both boundary shells are streamed in node blocks (module
@@ -524,7 +524,7 @@ def bochner_integral_sides(engine: DerivativeEngine, ws: WeylStructure, spec: Fo
     model = ws.model
     n = model.dim
     volume = np.concatenate([
-        volume_integral_curved(*_bochner_density(engine, ws, spec, pts, sign), weights)
+        volume_integral_curved(*_bochner_density(engine, ws, spec, pts), weights)
         for pts, weights, _ in node_blocks(model, *gauss_legendre(r1, r2, quad.radial), quad, 5 * 8 * n**4)])
     boundary = 0.0
     for r, orient in ((r2, +1.0), (r1, -1.0)):
@@ -542,8 +542,7 @@ def _zeta_flux(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec,
 
 def check_bochner_integral(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,
                            trials: int = 5, tolerance: float = 1e-4,
-                           quad: QuadratureSpec | None = None,
-                           sign: float = RESOLVED_BOCHNER_SIGN) -> IdentityReport:
+                           quad: QuadratureSpec | None = None) -> IdentityReport:
     """Volume integral vs boundary flux at the integrable weight (4 - n)/2."""
     worst = 0.0
     k = (4.0 - model.dim) / 2.0
@@ -556,7 +555,7 @@ def check_bochner_integral(engine: DerivativeEngine, model: ModelSpace, seed: in
         spec = random_form_field(ws, rng, 1, k, fiber_dependence=(trial % 2 == 0), wave_scale=0.45)
         r1 = float(rng.uniform(1.3, 1.5) * model.R)
         r2 = r1 + float(rng.uniform(0.4, 0.6) * model.R)
-        vol, bnd = bochner_integral_sides(engine, ws, spec, r1, r2, quad, sign)
+        vol, bnd = bochner_integral_sides(engine, ws, spec, r1, r2, quad)
         rel = abs(vol - bnd) / max(abs(vol), abs(bnd), 1e-10)
         pairs.append((vol, bnd, rel))
         worst = max(worst, rel)
@@ -572,17 +571,17 @@ def check_bochner_integral(engine: DerivativeEngine, model: ModelSpace, seed: in
 # suite orchestration
 # ---------------------------------------------------------------------------
 
-# (check, trials/tolerance group, takes the Bochner sign), in report order
+# (check, trials/tolerance group), in report order
 SUITE_CHECKS = (
-    (check_torsion, "identity", False),
-    (check_d_transform, "identity", False),
-    (check_codifferential_transform, "identity", False),
-    (check_d_squared, "identity", False),
-    (check_curvature_split, "identity", False),
-    (resolve_bochner_sign, "bochner", False),
-    (check_bochner_pointwise, "bochner", True),
-    (check_bochner_divergence, "bochner", True),
-    (check_bochner_integral, "integral", True),
+    (check_torsion, "identity"),
+    (check_d_transform, "identity"),
+    (check_codifferential_transform, "identity"),
+    (check_d_squared, "identity"),
+    (check_curvature_split, "identity"),
+    (resolve_bochner_sign, "bochner"),
+    (check_bochner_pointwise, "bochner"),
+    (check_bochner_divergence, "bochner"),
+    (check_bochner_integral, "integral"),
 )
 
 
@@ -592,16 +591,11 @@ SUITE_TOLERANCES = {"identity": 1e-6, "bochner": 1e-5, "integral": 1e-4}
 
 
 def run_suite(engine: DerivativeEngine, model: ModelSpace, seed: int = 42, trials: Mapping = SUITE_TRIALS,
-              tolerances: Mapping = SUITE_TOLERANCES, corrupt_bochner_sign: bool = False) -> list[IdentityReport]:
+              tolerances: Mapping = SUITE_TOLERANCES) -> list[IdentityReport]:
     """Run every check of ``SUITE_CHECKS`` with its group's trial count and tolerance.
 
-    ``trials`` and ``tolerances`` map every group to its value.
-    ``corrupt_bochner_sign`` is a negative-control hook: it flips the
-    resolved sign so the Bochner checks must fail, exercising the failure
-    path.
+    ``trials`` and ``tolerances`` map every group to its value.  The Bochner
+    checks take the curvature-term sign ``RESOLVED_BOCHNER_SIGN``, which
+    ``bochner_sign`` re-derives from the trials of the same run.
     """
-    sign = -RESOLVED_BOCHNER_SIGN if corrupt_bochner_sign else RESOLVED_BOCHNER_SIGN
-    return [
-        check(engine, model, seed, trials[group], tolerances[group], **({"sign": sign} if signed else {}))
-        for check, group, signed in SUITE_CHECKS
-    ]
+    return [check(engine, model, seed, trials[group], tolerances[group]) for check, group in SUITE_CHECKS]

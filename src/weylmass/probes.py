@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable
 
 import numpy as np
 
@@ -72,17 +71,6 @@ def direction_samples(model: ModelSpace, count: int) -> np.ndarray:
     u /= np.sqrt(np.sum(u * u, axis=0))
     t = rng.uniform(0.0, model.L, size=count)
     return u, t
-
-
-def decay_probe(norm_at_radius: Callable[[float], float], radii, declared: float,
-                name: str = "field") -> ProbeReport:
-    """Fit sup-norm samples against radius; classify against the declared rate."""
-    radii = np.asarray(radii, dtype=float)
-    if radii.size < 4:
-        raise ValueError("decay probe needs at least 4 radii")
-    if np.any(np.diff(radii) <= 0):
-        raise ValueError("radii must be strictly increasing")
-    return _fit_decay(radii, [norm_at_radius(r) for r in radii], declared, name)
 
 
 def _fit_decay(radii: np.ndarray, norms, declared: float, name: str) -> ProbeReport:
@@ -161,12 +149,6 @@ def lee_probes(model: ModelSpace, name: str, jet) -> list[ProbeReport]:
     dtheta = _faraday_components(theta, dtheta, _brackets(model, probe_grid(model)))
     return [probe_tensor_field(theta, 1 - m, f"{name}:theta", PROBE_RADII),
             probe_tensor_field(dtheta, 2 - m, f"{name}:dtheta", PROBE_RADII)]
-
-
-def connection_probe(model: ModelSpace) -> ProbeReport:
-    """Fibration curvature |d(eta)|_h at the required rate 1-m (zero when trivial)."""
-    x, _ = model.split(probe_grid(model))
-    return probe_tensor_field(model.deta(x), 1 - model.m, f"{model.fibration}:deta", PROBE_RADII)
 
 
 def adapted_metric_check(model: ModelSpace, name: str, jet) -> list[ProbeReport]:

@@ -19,8 +19,7 @@ from weylmass.identities import (check_bochner_divergence, check_bochner_integra
                                  check_curvature_split, check_d_squared, check_d_transform,
                                  check_torsion, resolve_bochner_sign)
 from weylmass.mass import gauge_audit, mass_matrix
-from weylmass.probes import (PROBE_RADII, connection_probe, lee_probes, metric_probes, probe_grid,
-                             probe_tensor_field)
+from weylmass.probes import PROBE_RADII, lee_probes, metric_probes, probe_grid, probe_tensor_field
 from weylmass.quadrature import QuadratureSpec
 from weylmass.weyl import WeylStructure
 
@@ -59,8 +58,9 @@ def test_criterion_2_bochner_sign_resolution(model):
     assert sign_rep.trials >= 20
     assert sign_rep.passed
     sign = sign_rep.details["resolved_sign"]
-    pw = check_bochner_pointwise(engine, model, seed=SEED, trials=20, tolerance=1e-5, sign=sign)
-    dv = check_bochner_divergence(engine, model, seed=SEED, trials=20, tolerance=1e-5, sign=sign)
+    pw = check_bochner_pointwise(engine, model, seed=SEED, trials=20, tolerance=1e-5)
+    dv = check_bochner_divergence(engine, model, seed=SEED, trials=20, tolerance=1e-5)
+    assert pw.details["sign"] == dv.details["sign"] == sign
     assert pw.passed and dv.passed
     _announce(2, f"sign {sign:+.0f} unanimous over {sign_rep.trials} trials "
                  f"(loser/winner >= {sign_rep.details['min_loser_winner_ratio']:.1e}); "
@@ -156,7 +156,8 @@ def test_criterion_7_decay_probes(model, hopf_space):
     for rep in metric_probes(hopf_space, fam.name, probe_jet(engine, fam)):
         assert rep.passed
         checked.append(rep.name)
-    assert connection_probe(hopf_space).passed
+    x, _ = hopf_space.split(probe_grid(hopf_space))
+    assert probe_tensor_field(hopf_space.deta(x), 1 - hopf_space.m, "hopf:deta", PROBE_RADII).passed
 
     for lee in (radial_lee(model, 0.5), mixed_lee(model, 0.5, 0.3), zero_lee(model)):
         for rep in lee_probes(model, lee.name, probe_lee_jet(engine, lee)):

@@ -3,8 +3,9 @@ Hopf compact_lee, an m = 6 and an m = 7 mass, a pointwise verify and an annulus 
 Hopf sweeps, a trivial-chart sweep, a one-value Hopf sweep, a Hopf sweep over the directional_profile axis, an
 m = 5 sweep and a Hopf sweep on the hopf_model base),
 summarizes every report they wrote, reruns a mass, the m = 3 annulus verify, the m = 5 mass and the Hopf
-directional_profile sweep from the configs their reports embed, and runs the tier-1 command that ROADMAP.md
-names, with a time limit."""
+directional_profile sweep from the configs their reports embed, checks that a verify whose Bochner tolerance no
+residual meets exits 1 and so does the report of it, and runs the tier-1 command that ROADMAP.md names, with a
+time limit."""
 
 import json
 import os
@@ -180,7 +181,8 @@ def test_workflow_reproduces_a_mass_from_its_report(tmp_path):
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
     names = [step.get("name") for step in job["steps"]]
-    assert names.index("Report smoke") + 1 == names.index("Reproduce smoke") == names.index("Tier-1 tests") - 1
+    assert (names.index("Report smoke") + 1 == names.index("Reproduce smoke")
+            == names.index("Negative control smoke") - 1)
     smoke = job["steps"][names.index("Reproduce smoke")]["run"]
     configs = re.findall(r"echo '([^']+)' > \"\$RUNNER_TEMP/(\w+)\.json\"", smoke)
     assert [(json.loads(c), name) for c, name in configs] == [
@@ -224,6 +226,34 @@ def test_workflow_reproduces_a_mass_from_its_report(tmp_path):
         "sphere": 26, "fiber": 16, "radial": 8}
     assert json.loads((tmp_path / "reproduce_sweep.json").read_text())["sweep"] == {
         "name": "directional_profile", "param": "beta", "values": [0.2, 0.3]}
+
+
+def test_workflow_negative_control_fails_as_it_must(tmp_path):
+    """Right before the tier-1 tests, a one-trial Bochner ``verify`` whose tolerance no residual meets must
+    exit exactly 1, and ``report`` on its report must exit 1 too: the failure path of the exit-code
+    contract.  The step is run here as CI runs it."""
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    (job,) = workflow["jobs"].values()
+    names = [step.get("name") for step in job["steps"]]
+    assert (names.index("Reproduce smoke") + 1 == names.index("Negative control smoke")
+            == names.index("Tier-1 tests") - 1)
+    smoke = job["steps"][names.index("Negative control smoke")]["run"]
+    lines = smoke.strip().splitlines()
+    config = json.loads(re.fullmatch(r"echo '([^']+)' > \"\$RUNNER_TEMP/negative\.json\"", lines[0]).group(1))
+    assert config == {"trials": {"identity": 0, "bochner": 1, "integral": 0}, "tolerances": {"bochner": 1e-300}}
+    assert lines[1:] == [
+        'status=0; PYTHONPATH=src python -m weylmass --config "$RUNNER_TEMP/negative.json" '
+        '--out "$RUNNER_TEMP/negative" verify || status=$?',
+        'test "$status" -eq 1',
+        'status=0; PYTHONPATH=src python -m weylmass report "$RUNNER_TEMP/negative/verify_report.jsonl" || status=$?',
+        'test "$status" -eq 1',
+    ]
+    path = f"{Path(sys.executable).parent}{os.pathsep}{os.environ.get('PATH', '')}"
+    env = {**os.environ, "RUNNER_TEMP": str(tmp_path), "PATH": path}
+    res = subprocess.run(["bash", "-e", "-c", smoke], capture_output=True, text=True, env=env, cwd=ROOT, timeout=300)
+    assert res.returncode == 0, res.stderr + res.stdout
+    assert res.stdout.count("[FAIL] bochner_pointwise") == 2
 
 
 def test_package_runs_as_module_without_install(tmp_path):

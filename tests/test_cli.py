@@ -57,8 +57,9 @@ def test_verify_flat_config_exits_zero(tmp_path):
     assert integral["details"]["annulus_nodes"] == 200 * 16 * 8
 
 
-def test_verify_corrupted_sign_exits_one(tmp_path):
-    cfg = write_config(tmp_path, corrupt_bochner_sign=True)
+def test_verify_failed_check_exits_one(tmp_path):
+    """Negative control of the exit-code contract: a Bochner tolerance no residual meets fails the checks."""
+    cfg = write_config(tmp_path, tolerances={"bochner": 1e-300})
     res = run_cli(["--config", str(cfg), "verify"], tmp_path / "out")
     assert res.returncode == 1
     assert "[FAIL] bochner_pointwise" in res.stdout
@@ -92,10 +93,14 @@ def test_config_errors_exit_two(tmp_path):
     assert res4.returncode == 2
 
 
-def test_bad_radii_flag_exits_two(tmp_path):
+@pytest.mark.parametrize("flag", [["--radii", "40:320:6"], ["--tol", "1e-6"]])
+def test_removed_flags_exit_two(tmp_path, flag):
+    """Radii and tolerances come from the config file only: the former flags are refused before any work."""
     cfg = write_config(tmp_path)
-    res = run_cli(["--config", str(cfg), "--radii", "40:320", "mass"], tmp_path / "out")
+    res = run_cli(["--config", str(cfg)] + flag + ["verify"], tmp_path / "out")
     assert res.returncode == 2
+    assert "weylmass: error:" in res.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_mass_flat_product_zero_matrix(tmp_path):
@@ -222,7 +227,7 @@ def test_report_subcommand(tmp_path):
     assert res.returncode == 0
     assert "[PASS]" in res.stdout
 
-    bad_cfg = write_config(tmp_path, corrupt_bochner_sign=True)
+    bad_cfg = write_config(tmp_path, tolerances={"bochner": 1e-300})
     run_cli(["--config", str(bad_cfg), "verify"], tmp_path / "out_bad")
     res2 = run_cli(["report", str(tmp_path / "out_bad" / "verify_report.jsonl")], out)
     assert res2.returncode == 1
@@ -340,6 +345,10 @@ def test_builder_domain_error_exits_two(tmp_path, command, changes, message):
     ("verify", {"tolerances": {"bochner": 0}}, "tolerances.bochner must be a positive finite number, got 0"),
     ("verify", {"tolerances": {"integral": -1e-4}}, "tolerances.integral must be a positive finite number"),
     ("verify", {"tolerances": {"identity": True}}, "tolerances.identity must be a positive finite number"),
+    ("verify", {"tolerances": {"identity": math.nan}}, "tolerances.identity must be a positive finite number"),
+    ("verify", {"tolerances": {"identity": math.inf}}, "tolerances.identity must be a positive finite number"),
+    ("verify", {"tolerances": {"identity": -1e-6}}, "tolerances.identity must be a positive finite number"),
+    ("verify", {"tolerances": {"identity": 0}}, "tolerances.identity must be a positive finite number"),
     ("verify", {"tolerances": 1e-6}, "tolerances must be an object, got 1e-06"),
     ("verify", {"trials": {"identity": -1, "bochner": -2}}, "trials.identity must be a non-negative integer, got -1"),
     ("verify", {"trials": {"bochner": -2}}, "trials.bochner must be a non-negative integer, got -2"),
@@ -357,10 +366,10 @@ def test_builder_domain_error_exits_two(tmp_path, command, changes, message):
     ("mass", {"radii": {"r0": 40, "rmax": math.inf, "count": 3}}, "radii must satisfy 0 < r0 < rmax < inf"),
     ("verify", {"seed": True}, "seed must be a non-negative integer, got True"),
     ("mass", {"quadrature": {"sphere": True}}, "quadrature.sphere must be a positive integer, got True"),
-    ("verify", {"corrupt_bochner_sign": "yes"}, "corrupt_bochner_sign must be true or false, got 'yes'"),
     ("mass", {"model": {"m": 3, "foo": 1}}, "unknown model key 'foo'"),
     ("mass", {"radii": {"r0": 40.0, "rmax": 320.0, "count": 6, "x": 1}}, "unknown radii key 'x'"),
     ("verify", {"mode": "fd"}, "unknown config keys: ['mode']"),
+    ("verify", {"corrupt_bochner_sign": True}, "unknown config keys: ['corrupt_bochner_sign']"),
     ("sweep", {"sweep": {"name": "unit_scalar", "param": "beta", "values": [1.0]}},
      "sweep.name must be one of ['directional_profile', 'log_slow_profile', 'radial_profile', 'sqrt_slow_profile'], "
      "got 'unit_scalar'"),
@@ -412,7 +421,6 @@ RESOLVED_PARTIAL_CONFIG = {
     "tolerances": {"identity": 1e-6, "bochner": 1e-5, "integral": 1e-4, "mass": 1e-4, "convergence": 1e-6},
     "trials": {"identity": 1, "bochner": 1, "integral": 0},
     "seed": 42,
-    "corrupt_bochner_sign": False,
 }
 
 
@@ -478,14 +486,6 @@ def test_partial_radii_take_the_defaults(tmp_path):
     assert res.returncode == 0, res.stderr
     rows = (tmp_path / "out" / "mass_table_X1.csv").read_text().splitlines()[2:]
     assert len(rows) == 6 and float(rows[0].split(",")[0]) == 30.0 and float(rows[-1].split(",")[0]) == 320.0
-
-
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-6", "0"])
-def test_invalid_tol_flag_exits_two(tmp_path, tol):
-    cfg = write_config(tmp_path)
-    res = run_cli(["--config", str(cfg), f"--tol={tol}", "verify"], tmp_path / "out")
-    assert_one_error_line(res)
-    assert "tolerances.identity must be a positive finite number" in res.stderr
 
 
 NON_NUMBERS = st.one_of(
@@ -559,7 +559,7 @@ class ClosedPipe:
 
 @pytest.mark.parametrize("command,changes,code,report", [
     ("verify", {"trials": {"identity": 2, "bochner": 1, "integral": 0}}, 0, "verify_report.jsonl"),
-    ("verify", {"trials": {"identity": 2, "bochner": 1, "integral": 0}, "corrupt_bochner_sign": True}, 1,
+    ("verify", {"trials": {"identity": 2, "bochner": 1, "integral": 0}, "tolerances": {"bochner": 1e-300}}, 1,
      "verify_report.jsonl"),
     ("sweep", {"sweep": {"name": "radial_profile", "param": "beta", "values": [0.2]}}, 0, "sweep_report.jsonl"),
     ("mass", {}, 0, "mass_report.jsonl"),
@@ -601,7 +601,6 @@ SCHEMA_BASE = {
     "trials": {"identity": 1, "bochner": 1, "integral": 0},
     "seed": 1,
     "out": "out",
-    "corrupt_bochner_sign": False,
 }
 
 

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from weylmass.families import flat_product, zero_lee
-from weylmass.identities import (SUITE_TOLERANCES, IdentityReport, _rng, bochner_divergence_residual,
+from weylmass.identities import (SUITE_TOLERANCES, IdentityReport, _bochner_pointwise_terms, _rng,
+                                 bochner_divergence_residual,
                                  bochner_integral_sides, bochner_pointwise_residual,
                                  check_bochner_divergence, check_bochner_integral, check_bochner_pointwise,
                                  check_codifferential_transform, check_curvature_split,
@@ -51,9 +52,11 @@ def test_bochner_flat_trivial_case(engine, model):
     ws = WeylStructure(model, flat_product(model), zero_lee(model))
     spec = form_field_of(ws, lambda c: [1.0, 0.0, 0.0, 0.0], degree=1, weight=0.0)
     p = model.point([2.0, 0.4, -0.6], 0.2)
+    diff, ric_term, f_term = _bochner_pointwise_terms(engine, ws, spec, p)
     for sign in (+1.0, -1.0):
-        res, ric_mag, f_term = bochner_pointwise_residual(engine, ws, spec, p, sign)
-        assert res < 1e-10 and ric_mag < 1e-12 and f_term < 1e-12
+        assert abs(diff - sign * ric_term) < 1e-10
+    assert abs(ric_term) < 1e-12 and f_term < 1e-12
+    assert bochner_pointwise_residual(engine, ws, spec, p)[0] < 1e-10
     assert bochner_divergence_residual(engine, ws, spec, p) < 1e-10
 
 
@@ -69,10 +72,12 @@ def test_bochner_loser_residual_tracks_twice_ricci(engine, model):
     ws = trial_structure(model, 31, 2, with_lee=False)
     spec = random_form_field(ws, rng, 1, 0.0)
     p = trial_point(model, rng)
-    r_plus, ric_mag, _ = bochner_pointwise_residual(engine, ws, spec, p, +1.0)
-    r_minus, _, _ = bochner_pointwise_residual(engine, ws, spec, p, -1.0)
+    diff, ric_term, _ = _bochner_pointwise_terms(engine, ws, spec, p)
+    r_plus, r_minus, ric_mag = abs(diff - ric_term), abs(diff + ric_term), abs(ric_term)
     assert r_plus < 1e-8
     assert r_minus == pytest.approx(2.0 * ric_mag, rel=1e-6)
+    # the public residual takes the resolved sign, +1
+    assert bochner_pointwise_residual(engine, ws, spec, p)[:2] == (r_plus, ric_mag)
 
 
 def test_contracted_faraday_term_vanishes(engine, model):
@@ -81,7 +86,7 @@ def test_contracted_faraday_term_vanishes(engine, model):
         rng = _rng(32, 18, trial)
         ws = trial_structure(model, 32, trial)
         spec = random_form_field(ws, rng, 1, 1.0)
-        _, _, f_term = bochner_pointwise_residual(engine, ws, spec, trial_point(model, rng), +1.0)
+        _, _, f_term = bochner_pointwise_residual(engine, ws, spec, trial_point(model, rng))
         worst = max(worst, f_term)
     assert worst < 1e-10
 
@@ -156,7 +161,7 @@ def test_density_block_stays_within_its_declared_working_set(request, engine, ch
     measured, 27.0 on the trivial chart)."""
     import tracemalloc
 
-    from weylmass.identities import RESOLVED_BOCHNER_SIGN, _bochner_density
+    from weylmass.identities import _bochner_density
     from weylmass.quadrature import volume_integral_curved
 
     space = request.getfixturevalue(chart)
@@ -167,7 +172,7 @@ def test_density_block_stays_within_its_declared_working_set(request, engine, ch
     assert pts.shape[1] == 512
 
     def block():
-        return volume_integral_curved(*_bochner_density(engine, ws, spec, pts, RESOLVED_BOCHNER_SIGN), weights)
+        return volume_integral_curved(*_bochner_density(engine, ws, spec, pts), weights)
 
     block()  # first-call allocations are not the block's
     tracemalloc.start()
@@ -319,13 +324,19 @@ def test_run_suite_passes_and_serializes(engine, model):
         assert d["passed"] == r.passed and "max_residual" in d
 
 
-def test_run_suite_corrupted_sign_fails(engine, model):
-    reports = run_suite(engine, model, seed=4, trials={"identity": 4, "bochner": 3, "integral": 1},
-                        corrupt_bochner_sign=True)
+def test_run_suite_corrupted_sign_fails(engine, model, monkeypatch):
+    """Negative control: with the shipped sign flipped, every kernel reads -1 when called, so the sign check
+    no longer elects it and each Bochner identity fails."""
+    from weylmass import identities
+
+    monkeypatch.setattr(identities, "RESOLVED_BOCHNER_SIGN", -1.0)
+    reports = run_suite(engine, model, seed=4, trials={"identity": 4, "bochner": 3, "integral": 1})
     failed = {r.identity for r in reports if not r.passed}
+    assert "bochner_sign" in failed
     assert "bochner_pointwise" in failed
     assert "bochner_divergence" in failed
     assert "bochner_integral" in failed
+    assert all(r.details["sign"] == -1.0 for r in reports if r.identity in ("bochner_pointwise", "bochner_divergence"))
 
 
 def test_bochner_integral_fails_without_the_ricci_term(engine, model, monkeypatch):

@@ -19,7 +19,7 @@ from weylmass.families import (MetricFamily, compact_lee, conformal_sweep, direc
                                radial_profile, slow_tail, sqrt_slow_profile, stacked_factors, zero_lee)
 from weylmass.mass import flux_pass, gauge_audit, mass_matrix, richardson_limit
 from weylmass.model import ModelSpace, sphere_volume
-from weylmass.probes import decay_probe, geometric_radii, probe_grid
+from weylmass.probes import _fit_decay, geometric_radii, probe_grid
 from weylmass.quadrature import PRODUCT_RULE, SYMMETRIC_RULE, QuadratureSpec
 from weylmass.weyl import WeylStructure, lee_jet
 
@@ -959,7 +959,7 @@ def test_flux_remainder_pointwise_rate(model, engine):
         dq = q_flux_components(engine, model, fam2, 0, p) - q_flux_components(engine, model, fam1, 0, p)
         return float(np.linalg.norm(dq))
 
-    rep = decay_probe(norm_at, radii, declared=3 - 2 * model.m, name="q-remainder")
+    rep = _fit_decay(radii, [norm_at(r) for r in radii], 3 - 2 * model.m, "q-remainder")
     assert rep.passed, f"slope {rep.slope}"
 
 

@@ -14,8 +14,8 @@ from weylmass.families import (METRIC_BUILDERS, conformal_sweep, flat_product,
                                radial_lee, radial_profile, random_local_metric,
                                sqrt_slow_profile, zero_lee)
 from weylmass.model import ModelSpace, sphere_volume
-from weylmass.probes import (adapted_metric_check, connection_probe, decay_probe,
-                             geometric_radii, lee_probes, metric_probes, require_alf)
+from weylmass.probes import (PROBE_RADII, _fit_decay, adapted_metric_check, geometric_radii, lee_probes,
+                             metric_probes, probe_grid, probe_tensor_field, require_alf)
 from weylmass.weyl import WeylStructure, christoffel, weyl_curvature
 
 from oracles import (FDEngine, inverse, metric_compat_residual, probe_jet, probe_lee_jet, random_adapted_scalar,
@@ -426,26 +426,21 @@ def test_ricci_trace_convention_matches_lowered_trace(model, engine):
 
 def test_decay_probe_exact_power(model):
     radii = geometric_radii(8, 128, 5)
-    rep = decay_probe(lambda r: 1.0 / r, radii, declared=-1.0, name="1/r")
+    rep = _fit_decay(radii, 1.0 / radii, -1.0, "1/r")
     assert rep.passed and rep.slope == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_decay_probe_zero_field(model):
     radii = geometric_radii(8, 128, 5)
-    rep = decay_probe(lambda r: 0.0, radii, declared=-1.0, name="zero")
+    rep = _fit_decay(radii, np.zeros_like(radii), -1.0, "zero")
     assert rep.passed and rep.slope == -math.inf
 
 
 def test_decay_probe_rejects_slow_field(model):
     radii = geometric_radii(8, 128, 5)
-    rep = decay_probe(lambda r: 1.0 / math.sqrt(r), radii, declared=-1.0, name="slow")
+    rep = _fit_decay(radii, 1.0 / np.sqrt(radii), -1.0, "slow")
     assert not rep.passed
     assert rep.slope == pytest.approx(-0.5, abs=1e-12)
-
-
-def test_decay_probe_needs_four_radii():
-    with pytest.raises(ValueError):
-        decay_probe(lambda r: 1.0 / r, [8.0, 16.0, 32.0], declared=-1.0)
 
 
 @pytest.mark.parametrize("name,params", [
@@ -464,7 +459,8 @@ def test_hopf_family_passes_probes(hopf_space, engine):
     fam = hopf_model(hopf_space)
     for rep in metric_probes(hopf_space, fam.name, probe_jet(engine, fam)):
         assert rep.passed
-    rep = connection_probe(hopf_space)
+    x, _ = hopf_space.split(probe_grid(hopf_space))
+    rep = probe_tensor_field(hopf_space.deta(x), 1 - hopf_space.m, "hopf:deta", PROBE_RADII)
     assert rep.passed
     assert rep.slope == pytest.approx(1 - hopf_space.m, abs=0.05)
 
@@ -511,7 +507,9 @@ def test_batched_probe_norms_equal_per_radius_norms(request, engine, monkeypatch
         for f in (radial_profile(space, beta=0.3), random_adapted_scalar(space, seed=5),
                   directional_profile(space, beta=0.3)):
             reports += probes.adapted_metric_check(space, f.name, probe_jet(engine, f))
-        return reports + [probes.connection_probe(space)]
+        x, _ = space.split(probes.probe_grid(space))
+        return reports + [probes.probe_tensor_field(space.deta(x), 1 - space.m, f"{space.fibration}:deta",
+                                                    probes.PROBE_RADII)]
 
     batched = run_suites()
     alone = []
@@ -524,7 +522,8 @@ def test_batched_probe_norms_equal_per_radius_norms(request, engine, monkeypatch
 
 
 def test_trivial_connection_probe(model):
-    rep = connection_probe(model)
+    x, _ = model.split(probe_grid(model))
+    rep = probe_tensor_field(model.deta(x), 1 - model.m, "trivial:deta", PROBE_RADII)
     assert rep.passed and rep.slope == -math.inf
 
 

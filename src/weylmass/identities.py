@@ -60,10 +60,9 @@ from .families import LeeFormField, random_local_lee, random_local_metric, zero_
 from .model import ModelSpace
 from .quadrature import (QuadratureSpec, flux_curved_metric, gauss_legendre, node_blocks, sphere_rule,
                          volume_integral_curved)
-from .weyl import (FormFieldSpec, WeylStructure, _brackets, _coeff_curvature, _covd_slots,
-                   _faraday_components, _jet_curvature, _ricci, _ricci_jet, covd2_form_block, covd_form_block,
-                   dD, deltaD, form_field_of, insert_alt, inv_gram, lee_jet, lie_bracket, outer_front, tdot,
-                   weyl_connect_vec, weyl_curvature)
+from .weyl import (FormFieldSpec, WeylStructure, _brackets, _coeff_curvature, _covd_slots, _faraday_components,
+                   _ricci, _ricci_jet, covd2_form_block, covd_form_block, dD, deltaD, form_field_of, insert_alt,
+                   inv_gram, lee_jet, lie_bracket, outer_front, tdot, weyl_connect_vec, weyl_curvature)
 
 RESOLVED_BOCHNER_SIGN = 1.0
 
@@ -90,16 +89,7 @@ class IdentityReport:
     details: dict = dc_field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        out = {
-            "identity": self.identity,
-            "trials": self.trials,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "passed": bool(self.passed),
-        }
-        if self.details:
-            out["details"] = self.details
-        return out
+        return {key: value for key, value in vars(self).items() if key != "details" or value}
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +321,7 @@ def check_d_squared(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,
         k = _weight_pool(model)[int(rng.integers(0, 4))]
         spec = random_form_field(ws, rng, deg, k)
         w, _, DH, jet = covd2_form_block(engine, ws, spec, p)
-        F = _faraday_components(jet[4], jet[5], _brackets(model, p))
+        F = _faraday_components(jet.theta, jet.dtheta, _brackets(model, p))
         # F (x) w, then the kernel of (d^D)^2: 1/2 of its pair alternation is F ^ w
         rhs = 0.5 * k * alternate_pair(F.reshape(F.shape[:2] + (1,) * deg + F.shape[2:]) * w, deg)
         dd = alternate_pair(DH, deg)
@@ -364,16 +354,15 @@ def _bochner_pointwise_terms(engine: DerivativeEngine, ws: WeylStructure, spec: 
     for either sign of the Ricci term is read off these three numbers.
     """
     a, _, DH, jet = covd2_form_block(engine, ws, spec, coords)
-    ginv = jet[3]
+    ginv, C = jet.ginv, _brackets(ws.model, coords)
     p1 = -np.einsum("ab,cab->c", ginv, DH)                            # d^D delta^D a
     p2 = -np.einsum("ec,ecj->j", ginv, DH - np.swapaxes(DH, 1, 2))   # delta^D d^D a
     lap = -np.einsum("ab,abj->j", ginv, DH)
     lhs = float(np.einsum("ab,a,b->", ginv, p1 + p2, a))
     mid = float(np.einsum("ab,a,b->", ginv, lap, a))
-    bundle = _jet_curvature(jet, _brackets(ws.model, coords))
     ash = ginv @ a
-    ric_term = float(ash @ bundle.Ric @ ash)
-    f_term = abs(spec.weight * float(ash @ bundle.F @ ash))
+    ric_term = float(ash @ _ricci(_coeff_curvature(jet.W, jet.dW, C), jet.g, ginv) @ ash)
+    f_term = abs(spec.weight * float(ash @ _faraday_components(jet.theta, jet.dtheta, C) @ ash))
     return lhs - mid, ric_term, f_term
 
 
@@ -479,10 +468,10 @@ def _bochner_density(engine: DerivativeEngine, ws: WeylStructure, spec: FormFiel
     H (``_covd_slots``) and Ric^D come off one ``_ricci_jet`` and one jet of a:
     Ric^D is read by traces, with no rank-4 curvature built.
     """
-    W, _, ginv, theta, ric, vol = _ricci_jet(engine, ws, coords)
+    jet = _ricci_jet(engine, ws, coords)
     a, dA = frame_jet1(engine, ws.model, spec.field, coords)
-    H = _covd_slots(a, dA, W, theta, spec.weight, 1)
-    return vol, _density(ric, ginv, a, H)
+    H = _covd_slots(a, dA, jet.W, jet.theta, spec.weight, 1)
+    return jet.vol, _density(jet.ric, jet.ginv, a, H)
 
 
 def bochner_divergence_residual(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords) -> float:
@@ -493,9 +482,8 @@ def bochner_divergence_residual(engine: DerivativeEngine, ws: WeylStructure, spe
     """
     coords = np.asarray(coords, dtype=float)
     a, H, DH, jet = covd2_form_block(engine, ws, spec, coords)
-    W, dW, g, ginv = jet[:4]
-    ric = _ricci(_coeff_curvature(W, dW, _brackets(ws.model, coords)), g, ginv)
-    return abs(float(_density(ric, ginv, a, H)) + float(_zeta_codifferential(a, H, DH, ginv)))
+    ric = _ricci(_coeff_curvature(jet.W, jet.dW, _brackets(ws.model, coords)), jet.g, jet.ginv)
+    return abs(float(_density(ric, jet.ginv, a, H)) + float(_zeta_codifferential(a, H, DH, jet.ginv)))
 
 
 def check_bochner_divergence(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,
@@ -536,8 +524,8 @@ def bochner_integral_sides(engine: DerivativeEngine, ws: WeylStructure, spec: Fo
 
 def _zeta_flux(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, pts, weights, normals):
     """Per-node terms of the outward zeta flux of one shell block, from its one ``covd_form_block`` call."""
-    a, H, (_, _, ginv, _, vol) = covd_form_block(engine, ws, spec, pts)
-    return flux_curved_metric(_zeta(a, H, ginv), ginv, vol, normals, weights)
+    a, H, jet = covd_form_block(engine, ws, spec, pts)
+    return flux_curved_metric(_zeta(a, H, jet.ginv), jet.ginv, jet.vol, normals, weights)
 
 
 def check_bochner_integral(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,

@@ -299,6 +299,13 @@ def flux_pass(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[Sca
                      np.stack(forms5, 1) / norm if embedded else None)
 
 
+def _record(report, **computed) -> dict:
+    """The JSON record of a report: its fields, read shallowly, and its computed values; ``z_label`` is Z."""
+    record = {**vars(report), **computed}
+    record["Z"] = record.pop("z_label")
+    return record
+
+
 @dataclass
 class MassReport:
     """Per-radius fluxes, extrapolated limits and convergence diagnostics."""
@@ -313,7 +320,7 @@ class MassReport:
     tol_conv: float
     omega_n: float
     fiber_length: float
-    quad: dict
+    quadrature: dict
     shell_nodes: int               # nodes per flux shell actually used
     extrapolation_rate: float
     sphere_rule: str               # the sphere rule of the flux shells
@@ -328,24 +335,7 @@ class MassReport:
         return [q + c for q, c in zip(self.q_values, self.correction_values)]
 
     def as_dict(self) -> dict:
-        return {
-            "Z": self.z_label,
-            "radii": self.radii,
-            "q_values": self.q_values,
-            "correction_values": self.correction_values,
-            "q_limit": self.q_limit,
-            "correction_limit": self.correction_limit,
-            "mass": self.mass,
-            "converged": bool(self.converged),
-            "tol_conv": self.tol_conv,
-            "omega_n": self.omega_n,
-            "fiber_length": self.fiber_length,
-            "quadrature": self.quad,
-            "shell_nodes": self.shell_nodes,
-            "extrapolation_rate": self.extrapolation_rate,
-            "sphere_rule": self.sphere_rule,
-            "angular_error": self.angular_error,
-        }
+        return _record(self, mass=self.mass)
 
     def csv_rows(self) -> list:
         running = running_extrapolation(self.radii, self.totals, self.extrapolation_rate)
@@ -389,7 +379,7 @@ def _build_report(model: ModelSpace, z: np.ndarray, forms: FluxForms, gauge: int
         tol_conv=tol_conv,
         omega_n=sphere_volume(model.m),
         fiber_length=model.L,
-        quad=asdict(forms.quad),
+        quadrature=asdict(forms.quad),
         shell_nodes=forms.nodes,
         extrapolation_rate=rate,
         sphere_rule=sphere_rule_name(model.m, forms.quad.sphere),
@@ -415,14 +405,7 @@ class ConformalChangeReport:
         return abs(self.predicted_delta - self.direct_delta) / max(abs(self.direct_delta), 1e-8)
 
     def as_dict(self) -> dict:
-        return {
-            "Z": self.z_label,
-            "predicted_delta": self.predicted_delta,
-            "direct_delta": self.direct_delta,
-            "base_mass": self.base_mass,
-            "swept_mass": self.swept_mass,
-            "rel_error": self.rel_error,
-        }
+        return _record(self, direct_delta=self.direct_delta, rel_error=self.rel_error)
 
 
 @dataclass
@@ -448,16 +431,8 @@ class InvarianceReport:
         return self.rel_difference < self.tolerance
 
     def as_dict(self) -> dict:
-        return {
-            "Z": self.z_label,
-            "factor": self.factor,
-            "mass_base": self.mass_base,
-            "mass_swept": self.mass_swept,
-            "abs_difference": self.abs_difference,
-            "rel_difference": self.rel_difference,
-            "tolerance": self.tolerance,
-            "passed": bool(self.passed),
-        }
+        return _record(self, abs_difference=self.abs_difference, rel_difference=self.rel_difference,
+                       passed=self.passed)
 
 
 def gauge_audit(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[ScalarField],

@@ -34,9 +34,10 @@ vanish, and every bracket term is skipped rather than built from zeros;
 the same rule holds in ``lie_bracket``, in the flux pass (no h-Christoffel
 terms) and in the decay probes (no h-connection or bracket terms).
 dW is closed form in one second-order jet of g and one first-order jet of
-theta (``_weyl_jet``); the Levi-Civita case is theta = 0.  Second covariant
-derivatives D(Dw) are algebra on the same jet plus one second-order jet of
-the form (``covd2_form_block``), so Lap^D, d^D d^D and delta^D d^D carry no
+theta (``_weyl_jet``); the Levi-Civita case is theta = 0.  Each jet is one
+``WeylJet``, read by name.  Second covariant derivatives D(Dw) are algebra
+on the same jet plus one second-order jet of the form
+(``covd2_form_block``), so Lap^D, d^D d^D and delta^D d^D carry no
 finite-difference error.
 
 The Bochner annulus density needs only Ric^D, which ``_ricci_jet`` reads by
@@ -52,8 +53,8 @@ chart, C W) traces, every contraction is n^4 per node, so neither the
 rank-4 Koszul jet of H nor dW nor the rank-4 R is built; g^-1 and
 sqrt(det g) come off one factorization of g (``inv_gram_volume``), and
 the zeta shells read both off ``christoffel`` the same way.  The pointwise
-checks and ``curvature_split`` keep the full route (``_jet_curvature``,
-``_ricci`` on ``_coeff_curvature``, whose dG takes the Koszul jet of H);
+checks and ``curvature_split`` keep the full route (``_ricci`` on
+``_coeff_curvature`` of ``_weyl_jet``, whose dG takes the Koszul jet of H);
 the tests hold the two to 1e-13.
 
 The operators return plain component arrays; the degree and weight of the
@@ -322,22 +323,6 @@ def _hessian_jet(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily,
     return g, dg, ddg, C, cg, dcg
 
 
-def _christoffel_jet(engine: DerivativeEngine, model: ModelSpace, fam: MetricFamily, coords):
-    """(G, dG, g, dg, g^-1) from one second-order metric jet; dG[p] = E_p G.
-
-    E_p G = K[p] g^-1 - G (E_p g) g^-1, with K[p] = E_p low the Koszul
-    combination of the frame Hessian E_p E_i g_jk and of E_p (C g), and low
-    the lowered Koszul combination (G = low g^-1).
-    """
-    g, dg, ddg, _, cg, dcg = _hessian_jet(engine, model, fam, coords)
-    ginv = inv_gram(g)
-    gam = np.einsum("ijk...,kl...->ijl...", _koszul(dg, cg), ginv)
-    dg_ginv = np.einsum("pab...,bl...->pal...", dg, ginv)
-    dgam = (np.einsum("pijk...,kl...->pijl...", _koszul(ddg, dcg, lead=1), ginv)
-            - np.einsum("ija...,pal...->pijl...", gam, dg_ginv))
-    return gam, dgam, g, dg, ginv
-
-
 def _add_delta_terms(out: np.ndarray, t: np.ndarray, lead: int) -> None:
     """out[.., i, j, k] += t[.., i] delta_jk + t[.., j] delta_ik in place; (i, j, k) start at axis lead.
 
@@ -358,8 +343,28 @@ def _lee_shift(gam: np.ndarray, g: np.ndarray, theta: np.ndarray, theta_sharp: n
     return W
 
 
-def weyl_coeffs(engine: DerivativeEngine, ws: WeylStructure, coords):
-    """(W, g, g^-1, theta, sqrt(det g)): connection coefficients of D on TM, D_{E_i} E_j = W[i,j,k] E_k.
+@dataclass(frozen=True)
+class WeylJet:
+    """The jets of a Weyl structure at a point or node block, read by name.
+
+    Every jet holds W (D_{E_i} E_j = W[i,j,k] E_k), g, g^-1 and theta;
+    ``weyl_coeffs`` and ``_ricci_jet`` add vol = sqrt(det g), ``_weyl_jet``
+    dW[p] = E_p W and dtheta[p] = E_p theta, and ``_ricci_jet`` ric = Ric^D.
+    A part the jet does not take is None.
+    """
+
+    W: np.ndarray
+    g: np.ndarray
+    ginv: np.ndarray
+    theta: np.ndarray
+    vol: np.ndarray | None = None
+    dW: np.ndarray | None = None
+    dtheta: np.ndarray | None = None
+    ric: np.ndarray | None = None
+
+
+def weyl_coeffs(engine: DerivativeEngine, ws: WeylStructure, coords) -> WeylJet:
+    """W, g, g^-1, theta and vol: connection coefficients of D on TM, D_{E_i} E_j = W[i,j,k] E_k.
 
     g, g^-1 and sqrt(det g) come off the metric jet of ``christoffel``;
     theta is evaluated once.
@@ -368,17 +373,25 @@ def weyl_coeffs(engine: DerivativeEngine, ws: WeylStructure, coords):
     gam, g, ginv, vol = christoffel(engine, ws.model, ws.metric, coords)
     theta = lee_jet(engine, ws.lee, coords)
     theta_sharp = np.einsum("kl...,l...->k...", ginv, theta)
-    return _lee_shift(gam, g, theta, theta_sharp), g, ginv, theta, vol
+    return WeylJet(_lee_shift(gam, g, theta, theta_sharp), g, ginv, theta, vol=vol)
 
 
-def _weyl_jet(engine: DerivativeEngine, ws: WeylStructure, coords):
-    """(W, dW, g, g^-1, theta, dtheta) from one metric jet2 and one Lee-form jet1.
+def _weyl_jet(engine: DerivativeEngine, ws: WeylStructure, coords) -> WeylJet:
+    """W, dW, g, g^-1, theta and dtheta from one metric jet2 and one Lee-form jet1.
 
-    dW[p, i, j, k] = E_p W[i, j, k] is closed form: it differentiates each
-    term of ``_lee_shift``, with E_p theta# = g^-1 (E_p theta - (E_p g) theta#).
+    E_p G = K[p] g^-1 - G (E_p g) g^-1, with K[p] = E_p low the Koszul
+    combination of the frame Hessian E_p E_i g_jk and of E_p (C g), and low
+    the lowered Koszul combination (G = low g^-1).  dW[p, i, j, k] =
+    E_p W[i, j, k] is closed form: it differentiates each term of
+    ``_lee_shift``, with E_p theta# = g^-1 (E_p theta - (E_p g) theta#).
     """
     coords = np.asarray(coords, dtype=float)
-    gam, dgam, g, dg, ginv = _christoffel_jet(engine, ws.model, ws.metric, coords)
+    g, dg, ddg, _, cg, dcg = _hessian_jet(engine, ws.model, ws.metric, coords)
+    ginv = inv_gram(g)
+    gam = np.einsum("ijk...,kl...->ijl...", _koszul(dg, cg), ginv)
+    dg_ginv = np.einsum("pab...,bl...->pal...", dg, ginv)
+    dgam = (np.einsum("pijk...,kl...->pijl...", _koszul(ddg, dcg, lead=1), ginv)
+            - np.einsum("ija...,pal...->pijl...", gam, dg_ginv))
     theta, dtheta = lee_jet(engine, ws.lee, coords, order=1)
     theta_sharp = np.einsum("kl...,l...->k...", ginv, theta)
     dtheta_sharp = np.einsum("kl...,pl...->pk...", ginv,
@@ -387,17 +400,17 @@ def _weyl_jet(engine: DerivativeEngine, ws: WeylStructure, coords):
     _add_delta_terms(dW, dtheta, 1)
     dW -= np.einsum("pij...,k...->pijk...", dg, theta_sharp)
     dW -= np.einsum("ij...,pk...->pijk...", g, dtheta_sharp)
-    return _lee_shift(gam, g, theta, theta_sharp), dW, g, ginv, theta, dtheta
+    return WeylJet(_lee_shift(gam, g, theta, theta_sharp), g, ginv, theta, dW=dW, dtheta=dtheta)
 
 
-def _ricci_jet(engine: DerivativeEngine, ws: WeylStructure, coords):
-    """(W, g, g^-1, theta, Ric^D, sqrt(det g)) from one metric jet2 and one Lee-form jet1, by traces.
+def _ricci_jet(engine: DerivativeEngine, ws: WeylStructure, coords) -> WeylJet:
+    """W, g, g^-1, theta, ric = Ric^D and vol from one metric jet2 and one Lee-form jet1, by traces.
 
     Ric_ij = 1/2 (A_ij - B_ij), A_ij = g^{ab} R_{iab}^l g_lj and B_ij = R_{iaj}^a
     (``_ricci``), with R = E W - E W + W W - W W - C W (``_coeff_curvature``)
     taken term by term:
 
-    * E_p G = (K[p] - G (E_p g)) g^-1 (``_christoffel_jet``); the g^-1
+    * E_p G = (K[p] - G (E_p g)) g^-1 (``_weyl_jet``); the g^-1
       cancels against the lowering in A, so E G enters 2 Ric as four g^-1
       traces of K less four of G (E g).  With H[p, i, j, k] = E_p E_i g_jk
       the frame Hessian, the K traces are read straight off H,
@@ -462,14 +475,14 @@ def _ricci_jet(engine: DerivativeEngine, ws: WeylStructure, coords):
                  - np.einsum("icb...,cbj...->ij...", np.einsum("iac...,ab...->icb...", C, ginv), W_low))
     # C order whatever layout the einsums over the transposed Hessian view chose: the density's
     # three-operand einsum sums in memory order, so a block-size-dependent layout would move its bits
-    return W, g, ginv, theta, np.ascontiguousarray(0.5 * ric2), vol
+    return WeylJet(W, g, ginv, theta, vol=vol, ric=np.ascontiguousarray(0.5 * ric2))
 
 
 def weyl_connect_vec(engine: DerivativeEngine, ws: WeylStructure, x_field: Field, y_field: Field,
                      coords) -> np.ndarray:
     """D_Y X at a point, for vector fields given by frame-component evaluators."""
     coords = np.asarray(coords, dtype=float)
-    W = weyl_coeffs(engine, ws, coords)[0]
+    W = weyl_coeffs(engine, ws, coords).W
     xv, dx = frame_jet1(engine, ws.model, x_field, coords)
     yv = y_field.values(coords)
     directional = np.einsum("i...,ij...->j...", yv, dx)
@@ -550,15 +563,14 @@ def covd_form_block(engine: DerivativeEngine, ws: WeylStructure, spec: FormField
     The slot form of D: the kernel ``_covd_slots`` over the form's first-order
     jet and ``weyl_coeffs``.  The wedge form of D (module docstring) is its
     test oracle.  w is the value of the form's jet and ``jet`` the
-    ``weyl_coeffs`` tuple (W, g, g^-1, theta, sqrt(det g)), handed out so
-    callers read the form, the metric, its inverse and its volume factor off
-    the jets that H already takes.
+    ``weyl_coeffs`` WeylJet, handed out so callers read the metric, its
+    inverse and its volume factor off the jets that H already takes.
     """
     _require_gauge(ws, spec)
     coords = np.asarray(coords, dtype=float)
     w, dw = frame_jet1(engine, ws.model, spec.field, coords)
     jet = weyl_coeffs(engine, ws, coords)
-    return w, _covd_slots(w, dw, jet[0], jet[3], spec.weight, spec.degree), jet
+    return w, _covd_slots(w, dw, jet.W, jet.theta, spec.weight, spec.degree), jet
 
 
 def covd2_form_block(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords):
@@ -567,18 +579,17 @@ def covd2_form_block(engine: DerivativeEngine, ws: WeylStructure, spec: FormFiel
     Closed form from one second-order jet of the form and one ``_weyl_jet``:
     H is the slot form of D, E_b H follows by the product rule, and DH is
     the kernel ``_covd_slots`` on H as a weight-k tensor with p + 1 slots.
-    ``jet`` is that ``_weyl_jet`` tuple (W, dW, g, g^-1, theta, dtheta),
-    handed out so callers read g^-1 and the curvature (``_jet_curvature``)
-    off the same metric jet.
+    ``jet`` is that ``_weyl_jet`` WeylJet, handed out so callers read g^-1
+    and the curvature (``_coeff_curvature`` on W and dW) off the same
+    metric jet.
     """
     _require_gauge(ws, spec)
     coords = np.asarray(coords, dtype=float)
     p, k = spec.degree, spec.weight
     jet = _weyl_jet(engine, ws, coords)
-    W, dW, _, _, theta, dtheta = jet
     w, dw, ddw = frame_jet2(engine, ws.model, spec.field, coords)
-    H, EH = _slot_jet(w, dw, ddw, W, dW, theta, dtheta, k, p)
-    return w, H, _covd_slots(H, EH, W, theta, k, p + 1), jet
+    H, EH = _slot_jet(w, dw, ddw, jet.W, jet.dW, jet.theta, jet.dtheta, k, p)
+    return w, H, _covd_slots(H, EH, jet.W, jet.theta, k, p + 1), jet
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +612,7 @@ def deltaD(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coo
     if spec.degree == 0:
         return np.zeros(coords.shape[1:])
     _, H, jet = covd_form_block(engine, ws, spec, coords)
-    return -np.einsum("ab...,ab...->...", jet[2], H)
+    return -np.einsum("ab...,ab...->...", jet.ginv, H)
 
 
 def form_field_of(ws: WeylStructure, fn: Callable, degree: int, weight: float, name: str = "") -> FormFieldSpec:
@@ -656,20 +667,15 @@ def weyl_curvature(engine: DerivativeEngine, ws: WeylStructure, coords) -> Curva
     finite-difference error.
     """
     coords = np.asarray(coords, dtype=float)
-    return _jet_curvature(_weyl_jet(engine, ws, coords), _brackets(ws.model, coords))
+    jet, C = _weyl_jet(engine, ws, coords), _brackets(ws.model, coords)
+    R = _coeff_curvature(jet.W, jet.dW, C)
+    F = _faraday_components(jet.theta, jet.dtheta, C)
 
-
-def _jet_curvature(jet, C: np.ndarray | None) -> CurvatureBundle:
-    """Curvature bundle from a ``_weyl_jet`` tuple and the structure constants (``_brackets``)."""
-    W, dW, g, ginv, theta, dtheta = jet
-    R = _coeff_curvature(W, dW, C)
-    F = _faraday_components(theta, dtheta, C)
-
-    low = np.einsum("ijkl...,lm...->ijkm...", R, g)        # g(R(Ei,Ej)Ek, Em)
+    low = np.einsum("ijkl...,lm...->ijkm...", R, jet.g)        # g(R(Ei,Ej)Ek, Em)
     sym = 0.5 * (low + np.swapaxes(low, 2, 3))
-    split = sym - np.einsum("ij...,km...->ijkm...", F, g)
-    ric = _ricci(R, g, ginv)
-    scal = np.einsum("ij...,ij...->...", ginv, ric)
+    split = sym - np.einsum("ij...,km...->ijkm...", F, jet.g)
+    ric = _ricci(R, jet.g, jet.ginv)
+    scal = np.einsum("ij...,ij...->...", jet.ginv, ric)
     return CurvatureBundle(
         R=R, F=F, Ric=ric, Scal=scal,
         split_residual=float(np.max(np.abs(split))),

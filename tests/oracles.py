@@ -73,8 +73,8 @@ from weylmass.mass import _contract_shell, richardson_limit
 from weylmass.model import ModelSpace, sphere_volume
 from weylmass.probes import geometric_radii, probe_grid
 from weylmass.quadrature import QuadratureSpec, node_blocks
-from weylmass.weyl import (FormFieldSpec, WeylStructure, christoffel, covd_form_block, insert_alt, inv_gram,
-                           lc_form_block, lee_jet, outer_front, tdot, weyl_curvature)
+from weylmass.weyl import (FormFieldSpec, WeylJet, WeylStructure, christoffel, covd_form_block, insert_alt,
+                           inv_gram, lc_form_block, lee_jet, outer_front, tdot, weyl_curvature)
 
 
 class FDEngine(DerivativeEngine):
@@ -215,7 +215,8 @@ def _identity(n: int, batch: tuple) -> np.ndarray:
 
 
 def full_weyl_jet(engine: DerivativeEngine, ws: WeylStructure, coords):
-    """(W, dW, g, g^-1, theta, dtheta) over ``full_christoffel_jet``, delta terms as einsums."""
+    """The WeylJet of ``_weyl_jet`` (W, dW, g, g^-1, theta, dtheta) over ``full_christoffel_jet``, delta terms
+    as einsums."""
     coords = np.asarray(coords, dtype=float)
     gam, dgam, g, dg, ginv = full_christoffel_jet(engine, ws.model, ws.metric, coords)
     theta, dtheta = lee_jet(engine, ws.lee, coords, order=1)
@@ -232,7 +233,7 @@ def full_weyl_jet(engine: DerivativeEngine, ws: WeylStructure, coords):
     dW += np.einsum("pj...,ik...->pijk...", dtheta, eye)
     dW -= np.einsum("pij...,k...->pijk...", dg, theta_sharp)
     dW -= np.einsum("ij...,pk...->pijk...", g, dtheta_sharp)
-    return W, dW, g, ginv, theta, dtheta
+    return WeylJet(W, g, ginv, theta, dW=dW, dtheta=dtheta)
 
 
 def full_coeff_curvature(W: np.ndarray, dW: np.ndarray, C: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """The CI workflow installs the test extra, runs CLI smoke commands (a Hopf, an m = 5, a refined m = 5, a
-Hopf compact_lee, an m = 6 and an m = 7 mass, a pointwise verify and an annulus verify at m = 3 and m = 4, then
+Hopf compact_lee, an m = 6 and an m = 7 mass, a pointwise verify at m = 3, on the Hopf chart and at m = 5 and an
+annulus verify at m = 3 and m = 4, then
 Hopf sweeps, a trivial-chart sweep, a one-value Hopf sweep, a Hopf sweep over the directional_profile axis, an
 m = 5 sweep and a Hopf sweep on the hopf_model base),
 summarizes every report they wrote, reruns a mass, the m = 3 annulus verify, the m = 5 mass and the Hopf
@@ -56,7 +57,8 @@ def test_workflow_smoke_runs_verify_as_module():
 
 
 def test_workflow_smoke_runs_an_annulus_verify():
-    """The same step then runs ``verify`` on one Bochner-integral trial, the streamed annulus."""
+    """The same step then runs the pointwise ``verify`` on the Hopf chart and at m = 5 (n = 6), and then
+    ``verify`` on one Bochner-integral trial, the streamed annulus."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
@@ -64,12 +66,14 @@ def test_workflow_smoke_runs_an_annulus_verify():
     configs = re.findall(r"echo '([^']+)' > \"\$RUNNER_TEMP/(\w+)\.json\"", smoke)
     assert [(json.loads(c), name) for c, name in configs] == [
         ({"trials": {"identity": 6, "bochner": 3, "integral": 0}}, "smoke"),
+        ({"model": {"fibration": "hopf"}, "trials": {"identity": 6, "bochner": 3, "integral": 0}}, "pointwise_hopf"),
+        ({"model": {"m": 5}, "trials": {"identity": 6, "bochner": 3, "integral": 0}}, "pointwise_m5"),
         ({"trials": {"identity": 0, "bochner": 1, "integral": 1}}, "annulus"),
         ({"model": {"m": 4}, "trials": {"identity": 0, "bochner": 1, "integral": 1}}, "annulus_m4"),
     ]
     commands = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" .*\bverify$",
                           smoke, re.MULTILINE)
-    assert commands == ["smoke", "annulus", "annulus_m4"]
+    assert commands == ["smoke", "pointwise_hopf", "pointwise_m5", "annulus", "annulus_m4"]
 
 
 def test_workflow_smoke_runs_an_m4_annulus_verify():
@@ -161,7 +165,7 @@ def test_workflow_report_smoke_reads_every_smoke_report():
                for name in ("Mass smoke", "CLI smoke", "Sweep smoke")
                for out, command in re.findall(r"--out \"\$RUNNER_TEMP/(\w+)\" (\w+)$",
                                               job["steps"][names.index(name)]["run"], re.MULTILINE)]
-    assert len(written) == 16
+    assert len(written) == 18
     assert written[-1] == "$RUNNER_TEMP/sweep_hopf_model/sweep_report.jsonl"
     (line,) = job["steps"][names.index("Report smoke")]["run"].strip().splitlines()
     prefix = "PYTHONPATH=src python -m weylmass report "

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -682,3 +683,53 @@ def test_cli_runs_without_scipy(tmp_path):
     res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+# the keys of every JSONL record type, as README's "Report records" table lists them
+REPORT_KEYS = {
+    "config": {"config"},
+    "identity": {"identity", "trials", "max_residual", "tolerance", "passed"},
+    "identity with details": {"identity", "trials", "max_residual", "tolerance", "passed", "details"},
+    "mass matrix": {"mass_matrix", "eigenvalues", "q_matrix"},
+    "mass direction": {"Z", "radii", "q_values", "correction_values", "q_limit", "correction_limit", "mass",
+                       "converged", "tol_conv", "omega_n", "fiber_length", "quadrature", "shell_nodes",
+                       "extrapolation_rate", "sphere_rule", "angular_error"},
+    "sweep row": {"factor", "beta", "audits", "prediction"},
+    "audit": {"Z", "factor", "mass_base", "mass_swept", "abs_difference", "rel_difference", "tolerance",
+              "passed"},
+    "prediction": {"Z", "predicted_delta", "direct_delta", "base_mass", "swept_mass", "rel_error"},
+}
+
+
+def test_report_records_have_the_documented_keys(tmp_path):
+    """Every record type of the three reports has exactly the keys of README's table: the config record, an
+    identity record with and without details, the mass-matrix and a per-direction mass record, and a sweep
+    row over ``beta`` with its audit and its prediction."""
+    from weylmass import cli
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("### Report records"):readme.index("### Configuration")]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| ") and "`" in line]
+    assert {name.strip(): set(re.findall(r"`([^`]+)`", keys)) for name, keys in rows} == REPORT_KEYS
+
+    cfg = write_config(tmp_path, trials={"identity": 1, "bochner": 1, "integral": 0},
+                       sweep={"values": [0.2]})
+    records = {}
+    for command in ("verify", "mass", "sweep"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["--config", str(cfg), "--out", str(tmp_path / command), command]) == 0
+        lines = (tmp_path / command / f"{command}_report.jsonl").read_text().splitlines()
+        records[command] = [json.loads(line) for line in lines]
+    verify, mass, sweep = records["verify"], records["mass"], records["sweep"]
+    assert all(set(report[0]) == REPORT_KEYS["config"] for report in records.values())
+    identities = {rec["identity"]: set(rec) for rec in verify[1:]}
+    assert identities["torsion_free"] == REPORT_KEYS["identity"]
+    assert identities["codifferential_transform"] == REPORT_KEYS["identity with details"]
+    assert all(keys in (REPORT_KEYS["identity"], REPORT_KEYS["identity with details"])
+               for keys in identities.values())
+    assert set(mass[1]) == REPORT_KEYS["mass matrix"]
+    assert len(mass) == 2 + 6 and all(set(rec) == REPORT_KEYS["mass direction"] for rec in mass[2:])
+    (row,) = sweep[1:]
+    assert set(row) == REPORT_KEYS["sweep row"]
+    assert all(set(audit) == REPORT_KEYS["audit"] for audit in row["audits"])
+    assert set(row["prediction"]) == REPORT_KEYS["prediction"]

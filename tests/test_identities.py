@@ -1,5 +1,6 @@
 """Identity suite behavior: residuals, sign resolution, quadrature order."""
 
+import dataclasses
 import os
 import platform
 import subprocess
@@ -340,20 +341,23 @@ def test_run_suite_corrupted_sign_fails(engine, model, monkeypatch):
 
 
 def test_bochner_integral_fails_without_the_ricci_term(engine, model, monkeypatch):
-    """Negative control for the annulus density's Ric^D by traces: with ``_ricci_jet`` returning Ric = 0,
-    the integral identity fails."""
+    """Negative control for the annulus density's Ric^D by traces: with ``_ricci_jet`` returning Ric = 0 and
+    everything else, the volume factor included, as it is, the integral identity fails while both sides
+    stay non-zero."""
     from weylmass import identities
 
     assert check_bochner_integral(engine, model, seed=4, trials=1).passed
     ricci_jet = identities._ricci_jet
 
     def no_ricci(*args):
-        *rest, ric = ricci_jet(*args)
-        return (*rest, np.zeros_like(ric))
+        jet = ricci_jet(*args)
+        return dataclasses.replace(jet, ric=np.zeros_like(jet.ric))
 
     monkeypatch.setattr(identities, "_ricci_jet", no_ricci)
     rep = check_bochner_integral(engine, model, seed=4, trials=1)
     assert not rep.passed and rep.max_residual > 1e-2
+    ((volume, boundary, _),) = rep.details["sides"]
+    assert float(volume) != 0.0 and float(boundary) != 0.0
 
 
 def test_fd_mode_meets_relaxed_tolerance(fd_engine, model):

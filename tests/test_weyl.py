@@ -1,5 +1,7 @@
 """Weyl-connection operators: derivative laws, curvature, gauge behavior."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,10 @@ from weylmass.families import (LeeFormField, directional_profile, flat_product, 
                                radial_lee, radial_profile, random_local_metric, zero_lee)
 from weylmass.identities import _rng, random_form_field, trial_point, trial_structure
 from weylmass.model import ModelSpace
-from weylmass.weyl import (FormFieldSpec, WeylStructure, _brackets, _christoffel_jet, _coeff_curvature, _covd_slots,
-                           _ricci, _ricci_jet, _weyl_jet, christoffel, covd2_form_block, covd_form_block, dD, deltaD, form_field_of,
-                           gauge_change, lc_form_block, lee_jet, lie_bracket, weyl_coeffs, weyl_connect_vec,
-                           weyl_curvature)
+from weylmass.weyl import (FormFieldSpec, WeylJet, WeylStructure, _brackets, _coeff_curvature, _covd_slots,
+                           _ricci, _ricci_jet, _weyl_jet, christoffel, covd2_form_block, covd_form_block, dD, deltaD,
+                           form_field_of, gauge_change, lc_form_block, lee_jet, lie_bracket, weyl_coeffs,
+                           weyl_connect_vec, weyl_curvature)
 
 from oracles import (FDEngine, PointMetric, WeightedForm, frame_exterior_derivative, full_christoffel_jet,
                      full_coeff_curvature, full_weyl_jet, hodge_star, inverse, regauge, ricci_trace_convention,
@@ -330,10 +332,10 @@ def test_weyl_jet_matches_nested_fd(request, engine, chart, fiber):
     for trial in range(2):
         ws = trial_structure(space, 41, trial, fiber_dependence=fiber)
         p = trial_point(space, _rng(41, 30, trial))
-        W, dW = _weyl_jet(engine, ws, p)[:2]
-        W_fd, dW_fd = _nested_fd_jet(engine, space, lambda c: weyl_coeffs(engine, ws, c)[0], p)
-        assert np.array_equal(W, weyl_coeffs(engine, ws, p)[0])
-        assert np.max(np.abs(dW - dW_fd)) < 1e-9 * np.max(np.abs(dW_fd))
+        jet = _weyl_jet(engine, ws, p)
+        W_fd, dW_fd = _nested_fd_jet(engine, space, lambda c: weyl_coeffs(engine, ws, c).W, p)
+        assert np.array_equal(jet.W, weyl_coeffs(engine, ws, p).W)
+        assert np.max(np.abs(jet.dW - dW_fd)) < 1e-9 * np.max(np.abs(dW_fd))
 
 
 @pytest.mark.parametrize("chart,fiber", CHARTS)
@@ -352,7 +354,8 @@ def test_lc_riemann_matches_nested_fd(request, engine, chart, fiber):
 def test_jets_equal_full_bracket_formulas(request, engine, chart, batch):
     """The jets and the curvature skip the bracket terms on the holonomic trivial frame and add
     theta on diagonal slices; the full formulas, with explicit zero C and E C there and the
-    identity outer products as einsums, give the same bits.  The Hopf path is the full formula."""
+    identity outer products as einsums, give the same bits.  The Hopf path is the full formula.  With
+    theta = 0, W and dW are the Christoffel coefficients G and their frame derivatives E G, bit for bit."""
     space = request.getfixturevalue(chart)
     ws = trial_structure(space, 44, 0, fiber_dependence=True)
     rng = _rng(44, 33, 0)
@@ -360,12 +363,16 @@ def test_jets_equal_full_bracket_formulas(request, engine, chart, batch):
          else np.stack([trial_point(space, rng) for _ in range(batch)], axis=1))
     C = space.structure_constants(p)
     assert space.holonomic == (chart == "model") == (not np.any(C) and not np.any(space.structure_jacobian(p)))
-    got, want = _christoffel_jet(engine, space, ws.metric, p), full_christoffel_jet(engine, space, ws.metric, p)
-    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    got = _weyl_jet(engine, WeylStructure(space, ws.metric, zero_lee(space)), p)
+    gam, dgam, g, _, ginv = full_christoffel_jet(engine, space, ws.metric, p)
+    assert all(np.array_equal(a, b) for a, b in zip((got.W, got.dW, got.g, got.ginv), (gam, dgam, g, ginv),
+                                                    strict=True))
     got, want = _weyl_jet(engine, ws, p), full_weyl_jet(engine, ws, p)
-    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
-    R = _coeff_curvature(got[0], got[1], None if space.holonomic else C)
-    assert np.array_equal(R, full_coeff_curvature(want[0], want[1], C))
+    for f in fields(WeylJet):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a is b is None or np.array_equal(a, b), f.name
+    R = _coeff_curvature(got.W, got.dW, None if space.holonomic else C)
+    assert np.array_equal(R, full_coeff_curvature(want.W, want.dW, C))
 
 
 @pytest.mark.parametrize("batch", [None, 512], ids=["point", "block512"])
@@ -381,15 +388,16 @@ def test_ricci_jet_traces_equal_the_curvature_route(engine, m, fibration, batch)
     p = (trial_point(space, rng) if batch is None
          else np.stack([trial_point(space, rng) for _ in range(batch)], axis=1))
     for structure in (ws, gauge_change(ws, radial_profile(space, beta=0.3))):
-        W, g, ginv, theta, ric, vol = _ricci_jet(engine, structure, p)
+        traced = _ricci_jet(engine, structure, p)
         jet = _weyl_jet(engine, structure, p)
-        for got, want in zip((W, g, ginv, theta), (jet[0], jet[2], jet[3], jet[4]), strict=True):
+        for name in ("W", "g", "ginv", "theta"):
+            got, want = getattr(traced, name), getattr(jet, name)
             assert got.shape == want.shape and np.array_equal(got, want)
-        det = np.sqrt(np.linalg.det(np.moveaxis(g, (0, 1), (-2, -1))))
-        assert vol.shape == det.shape and np.max(np.abs(vol - det) / det) <= 1e-14
-        want = _ricci(_coeff_curvature(jet[0], jet[1], _brackets(space, p)), jet[2], jet[3])
-        assert ric.shape == want.shape == (space.dim, space.dim) + p.shape[1:]
-        assert np.max(np.abs(ric - want)) <= 1e-13 * np.max(np.abs(want))
+        det = np.sqrt(np.linalg.det(np.moveaxis(traced.g, (0, 1), (-2, -1))))
+        assert traced.vol.shape == det.shape and np.max(np.abs(traced.vol - det) / det) <= 1e-14
+        want = _ricci(_coeff_curvature(jet.W, jet.dW, _brackets(space, p)), jet.g, jet.ginv)
+        assert traced.ric.shape == want.shape == (space.dim, space.dim) + p.shape[1:]
+        assert np.max(np.abs(traced.ric - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("chart,fiber", CHARTS)
@@ -404,8 +412,8 @@ def test_curvature_split_exact_in_dual_mode(request, engine, chart, fiber):
 def test_weyl_jet_fd_mode_agrees_with_dual(hopf_space, engine, fd_engine):
     ws = trial_structure(hopf_space, 44, 0, fiber_dependence=True)
     p = trial_point(hopf_space, _rng(44, 33, 0))
-    dW = _weyl_jet(engine, ws, p)[1]
-    dW_fd = _weyl_jet(fd_engine, ws, p)[1]
+    dW = _weyl_jet(engine, ws, p).dW
+    dW_fd = _weyl_jet(fd_engine, ws, p).dW
     assert np.max(np.abs(dW - dW_fd)) < 1e-7
 
 
@@ -415,8 +423,8 @@ def _nested_fd_covd2(engine, ws, spec, p):
     H_field = Field(lambda c: wedge_covd_form_block(engine, ws, spec, np.asarray(c, dtype=float)),
                     shape=(n,) * (spec.degree + 1))
     H, dH = frame_jet1(FD, ws.model, H_field, p)
-    W, _, _, theta, _ = weyl_coeffs(engine, ws, p)
-    return H, _covd_slots(H, dH, W, theta, spec.weight, spec.degree + 1)
+    jet = weyl_coeffs(engine, ws, p)
+    return H, _covd_slots(H, dH, jet.W, jet.theta, spec.weight, spec.degree + 1)
 
 
 @pytest.mark.parametrize("chart,fiber", CHARTS)
@@ -428,7 +436,7 @@ def test_covd2_form_block_matches_nested_fd(request, engine, fd_engine, chart, f
         spec = random_form_field(ws, rng, deg, k, fiber_dependence=fiber)
         p = trial_point(space, rng)
         w, H, DH, jet = covd2_form_block(engine, ws, spec, p)
-        ginv = jet[3]
+        ginv = jet.ginv
         H_oracle, DH_oracle = _nested_fd_covd2(engine, ws, spec, p)
         scale = np.max(np.abs(DH))
         assert np.array_equal(w, spec.field.values(p))
@@ -478,7 +486,7 @@ def _const_scalar(model, c):
 def laplacian(engine, ws, spec, p):
     """Lap^D w = -g^{ab} D(Dw)[a; b]: the trace of ``covd2_form_block``."""
     _, _, DH, jet = covd2_form_block(engine, ws, spec, p)
-    return -np.einsum("ab...,ab...->...", jet[3], DH)
+    return -np.einsum("ab...,ab...->...", jet.ginv, DH)
 
 
 def test_laplacian_flat_cases(model, engine):

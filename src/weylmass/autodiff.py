@@ -23,8 +23,11 @@ combine componentwise.  ``jet[i]`` indexes the leading component axes.
 Constant tensors enter through two helpers that lay them out over the batch
 axes: ``constant(C, like)`` (C at every point of ``like``) and
 ``lincomb(C, terms)`` (the sum of ``C[..., a]`` times ``terms[a]`` over
-scalar jets, built as one jet).  ``where(cond, a, b)`` selects per value
-entry, so piecewise fields (a compactly supported bump) stay jets.
+scalar jets, built as one jet).  With ``batch=b`` the last b axes of C
+are batch axes, aligned right against the points' (a trial axis lined up
+with the node axis); a unit batch axis the points lack is dropped, so a
+one-trial C also serves a batch-less point.  ``where(cond, a, b)`` selects
+per value entry, so piecewise fields (a compactly supported bump) stay jets.
 
 The layout is what the arrays show, not necessarily how they sit in
 memory: ``lincomb`` accumulates its gradient and Hessian component-major,
@@ -49,6 +52,7 @@ __all__ = [
     "collect_jet",
     "constant",
     "lincomb",
+    "move_axis",
     "value",
     "where",
     "sqrt",
@@ -174,6 +178,14 @@ class Taylor2:
         return f"Taylor2(val={self.val!r})"
 
 
+def move_axis(a: np.ndarray, source: int, destination: int) -> np.ndarray:
+    """``np.moveaxis`` of one axis as one transpose: the same view, without the argument handling that
+    costs more than the arithmetic on the few points of a pointwise identity check."""
+    order = [i for i in range(a.ndim) if i != source % a.ndim]
+    order.insert(destination % a.ndim, source % a.ndim)
+    return a.transpose(order)
+
+
 def seed_point(coords, order: int = 2) -> list[Taylor2]:
     """Turn an ``(n,) + batch`` coordinate array into a list of Taylor2 seeds of order 1 or 2."""
     coords = np.asarray(coords, dtype=float)
@@ -186,27 +198,33 @@ def value(x):
     return x.val if isinstance(x, Taylor2) else x
 
 
-def constant(C, like) -> np.ndarray:
+def _over_batch(C: np.ndarray, batch: int, ndim: int) -> np.ndarray:
+    """C with its last ``batch`` axes aligned right against ``ndim`` batch axes (module docstring)."""
+    cb = C.shape[C.ndim - batch:][max(batch - ndim, 0):]  # the reshape drops the others only if they are units
+    return C.reshape(C.shape[:C.ndim - batch] + (1,) * (ndim - len(cb)) + cb)
+
+
+def constant(C, like, batch: int = 0) -> np.ndarray:
     """The constant tensor C at every point of ``like`` (a jet, array or number).
 
-    Returns C with one unit axis per axis of ``like``'s value, so it
-    broadcasts over them: ``jet + constant(C, jet)`` adds C at every point
-    and ``constant(C, s) * s`` is the tensor product C ⊗ s.
+    Returns C laid out over the axes of ``like``'s value, so it broadcasts
+    over them: ``jet + constant(C, jet)`` adds C at every point and
+    ``constant(C, s) * s`` is the tensor product C ⊗ s.
     """
-    C = np.asarray(C, dtype=float)
-    return C.reshape(C.shape + (1,) * np.ndim(value(like)))
+    return _over_batch(np.asarray(C, dtype=float), batch, np.ndim(value(like)))
 
 
-def lincomb(coefs, terms):
+def lincomb(coefs, terms, batch: int = 0):
     """Sum over a of ``coefs[..., a]`` ⊗ ``terms[a]``, accumulated left to right.
 
     ``terms`` are scalars at the evaluation points: rank-0 Taylor2 jets,
-    batch arrays or numbers.  The result has the component axes
-    ``coefs.shape[:-1]`` and is one Taylor2 if any term is one, so a linear
-    combination of m coordinates costs one jet, not 2m; it is first-order
-    if any term is.  Each component takes the same products and sums, in
-    the same order, as the loop ``acc = acc + coefs[..., a] * terms[a]``
-    over scalar jets.
+    batch arrays or numbers; ``batch`` batch axes may follow the term axis
+    of ``coefs`` (module docstring).  The result has the component axes in
+    front of the term axis and is one Taylor2 if any term is one, so a
+    linear combination of m coordinates costs one jet, not 2m; it is
+    first-order if any term is.  Each entry takes the same products and
+    sums, in the same order, as the loop ``acc = acc + coefs[..., a] *
+    terms[a]`` over scalar jets.
 
     The gradient and Hessian payloads are component-major in memory: they
     are accumulated as C-order ``comp + (d,) + batch`` and
@@ -215,20 +233,21 @@ def lincomb(coefs, terms):
     the derivative axes leading (module docstring).
     """
     coefs = np.asarray(coefs, dtype=float)
-    comp = coefs.shape[:-1]
-    k = len(comp)
-    batch = (1,) * max(np.ndim(value(t)) for t in terms)
+    k = coefs.ndim - 1 - batch
+    # the term axis first and the batch axes laid out, once: C[a] = coefs[..., a, :, ..., :]
+    C = _over_batch(move_axis(coefs, k, 0), batch, max(np.ndim(value(t)) for t in terms))
+    # component-major: coefficient entry c[I] scales the contiguous block out[I];
+    # with no component axes (k = 0) the two layouts agree and c multiplies as it is
+    lead, cb = C.shape[:k + 1], C.shape[k + 1:]
+    Cg, Ch = (C.reshape(lead + (1,) + cb), C.reshape(lead + (1, 1) + cb)) if k else (C, C)
     val = grad = hess = scratch = None
     for a, term in enumerate(terms):
-        c = coefs[..., a].reshape(comp + batch)
+        c = C[a]
         part = c * value(term)
         val = part if val is None else val + part
         if isinstance(term, Taylor2):
-            # component-major: coefficient entry c[I] scales the contiguous block out[I];
-            # with no component axes (k = 0) the two layouts agree and c multiplies as it is
             h = term.hess
-            cg = c.reshape(comp + (1,) + batch) if k else c
-            ch = None if h is NO_HESSIAN else c.reshape(comp + (1, 1) + batch) if k else c
+            cg, ch = Cg[a], None if h is NO_HESSIAN else Ch[a]
             if grad is None:
                 grad, hess = cg * term.grad, h if ch is None else ch * h
                 continue
@@ -286,10 +305,11 @@ def collect_jet(tree, nvars: int, batch_shape: tuple = ()):
     """
     if isinstance(tree, Taylor2):
         k = tree.val.ndim - len(batch_shape)
-        grad = np.moveaxis(np.asarray(np.moveaxis(tree.grad, 0, k), order="C"), k, 0)
+        grad = move_axis(np.asarray(move_axis(tree.grad, 0, k), order="C"), k, 0)
         hess = tree.hess
         if hess is not NO_HESSIAN:
-            hess = np.moveaxis(np.asarray(np.moveaxis(hess, (0, 1), (k, k + 1)), order="C"), (k, k + 1), (0, 1))
+            hess = np.asarray(move_axis(move_axis(hess, 1, k + 1), 0, k), order="C")
+            hess = move_axis(move_axis(hess, k, 0), k + 1, 1)
         return np.asarray(tree.val, order="C"), grad, hess
     arr = np.array(tree, dtype=object)
     comp = arr.shape

@@ -21,6 +21,10 @@ and each r^s once per distinct exponent, for all the factors of a sweep;
 the stored jets go with the list when the evaluation returns.  On any other
 coordinates ``_radial`` builds them afresh, by the same operations, so a
 factor's jets are the same bits whether it is evaluated alone or stacked.
+
+The identity-trial builders draw each of their trials as one trial alone
+would (``stacked_draws``) and give their coefficients a trailing trial axis:
+T trials are evaluated at T points, one trial at a point or a node block.
 """
 
 from __future__ import annotations
@@ -204,33 +208,36 @@ def conformal_sweep(base: MetricFamily, factor: ScalarField) -> MetricFamily:
                         params={**base.params, "factor": factor.name})
 
 
-def random_local_metric(model: ModelSpace, seed: int, amplitude: float = 0.12,
-                        fiber_dependence: bool = False, wave_scale: float = 0.7) -> MetricFamily:
-    """Smooth random symmetric perturbation of the identity, for identity trials."""
+def stacked_draws(rngs, draw) -> tuple:
+    """``draw(rng)`` for each trial's generator, in order, each of its arrays stacked on a trailing trial axis."""
+    return tuple(np.stack(arrays, axis=-1) for arrays in zip(*map(draw, rngs)))
+
+
+def random_local_metric(model: ModelSpace, seeds, amplitude: float = 0.12, fiber_dependence=False,
+                        wave_scale: float = 0.7) -> MetricFamily:
+    """Smooth random symmetric perturbations of the identity, one per seed, for identity trials: the
+    coefficients carry a trailing trial axis (module docstring); ``fiber_dependence`` is one flag or one per seed."""
     n = model.dim
     m = model.m
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 901]))
     nterms = 3
-    syms = rng.normal(size=(nterms, n, n))
+    syms, waves, phases = stacked_draws(
+        [np.random.default_rng(np.random.SeedSequence([seed, 901])) for seed in seeds],
+        lambda rng: (rng.normal(size=(nterms, n, n)), rng.uniform(-1.0, 1.0, size=(nterms, m)),
+                     rng.uniform(0, 2 * math.pi, size=nterms)))
     syms = (syms + np.swapaxes(syms, 1, 2)) / 2.0
-    waves = rng.uniform(-1.0, 1.0, size=(nterms, m)) * wave_scale
-    phases = rng.uniform(0, 2 * math.pi, size=nterms)
-    fiber_k = 1 if fiber_dependence else 0
-    omega_t = 2.0 * math.pi * fiber_k / model.L
-    # term q: sin(waves[q] . x (+ omega_t t for q = 0) + phase[q]), one lincomb each
-    arg_coefs = [np.concatenate([waves[q], [omega_t] if omega_t and q == 0 else [], [phases[q]]])
-                 for q in range(nterms)]
-    # sum_q amplitude syms[q] s_q + identity, with the term index last
-    metric_coefs = np.moveaxis(np.concatenate([amplitude * syms, np.eye(n)[None]]), 0, -1)
+    fiber = np.zeros(phases.shape)  # the wave number of t: 2 pi / L in term 0 of a fiber-dependent trial, else 0
+    fiber[0] = 2.0 * math.pi * np.broadcast_to(fiber_dependence, (len(seeds),)) / model.L
+    # term q: sin(waves[q] . x + fiber[q] t + phase[q]), every q in one lincomb
+    arg_coefs = np.concatenate([waves * wave_scale, fiber[:, None], phases[:, None]], axis=1)
+    # sum_q amplitude syms[q] s_q + identity, the term axis before the trial axis
+    metric_coefs = np.concatenate([amplitude * np.moveaxis(syms, 0, 2),
+                                   np.broadcast_to(np.eye(n)[..., None, None], (n, n, 1, len(seeds)))], axis=2)
 
     def fn(coords):
-        sines = []
-        for q in range(nterms):
-            fiber = [coords[m]] if omega_t and q == 0 else []
-            sines.append(am.sin(am.lincomb(arg_coefs[q], list(coords[:m]) + fiber + [1.0])))
-        return am.lincomb(metric_coefs, sines + [1.0])
+        sines = am.sin(am.lincomb(arg_coefs, list(coords[:m + 1]) + [1.0], batch=1))
+        return am.lincomb(metric_coefs, [sines[q] for q in range(nterms)] + [1.0], batch=1)
 
-    return MetricFamily(f"random_local_metric(seed={seed})", model, fn, params={"seed": seed})
+    return MetricFamily(f"random_local_metric(seeds={list(seeds)})", model, fn, params={"seeds": list(seeds)})
 
 
 # ---------------------------------------------------------------------------
@@ -296,25 +303,26 @@ def compact_lee(model: ModelSpace, amplitude: float = 0.5, r0: float = 2.0, r1: 
     return LeeFormField("compact_lee", model, fn, params={"amplitude": amplitude, "r0": r0, "r1": r1})
 
 
-def random_local_lee(model: ModelSpace, seed: int, amplitude: float = 0.3,
-                     fiber_dependence: bool = False, wave_scale: float = 0.6) -> LeeFormField:
-    """Smooth random Lee form for identity trials (no decay guarantees)."""
+def random_local_lee(model: ModelSpace, seeds, amplitude=0.3, fiber_dependence=False,
+                     wave_scale: float = 0.6) -> LeeFormField:
+    """Smooth random Lee forms, one per seed, for identity trials (no decay guarantees), on the trial axis
+    of ``random_local_metric``; ``amplitude`` (0: the zero form) and ``fiber_dependence`` are one value or one
+    per seed."""
     n = model.dim
     m = model.m
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 902]))
-    coef = rng.uniform(-1.0, 1.0, size=(n, m)) * wave_scale
-    phases = rng.uniform(0, 2 * math.pi, size=n)
-    amps = rng.normal(size=n) * amplitude
-    omega_t = 2.0 * math.pi / model.L if fiber_dependence else 0.0
+    coef, phases, amps = stacked_draws(
+        [np.random.default_rng(np.random.SeedSequence([seed, 902])) for seed in seeds],
+        lambda rng: (rng.uniform(-1.0, 1.0, size=(n, m)), rng.uniform(0, 2 * math.pi, size=n), rng.normal(size=n)))
+    omega_t = 2.0 * math.pi * np.broadcast_to(fiber_dependence, (len(seeds),)) / model.L
     # component i: amps[i] sin(phases[i] + coef[i] . x (+ omega_t t for i = 0))
-    arg_coefs = np.concatenate([phases[:, None], coef] + ([omega_t * np.eye(n)[:, :1]] if omega_t else []), axis=1)
+    arg_coefs = np.concatenate([phases[:, None], coef * wave_scale, np.eye(n)[:, :1, None] * omega_t], axis=1)
+    amps = amps * np.asarray(amplitude)
 
     def fn(coords):
-        fiber = [coords[m]] if omega_t else []
-        arg = am.lincomb(arg_coefs, [1.0] + list(coords[:m]) + fiber)
-        return am.constant(amps, coords[0]) * am.sin(arg)
+        arg = am.lincomb(arg_coefs, [1.0] + list(coords[:m + 1]), batch=1)
+        return am.constant(amps, coords[0], batch=1) * am.sin(arg)
 
-    return LeeFormField(f"random_local_lee(seed={seed})", model, fn, params={"seed": seed})
+    return LeeFormField(f"random_local_lee(seeds={list(seeds)})", model, fn, params={"seeds": list(seeds)})
 
 
 # ---------------------------------------------------------------------------

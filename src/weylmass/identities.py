@@ -1,7 +1,9 @@
 """Independent-path verification of the connection and Bochner identities.
 
 Every check compares two computational routes to the same quantity and
-reports the worst residual over seeded random trials:
+reports the worst residual over seeded random trials.  A pointwise check
+draws all its trials first and evaluates them as one batch per form degree,
+on the trial axis of ``families.random_local_metric``:
 
 * torsion of the connection difference law, checked against a finite
   difference Lie bracket;
@@ -56,7 +58,7 @@ import numpy as np
 
 from . import autodiff as am
 from .engine import DerivativeEngine, Field, frame_jet1
-from .families import LeeFormField, random_local_lee, random_local_metric, zero_lee
+from .families import LeeFormField, random_local_lee, random_local_metric, stacked_draws
 from .model import ModelSpace
 from .quadrature import (QuadratureSpec, flux_curved_metric, gauss_legendre, node_blocks, sphere_rule,
                          volume_integral_curved)
@@ -67,14 +69,14 @@ from .weyl import (FormFieldSpec, WeylStructure, _brackets, _coeff_curvature, _c
 RESOLVED_BOCHNER_SIGN = 1.0
 
 
-def codifferential_shift_coefficient(n: int, k: float, p: int) -> float:
+def codifferential_shift_coefficient(n: int, k, p: int):
     """Resolved coefficient of sigma# _| w in the delta^D shift law."""
-    return float(2 * p - n - k)
+    return 2 * p - n - k
 
 
-def printed_shift_coefficient(n: int, k: float, p: int) -> float:
+def printed_shift_coefficient(n: int, k, p: int):
     """Alternate coefficient found in the literature; agrees only at p = 2."""
-    return float(2 - n - k + p)
+    return 2 - n - k + p
 
 
 @dataclass
@@ -108,13 +110,14 @@ def trial_point(model: ModelSpace, rng) -> np.ndarray:
     return model.point(r * u, rng.uniform(0.0, model.L))
 
 
-def trial_structure(model: ModelSpace, seed: int, trial: int, with_lee: bool = True,
-                    fiber_dependence: bool = False, wave_scale: float = 0.7) -> WeylStructure:
-    fam = random_local_metric(model, seed=seed * 1000 + trial, fiber_dependence=fiber_dependence,
-                              wave_scale=wave_scale)
-    lee = (random_local_lee(model, seed=seed * 1000 + trial, fiber_dependence=fiber_dependence,
-                            wave_scale=min(wave_scale, 0.6))
-           if with_lee else zero_lee(model))
+def trial_structure(model: ModelSpace, seed: int, trials, with_lee=True, fiber_dependence=False,
+                    wave_scale: float = 0.7) -> WeylStructure:
+    """One structure over the listed trials, on the trial axis of ``random_local_metric``; ``with_lee`` and
+    ``fiber_dependence`` are one flag or one per trial, and a trial without a Lee form takes zero amplitudes."""
+    seeds = [seed * 1000 + trial for trial in trials]
+    fam = random_local_metric(model, seeds, fiber_dependence=fiber_dependence, wave_scale=wave_scale)
+    lee = random_local_lee(model, seeds, amplitude=np.where(with_lee, 0.3, 0.0),
+                           fiber_dependence=fiber_dependence, wave_scale=min(wave_scale, 0.6))
     return WeylStructure(model, fam, lee)
 
 
@@ -143,43 +146,45 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-def random_form_field(ws: WeylStructure, rng, degree: int, weight: float,
-                      fiber_dependence: bool = False, wave_scale: float = 0.8) -> FormFieldSpec:
+def random_form_field(ws: WeylStructure, rngs, degree: int, weight, fiber_dependence=False,
+                      wave_scale: float = 0.8) -> FormFieldSpec:
+    """Random weighted p-forms, one per generator, on the trial axis of ``random_local_metric``; ``weight``
+    (kept in the spec as given) and ``fiber_dependence`` are one value or one per generator."""
     n = ws.model.dim
     m = ws.model.m
     nterms = 2
-    coefs = [rng.normal(size=(n,) * degree) if degree else rng.normal() for _ in range(nterms)]
-    coefs = [antisymmetrize(c) if degree >= 2 else c for c in coefs]
-    waves = rng.uniform(-1.0, 1.0, size=(nterms, m)) * wave_scale
-    phases = rng.uniform(0, 2 * math.pi, size=nterms)
-    omega_t = 2.0 * math.pi / ws.model.L if fiber_dependence else 0.0
-    # term q: sin(phases[q] + waves[q] . x (+ omega_t t for q = 0)); the form is sum_q coefs[q] s_q
-    arg_coefs = [np.concatenate([[phases[q]], waves[q]] + ([[omega_t]] if omega_t and q == 0 else []))
-                 for q in range(nterms)]
-    form_coefs = np.stack(coefs, axis=-1)
+
+    def draw(rng):
+        coefs = [rng.normal(size=(n,) * degree) if degree else rng.normal() for _ in range(nterms)]
+        return (np.stack([antisymmetrize(c) if degree >= 2 else c for c in coefs], axis=-1),
+                rng.uniform(-1.0, 1.0, size=(nterms, m)), rng.uniform(0, 2 * math.pi, size=nterms))
+
+    form_coefs, waves, phases = stacked_draws(rngs, draw)
+    fiber = np.zeros(phases.shape)
+    fiber[0] = 2.0 * math.pi * np.broadcast_to(fiber_dependence, (len(rngs),)) / ws.model.L
+    # term q: sin(phases[q] + waves[q] . x + fiber[q] t), every q in one lincomb; the form is
+    # sum_q form_coefs[..., q, :] s_q
+    arg_coefs = np.concatenate([phases[:, None], waves * wave_scale, fiber[:, None]], axis=1)
 
     def fn(coords):
-        sines = []
-        for q in range(nterms):
-            fiber = [coords[m]] if omega_t and q == 0 else []
-            sines.append(am.sin(am.lincomb(arg_coefs[q], [1.0] + list(coords[:m]) + fiber)))
-        return am.lincomb(form_coefs, sines)
+        sines = am.sin(am.lincomb(arg_coefs, [1.0] + list(coords[:m + 1]), batch=1))
+        return am.lincomb(form_coefs, [sines[q] for q in range(nterms)], batch=1)
 
     return form_field_of(ws, fn, degree=degree, weight=weight, name=f"random_{degree}form")
 
 
-def random_vector_field(model: ModelSpace, rng) -> Field:
+def random_vector_field(model: ModelSpace, rngs) -> Field:
+    """Random vector fields, one per generator, on the trial axis of ``random_local_metric``."""
     n = model.dim
     m = model.m
-    coefs = rng.normal(size=n)
-    waves = rng.uniform(-1.0, 1.0, size=(n, m)) * 0.6
-    phases = rng.uniform(0, 2 * math.pi, size=n)
+    coefs, waves, phases = stacked_draws(rngs, lambda rng: (
+        rng.normal(size=n), rng.uniform(-1.0, 1.0, size=(n, m)), rng.uniform(0, 2 * math.pi, size=n)))
     # component i: coefs[i] sin(phases[i] + waves[i] . x)
-    arg_coefs = np.concatenate([phases[:, None], waves], axis=1)
+    arg_coefs = np.concatenate([phases[:, None], waves * 0.6], axis=1)
 
     def fn(coords):
-        arg = am.lincomb(arg_coefs, [1.0] + list(coords[:m]))
-        return am.constant(coefs, coords[0]) * am.sin(arg)
+        arg = am.lincomb(arg_coefs, [1.0] + list(coords[:m]), batch=1)
+        return am.constant(coefs, coords[0], batch=1) * am.sin(arg)
 
     return Field(fn, shape=(n,), name="random_vector")
 
@@ -187,9 +192,7 @@ def random_vector_field(model: ModelSpace, rng) -> Field:
 def extended_lee(base: LeeFormField, extra: LeeFormField) -> LeeFormField:
     """The Lee form of base plus extra, extra taken in base's gauge."""
     def fn(coords):
-        a = base.fn(coords)
-        b = extra.fn(coords)
-        return [x + y for x, y in zip(a, b)]
+        return [x + y for x, y in zip(base.fn(coords), extra.fn(coords))]
 
     return LeeFormField(f"{base.name}+{extra.name}", base.model, fn, factor=base.factor)
 
@@ -203,51 +206,55 @@ def check_torsion(engine: DerivativeEngine, model: ModelSpace, seed: int = 42, t
                   tolerance: float = 1e-6) -> IdentityReport:
     """D_X Y - D_Y X - [X, Y] = 0 with the bracket from an independent jet path."""
     worst = 0.0
-    for trial in range(trials):
-        rng = _rng(seed, 11, trial)
-        ws = trial_structure(model, seed, trial, fiber_dependence=(trial % 3 == 0))
-        p = trial_point(model, rng)
-        X = random_vector_field(model, rng)
-        Y = random_vector_field(model, rng)
+    if trials:
+        rngs = [_rng(seed, 11, trial) for trial in range(trials)]
+        ws = trial_structure(model, seed, range(trials), fiber_dependence=[t % 3 == 0 for t in range(trials)])
+        p = np.stack([trial_point(model, rng) for rng in rngs], axis=1)
+        X, Y = random_vector_field(model, rngs), random_vector_field(model, rngs)
         dxy = weyl_connect_vec(engine, ws, Y, X, p)
         dyx = weyl_connect_vec(engine, ws, X, Y, p)
         br = lie_bracket(engine, model, X, Y, p)
-        worst = max(worst, float(np.max(np.abs(dxy - dyx - br))))
+        worst = float(np.max(np.abs(dxy - dyx - br)))
     return IdentityReport("torsion_free", trials, worst, tolerance, worst < tolerance)
 
 
-def _two_structures(model, seed, trial, fiber_dependence=False):
-    ws = trial_structure(model, seed, trial, fiber_dependence=fiber_dependence)
-    sigma = random_local_lee(model, seed=seed * 1000 + trial + 500000, fiber_dependence=fiber_dependence)
+def _two_structures(model, seed, trials, fiber_dependence=False):
+    ws = trial_structure(model, seed, trials, fiber_dependence=fiber_dependence)
+    sigma = random_local_lee(model, [seed * 1000 + t + 500000 for t in trials], fiber_dependence=fiber_dependence)
     ws2 = WeylStructure(model, ws.metric, extended_lee(ws.lee, sigma), gauge=ws.gauge)
     return ws, ws2, sigma
 
 
-_WEIGHT_CHOICES = (-2.0, 0.0, None, 1.0)  # None slot filled with (3 - m)/2 per model
-
-
 def _weight_pool(model: ModelSpace):
-    return [w if w is not None else (3.0 - model.m) / 2.0 for w in _WEIGHT_CHOICES]
+    return [-2.0, 0.0, (3.0 - model.m) / 2.0, 1.0]
+
+
+def _form_groups(model: ModelSpace, seed: int, tag: int, trials: int, degrees: tuple[int, int]):
+    """(degree, trial indices, generators, points (n, T), weights (T,)) per form degree, the one draw that
+    changes array shapes; every trial draws first, its point, then its degree, then its weight."""
+    rngs = [_rng(seed, tag, trial) for trial in range(trials)]
+    points = [trial_point(model, rng) for rng in rngs]
+    degs = [int(rng.integers(*degrees)) for rng in rngs]
+    pool = _weight_pool(model)
+    weights = np.array([pool[int(rng.integers(0, 4))] for rng in rngs])
+    for deg in dict.fromkeys(degs):
+        group = [trial for trial in range(trials) if degs[trial] == deg]
+        yield deg, group, [rngs[t] for t in group], np.stack([points[t] for t in group], axis=1), weights[group]
 
 
 def check_d_transform(engine: DerivativeEngine, model: ModelSpace, seed: int = 42, trials: int = 100,
                       tolerance: float = 1e-6) -> IdentityReport:
     """d^{D+sigma} w = d^D w + k sigma ^ w over random degrees and weights."""
     worst = 0.0
-    n = model.dim
-    for trial in range(trials):
-        rng = _rng(seed, 12, trial)
-        ws, ws2, sigma = _two_structures(model, seed, trial, fiber_dependence=(trial % 4 == 0))
-        p = trial_point(model, rng)
-        deg = int(rng.integers(0, n))
-        k = _weight_pool(model)[int(rng.integers(0, 4))]
-        spec = random_form_field(ws, rng, deg, k)
+    for deg, group, rngs, p, k in _form_groups(model, seed, 12, trials, (0, model.dim)):
+        ws, ws2, sigma = _two_structures(model, seed, group, fiber_dependence=[t % 4 == 0 for t in group])
+        spec = random_form_field(ws, rngs, deg, k)
         spec2 = FormFieldSpec(spec.field, deg, k, ws2.gauge)
         d1 = dD(engine, ws, spec, p)
         d2 = dD(engine, ws2, spec2, p)
         sg = lee_jet(engine, sigma, p)
         w = spec.field.values(p)
-        shift = k * (sg * w if deg == 0 else insert_alt(outer_front(sg, np.asarray(w), deg), deg))
+        shift = k * (sg * w if deg == 0 else insert_alt(outer_front(sg, w, deg), deg))
         worst = max(worst, float(np.max(np.abs(d2 - d1 - shift))))
     return IdentityReport("d_transform", trials, worst, tolerance, worst < tolerance)
 
@@ -261,33 +268,25 @@ def check_codifferential_transform(engine: DerivativeEngine, model: ModelSpace, 
     plus the largest gap between the least-squares coefficient fit and the
     resolved formula.
     """
-    worst = 0.0
-    worst_printed = 0.0
-    worst_fit_gap = 0.0
+    worst = worst_printed = worst_fit_gap = 0.0
     n = model.dim
-    for trial in range(trials):
-        rng = _rng(seed, 13, trial)
-        ws, ws2, sigma = _two_structures(model, seed, trial)
-        p = trial_point(model, rng)
-        deg = int(rng.integers(1, n + 1))
-        k = _weight_pool(model)[int(rng.integers(0, 4))]
-        spec = random_form_field(ws, rng, deg, k)
+    for deg, group, rngs, p, k in _form_groups(model, seed, 13, trials, (1, n + 1)):
+        ws, ws2, sigma = _two_structures(model, seed, group)
+        spec = random_form_field(ws, rngs, deg, k)
         spec2 = FormFieldSpec(spec.field, deg, k, ws2.gauge)
         s1 = deltaD(engine, ws, spec, p)
         s2 = deltaD(engine, ws2, spec2, p)
-        g = ws.gram(p)
-        sg = lee_jet(engine, sigma, p)
-        ssharp = inv_gram(g) @ sg
-        iw = tdot(ssharp, np.asarray(spec.field.values(p)), 0)
+        ssharp = np.einsum("ab...,b...->a...", inv_gram(ws.gram(p)), lee_jet(engine, sigma, p))
+        iw = tdot(ssharp, spec.field.values(p), 0)
         diff = s2 - s1
         c_res = codifferential_shift_coefficient(n, k, deg)
         c_alt = printed_shift_coefficient(n, k, deg)
         worst = max(worst, float(np.max(np.abs(diff - c_res * iw))))
         worst_printed = max(worst_printed, float(np.max(np.abs(diff - c_alt * iw))))
-        denom = float(np.sum(iw * iw))
-        if denom > 1e-16:
-            fit = float(np.sum(diff * iw) / denom)
-            worst_fit_gap = max(worst_fit_gap, abs(fit - c_res))
+        denom = (iw * iw).reshape(-1, len(group)).sum(axis=0)
+        fitted = denom > 1e-16
+        fit = (diff * iw).reshape(-1, len(group)).sum(axis=0)[fitted] / denom[fitted]
+        worst_fit_gap = max(worst_fit_gap, float(np.max(np.abs(fit - c_res[fitted]), initial=0.0)))
     return IdentityReport(
         "codifferential_transform", trials, worst, tolerance, worst < tolerance,
         details={
@@ -312,14 +311,9 @@ def check_d_squared(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,
                     tolerance: float = 1e-6) -> IdentityReport:
     """(d^D)^2 w = k F^D ^ w with both sides on independent paths."""
     worst = 0.0
-    n = model.dim
-    for trial in range(trials):
-        rng = _rng(seed, 14, trial)
-        ws = trial_structure(model, seed, trial)
-        p = trial_point(model, rng)
-        deg = int(rng.integers(0, n - 1))
-        k = _weight_pool(model)[int(rng.integers(0, 4))]
-        spec = random_form_field(ws, rng, deg, k)
+    for deg, group, rngs, p, k in _form_groups(model, seed, 14, trials, (0, model.dim - 1)):
+        ws = trial_structure(model, seed, group)
+        spec = random_form_field(ws, rngs, deg, k)
         w, _, DH, jet = covd2_form_block(engine, ws, spec, p)
         F = _faraday_components(jet.theta, jet.dtheta, _brackets(model, p))
         # F (x) w, then the kernel of (d^D)^2: 1/2 of its pair alternation is F ^ w
@@ -333,11 +327,10 @@ def check_curvature_split(engine: DerivativeEngine, model: ModelSpace, seed: int
                           trials: int = 100, tolerance: float = 1e-7) -> IdentityReport:
     """Symmetric part of the curvature endomorphism equals F^D (x) Id."""
     worst = 0.0
-    for trial in range(trials):
-        rng = _rng(seed, 15, trial)
-        ws = trial_structure(model, seed, trial)
-        p = trial_point(model, rng)
-        worst = max(worst, weyl_curvature(engine, ws, p).split_residual)
+    if trials:
+        ws = trial_structure(model, seed, range(trials))
+        p = np.stack([trial_point(model, _rng(seed, 15, trial)) for trial in range(trials)], axis=1)
+        worst = weyl_curvature(engine, ws, p).split_residual
     return IdentityReport("curvature_split", trials, worst, tolerance, worst < tolerance)
 
 
@@ -346,35 +339,44 @@ def check_curvature_split(engine: DerivativeEngine, model: ModelSpace, seed: int
 # ---------------------------------------------------------------------------
 
 
-def _bochner_pointwise_terms(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec,
-                             coords) -> tuple[float, float, float]:
-    """(<(DiracD)^2 a, a> - <Lap^D a, a>, Ric^D(a#, a#), |k F^D(a#, a#)|) at a point.
+def _bochner_pointwise_terms(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords):
+    """(<(DiracD)^2 a, a> - <Lap^D a, a>, Ric^D(a#, a#), |k F^D(a#, a#)|) at a point or per point of a block.
 
     D(Dw) and the curvature come off the same metric jet, so the residual
     for either sign of the Ricci term is read off these three numbers.
     """
     a, _, DH, jet = covd2_form_block(engine, ws, spec, coords)
     ginv, C = jet.ginv, _brackets(ws.model, coords)
-    p1 = -np.einsum("ab,cab->c", ginv, DH)                            # d^D delta^D a
-    p2 = -np.einsum("ec,ecj->j", ginv, DH - np.swapaxes(DH, 1, 2))   # delta^D d^D a
-    lap = -np.einsum("ab,abj->j", ginv, DH)
-    lhs = float(np.einsum("ab,a,b->", ginv, p1 + p2, a))
-    mid = float(np.einsum("ab,a,b->", ginv, lap, a))
-    ash = ginv @ a
-    ric_term = float(ash @ _ricci(_coeff_curvature(jet.W, jet.dW, C), jet.g, ginv) @ ash)
-    f_term = abs(spec.weight * float(ash @ _faraday_components(jet.theta, jet.dtheta, C) @ ash))
+    p1 = -np.einsum("ab...,cab...->c...", ginv, DH)                            # d^D delta^D a
+    p2 = -np.einsum("ec...,ecj...->j...", ginv, DH - np.swapaxes(DH, 1, 2))   # delta^D d^D a
+    lap = -np.einsum("ab...,abj...->j...", ginv, DH)
+    lhs = np.einsum("ab...,a...,b...->...", ginv, p1 + p2, a)
+    mid = np.einsum("ab...,a...,b...->...", ginv, lap, a)
+    ash = np.einsum("ab...,b...->a...", ginv, a)
+    ric_term = np.einsum("a...,ab...,b...->...", ash, _ricci(_coeff_curvature(jet.W, jet.dW, C), jet.g, ginv), ash)
+    f_term = np.abs(spec.weight * np.einsum("a...,ab...,b...->...", ash,
+                                            _faraday_components(jet.theta, jet.dtheta, C), ash))
     return lhs - mid, ric_term, f_term
 
 
-def bochner_pointwise_residual(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec,
-                               coords) -> tuple[float, float, float]:
+def bochner_pointwise_residual(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords):
     """Residual of <(DiracD)^2 a, a> = <Lap^D a, a> + s Ric^D(a#, a#), s = ``RESOLVED_BOCHNER_SIGN``.
 
-    Returns (residual, |Ric term|, |contracted F term|); the last is the
-    k F^D(a#, a#) contraction that must vanish by antisymmetry.
+    Returns (residual, |Ric term|, |contracted F term|), each per point; the
+    last is the k F^D(a#, a#) contraction that must vanish by antisymmetry.
     """
     diff, ric_term, f_term = _bochner_pointwise_terms(engine, ws, spec, np.asarray(coords, dtype=float))
-    return abs(diff - RESOLVED_BOCHNER_SIGN * ric_term), abs(ric_term), f_term
+    return np.abs(diff - RESOLVED_BOCHNER_SIGN * ric_term), np.abs(ric_term), f_term
+
+
+def _bochner_trials(model: ModelSpace, seed: int, tag: int, trials, weights, with_lee=True):
+    """(structure, form spec, points) of the listed 1-form trials, each drawing its point, then its weight
+    from ``weights``, then its form."""
+    rngs = [_rng(seed, tag, trial) for trial in trials]
+    ws = trial_structure(model, seed, trials, with_lee=with_lee)
+    p = np.stack([trial_point(model, rng) for rng in rngs], axis=1)
+    k = np.array([weights[int(rng.integers(0, len(weights)))] for rng in rngs])
+    return ws, random_form_field(ws, rngs, 1, k), p
 
 
 def resolve_bochner_sign(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,
@@ -382,26 +384,22 @@ def resolve_bochner_sign(engine: DerivativeEngine, model: ModelSpace, seed: int 
     """Pick the curvature-term sign that closes the identity on curved trials.
 
     PASS requires a unique winner across all trials with residual below the
-    tolerance while the loser's residual tracks 2 |Ric(a#, a#)|.
+    tolerance while the loser's residual tracks 2 |Ric(a#, a#)|.  A candidate
+    with |Ric(a#, a#)| < 1e-6 casts no vote; the first ``trials`` candidates
+    run as one batch, then the shortfall, up to 3 ``trials`` candidates.
     """
-    votes = []
-    worst_winner = 0.0
-    min_margin = math.inf
-    trial = 0
-    while len(votes) < trials and trial < 3 * trials:
-        rng = _rng(seed, 17, trial)
-        ws = trial_structure(model, seed, trial, with_lee=(trial % 2 == 0))
-        p = trial_point(model, rng)
-        k = _weight_pool(model)[int(rng.integers(0, 4))]
-        spec = random_form_field(ws, rng, 1, k)
-        trial += 1
+    votes, worst_winner, min_margin, tried = [], 0.0, math.inf, 0
+    while len(votes) < trials and tried < 3 * trials:
+        batch = range(tried, min(tried + trials - len(votes), 3 * trials))
+        tried = batch.stop
+        ws, spec, p = _bochner_trials(model, seed, 17, batch, _weight_pool(model), with_lee=[t % 2 == 0 for t in batch])
         diff, ric_term, _ = _bochner_pointwise_terms(engine, ws, spec, p)
-        r_plus, r_minus, ric_mag = abs(diff - ric_term), abs(diff + ric_term), abs(ric_term)
-        if ric_mag < 1e-6:
-            continue
-        votes.append(+1.0 if r_plus < r_minus else -1.0)
-        worst_winner = max(worst_winner, min(r_plus, r_minus))
-        min_margin = min(min_margin, max(r_plus, r_minus) / max(min(r_plus, r_minus), 1e-16))
+        voting = ~(np.abs(ric_term) < 1e-6)
+        r_plus, r_minus = np.abs(diff - ric_term)[voting], np.abs(diff + ric_term)[voting]
+        winner, loser = np.minimum(r_plus, r_minus), np.maximum(r_plus, r_minus)
+        votes += [1.0 if plus else -1.0 for plus in r_plus < r_minus]
+        worst_winner = max(worst_winner, float(np.max(winner, initial=0.0)))
+        min_margin = min(min_margin, float(np.min(loser / np.maximum(winner, 1e-16), initial=math.inf)))
     unanimous = len(votes) > 0 and all(v == votes[0] for v in votes)
     sign = votes[0] if unanimous else 0.0
     passed = unanimous and worst_winner < tolerance and sign == RESOLVED_BOCHNER_SIGN
@@ -413,17 +411,11 @@ def resolve_bochner_sign(engine: DerivativeEngine, model: ModelSpace, seed: int 
 
 def check_bochner_pointwise(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,
                             trials: int = 20, tolerance: float = 1e-5) -> IdentityReport:
-    worst = 0.0
-    worst_f = 0.0
-    for trial in range(trials):
-        rng = _rng(seed, 18, trial)
-        ws = trial_structure(model, seed, trial)
-        p = trial_point(model, rng)
-        k = _weight_pool(model)[int(rng.integers(0, 4))]
-        spec = random_form_field(ws, rng, 1, k)
+    worst = worst_f = 0.0
+    if trials:
+        ws, spec, p = _bochner_trials(model, seed, 18, range(trials), _weight_pool(model))
         res, _, f_term = bochner_pointwise_residual(engine, ws, spec, p)
-        worst = max(worst, res)
-        worst_f = max(worst_f, f_term)
+        worst, worst_f = float(np.max(res)), float(np.max(f_term))
     return IdentityReport(
         "bochner_pointwise", trials, worst, tolerance, worst < tolerance,
         details={"sign": RESOLVED_BOCHNER_SIGN, "max_contracted_faraday_term": worst_f},
@@ -474,8 +466,8 @@ def _bochner_density(engine: DerivativeEngine, ws: WeylStructure, spec: FormFiel
     return jet.vol, _density(jet.ric, jet.ginv, a, H)
 
 
-def bochner_divergence_residual(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords) -> float:
-    """Residual of |Da|^2 + s Ric(a#, a#) - |DiracD a|^2 + delta^D(zeta) = 0, s = ``RESOLVED_BOCHNER_SIGN``.
+def bochner_divergence_residual(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords):
+    """Residual of |Da|^2 + s Ric(a#, a#) - |DiracD a|^2 + delta^D(zeta) = 0, s = ``RESOLVED_BOCHNER_SIGN``, per point.
 
     Both terms come off the one metric jet of ``covd2_form_block``; Ric^D
     takes the curvature route (``_coeff_curvature``, ``_ricci``) on its jet.
@@ -483,20 +475,15 @@ def bochner_divergence_residual(engine: DerivativeEngine, ws: WeylStructure, spe
     coords = np.asarray(coords, dtype=float)
     a, H, DH, jet = covd2_form_block(engine, ws, spec, coords)
     ric = _ricci(_coeff_curvature(jet.W, jet.dW, _brackets(ws.model, coords)), jet.g, jet.ginv)
-    return abs(float(_density(ric, jet.ginv, a, H)) + float(_zeta_codifferential(a, H, DH, jet.ginv)))
+    return np.abs(_density(ric, jet.ginv, a, H) + _zeta_codifferential(a, H, DH, jet.ginv))
 
 
 def check_bochner_divergence(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,
                              trials: int = 20, tolerance: float = 1e-5) -> IdentityReport:
     worst = 0.0
-    for trial in range(trials):
-        rng = _rng(seed, 19, trial)
-        ws = trial_structure(model, seed, trial)
-        p = trial_point(model, rng)
-        ks = _weight_pool(model) + [(4.0 - model.dim) / 2.0]
-        k = ks[int(rng.integers(0, len(ks)))]
-        spec = random_form_field(ws, rng, 1, k)
-        worst = max(worst, bochner_divergence_residual(engine, ws, spec, p))
+    if trials:
+        ws, spec, p = _bochner_trials(model, seed, 19, range(trials), _weight_pool(model) + [(4.0 - model.dim) / 2.0])
+        worst = float(np.max(bochner_divergence_residual(engine, ws, spec, p)))
     return IdentityReport("bochner_divergence", trials, worst, tolerance, worst < tolerance,
                           details={"sign": RESOLVED_BOCHNER_SIGN})
 
@@ -539,8 +526,8 @@ def check_bochner_integral(engine: DerivativeEngine, model: ModelSpace, seed: in
     pairs = []
     for trial in range(trials):
         rng = _rng(seed, 20, trial)
-        ws = trial_structure(model, seed, trial, fiber_dependence=(trial % 2 == 0), wave_scale=0.45)
-        spec = random_form_field(ws, rng, 1, k, fiber_dependence=(trial % 2 == 0), wave_scale=0.45)
+        ws = trial_structure(model, seed, [trial], fiber_dependence=(trial % 2 == 0), wave_scale=0.45)
+        spec = random_form_field(ws, [rng], 1, k, fiber_dependence=(trial % 2 == 0), wave_scale=0.45)
         r1 = float(rng.uniform(1.3, 1.5) * model.R)
         r2 = r1 + float(rng.uniform(0.4, 0.6) * model.R)
         vol, bnd = bochner_integral_sides(engine, ws, spec, r1, r2, quad)

@@ -17,11 +17,11 @@ D_X w = nabla^g_X w + (k - p) theta(X) w - theta ^ (X _| w) + X^b ^ (theta# _| w
 is assembled only in the tests, as the kernel's independent oracle.
 
 All conformal-frame sums are realized in the fixed model frame through
-inverse-Gram contractions with g.  On a node block g^-1 comes from
-``gram_factor``, an unpivoted Cholesky run along the batch axis, the one
-kernel that also gives the flux pass its definiteness check and, from the
-same factor, the curved quadratures sqrt(det g); a single batch-less gram
-keeps LAPACK.
+inverse-Gram contractions with g.  g^-1 comes from ``gram_factor``, an
+unpivoted Cholesky run along the batch axis (a node block, the points of a
+batch of identity trials, or one point), the one kernel that also gives
+the flux pass and the identity trials their definiteness check and, from
+the same factor, the curved quadratures sqrt(det g).
 Weighted forms are never implicitly coerced between gauges; cross-gauge
 comparisons go through the explicit f**(k/2) regauging rule.  A gauge
 change g -> f g records f on the Lee form, and ``lee_jet`` reads
@@ -75,6 +75,7 @@ from typing import Callable
 
 import numpy as np
 
+from .autodiff import move_axis
 from .engine import DerivativeEngine, Field, frame_jet1, frame_jet2
 from .errors import ChartDomainError, DegreeError, GaugeMismatchError
 from .families import LeeFormField, MetricFamily, ScalarField, conformal_sweep
@@ -151,9 +152,10 @@ def gram_factor(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Unpivoted, one column at a time (Golub & Van Loan, *Matrix Computations*,
     sec. 4.2), every operation elementwise along the batch axes: nothing is
     reduced across nodes, so no bit of a node depends on the block size.
-    Only the lower triangle of g is read.  The verdict (batch) is True where
-    every pivot is finite and > 0, i.e. where g is positive definite; a
-    failing pivot is reported, never raised, whatever the caller's errstate.
+    Only the lower triangle of g is read; the batch may be empty.  The
+    verdict (batch) is True where every pivot is finite and > 0, i.e. where
+    g is positive definite; a failing pivot is reported, never raised,
+    whatever the caller's errstate.
     """
     n = g.shape[0]
     # L^T: row j holds column j of L, so each update reads and writes one contiguous run of rows
@@ -164,21 +166,12 @@ def gram_factor(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             s[...] = g[j:, j]
             for k in range(j):
                 s -= lt[k, j:] * lt[k, j]
-            np.sqrt(s[0], out=s[0])
+            np.sqrt(s[:1], out=s[:1])
             s[1:] /= s[0]
         # sqrt(p) is finite and > 0 exactly where the pivot p is
         pivots = np.diagonal(lt)
         definite = np.all(np.isfinite(pivots) & (pivots > 0), axis=-1)
     return lt.swapaxes(0, 1), definite
-
-
-def _definite_factor(g: np.ndarray) -> np.ndarray:
-    """``gram_factor``'s L of a batch-last gram; ChartDomainError where g is not positive definite."""
-    L, definite = gram_factor(g)
-    if not np.all(definite):
-        raise ChartDomainError(f"metric is not positive definite at {np.sum(~definite)} of {definite.size}"
-                               " nodes of a node block")
-    return L
 
 
 def _factor_inverse(L: np.ndarray) -> np.ndarray:
@@ -203,32 +196,20 @@ def _factor_inverse(L: np.ndarray) -> np.ndarray:
     return out
 
 
-def inv_gram(g: np.ndarray) -> np.ndarray:
-    """g^-1 of one gram (n, n), or of a batch-last block (n, n) + batch, returned C-order and batch-last.
-
-    A block is inverted as L^-T L^-1 from ``gram_factor``; a block where g
-    is not positive definite raises ChartDomainError.  The batch-less gram
-    of the pointwise checks keeps LAPACK's ``inv``: on one 4 x 4 matrix the
-    column loops, a fixed count of numpy calls, take 0.11 ms against
-    LAPACK's 0.005 ms.
-    """
-    if g.ndim == 2:
-        return np.linalg.inv(g)
-    return _factor_inverse(_definite_factor(g))
-
-
 def inv_gram_volume(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(g^-1, sqrt(det g)) of a gram or a batch-last block, from one factorization.
-
-    On a block both come off one ``gram_factor``: g^-1 as in ``inv_gram``,
-    bit for bit, and sqrt(det g) as the product of the pivots L_jj.  A
-    block where g is not positive definite raises ChartDomainError; a
-    batch-less gram keeps LAPACK, as in ``inv_gram``.
-    """
-    if g.ndim == 2:
-        return np.linalg.inv(g), np.sqrt(np.linalg.det(g))
-    L = _definite_factor(g)
+    """(g^-1, sqrt(det g)) of a batch-last block (n, n) + batch, one gram included, from one ``gram_factor``:
+    g^-1 = L^-T L^-1, C-order and batch-last, and sqrt(det g) the product of the pivots L_jj.  A block where
+    g is not positive definite raises ChartDomainError."""
+    L, definite = gram_factor(g)
+    if not np.all(definite):
+        raise ChartDomainError(f"metric is not positive definite at {np.sum(~definite)} of {definite.size}"
+                               " nodes of a node block")
     return _factor_inverse(L), reduce(mul, (L[j, j] for j in range(g.shape[0])))
+
+
+def inv_gram(g: np.ndarray) -> np.ndarray:
+    """The g^-1 of ``inv_gram_volume``."""
+    return inv_gram_volume(g)[0]
 
 
 def tdot(vec: np.ndarray, arr: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -251,7 +232,7 @@ def insert_alt(block: np.ndarray, p: int) -> np.ndarray:
     """
     out = block.copy()
     for j in range(1, p + 1):
-        out += (-1) ** j * np.moveaxis(block, 0, j)
+        out += (-1) ** j * move_axis(block, 0, j)
     return out
 
 
@@ -513,12 +494,13 @@ def _slot_terms(S: np.ndarray, W: np.ndarray, theta, k: float, nslots: int):
 
     out[a; j1..jq] = k theta_a S[J] - sum_s W[a, j_s, l] S[.. l ..].
     theta is unused (may be None) when k = 0.  Axes between the tensor slots
-    and the batch axes broadcast against the trailing axes of W and theta.
+    and the batch axes broadcast against the trailing axes of W and theta;
+    k is one weight or one per point.
     """
-    out = k * outer_front(theta, S, nslots) if k else 0.0
+    out = k * outer_front(theta, S, nslots) if np.any(k) else 0.0
     for s in range(nslots):
-        contr = np.einsum("ial...,l...->ia...", W, np.moveaxis(S, s, 0))  # (a, i, other slots, batch)
-        out = out - np.moveaxis(contr, 1, 1 + s)
+        contr = np.einsum("ial...,l...->ia...", W, move_axis(S, s, 0))  # (a, i, other slots, batch)
+        out = out - move_axis(contr, 1, 1 + s)
     return out
 
 
@@ -539,12 +521,12 @@ def _slot_jet(S, dS, ddS, W, dW, theta, dtheta, k: float, nslots: int):
     carried as a broadcast axis in front of the batch axes.
     """
     q = nslots
-    if not (q or k):  # weight-0 scalar: no connection terms
+    if not (q or np.any(k)):  # weight-0 scalar: no connection terms
         return dS, ddS
-    th, dth = (theta[:, None], np.moveaxis(dtheta, 0, 1)) if k else (None, None)
-    conn = (_slot_terms(np.moveaxis(dS, 0, q), W[:, :, :, None], th, k, q)
-            + _slot_terms(np.expand_dims(S, q), np.moveaxis(dW, 0, 3), dth, k, q))
-    return _covd_slots(S, dS, W, theta, k, q), ddS + np.moveaxis(conn, q + 1, 0)
+    th, dth = (theta[:, None], move_axis(dtheta, 0, 1)) if np.any(k) else (None, None)
+    conn = (_slot_terms(move_axis(dS, 0, q), W[:, :, :, None], th, k, q)
+            + _slot_terms(np.expand_dims(S, q), move_axis(dW, 0, 3), dth, k, q))
+    return _covd_slots(S, dS, W, theta, k, q), ddS + move_axis(conn, q + 1, 0)
 
 
 def _require_gauge(ws: WeylStructure, spec: FormFieldSpec) -> None:

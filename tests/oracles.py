@@ -172,10 +172,10 @@ def check_weighted_derivative_oracle(engine: DerivativeEngine, model: ModelSpace
     worst = 0.0
     for trial in range(trials):
         rng = _rng(seed, 16, trial)
-        ws = trial_structure(model, seed, trial)
+        ws = trial_structure(model, seed, [trial])
         p = trial_point(model, rng)
         k = _weight_pool(model)[int(rng.integers(0, 4))]
-        spec = random_form_field(ws, rng, 1, k)
+        spec = random_form_field(ws, [rng], 1, k)
         H = covd_form_block(engine, ws, spec, p)[1]
         a, da = frame_jet1(engine, model, spec.field, p)
         gam = christoffel(engine, model, ws.metric, p)[0]

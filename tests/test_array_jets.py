@@ -338,16 +338,55 @@ def test_trial_evaluators_equal_nested_oracles(request, chart, fiber, batch):
     space = request.getfixturevalue(chart)
     p = _points(space, 3, batch)
     for seed in (11, 12):
-        assert_same_jet(random_local_metric(space, seed, fiber_dependence=fiber).fn,
+        assert_same_jet(random_local_metric(space, [seed], fiber_dependence=fiber).fn,
                         nested_metric(space, seed, fiber_dependence=fiber), p)
-        assert_same_jet(random_local_lee(space, seed, fiber_dependence=fiber).fn,
+        assert_same_jet(random_local_lee(space, [seed], fiber_dependence=fiber).fn,
                         nested_lee(space, seed, fiber_dependence=fiber), p)
-    ws = trial_structure(space, 5, 1)
+    ws = trial_structure(space, 5, [1])
     for degree in range(space.dim + 1):
-        spec = random_form_field(ws, np.random.default_rng(degree), degree, 0.5, fiber_dependence=fiber)
+        spec = random_form_field(ws, [np.random.default_rng(degree)], degree, 0.5, fiber_dependence=fiber)
         assert_same_jet(spec.field.fn, nested_form(space, np.random.default_rng(degree), degree, fiber), p)
-    assert_same_jet(random_vector_field(space, np.random.default_rng(9)).fn,
+    assert_same_jet(random_vector_field(space, [np.random.default_rng(9)]).fn,
                     nested_vector(space, np.random.default_rng(9)), p)
+
+
+@pytest.mark.parametrize("chart", ["model", "hopf_space"])
+def test_stacked_trial_fields_equal_the_one_trial_fields_bitwise(request, chart):
+    """Stacking changes no draw: for each trial-field builder, the slice for trial t of a T-trial field
+    taken at its T points equals the one-trial field of the same draws at trial t's point alone, bit for
+    bit: value, frame gradient and frame Hessian (``frame_jet2``).  The trials mix fiber-dependent with
+    fiber-independent ones, which take the fiber term at a zero coefficient, and Lee forms with zero ones
+    (zero amplitudes, whose slices are zero).  Adding 0.0 reads -0 as +0 on both sides: on the Hopf chart the
+    stack's fiber-dependent trials make ``frame_from_coord`` subtract A dt = 0 from the others too, which may
+    turn a -0 of theirs into +0, the one bit that may differ."""
+    from weylmass.engine import frame_jet2
+
+    space = request.getfixturevalue(chart)
+    fiber = [True, False, False, True, False]
+    lee_amplitude = [0.3, 0.0, 0.3, 0.0, 0.3]
+    seeds = [101, 102, 103, 104, 105]
+    p = _points(space, 7, len(seeds))
+    ws = trial_structure(space, 8, [0])
+
+    def builders(ts):
+        """The four builders over trials ts, each form and vector field on its own fresh generators."""
+        fb = [fiber[t] for t in ts]
+        return [random_local_metric(space, [seeds[t] for t in ts], fiber_dependence=fb).as_field(),
+                Field(random_local_lee(space, [seeds[t] for t in ts], amplitude=[lee_amplitude[t] for t in ts],
+                                       fiber_dependence=fb).fn, shape=(space.dim,)),
+                random_form_field(ws, [np.random.default_rng(20 + t) for t in ts], 0, 0.5, fiber_dependence=fb).field,
+                random_form_field(ws, [np.random.default_rng(30 + t) for t in ts], 2, 0.5, fiber_dependence=fb).field,
+                random_vector_field(space, [np.random.default_rng(40 + t) for t in ts])]
+
+    engine = DerivativeEngine()
+    stacked = [frame_jet2(engine, space, fld, p) for fld in builders(range(len(seeds)))]
+    assert np.any(stacked[0][1][..., space.m, :, :, 0]) and not np.any(stacked[0][1][..., space.m, :, :, 1])
+    for t in range(len(seeds)):
+        for jets, fld in zip(stacked, builders([t]), strict=True):
+            for got, want in zip(jets, frame_jet2(engine, space, fld, p[:, t]), strict=True):
+                assert (got[..., t] + 0.0).tobytes() == (want + 0.0).tobytes()
+        if not lee_amplitude[t]:
+            assert all(not np.any(part[..., t]) for part in stacked[1])
 
 
 @pytest.mark.parametrize("chart,fiber", CHARTS)
@@ -357,10 +396,10 @@ def test_dual_jet1_equals_jet2_on_trial_fields(request, chart, fiber, batch):
     space = request.getfixturevalue(chart)
     p = _points(space, 6, batch)
     engine = DerivativeEngine()
-    ws = trial_structure(space, 5, 1)
-    lee = random_local_lee(space, 11, fiber_dependence=fiber)
-    fields = [random_local_metric(space, 11, fiber_dependence=fiber).as_field(), Field(lee.fn, shape=(space.dim,))]
-    fields += [random_form_field(ws, np.random.default_rng(degree), degree, 0.5, fiber_dependence=fiber).field
+    ws = trial_structure(space, 5, [1])
+    lee = random_local_lee(space, [11], fiber_dependence=fiber)
+    fields = [random_local_metric(space, [11], fiber_dependence=fiber).as_field(), Field(lee.fn, shape=(space.dim,))]
+    fields += [random_form_field(ws, [np.random.default_rng(degree)], degree, 0.5, fiber_dependence=fiber).field
                for degree in range(space.dim + 1)]
     for fld in fields:
         first, second = engine.jet1(fld, p), engine.jet2(fld, p)
@@ -375,13 +414,13 @@ def test_gauge_change_and_extended_lee_on_array_lee(request, chart):
     frame derivatives as the nested evaluator with the factor's closed-form gradient gives them."""
     space = request.getfixturevalue(chart)
     p = _points(space, 4, 3)
-    base = random_local_lee(space, 21, fiber_dependence=True)
-    extra = random_local_lee(space, 22)
+    base = random_local_lee(space, [21], fiber_dependence=True)
+    extra = random_local_lee(space, [22])
     ext = extended_lee(base, extra)
     old_base, old_extra = nested_lee(space, 21, fiber_dependence=True), nested_lee(space, 22)
     assert_same_jet(ext.fn, lambda c: [x + y for x, y in zip(old_base(c), old_extra(c))], p)
 
-    fam = random_local_metric(space, 21)
+    fam = random_local_metric(space, [21])
     factor = radial_profile(space, beta=0.3)
     ws2 = gauge_change(WeylStructure(space, fam, base), factor)
 
@@ -411,15 +450,15 @@ def test_regauge_and_probe_deviation_on_array_fields(request, chart):
     """The oracle ``regauge`` scales an array-valued form; the metric probes index an array-valued metric."""
     space = request.getfixturevalue(chart)
     p = _points(space, 5, 3)
-    ws = trial_structure(space, 6, 0)
+    ws = trial_structure(space, 6, [0])
     factor = radial_profile(space, beta=0.4)
     for degree in (0, 2):
-        spec = random_form_field(ws, np.random.default_rng(degree), degree, 1.5, fiber_dependence=True)
+        spec = random_form_field(ws, [np.random.default_rng(degree)], degree, 1.5, fiber_dependence=True)
         old = nested_form(space, np.random.default_rng(degree), degree, True)
         assert_same_jet(regauge(spec, factor, "g~f").field.fn,
                         lambda c, old=old: _scale_leaves(old(c), factor.fn(c) ** 0.75), p)
     engine = DerivativeEngine()
-    fam = random_local_metric(space, 8)
+    fam = random_local_metric(space, [8])
     reports = metric_probes(space, fam.name, probe_jet(engine, fam))
     assert len(reports) == 3 and all(np.isfinite(r.slope) for r in reports)
 
@@ -436,7 +475,7 @@ def test_metric_jet_object_count_does_not_grow_with_m(monkeypatch):
 
     for m in (3, 5):
         space = ModelSpace(m=m, R=1.0, L=2.0 * np.pi, fibration="trivial")
-        fam = random_local_metric(space, 3, fiber_dependence=True)
+        fam = random_local_metric(space, [3], fiber_dependence=True)
         seeds = am.seed_point(trial_point(space, np.random.default_rng(m)))
         monkeypatch.setattr(am.Taylor2, "__init__", counting_init)
         built[0] = 0
@@ -448,7 +487,7 @@ def test_metric_jet_object_count_does_not_grow_with_m(monkeypatch):
 
 def test_dual_engine_returns_array_jet_unchanged():
     space = ModelSpace(m=3, R=1.0, L=2.0 * np.pi, fibration="trivial")
-    fld = random_local_metric(space, 2).as_field()
+    fld = random_local_metric(space, [2]).as_field()
     p = _points(space, 1, 6)
     val, grad, hess = DerivativeEngine().jet2(fld, p)
     assert val.shape == (4, 4, 6) and grad.shape == (4, 4, 4, 6) and hess.shape == (4, 4, 4, 4, 6)

@@ -241,7 +241,7 @@ def test_flux_pass_takes_first_order_jets_only(request, engine, chart, skip_weyl
     """A flux pass seeds a Hessian into the metric only for the decay probes' one jet2 on the probe grid; its
     node blocks take jet1 (the trial metric is not ALF, so its probes are switched off, not its jets)."""
     space = request.getfixturevalue(chart)
-    ws = trial_structure(space, 3, 0)
+    ws = trial_structure(space, 3, [0])
     seen = []
     ws.metric.fn = _recording(ws.metric.fn, seen)
     flux_pass(engine, ws, [radial_profile(space, beta=0.3)], radii=[40.0, 80.0],

@@ -1,10 +1,10 @@
 """The CI workflow installs the test extra, runs CLI smoke commands (a Hopf, an m = 5, a refined m = 5, a
-Hopf compact_lee, an m = 6 and an m = 7 mass, a pointwise verify at m = 3, on the Hopf chart and at m = 5 and an
-annulus verify at m = 3 and m = 4, then
+Hopf compact_lee, an m = 6 and an m = 7 mass, a pointwise verify at m = 3, on the Hopf chart and at m = 5, the
+pointwise suite at its default trial counts and an annulus verify at m = 3 and m = 4, then
 Hopf sweeps, a trivial-chart sweep, a one-value Hopf sweep, a Hopf sweep over the directional_profile axis, an
 m = 5 sweep and a Hopf sweep on the hopf_model base),
-summarizes every report they wrote, reruns a mass, the m = 3 annulus verify, the m = 5 mass and the Hopf
-directional_profile sweep from the configs their reports embed, checks that a verify whose Bochner tolerance no
+summarizes every report they wrote, reruns a mass, the m = 3 annulus verify, the m = 5 mass, the Hopf
+directional_profile sweep and the default-trial pointwise verify from the configs their reports embed, checks that a verify whose Bochner tolerance no
 residual meets exits 1 and so does the report of it, and runs the tier-1 command that ROADMAP.md names, with a
 time limit."""
 
@@ -57,8 +57,9 @@ def test_workflow_smoke_runs_verify_as_module():
 
 
 def test_workflow_smoke_runs_an_annulus_verify():
-    """The same step then runs the pointwise ``verify`` on the Hopf chart and at m = 5 (n = 6), and then
-    ``verify`` on one Bochner-integral trial, the streamed annulus."""
+    """The same step then runs the pointwise ``verify`` on the Hopf chart and at m = 5 (n = 6), then the
+    pointwise suite at its default 100/20 trials (each check's trials evaluated as one batch per form degree),
+    and then ``verify`` on one Bochner-integral trial, the streamed annulus."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
@@ -68,12 +69,13 @@ def test_workflow_smoke_runs_an_annulus_verify():
         ({"trials": {"identity": 6, "bochner": 3, "integral": 0}}, "smoke"),
         ({"model": {"fibration": "hopf"}, "trials": {"identity": 6, "bochner": 3, "integral": 0}}, "pointwise_hopf"),
         ({"model": {"m": 5}, "trials": {"identity": 6, "bochner": 3, "integral": 0}}, "pointwise_m5"),
+        ({"trials": {"integral": 0}}, "pointwise_default"),
         ({"trials": {"identity": 0, "bochner": 1, "integral": 1}}, "annulus"),
         ({"model": {"m": 4}, "trials": {"identity": 0, "bochner": 1, "integral": 1}}, "annulus_m4"),
     ]
     commands = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" .*\bverify$",
                           smoke, re.MULTILINE)
-    assert commands == ["smoke", "pointwise_hopf", "pointwise_m5", "annulus", "annulus_m4"]
+    assert commands == ["smoke", "pointwise_hopf", "pointwise_m5", "pointwise_default", "annulus", "annulus_m4"]
 
 
 def test_workflow_smoke_runs_an_m4_annulus_verify():
@@ -165,7 +167,7 @@ def test_workflow_report_smoke_reads_every_smoke_report():
                for name in ("Mass smoke", "CLI smoke", "Sweep smoke")
                for out, command in re.findall(r"--out \"\$RUNNER_TEMP/(\w+)\" (\w+)$",
                                               job["steps"][names.index(name)]["run"], re.MULTILINE)]
-    assert len(written) == 18
+    assert len(written) == 19
     assert written[-1] == "$RUNNER_TEMP/sweep_hopf_model/sweep_report.jsonl"
     (line,) = job["steps"][names.index("Report smoke")]["run"].strip().splitlines()
     prefix = "PYTHONPATH=src python -m weylmass report "
@@ -177,10 +179,11 @@ def test_workflow_reproduces_a_mass_from_its_report(tmp_path):
     """Right before the tier-1 tests, a partial-section Hopf mass, then a mass from the config record its report
     embeds: the two reports must be the same bytes.  Then the same for the one-trial annulus verify of the CLI
     smoke: a verify from the config its report embeds must write the same bytes.  Then the same for the
-    default m = 5 mass of the mass smoke.  Last, the same for the Hopf directional_profile sweep of the sweep
-    smoke, whose factors take their flux and probe jets as one stacked field.  The step's commands are run
-    here as CI runs them, after the CLI smoke's annulus commands, the mass smoke's m = 5 commands and the
-    sweep smoke's directional_profile commands."""
+    default m = 5 mass of the mass smoke.  Then the same for the Hopf directional_profile sweep of the sweep
+    smoke, whose factors take their flux and probe jets as one stacked field.  Last, the same for the CLI
+    smoke's pointwise verify at the default trial counts.  The step's commands are run here as CI runs them,
+    after the CLI smoke's annulus and default-trial pointwise commands, the mass smoke's m = 5 commands and
+    the sweep smoke's directional_profile commands."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
@@ -196,7 +199,8 @@ def test_workflow_reproduces_a_mass_from_its_report(tmp_path):
                       r"--out \"\$RUNNER_TEMP/(\w+)\" (\w+)$", smoke, re.MULTILINE)
     assert runs == [("partial", "partial", "mass"), ("reproduce", "reproduce", "mass"),
                     ("reproduce_annulus", "reproduce_annulus", "verify"), ("reproduce_m5", "reproduce_m5", "mass"),
-                    ("reproduce_sweep", "reproduce_sweep", "sweep")]
+                    ("reproduce_sweep", "reproduce_sweep", "sweep"),
+                    ("reproduce_pointwise", "reproduce_pointwise", "verify")]
     lines = smoke.strip().splitlines()
     assert lines[4] == 'cmp "$RUNNER_TEMP/partial/mass_report.jsonl" "$RUNNER_TEMP/reproduce/mass_report.jsonl"'
     assert lines[5].startswith('head -n 1 "$RUNNER_TEMP/annulus/verify_report.jsonl" | ')
@@ -205,11 +209,17 @@ def test_workflow_reproduces_a_mass_from_its_report(tmp_path):
     assert lines[8].startswith('head -n 1 "$RUNNER_TEMP/mass_m5/mass_report.jsonl" | ')
     assert lines[10] == 'cmp "$RUNNER_TEMP/mass_m5/mass_report.jsonl" "$RUNNER_TEMP/reproduce_m5/mass_report.jsonl"'
     assert lines[11].startswith('head -n 1 "$RUNNER_TEMP/sweep_dir/sweep_report.jsonl" | ')
-    assert lines[-1] == ('cmp "$RUNNER_TEMP/sweep_dir/sweep_report.jsonl" '
+    assert lines[13] == ('cmp "$RUNNER_TEMP/sweep_dir/sweep_report.jsonl" '
                          '"$RUNNER_TEMP/reproduce_sweep/sweep_report.jsonl"')
+    assert lines[14].startswith('head -n 1 "$RUNNER_TEMP/pointwise_default/verify_report.jsonl" | ')
+    assert lines[-1] == ('cmp "$RUNNER_TEMP/pointwise_default/verify_report.jsonl" '
+                         '"$RUNNER_TEMP/reproduce_pointwise/verify_report.jsonl"')
     cli = job["steps"][names.index("CLI smoke")]["run"]
     annulus = "\n".join(line for line in cli.strip().splitlines() if re.search(r'"\$RUNNER_TEMP/annulus[."]', line))
     assert annulus.count("\n") == 1
+    pointwise = "\n".join(line for line in cli.strip().splitlines()
+                          if re.search(r'"\$RUNNER_TEMP/pointwise_default[."]', line))
+    assert pointwise.count("\n") == 1
     mass = job["steps"][names.index("Mass smoke")]["run"]
     mass_m5 = "\n".join(line for line in mass.strip().splitlines() if re.search(r'"\$RUNNER_TEMP/mass_m5[."]', line))
     assert mass_m5.count("\n") == 1
@@ -220,7 +230,7 @@ def test_workflow_reproduces_a_mass_from_its_report(tmp_path):
     # `python` in the step is this interpreter where its directory has one
     path = f"{Path(sys.executable).parent}{os.pathsep}{os.environ.get('PATH', '')}"
     env = {**os.environ, "RUNNER_TEMP": str(tmp_path), "PATH": path}
-    res = subprocess.run(["bash", "-eo", "pipefail", "-c", "\n".join((annulus, mass_m5, sweep_dir, smoke))], capture_output=True,
+    res = subprocess.run(["bash", "-eo", "pipefail", "-c", "\n".join((annulus, pointwise, mass_m5, sweep_dir, smoke))], capture_output=True,
                          text=True, env=env, cwd=ROOT, timeout=300)
     assert res.returncode == 0, res.stderr + res.stdout
     assert json.loads((tmp_path / "reproduce.json").read_text())["radii"] == {"r0": 30, "rmax": 320.0, "count": 6}
@@ -230,6 +240,8 @@ def test_workflow_reproduces_a_mass_from_its_report(tmp_path):
         "sphere": 26, "fiber": 16, "radial": 8}
     assert json.loads((tmp_path / "reproduce_sweep.json").read_text())["sweep"] == {
         "name": "directional_profile", "param": "beta", "values": [0.2, 0.3]}
+    assert json.loads((tmp_path / "reproduce_pointwise.json").read_text())["trials"] == {
+        "identity": 100, "bochner": 20, "integral": 0}
 
 
 def test_workflow_negative_control_fails_as_it_must(tmp_path):

@@ -306,6 +306,19 @@ def test_mass_indefinite_metric_exits_two(tmp_path):
     assert "not positive definite" in res.stderr
 
 
+@pytest.mark.parametrize("seed", [99, 48])
+def test_verify_refuses_an_indefinite_trial_metric_at_m5(tmp_path, seed):
+    """At m = 5 the random trial metric I + 0.12 sum_q S_q sin(...) of these seeds is indefinite at one of the
+    pointwise checks' trial points.  The trials' grams are factored as one block, which checks definiteness,
+    so ``verify`` exits 2 with one line instead of passing on a g that is not a metric (seed 99) or failing
+    in a square root (seed 48)."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": {"m": 5}, "trials": {"integral": 0}}))
+    res = run_cli(["--config", str(path), "--seed", str(seed), "verify"], tmp_path / "out")
+    assert_one_error_line(res)
+    assert res.stderr.startswith("error: metric is not positive definite at ")
+
+
 @pytest.mark.parametrize("command,changes", [
     ("mass", {"family": {"name": "kaluza_perturbation", "params": {"bogus": 1}}}),
     ("mass", {"lee": {"name": "radial_lee", "params": {"bogus": 1}}}),

@@ -68,10 +68,49 @@ def test_bochner_sign_unique_and_stable(engine, model):
     assert rep.details["min_loser_winner_ratio"] > 100.0
 
 
+@pytest.mark.parametrize("skipped,batches,votes",
+                         [({1, 2, 6}, [5, 2, 1], 5), (set(range(15)) - {4, 9}, [5, 4, 4, 2], 2)],
+                         ids=["tops-up", "runs-out"])
+def test_bochner_sign_keeps_its_vote_rule_across_batches(engine, model, monkeypatch, skipped, batches, votes):
+    """A named patch zeroes Ric(a#, a#) at the skipped candidates, below the 1e-6 vote threshold, and reads the
+    other terms off each candidate's point alone, so every candidate's numbers are the same in any batch.  The
+    batched check runs its first 5 candidates as one batch, then batches of the shortfall, and ends where the
+    one-at-a-time rule on the same draws ends: 5 votes after 8 candidates, or 3 x 5 = 15 candidates with 2 votes.
+    It reports that rule's trials, max residual, resolved sign and min loser/winner ratio."""
+    from weylmass import identities
+
+    trials, seed = 5, 42
+    skipped_x = {float(trial_point(model, _rng(seed, 17, t))[0]) for t in skipped}
+
+    def ric_zeroed_at_skipped(engine, ws, spec, coords):
+        ric = np.where(np.isin(coords[0], list(skipped_x)), 0.0, coords[0])
+        return ric * (1.0 + 1e-12 * coords[1]), ric, np.zeros_like(ric)
+
+    sizes = []
+    monkeypatch.setattr(identities, "_bochner_pointwise_terms",
+                        lambda *args: sizes.append(args[3].shape[1]) or ric_zeroed_at_skipped(*args))
+    rep = resolve_bochner_sign(engine, model, seed=seed, trials=trials)
+
+    cast, worst, margin = [], 0.0, np.inf
+    t = 0
+    while len(cast) < trials and t < 3 * trials:  # the one-at-a-time rule
+        t += 1
+        diff, ric, _ = ric_zeroed_at_skipped(None, None, None, trial_point(model, _rng(seed, 17, t - 1)))
+        r_plus, r_minus = abs(diff - ric), abs(diff + ric)
+        if abs(ric) < 1e-6:
+            continue
+        cast.append(1.0 if r_plus < r_minus else -1.0)
+        worst, margin = max(worst, min(r_plus, r_minus)), min(margin, max(r_plus, r_minus) / min(r_plus, r_minus))
+    assert sizes == batches and sum(sizes) == t
+    assert len(cast) == votes and cast == [1.0] * votes
+    assert (rep.trials, rep.max_residual) == (votes, worst) and worst > 0.0
+    assert rep.details == {"resolved_sign": 1.0, "min_loser_winner_ratio": margin}
+
+
 def test_bochner_loser_residual_tracks_twice_ricci(engine, model):
     rng = _rng(31, 17, 2)
-    ws = trial_structure(model, 31, 2, with_lee=False)
-    spec = random_form_field(ws, rng, 1, 0.0)
+    ws = trial_structure(model, 31, [2], with_lee=False)
+    spec = random_form_field(ws, [rng], 1, 0.0)
     p = trial_point(model, rng)
     diff, ric_term, _ = _bochner_pointwise_terms(engine, ws, spec, p)
     r_plus, r_minus, ric_mag = abs(diff - ric_term), abs(diff + ric_term), abs(ric_term)
@@ -85,8 +124,8 @@ def test_contracted_faraday_term_vanishes(engine, model):
     worst = 0.0
     for trial in range(6):
         rng = _rng(32, 18, trial)
-        ws = trial_structure(model, 32, trial)
-        spec = random_form_field(ws, rng, 1, 1.0)
+        ws = trial_structure(model, 32, [trial])
+        spec = random_form_field(ws, [rng], 1, 1.0)
         _, _, f_term = bochner_pointwise_residual(engine, ws, spec, trial_point(model, rng))
         worst = max(worst, f_term)
     assert worst < 1e-10
@@ -95,15 +134,15 @@ def test_contracted_faraday_term_vanishes(engine, model):
 @pytest.mark.parametrize("weight", [-2.0, 0.0, 0.5, 1.0])
 def test_bochner_divergence_holds_at_any_weight(engine, model, weight):
     rng = _rng(33, 19, int(weight * 10) % 97)
-    ws = trial_structure(model, 33, 1)
-    spec = random_form_field(ws, rng, 1, weight)
+    ws = trial_structure(model, 33, [1])
+    spec = random_form_field(ws, [rng], 1, weight)
     res = bochner_divergence_residual(engine, ws, spec, trial_point(model, rng))
     assert res < 1e-8
 
 
 def test_bochner_integral_compact_support(engine, model):
     """Compactly supported alpha: both sides vanish together."""
-    ws = trial_structure(model, 34, 1, wave_scale=0.4)
+    ws = trial_structure(model, 34, [1], wave_scale=0.4)
     n = model.dim
 
     def bump_fn(c):
@@ -140,8 +179,8 @@ def test_bochner_integral_sides_independent_of_chunk_size(engine, chart, request
     from weylmass import quadrature
 
     space = request.getfixturevalue(chart)
-    ws = trial_structure(space, 42, 0, fiber_dependence=True, wave_scale=0.45)
-    spec = random_form_field(ws, _rng(42, 20, 0), 1, 0.0, fiber_dependence=True, wave_scale=0.45)
+    ws = trial_structure(space, 42, [0], fiber_dependence=True, wave_scale=0.45)
+    spec = random_form_field(ws, [_rng(42, 20, 0)], 1, 0.0, fiber_dependence=True, wave_scale=0.45)
     quad = QuadratureSpec(sphere=26, fiber=16, radial=6)
     total, density_bytes, zeta_bytes = 26 * 16 * 6, 40 * space.dim**4, 48 * space.dim**3
     assert quadrature.BLOCK_BYTES // density_bytes == 512 and total % 512
@@ -167,8 +206,8 @@ def test_density_block_stays_within_its_declared_working_set(request, engine, ch
 
     space = request.getfixturevalue(chart)
     n = space.dim
-    ws = trial_structure(space, 42, 0, fiber_dependence=True, wave_scale=0.45)
-    spec = random_form_field(ws, _rng(42, 20, 0), 1, 0.0, fiber_dependence=True, wave_scale=0.45)
+    ws = trial_structure(space, 42, [0], fiber_dependence=True, wave_scale=0.45)
+    spec = random_form_field(ws, [_rng(42, 20, 0)], 1, 0.0, fiber_dependence=True, wave_scale=0.45)
     pts, weights, _ = next(node_blocks(space, *gauss_legendre(1.4, 1.9, 8), QuadratureSpec(100, 16, 8), 40 * n**4))
     assert pts.shape[1] == 512
 
@@ -197,8 +236,8 @@ def test_zeta_block_stays_within_its_declared_working_set(request, engine, chart
 
     space = request.getfixturevalue(chart)
     n = space.dim
-    ws = trial_structure(space, 42, 0, fiber_dependence=True, wave_scale=0.45)
-    spec = random_form_field(ws, _rng(42, 20, 0), 1, 0.0, fiber_dependence=True, wave_scale=0.45)
+    ws = trial_structure(space, 42, [0], fiber_dependence=True, wave_scale=0.45)
+    spec = random_form_field(ws, [_rng(42, 20, 0)], 1, 0.0, fiber_dependence=True, wave_scale=0.45)
     declared = []
     blocks = identities.node_blocks
     monkeypatch.setattr(identities, "node_blocks", lambda model, radii, wr, quad, node_bytes: declared.append(
@@ -228,8 +267,8 @@ def test_bochner_integral_factors_each_block_once(request, engine, chart, monkey
 
     space = request.getfixturevalue(chart)
     n = space.dim
-    ws = trial_structure(space, 42, 0, fiber_dependence=True, wave_scale=0.45)
-    spec = random_form_field(ws, _rng(42, 20, 0), 1, 0.0, fiber_dependence=True, wave_scale=0.45)
+    ws = trial_structure(space, 42, [0], fiber_dependence=True, wave_scale=0.45)
+    spec = random_form_field(ws, [_rng(42, 20, 0)], 1, 0.0, fiber_dependence=True, wave_scale=0.45)
     quad = QuadratureSpec(sphere=26, fiber=16, radial=6)
     annulus = sum(1 for _ in node_blocks(space, *gauss_legendre(1.4, 1.9, 6), quad, 40 * n**4))
     shell = sum(1 for _ in node_blocks(space, [1.9], [1.0], quad, 48 * n**3))
@@ -249,8 +288,8 @@ def test_bochner_integral_memory_stays_bounded_as_the_sphere_rule_is_refined(eng
     traced peak of ``bochner_integral_sides`` within 1.5x: the annulus and both shells are streamed."""
     import tracemalloc
 
-    ws = trial_structure(model, 42, 0, fiber_dependence=True, wave_scale=0.45)
-    spec = random_form_field(ws, _rng(42, 20, 0), 1, 0.0, fiber_dependence=True, wave_scale=0.45)
+    ws = trial_structure(model, 42, [0], fiber_dependence=True, wave_scale=0.45)
+    spec = random_form_field(ws, [_rng(42, 20, 0)], 1, 0.0, fiber_dependence=True, wave_scale=0.45)
 
     def peak(sphere):
         tracemalloc.start()
@@ -276,8 +315,8 @@ from weylmass.engine import DerivativeEngine
 from weylmass.identities import _rng, bochner_integral_sides, random_form_field, trial_structure
 from weylmass.model import ModelSpace
 from weylmass.quadrature import QuadratureSpec
-ws = trial_structure(ModelSpace(m=3), 42, 0, fiber_dependence=True, wave_scale=0.45)
-spec = random_form_field(ws, _rng(42, 20, 0), 1, 0.0, fiber_dependence=True, wave_scale=0.45)
+ws = trial_structure(ModelSpace(m=3), 42, [0], fiber_dependence=True, wave_scale=0.45)
+spec = random_form_field(ws, [_rng(42, 20, 0)], 1, 0.0, fiber_dependence=True, wave_scale=0.45)
 args = (DerivativeEngine(), ws, spec, 1.4, 1.9, QuadratureSpec(26, 16, 6))
 bochner_integral_sides(*args)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

@@ -95,8 +95,8 @@ def test_shell_forms_match_density_oracle(engine, m, fibration, seed, skip_weyl_
     from weylmass.families import random_local_lee, random_local_metric
 
     space = ModelSpace(m=m, fibration=fibration)
-    fam = random_local_metric(space, seed=seed, fiber_dependence=True)
-    lee = random_local_lee(space, seed=seed, fiber_dependence=True)
+    fam = random_local_metric(space, [seed], fiber_dependence=True)
+    lee = random_local_lee(space, [seed], fiber_dependence=True)
     quad = QuadratureSpec(sphere=9, fiber=3)
     forms = flux_pass(engine, WeylStructure(space, fam, lee), radii=[2.5, 7.0], quad=quad)
     norm = sphere_volume(m) * space.L
@@ -515,7 +515,7 @@ def test_gauge_audit_reads_every_report_off_two_passes(model, hopf_space, engine
     from weylmass.families import directional_profile, random_local_metric
 
     for space in (model, hopf_space):
-        for fam in (kaluza_perturbation(space, mu=1.0), random_local_metric(space, seed=4)):
+        for fam in (kaluza_perturbation(space, mu=1.0), random_local_metric(space, [4])):
             for f in (radial_profile(space, beta=0.3), random_adapted_scalar(space, seed=3),
                       directional_profile(space, beta=0.3)):
                 _audit_against_single_passes(space, engine, fam, f, _to_roundoff)
@@ -639,7 +639,7 @@ def test_holonomic_flux_and_probes_build_no_connection_terms(model, engine, monk
     gauge_audit(engine, ws, factors, radii=radii, quad=quad)
     require_weyl_alf(ws, probe_jet(engine, ws.metric), probe_lee_jet(engine, ws.lee))
     rng = np.random.default_rng(3)
-    lie_bracket(engine, model, random_vector_field(model, rng), random_vector_field(model, rng),
+    lie_bracket(engine, model, random_vector_field(model, [rng]), random_vector_field(model, [rng]),
                 model.point([2.0, 0.5, -1.0], 0.1))
     forms = flux_pass(engine, ws, factors, radii=radii, quad=quad)
     assert calls == []
@@ -672,7 +672,7 @@ def test_swept_forms_are_no_farther_from_longdouble_than_the_per_gauge_route(req
     factors = [radial_profile(space, beta=0.3), random_adapted_scalar(space, seed=3),
                directional_profile(space, beta=0.3)]
     err = {"kernel": 0.0, "per_gauge": 0.0}
-    for fam in (kaluza_perturbation(space, mu=1.0), random_local_metric(space, seed=4)):
+    for fam in (kaluza_perturbation(space, mu=1.0), random_local_metric(space, [4])):
         ws = WeylStructure(space, fam, radial_lee(space, 0.4))
         for r in (40.0, 320.0):
             pts, weights, normals = shell_nodes(space, r, QuadratureSpec())

@@ -362,7 +362,7 @@ def test_christoffel_conformal_change_tensor(model, engine):
 def test_metric_compatibility_residual(model, engine):
     from weylmass.families import random_local_metric
 
-    fam = random_local_metric(model, seed=5)
+    fam = random_local_metric(model, [5])
     res = metric_compat_residual(engine, model, fam, model.point([2.2, 0.4, -0.9], 1.0))
     assert res < 1e-8
 
@@ -402,7 +402,7 @@ def test_lc_riemann_sphere_block_sectional_curvature(model, engine):
 def test_lc_riemann_antisymmetry_and_bianchi(model, engine):
     from weylmass.families import random_local_metric
 
-    fam = random_local_metric(model, seed=9)
+    fam = random_local_metric(model, [9])
     p = model.point([2.5, -0.3, 0.8], 0.9)
     R = lc_riemann(engine, model, fam, p)
     g = fam.as_field().values(p)
@@ -475,7 +475,7 @@ def test_grad2_probe_matches_nested_fd(request, engine, chart, fiber):
     from weylmass.weyl import lc_form_block
 
     space = request.getfixturevalue(chart)
-    fam = random_local_metric(space, seed=46, fiber_dependence=fiber)
+    fam = random_local_metric(space, [46], fiber_dependence=fiber)
     n = space.dim
     def probe_values(c):
         c = np.asarray(c, dtype=float)
@@ -500,9 +500,9 @@ def test_batched_probe_norms_equal_per_radius_norms(request, engine, monkeypatch
 
     def run_suites():
         reports = []
-        for fam in (kaluza_perturbation(space, mu=1.0), random_local_metric(space, seed=3, fiber_dependence=True)):
+        for fam in (kaluza_perturbation(space, mu=1.0), random_local_metric(space, [3], fiber_dependence=True)):
             reports += probes.metric_probes(space, fam.name, probe_jet(engine, fam))
-        for lee in (radial_lee(space, 0.4), random_local_lee(space, seed=3, fiber_dependence=True)):
+        for lee in (radial_lee(space, 0.4), random_local_lee(space, [3], fiber_dependence=True)):
             reports += probes.lee_probes(space, lee.name, probe_lee_jet(engine, lee))
         for f in (radial_profile(space, beta=0.3), random_adapted_scalar(space, seed=5),
                   directional_profile(space, beta=0.3)):

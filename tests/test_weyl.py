@@ -14,7 +14,7 @@ from weylmass.identities import _rng, random_form_field, trial_point, trial_stru
 from weylmass.model import ModelSpace
 from weylmass.weyl import (FormFieldSpec, WeylJet, WeylStructure, _brackets, _coeff_curvature, _covd_slots,
                            _ricci, _ricci_jet, _weyl_jet, christoffel, covd2_form_block, covd_form_block, dD, deltaD,
-                           form_field_of, gauge_change, lc_form_block, lee_jet, lie_bracket, weyl_coeffs,
+                           form_field_of, gauge_change, inv_gram, lc_form_block, lee_jet, lie_bracket, weyl_coeffs,
                            weyl_connect_vec, weyl_curvature)
 
 from oracles import (FDEngine, PointMetric, WeightedForm, frame_exterior_derivative, full_christoffel_jet,
@@ -58,11 +58,11 @@ def test_connect_vec_constant_lee_hand_case(model, engine):
 
 def test_torsion_free_random_fields(model, engine):
     rng = _rng(7, 1, 0)
-    ws = trial_structure(model, 7, 0, fiber_dependence=True)
+    ws = trial_structure(model, 7, [0], fiber_dependence=True)
     from weylmass.identities import random_vector_field
 
-    X = random_vector_field(model, rng)
-    Y = random_vector_field(model, rng)
+    X = random_vector_field(model, [rng])
+    Y = random_vector_field(model, [rng])
     p = trial_point(model, rng)
     t = weyl_connect_vec(engine, ws, Y, X, p) - weyl_connect_vec(engine, ws, X, Y, p) \
         - lie_bracket(engine, model, X, Y, p)
@@ -74,8 +74,8 @@ def test_torsion_free_on_hopf_frame(hopf_space, engine):
     rng = _rng(8, 1, 0)
     from weylmass.identities import random_vector_field
 
-    X = random_vector_field(hopf_space, rng)
-    Y = random_vector_field(hopf_space, rng)
+    X = random_vector_field(hopf_space, [rng])
+    Y = random_vector_field(hopf_space, [rng])
     p = hopf_space.point([1.5, 0.9, 1.1], 0.7)
     t = weyl_connect_vec(engine, ws, Y, X, p) - weyl_connect_vec(engine, ws, X, Y, p) \
         - lie_bracket(engine, hopf_space, X, Y, p)
@@ -88,7 +88,7 @@ def test_torsion_free_on_hopf_frame(hopf_space, engine):
 def test_weighted_derivative_theta_zero_is_covariant_derivative(model, engine):
     ws = WeylStructure(model, kaluza_perturbation(model, mu=0.5), zero_lee(model))
     rng = _rng(9, 2, 0)
-    spec = random_form_field(ws, rng, 2, 1.5)
+    spec = random_form_field(ws, [rng], 2, 1.5)
     p = trial_point(model, rng)
     H = covd_form_block(engine, ws, spec, p)[1]
     # the Levi-Civita block over the Christoffel symbols: the weight drops out with theta
@@ -98,7 +98,7 @@ def test_weighted_derivative_theta_zero_is_covariant_derivative(model, engine):
 
 
 def test_weighted_derivative_weight_zero_scalar(model, engine):
-    ws = trial_structure(model, 11, 0)
+    ws = trial_structure(model, 11, [0])
     spec = form_field_of(ws, lambda c: am.sin(c[0]) * c[1], degree=0, weight=0.0)
     p = model.point([2.0, 1.0, -0.3], 0.4)
     H = covd_form_block(engine, ws, spec, p)[1]
@@ -112,10 +112,10 @@ def test_covd_form_block_matches_wedge_oracle(request, chart, fiber, mode, deg):
     """The slot kernel against the wedge/interior assembly of D, theta != 0, degrees 0..n."""
     space = request.getfixturevalue(chart)
     eng = request.getfixturevalue(mode)
-    ws = trial_structure(space, 12, 3, fiber_dependence=fiber)
+    ws = trial_structure(space, 12, [3], fiber_dependence=fiber)
     rng = _rng(12, 3, deg)
     for k in (0.0, -1.0, 1.5):
-        spec = random_form_field(ws, rng, deg, k, fiber_dependence=fiber)
+        spec = random_form_field(ws, [rng], deg, k, fiber_dependence=fiber)
         p = trial_point(space, rng)
         H = covd_form_block(eng, ws, spec, p)[1]
         assert np.max(np.abs(H - wedge_covd_form_block(eng, ws, spec, p))) < 1e-11
@@ -125,12 +125,12 @@ def test_weighted_derivative_operator_against_algebra_ops(model, engine):
     """D_X w assembled independently from the pointwise algebra primitives."""
     from oracles import PointMetric, TensorValue, WeightedForm, interior, sharp, wedge
 
-    ws = trial_structure(model, 29, 0)
+    ws = trial_structure(model, 29, [0])
     rng = _rng(29, 16, 0)
     p = trial_point(model, rng)
     xvec = rng.normal(size=4)
     for deg, k in ((2, 2.0), (2, -1.0), (1, 1.0)):
-        spec = random_form_field(ws, rng, deg, k)
+        spec = random_form_field(ws, [rng], deg, k)
         got = np.einsum("i,i...->...", xvec, covd_form_block(engine, ws, spec, p)[1])
 
         w, dw = frame_jet1(engine, model, spec.field, p)
@@ -158,10 +158,10 @@ def test_weighted_derivative_operator_against_algebra_ops(model, engine):
 
 
 def test_dD_weight_zero_equals_exterior_derivative(model, engine):
-    ws = trial_structure(model, 13, 0)  # random lee form present
+    ws = trial_structure(model, 13, [0])  # random lee form present
     rng = _rng(13, 4, 0)
     for deg in (0, 1, 2):
-        spec = random_form_field(ws, rng, deg, 0.0)
+        spec = random_form_field(ws, [rng], deg, 0.0)
         p = trial_point(model, rng)
         got = dD(engine, ws, spec, p)
         oracle = frame_exterior_derivative(engine, model, spec.field, deg, p)
@@ -171,11 +171,11 @@ def test_dD_weight_zero_equals_exterior_derivative(model, engine):
 
 def test_dD_and_deltaD_return_batch_last_component_arrays(model, engine):
     """d^D w has shape (n,)^(p+1) + batch and delta^D w (n,)^(p-1) + batch; d^D of a 4-form is refused."""
-    ws = trial_structure(model, 14, 0)
+    ws = trial_structure(model, 14, [0])
     rng = _rng(14, 5, 0)
     pts = np.stack([trial_point(model, rng) for _ in range(3)], axis=1)
     for deg in range(5):
-        spec = random_form_field(ws, rng, deg, -2.0)
+        spec = random_form_field(ws, [rng], deg, -2.0)
         for op, out_deg in ((dD, deg + 1), (deltaD, max(deg - 1, 0))):
             if out_deg > 4:
                 with pytest.raises(DegreeError):
@@ -188,15 +188,15 @@ def test_dD_and_deltaD_return_batch_last_component_arrays(model, engine):
 
 
 def test_dD_gauge_mismatch_rejected(model, engine):
-    ws = trial_structure(model, 15, 0)
+    ws = trial_structure(model, 15, [0])
     rng = _rng(15, 6, 0)
-    spec = random_form_field(ws, rng, 1, 0.0)
+    spec = random_form_field(ws, [rng], 1, 0.0)
     bad = FormFieldSpec(spec.field, spec.degree, spec.weight, "other_gauge")
     with pytest.raises(GaugeMismatchError):
         dD(engine, ws, bad, trial_point(model, rng))
     # d^D and delta^D at degrees 0 and 1: a 0-form has delta^D = 0, but only in its own gauge
     for deg in (0, 1):
-        other = FormFieldSpec(random_form_field(ws, rng, deg, 0.0).field, deg, 0.0, "other_gauge")
+        other = FormFieldSpec(random_form_field(ws, [rng], deg, 0.0).field, deg, 0.0, "other_gauge")
         for operator in (dD, deltaD):
             with pytest.raises(GaugeMismatchError):
                 operator(engine, ws, other, trial_point(model, rng))
@@ -206,7 +206,7 @@ def test_dD_gauge_mismatch_rejected(model, engine):
 
 
 def test_deltaD_of_scalar_is_zero(model, engine):
-    ws = trial_structure(model, 16, 0)
+    ws = trial_structure(model, 16, [0])
     spec = form_field_of(ws, lambda c: 1.0 + 0.0 * c[0], degree=0, weight=2.0)
     out = deltaD(engine, ws, spec, model.point([2, 1, 0.5], 0.2))
     assert out.shape == ()
@@ -215,10 +215,10 @@ def test_deltaD_of_scalar_is_zero(model, engine):
 
 def test_deltaD_matches_hodge_codifferential_oracle(model, engine):
     """theta = 0: delta equals -*d* on 1-forms in dimension 4 (n even)."""
-    fam = random_local_metric(model, seed=33)
+    fam = random_local_metric(model, [33])
     ws = WeylStructure(model, fam, zero_lee(model))
     rng = _rng(17, 7, 0)
-    spec = random_form_field(ws, rng, 1, 0.0)
+    spec = random_form_field(ws, [rng], 1, 0.0)
     p = trial_point(model, rng)
 
     def star_spec_fn(c):
@@ -274,7 +274,7 @@ def test_faraday_closed_and_gauge_independent(model, hopf_space, engine):
     """On both charts dF = 0, and F is unchanged to roundoff by a gauge change: the Lee jet of f g adds
     -E_p E_i f/(2f) + E_i f E_p f/(2f^2), whose skew part cancels the bracket term of df/(2f)."""
     for space in (model, hopf_space):
-        ws = trial_structure(space, 18, 1)
+        ws = trial_structure(space, 18, [1])
         p = trial_point(space, _rng(18, 8, 0))
         n = space.dim
 
@@ -302,7 +302,7 @@ def test_curvature_flat_zero(model, engine):
 
 
 def test_ricci_matches_riemannian_oracle_at_zero_lee(model, engine):
-    fam = random_local_metric(model, seed=21)
+    fam = random_local_metric(model, [21])
     ws = WeylStructure(model, fam, zero_lee(model))
     p = model.point([2.3, 0.6, -0.2], 0.8)
     bundle = weyl_curvature(engine, ws, p)
@@ -314,7 +314,7 @@ def test_ricci_matches_riemannian_oracle_at_zero_lee(model, engine):
 
 
 def test_curvature_split_residual(model, engine):
-    ws = trial_structure(model, 22, 4)
+    ws = trial_structure(model, 22, [4])
     bundle = weyl_curvature(engine, ws, trial_point(model, _rng(22, 9, 0)))
     assert bundle.split_residual < 1e-7
 
@@ -330,7 +330,7 @@ def _nested_fd_jet(engine, model, coeff_fn, p):
 def test_weyl_jet_matches_nested_fd(request, engine, chart, fiber):
     space = request.getfixturevalue(chart)
     for trial in range(2):
-        ws = trial_structure(space, 41, trial, fiber_dependence=fiber)
+        ws = trial_structure(space, 41, [trial], fiber_dependence=fiber)
         p = trial_point(space, _rng(41, 30, trial))
         jet = _weyl_jet(engine, ws, p)
         W_fd, dW_fd = _nested_fd_jet(engine, space, lambda c: weyl_coeffs(engine, ws, c).W, p)
@@ -341,7 +341,7 @@ def test_weyl_jet_matches_nested_fd(request, engine, chart, fiber):
 @pytest.mark.parametrize("chart,fiber", CHARTS)
 def test_lc_riemann_matches_nested_fd(request, engine, chart, fiber):
     space = request.getfixturevalue(chart)
-    fam = random_local_metric(space, seed=42, fiber_dependence=fiber)
+    fam = random_local_metric(space, [42], fiber_dependence=fiber)
     p = trial_point(space, _rng(42, 31, 0))
     gam, dgam = _nested_fd_jet(engine, space, lambda c: christoffel(engine, space, fam, c)[0], p)
     oracle = _coeff_curvature(gam, dgam, space.structure_constants(p))
@@ -357,7 +357,7 @@ def test_jets_equal_full_bracket_formulas(request, engine, chart, batch):
     identity outer products as einsums, give the same bits.  The Hopf path is the full formula.  With
     theta = 0, W and dW are the Christoffel coefficients G and their frame derivatives E G, bit for bit."""
     space = request.getfixturevalue(chart)
-    ws = trial_structure(space, 44, 0, fiber_dependence=True)
+    ws = trial_structure(space, 44, [0], fiber_dependence=True)
     rng = _rng(44, 33, 0)
     p = (trial_point(space, rng) if batch is None
          else np.stack([trial_point(space, rng) for _ in range(batch)], axis=1))
@@ -383,7 +383,7 @@ def test_ricci_jet_traces_equal_the_curvature_route(engine, m, fibration, batch)
     fiber-dependent data with a Lee form, and in a recorded gauge; W, g, g^-1 and theta are the same bits,
     and sqrt(det g) is LAPACK's to 1e-14 relative.  m = 4 is the n of the m = 4 annulus smoke in CI."""
     space = ModelSpace(m=m, fibration=fibration)
-    ws = trial_structure(space, 46, 0, fiber_dependence=True)
+    ws = trial_structure(space, 46, [0], fiber_dependence=True)
     rng = _rng(46, 35, 0)
     p = (trial_point(space, rng) if batch is None
          else np.stack([trial_point(space, rng) for _ in range(batch)], axis=1))
@@ -403,14 +403,14 @@ def test_ricci_jet_traces_equal_the_curvature_route(engine, m, fibration, batch)
 @pytest.mark.parametrize("chart,fiber", CHARTS)
 def test_curvature_split_exact_in_dual_mode(request, engine, chart, fiber):
     space = request.getfixturevalue(chart)
-    ws = trial_structure(space, 43, 0, fiber_dependence=fiber)
+    ws = trial_structure(space, 43, [0], fiber_dependence=fiber)
     for j in range(3):
         bundle = weyl_curvature(engine, ws, trial_point(space, _rng(43, 32, j)))
         assert bundle.split_residual < 1e-12
 
 
 def test_weyl_jet_fd_mode_agrees_with_dual(hopf_space, engine, fd_engine):
-    ws = trial_structure(hopf_space, 44, 0, fiber_dependence=True)
+    ws = trial_structure(hopf_space, 44, [0], fiber_dependence=True)
     p = trial_point(hopf_space, _rng(44, 33, 0))
     dW = _weyl_jet(engine, ws, p).dW
     dW_fd = _weyl_jet(fd_engine, ws, p).dW
@@ -430,17 +430,17 @@ def _nested_fd_covd2(engine, ws, spec, p):
 @pytest.mark.parametrize("chart,fiber", CHARTS)
 def test_covd2_form_block_matches_nested_fd(request, engine, fd_engine, chart, fiber):
     space = request.getfixturevalue(chart)
-    ws = trial_structure(space, 45, 0, fiber_dependence=fiber)
+    ws = trial_structure(space, 45, [0], fiber_dependence=fiber)
     rng = _rng(45, 34, 0)
     for deg, k in ((0, 0.0), (0, 1.0), (1, -1.0), (2, 1.5), (3, -1.0), (4, 0.5)):
-        spec = random_form_field(ws, rng, deg, k, fiber_dependence=fiber)
+        spec = random_form_field(ws, [rng], deg, k, fiber_dependence=fiber)
         p = trial_point(space, rng)
         w, H, DH, jet = covd2_form_block(engine, ws, spec, p)
         ginv = jet.ginv
         H_oracle, DH_oracle = _nested_fd_covd2(engine, ws, spec, p)
         scale = np.max(np.abs(DH))
         assert np.array_equal(w, spec.field.values(p))
-        assert np.array_equal(ginv, np.linalg.inv(ws.gram(p)))
+        assert np.array_equal(ginv, inv_gram(ws.gram(p)))
         assert np.max(np.abs(H - H_oracle)) < 1e-12 * np.max(np.abs(H_oracle))
         assert np.max(np.abs(DH - DH_oracle)) < 1e-8 * scale
         DH_fd = covd2_form_block(fd_engine, ws, spec, p)[2]
@@ -449,7 +449,7 @@ def test_covd2_form_block_matches_nested_fd(request, engine, fd_engine, chart, f
 
 def test_ricci_antisymmetric_part_proportional_to_faraday(model, engine):
     """The skew part of Ric^D is a fixed multiple of F^D, same at every point."""
-    ws = trial_structure(model, 23, 2)
+    ws = trial_structure(model, 23, [2])
     lams = []
     for j in range(3):
         p = trial_point(model, _rng(23, 10, j))
@@ -464,7 +464,7 @@ def test_ricci_antisymmetric_part_proportional_to_faraday(model, engine):
 
 
 def test_scalar_weight_tag_and_constant_rescale(model, engine):
-    ws = trial_structure(model, 24, 1)
+    ws = trial_structure(model, 24, [1])
     p = trial_point(model, _rng(24, 11, 0))
     bundle = weyl_curvature(engine, ws, p)
     assert bundle.scal_weight == -2.0
@@ -507,7 +507,7 @@ def test_laplacian_flat_cases(model, engine):
 
 
 def test_gauge_change_unit_factor(model, engine):
-    ws = trial_structure(model, 26, 0)
+    ws = trial_structure(model, 26, [0])
     ws2 = gauge_change(ws, unit_scalar(model))
     p = trial_point(model, _rng(26, 13, 0))
     assert np.max(np.abs(lee_jet(engine, ws.lee, p) - lee_jet(engine, ws2.lee, p))) < 1e-14
@@ -536,7 +536,7 @@ def test_gauge_change_analytic_gradient_oracle(model, engine, fd_engine):
 
 
 def test_gauge_change_roundtrip(model, engine):
-    ws = trial_structure(model, 27, 0)
+    ws = trial_structure(model, 27, [0])
     f = radial_profile(model, beta=0.6)
     back = gauge_change(gauge_change(ws, f), inverse(f))
     p = trial_point(model, _rng(27, 14, 0))
@@ -548,13 +548,13 @@ def test_gauge_change_roundtrip(model, engine):
 @pytest.mark.parametrize("op", ["dD", "deltaD", "laplacian"])
 def test_gauge_covariance_of_operators(model, engine, op):
     """Compute in gauge g and in gauge f g; components match after f^(k/2) regauging."""
-    ws = trial_structure(model, 28, 1)
+    ws = trial_structure(model, 28, [1])
     f = radial_profile(model, beta=0.5)
     ws2 = gauge_change(ws, f)
     # a fixed trial index per operator: str hashes change from process to process
     rng = _rng(28, 15, {"dD": 0, "deltaD": 1, "laplacian": 2}[op])
     k = 1.0
-    spec = random_form_field(ws, rng, 1, k)
+    spec = random_form_field(ws, [rng], 1, k)
     spec2 = regauge(spec, f, ws2.gauge)
     p = trial_point(model, rng)
     fval = float(f.fn(list(p)))
@@ -634,8 +634,8 @@ def test_gram_factor_agrees_with_lapack_node_by_node(n):
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_gram_factor_is_independent_of_the_block_size(n):
-    """A block factored whole equals its nodes factored in smaller blocks, or on a second batch axis, bit for
-    bit; so do g^-1 and sqrt(det g) of its SPD nodes."""
+    """A block factored whole equals its nodes factored in smaller blocks, on a second batch axis, or one gram
+    with no batch axis, bit for bit; so do g^-1 and sqrt(det g) of its SPD nodes."""
     from weylmass.weyl import gram_factor, inv_gram, inv_gram_volume
 
     block, conds = _gram_block(n, 4)
@@ -645,16 +645,20 @@ def test_gram_factor_is_independent_of_the_block_size(n):
     assert np.array_equal(np.concatenate([p[1] for p in parts]), definite)
     L2, definite2 = gram_factor(block[..., :40].reshape(n, n, 5, 8))
     assert np.array_equal(L2.reshape(n, n, 40), L[..., :40]) and np.array_equal(definite2.ravel(), definite[:40])
+    for node in range(block.shape[-1]):
+        L0, definite0 = gram_factor(block[..., node])
+        assert np.array_equal(L0, L[..., node], equal_nan=True) and definite0 == definite[node]
     spd = block[..., definite]
     for fn in (inv_gram, lambda g: inv_gram_volume(g)[1]):
         whole = fn(spd)
         assert np.array_equal(np.concatenate([fn(spd[..., :1]), fn(spd[..., 1:7]), fn(spd[..., 7:])], axis=-1), whole)
+        assert all(np.array_equal(fn(spd[..., node]), whole[..., node]) for node in range(spd.shape[-1]))
 
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_batched_inv_gram_refuses_an_indefinite_block_in_one_line(n):
     """A block with nodes that are not SPD raises one ChartDomainError line from inv_gram and inv_gram_volume
-    (never FloatingPointError under the CLI's errstate); the batch-less gram keeps LAPACK's inv."""
+    (never FloatingPointError under the CLI's errstate); so does one batch-less gram that is not SPD."""
     from weylmass.errors import ChartDomainError
     from weylmass.weyl import inv_gram, inv_gram_volume
 
@@ -666,4 +670,7 @@ def test_batched_inv_gram_refuses_an_indefinite_block_in_one_line(n):
         assert "\n" not in message
         assert message == f"metric is not positive definite at 7 of {conds.size} nodes of a node block"
     indefinite = block[..., -6]
-    assert np.array_equal(inv_gram(indefinite), np.linalg.inv(indefinite))
+    for fn in (inv_gram, inv_gram_volume):
+        with pytest.raises(ChartDomainError) as exc, np.errstate(over="raise", divide="raise", invalid="raise"):
+            fn(indefinite)
+        assert str(exc.value) == "metric is not positive definite at 1 of 1 nodes of a node block"

@@ -8,7 +8,7 @@ by independent numerical paths.
 """
 
 from .engine import DerivativeEngine, Field
-from .errors import ChartDomainError, ConfigError, DegreeError, GaugeMismatchError, MassNotDefinedError
+from .errors import ChartDomainError, ConfigError, DegreeError, GaugeMismatchError, JetError, MassNotDefinedError
 from .families import LeeFormField, MetricFamily, ScalarField
 from .model import ModelSpace, sphere_volume
 from .weyl import FormFieldSpec, WeylStructure, gauge_change, lee_jet
@@ -23,6 +23,7 @@ __all__ = [
     "Field",
     "FormFieldSpec",
     "GaugeMismatchError",
+    "JetError",
     "LeeFormField",
     "MassNotDefinedError",
     "MetricFamily",

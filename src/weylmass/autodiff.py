@@ -20,21 +20,20 @@ returns a first-order jet.
 Operands broadcast against each other's values as numpy arrays do (batch
 axes last); the derivative axes stay in front, so jets of different rank
 combine componentwise.  ``jet[i]`` indexes the leading component axes.
-Constant tensors enter through two helpers that lay them out over the batch
-axes: ``constant(C, like)`` (C at every point of ``like``) and
-``lincomb(C, terms)`` (the sum of ``C[..., a]`` times ``terms[a]`` over
-scalar jets, built as one jet).  With ``batch=b`` the last b axes of C
-are batch axes, aligned right against the points' (a trial axis lined up
-with the node axis); a unit batch axis the points lack is dropped, so a
-one-trial C also serves a batch-less point.  ``where(cond, a, b)`` selects
-per value entry, so piecewise fields (a compactly supported bump) stay jets.
+``where(cond, a, b)`` selects per value entry, so piecewise fields (a
+compactly supported bump) stay jets.
 
-The layout is what the arrays show, not necessarily how they sit in
-memory: ``lincomb`` accumulates its gradient and Hessian component-major,
-as ``comp + (d,) + batch`` and ``comp + (d, d) + batch`` C-order arrays,
-and hands them out as transposed views in the layout above.  That is the
-memory order ``collect_jet`` gives every jet, so it returns them without a
-copy.
+The trial fields are sine series, sum over q of K[q] sin(arg_q) with each
+arg_q linear in the coordinates, and ``sine_series`` writes their jet in
+closed form instead of through the operators: the same products and sums,
+in the same order, as ``sin`` and the operators would take, without their
+exactly zero terms, so the jets are the same numbers (the generic-Taylor
+oracles of the tests check this bit for bit).  It accumulates the gradient
+and Hessian component-major, as ``comp + (d,) + batch`` and
+``comp + (d, d) + batch`` C-order arrays, and hands them out as transposed
+views in the layout above: the layout is what the arrays show, not how
+they sit in memory.  That is the memory order ``collect_jet`` gives every
+jet, so it returns them without a copy.
 
 Evaluators that want to be differentiated this way must be written against
 the generic math functions at the bottom of this module (``sqrt``, ``sin``,
@@ -50,8 +49,7 @@ __all__ = [
     "Taylor2",
     "seed_point",
     "collect_jet",
-    "constant",
-    "lincomb",
+    "sine_series",
     "move_axis",
     "value",
     "where",
@@ -78,13 +76,6 @@ class Taylor2:
         self.val = np.asarray(val, dtype=float)
         self.grad = np.asarray(grad, dtype=float)
         self.hess = np.asarray(hess, dtype=float)
-
-    @classmethod
-    def variable(cls, value, index: int, nvars: int, order: int = 2) -> "Taylor2":
-        v = np.asarray(value, dtype=float)
-        g = np.zeros((nvars,) + v.shape)
-        g[index] = 1.0
-        return cls(v, g, np.zeros((nvars, nvars) + v.shape) if order == 2 else NO_HESSIAN)
 
     # -- helpers ----------------------------------------------------------
 
@@ -178,6 +169,20 @@ class Taylor2:
         return f"Taylor2(val={self.val!r})"
 
 
+class _Seed(Taylor2):
+    """The jet of coordinate ``index`` itself, as ``seed_point`` hands it to an evaluator: the one jet
+    ``sine_series`` differentiates in closed form."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, value, index: int, nvars: int, order: int = 2):
+        v = np.asarray(value, dtype=float)
+        g = np.zeros((nvars,) + v.shape)
+        g[index] = 1.0
+        super().__init__(v, g, np.zeros((nvars, nvars) + v.shape) if order == 2 else NO_HESSIAN)
+        self.index = index
+
+
 def move_axis(a: np.ndarray, source: int, destination: int) -> np.ndarray:
     """``np.moveaxis`` of one axis as one transpose: the same view, without the argument handling that
     costs more than the arithmetic on the few points of a pointwise identity check."""
@@ -190,7 +195,7 @@ def seed_point(coords, order: int = 2) -> list[Taylor2]:
     """Turn an ``(n,) + batch`` coordinate array into a list of Taylor2 seeds of order 1 or 2."""
     coords = np.asarray(coords, dtype=float)
     n = coords.shape[0]
-    return [Taylor2.variable(coords[i], i, n, order) for i in range(n)]
+    return [_Seed(coords[i], i, n, order) for i in range(n)]
 
 
 def value(x):
@@ -198,76 +203,60 @@ def value(x):
     return x.val if isinstance(x, Taylor2) else x
 
 
-def _over_batch(C: np.ndarray, batch: int, ndim: int) -> np.ndarray:
-    """C with its last ``batch`` axes aligned right against ``ndim`` batch axes (module docstring)."""
-    cb = C.shape[C.ndim - batch:][max(batch - ndim, 0):]  # the reshape drops the others only if they are units
-    return C.reshape(C.shape[:C.ndim - batch] + (1,) * (ndim - len(cb)) + cb)
+def _over_batch(C: np.ndarray, ndim: int) -> np.ndarray:
+    """C with its trailing trial axis aligned right against ``ndim`` batch axes: the trials line up with
+    the last point axis, and the unit axis of one trial is dropped at a batch-less point."""
+    return C.reshape(C.shape[:-1] + (1,) * (ndim - 1) + C.shape[-1:] if ndim else C.shape[:-1])
 
 
-def constant(C, like, batch: int = 0) -> np.ndarray:
-    """The constant tensor C at every point of ``like`` (a jet, array or number).
+def sine_series(K, A, terms, name: str, diagonal: bool = False):
+    """``sum_q K[q] sin(arg_q)`` with ``arg_q = sum_a A[q, a] terms[a]`` (summed left to right), as one jet.
 
-    Returns C laid out over the axes of ``like``'s value, so it broadcasts
-    over them: ``jet + constant(C, jet)`` adds C at every point and
-    ``constant(C, s) * s`` is the tensor product C ⊗ s.
+    ``terms`` are the coordinates (``seed_point`` seeds or plain arrays) and
+    numbers (1.0 for a phase).  K is ``(q,) + comp`` and A is
+    ``(q, len(terms))``, each with a trailing trial axis (``_over_batch``);
+    ``diagonal`` takes component q from term q alone (comp empty).  On seeds
+    the jet is written directly, with w[q, p] the coefficient of coordinate p:
+
+        val = sum_q K_q sin_q,  grad_p = sum_q K_q (cos_q w_qp),  hess_pr = sum_q K_q (-sin_q (w_qp w_qr)).
+
+    Each sum is one einsum with the term axis q outermost in every operand,
+    so it adds term by term from q = 0, as the operators would (einsum may
+    reorder a sum over a contiguous axis).  The closed form holds for
+    coordinates only: any other jet among ``terms`` (``2.0 * seed``, from a
+    composed evaluator) raises TypeError naming the field ``name``.
     """
-    return _over_batch(np.asarray(C, dtype=float), batch, np.ndim(value(like)))
-
-
-def lincomb(coefs, terms, batch: int = 0):
-    """Sum over a of ``coefs[..., a]`` ⊗ ``terms[a]``, accumulated left to right.
-
-    ``terms`` are scalars at the evaluation points: rank-0 Taylor2 jets,
-    batch arrays or numbers; ``batch`` batch axes may follow the term axis
-    of ``coefs`` (module docstring).  The result has the component axes in
-    front of the term axis and is one Taylor2 if any term is one, so a
-    linear combination of m coordinates costs one jet, not 2m; it is
-    first-order if any term is.  Each entry takes the same products and
-    sums, in the same order, as the loop ``acc = acc + coefs[..., a] *
-    terms[a]`` over scalar jets.
-
-    The gradient and Hessian payloads are component-major in memory: they
-    are accumulated as C-order ``comp + (d,) + batch`` and
-    ``comp + (d, d) + batch`` arrays, so each coefficient entry scales one
-    contiguous derivative block, and are returned as transposed views with
-    the derivative axes leading (module docstring).
-    """
-    coefs = np.asarray(coefs, dtype=float)
-    k = coefs.ndim - 1 - batch
-    # the term axis first and the batch axes laid out, once: C[a] = coefs[..., a, :, ..., :]
-    C = _over_batch(move_axis(coefs, k, 0), batch, max(np.ndim(value(t)) for t in terms))
-    # component-major: coefficient entry c[I] scales the contiguous block out[I];
-    # with no component axes (k = 0) the two layouts agree and c multiplies as it is
-    lead, cb = C.shape[:k + 1], C.shape[k + 1:]
-    Cg, Ch = (C.reshape(lead + (1,) + cb), C.reshape(lead + (1, 1) + cb)) if k else (C, C)
-    val = grad = hess = scratch = None
+    ndim = max(np.ndim(value(t)) for t in terms)
+    K, A = _over_batch(K, ndim), _over_batch(A, ndim)
+    arg = None
     for a, term in enumerate(terms):
-        c = C[a]
-        part = c * value(term)
-        val = part if val is None else val + part
-        if isinstance(term, Taylor2):
-            h = term.hess
-            cg, ch = Cg[a], None if h is NO_HESSIAN else Ch[a]
-            if grad is None:
-                grad, hess = cg * term.grad, h if ch is None else ch * h
-                continue
-            # accumulate in place through one scratch pair: on large batches
-            # the derivative arrays dominate and fresh temporaries cost more
-            # than the arithmetic
-            if scratch is None:
-                scratch = np.empty_like(grad), hess if hess is NO_HESSIAN else np.empty_like(hess)
-            grad += np.multiply(cg, term.grad, out=scratch[0])
-            if ch is None:
-                hess = NO_HESSIAN
-            elif hess is not NO_HESSIAN:
-                hess += np.multiply(ch, h, out=scratch[1])
-    if grad is None:
+        part = A[:, a] * value(term)
+        arg = part if arg is None else arg + part
+    sin = np.sin(arg)
+    comp = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"[:K.ndim - 1 - ndim]  # apart from the lowercase q, p and r
+    lead = "q" * diagonal + comp
+
+    def series(X, deriv=""):
+        """sum_q K[q] X[q] (diagonal: K[q] X[q]) in a C-order ``lead + deriv + batch`` array."""
+        batch = np.broadcast_shapes(K.shape[K.ndim - ndim:], X.shape[X.ndim - ndim:])
+        out = np.empty(K.shape[1 - diagonal:K.ndim - ndim] + X.shape[1:1 + len(deriv)] + batch)
+        return np.einsum(f"q{comp}...,q{deriv}...->{lead}{deriv}...", K, X, out=out)
+
+    val = series(sin)
+    seeds = [(a, t) for a, t in enumerate(terms) if isinstance(t, Taylor2)]
+    if not seeds:
         return val
-    if k:  # the jet's layout leads with the derivative axes: transposed views, no copy
-        grad = grad.transpose((k, *range(k), *range(k + 1, grad.ndim)))
-        if hess is not NO_HESSIAN:
-            hess = hess.transpose((k, k + 1, *range(k), *range(k + 2, hess.ndim)))
-    return Taylor2(val, grad, hess)
+    if not all(isinstance(t, _Seed) for _, t in seeds):
+        raise TypeError(f"{name}: its closed-form sine-series jet takes coordinate seeds, not a composed jet")
+    w = np.zeros(A.shape[:1] + seeds[0][1].grad.shape[:1] + A.shape[2:])  # (q, d) + batch
+    for a, seed in seeds:
+        w[:, seed.index] += A[:, a]
+    k = len(lead)
+    grad = move_axis(series(np.cos(arg)[:, None] * w, "p"), k, 0)
+    if any(t.hess is NO_HESSIAN for _, t in seeds):
+        return Taylor2(val, grad)
+    hess = series(-sin[:, None, None] * (w[:, :, None] * w[:, None, :]), "pr")
+    return Taylor2(val, grad, move_axis(move_axis(hess, k, 0), k + 1, 1))
 
 
 def where(cond, a, b):

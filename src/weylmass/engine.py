@@ -32,6 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .autodiff import collect_jet, seed_point
+from .errors import JetError
 
 # (weight, step scale) of the two-level Richardson combination of central differences
 RICHARDSON_WEIGHTS = ((-1.0 / 3.0, 1.0), (4.0 / 3.0, 0.5))
@@ -83,9 +84,16 @@ class DerivativeEngine:
         return self._dual_jet(fld, np.asarray(coords, dtype=float))
 
     def _dual_jet(self, fld: Field, coords, order: int = 2):
-        """(value, gradient, Hessian) from Taylor seeds of ``order``; the Hessian is NO_HESSIAN at order 1."""
-        out = fld.fn(seed_point(coords, order))
-        return collect_jet(out, coords.shape[0], coords.shape[1:])
+        """(value, gradient, Hessian) from Taylor seeds of ``order``; the Hessian is NO_HESSIAN at order 1.
+
+        An evaluator that cannot take seeds fails with a bare TypeError or ValueError (numpy's or
+        ``sine_series``'s), refused as a JetError naming the field; the package's own errors pass through."""
+        try:
+            return collect_jet(fld.fn(seed_point(coords, order)), coords.shape[0], coords.shape[1:])
+        except (TypeError, ValueError) as exc:
+            if type(exc) not in (TypeError, ValueError):
+                raise
+            raise JetError(f"field {fld.name!r} cannot take Taylor jets: {exc}") from exc
 
     # -- finite differences: the tests' reference route (tests/oracles.py FDEngine); perfbench traces two --
 

@@ -9,6 +9,10 @@ class GaugeMismatchError(ValueError):
     """Weighted forms from different gauges combined without regauging."""
 
 
+class JetError(ValueError):
+    """Field evaluator that cannot take the derivative engine's Taylor seeds."""
+
+
 class ChartDomainError(ValueError):
     """Point lies outside the chart (inside the excised ball)."""
 

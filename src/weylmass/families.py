@@ -4,11 +4,11 @@ Evaluators receive coordinates as a length-n sequence of generic scalars
 (floats, batch arrays or Taylor2 seeds) and must only use the generic math
 in :mod:`weylmass.autodiff`, so the derivative engine can push dual numbers
 through them.  An evaluator returns nested lists of components or one
-array-valued result: with Taylor2 seeds that is one array-valued jet, whose
-single operations act on every component (``random_local_metric`` and
-``random_local_lee`` build theirs with ``autodiff.lincomb``).  Callers that
-combine components index either kind as ``out[i][j]``.  All components are
-taken in the model coframe ``(dx_1..dx_m, eta)``.
+array-valued result: with Taylor2 seeds that is one array-valued jet.
+``random_local_metric`` and ``random_local_lee`` are sine series, whose jet
+is the one closed form ``autodiff.sine_series``, the same bits as generic
+Taylor arithmetic on them.  Callers index either kind as ``out[i][j]``.
+All components are taken in the model coframe ``(dx_1..dx_m, eta)``.
 
 A field carries only its evaluator, name and parameters: the decay probes
 of :mod:`weylmass.probes` test the class rates 2-m, 1-m and -m, and every
@@ -227,17 +227,16 @@ def random_local_metric(model: ModelSpace, seeds, amplitude: float = 0.12, fiber
     syms = (syms + np.swapaxes(syms, 1, 2)) / 2.0
     fiber = np.zeros(phases.shape)  # the wave number of t: 2 pi / L in term 0 of a fiber-dependent trial, else 0
     fiber[0] = 2.0 * math.pi * np.broadcast_to(fiber_dependence, (len(seeds),)) / model.L
-    # term q: sin(waves[q] . x + fiber[q] t + phase[q]), every q in one lincomb
+    # term q: sin(waves[q] . x + fiber[q] t + phase[q]); the metric is identity + sum_q amplitude syms[q] s_q
     arg_coefs = np.concatenate([waves * wave_scale, fiber[:, None], phases[:, None]], axis=1)
-    # sum_q amplitude syms[q] s_q + identity, the term axis before the trial axis
-    metric_coefs = np.concatenate([amplitude * np.moveaxis(syms, 0, 2),
-                                   np.broadcast_to(np.eye(n)[..., None, None], (n, n, 1, len(seeds)))], axis=2)
+    coefs, name = amplitude * syms, f"random_local_metric(seeds={list(seeds)})"
 
     def fn(coords):
-        sines = am.sin(am.lincomb(arg_coefs, list(coords[:m + 1]) + [1.0], batch=1))
-        return am.lincomb(metric_coefs, [sines[q] for q in range(nterms)] + [1.0], batch=1)
+        g = am.sine_series(coefs, arg_coefs, list(coords[:m + 1]) + [1.0], name)
+        am.value(g)[range(n), range(n)] += 1.0  # the identity, added last
+        return g
 
-    return MetricFamily(f"random_local_metric(seeds={list(seeds)})", model, fn, params={"seeds": list(seeds)})
+    return MetricFamily(name, model, fn, params={"seeds": list(seeds)})
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +316,12 @@ def random_local_lee(model: ModelSpace, seeds, amplitude=0.3, fiber_dependence=F
     # component i: amps[i] sin(phases[i] + coef[i] . x (+ omega_t t for i = 0))
     arg_coefs = np.concatenate([phases[:, None], coef * wave_scale, np.eye(n)[:, :1, None] * omega_t], axis=1)
     amps = amps * np.asarray(amplitude)
+    name = f"random_local_lee(seeds={list(seeds)})"
 
     def fn(coords):
-        arg = am.lincomb(arg_coefs, [1.0] + list(coords[:m + 1]), batch=1)
-        return am.constant(amps, coords[0], batch=1) * am.sin(arg)
+        return am.sine_series(amps, arg_coefs, [1.0] + list(coords[:m + 1]), name, diagonal=True)
 
-    return LeeFormField(f"random_local_lee(seeds={list(seeds)})", model, fn, params={"seeds": list(seeds)})
+    return LeeFormField(name, model, fn, params={"seeds": list(seeds)})
 
 
 # ---------------------------------------------------------------------------

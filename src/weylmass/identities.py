@@ -156,21 +156,20 @@ def random_form_field(ws: WeylStructure, rngs, degree: int, weight, fiber_depend
 
     def draw(rng):
         coefs = [rng.normal(size=(n,) * degree) if degree else rng.normal() for _ in range(nterms)]
-        return (np.stack([antisymmetrize(c) if degree >= 2 else c for c in coefs], axis=-1),
+        return (np.stack([antisymmetrize(c) if degree >= 2 else c for c in coefs]),
                 rng.uniform(-1.0, 1.0, size=(nterms, m)), rng.uniform(0, 2 * math.pi, size=nterms))
 
     form_coefs, waves, phases = stacked_draws(rngs, draw)
     fiber = np.zeros(phases.shape)
     fiber[0] = 2.0 * math.pi * np.broadcast_to(fiber_dependence, (len(rngs),)) / ws.model.L
-    # term q: sin(phases[q] + waves[q] . x + fiber[q] t), every q in one lincomb; the form is
-    # sum_q form_coefs[..., q, :] s_q
+    # term q: sin(phases[q] + waves[q] . x + fiber[q] t); the form is sum_q form_coefs[q] s_q
     arg_coefs = np.concatenate([phases[:, None], waves * wave_scale, fiber[:, None]], axis=1)
+    name = f"random_{degree}form"
 
     def fn(coords):
-        sines = am.sin(am.lincomb(arg_coefs, [1.0] + list(coords[:m + 1]), batch=1))
-        return am.lincomb(form_coefs, [sines[q] for q in range(nterms)], batch=1)
+        return am.sine_series(form_coefs, arg_coefs, [1.0] + list(coords[:m + 1]), name)
 
-    return form_field_of(ws, fn, degree=degree, weight=weight, name=f"random_{degree}form")
+    return form_field_of(ws, fn, degree=degree, weight=weight, name=name)
 
 
 def random_vector_field(model: ModelSpace, rngs) -> Field:
@@ -183,8 +182,7 @@ def random_vector_field(model: ModelSpace, rngs) -> Field:
     arg_coefs = np.concatenate([phases[:, None], waves * 0.6], axis=1)
 
     def fn(coords):
-        arg = am.lincomb(arg_coefs, [1.0] + list(coords[:m]), batch=1)
-        return am.constant(coefs, coords[0], batch=1) * am.sin(arg)
+        return am.sine_series(coefs, arg_coefs, [1.0] + list(coords[:m]), "random_vector", diagonal=True)
 
     return Field(fn, shape=(n,), name="random_vector")
 

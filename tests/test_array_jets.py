@@ -6,6 +6,7 @@ the oracle; the array-valued evaluators must reproduce them exactly.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -132,7 +133,13 @@ def nested_vector(model, rng):
 # helpers
 # ---------------------------------------------------------------------------
 
-CHARTS = [("model", False), ("model", True), ("hopf_space", False), ("hopf_space", True)]
+# the trivial chart at m = 5 takes forms of degree 0..6 and 6 x 6 metrics
+CHARTS = [("model", False), ("model", True), ("hopf_space", False), ("hopf_space", True), ("model_m5", True)]
+
+
+@pytest.fixture(scope="module")
+def model_m5():
+    return ModelSpace(m=5, R=1.0, L=2.0 * np.pi, fibration="trivial")
 
 
 def _points(space, seed, batch):
@@ -162,13 +169,19 @@ def assert_same_jet(new_fn, old_fn, p):
 
 
 def _rank_jets(order=2):
-    """A rank-0, rank-1 and rank-2 jet at d = n = 4 over a batch of 4 points."""
+    """A rank-0, rank-1 and rank-2 jet at d = n = 4 over a batch of 4 points, by plain Taylor arithmetic."""
     rng = np.random.default_rng(7)
     p = rng.uniform(0.5, 1.5, size=(4, 4))
     x = am.seed_point(p, order)
-    s = am.sin(am.lincomb(rng.normal(size=5), [1.0] + x))
-    v = am.sin(am.lincomb(rng.normal(size=(4, 5)), [1.0] + x)) + 2.0
-    t = am.lincomb(rng.normal(size=(4, 4, 4)), x) * am.constant(rng.normal(size=(4, 4)), x[0])
+
+    def combination(C):  # sum_a C[..., a] x_a, C laid out over the batch axis
+        return sum((C[..., a, None] * x[a] for a in range(4)), 0.0)
+
+    C = rng.normal(size=5)
+    s = am.sin(C[0] + combination(C[1:]))
+    C = rng.normal(size=(4, 5))
+    v = am.sin(C[:, 0, None] + combination(C[:, 1:])) + 2.0
+    t = combination(rng.normal(size=(4, 4, 4))) * rng.normal(size=(4, 4))[..., None]
     return s, v, t
 
 
@@ -187,14 +200,14 @@ def test_collect_jet_of_array_jet_equals_nested_components():
 @pytest.mark.parametrize("batch", [(), (1,), (512,)], ids=["point", "batch1", "batch512"])
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("comp", [(), (4,), (4, 4)], ids=["rank0", "rank1", "rank2"])
-def test_collect_jet_of_lincomb_shares_its_memory(comp, order, batch):
-    """``lincomb`` accumulates component-major and hands out transposed views, so ``collect_jet`` returns
-    the jet's own gradient and Hessian, not copies, with the values of the loop over scalar jets."""
+def test_collect_jet_of_sine_series_shares_its_memory(comp, order, batch):
+    """``sine_series`` accumulates component-major and hands out transposed views, so ``collect_jet`` returns
+    the jet's own gradient and Hessian, not copies, with the values of generic Taylor arithmetic on
+    ``sin`` over scalar jets, summed left to right."""
     rng = np.random.default_rng(17)
     x = am.seed_point(rng.uniform(0.5, 1.5, size=(4,) + batch), order)
-    terms = [am.sin(am.lincomb(rng.normal(size=5), [1.0] + x)) for _ in range(3)] + [1.0]
-    coefs = rng.normal(size=comp + (4,))
-    jet = am.lincomb(coefs, terms)
+    K, A = rng.normal(size=(3,) + comp + (1,)), rng.normal(size=(3, 5, 1))
+    jet = am.sine_series(K, A, [1.0] + x, "test")
     val, grad, hess = am.collect_jet(jet, 4, batch)
     assert grad.shape == (4,) + comp + batch and np.shares_memory(grad, jet.grad)
     if order == 1:
@@ -202,13 +215,19 @@ def test_collect_jet_of_lincomb_shares_its_memory(comp, order, batch):
     else:
         assert hess.shape == (4, 4) + comp + batch and np.shares_memory(hess, jet.hess)
 
+    sines = []
+    for q in range(3):
+        arg = A[q, 0, 0] * 1.0
+        for a in range(4):
+            arg = arg + A[q, a + 1, 0] * x[a]
+        sines.append(am.sin(arg))
 
     def nested(index):  # one scalar jet per component, summed left to right
         if len(index) < len(comp):
             return [nested(index + (i,)) for i in range(comp[len(index)])]
         acc = 0.0
-        for a, term in enumerate(terms):
-            acc = acc + coefs[index + (a,)] * term
+        for q, term in enumerate(sines):
+            acc = acc + K[(q,) + index + (0,)] * term
         return acc
 
     for got, want in zip((val, grad, hess), am.collect_jet(nested(()), 4, batch)):
@@ -245,10 +264,11 @@ def test_mixed_rank_arithmetic_is_componentwise(op):
 def test_constant_operands_broadcast_over_points():
     s, v, _ = _rank_jets()
     C = np.arange(1.0, 5.0)
-    for out, ref in ((v * am.constant(C, s), lambda i: v[i] * C[i]),
-                     (am.constant(C, s) * s, lambda i: C[i] * s),
-                     (v + am.constant(C, s), lambda i: v[i] + C[i]),
-                     (am.constant(C, s) - v, lambda i: C[i] - v[i])):
+    Cb = C[:, None]  # C at every point of the batch
+    for out, ref in ((v * Cb, lambda i: v[i] * C[i]),
+                     (Cb * s, lambda i: C[i] * s),
+                     (v + Cb, lambda i: v[i] + C[i]),
+                     (Cb - v, lambda i: C[i] - v[i])):
         for i in range(4):
             for x, y in zip((out[i].val, out[i].grad, out[i].hess), (ref(i).val, ref(i).grad, ref(i).hess)):
                 assert np.array_equal(x, y)
@@ -258,21 +278,20 @@ def test_constant_operands_broadcast_over_points():
 # first-order jets
 # ---------------------------------------------------------------------------
 
-_C4 = np.arange(1.0, 5.0)
-_LINCOMB = np.random.default_rng(3).normal(size=(2, 3, 4))
+_C4 = np.arange(1.0, 5.0)[:, None]
 
 # every Taylor2 operator and math function, on scalar, vector and matrix jets (v > 1 everywhere)
 FIRST_ORDER_CASES = {
     "add": lambda s, v, t: v + v,
     "add-mixed-rank": lambda s, v, t: t + v,
     "radd": lambda s, v, t: 2.0 + s,
-    "add-constant": lambda s, v, t: v + am.constant(_C4, s),
+    "add-constant": lambda s, v, t: v + _C4,
     "sub": lambda s, v, t: t - v,
     "rsub": lambda s, v, t: 1.0 - v,
     "neg": lambda s, v, t: -t,
     "mul": lambda s, v, t: s * t,
     "rmul": lambda s, v, t: 3.0 * v,
-    "mul-constant": lambda s, v, t: am.constant(_C4, s) * s,
+    "mul-constant": lambda s, v, t: _C4 * s,
     "div": lambda s, v, t: t / v,
     "rtruediv": lambda s, v, t: 1.0 / v,
     "div-number": lambda s, v, t: v / 2.0,
@@ -285,7 +304,6 @@ FIRST_ORDER_CASES = {
     "getitem": lambda s, v, t: t[1],
     "getitem-pair": lambda s, v, t: t[1, 2],
     "getitem-slice": lambda s, v, t: t[:, 0],
-    "lincomb": lambda s, v, t: am.lincomb(_LINCOMB, [s, v[0], 1.0, v[2]]),
 }
 
 
@@ -308,9 +326,11 @@ def test_mixed_orders_give_first_order(op):
         out = OPS[op](a, b)
         assert out.hess is am.NO_HESSIAN
         assert np.array_equal(out.val, ref.val) and np.array_equal(out.grad, ref.grad)
-    for terms in (lambda s: [s, v2[0], v2[1]], lambda s: [v2[0], s, v2[1]]):
-        out = am.lincomb(_LINCOMB[:, :, :3], terms(s1))
-        ref = am.lincomb(_LINCOMB[:, :, :3], terms(s2))
+    x1, x2 = am.seed_point(np.ones((4, 3)), order=1), am.seed_point(np.ones((4, 3)))
+    K, A = np.random.default_rng(3).normal(size=(2, 2, 3, 1)), np.random.default_rng(4).normal(size=(2, 5, 1))
+    ref = am.sine_series(K, A, [1.0] + x2, "test")
+    for mixed in ([1.0, x1[0]] + x2[1:], [1.0] + x2[:3] + x1[3:]):
+        out = am.sine_series(K, A, mixed, "test")
         assert out.hess is am.NO_HESSIAN
         assert np.array_equal(out.val, ref.val) and np.array_equal(out.grad, ref.grad)
 
@@ -348,6 +368,29 @@ def test_trial_evaluators_equal_nested_oracles(request, chart, fiber, batch):
         assert_same_jet(spec.field.fn, nested_form(space, np.random.default_rng(degree), degree, fiber), p)
     assert_same_jet(random_vector_field(space, [np.random.default_rng(9)]).fn,
                     nested_vector(space, np.random.default_rng(9)), p)
+
+
+def test_trial_fields_refuse_jets_that_are_not_coordinate_seeds(model):
+    """The closed-form jet holds for coordinate seeds only: each trial field fed a composed jet raises a
+    one-line TypeError naming the field, and through the engine a JetError, never a wrong derivative."""
+    from weylmass.errors import JetError
+
+    p = _points(model, 2, 3)
+    ws = trial_structure(model, 5, [1])
+    fields = [random_local_metric(model, [11]).as_field(),
+              Field(random_local_lee(model, [11]).fn, shape=(model.dim,), name=random_local_lee(model, [11]).name),
+              random_form_field(ws, [np.random.default_rng(2)], 2, 0.5).field,
+              random_vector_field(model, [np.random.default_rng(9)])]
+    for fld in fields:
+        seeds = am.seed_point(p)
+        for bad in (2.0 * seeds[0], seeds[0] + 0.0, am.sin(seeds[1])):
+            with pytest.raises(TypeError) as info:
+                fld.fn([bad] + seeds[1:])
+            assert str(info.value).startswith(fld.name + ":") and "\n" not in str(info.value)
+        composed = Field(lambda c, fld=fld: fld.fn([2.0 * x for x in c]), shape=fld.shape, name="composed")
+        with pytest.raises(JetError, match="^field 'composed' cannot take Taylor jets: " + re.escape(fld.name)):
+            DerivativeEngine().jet2(composed, p)
+        assert np.array_equal(composed.values(p), fld.values(2.0 * p))
 
 
 @pytest.mark.parametrize("chart", ["model", "hopf_space"])

@@ -293,7 +293,8 @@ def test_where_masks_components_and_batch():
     broadcasts over the components, and a scalar jet broadcasts against an array-valued one."""
     p = np.array([[0.9, 1.2, 2.5], [0.2, -0.3, 0.7], [1.4, 1.0, -0.6], [0.3, 0.5, 0.1]])
     c = am.seed_point(p)
-    vec = am.lincomb(np.array([[1.0, 2.0, 0.0], [0.0, -1.0, 3.0]]), [c[0], c[1], c[2]])
+    C = np.array([[1.0, 2.0, 0.0], [0.0, -1.0, 3.0]])
+    vec = C[:, 0, None] * c[0] + C[:, 1, None] * c[1] + C[:, 2, None] * c[2]
     other = am.sin(vec)
     mask = np.array([[True, False, True], [False, False, True]])
     got = am.where(mask, vec, other)

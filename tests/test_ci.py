@@ -3,9 +3,9 @@ Hopf compact_lee, an m = 6 and an m = 7 mass, a pointwise verify at m = 3, on th
 pointwise suite at its default trial counts and an annulus verify at m = 3 and m = 4, then
 Hopf sweeps, a trivial-chart sweep, a one-value Hopf sweep, a Hopf sweep over the directional_profile axis, an
 m = 5 sweep and a Hopf sweep on the hopf_model base),
-summarizes every report they wrote, reruns a mass, the m = 3 annulus verify, the m = 5 mass, the Hopf
-directional_profile sweep and the default-trial pointwise verify from the configs their reports embed, checks that a verify whose Bochner tolerance no
-residual meets exits 1 and so does the report of it, and runs the tier-1 command that ROADMAP.md names, with a
+summarizes every report they wrote, reruns a mass, the m = 3 and m = 4 annulus verifies, the m = 5 mass, the Hopf
+directional_profile sweep and the default-trial pointwise verify from the configs their reports embed, checks that a
+five-trial verify whose Bochner tolerance no residual meets exits 1 and so does the report of it, and runs the tier-1 command that ROADMAP.md names, with a
 time limit."""
 
 import json
@@ -177,12 +177,12 @@ def test_workflow_report_smoke_reads_every_smoke_report():
 
 def test_workflow_reproduces_a_mass_from_its_report(tmp_path):
     """Right before the tier-1 tests, a partial-section Hopf mass, then a mass from the config record its report
-    embeds: the two reports must be the same bytes.  Then the same for the one-trial annulus verify of the CLI
-    smoke: a verify from the config its report embeds must write the same bytes.  Then the same for the
+    embeds: the two reports must be the same bytes.  Then the same for the one-trial annulus verifies of the CLI
+    smoke at m = 3 and m = 4: a verify from the config its report embeds must write the same bytes.  Then the same for the
     default m = 5 mass of the mass smoke.  Then the same for the Hopf directional_profile sweep of the sweep
     smoke, whose factors take their flux and probe jets as one stacked field.  Last, the same for the CLI
     smoke's pointwise verify at the default trial counts.  The step's commands are run here as CI runs them,
-    after the CLI smoke's annulus and default-trial pointwise commands, the mass smoke's m = 5 commands and
+    after the CLI smoke's annulus (m = 3 and m = 4) and default-trial pointwise commands, the mass smoke's m = 5 commands and
     the sweep smoke's directional_profile commands."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
@@ -198,7 +198,8 @@ def test_workflow_reproduces_a_mass_from_its_report(tmp_path):
     runs = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" "
                       r"--out \"\$RUNNER_TEMP/(\w+)\" (\w+)$", smoke, re.MULTILINE)
     assert runs == [("partial", "partial", "mass"), ("reproduce", "reproduce", "mass"),
-                    ("reproduce_annulus", "reproduce_annulus", "verify"), ("reproduce_m5", "reproduce_m5", "mass"),
+                    ("reproduce_annulus", "reproduce_annulus", "verify"),
+                    ("reproduce_annulus_m4", "reproduce_annulus_m4", "verify"), ("reproduce_m5", "reproduce_m5", "mass"),
                     ("reproduce_sweep", "reproduce_sweep", "sweep"),
                     ("reproduce_pointwise", "reproduce_pointwise", "verify")]
     lines = smoke.strip().splitlines()
@@ -206,17 +207,21 @@ def test_workflow_reproduces_a_mass_from_its_report(tmp_path):
     assert lines[5].startswith('head -n 1 "$RUNNER_TEMP/annulus/verify_report.jsonl" | ')
     assert lines[7] == ('cmp "$RUNNER_TEMP/annulus/verify_report.jsonl" '
                         '"$RUNNER_TEMP/reproduce_annulus/verify_report.jsonl"')
-    assert lines[8].startswith('head -n 1 "$RUNNER_TEMP/mass_m5/mass_report.jsonl" | ')
-    assert lines[10] == 'cmp "$RUNNER_TEMP/mass_m5/mass_report.jsonl" "$RUNNER_TEMP/reproduce_m5/mass_report.jsonl"'
-    assert lines[11].startswith('head -n 1 "$RUNNER_TEMP/sweep_dir/sweep_report.jsonl" | ')
-    assert lines[13] == ('cmp "$RUNNER_TEMP/sweep_dir/sweep_report.jsonl" '
+    assert lines[8].startswith('head -n 1 "$RUNNER_TEMP/annulus_m4/verify_report.jsonl" | ')
+    assert lines[10] == ('cmp "$RUNNER_TEMP/annulus_m4/verify_report.jsonl" '
+                         '"$RUNNER_TEMP/reproduce_annulus_m4/verify_report.jsonl"')
+    assert lines[11].startswith('head -n 1 "$RUNNER_TEMP/mass_m5/mass_report.jsonl" | ')
+    assert lines[13] == 'cmp "$RUNNER_TEMP/mass_m5/mass_report.jsonl" "$RUNNER_TEMP/reproduce_m5/mass_report.jsonl"'
+    assert lines[14].startswith('head -n 1 "$RUNNER_TEMP/sweep_dir/sweep_report.jsonl" | ')
+    assert lines[16] == ('cmp "$RUNNER_TEMP/sweep_dir/sweep_report.jsonl" '
                          '"$RUNNER_TEMP/reproduce_sweep/sweep_report.jsonl"')
-    assert lines[14].startswith('head -n 1 "$RUNNER_TEMP/pointwise_default/verify_report.jsonl" | ')
+    assert lines[17].startswith('head -n 1 "$RUNNER_TEMP/pointwise_default/verify_report.jsonl" | ')
     assert lines[-1] == ('cmp "$RUNNER_TEMP/pointwise_default/verify_report.jsonl" '
                          '"$RUNNER_TEMP/reproduce_pointwise/verify_report.jsonl"')
     cli = job["steps"][names.index("CLI smoke")]["run"]
-    annulus = "\n".join(line for line in cli.strip().splitlines() if re.search(r'"\$RUNNER_TEMP/annulus[."]', line))
-    assert annulus.count("\n") == 1
+    annulus = "\n".join(line for line in cli.strip().splitlines()
+                        if re.search(r'"\$RUNNER_TEMP/annulus(_m4)?[."]', line))
+    assert annulus.count("\n") == 3
     pointwise = "\n".join(line for line in cli.strip().splitlines()
                           if re.search(r'"\$RUNNER_TEMP/pointwise_default[."]', line))
     assert pointwise.count("\n") == 1
@@ -236,6 +241,8 @@ def test_workflow_reproduces_a_mass_from_its_report(tmp_path):
     assert json.loads((tmp_path / "reproduce.json").read_text())["radii"] == {"r0": 30, "rmax": 320.0, "count": 6}
     assert json.loads((tmp_path / "reproduce_annulus.json").read_text())["trials"] == {
         "identity": 0, "bochner": 1, "integral": 1}
+    m4 = json.loads((tmp_path / "reproduce_annulus_m4.json").read_text())
+    assert m4["model"]["m"] == 4 and m4["trials"] == {"identity": 0, "bochner": 1, "integral": 1}
     assert json.loads((tmp_path / "reproduce_m5.json").read_text())["quadrature"] == {
         "sphere": 26, "fiber": 16, "radial": 8}
     assert json.loads((tmp_path / "reproduce_sweep.json").read_text())["sweep"] == {
@@ -245,9 +252,10 @@ def test_workflow_reproduces_a_mass_from_its_report(tmp_path):
 
 
 def test_workflow_negative_control_fails_as_it_must(tmp_path):
-    """Right before the tier-1 tests, a one-trial Bochner ``verify`` whose tolerance no residual meets must
+    """Right before the tier-1 tests, a five-trial Bochner ``verify`` whose tolerance no residual meets must
     exit exactly 1, and ``report`` on its report must exit 1 too: the failure path of the exit-code
-    contract.  The step is run here as CI runs it."""
+    contract.  Five trials, not one, so that one trial whose residual is exactly 0.0 (which meets even a
+    1e-300 tolerance) cannot flip the exit code.  The step is run here as CI runs it."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
@@ -257,7 +265,7 @@ def test_workflow_negative_control_fails_as_it_must(tmp_path):
     smoke = job["steps"][names.index("Negative control smoke")]["run"]
     lines = smoke.strip().splitlines()
     config = json.loads(re.fullmatch(r"echo '([^']+)' > \"\$RUNNER_TEMP/negative\.json\"", lines[0]).group(1))
-    assert config == {"trials": {"identity": 0, "bochner": 1, "integral": 0}, "tolerances": {"bochner": 1e-300}}
+    assert config == {"trials": {"identity": 0, "bochner": 5, "integral": 0}, "tolerances": {"bochner": 1e-300}}
     assert lines[1:] == [
         'status=0; PYTHONPATH=src python -m weylmass --config "$RUNNER_TEMP/negative.json" '
         '--out "$RUNNER_TEMP/negative" verify || status=$?',

@@ -498,6 +498,24 @@ def _audit_against_single_passes(space, engine, base, f, swept_equal):
     assert pred.predicted_delta == pytest.approx(0.5 * direct, rel=1e-14, abs=1e-16)
 
 
+def test_lee_form_that_cannot_take_taylor_jets_is_refused_by_name(model, engine):
+    """A Lee form read off a jet of its own (the df Lee form of ``_audit_against_single_passes``) cannot take
+    the dual engine's Taylor seeds: ``mass_matrix`` refuses it in one line that names it, a ValueError,
+    not numpy's bare message from inside the evaluator."""
+    from weylmass.errors import JetError
+    from weylmass.families import LeeFormField
+
+    f = radial_profile(model, beta=0.3)
+    df_lee = LeeFormField("df", model, lambda c: frame_jet1(engine, model, f.as_field(), np.asarray(c))[1])
+    with pytest.raises(JetError) as info:
+        mass_matrix(engine, WeylStructure(model, kaluza_perturbation(model, mu=1.0), df_lee),
+                    radii=geometric_radii(40.0, 320.0, 4), quad=QuadratureSpec(sphere=26, fiber=4))
+    # the reason after the colon is numpy's own message, which numpy may word differently
+    message = str(info.value)
+    assert isinstance(info.value, ValueError) and "\n" not in message
+    assert message.startswith("field 'df' cannot take Taylor jets: ")
+
+
 def _to_roundoff(got, want):
     assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 

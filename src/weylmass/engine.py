@@ -57,11 +57,6 @@ class Field:
 def _as_float_array(tree, comp_shape: tuple, batch_shape: tuple) -> np.ndarray:
     """Normalize an evaluator result to a float array of shape comp + batch."""
     target = comp_shape + batch_shape
-    if isinstance(tree, np.ndarray) and tree.dtype == object:
-        out = np.empty(target)
-        for idx in np.ndindex(comp_shape):
-            out[idx] = np.asarray(tree[idx], dtype=float)
-        return out
     if isinstance(tree, (list, tuple)):
         if not comp_shape:
             raise ValueError("evaluator returned a sequence for a scalar field")

@@ -10,9 +10,10 @@ is the one closed form ``autodiff.sine_series``, the same bits as generic
 Taylor arithmetic on them.  Callers index either kind as ``out[i][j]``.
 All components are taken in the model coframe ``(dx_1..dx_m, eta)``.
 
-A field carries only its evaluator, name and parameters: the decay probes
-of :mod:`weylmass.probes` test the class rates 2-m, 1-m and -m, and every
-derivative comes from the engine's jets.
+A metric or Lee field carries only its evaluator and name, and a conformal
+factor also its parameters, which label it in the probe reports: the decay
+probes of :mod:`weylmass.probes` test the class rates 2-m, 1-m and -m, and
+every derivative comes from the engine's jets.
 
 The conformal-factor builders read the radius r = |(x_1..x_m)| and its
 powers r^s through ``_radial``.  ``stacked_factors`` hands its factors one
@@ -84,7 +85,6 @@ class MetricFamily:
     name: str
     model: ModelSpace
     fn: Callable  # coords -> nested (n, n) components
-    params: dict = dc_field(default_factory=dict)
 
     def as_field(self) -> Field:
         n = self.model.dim
@@ -102,7 +102,6 @@ class LeeFormField:
     name: str
     model: ModelSpace
     fn: Callable  # coords -> nested (n,) components
-    params: dict = dc_field(default_factory=dict)
     factor: Optional[ScalarField] = None
 
 
@@ -170,7 +169,7 @@ def kaluza_perturbation(model: ModelSpace, mu: float = 1.0) -> MetricFamily:
         r = _radius(coords[:m])
         return _diagonal_rows(1.0 + 2.0 * mu * r ** (2 - m), m)
 
-    return MetricFamily("kaluza_perturbation", model, fn, params={"mu": mu})
+    return MetricFamily("kaluza_perturbation", model, fn)
 
 
 def kaluza_two_term(model: ModelSpace, mu: float = 1.0, kappa: float = 0.5) -> MetricFamily:
@@ -181,7 +180,7 @@ def kaluza_two_term(model: ModelSpace, mu: float = 1.0, kappa: float = 0.5) -> M
         r = _radius(coords[:m])
         return _diagonal_rows(1.0 + 2.0 * mu * r ** (2 - m) + kappa * r ** (2 * (2 - m)), m)
 
-    return MetricFamily("kaluza_two_term", model, fn, params={"mu": mu, "kappa": kappa})
+    return MetricFamily("kaluza_two_term", model, fn)
 
 
 def slow_tail(model: ModelSpace, mu: float = 1.0) -> MetricFamily:
@@ -192,7 +191,7 @@ def slow_tail(model: ModelSpace, mu: float = 1.0) -> MetricFamily:
         r = _radius(coords[:m])
         return _diagonal_rows(1.0 + 2.0 * mu * r ** (-0.5), m)
 
-    return MetricFamily("slow_tail", model, fn, params={"mu": mu})
+    return MetricFamily("slow_tail", model, fn)
 
 
 def conformal_sweep(base: MetricFamily, factor: ScalarField) -> MetricFamily:
@@ -204,8 +203,7 @@ def conformal_sweep(base: MetricFamily, factor: ScalarField) -> MetricFamily:
         g = base.fn(coords)
         return [[f * g[i][j] for j in range(n)] for i in range(n)]
 
-    return MetricFamily(f"conformal_sweep({base.name},{factor.name})", base.model, fn,
-                        params={**base.params, "factor": factor.name})
+    return MetricFamily(f"conformal_sweep({base.name},{factor.name})", base.model, fn)
 
 
 def stacked_draws(rngs, draw) -> tuple:
@@ -236,7 +234,7 @@ def random_local_metric(model: ModelSpace, seeds, amplitude: float = 0.12, fiber
         am.value(g)[range(n), range(n)] += 1.0  # the identity, added last
         return g
 
-    return MetricFamily(name, model, fn, params={"seeds": list(seeds)})
+    return MetricFamily(name, model, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +260,7 @@ def radial_lee(model: ModelSpace, amplitude: float = 0.5) -> LeeFormField:
         scale = amplitude * r ** (-m)
         return [scale * coords[a] for a in range(m)] + [0.0]
 
-    return LeeFormField("radial_lee", model, fn, params={"amplitude": amplitude})
+    return LeeFormField("radial_lee", model, fn)
 
 
 def mixed_lee(model: ModelSpace, amplitude: float = 0.5, fiber_amplitude: float = 0.3) -> LeeFormField:
@@ -276,8 +274,7 @@ def mixed_lee(model: ModelSpace, amplitude: float = 0.5, fiber_amplitude: float 
         comps.append(fiber_amplitude * fall)
         return comps
 
-    return LeeFormField("mixed_lee", model, fn,
-                        params={"amplitude": amplitude, "fiber_amplitude": fiber_amplitude})
+    return LeeFormField("mixed_lee", model, fn)
 
 
 def compact_lee(model: ModelSpace, amplitude: float = 0.5, r0: float = 2.0, r1: float = 4.0) -> LeeFormField:
@@ -299,7 +296,7 @@ def compact_lee(model: ModelSpace, amplitude: float = 0.5, r0: float = 2.0, r1: 
         bump = am.where(inside, am.exp(-1.0 / am.where(inside, u, 1.0)), 0.0)
         return [amplitude * bump * coords[a] / r for a in range(m)] + [0.0]
 
-    return LeeFormField("compact_lee", model, fn, params={"amplitude": amplitude, "r0": r0, "r1": r1})
+    return LeeFormField("compact_lee", model, fn)
 
 
 def random_local_lee(model: ModelSpace, seeds, amplitude=0.3, fiber_dependence=False,
@@ -321,7 +318,7 @@ def random_local_lee(model: ModelSpace, seeds, amplitude=0.3, fiber_dependence=F
     def fn(coords):
         return am.sine_series(amps, arg_coefs, [1.0] + list(coords[:m + 1]), name, diagonal=True)
 
-    return LeeFormField(name, model, fn, params={"seeds": list(seeds)})
+    return LeeFormField(name, model, fn)
 
 
 # ---------------------------------------------------------------------------

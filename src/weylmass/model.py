@@ -11,7 +11,9 @@ trivial fibration ``A = 0`` and the frame is holonomic.  For the Hopf
 fibration (m = 3 only) the connection is the charge-one monopole potential,
 whose curvature ``d eta`` integrates to ``L`` over the unit sphere; the
 potential has a coordinate seam along the negative x3-axis, but ``d eta``
-itself is seam-free and all bracket bookkeeping goes through it.
+itself is seam-free and all bracket bookkeeping goes through it.  A and
+``d eta`` are each one evaluator in ``autodiff``'s generic math, and their
+Jacobians are read off its first-order jets, outside the derivative engine.
 """
 
 from __future__ import annotations
@@ -21,9 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as am
 from .errors import ChartDomainError
 
 FIBRATIONS = ("trivial", "hopf")
+
+
+def _quotient(a, b):
+    """a / b in generic math, with numpy's a / b as its value: a jet quotient multiplies by the reciprocal."""
+    q = a / b
+    return am.Taylor2(am.value(a) / am.value(b), q.grad, q.hess) if isinstance(q, am.Taylor2) else q
 
 
 def sphere_volume(m: int) -> float:
@@ -82,95 +91,69 @@ class ModelSpace:
 
     def connection_potential(self, x) -> np.ndarray:
         """Components A_a(x) of the horizontal part of eta (eta = dt + A_a dx^a)."""
-        x = np.asarray(x, dtype=float)
-        if self.fibration == "trivial":
-            return np.zeros_like(x)
-        _, _, pref = self._hopf_potential_factor(x)
-        A = np.zeros_like(x)
-        A[0] = -pref * x[1]
-        A[1] = pref * x[0]
-        return A
+        return self._read(self._hopf_potential, x, (self.m,))
 
-    def _hopf_potential_factor(self, x):
-        """(r, rho^2, p) with A = p (-x2, x1, 0) and p = L (1 - x3/r) / (4 pi rho^2)."""
-        r = np.sqrt(np.sum(x * x, axis=0))
-        rho2 = x[0] ** 2 + x[1] ** 2
-        if np.any(rho2 / np.maximum(r, 1e-300) ** 2 < 1e-24):
+    def _hopf_potential(self, x) -> list:
+        """A = p (-x2, x1, 0) with p = L (1 - x3/r) / (4 pi rho^2), in generic math: x holds arrays or jets."""
+        rho2 = x[0] * x[0] + x[1] * x[1]
+        r = am.sqrt(rho2 + x[2] * x[2])
+        if np.any(am.value(rho2) / np.maximum(am.value(r), 1e-300) ** 2 < 1e-24):
             raise ChartDomainError("point on the fiber-chart seam (x3-axis); move quadrature nodes off-axis")
-        return r, rho2, (self.L / (4.0 * math.pi)) * (1.0 - x[2] / r) / rho2
+        p = _quotient((self.L / (4.0 * math.pi)) * (1.0 - _quotient(x[2], r)), rho2)
+        return [-p * x[1], p * x[0], np.zeros_like(am.value(r))]
 
     def connection_jacobian(self, x) -> np.ndarray:
         """Coordinate Jacobian of the potential: J[b, a] = dA_a/dx_b, shape (m, m) + batch.
 
         A does not depend on t, so this is also the frame derivative X_b A_a.
         """
-        x = np.asarray(x, dtype=float)
-        J = np.zeros((self.m,) + x.shape)
-        if self.fibration == "trivial":
-            return J
-        r, rho2, pref = self._hopf_potential_factor(x)
-        c = self.L / (4.0 * math.pi)
-        for b in range(3):
-            du = x[2] * x[b] / r**3 - (1.0 / r if b == 2 else 0.0)  # d(1 - x3/r)/dx_b
-            drho2 = 2.0 * x[b] if b < 2 else 0.0
-            dpref = (c * du - pref * drho2) / rho2
-            J[b, 0] = -dpref * x[1] - (pref if b == 1 else 0.0)
-            J[b, 1] = dpref * x[0] + (pref if b == 0 else 0.0)
-        return J
+        return self._read(self._hopf_potential, x, (self.m,), jacobian=True)
 
     def deta(self, x) -> np.ndarray:
         """Curvature 2-form d(eta) on frame pairs: omega[a, b] = d(eta)(X_a, X_b)."""
-        x = np.asarray(x, dtype=float)
-        batch = x.shape[1:]
-        omega = np.zeros((self.m, self.m) + batch)
-        if self.fibration == "hopf":
-            r3 = np.sum(x * x, axis=0) ** 1.5
-            c = self.L / (4.0 * math.pi)
-            omega[0, 1] = c * x[2] / r3
-            omega[1, 2] = c * x[0] / r3
-            omega[2, 0] = c * x[1] / r3
-            omega[1, 0] = -omega[0, 1]
-            omega[2, 1] = -omega[1, 2]
-            omega[0, 2] = -omega[2, 0]
-        return omega
+        return self._read(self._hopf_curvature, x, (self.m, self.m))
+
+    def _hopf_curvature(self, x) -> list:
+        """omega[a][c] = L/(4 pi) eps_ack x_k / r^3, in generic math: x holds arrays or jets."""
+        r3 = (x[0] * x[0] + x[1] * x[1] + x[2] * x[2]) ** 1.5
+        c = self.L / (4.0 * math.pi)
+        w01, w12, w20 = (_quotient(c * x[k], r3) for k in (2, 0, 1))
+        zero = np.zeros_like(am.value(r3))
+        return [[zero, w01, -w20], [-w01, zero, w12], [w20, -w12, zero]]
 
     def deta_jacobian(self, x) -> np.ndarray:
         """Coordinate derivatives of the curvature form: out[b, a, c] = d omega[a, c]/dx_b.
 
-        On the Hopf chart omega[a, c] = L/(4 pi) eps_ack x_k / r^3.  omega does
-        not depend on t, so these are also the frame derivatives X_b omega.
+        omega does not depend on t, so these are also the frame derivatives X_b omega.
         """
+        return self._read(self._hopf_curvature, x, (self.m, self.m), jacobian=True)
+
+    def _read(self, evaluator, x, comp: tuple, jacobian: bool = False) -> np.ndarray:
+        """A Hopf evaluator's components ``comp + batch`` at x, or with ``jacobian`` their coordinate derivatives
+        ``out[b] = d/dx_b``, read off its first-order jet; zero on the trivial chart."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros((self.m, self.m, self.m) + x.shape[1:])
-        if self.fibration == "hopf":
-            r2 = np.sum(x * x, axis=0)
-            c = self.L / (4.0 * math.pi)
-            for k, (a, e) in ((2, (0, 1)), (0, (1, 2)), (1, (2, 0))):
-                for b in range(3):
-                    v = c * ((1.0 if b == k else 0.0) - 3.0 * x[k] * x[b] / r2) / r2**1.5
-                    out[b, a, e] = v
-                    out[b, e, a] = -v
-        return out
+        if self.fibration == "trivial":
+            return np.zeros((self.m,) * jacobian + comp + x.shape[1:])
+        if not jacobian:
+            return np.array(evaluator(x))
+        return am.collect_jet(evaluator(am.seed_point(x, order=1)), self.m, x.shape[1:])[1]
 
     def structure_constants(self, coords) -> np.ndarray:
         """Frame brackets: [E_i, E_j] = C[i, j, k] E_k.  Only [X_a, X_b] = -omega_ab T."""
         coords = np.asarray(coords, dtype=float)
-        x, _ = self.split(coords)
-        batch = coords.shape[1:]
         n = self.dim
-        C = np.zeros((n, n, n) + batch)
+        C = np.zeros((n, n, n) + coords.shape[1:])
         if self.fibration == "hopf":
-            C[: self.m, : self.m, self.m] = -self.deta(x)
+            C[: self.m, : self.m, self.m] = -self.deta(coords[: self.m])
         return C
 
     def structure_jacobian(self, coords) -> np.ndarray:
         """Frame derivatives of the structure constants: dC[p, i, j, k] = E_p C[i, j, k]."""
         coords = np.asarray(coords, dtype=float)
-        x, _ = self.split(coords)
         n = self.dim
         dC = np.zeros((n, n, n, n) + coords.shape[1:])
         if self.fibration == "hopf":
-            dC[: self.m, : self.m, : self.m, self.m] = -self.deta_jacobian(x)
+            dC[: self.m, : self.m, : self.m, self.m] = -self.deta_jacobian(coords[: self.m])
         return dC
 
     def lc_coeffs_h(self, coords) -> np.ndarray:

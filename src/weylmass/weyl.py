@@ -688,6 +688,5 @@ def gauge_change(ws: WeylStructure, factor: ScalarField) -> WeylStructure:
     lee = ws.lee
     total = factor if lee.factor is None else ScalarField(
         f"{lee.factor.name}*{factor.name}", ws.model, lambda c: lee.factor.fn(c) * factor.fn(c))
-    new_lee = LeeFormField(f"{lee.name}-dlog({factor.name})/2", ws.model, lee.fn,
-                           params={**lee.params, "factor": factor.name}, factor=total)
+    new_lee = LeeFormField(f"{lee.name}-dlog({factor.name})/2", ws.model, lee.fn, factor=total)
     return WeylStructure(ws.model, conformal_sweep(ws.metric, factor), new_lee, ws.gauge + "~" + factor.name)

@@ -671,7 +671,7 @@ def anisotropic_metric(model: ModelSpace, A) -> MetricFamily:
         return [[(float(i == j) + A[i, j] * fall if i < m and j < m else float(i == j)) for j in range(n)]
                 for i in range(n)]
 
-    return MetricFamily("anisotropic_metric", model, fn, params={"A": A.tolist()})
+    return MetricFamily("anisotropic_metric", model, fn)
 
 
 def anisotropic_mass_matrix(A) -> np.ndarray:
@@ -687,7 +687,7 @@ def translated_metric(fam: MetricFamily, centre) -> MetricFamily:
     def fn(coords):
         return fam.fn([x - c for x, c in zip(coords[:m], centre)] + list(coords[m:]))
 
-    return MetricFamily(f"translated({fam.name})", fam.model, fn, params={**fam.params, "centre": list(centre)})
+    return MetricFamily(f"translated({fam.name})", fam.model, fn)
 
 
 def random_adapted_scalar(model: ModelSpace, seed: int, scale: float = 0.4) -> ScalarField:

@@ -180,10 +180,11 @@ def test_workflow_reproduces_a_mass_from_its_report(tmp_path):
     embeds: the two reports must be the same bytes.  Then the same for the one-trial annulus verifies of the CLI
     smoke at m = 3 and m = 4: a verify from the config its report embeds must write the same bytes.  Then the same for the
     default m = 5 mass of the mass smoke.  Then the same for the Hopf directional_profile sweep of the sweep
-    smoke, whose factors take their flux and probe jets as one stacked field.  Last, the same for the CLI
-    smoke's pointwise verify at the default trial counts.  The step's commands are run here as CI runs them,
-    after the CLI smoke's annulus (m = 3 and m = 4) and default-trial pointwise commands, the mass smoke's m = 5 commands and
-    the sweep smoke's directional_profile commands."""
+    smoke, whose factors take their flux and probe jets as one stacked field.  Then the same for the CLI
+    smoke's pointwise verify at the default trial counts.  Last, the same for the CLI smoke's pointwise verify on
+    the Hopf chart, whose second-order jets go through the chart's Jacobians.  The step's commands are run here
+    as CI runs them, after the CLI smoke's annulus (m = 3 and m = 4), default-trial pointwise and Hopf pointwise
+    commands, the mass smoke's m = 5 commands and the sweep smoke's directional_profile commands."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
@@ -201,7 +202,8 @@ def test_workflow_reproduces_a_mass_from_its_report(tmp_path):
                     ("reproduce_annulus", "reproduce_annulus", "verify"),
                     ("reproduce_annulus_m4", "reproduce_annulus_m4", "verify"), ("reproduce_m5", "reproduce_m5", "mass"),
                     ("reproduce_sweep", "reproduce_sweep", "sweep"),
-                    ("reproduce_pointwise", "reproduce_pointwise", "verify")]
+                    ("reproduce_pointwise", "reproduce_pointwise", "verify"),
+                    ("reproduce_pointwise_hopf", "reproduce_pointwise_hopf", "verify")]
     lines = smoke.strip().splitlines()
     assert lines[4] == 'cmp "$RUNNER_TEMP/partial/mass_report.jsonl" "$RUNNER_TEMP/reproduce/mass_report.jsonl"'
     assert lines[5].startswith('head -n 1 "$RUNNER_TEMP/annulus/verify_report.jsonl" | ')
@@ -216,8 +218,11 @@ def test_workflow_reproduces_a_mass_from_its_report(tmp_path):
     assert lines[16] == ('cmp "$RUNNER_TEMP/sweep_dir/sweep_report.jsonl" '
                          '"$RUNNER_TEMP/reproduce_sweep/sweep_report.jsonl"')
     assert lines[17].startswith('head -n 1 "$RUNNER_TEMP/pointwise_default/verify_report.jsonl" | ')
-    assert lines[-1] == ('cmp "$RUNNER_TEMP/pointwise_default/verify_report.jsonl" '
+    assert lines[19] == ('cmp "$RUNNER_TEMP/pointwise_default/verify_report.jsonl" '
                          '"$RUNNER_TEMP/reproduce_pointwise/verify_report.jsonl"')
+    assert lines[20].startswith('head -n 1 "$RUNNER_TEMP/pointwise_hopf/verify_report.jsonl" | ')
+    assert lines[-1] == ('cmp "$RUNNER_TEMP/pointwise_hopf/verify_report.jsonl" '
+                         '"$RUNNER_TEMP/reproduce_pointwise_hopf/verify_report.jsonl"')
     cli = job["steps"][names.index("CLI smoke")]["run"]
     annulus = "\n".join(line for line in cli.strip().splitlines()
                         if re.search(r'"\$RUNNER_TEMP/annulus(_m4)?[."]', line))
@@ -225,6 +230,9 @@ def test_workflow_reproduces_a_mass_from_its_report(tmp_path):
     pointwise = "\n".join(line for line in cli.strip().splitlines()
                           if re.search(r'"\$RUNNER_TEMP/pointwise_default[."]', line))
     assert pointwise.count("\n") == 1
+    pointwise_hopf = "\n".join(line for line in cli.strip().splitlines()
+                               if re.search(r'"\$RUNNER_TEMP/pointwise_hopf[."]', line))
+    assert pointwise_hopf.count("\n") == 1
     mass = job["steps"][names.index("Mass smoke")]["run"]
     mass_m5 = "\n".join(line for line in mass.strip().splitlines() if re.search(r'"\$RUNNER_TEMP/mass_m5[."]', line))
     assert mass_m5.count("\n") == 1
@@ -235,8 +243,8 @@ def test_workflow_reproduces_a_mass_from_its_report(tmp_path):
     # `python` in the step is this interpreter where its directory has one
     path = f"{Path(sys.executable).parent}{os.pathsep}{os.environ.get('PATH', '')}"
     env = {**os.environ, "RUNNER_TEMP": str(tmp_path), "PATH": path}
-    res = subprocess.run(["bash", "-eo", "pipefail", "-c", "\n".join((annulus, pointwise, mass_m5, sweep_dir, smoke))], capture_output=True,
-                         text=True, env=env, cwd=ROOT, timeout=300)
+    res = subprocess.run(["bash", "-eo", "pipefail", "-c", "\n".join((annulus, pointwise, pointwise_hopf, mass_m5, sweep_dir, smoke))],
+                         capture_output=True, text=True, env=env, cwd=ROOT, timeout=300)
     assert res.returncode == 0, res.stderr + res.stdout
     assert json.loads((tmp_path / "reproduce.json").read_text())["radii"] == {"r0": 30, "rmax": 320.0, "count": 6}
     assert json.loads((tmp_path / "reproduce_annulus.json").read_text())["trials"] == {
@@ -249,6 +257,8 @@ def test_workflow_reproduces_a_mass_from_its_report(tmp_path):
         "name": "directional_profile", "param": "beta", "values": [0.2, 0.3]}
     assert json.loads((tmp_path / "reproduce_pointwise.json").read_text())["trials"] == {
         "identity": 100, "bochner": 20, "integral": 0}
+    hopf = json.loads((tmp_path / "reproduce_pointwise_hopf.json").read_text())
+    assert hopf["model"]["fibration"] == "hopf" and hopf["trials"] == {"identity": 6, "bochner": 3, "integral": 0}
 
 
 def test_workflow_negative_control_fails_as_it_must(tmp_path):

@@ -152,6 +152,34 @@ def test_hopf_deta_jacobian_matches_fd(hopf_space):
     assert not np.any(dC[3]) and not np.any(dC[:, :, :, :3])
 
 
+def _off_seam_points(count: int = 200, seed: int = 7) -> np.ndarray:
+    """count random points with 1.2 < r < 6 and rho / r > 0.05, off the seam of the Hopf potential."""
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(3, 4 * count))
+    u /= np.linalg.norm(u, axis=0)
+    return u[:, np.hypot(u[0], u[1]) > 0.05][:, :count] * rng.uniform(1.2, 6.0, size=count)
+
+
+@pytest.mark.parametrize("points", ["fixed", "random"])
+def test_hopf_curvature_is_closed(hopf_space, points):
+    """d omega = 0: the cyclic sum of deta_jacobian, d_b omega_ac + d_c omega_ba + d_a omega_cb, vanishes."""
+    x = HOPF_POINTS if points == "fixed" else _off_seam_points()
+    dw = hopf_space.deta_jacobian(x)
+    assert np.max(np.abs(dw + dw.transpose(1, 2, 0, 3) + dw.transpose(2, 0, 1, 3))) < 1e-14
+
+
+@pytest.mark.parametrize("evaluator,values", [("_hopf_potential", "connection_potential"),
+                                              ("_hopf_curvature", "deta")])
+def test_hopf_chart_jets_carry_the_array_values(hopf_space, evaluator, values):
+    """The one evaluator of A (of omega) gives the same bits on seeds as on arrays, so the Jacobians are
+    jets of the values the frame calculus uses."""
+    from weylmass import autodiff as am
+
+    x = np.concatenate([HOPF_POINTS, _off_seam_points()], axis=1)
+    val = am.collect_jet(getattr(hopf_space, evaluator)(am.seed_point(x, order=1)), 3, x.shape[1:])[0]
+    assert val.tobytes() == np.ascontiguousarray(getattr(hopf_space, values)(x)).tobytes()
+
+
 def test_trivial_chart_jacobians_vanish(model):
     assert not np.any(model.connection_jacobian(HOPF_POINTS))
     assert not np.any(model.deta_jacobian(HOPF_POINTS))

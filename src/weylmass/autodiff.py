@@ -42,6 +42,8 @@ the generic math functions at the bottom of this module (``sqrt``, ``sin``,
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 __all__ = [
@@ -280,17 +282,18 @@ def where(cond, a, b):
     return Taylor2(val, np.where(cond, ga, gb), np.where(cond, ha, hb))
 
 
-def collect_jet(tree, nvars: int, batch_shape: tuple = ()):
-    """Extract (value, gradient, Hessian) arrays from an evaluator result.
+def collect_jet(tree, comp: tuple, nvars: int, batch_shape: tuple = ()):
+    """Extract (value, gradient, Hessian) arrays from an evaluator result of component shape ``comp``.
 
     Leading axes of the returned gradient/Hessian are the derivative axes:
     value ``comp + batch``, gradient ``(d,) + comp + batch``, Hessian
     ``(d, d) + comp + batch``.  An array-valued Taylor2 already has that
-    layout and is returned without gathering; a nested list is gathered
-    leaf by leaf, with non-Taylor2 leaves treated as constants.  Both paths
-    hold the component axes outermost in memory, so downstream reductions
-    see the same strides and round the same way.  The Hessian is
-    ``NO_HESSIAN`` if the tree holds a first-order jet.
+    layout and is returned without gathering; any other tree is read leaf by
+    leaf at the indices of ``comp`` (a leaf may be a plain batch array), with
+    non-Taylor2 leaves treated as constants.  Both paths hold the component
+    axes outermost in memory, so downstream reductions see the same strides
+    and round the same way.  The Hessian is ``NO_HESSIAN`` if the tree holds
+    a first-order jet.
     """
     if isinstance(tree, Taylor2):
         k = tree.val.ndim - len(batch_shape)
@@ -300,14 +303,12 @@ def collect_jet(tree, nvars: int, batch_shape: tuple = ()):
             hess = np.asarray(move_axis(move_axis(hess, 1, k + 1), 0, k), order="C")
             hess = move_axis(move_axis(hess, k, 0), k + 1, 1)
         return np.asarray(tree.val, order="C"), grad, hess
-    arr = np.array(tree, dtype=object)
-    comp = arr.shape
-    second = not any(isinstance(leaf, Taylor2) and leaf.hess is NO_HESSIAN for leaf in arr.flat)
+    leaves = {idx: reduce(lambda node, i: node[i], idx, tree) for idx in np.ndindex(comp)}
+    second = not any(isinstance(leaf, Taylor2) and leaf.hess is NO_HESSIAN for leaf in leaves.values())
     val = np.zeros(comp + batch_shape)
     grad = np.zeros(comp + (nvars,) + batch_shape)
     hess = np.zeros(comp + (nvars, nvars) + batch_shape) if second else NO_HESSIAN
-    for idx in np.ndindex(comp):
-        leaf = arr[idx]
+    for idx, leaf in leaves.items():
         if isinstance(leaf, Taylor2):
             val[idx] = leaf.val
             grad[idx] = leaf.grad

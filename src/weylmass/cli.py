@@ -3,13 +3,16 @@
 Configuration is a single JSON file; only ``--seed`` and ``--out`` override
 it from the command line.  ``SCHEMA`` gives every config key its default
 and its rule; ``RunConfig.load`` checks a configuration once and keeps the
-chart, engine, Weyl structure and sweep factors it built for the commands.
+chart, Weyl structure and sweep factors it built for the commands.
 Every report starts with a ``config`` record holding the fully resolved
 configuration: every section with every key, the family and Lee parameters
 completed from the builders' defaults.  Written out as a config file, that
 record resolves to itself, so a run is reproducible byte for byte from its
 report alone.  Reports are JSON-lines (one object per record) next to CSV
 tables with a versioned schema comment.
+
+``_judge`` prints each record's lines and decides its verdict, for the
+command that writes the record and again for ``report``.
 
 Exit codes: 0 all checks pass, 1 an identity or audit failed, 2 invalid
 configuration or report, or a domain error (mass not defined, ...).
@@ -41,6 +44,7 @@ from .weyl import WeylStructure
 
 CSV_SCHEMA = "# schema=mass_table_v1 columns=radius,Q_flux,conf_correction,extrapolated"
 OUT_ENV = "WEYLMASS_OUT"
+ENGINE = DerivativeEngine()  # stateless: every command takes its jets from this one
 
 
 def _integer(v) -> bool:
@@ -99,7 +103,6 @@ class RunConfig:
     config: dict  # the resolved configuration every report embeds; the output directory is not part of it
     out: str | None
     model: ModelSpace
-    engine: DerivativeEngine
     structure: WeylStructure
     factors: list  # the sweep's conformal factors, one per value
     radii: list
@@ -170,7 +173,7 @@ class RunConfig:
             _check_value(f"sweep.values[{i}]", bound.signature.parameters[param], value)
         factors = [_construct(f"sweep.values[{i}]", builder, model, **{param: value})
                    for i, value in enumerate(sweep["values"])]
-        return cls({k: v for k, v in cfg.items() if k != "out"}, cfg["out"], model, DerivativeEngine(),
+        return cls({k: v for k, v in cfg.items() if k != "out"}, cfg["out"], model,
                    WeylStructure(model, built["family"], built["lee"]), factors,
                    [float(r) for r in geometric_radii(r0, rmax, cfg["radii"]["count"])],
                    QuadratureSpec(**cfg["quadrature"]))
@@ -211,10 +214,45 @@ def _check_value(where: str, param: inspect.Parameter, value) -> None:
         raise ConfigError(f"{where} must be {'an integer' if whole else 'a finite real number'}, got {value!r}")
 
 
-def _write_jsonl(path: Path, records: list) -> None:
+def _judge(rec: dict, config: dict) -> bool:
+    """Print one report record's lines and return its verdict; every field is read by key, so a record that
+    lacks one (its verdict included) raises instead of taking a verdict it does not state."""
+    if "mass_matrix" in rec:
+        print("polarized conformal-mass matrix over the horizontal basis:")
+        for row in rec["mass_matrix"]:
+            print("  [" + "  ".join(f"{v: .8e}" for v in row) + "]")
+        print("eigenvalues: " + " ".join(f"{v:.8e}" for v in rec["eigenvalues"]))
+        return True
+    if "identity" in rec:
+        checks = [(rec["passed"], f"{rec['identity']}: max residual {rec['max_residual']:.3e} "
+                                  f"(tol {rec['tolerance']:g}, {rec['trials']} trials)")]
+    elif "audits" in rec:
+        tol = float(config["tolerances"]["mass"])
+        param = config["sweep"]["param"]
+        factor = f"{rec['factor']}({param}={rec[param]})"
+        checks = [(audit["passed"], f"invariance {factor} Z=X{b + 1}: rel diff {audit['rel_difference']:.3e} "
+                                    f"(tol {tol:g})") for b, audit in enumerate(rec["audits"])]
+        rel_error = rec["prediction"]["rel_error"]
+        checks.append((rel_error < tol, f"mass-shift prediction {factor}: rel error {rel_error:.3e} (tol {tol:g})"))
+    else:  # a mass direction prints only if it did not converge, but its line is formatted to check its fields
+        line = f"mass[{rec['Z']}] = {rec['mass']:.8e}: flux sequence NOT CONVERGED"
+        if not rec["converged"]:
+            print(line)
+        return rec["converged"]
+    for ok, line in checks:
+        print(f"[{'PASS' if ok else 'FAIL'}] {line}")
+    return all(ok for ok, _ in checks)
+
+
+def _write_report(path: Path, records: list) -> bool:
+    """Judge every record after the leading config record, write all of them as JSON lines, name the file;
+    True if every record passed."""
+    ok = all([_judge(rec, records[0]["config"]) for rec in records[1:]])
     with open(path, "w") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    print(f"report: {path}")
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -224,50 +262,27 @@ def _write_jsonl(path: Path, records: list) -> None:
 
 def cmd_verify(cfg: RunConfig) -> int:
     conf = cfg.config
-    reports = run_suite(cfg.engine, cfg.model, seed=conf["seed"], trials=conf["trials"],
+    reports = run_suite(ENGINE, cfg.model, seed=conf["seed"], trials=conf["trials"],
                         tolerances={group: float(tol) for group, tol in conf["tolerances"].items()})
-    records = [{"config": conf}]
-    ok = True
-    for rep in reports:
-        records.append(rep.as_dict())
-        status = "PASS" if rep.passed else "FAIL"
-        ok = ok and rep.passed
-        print(f"[{status}] {rep.identity}: max residual {rep.max_residual:.3e} "
-              f"(tol {rep.tolerance:g}, {rep.trials} trials)")
-    out = cfg.out_dir() / "verify_report.jsonl"
-    _write_jsonl(out, records)
-    print(f"report: {out}")
-    return 0 if ok else 1
+    records = [{"config": conf}] + [rep.as_dict() for rep in reports]
+    return 0 if _write_report(cfg.out_dir() / "verify_report.jsonl", records) else 1
 
 
 def cmd_mass(cfg: RunConfig) -> int:
-    matrix, q_matrix, reports = mass_matrix(cfg.engine, cfg.structure, radii=cfg.radii, quad=cfg.quad,
+    matrix, q_matrix, reports = mass_matrix(ENGINE, cfg.structure, radii=cfg.radii, quad=cfg.quad,
                                             tol_conv=float(cfg.config["tolerances"]["convergence"]))
-    print("polarized conformal-mass matrix over the horizontal basis:")
-    for row in matrix:
-        print("  [" + "  ".join(f"{v: .8e}" for v in row) + "]")
-    eigs = np.linalg.eigvalsh(matrix)
-    print("eigenvalues:", " ".join(f"{v:.8e}" for v in eigs))
-    non_conv = [key for key, rep in reports.items() if not rep.converged]
-    if non_conv:
-        print(f"warning: flux sequence not converged for {non_conv}")
-
     out = cfg.out_dir()
-    records = [{"config": cfg.config},
-               {"mass_matrix": matrix.tolist(), "eigenvalues": eigs.tolist(),
-                "q_matrix": q_matrix.tolist()}]
-    records += [rep.as_dict() for rep in reports.values()]
-    _write_jsonl(out / "mass_report.jsonl", records)
     for b in range(cfg.model.m):
-        key = f"1*X{b + 1}"
-        rep = reports[key]
-        csv_path = out / f"mass_table_X{b + 1}.csv"
-        with open(csv_path, "w") as fh:
+        with open(out / f"mass_table_X{b + 1}.csv", "w") as fh:
             fh.write(CSV_SCHEMA + "\n")
             fh.write("radius,Q_flux,conf_correction,extrapolated\n")
-            for r, q, c, e in rep.csv_rows():
+            for r, q, c, e in reports[f"1*X{b + 1}"].csv_rows():
                 fh.write(f"{r!r},{q!r},{c!r},{e!r}\n")
-    print(f"report: {out / 'mass_report.jsonl'}")
+    records = [{"config": cfg.config},
+               {"mass_matrix": matrix.tolist(), "eigenvalues": np.linalg.eigvalsh(matrix).tolist(),
+                "q_matrix": q_matrix.tolist()}]
+    records += [rep.as_dict() for rep in reports.values()]
+    _write_report(out / "mass_report.jsonl", records)  # a direction that did not converge exits 0 here, 1 in report
     return 0
 
 
@@ -275,56 +290,17 @@ def cmd_sweep(cfg: RunConfig) -> int:
     param, values = cfg.config["sweep"]["param"], cfg.config["sweep"]["values"]
     if not values:
         raise ConfigError("sweep.values is empty")
-    tol = float(cfg.config["tolerances"]["mass"])
-    results = gauge_audit(cfg.engine, cfg.structure, cfg.factors, radii=cfg.radii, quad=cfg.quad, tolerance=tol)
+    results = gauge_audit(ENGINE, cfg.structure, cfg.factors, radii=cfg.radii, quad=cfg.quad,
+                          tolerance=float(cfg.config["tolerances"]["mass"]))
     records = [{"config": cfg.config}]
-    ok = True
-    for value, f, (audits, pred) in zip(values, cfg.factors, results):
-        row = {"factor": f.name, param: value, "audits": [a.as_dict() for a in audits],
-               "prediction": pred.as_dict()}
-        for b, audit in enumerate(audits):
-            ok = ok and audit.passed
-            status = "PASS" if audit.passed else "FAIL"
-            print(f"[{status}] invariance {f.name}({param}={value}) Z=X{b + 1}: "
-                  f"rel diff {audit.rel_difference:.3e} (tol {tol:g})")
-        pred_ok = pred.rel_error < tol
-        ok = ok and pred_ok
-        print(f"[{'PASS' if pred_ok else 'FAIL'}] mass-shift prediction {f.name}({param}={value}): "
-              f"rel error {pred.rel_error:.3e} (tol {tol:g})")
-        records.append(row)
-    out = cfg.out_dir() / "sweep_report.jsonl"
-    _write_jsonl(out, records)
-    print(f"report: {out}")
-    return 0 if ok else 1
-
-
-def _summarize(rec: dict, config) -> bool:
-    """Print one report record's summary; True if it passed."""
-    if "identity" in rec:
-        print(f"  [{'PASS' if rec.get('passed') else 'FAIL'}] {rec['identity']}: {rec['max_residual']:.3e}")
-        return bool(rec.get("passed", False))
-    if "audits" in rec:
-        ok = True
-        for audit in rec["audits"]:
-            ok = ok and bool(audit.get("passed", False))
-            print(f"  [{'PASS' if audit.get('passed') else 'FAIL'}] invariance {rec['factor']} Z={audit['Z']}: "
-                  f"{audit['rel_difference']:.3e}")
-        # the strict test of cmd_sweep, against the mass tolerance of the file's config record
-        tol = config["tolerances"]["mass"]
-        rel_error = rec["prediction"]["rel_error"]
-        print(f"  [{'PASS' if rel_error < tol else 'FAIL'}] mass-shift prediction {rec['factor']}: "
-              f"{rel_error:.3e} (tol {tol:g})")
-        return ok and rel_error < tol
-    if "mass_matrix" in rec:
-        print(f"  mass eigenvalues: {rec['eigenvalues']}")
-    elif "Z" in rec:
-        print(f"  mass[{rec['Z']}] = {rec['mass']:.8e} ({'converged' if rec.get('converged') else 'NOT CONVERGED'})")
-        return bool(rec.get("converged", False))
-    return True
+    records += [{"factor": f.name, param: value, "audits": [a.as_dict() for a in audits],
+                 "prediction": pred.as_dict()} for value, f, (audits, pred) in zip(values, cfg.factors, results)]
+    return 0 if _write_report(cfg.out_dir() / "sweep_report.jsonl", records) else 1
 
 
 def cmd_report(paths: list[str]) -> int:
-    """Summarize previously written JSONL reports; exit 1 if any record failed."""
+    """Judge the records of previously written JSONL reports, each against its file's config record; exit 1 if
+    any record failed."""
     ok = True
     for path in paths:
         try:
@@ -346,7 +322,7 @@ def cmd_report(paths: list[str]) -> int:
                 config = rec["config"]
                 continue
             try:
-                ok = _summarize(rec, config) and ok
+                ok = _judge(rec, config) and ok
             except (KeyError, TypeError, ValueError, AttributeError) as exc:  # a field missing or of a wrong type
                 raise ConfigError(f"{path} line {lineno} is not a valid report record: "
                                   f"{type(exc).__name__}: {exc}") from exc

@@ -84,7 +84,7 @@ class DerivativeEngine:
         An evaluator that cannot take seeds fails with a bare TypeError or ValueError (numpy's or
         ``sine_series``'s), refused as a JetError naming the field; the package's own errors pass through."""
         try:
-            return collect_jet(fld.fn(seed_point(coords, order)), coords.shape[0], coords.shape[1:])
+            return collect_jet(fld.fn(seed_point(coords, order)), fld.shape, coords.shape[0], coords.shape[1:])
         except (TypeError, ValueError) as exc:
             if type(exc) not in (TypeError, ValueError):
                 raise

@@ -211,8 +211,7 @@ def stacked_draws(rngs, draw) -> tuple:
     return tuple(np.stack(arrays, axis=-1) for arrays in zip(*map(draw, rngs)))
 
 
-def random_local_metric(model: ModelSpace, seeds, amplitude: float = 0.12, fiber_dependence=False,
-                        wave_scale: float = 0.7) -> MetricFamily:
+def random_local_metric(model: ModelSpace, seeds, fiber_dependence=False, wave_scale: float = 0.7) -> MetricFamily:
     """Smooth random symmetric perturbations of the identity, one per seed, for identity trials: the
     coefficients carry a trailing trial axis (module docstring); ``fiber_dependence`` is one flag or one per seed."""
     n = model.dim
@@ -225,9 +224,9 @@ def random_local_metric(model: ModelSpace, seeds, amplitude: float = 0.12, fiber
     syms = (syms + np.swapaxes(syms, 1, 2)) / 2.0
     fiber = np.zeros(phases.shape)  # the wave number of t: 2 pi / L in term 0 of a fiber-dependent trial, else 0
     fiber[0] = 2.0 * math.pi * np.broadcast_to(fiber_dependence, (len(seeds),)) / model.L
-    # term q: sin(waves[q] . x + fiber[q] t + phase[q]); the metric is identity + sum_q amplitude syms[q] s_q
+    # term q: sin(waves[q] . x + fiber[q] t + phase[q]); the metric is identity + sum_q 0.12 syms[q] s_q
     arg_coefs = np.concatenate([waves * wave_scale, fiber[:, None], phases[:, None]], axis=1)
-    coefs, name = amplitude * syms, f"random_local_metric(seeds={list(seeds)})"
+    coefs, name = 0.12 * syms, f"random_local_metric(seeds={list(seeds)})"
 
     def fn(coords):
         g = am.sine_series(coefs, arg_coefs, list(coords[:m + 1]) + [1.0], name)

@@ -275,7 +275,7 @@ def check_codifferential_transform(engine: DerivativeEngine, model: ModelSpace, 
         s1 = deltaD(engine, ws, spec, p)
         s2 = deltaD(engine, ws2, spec2, p)
         ssharp = np.einsum("ab...,b...->a...", inv_gram(ws.gram(p)), lee_jet(engine, sigma, p))
-        iw = tdot(ssharp, spec.field.values(p), 0)
+        iw = tdot(ssharp, spec.field.values(p))
         diff = s2 - s1
         c_res = codifferential_shift_coefficient(n, k, deg)
         c_alt = printed_shift_coefficient(n, k, deg)

@@ -136,7 +136,7 @@ class ModelSpace:
             return np.zeros((self.m,) * jacobian + comp + x.shape[1:])
         if not jacobian:
             return np.array(evaluator(x))
-        return am.collect_jet(evaluator(am.seed_point(x, order=1)), self.m, x.shape[1:])[1]
+        return am.collect_jet(evaluator(am.seed_point(x, order=1)), comp, self.m, x.shape[1:])[1]
 
     def structure_constants(self, coords) -> np.ndarray:
         """Frame brackets: [E_i, E_j] = C[i, j, k] E_k.  Only [X_a, X_b] = -omega_ab T."""

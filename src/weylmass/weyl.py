@@ -212,10 +212,9 @@ def inv_gram(g: np.ndarray) -> np.ndarray:
     return inv_gram_volume(g)[0]
 
 
-def tdot(vec: np.ndarray, arr: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Contract a vector (n, batch) into the given tensor axis of arr."""
-    moved = np.moveaxis(arr, axis, 0)
-    return np.einsum("l...,l...->...", vec, moved)
+def tdot(vec: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """Contract a vector (n, batch) into the leading tensor axis of arr."""
+    return np.einsum("l...,l...->...", vec, arr)
 
 
 def outer_front(vec: np.ndarray, arr: np.ndarray, nform: int) -> np.ndarray:
@@ -624,8 +623,6 @@ class CurvatureBundle:
     Ric: np.ndarray          # Ric[i,j] from the antisymmetric part (weight 0)
     Scal: float              # conformal trace of Ric; weight -2 in this gauge
     split_residual: float    # max |sym part of R - F (x) Id|
-
-    scal_weight: float = -2.0
 
 
 def _coeff_curvature(W: np.ndarray, dW: np.ndarray, C: np.ndarray | None) -> np.ndarray:

@@ -122,7 +122,7 @@ def wedge_covd_form_block(engine: DerivativeEngine, ws: WeylStructure, spec: For
     block = np.moveaxis(outer_front(theta, w, p), 0, 1)  # (i, a, j2..jp, batch)
     H = H - wedge_cov_into(block, p - 1)
     # + (E_i)^flat ^ (theta# _| w)
-    tw = tdot(theta_sharp, w, 0)  # (j2..jp, batch)
+    tw = tdot(theta_sharp, w)  # (j2..jp, batch)
     H = H + wedge_cov_into(_outer_two(g, tw, p - 1), p - 1)
     return H
 

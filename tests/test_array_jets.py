@@ -149,17 +149,18 @@ def _points(space, seed, batch):
     return np.stack([trial_point(space, rng) for _ in range(batch)], axis=1)
 
 
-def _jet(fn, p):
-    return am.collect_jet(fn(am.seed_point(p)), p.shape[0], p.shape[1:])
+def _jet(fn, p, comp):
+    return am.collect_jet(fn(am.seed_point(p)), comp, p.shape[0], p.shape[1:])
 
 
 def assert_same_jet(new_fn, old_fn, p):
-    for new, old in zip(_jet(new_fn, p), _jet(old_fn, p)):
-        assert new.shape == old.shape
-        assert np.array_equal(new, old)
     # plain evaluation (Field.values and the fd engine) takes the same arithmetic
     plain_new = np.asarray(new_fn(list(p)), dtype=float)
-    plain_old = _jet(old_fn, p)[0]
+    comp = plain_new.shape[:plain_new.ndim - p.ndim + 1]
+    for new, old in zip(_jet(new_fn, p, comp), _jet(old_fn, p, comp)):
+        assert new.shape == old.shape
+        assert np.array_equal(new, old)
+    plain_old = _jet(old_fn, p, comp)[0]
     assert np.array_equal(plain_new, plain_old)
 
 
@@ -190,8 +191,8 @@ def test_collect_jet_of_array_jet_equals_nested_components():
     nested_v = [v[i] for i in range(4)]
     nested_t = [[t[i, j] for j in range(4)] for i in range(4)]
     for arr, nested in ((v, nested_v), (t, nested_t)):
-        direct = am.collect_jet(arr, 4, (4,))
-        gathered = am.collect_jet(nested, 4, (4,))
+        direct = am.collect_jet(arr, arr.val.shape[:-1], 4, (4,))
+        gathered = am.collect_jet(nested, arr.val.shape[:-1], 4, (4,))
         for a, b in zip(direct, gathered):
             assert a.shape == b.shape
             assert np.array_equal(a, b)
@@ -208,7 +209,7 @@ def test_collect_jet_of_sine_series_shares_its_memory(comp, order, batch):
     x = am.seed_point(rng.uniform(0.5, 1.5, size=(4,) + batch), order)
     K, A = rng.normal(size=(3,) + comp + (1,)), rng.normal(size=(3, 5, 1))
     jet = am.sine_series(K, A, [1.0] + x, "test")
-    val, grad, hess = am.collect_jet(jet, 4, batch)
+    val, grad, hess = am.collect_jet(jet, comp, 4, batch)
     assert grad.shape == (4,) + comp + batch and np.shares_memory(grad, jet.grad)
     if order == 1:
         assert hess is am.NO_HESSIAN and jet.hess is am.NO_HESSIAN
@@ -230,7 +231,7 @@ def test_collect_jet_of_sine_series_shares_its_memory(comp, order, batch):
             acc = acc + K[(q,) + index + (0,)] * term
         return acc
 
-    for got, want in zip((val, grad, hess), am.collect_jet(nested(()), 4, batch)):
+    for got, want in zip((val, grad, hess), am.collect_jet(nested(()), comp, 4, batch)):
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
@@ -340,9 +341,9 @@ def test_collect_jet_of_first_order_tree_has_no_hessian():
     _, v2, t2 = _rank_jets(order=2)
     trees = [(t1, t2), ([[t1[i, j] for j in range(4)] for i in range(4)], [[t2[i, j] for j in range(4)] for i in range(4)]),
              ([v1[0], 2.0, v1[2], v1[3]], [v2[0], 2.0, v2[2], v2[3]])]
-    for first, second in trees:
-        val, grad, hess = am.collect_jet(first, 4, (4,))
-        ref = am.collect_jet(second, 4, (4,))
+    for (first, second), comp in zip(trees, [(4, 4), (4, 4), (4,)]):
+        val, grad, hess = am.collect_jet(first, comp, 4, (4,))
+        ref = am.collect_jet(second, comp, 4, (4,))
         assert hess is am.NO_HESSIAN and ref[2].shape == (4, 4) + ref[0].shape
         assert np.array_equal(val, ref[0]) and np.array_equal(grad, ref[1])
 

@@ -93,6 +93,20 @@ def test_batched_jets_match_pointwise():
         assert np.max(np.abs(d1[:, :, i] - g1)) < 1e-14
 
 
+def test_jets_of_a_list_of_plain_batch_arrays_take_the_declared_shape():
+    """A nested list whose leaves are all plain batch arrays is a constant field: its jets are read at the
+    indices of the field's declared component shape, not by descending into the arrays, so they take the
+    shape of ``Field.values`` and vanishing derivatives."""
+    eng = DerivativeEngine()
+    fld = Field(lambda c: [np.ones(4), np.ones(4)], shape=(2,))
+    pts = np.random.default_rng(3).uniform(0.5, 1.5, size=(4, 4))
+    val, d1, d2 = eng.jet2(fld, pts)
+    assert np.array_equal(eng.jet1(fld, pts)[0], val)
+    assert val.shape == fld.values(pts).shape == (2, 4) and np.array_equal(val, fld.values(pts))
+    assert d1.shape == (4, 2, 4) and d2.shape == (4, 4, 2, 4)
+    assert not np.any(d1) and not np.any(d2)
+
+
 @pytest.mark.parametrize("builder,kwargs", [
     (kaluza_perturbation, {"mu": 0.7}),
     (kaluza_two_term, {"mu": 0.7, "kappa": 0.4}),

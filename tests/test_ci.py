@@ -3,9 +3,11 @@ Hopf compact_lee, an m = 6 and an m = 7 mass, a pointwise verify at m = 3, on th
 pointwise suite at its default trial counts and an annulus verify at m = 3 and m = 4, then
 Hopf sweeps, a trivial-chart sweep, a one-value Hopf sweep, a Hopf sweep over the directional_profile axis, an
 m = 5 sweep and a Hopf sweep on the hopf_model base),
-summarizes every report they wrote, reruns a mass, the m = 3 and m = 4 annulus verifies, the m = 5 mass, the Hopf
+judges every report they wrote again and compares report's lines with the stdout the m = 5 mass, the
+default-trial pointwise verify and the first Hopf sweep kept, reruns a mass, the m = 3 and m = 4 annulus verifies, the m = 5 mass, the Hopf
 directional_profile sweep and the default-trial pointwise verify from the configs their reports embed, checks that a
-five-trial verify whose Bochner tolerance no residual meets exits 1 and so does the report of it, and runs the tier-1 command that ROADMAP.md names, with a
+five-trial verify whose Bochner tolerance no residual meets exits 1 and so does the report of it, with
+the same lines, and runs the tier-1 command that ROADMAP.md names, with a
 time limit."""
 
 import json
@@ -18,6 +20,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+# a smoke command that keeps its standard output for the report smoke to compare ends with this
+KEPT = r'(?: > "\$RUNNER_TEMP/\w+\.out")?'
 
 
 def test_workflow_runs_tier1_command():
@@ -73,7 +77,7 @@ def test_workflow_smoke_runs_an_annulus_verify():
         ({"trials": {"identity": 0, "bochner": 1, "integral": 1}}, "annulus"),
         ({"model": {"m": 4}, "trials": {"identity": 0, "bochner": 1, "integral": 1}}, "annulus_m4"),
     ]
-    commands = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" .*\bverify$",
+    commands = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" .*\bverify" + KEPT + "$",
                           smoke, re.MULTILINE)
     assert commands == ["smoke", "pointwise_hopf", "pointwise_m5", "pointwise_default", "annulus", "annulus_m4"]
 
@@ -122,7 +126,7 @@ def test_workflow_sweep_smoke_runs_a_hopf_sweep():
                        {"model": {"fibration": "hopf"}, "sweep": axes},
                        {"model": {"m": 5}, "sweep": sweep},
                        {"model": {"fibration": "hopf"}, "family": {"name": "hopf_model"}, "sweep": sweep}]
-    runs = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" .*\bsweep$",
+    runs = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" .*\bsweep" + KEPT + "$",
                       smoke, re.MULTILINE)
     assert runs == ["sweep", "sweep_dir", "sweep_trivial", "sweep_one", "sweep_axis", "sweep_m5", "sweep_hopf_model"]
 
@@ -149,30 +153,48 @@ def test_workflow_mass_smoke_runs_a_hopf_mass():
         ({"model": {"m": 6}}, "mass_m6"),
         ({"model": {"m": 7}}, "mass_m7"),
     ]
-    runs = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" .*\bmass$",
+    runs = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" .*\bmass" + KEPT + "$",
                       smoke, re.MULTILINE)
     assert runs == ["mass", "mass_m5", "mass_m5_fine", "mass_compact", "mass_m6", "mass_m7"]
 
 
-def test_workflow_report_smoke_reads_every_smoke_report():
+def test_workflow_report_smoke_reads_every_smoke_report(tmp_path):
     """Between the sweep smoke and the tier-1 tests, ``python -m weylmass report`` reads every JSONL report
     the smoke steps wrote, in order, so a mass record that did not converge (``mass`` itself exits 0 on it)
-    or a sweep record whose audit or mass-shift prediction failed fails the job."""
+    or a sweep record whose audit or mass-shift prediction failed fails the job.  Then, for the m = 5 mass,
+    the default-trial pointwise verify and the first Hopf sweep, whose smoke commands keep their standard
+    output, ``report`` on the one report must print the command's lines (``diff``), apart from the command's
+    ``report:`` line and report's ``== PATH`` line.  Those commands and comparisons are run here as CI runs
+    them."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
     names = [step.get("name") for step in job["steps"]]
     assert names.index("Sweep smoke") + 1 == names.index("Report smoke") == names.index("Reproduce smoke") - 1
+    smokes = "\n".join(job["steps"][names.index(name)]["run"] for name in ("Mass smoke", "CLI smoke", "Sweep smoke"))
     written = [f"$RUNNER_TEMP/{out}/{command}_report.jsonl"
-               for name in ("Mass smoke", "CLI smoke", "Sweep smoke")
-               for out, command in re.findall(r"--out \"\$RUNNER_TEMP/(\w+)\" (\w+)$",
-                                              job["steps"][names.index(name)]["run"], re.MULTILINE)]
+               for out, command in re.findall(r"--out \"\$RUNNER_TEMP/(\w+)\" (\w+)" + KEPT + "$", smokes, re.MULTILINE)]
     assert len(written) == 19
     assert written[-1] == "$RUNNER_TEMP/sweep_hopf_model/sweep_report.jsonl"
-    (line,) = job["steps"][names.index("Report smoke")]["run"].strip().splitlines()
+    kept = re.findall(r"--out \"\$RUNNER_TEMP/(\w+)\" (\w+) > \"\$RUNNER_TEMP/(\w+)\.out\"$", smokes, re.MULTILINE)
+    assert kept == [("mass_m5", "mass", "mass_m5"), ("pointwise_default", "verify", "pointwise_default"),
+                    ("sweep", "sweep", "sweep")]
+    line, *diffs = job["steps"][names.index("Report smoke")]["run"].strip().splitlines()
     prefix = "PYTHONPATH=src python -m weylmass report "
     assert line.startswith(prefix)
     assert re.findall(r'"([^"]+)"', line[len(prefix):]) == written
+    assert diffs == [f"""diff <(grep -v '^report: ' "$RUNNER_TEMP/{out}.out") """
+                     f"""<(PYTHONPATH=src python -m weylmass report "$RUNNER_TEMP/{out}/{command}_report.jsonl" | tail -n +2)"""
+                     for out, command in (("pointwise_default", "verify"), ("sweep", "sweep"), ("mass_m5", "mass"))]
+    runs = [line for line in smokes.splitlines() if re.search(r'"\$RUNNER_TEMP/(mass_m5|pointwise_default|sweep)[."]', line)]
+    assert len(runs) == 6
+    # `python` in the step is this interpreter where its directory has one
+    path = f"{Path(sys.executable).parent}{os.pathsep}{os.environ.get('PATH', '')}"
+    env = {**os.environ, "RUNNER_TEMP": str(tmp_path), "PATH": path}
+    res = subprocess.run(["bash", "-e", "-c", "\n".join(line.strip() for line in runs + diffs)],
+                         capture_output=True, text=True, env=env, cwd=ROOT, timeout=300)
+    assert res.returncode == 0, res.stderr + res.stdout
+    assert (tmp_path / "sweep.out").read_text().count("[PASS]") == 8
 
 
 def test_workflow_reproduces_a_mass_from_its_report(tmp_path):
@@ -263,8 +285,8 @@ def test_workflow_reproduces_a_mass_from_its_report(tmp_path):
 
 def test_workflow_negative_control_fails_as_it_must(tmp_path):
     """Right before the tier-1 tests, a five-trial Bochner ``verify`` whose tolerance no residual meets must
-    exit exactly 1, and ``report`` on its report must exit 1 too: the failure path of the exit-code
-    contract.  Five trials, not one, so that one trial whose residual is exactly 0.0 (which meets even a
+    exit exactly 1, and ``report`` on its report must exit 1 too and print the lines ``verify`` printed:
+    the failure path of the exit-code contract.  Five trials, not one, so that one trial whose residual is exactly 0.0 (which meets even a
     1e-300 tolerance) cannot flip the exit code.  The step is run here as CI runs it."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
@@ -278,16 +300,19 @@ def test_workflow_negative_control_fails_as_it_must(tmp_path):
     assert config == {"trials": {"identity": 0, "bochner": 5, "integral": 0}, "tolerances": {"bochner": 1e-300}}
     assert lines[1:] == [
         'status=0; PYTHONPATH=src python -m weylmass --config "$RUNNER_TEMP/negative.json" '
-        '--out "$RUNNER_TEMP/negative" verify || status=$?',
+        '--out "$RUNNER_TEMP/negative" verify > "$RUNNER_TEMP/negative.out" || status=$?',
         'test "$status" -eq 1',
-        'status=0; PYTHONPATH=src python -m weylmass report "$RUNNER_TEMP/negative/verify_report.jsonl" || status=$?',
+        'status=0; PYTHONPATH=src python -m weylmass report "$RUNNER_TEMP/negative/verify_report.jsonl" '
+        '> "$RUNNER_TEMP/negative.report" || status=$?',
         'test "$status" -eq 1',
+        """diff <(grep -v '^report: ' "$RUNNER_TEMP/negative.out") <(tail -n +2 "$RUNNER_TEMP/negative.report")""",
     ]
     path = f"{Path(sys.executable).parent}{os.pathsep}{os.environ.get('PATH', '')}"
     env = {**os.environ, "RUNNER_TEMP": str(tmp_path), "PATH": path}
     res = subprocess.run(["bash", "-e", "-c", smoke], capture_output=True, text=True, env=env, cwd=ROOT, timeout=300)
     assert res.returncode == 0, res.stderr + res.stdout
-    assert res.stdout.count("[FAIL] bochner_pointwise") == 2
+    for output in ("negative.out", "negative.report"):
+        assert (tmp_path / output).read_text().count("[FAIL] bochner_pointwise") == 1
 
 
 def test_package_runs_as_module_without_install(tmp_path):

@@ -403,15 +403,53 @@ def test_invalid_tolerance_or_trials_exits_two(tmp_path, command, changes, messa
     {"identity": "x", "max_residual": "a", "passed": True},
     {"Z": "z", "mass": None, "converged": True},
     {"factor": "f", "audits": [], "prediction": {"rel_error": 0.0}},
+    {"identity": "x", "max_residual": 0.0, "tolerance": 1e-6, "trials": 1},
+    {"Z": "z", "mass": 1.0},
+    [{"config": {"tolerances": {"mass": 1e-4}, "sweep": {"param": "beta"}}},
+     {"factor": "f", "beta": 0.2, "audits": [{"Z": "1*X1", "rel_difference": 0.0}], "prediction": {"rel_error": 0.0}}],
 ])
 def test_report_refuses_malformed_records(tmp_path, record):
-    """A record with a field of the wrong type, or a sweep record with no config record before it to give
-    the mass tolerance: one ``error:`` line naming the path and the line, exit 2, no traceback."""
+    """A record with a field of the wrong type, a sweep record with no config record before it to give the
+    mass tolerance, or a record without its verdict (an identity or audit without ``passed``, a mass direction
+    without ``converged``): one ``error:`` line naming the path and the line, exit 2, no traceback, no made-up
+    verdict.  A list is a file of several records; the last one is the malformed one."""
+    records = record if isinstance(record, list) else [record]
     path = tmp_path / "report.jsonl"
-    path.write_text(json.dumps(record) + "\n")
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
     res = run_cli(["report", str(path)], tmp_path / "out")
     assert_one_error_line(res)
-    assert f"{path} line 1" in res.stderr
+    assert f"{path} line {len(records)}" in res.stderr
+
+
+@pytest.mark.parametrize("config,command,codes", [
+    ({"trials": {"identity": 6, "bochner": 3, "integral": 0}}, "verify", (0, 0)),
+    ({"trials": {"identity": 0, "bochner": 5, "integral": 0}, "tolerances": {"bochner": 1e-300}}, "verify", (1, 1)),
+    ({"model": {"fibration": "hopf"}, "sweep": {"name": "radial_profile", "param": "beta", "values": [0.2, 0.4]}},
+     "sweep", (0, 0)),
+    ({"model": {"m": 5}}, "mass", (0, 0)),
+    # no direction's flux sequence converges on these radii: mass exits 0 on that and report exits 1
+    ({"family": {"name": "kaluza_two_term", "params": {"kappa": 5.0}}, "radii": {"r0": 5, "rmax": 10, "count": 3}},
+     "mass", (0, 1)),
+], ids=["verify", "negative_control", "sweep_hopf", "mass_m5", "mass_not_converged"])
+def test_report_prints_the_lines_the_command_printed(tmp_path, config, command, codes):
+    """One judge prints and decides every record: ``report`` on a command's report prints the command's lines,
+    apart from the command's ``report: PATH`` line and report's ``== PATH`` line, and exits as the command
+    did, except on a mass direction that did not converge.  ``mass`` prints no ``[FAIL]`` line."""
+    from weylmass import cli
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    report = tmp_path / "out" / f"{command}_report.jsonl"
+    runs = []
+    for argv in (["--config", str(path), "--out", str(tmp_path / "out"), command], ["report", str(report)]):
+        with contextlib.redirect_stdout(io.StringIO()) as buf:
+            runs.append((cli.main(argv), buf.getvalue().splitlines()))
+    (command_code, command_lines), (report_code, report_lines) = runs
+    assert (command_code, report_code) == codes
+    assert command_lines[-1] == f"report: {report}" and report_lines[0] == f"== {report}"
+    assert command_lines[:-1] == report_lines[1:]
+    assert sum("NOT CONVERGED" in line for line in command_lines) == (6 if codes == (0, 1) else 0)
+    assert command != "mass" or not any("[FAIL]" in line for line in command_lines)
 
 
 # A config that leaves keys out of every section it gives; the family, lee and sweep builders take defaults.

@@ -429,4 +429,4 @@ def test_dual_mode_takes_no_fd_jet(engine, model, hopf_space, monkeypatch):
         reports = run_suite(engine, space, seed=4, trials={"identity": 4, "bochner": 3, "integral": 0})
         assert all(r.passed for r in reports)
     cfg = RunConfig.load(None, build_parser().parse_args(["mass"]))
-    mass_matrix(cfg.engine, cfg.structure, radii=cfg.radii, quad=cfg.quad)
+    mass_matrix(engine, cfg.structure, radii=cfg.radii, quad=cfg.quad)

@@ -214,9 +214,16 @@ def _check_value(where: str, param: inspect.Parameter, value) -> None:
         raise ConfigError(f"{where} must be {'an integer' if whole else 'a finite real number'}, got {value!r}")
 
 
+def _verdict(value) -> bool:
+    """A stated verdict, which must be a JSON boolean: any other value raises instead of passing as truthy."""
+    if not isinstance(value, bool):
+        raise TypeError(f"a verdict must be true or false, got {value!r}")
+    return value
+
+
 def _judge(rec: dict, config: dict) -> bool:
     """Print one report record's lines and return its verdict; every field is read by key, so a record that
-    lacks one (its verdict included) raises instead of taking a verdict it does not state."""
+    lacks one (its verdict included), or whose verdict is not a JSON boolean, raises instead of passing."""
     if "mass_matrix" in rec:
         print("polarized conformal-mass matrix over the horizontal basis:")
         for row in rec["mass_matrix"]:
@@ -224,19 +231,19 @@ def _judge(rec: dict, config: dict) -> bool:
         print("eigenvalues: " + " ".join(f"{v:.8e}" for v in rec["eigenvalues"]))
         return True
     if "identity" in rec:
-        checks = [(rec["passed"], f"{rec['identity']}: max residual {rec['max_residual']:.3e} "
+        checks = [(_verdict(rec["passed"]), f"{rec['identity']}: max residual {rec['max_residual']:.3e} "
                                   f"(tol {rec['tolerance']:g}, {rec['trials']} trials)")]
     elif "audits" in rec:
         tol = float(config["tolerances"]["mass"])
         param = config["sweep"]["param"]
         factor = f"{rec['factor']}({param}={rec[param]})"
-        checks = [(audit["passed"], f"invariance {factor} Z=X{b + 1}: rel diff {audit['rel_difference']:.3e} "
+        checks = [(_verdict(audit["passed"]), f"invariance {factor} Z=X{b + 1}: rel diff {audit['rel_difference']:.3e} "
                                     f"(tol {tol:g})") for b, audit in enumerate(rec["audits"])]
         rel_error = rec["prediction"]["rel_error"]
         checks.append((rel_error < tol, f"mass-shift prediction {factor}: rel error {rel_error:.3e} (tol {tol:g})"))
     else:  # a mass direction prints only if it did not converge, but its line is formatted to check its fields
         line = f"mass[{rec['Z']}] = {rec['mass']:.8e}: flux sequence NOT CONVERGED"
-        if not rec["converged"]:
+        if not _verdict(rec["converged"]):
             print(line)
         return rec["converged"]
     for ok, line in checks:

@@ -20,12 +20,12 @@ finite-difference oracle tests, as for ``curvature_split``.
 
 The integral check is a volume integral over an annulus of about 25,600
 nodes plus the zeta flux through its two boundary shells, all streamed
-through ``quadrature.node_blocks``.  The density reads Ric^D by traces
-straight off the frame Hessian of g (``weyl._ricci_jet``), so its block
-holds the metric jet but no Koszul jet of the Hessian, dGamma, dW or
-curvature: its measured peak is about 27 n^4 bytes per node on the trivial
-chart, reached while the metric jet is taken, and 34 n^4 on the Hopf
-chart, where E (C g) is built and traced next to the Hessian.  Its budget
+through ``quadrature.node_blocks``.  The density reads Ric^D(a#, a#) off
+the frame Hessian of g with a# contracted in first (``weyl._ricci_jet``), so
+its block holds the metric jet but no Koszul jet of the Hessian, dGamma, dW,
+curvature or Ricci tensor: its measured peak is about 21 n^4 bytes per node
+on the trivial chart, in a pass over the Hessian, and 35 n^4 on the Hopf
+chart, while the metric jet is taken and E (C g) built next to it.  Its budget
 stays at 40 n^4 bytes per node, so a 5 MiB block holds 512 nodes at
 n = 4 and each rank-4 array, 1 MiB,
 stays in a 2 MB L2 cache (at 2,048 nodes the batch-last einsums streamed
@@ -443,25 +443,24 @@ def _pair_norm(ginv, T):
     return np.einsum("ad...,db...,ab...->...", raised, ginv, T)
 
 
-def _density(ric, ginv, a, H):
-    """|Da|^2 + s Ric(a#, a#) - |DiracD a|^2 from Ric^D, g^-1 and (a, H), s = ``RESOLVED_BOCHNER_SIGN``."""
+def _density(ric_aa, ginv, H):
+    """|Da|^2 + s Ric(a#, a#) - |DiracD a|^2 from Ric^D(a#, a#), g^-1 and H = Da, s = ``RESOLVED_BOCHNER_SIGN``."""
     delta = -np.einsum("ab...,ab...->...", ginv, H)
-    ash = np.einsum("ab...,b...->a...", ginv, a)
-    ric_term = np.einsum("a...,ab...,b...->...", ash, ric, ash)
     dirac = delta**2 + 0.5 * _pair_norm(ginv, insert_alt(H, 1))
-    return _pair_norm(ginv, H) + RESOLVED_BOCHNER_SIGN * ric_term - dirac
+    return _pair_norm(ginv, H) + RESOLVED_BOCHNER_SIGN * ric_aa - dirac
 
 
 def _bochner_density(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords):
     """(sqrt(det g), |Da|^2 + s Ric(a#, a#) - |DiracD a|^2) at a point or node block.
 
-    H (``_covd_slots``) and Ric^D come off one ``_ricci_jet`` and one jet of a:
-    Ric^D is read by traces, with no rank-4 curvature built.
+    H (``_covd_slots``) and Ric^D(a#, a#) come off one jet of a and one
+    ``_ricci_jet`` at a, which contracts a# into each factor of Ric^D: no
+    curvature and no n x n Ricci tensor is built.
     """
-    jet = _ricci_jet(engine, ws, coords)
     a, dA = frame_jet1(engine, ws.model, spec.field, coords)
+    jet = _ricci_jet(engine, ws, coords, a)
     H = _covd_slots(a, dA, jet.W, jet.theta, spec.weight, 1)
-    return jet.vol, _density(jet.ric, jet.ginv, a, H)
+    return jet.vol, _density(jet.ric_aa, jet.ginv, H)
 
 
 def bochner_divergence_residual(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec, coords):
@@ -473,7 +472,9 @@ def bochner_divergence_residual(engine: DerivativeEngine, ws: WeylStructure, spe
     coords = np.asarray(coords, dtype=float)
     a, H, DH, jet = covd2_form_block(engine, ws, spec, coords)
     ric = _ricci(_coeff_curvature(jet.W, jet.dW, _brackets(ws.model, coords)), jet.g, jet.ginv)
-    return np.abs(_density(ric, jet.ginv, a, H) + _zeta_codifferential(a, H, DH, jet.ginv))
+    ash = np.einsum("ab...,b...->a...", jet.ginv, a)
+    ric_aa = np.einsum("a...,ab...,b...->...", ash, ric, ash)
+    return np.abs(_density(ric_aa, jet.ginv, H) + _zeta_codifferential(a, H, DH, jet.ginv))
 
 
 def check_bochner_divergence(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,

@@ -79,8 +79,8 @@ from .engine import DerivativeEngine, frame_jet2
 from .errors import ChartDomainError
 from .families import ScalarField, conformal_sweep, stacked_factors
 from .model import ModelSpace, sphere_volume
-from .probes import (geometric_radii, positivity_grid, probe_grid, require_adapted, require_positive,
-                     require_weyl_alf, rescaled_frame_jet2)
+from .probes import (geometric_radii, h_connection, positivity_grid, probe_grid, require_adapted,
+                     require_positive, require_weyl_alf, rescaled_frame_jet2)
 from .quadrature import QuadratureSpec, embedded_weights, node_blocks, sphere_rule_name
 from .weyl import WeylStructure, gauge_change, gram_factor, lee_jet, regauged_lee_jet
 
@@ -228,8 +228,8 @@ def _probe_gauges(engine: DerivativeEngine, ws: WeylStructure, factors, rmax: fl
     Every factor is checked for positivity before any is differentiated.  The factors then take one
     probe-grid jet2 of ``stacked_factors``, and each adapted-class check reads its slice.  g takes one
     probe-grid jet2 and its Lee form one jet1.  The swept gauge's probes take no jet: its metric jet2 is read
-    off g's and factor 0's by the product rule, and its Lee jet off g's Lee jet and factor 0's.  The probe
-    jets are local, so none is held through the flux work.
+    off g's and factor 0's by the product rule, and its Lee jet off g's Lee jet and factor 0's; both gauges
+    read one ``h_connection``.  The probe jets are local, so none is held through the flux work.
     """
     model = ws.model
     pts = probe_grid(model)
@@ -244,9 +244,11 @@ def _probe_gauges(engine: DerivativeEngine, ws: WeylStructure, factors, rmax: fl
             require_adapted(model, f, f_jet)
     g_jet = frame_jet2(engine, model, ws.metric.as_field(), pts)
     theta_jet = lee_jet(engine, ws.lee, pts, order=1)
-    require_weyl_alf(ws, g_jet, theta_jet)
+    h_jet = h_connection(model, pts)
+    require_weyl_alf(ws, g_jet, theta_jet, h_jet)
     for f, f_jet in zip(factors[:1], f_jets):
-        require_weyl_alf(gauge_change(ws, f), rescaled_frame_jet2(f_jet, g_jet), regauged_lee_jet(theta_jet, f_jet))
+        require_weyl_alf(gauge_change(ws, f), rescaled_frame_jet2(f_jet, g_jet), regauged_lee_jet(theta_jet, f_jet),
+                         h_jet)
 
 
 def flux_pass(engine: DerivativeEngine, ws: WeylStructure, factors: Sequence[ScalarField] = (),

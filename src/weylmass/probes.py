@@ -6,7 +6,8 @@ Every probe samples one fixed grid: the 8 directions of
 ``direction_samples`` (fixed seed) at each radius of ``PROBE_RADII``
 (8 to 128, geometric).  Each suite reads every probed quantity off one jet
 of its field on that grid, taken by its caller (``mass._probe_gauges``): a
-metric jet2 gives g - h, grad_h g and grad2_h g, a Lee-form jet
+metric jet2 and h's connection there (``h_connection``, one for every probed
+metric) give g - h, grad_h g and grad2_h g, a Lee-form jet
 (``weyl.lee_jet`` at order 1) gives theta and d(theta), a conformal-factor
 jet2 gives f - 1, df and ddf.  A sweep hands each factor its slice of one
 jet2 of all its factors (``families.stacked_factors``), the metric jet2 of
@@ -116,27 +117,33 @@ def probe_tensor_field(values: np.ndarray, declared: float, name: str, radii) ->
 # ---------------------------------------------------------------------------
 
 
-def _metric_probe_values(model: ModelSpace, pts, jet):
-    """g - h, grad_h g and grad2_h g at pts from ``jet``, the metric's frame jet2 there.
+def h_connection(model: ModelSpace, pts):
+    """(G_h, E G_h) at pts: h's Levi-Civita coefficients and their frame derivatives, off the structure Jacobian;
+    None on a holonomic frame, where both vanish.  Every metric probed on one grid reads them off one call."""
+    if model.holonomic:
+        return None
+    dC = model.structure_jacobian(pts)
+    return model.lc_coeffs_h(pts), 0.5 * (dC - np.swapaxes(dC, 2, 3) - np.moveaxis(dC, 3, 1))
 
-    grad2_h g is closed-form; E_p of the h-coefficients comes from the
-    structure Jacobian.  On a holonomic frame h's coefficients vanish, and
-    grad_h g and grad2_h g are the frame derivatives dg and ddg.
+
+def _metric_probe_values(model: ModelSpace, jet, h_jet):
+    """g - h, grad_h g and grad2_h g from ``jet``, the metric's frame jet2, and ``h_jet``, h's ``h_connection``.
+
+    grad2_h g is closed-form.  On a holonomic frame (``h_jet`` None) h's
+    coefficients vanish, and grad_h g and grad2_h g are dg and ddg.
     """
     g, dg, ddg = jet
-    if model.holonomic:
+    if h_jet is None:
         return g - np.eye(model.dim)[:, :, None], dg, ddg
-    gam = model.lc_coeffs_h(pts)
-    dC = model.structure_jacobian(pts)
-    dgam = 0.5 * (dC - np.swapaxes(dC, 2, 3) - np.moveaxis(dC, 3, 1))
+    gam, dgam = h_jet
     G, dG = _slot_jet(g, dg, ddg, gam, dgam, None, None, 0.0, 2)
     return g - np.eye(model.dim)[:, :, None], G, lc_form_block(dG, G, gam, 3)
 
 
-def metric_probes(model: ModelSpace, name: str, jet) -> list[ProbeReport]:
-    """Three probes on metric ``name``: g - h, first and second model derivatives, off its probe-grid frame jet2."""
+def metric_probes(model: ModelSpace, name: str, jet, h_jet) -> list[ProbeReport]:
+    """Three probes on metric ``name``: g - h, first and second model derivatives, off its probe-grid jets."""
     m = model.m
-    values = _metric_probe_values(model, probe_grid(model), jet)
+    values = _metric_probe_values(model, jet, h_jet)
     return [probe_tensor_field(v, req, f"{name}:{tag}", PROBE_RADII)
             for v, req, tag in zip(values, (2 - m, 1 - m, -m), ("g-h", "grad_h g", "grad2_h g"))]
 
@@ -210,19 +217,19 @@ def require_positive(f: ScalarField, grid) -> None:
                                   f"f = {vals[k]:.6g} at r = {radii[k // PROBE_DIRECTIONS]:.6g}")
 
 
-def require_alf(model: ModelSpace, name: str, jet) -> list[ProbeReport]:
-    """Refuse metric ``name`` where its probe-grid frame jet2 ``jet`` fails the ALF decay probes."""
-    reports = metric_probes(model, name, jet)
+def require_alf(model: ModelSpace, name: str, jet, h_jet) -> list[ProbeReport]:
+    """Refuse metric ``name`` where its probe-grid jets (``metric_probes``) fail the ALF decay probes."""
+    reports = metric_probes(model, name, jet, h_jet)
     names = _failed_probes(reports)
     if names:
         raise MassNotDefinedError(f"metric family {name!r} fails decay probes: {names}")
     return reports
 
 
-def require_weyl_alf(ws: WeylStructure, jet, theta_jet) -> list[ProbeReport]:
-    """Metric and Lee-form decay probes of ``ws``, off its metric's probe-grid frame jet2 ``jet`` and its
-    Lee form's probe-grid jet1 ``theta_jet``."""
-    reports = require_alf(ws.model, ws.metric.name, jet)
+def require_weyl_alf(ws: WeylStructure, jet, theta_jet, h_jet) -> list[ProbeReport]:
+    """Metric and Lee-form decay probes of ``ws``, off its metric's probe-grid frame jet2 ``jet`` with h's
+    ``h_connection`` there, ``h_jet``, and its Lee form's probe-grid jet1 ``theta_jet``."""
+    reports = require_alf(ws.model, ws.metric.name, jet, h_jet)
     lreports = lee_probes(ws.model, ws.lee.name, theta_jet)
     names = _failed_probes(lreports)
     if names:

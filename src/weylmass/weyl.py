@@ -40,22 +40,16 @@ on the same jet plus one second-order jet of the form
 (``covd2_form_block``), so Lap^D, d^D d^D and delta^D d^D carry no
 finite-difference error.
 
-The Bochner annulus density needs only Ric^D, which ``_ricci_jet`` reads by
-traces off the same two jets, straight off the frame Hessian
-H[p, i, j, k] = E_p E_i g_jk: the Koszul part of 2 Ric is
-
-    g^{ab} (E_i E_b g_aj + E_a E_j g_ib - E_i E_j g_ab - E_a E_b g_ij),
-
-which uses only the symmetry of H in (j, k) and so holds on the
-anholonomic Hopf frame, where five g^-1 traces of E_p (C g) add the
-bracket terms.  With closed-form Lee-form terms and W W (and, on the Hopf
-chart, C W) traces, every contraction is n^4 per node, so neither the
-rank-4 Koszul jet of H nor dW nor the rank-4 R is built; g^-1 and
-sqrt(det g) come off one factorization of g (``inv_gram_volume``), and
-the zeta shells read both off ``christoffel`` the same way.  The pointwise
-checks and ``curvature_split`` keep the full route (``_ricci`` on
-``_coeff_curvature`` of ``_weyl_jet``, whose dG takes the Koszul jet of H);
-the tests hold the two to 1e-13.
+The Bochner annulus density needs only Ric^D(a#, a#) at its form a, which
+``_ricci_jet`` reads off the same two jets with v = a# contracted into each
+factor first: two passes over the frame Hessian H[p, i, j, k] = E_p E_i g_jk
+(and, on the Hopf chart, over E_p (C g)) are the only n^4 work per node, and
+every other term is n^3.  Neither the Koszul jet of H, dW, R nor an n x n
+Ricci tensor is built; g^-1 and sqrt(det g) come off one factorization of g
+(``inv_gram_volume``), and the zeta shells read both off ``christoffel`` the
+same way.  The pointwise checks and ``curvature_split`` keep the full route
+(``_ricci`` on ``_coeff_curvature`` of ``_weyl_jet``); the tests hold the
+two to 1e-13.
 
 The operators return plain component arrays; the degree and weight of the
 result follow from the input spec.  ``dD`` reads d^D and ``deltaD`` reads
@@ -329,7 +323,8 @@ class WeylJet:
 
     Every jet holds W (D_{E_i} E_j = W[i,j,k] E_k), g, g^-1 and theta;
     ``weyl_coeffs`` and ``_ricci_jet`` add vol = sqrt(det g), ``_weyl_jet``
-    dW[p] = E_p W and dtheta[p] = E_p theta, and ``_ricci_jet`` ric = Ric^D.
+    dW[p] = E_p W and dtheta[p] = E_p theta, and ``_ricci_jet`` ric_aa =
+    Ric^D(a#, a#), per point, for the 1-form a it was handed.
     A part the jet does not take is None.
     """
 
@@ -340,7 +335,7 @@ class WeylJet:
     vol: np.ndarray | None = None
     dW: np.ndarray | None = None
     dtheta: np.ndarray | None = None
-    ric: np.ndarray | None = None
+    ric_aa: np.ndarray | None = None
 
 
 def weyl_coeffs(engine: DerivativeEngine, ws: WeylStructure, coords) -> WeylJet:
@@ -383,34 +378,46 @@ def _weyl_jet(engine: DerivativeEngine, ws: WeylStructure, coords) -> WeylJet:
     return WeylJet(_lee_shift(gam, g, theta, theta_sharp), g, ginv, theta, dW=dW, dtheta=dtheta)
 
 
-def _ricci_jet(engine: DerivativeEngine, ws: WeylStructure, coords) -> WeylJet:
-    """W, g, g^-1, theta, ric = Ric^D and vol from one metric jet2 and one Lee-form jet1, by traces.
+def _vv_traces(X: np.ndarray, v: np.ndarray, c) -> np.ndarray:
+    """c . (v^i X_iajb v^j, v^i v^j X_ijab, X_ajbk v^k v^j, X_abjk v^k v^j) of a rank-4 X, per point: two passes
+    over X, v into its first index and into its last, each rank-3 result reduced to rank 2 at once."""
+    vX = np.einsum("p...,pijk...->ijk...", v, X)
+    out = c[0] * np.einsum("ajb...,j...->ab...", vX, v) + c[1] * np.einsum("j...,jab...->ab...", v, vX)
+    del vX
+    Xv = np.einsum("pijk...,k...->pij...", X, v)
+    return out + c[2] * np.einsum("ajb...,j...->ab...", Xv, v) + c[3] * np.einsum("abj...,j...->ab...", Xv, v)
+
+
+def _ricci_jet(engine: DerivativeEngine, ws: WeylStructure, coords, a: np.ndarray) -> WeylJet:
+    """W, g, g^-1, theta, vol and ric_aa = Ric^D(a#, a#) from one metric jet2 and one Lee-form jet1.
 
     Ric_ij = 1/2 (A_ij - B_ij), A_ij = g^{ab} R_{iab}^l g_lj and B_ij = R_{iaj}^a
-    (``_ricci``), with R = E W - E W + W W - W W - C W (``_coeff_curvature``)
-    taken term by term:
+    (``_ricci``), with R = E W - E W + W W - W W - C W (``_coeff_curvature``),
+    is taken term by term at v = a# only, with v contracted into each factor
+    first: only the passes over the frame Hessian (and E (C g)) are n^4 per node.
 
-    * E_p G = (K[p] - G (E_p g)) g^-1 (``_weyl_jet``); the g^-1
-      cancels against the lowering in A, so E G enters 2 Ric as four g^-1
-      traces of K less four of G (E g).  With H[p, i, j, k] = E_p E_i g_jk
-      the frame Hessian, the K traces are read straight off H,
+    * E_p G = (K[p] - G (E_p g)) g^-1 (``_weyl_jet``); the g^-1 cancels
+      against the lowering in A, so E G enters 2 Ric(v, v) as four g^-1
+      traces of K less four of G (E g).  With H[p, i, j, k] = E_p E_i g_jk,
+      the K traces are read straight off H (``_vv_traces``),
 
-          g^{ab} (E_i E_b g_aj + E_a E_j g_ib - E_i E_j g_ab - E_a E_b g_ij),
+          g^{ab} v^i v^j (H_{iajb} - H_{ijab} + H_{ajib} - H_{abij}),
 
       which uses only the symmetry of H in (j, k), so it holds on the
-      anholonomic Hopf frame, where H is not symmetric in (p, i).  There
-      the bracket part of K, from D[p, i, j, k] = E_p (C_ij^l g_lk), adds
+      anholonomic Hopf frame.  There the bracket part of K, from
+      D[p, i, j, k] = E_p (C_ij^l g_lk), adds
 
-          g^{ab} (D_{abji} + D_{aijb} - D_{aibj} - 3/2 D_{iajb} + 1/2 D_{ijab}),
+          g^{ab} v^i v^j (-3/2 D_{iajb} + 1/2 D_{ijab} - D_{aibj} + D_{abji}),
 
-      by the antisymmetry of D in (i, j); K itself is never built;
-    * the Lee-form part of dW (``_weyl_jet``) traces in closed form, in
-      dtheta, dg, theta and theta#, using g^{ab} g_bj = delta_aj;
-    * W W and C W are traced with one index of W lowered or raised.
+      and a fifth trace, of D_{aijb}, vanishes by the antisymmetry of D in
+      (i, j).  K itself is never built;
+    * the Lee-form part of dW (``_weyl_jet``) is closed form in dtheta, dg,
+      theta and theta#, using g^{ab} g_bj = delta_aj;
+    * W W and C W take v in one factor and g v = a in the other.
 
-    Every contraction is n^4 per node: dW, E G and R are never built.  W, g,
-    g^-1 and theta are those of ``_weyl_jet``, bit for bit, and g^-1 and
-    sqrt(det g) come off one factorization of g (``inv_gram_volume``).
+    Neither dW, E G, R nor an n x n Ricci tensor is built.  W, g, g^-1 and
+    theta are those of ``_weyl_jet``, bit for bit, and g^-1 and sqrt(det g)
+    come off one factorization of g (``inv_gram_volume``).
     """
     coords = np.asarray(coords, dtype=float)
     n = ws.model.dim
@@ -420,42 +427,33 @@ def _ricci_jet(engine: DerivativeEngine, ws: WeylStructure, coords) -> WeylJet:
     theta, dtheta = lee_jet(engine, ws.lee, coords, order=1)
     theta_sharp = np.einsum("kl...,l...->k...", ginv, theta)
     W = _lee_shift(gam, g, theta, theta_sharp)
-
-    # E G: traces of the frame Hessian (and of E (C g)) and of G dg against g^-1
-    dg_up = np.einsum("iec...,ca...->iea...", dg, ginv)
-    gam_up = np.einsum("ab...,ibc...->iac...", ginv, gam)
-    ric2 = (np.einsum("ab...,iabj...->ij...", ginv, ddg) + np.einsum("ab...,ajib...->ij...", ginv, ddg)
-            - np.einsum("ab...,ijab...->ij...", ginv, ddg) - np.einsum("ab...,abij...->ij...", ginv, ddg)
-            - np.einsum("c...,icj...->ij...", np.einsum("abc...,ab...->c...", gam, ginv), dg)
-            + np.einsum("iac...,acj...->ij...", gam_up, dg)
-            + np.einsum("aje...,iea...->ij...", gam, dg_up) - np.einsum("ije...,aea...->ij...", gam, dg_up))
+    v = np.einsum("kl...,l...->k...", ginv, a)
+    kvv = _vv_traces(ddg, v, (1.0, -1.0, 1.0, -1.0))
     if dcg is not None:
-        ric2 += (np.einsum("ab...,abji...->ij...", ginv, dcg) + np.einsum("ab...,aijb...->ij...", ginv, dcg)
-                 - np.einsum("ab...,aibj...->ij...", ginv, dcg) - 1.5 * np.einsum("ab...,iajb...->ij...", ginv, dcg)
-                 + 0.5 * np.einsum("ab...,ijab...->ij...", ginv, dcg))
-    del ddg, dcg  # traced: the rank-4 arrays do not stay for the rank-3 work below
+        kvv += _vv_traces(dcg, v, (-1.5, 0.5, -1.0, 1.0))
+    del ddg, dcg  # the rank-4 arrays do not stay for the rank-3 work below
 
-    # Lee-form part of dW
-    rho = np.einsum("ab...,aib...->i...", ginv, dg)                     # g^{ab} E_a g_ib
-    tau = np.einsum("ab...,iab...->i...", ginv, dg)                     # g^{ab} E_i g_ab
-    sigma = np.einsum("ab...,ab...->...", ginv, dtheta)                 # g^{ab} E_a theta_b
-    dg_sharp = np.einsum("ijb...,b...->ij...", dg, theta_sharp)         # (E_i g_jb) theta#^b
-    ric2 += ((4.0 - 2.0 * n) * dtheta + (n - 1.0) * dg_sharp + (rho - tau)[:, None] * theta[None, :]
-             - np.einsum("a...,aij...->ij...", theta_sharp, dg)
-             - (2.0 * sigma - np.einsum("b...,b...->...", rho, theta_sharp)) * g)
-
-    # W W and C W, with W[i, c, l] g_lj lowered
-    W_low = np.einsum("icl...,lj...->icj...", W, g)
-    W_up = np.einsum("ab...,ibc...->iac...", ginv, W)
-    ric2 += (np.einsum("c...,icj...->ij...", np.einsum("abc...,ab...->c...", W, ginv), W_low)
-             - np.einsum("iac...,acj...->ij...", W_up, W_low)
-             - np.einsum("ica...,ajc...->ij...", W, W) + np.einsum("ijc...,aca...->ij...", W, W))
+    vdg, vG, vW = (np.einsum("i...,ibc...->bc...", v, T) for T in (dg, gam, W))  # v^i T_ibc
+    dgv, Gv, Wv = (np.einsum("ajc...,j...->ac...", T, v) for T in (dg, gam, W))  # T_ajc v^j
+    gtr, wtr = (np.einsum("abc...,ab...->c...", T, ginv) for T in (gam, W))     # g^{ab} T_abc
+    rho = np.einsum("ab...,aib...->i...", ginv, dg)                              # g^{ab} E_a g_ib
+    Wa = np.einsum("acl...,l...->ac...", W, a)                                   # W_ac^l (g v)_l
+    av, theta_v = np.einsum("a...,a...->...", a, v), np.einsum("a...,a...->...", theta, v)
+    # g^{ab} traces of K, of G (E g), of W W and of the Lee-form terms tau(v) theta(v) and sigma g(v, v)
+    ric2 = np.einsum("ab...,ab...->...", ginv, kvv - theta_v * vdg - 2.0 * av * dtheta
+                     + np.einsum("bc...,ac...->ab...", vG, dgv) - np.einsum("bc...,ac...->ab...", vW, Wa))
+    ric2 += ((4.0 - 2.0 * n) * np.einsum("i...,i...->...", v, np.einsum("ij...,j...->i...", dtheta, v))
+             + np.einsum("c...,c...->...", np.einsum("i...,ic...->c...", v, dgv), (n - 1.0) * theta_sharp - gtr)
+             - np.einsum("a...,a...->...", theta_sharp, np.einsum("ai...,i...->a...", dgv, v))
+             + np.einsum("e...,e...->...", rho, theta_v * v + av * theta_sharp - np.einsum("j...,je...->e...", v, vG))
+             + np.einsum("c...,c...->...", wtr, np.einsum("cl...,l...->c...", vW, a))
+             + np.einsum("c...,c...->...", np.einsum("aca...->c...", W), np.einsum("j...,jc...->c...", v, vW))
+             + np.einsum("ae...,ea...->...", Gv, np.einsum("ec...,ca...->ea...", vdg, ginv))
+             - np.einsum("ca...,ac...->...", vW, Wv))
     if C is not None:
-        ric2 += (np.einsum("iac...,cja...->ij...", C, W)
-                 - np.einsum("icb...,cbj...->ij...", np.einsum("iac...,ab...->icb...", C, ginv), W_low))
-    # C order whatever layout the einsums over the transposed Hessian view chose: the density's
-    # three-operand einsum sums in memory order, so a block-size-dependent layout would move its bits
-    return WeylJet(W, g, ginv, theta, vol=vol, ric=np.ascontiguousarray(0.5 * ric2))
+        vC = np.einsum("i...,iac...->ac...", v, C)
+        ric2 += np.einsum("ac...,ca...->...", vC, Wv - np.einsum("cb...,ba...->ca...", Wa, ginv))
+    return WeylJet(W, g, ginv, theta, vol=vol, ric_aa=0.5 * ric2)
 
 
 def weyl_connect_vec(engine: DerivativeEngine, ws: WeylStructure, x_field: Field, y_field: Field,

@@ -33,4 +33,4 @@ def skip_weyl_alf_probes(monkeypatch):
     """Switch off the Weyl-ALF verdicts of the flux pass, for tests that run data outside the Weyl-ALF class
     through it (random trial metrics, an oscillating metric).  The probe jets are still taken, and the
     positivity and adapted-class probes of a sweep's factors still run."""
-    monkeypatch.setattr(weylmass.mass, "require_weyl_alf", lambda ws, jet, theta_jet: [])
+    monkeypatch.setattr(weylmass.mass, "require_weyl_alf", lambda ws, jet, theta_jet, h_jet: [])

@@ -71,7 +71,7 @@ from weylmass.identities import (IdentityReport, _perm_sign, _rng, _weight_pool,
                                  random_form_field, trial_point, trial_structure)
 from weylmass.mass import _contract_shell, richardson_limit
 from weylmass.model import ModelSpace, sphere_volume
-from weylmass.probes import geometric_radii, probe_grid
+from weylmass.probes import geometric_radii, h_connection, probe_grid
 from weylmass.quadrature import QuadratureSpec, node_blocks
 from weylmass.weyl import (FormFieldSpec, WeylJet, WeylStructure, christoffel, covd_form_block, insert_alt,
                            inv_gram, lc_form_block, lee_jet, outer_front, tdot, weyl_curvature)
@@ -308,6 +308,12 @@ def shell_nodes(model: ModelSpace, r: float, quad: QuadratureSpec) -> tuple:
 def probe_jet(engine: DerivativeEngine, fld) -> tuple:
     """The frame jet2 of a metric family or scalar field on the probe grid, the jet its probe suite reads."""
     return frame_jet2(engine, fld.model, fld.as_field(), probe_grid(fld.model))
+
+
+def probe_h_jet(model: ModelSpace):
+    """h's connection on the probe grid, the ``probes.h_connection`` every metric probe suite reads (None on a
+    holonomic frame)."""
+    return h_connection(model, probe_grid(model))
 
 
 def probe_lee_jet(engine: DerivativeEngine, lee: LeeFormField) -> tuple:

@@ -23,7 +23,7 @@ from weylmass.probes import PROBE_RADII, lee_probes, metric_probes, probe_grid, 
 from weylmass.quadrature import QuadratureSpec
 from weylmass.weyl import WeylStructure
 
-from oracles import (FDEngine, direction_limits, probe_jet, probe_lee_jet, random_adapted_scalar,
+from oracles import (FDEngine, direction_limits, probe_h_jet, probe_jet, probe_lee_jet, random_adapted_scalar,
                      ricci_positivity_floor)
 
 SEED = 42
@@ -149,11 +149,11 @@ def test_criterion_7_decay_probes(model, hopf_space):
     for name, params in (("flat_product", {}), ("kaluza_perturbation", {"mu": 1.0}),
                          ("kaluza_two_term", {"mu": 1.0, "kappa": 0.5})):
         fam = METRIC_BUILDERS[name](model, **params)
-        for rep in metric_probes(model, fam.name, probe_jet(engine, fam)):
+        for rep in metric_probes(model, fam.name, probe_jet(engine, fam), probe_h_jet(model)):
             assert rep.passed, f"{rep.name}: slope {rep.slope:.2f} vs {rep.declared:.2f}"
             checked.append(rep.name)
     fam = hopf_model(hopf_space)
-    for rep in metric_probes(hopf_space, fam.name, probe_jet(engine, fam)):
+    for rep in metric_probes(hopf_space, fam.name, probe_jet(engine, fam), probe_h_jet(hopf_space)):
         assert rep.passed
         checked.append(rep.name)
     x, _ = hopf_space.split(probe_grid(hopf_space))
@@ -170,7 +170,7 @@ def test_criterion_7_decay_probes(model, hopf_space):
     own = probe_tensor_field(_deviation_field(slow).values(probe_grid(model)), -0.5,
                              "slow_tail:own-rate", PROBE_RADII)
     assert own.passed and own.slope == pytest.approx(-0.5, abs=0.05)
-    alf = metric_probes(model, slow.name, probe_jet(engine, slow))
+    alf = metric_probes(model, slow.name, probe_jet(engine, slow), probe_h_jet(model))
     assert not all(r.passed for r in alf)
     _announce(7, f"{len(checked)} probes reproduce declared exponents within 0.2; "
                  "negative control matches its own rate and fails the asymptotic one")

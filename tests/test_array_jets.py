@@ -20,7 +20,7 @@ from weylmass.model import ModelSpace
 from weylmass.probes import metric_probes
 from weylmass.weyl import WeylStructure, gauge_change, lee_jet
 
-from oracles import probe_jet, regauge
+from oracles import probe_h_jet, probe_jet, regauge
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +503,7 @@ def test_regauge_and_probe_deviation_on_array_fields(request, chart):
                         lambda c, old=old: _scale_leaves(old(c), factor.fn(c) ** 0.75), p)
     engine = DerivativeEngine()
     fam = random_local_metric(space, [8])
-    reports = metric_probes(space, fam.name, probe_jet(engine, fam))
+    reports = metric_probes(space, fam.name, probe_jet(engine, fam), probe_h_jet(space))
     assert len(reports) == 3 and all(np.isfinite(r.slope) for r in reports)
 
 

@@ -1,7 +1,7 @@
 """The CI workflow installs the test extra, runs CLI smoke commands (a Hopf, an m = 5, a refined m = 5, a
 Hopf compact_lee, an m = 6 and an m = 7 mass, a pointwise verify at m = 3, on the Hopf chart and at m = 5, the
-pointwise suite at its default trial counts and an annulus verify at m = 3 and m = 4, then
-Hopf sweeps, a trivial-chart sweep, a one-value Hopf sweep, a Hopf sweep over the directional_profile axis, an
+pointwise suite at its default trial counts, an annulus verify at m = 3 on one and on two trials and one at
+m = 4, then Hopf sweeps, a trivial-chart sweep, a one-value Hopf sweep, a Hopf sweep over the directional_profile axis, an
 m = 5 sweep and a Hopf sweep on the hopf_model base),
 judges every report they wrote again and compares report's lines with the stdout the m = 5 mass, the
 default-trial pointwise verify and the first Hopf sweep kept, reruns a mass, the m = 3 and m = 4 annulus verifies, the m = 5 mass, the Hopf
@@ -63,7 +63,8 @@ def test_workflow_smoke_runs_verify_as_module():
 def test_workflow_smoke_runs_an_annulus_verify():
     """The same step then runs the pointwise ``verify`` on the Hopf chart and at m = 5 (n = 6), then the
     pointwise suite at its default 100/20 trials (each check's trials evaluated as one batch per form degree),
-    and then ``verify`` on one Bochner-integral trial, the streamed annulus."""
+    and then ``verify`` on one Bochner-integral trial, the streamed annulus, and on two: trial 0's data
+    depend on the fiber, trial 1's do not, so the annulus density also runs on fiber-independent data."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
@@ -75,16 +76,18 @@ def test_workflow_smoke_runs_an_annulus_verify():
         ({"model": {"m": 5}, "trials": {"identity": 6, "bochner": 3, "integral": 0}}, "pointwise_m5"),
         ({"trials": {"integral": 0}}, "pointwise_default"),
         ({"trials": {"identity": 0, "bochner": 1, "integral": 1}}, "annulus"),
+        ({"trials": {"identity": 0, "bochner": 1, "integral": 2}}, "annulus_two"),
         ({"model": {"m": 4}, "trials": {"identity": 0, "bochner": 1, "integral": 1}}, "annulus_m4"),
     ]
     commands = re.findall(r"^PYTHONPATH=src python -m weylmass --config \"\$RUNNER_TEMP/(\w+)\.json\" .*\bverify" + KEPT + "$",
                           smoke, re.MULTILINE)
-    assert commands == ["smoke", "pointwise_hopf", "pointwise_m5", "pointwise_default", "annulus", "annulus_m4"]
+    assert commands == ["smoke", "pointwise_hopf", "pointwise_m5", "pointwise_default", "annulus", "annulus_two",
+                        "annulus_m4"]
 
 
 def test_workflow_smoke_runs_an_m4_annulus_verify():
     """Last in the same step, ``verify`` on one Bochner-integral trial at m = 4: the only CLI run of the
-    annulus density (Ric^D by traces) at n = 5."""
+    annulus density (Ric^D(a#, a#) by vector-first contractions) at n = 5."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
@@ -174,7 +177,7 @@ def test_workflow_report_smoke_reads_every_smoke_report(tmp_path):
     smokes = "\n".join(job["steps"][names.index(name)]["run"] for name in ("Mass smoke", "CLI smoke", "Sweep smoke"))
     written = [f"$RUNNER_TEMP/{out}/{command}_report.jsonl"
                for out, command in re.findall(r"--out \"\$RUNNER_TEMP/(\w+)\" (\w+)" + KEPT + "$", smokes, re.MULTILINE)]
-    assert len(written) == 19
+    assert len(written) == 20
     assert written[-1] == "$RUNNER_TEMP/sweep_hopf_model/sweep_report.jsonl"
     kept = re.findall(r"--out \"\$RUNNER_TEMP/(\w+)\" (\w+) > \"\$RUNNER_TEMP/(\w+)\.out\"$", smokes, re.MULTILINE)
     assert kept == [("mass_m5", "mass", "mass_m5"), ("pointwise_default", "verify", "pointwise_default"),

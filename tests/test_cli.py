@@ -407,12 +407,18 @@ def test_invalid_tolerance_or_trials_exits_two(tmp_path, command, changes, messa
     {"Z": "z", "mass": 1.0},
     [{"config": {"tolerances": {"mass": 1e-4}, "sweep": {"param": "beta"}}},
      {"factor": "f", "beta": 0.2, "audits": [{"Z": "1*X1", "rel_difference": 0.0}], "prediction": {"rel_error": 0.0}}],
+    {"identity": "x", "max_residual": 0.0, "tolerance": 1e-6, "trials": 1, "passed": "no"},
+    [{"config": {"tolerances": {"mass": 1e-4}, "sweep": {"param": "beta"}}},
+     {"factor": "f", "beta": 0.2, "audits": [{"Z": "1*X1", "rel_difference": 0.0, "passed": 1}],
+      "prediction": {"rel_error": 0.0}}],
+    {"Z": "z", "mass": 1.0, "converged": "no"},
 ])
 def test_report_refuses_malformed_records(tmp_path, record):
     """A record with a field of the wrong type, a sweep record with no config record before it to give the
-    mass tolerance, or a record without its verdict (an identity or audit without ``passed``, a mass direction
-    without ``converged``): one ``error:`` line naming the path and the line, exit 2, no traceback, no made-up
-    verdict.  A list is a file of several records; the last one is the malformed one."""
+    mass tolerance, a record without its verdict (an identity or audit without ``passed``, a mass direction
+    without ``converged``), or one whose verdict is not a JSON boolean (``"no"``, ``1``): one ``error:`` line
+    naming the path and the line, exit 2, no traceback, no made-up verdict.  A list is a file of several
+    records; the last one is the malformed one."""
     records = record if isinstance(record, list) else [record]
     path = tmp_path / "report.jsonl"
     path.write_text("".join(json.dumps(rec) + "\n" for rec in records))

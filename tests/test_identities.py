@@ -197,8 +197,8 @@ def test_bochner_integral_sides_independent_of_chunk_size(engine, chart, request
 def test_density_block_stays_within_its_declared_working_set(request, engine, chart):
     """One 512-node annulus block of the fiber-dependent Bochner density peaks, under tracemalloc, within
     the 40 n^4 bytes per node that ``bochner_integral_sides`` declares to ``node_blocks``: on the Hopf chart
-    too, where the frame Hessian takes the fiber correction and E (C g) is built and traced next to it (34.3 n^4
-    measured, 27.0 on the trivial chart)."""
+    too, where the frame Hessian takes the fiber correction and E (C g) is built next to it (34.9 n^4 measured,
+    20.6 on the trivial chart)."""
     import tracemalloc
 
     from weylmass.identities import _bochner_density
@@ -380,7 +380,7 @@ def test_run_suite_corrupted_sign_fails(engine, model, monkeypatch):
 
 
 def test_bochner_integral_fails_without_the_ricci_term(engine, model, monkeypatch):
-    """Negative control for the annulus density's Ric^D by traces: with ``_ricci_jet`` returning Ric = 0 and
+    """Negative control for the annulus density's Ric^D(a#, a#): with ``_ricci_jet`` returning ric_aa = 0 and
     everything else, the volume factor included, as it is, the integral identity fails while both sides
     stay non-zero."""
     from weylmass import identities
@@ -390,7 +390,7 @@ def test_bochner_integral_fails_without_the_ricci_term(engine, model, monkeypatc
 
     def no_ricci(*args):
         jet = ricci_jet(*args)
-        return dataclasses.replace(jet, ric=np.zeros_like(jet.ric))
+        return dataclasses.replace(jet, ric_aa=np.zeros_like(jet.ric_aa))
 
     monkeypatch.setattr(identities, "_ricci_jet", no_ricci)
     rep = check_bochner_integral(engine, model, seed=4, trials=1)

@@ -25,8 +25,8 @@ from weylmass.weyl import WeylStructure, lee_jet
 
 from oracles import (FDEngine, anisotropic_mass_matrix, anisotropic_metric, direction_limits, flux_model_metric,
                      horizontal_field, lee_correction_components, longdouble_shell_forms, per_gauge_shell_forms,
-                     probe_jet, probe_lee_jet, q_flux_components, random_adapted_scalar, ricci_positivity_floor,
-                     shell_nodes, translated_metric, unit_scalar)
+                     probe_h_jet, probe_jet, probe_lee_jet, q_flux_components, random_adapted_scalar,
+                     ricci_positivity_floor, shell_nodes, translated_metric, unit_scalar)
 
 
 def x1_report(engine, ws, **kw):
@@ -586,8 +586,8 @@ def _count_shell_contractions(monkeypatch) -> list:
 def test_gauge_audit_sweep_takes_one_base_pass(hopf_space, monkeypatch):
     """N factors on R radii cost R metric jets, R stacked factor jets (no jet of a factor on its own), R shell
     contractions (each of all N + 1 gauges), R calls of the Cholesky kernel ``gram_factor`` and R evaluations
-    of the h-Christoffel coefficients, plus one more for the metric probes of g and of the first swept gauge
-    each; no f g is differentiated.
+    of the h-Christoffel coefficients, plus one for the metric probes of g and of the first swept gauge
+    together; no f g is differentiated.
 
     Each factor's reports equal a one-factor call.
     """
@@ -612,7 +612,7 @@ def test_gauge_audit_sweep_takes_one_base_pass(hopf_space, monkeypatch):
     gram_factor = mass_mod.gram_factor
     monkeypatch.setattr(mass_mod, "gram_factor", lambda g: factor_calls.append(g.shape) or gram_factor(g))
     results = gauge_audit(engine, ws, factors, radii=radii, quad=quad)
-    assert len(lc_calls) == len(radii) + 2
+    assert len(lc_calls) == len(radii) + 1
     assert len(factor_calls) == len(radii)
     swept_names = [conformal_sweep(ws.metric, f).name for f in factors]
     assert calls == [[ws.metric.name] + swept_names] * len(radii)
@@ -631,6 +631,24 @@ def test_gauge_audit_sweep_takes_one_base_pass(hopf_space, monkeypatch):
 def _stacked(f_jets) -> tuple:
     """The factor jets of one block stacked as ``_contract_shell`` takes them: f (F, N) and df (d, F, N)."""
     return np.array([f for f, _ in f_jets]), np.stack([df for _, df in f_jets], axis=1)
+
+
+def test_probed_gauges_share_one_h_connection(hopf_space, engine, monkeypatch):
+    """A Hopf sweep probes g and its first swept gauge on one grid: h's connection there (``lc_coeffs_h`` and
+    ``structure_jacobian`` on the probe grid) is taken once and handed to both metric probe suites."""
+    from weylmass.probes import probe_grid
+
+    grid = probe_grid(hopf_space)
+    calls = []
+    for name in ("lc_coeffs_h", "structure_jacobian"):
+        method = getattr(ModelSpace, name)
+        monkeypatch.setattr(ModelSpace, name, lambda self, coords, name=name, method=method:
+                            calls.append((name, np.shape(coords) == grid.shape and np.array_equal(coords, grid)))
+                            or method(self, coords))
+    ws = WeylStructure(hopf_space, kaluza_perturbation(hopf_space, mu=1.0), radial_lee(hopf_space, 0.4))
+    factors = [radial_profile(hopf_space, beta=0.2), radial_profile(hopf_space, beta=0.4)]
+    flux_pass(engine, ws, factors, radii=[40.0, 80.0], quad=QuadratureSpec(sphere=6, fiber=2))
+    assert [call for call in calls if call[1]] == [("structure_jacobian", True), ("lc_coeffs_h", True)]
 
 
 def test_holonomic_flux_and_probes_build_no_connection_terms(model, engine, monkeypatch):
@@ -655,7 +673,7 @@ def test_holonomic_flux_and_probes_build_no_connection_terms(model, engine, monk
                             calls.append(name) or method(self, coords))
     mass_matrix(engine, ws, radii=radii, quad=quad)
     gauge_audit(engine, ws, factors, radii=radii, quad=quad)
-    require_weyl_alf(ws, probe_jet(engine, ws.metric), probe_lee_jet(engine, ws.lee))
+    require_weyl_alf(ws, probe_jet(engine, ws.metric), probe_lee_jet(engine, ws.lee), probe_h_jet(model))
     rng = np.random.default_rng(3)
     lie_bracket(engine, model, random_vector_field(model, [rng]), random_vector_field(model, [rng]),
                 model.point([2.0, 0.5, -1.0], 0.1))
@@ -769,8 +787,9 @@ def test_swept_decay_probe_reads_f_g_off_the_probe_jets(request, monkeypatch, ch
     pts = probe_grid(space)
     f_jet, g_jet = (frame_jet2(engine, space, fld.as_field(), pts) for fld in (factors[0], ws.metric))
     swept = gauge_change(ws, factors[0]).metric
-    direct = metric_probes(space, swept.name, probe_jet(engine, swept))
-    for want, got in zip(direct, metric_probes(space, swept.name, rescaled_frame_jet2(f_jet, g_jet)), strict=True):
+    h_jet = probe_h_jet(space)
+    direct = metric_probes(space, swept.name, probe_jet(engine, swept), h_jet)
+    for want, got in zip(direct, metric_probes(space, swept.name, rescaled_frame_jet2(f_jet, g_jet), h_jet), strict=True):
         assert (got.name, got.passed) == (want.name, want.passed) and want.passed
         assert got.norms == pytest.approx(want.norms, rel=1e-14, abs=0.0)
         assert got.slope == pytest.approx(want.slope, rel=1e-14)

@@ -18,8 +18,8 @@ from weylmass.probes import (PROBE_RADII, _fit_decay, adapted_metric_check, geom
                              metric_probes, probe_grid, probe_tensor_field, require_alf)
 from weylmass.weyl import WeylStructure, christoffel, weyl_curvature
 
-from oracles import (FDEngine, inverse, metric_compat_residual, probe_jet, probe_lee_jet, random_adapted_scalar,
-                     ricci_trace_convention, sphere_block_test, unit_scalar)
+from oracles import (FDEngine, inverse, metric_compat_residual, probe_h_jet, probe_jet, probe_lee_jet,
+                     random_adapted_scalar, ricci_trace_convention, sphere_block_test, unit_scalar)
 
 
 def test_model_validation():
@@ -479,14 +479,14 @@ def test_decay_probe_rejects_slow_field(model):
 ])
 def test_builtin_families_pass_alf_probes(model, engine, name, params):
     fam = METRIC_BUILDERS[name](model, **params)
-    reports = metric_probes(model, fam.name, probe_jet(engine, fam))
+    reports = metric_probes(model, fam.name, probe_jet(engine, fam), probe_h_jet(model))
     for rep in reports:
         assert rep.passed, f"{rep.name}: slope {rep.slope} vs {rep.declared}"
 
 
 def test_hopf_family_passes_probes(hopf_space, engine):
     fam = hopf_model(hopf_space)
-    for rep in metric_probes(hopf_space, fam.name, probe_jet(engine, fam)):
+    for rep in metric_probes(hopf_space, fam.name, probe_jet(engine, fam), probe_h_jet(hopf_space)):
         assert rep.passed
     x, _ = hopf_space.split(probe_grid(hopf_space))
     rep = probe_tensor_field(hopf_space.deta(x), 1 - hopf_space.m, "hopf:deta", PROBE_RADII)
@@ -508,7 +508,8 @@ def test_grad2_probe_matches_nested_fd(request, engine, chart, fiber):
     n = space.dim
     def probe_values(c):
         c = np.asarray(c, dtype=float)
-        return probes._metric_probe_values(space, c, frame_jet2(engine, space, fam.as_field(), c))
+        return probes._metric_probe_values(space, frame_jet2(engine, space, fam.as_field(), c),
+                                           probes.h_connection(space, c))
 
     grad = Field(lambda c: probe_values(c)[1], shape=(n, n, n))
     rng = _rng(46, 35, 0)
@@ -530,7 +531,7 @@ def test_batched_probe_norms_equal_per_radius_norms(request, engine, monkeypatch
     def run_suites():
         reports = []
         for fam in (kaluza_perturbation(space, mu=1.0), random_local_metric(space, [3], fiber_dependence=True)):
-            reports += probes.metric_probes(space, fam.name, probe_jet(engine, fam))
+            reports += probes.metric_probes(space, fam.name, probe_jet(engine, fam), probe_h_jet(space))
         for lee in (radial_lee(space, 0.4), random_local_lee(space, [3], fiber_dependence=True)):
             reports += probes.lee_probes(space, lee.name, probe_lee_jet(engine, lee))
         for f in (radial_profile(space, beta=0.3), random_adapted_scalar(space, seed=5),
@@ -564,13 +565,13 @@ def test_lee_probes(model, engine):
 
 def test_swept_family_passes_probes(model, engine):
     fam = conformal_sweep(kaluza_perturbation(model, mu=1.0), radial_profile(model, beta=0.4))
-    require_alf(model, fam.name, probe_jet(engine, fam))
+    require_alf(model, fam.name, probe_jet(engine, fam), probe_h_jet(model))
 
 
 def test_require_alf_rejects_slow_metric(model, engine):
     fam = conformal_sweep(flat_product(model), sqrt_slow_profile(model, beta=1.0))
     with pytest.raises(MassNotDefinedError):
-        require_alf(model, fam.name, probe_jet(engine, fam))
+        require_alf(model, fam.name, probe_jet(engine, fam), probe_h_jet(model))
 
 
 def test_adapted_metric_check_cases(model, engine):

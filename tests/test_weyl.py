@@ -378,26 +378,31 @@ def test_jets_equal_full_bracket_formulas(request, engine, chart, batch):
 @pytest.mark.parametrize("batch", [None, 512], ids=["point", "block512"])
 @pytest.mark.parametrize("m,fibration", [(3, "trivial"), (3, "hopf"), (4, "trivial"), (5, "trivial")],
                          ids=["trivial-m3", "hopf-m3", "trivial-m4", "trivial-m5"])
-def test_ricci_jet_traces_equal_the_curvature_route(engine, m, fibration, batch):
-    """Ric^D read by traces equals Ric^D of the full curvature R of ``_weyl_jet`` to 1e-13 relative, on
-    fiber-dependent data with a Lee form, and in a recorded gauge; W, g, g^-1 and theta are the same bits,
-    and sqrt(det g) is LAPACK's to 1e-14 relative.  m = 4 is the n of the m = 4 annulus smoke in CI."""
+def test_ricci_jet_form_equals_the_curvature_route(engine, m, fibration, batch):
+    """Ric^D(a#, a#) read off v = a# contracted into each factor equals a# Ric^D a# of the full curvature R of
+    ``_weyl_jet`` to 1e-13 relative, on fiber-dependent data with a Lee form, and in a recorded gauge, for a
+    random covector a and for the values of a trial 1-form; W, g, g^-1 and theta are the same bits, and
+    sqrt(det g) is LAPACK's to 1e-14 relative.  m = 4 is the n of the m = 4 annulus smoke in CI."""
     space = ModelSpace(m=m, fibration=fibration)
     ws = trial_structure(space, 46, [0], fiber_dependence=True)
     rng = _rng(46, 35, 0)
     p = (trial_point(space, rng) if batch is None
          else np.stack([trial_point(space, rng) for _ in range(batch)], axis=1))
+    form = random_form_field(ws, [rng], 1, 0.0, fiber_dependence=True).field.values(p)
     for structure in (ws, gauge_change(ws, radial_profile(space, beta=0.3))):
-        traced = _ricci_jet(engine, structure, p)
         jet = _weyl_jet(engine, structure, p)
-        for name in ("W", "g", "ginv", "theta"):
-            got, want = getattr(traced, name), getattr(jet, name)
-            assert got.shape == want.shape and np.array_equal(got, want)
-        det = np.sqrt(np.linalg.det(np.moveaxis(traced.g, (0, 1), (-2, -1))))
-        assert traced.vol.shape == det.shape and np.max(np.abs(traced.vol - det) / det) <= 1e-14
-        want = _ricci(_coeff_curvature(jet.W, jet.dW, _brackets(space, p)), jet.g, jet.ginv)
-        assert traced.ric.shape == want.shape == (space.dim, space.dim) + p.shape[1:]
-        assert np.max(np.abs(traced.ric - want)) <= 1e-13 * np.max(np.abs(want))
+        ric = _ricci(_coeff_curvature(jet.W, jet.dW, _brackets(space, p)), jet.g, jet.ginv)
+        for a in (rng.normal(size=(space.dim,) + p.shape[1:]), form):
+            got = _ricci_jet(engine, structure, p, a)
+            for name in ("W", "g", "ginv", "theta"):
+                have, want = getattr(got, name), getattr(jet, name)
+                assert have.shape == want.shape and np.array_equal(have, want)
+            det = np.sqrt(np.linalg.det(np.moveaxis(got.g, (0, 1), (-2, -1))))
+            assert got.vol.shape == det.shape and np.max(np.abs(got.vol - det) / det) <= 1e-14
+            v = np.einsum("ab...,b...->a...", jet.ginv, a)
+            want = np.einsum("a...,ab...,b...->...", v, ric, v)
+            assert got.ric_aa.shape == want.shape == p.shape[1:]
+            assert np.max(np.abs(got.ric_aa - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("chart,fiber", CHARTS)

@@ -11,8 +11,8 @@ record resolves to itself, so a run is reproducible byte for byte from its
 report alone.  Reports are JSON-lines (one object per record) next to CSV
 tables with a versioned schema comment.
 
-``_judge`` prints each record's lines and decides its verdict, for the
-command that writes the record and again for ``report``.
+``_judge`` prints each record's lines and derives its verdict from its
+numbers, for the command that writes it and again for ``report``.
 
 Exit codes: 0 all checks pass, 1 an identity or audit failed, 2 invalid
 configuration or report, or a domain error (mass not defined, ...).
@@ -35,8 +35,8 @@ import numpy as np
 from .engine import DerivativeEngine
 from .errors import ChartDomainError, ConfigError, MassNotDefinedError
 from .families import LEE_BUILDERS, METRIC_BUILDERS, SCALAR_BUILDERS
-from .identities import SUITE_TOLERANCES, SUITE_TRIALS, run_suite
-from .mass import FLUX_RADII, gauge_audit, mass_matrix
+from .identities import SUITE_TOLERANCES, SUITE_TRIALS, IdentityReport, run_suite
+from .mass import FLUX_RADII, InvarianceReport, MassReport, gauge_audit, mass_matrix
 from .model import ModelSpace
 from .probes import geometric_radii
 from .quadrature import QuadratureSpec
@@ -214,16 +214,19 @@ def _check_value(where: str, param: inspect.Parameter, value) -> None:
         raise ConfigError(f"{where} must be {'an integer' if whole else 'a finite real number'}, got {value!r}")
 
 
-def _verdict(value) -> bool:
-    """A stated verdict, which must be a JSON boolean: any other value raises instead of passing as truthy."""
-    if not isinstance(value, bool):
-        raise TypeError(f"a verdict must be true or false, got {value!r}")
-    return value
+def _rederived(cls, rec: dict, verdict: str, **given) -> bool:
+    """The ``verdict`` of the ``cls`` report rebuilt from ``rec`` and ``given``, ``Z`` as ``z_label`` and the computed
+    values (properties of ``cls``) left out; raises unless ``rec`` states exactly that verdict."""
+    fields = {**{"z_label" if key == "Z" else key: value for key, value in rec.items()}, **given}
+    report = cls(**{key: value for key, value in fields.items() if not isinstance(vars(cls).get(key), property)})
+    if rec[verdict] is not getattr(report, verdict):
+        raise ValueError(f"it states {verdict}={rec[verdict]!r}, its numbers give {getattr(report, verdict)!r}")
+    return getattr(report, verdict)
 
 
 def _judge(rec: dict, config: dict) -> bool:
-    """Print one report record's lines and return its verdict; every field is read by key, so a record that
-    lacks one (its verdict included), or whose verdict is not a JSON boolean, raises instead of passing."""
+    """Print one report record's lines and return its verdict, which its report class derives from its numbers
+    (``_rederived``); a record that lacks a field, or whose stated verdict is not that one, raises."""
     if "mass_matrix" in rec:
         print("polarized conformal-mass matrix over the horizontal basis:")
         for row in rec["mass_matrix"]:
@@ -231,21 +234,22 @@ def _judge(rec: dict, config: dict) -> bool:
         print("eigenvalues: " + " ".join(f"{v:.8e}" for v in rec["eigenvalues"]))
         return True
     if "identity" in rec:
-        checks = [(_verdict(rec["passed"]), f"{rec['identity']}: max residual {rec['max_residual']:.3e} "
-                                  f"(tol {rec['tolerance']:g}, {rec['trials']} trials)")]
+        checks = [(_rederived(IdentityReport, rec, "passed"), f"{rec['identity']}: max residual "
+                   f"{rec['max_residual']:.3e} (tol {rec['tolerance']:g}, {rec['trials']} trials)")]
     elif "audits" in rec:
         tol = float(config["tolerances"]["mass"])
         param = config["sweep"]["param"]
         factor = f"{rec['factor']}({param}={rec[param]})"
-        checks = [(_verdict(audit["passed"]), f"invariance {factor} Z=X{b + 1}: rel diff {audit['rel_difference']:.3e} "
-                                    f"(tol {tol:g})") for b, audit in enumerate(rec["audits"])]
+        checks = [(_rederived(InvarianceReport, audit, "passed", tolerance=tol), f"invariance {factor} Z=X{b + 1}: "
+                   f"rel diff {audit['rel_difference']:.3e} (tol {tol:g})") for b, audit in enumerate(rec["audits"])]
         rel_error = rec["prediction"]["rel_error"]
         checks.append((rel_error < tol, f"mass-shift prediction {factor}: rel error {rel_error:.3e} (tol {tol:g})"))
     else:  # a mass direction prints only if it did not converge, but its line is formatted to check its fields
         line = f"mass[{rec['Z']}] = {rec['mass']:.8e}: flux sequence NOT CONVERGED"
-        if not _verdict(rec["converged"]):
+        converged = _rederived(MassReport, rec, "converged")
+        if not converged:
             print(line)
-        return rec["converged"]
+        return converged
     for ok, line in checks:
         print(f"[{'PASS' if ok else 'FAIL'}] {line}")
     return all(ok for ok, _ in checks)
@@ -348,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("verify", help="run the operator-identity suite")
     sub.add_parser("mass", help="compute the mass quadratic form of the configured family")
     sub.add_parser("sweep", help="audit gauge invariance over a conformal-factor sweep")
-    rep = sub.add_parser("report", help="summarize existing JSONL reports")
-    rep.add_argument("paths", nargs="+", help="report files to summarize")
+    rep = sub.add_parser("report", help="judge existing JSONL reports")
+    rep.add_argument("paths", nargs="+", help="report files to judge")
     return parser
 
 

@@ -87,11 +87,16 @@ class IdentityReport:
     trials: int
     max_residual: float
     tolerance: float
-    passed: bool
     details: dict = dc_field(default_factory=dict)
 
+    @property
+    def passed(self) -> bool:
+        """The residual is below the tolerance, and a resolved sign, if any, is ``RESOLVED_BOCHNER_SIGN``."""
+        return (self.max_residual < self.tolerance
+                and self.details.get("resolved_sign", RESOLVED_BOCHNER_SIGN) == RESOLVED_BOCHNER_SIGN)
+
     def as_dict(self) -> dict:
-        return {key: value for key, value in vars(self).items() if key != "details" or value}
+        return {**{key: value for key, value in vars(self).items() if key != "details" or value}, "passed": self.passed}
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +205,8 @@ def extended_lee(base: LeeFormField, extra: LeeFormField) -> LeeFormField:
 # ---------------------------------------------------------------------------
 
 
-def check_torsion(engine: DerivativeEngine, model: ModelSpace, seed: int = 42, trials: int = 100,
-                  tolerance: float = 1e-6) -> IdentityReport:
+def check_torsion(engine: DerivativeEngine, model: ModelSpace, seed: int, trials: int,
+                  tolerance: float) -> IdentityReport:
     """D_X Y - D_Y X - [X, Y] = 0 with the bracket from an independent jet path."""
     worst = 0.0
     if trials:
@@ -213,7 +218,7 @@ def check_torsion(engine: DerivativeEngine, model: ModelSpace, seed: int = 42, t
         dyx = weyl_connect_vec(engine, ws, X, Y, p)
         br = lie_bracket(engine, model, X, Y, p)
         worst = float(np.max(np.abs(dxy - dyx - br)))
-    return IdentityReport("torsion_free", trials, worst, tolerance, worst < tolerance)
+    return IdentityReport("torsion_free", trials, worst, tolerance)
 
 
 def _two_structures(model, seed, trials, fiber_dependence=False):
@@ -240,8 +245,8 @@ def _form_groups(model: ModelSpace, seed: int, tag: int, trials: int, degrees: t
         yield deg, group, [rngs[t] for t in group], np.stack([points[t] for t in group], axis=1), weights[group]
 
 
-def check_d_transform(engine: DerivativeEngine, model: ModelSpace, seed: int = 42, trials: int = 100,
-                      tolerance: float = 1e-6) -> IdentityReport:
+def check_d_transform(engine: DerivativeEngine, model: ModelSpace, seed: int, trials: int,
+                      tolerance: float) -> IdentityReport:
     """d^{D+sigma} w = d^D w + k sigma ^ w over random degrees and weights."""
     worst = 0.0
     for deg, group, rngs, p, k in _form_groups(model, seed, 12, trials, (0, model.dim)):
@@ -254,11 +259,11 @@ def check_d_transform(engine: DerivativeEngine, model: ModelSpace, seed: int = 4
         w = spec.field.values(p)
         shift = k * (sg * w if deg == 0 else insert_alt(outer_front(sg, w, deg), deg))
         worst = max(worst, float(np.max(np.abs(d2 - d1 - shift))))
-    return IdentityReport("d_transform", trials, worst, tolerance, worst < tolerance)
+    return IdentityReport("d_transform", trials, worst, tolerance)
 
 
-def check_codifferential_transform(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,
-                                   trials: int = 100, tolerance: float = 1e-6) -> IdentityReport:
+def check_codifferential_transform(engine: DerivativeEngine, model: ModelSpace, seed: int, trials: int,
+                                   tolerance: float) -> IdentityReport:
     """delta^{D+sigma} w = delta^D w + (2p - n - k) sigma# _| w, with coefficient fit.
 
     The report carries both the resolved-coefficient residual (the pass
@@ -286,7 +291,7 @@ def check_codifferential_transform(engine: DerivativeEngine, model: ModelSpace, 
         fit = (diff * iw).reshape(-1, len(group)).sum(axis=0)[fitted] / denom[fitted]
         worst_fit_gap = max(worst_fit_gap, float(np.max(np.abs(fit - c_res[fitted]), initial=0.0)))
     return IdentityReport(
-        "codifferential_transform", trials, worst, tolerance, worst < tolerance,
+        "codifferential_transform", trials, worst, tolerance,
         details={
             "resolved_coefficient": "2p - n - k",
             "printed_variant_max_residual": worst_printed,
@@ -305,8 +310,8 @@ def alternate_pair(block: np.ndarray, p: int) -> np.ndarray:
     return insert_alt(inner, p + 1)
 
 
-def check_d_squared(engine: DerivativeEngine, model: ModelSpace, seed: int = 42, trials: int = 100,
-                    tolerance: float = 1e-6) -> IdentityReport:
+def check_d_squared(engine: DerivativeEngine, model: ModelSpace, seed: int, trials: int,
+                    tolerance: float) -> IdentityReport:
     """(d^D)^2 w = k F^D ^ w with both sides on independent paths."""
     worst = 0.0
     for deg, group, rngs, p, k in _form_groups(model, seed, 14, trials, (0, model.dim - 1)):
@@ -318,18 +323,18 @@ def check_d_squared(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,
         rhs = 0.5 * k * alternate_pair(F.reshape(F.shape[:2] + (1,) * deg + F.shape[2:]) * w, deg)
         dd = alternate_pair(DH, deg)
         worst = max(worst, float(np.max(np.abs(dd - rhs))))
-    return IdentityReport("d_squared_curvature", trials, worst, tolerance, worst < tolerance)
+    return IdentityReport("d_squared_curvature", trials, worst, tolerance)
 
 
-def check_curvature_split(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,
-                          trials: int = 100, tolerance: float = 1e-7) -> IdentityReport:
+def check_curvature_split(engine: DerivativeEngine, model: ModelSpace, seed: int, trials: int,
+                          tolerance: float) -> IdentityReport:
     """Symmetric part of the curvature endomorphism equals F^D (x) Id."""
     worst = 0.0
     if trials:
         ws = trial_structure(model, seed, range(trials))
         p = np.stack([trial_point(model, _rng(seed, 15, trial)) for trial in range(trials)], axis=1)
         worst = weyl_curvature(engine, ws, p).split_residual
-    return IdentityReport("curvature_split", trials, worst, tolerance, worst < tolerance)
+    return IdentityReport("curvature_split", trials, worst, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +382,12 @@ def _bochner_trials(model: ModelSpace, seed: int, tag: int, trials, weights, wit
     return ws, random_form_field(ws, rngs, 1, k), p
 
 
-def resolve_bochner_sign(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,
-                         trials: int = 20, tolerance: float = 1e-5) -> IdentityReport:
+def resolve_bochner_sign(engine: DerivativeEngine, model: ModelSpace, seed: int, trials: int,
+                         tolerance: float) -> IdentityReport:
     """Pick the curvature-term sign that closes the identity on curved trials.
 
-    PASS requires a unique winner across all trials with residual below the
-    tolerance while the loser's residual tracks 2 |Ric(a#, a#)|.  A candidate
+    Its ``resolved_sign`` is the sign all trials elect, 0 on a split or empty
+    vote; it must be ``RESOLVED_BOCHNER_SIGN`` for the report to pass.  A candidate
     with |Ric(a#, a#)| < 1e-6 casts no vote; the first ``trials`` candidates
     run as one batch, then the shortfall, up to 3 ``trials`` candidates.
     """
@@ -398,24 +403,22 @@ def resolve_bochner_sign(engine: DerivativeEngine, model: ModelSpace, seed: int 
         votes += [1.0 if plus else -1.0 for plus in r_plus < r_minus]
         worst_winner = max(worst_winner, float(np.max(winner, initial=0.0)))
         min_margin = min(min_margin, float(np.min(loser / np.maximum(winner, 1e-16), initial=math.inf)))
-    unanimous = len(votes) > 0 and all(v == votes[0] for v in votes)
-    sign = votes[0] if unanimous else 0.0
-    passed = unanimous and worst_winner < tolerance and sign == RESOLVED_BOCHNER_SIGN
+    sign = votes[0] if votes and all(v == votes[0] for v in votes) else 0.0
     return IdentityReport(
-        "bochner_sign", len(votes), worst_winner, tolerance, passed,
+        "bochner_sign", len(votes), worst_winner, tolerance,
         details={"resolved_sign": sign, "min_loser_winner_ratio": min_margin},
     )
 
 
-def check_bochner_pointwise(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,
-                            trials: int = 20, tolerance: float = 1e-5) -> IdentityReport:
+def check_bochner_pointwise(engine: DerivativeEngine, model: ModelSpace, seed: int, trials: int,
+                            tolerance: float) -> IdentityReport:
     worst = worst_f = 0.0
     if trials:
         ws, spec, p = _bochner_trials(model, seed, 18, range(trials), _weight_pool(model))
         res, _, f_term = bochner_pointwise_residual(engine, ws, spec, p)
         worst, worst_f = float(np.max(res)), float(np.max(f_term))
     return IdentityReport(
-        "bochner_pointwise", trials, worst, tolerance, worst < tolerance,
+        "bochner_pointwise", trials, worst, tolerance,
         details={"sign": RESOLVED_BOCHNER_SIGN, "max_contracted_faraday_term": worst_f},
     )
 
@@ -477,13 +480,13 @@ def bochner_divergence_residual(engine: DerivativeEngine, ws: WeylStructure, spe
     return np.abs(_density(ric_aa, jet.ginv, H) + _zeta_codifferential(a, H, DH, jet.ginv))
 
 
-def check_bochner_divergence(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,
-                             trials: int = 20, tolerance: float = 1e-5) -> IdentityReport:
+def check_bochner_divergence(engine: DerivativeEngine, model: ModelSpace, seed: int, trials: int,
+                             tolerance: float) -> IdentityReport:
     worst = 0.0
     if trials:
         ws, spec, p = _bochner_trials(model, seed, 19, range(trials), _weight_pool(model) + [(4.0 - model.dim) / 2.0])
         worst = float(np.max(bochner_divergence_residual(engine, ws, spec, p)))
-    return IdentityReport("bochner_divergence", trials, worst, tolerance, worst < tolerance,
+    return IdentityReport("bochner_divergence", trials, worst, tolerance,
                           details={"sign": RESOLVED_BOCHNER_SIGN})
 
 
@@ -514,8 +517,7 @@ def _zeta_flux(engine: DerivativeEngine, ws: WeylStructure, spec: FormFieldSpec,
     return flux_curved_metric(_zeta(a, H, jet.ginv), jet.ginv, jet.vol, normals, weights)
 
 
-def check_bochner_integral(engine: DerivativeEngine, model: ModelSpace, seed: int = 42,
-                           trials: int = 5, tolerance: float = 1e-4,
+def check_bochner_integral(engine: DerivativeEngine, model: ModelSpace, seed: int, trials: int, tolerance: float,
                            quad: QuadratureSpec | None = None) -> IdentityReport:
     """Volume integral vs boundary flux at the integrable weight (4 - n)/2."""
     worst = 0.0
@@ -534,7 +536,7 @@ def check_bochner_integral(engine: DerivativeEngine, model: ModelSpace, seed: in
         pairs.append((vol, bnd, rel))
         worst = max(worst, rel)
     return IdentityReport(
-        "bochner_integral", trials, worst, tolerance, worst < tolerance,
+        "bochner_integral", trials, worst, tolerance,
         # nodes actually used: none when no trial ran
         details={"weight": k, "annulus_nodes": nodes if trials else 0,
                  "sides": [(f"{v:.6e}", f"{b:.6e}", f"{r:.2e}") for v, b, r in pairs]},

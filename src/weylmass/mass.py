@@ -318,7 +318,6 @@ class MassReport:
     correction_values: list        # normalized conformal correction per radius
     q_limit: float
     correction_limit: float
-    converged: bool
     tol_conv: float
     omega_n: float
     fiber_length: float
@@ -336,8 +335,13 @@ class MassReport:
     def totals(self) -> list:
         return [q + c for q, c in zip(self.q_values, self.correction_values)]
 
+    @property
+    def converged(self) -> bool:
+        *_, before, last = self.totals
+        return abs(last - before) < self.tol_conv * max(1.0, abs(last))
+
     def as_dict(self) -> dict:
-        return _record(self, mass=self.mass)
+        return _record(self, mass=self.mass, converged=self.converged)
 
     def csv_rows(self) -> list:
         running = running_extrapolation(self.radii, self.totals, self.extrapolation_rate)
@@ -367,9 +371,6 @@ def _build_report(model: ModelSpace, z: np.ndarray, forms: FluxForms, gauge: int
     if gauge == 0 and forms.embedded is not None:
         q5_limit, c5_limit = _limits(forms.radii, *forms.embedded, z, rate)[2:]
         angular_error = abs(q_limit + c_limit - (q5_limit + c5_limit))
-    totals = [q + c for q, c in zip(q_vals, c_vals)]
-    gap = abs(totals[-1] - totals[-2])
-    converged = gap < tol_conv * max(1.0, abs(totals[-1]))
     return MassReport(
         z_label="+".join(f"{c:g}*X{b + 1}" for b, c in enumerate(z) if c != 0.0) or "0",
         radii=list(forms.radii),
@@ -377,7 +378,6 @@ def _build_report(model: ModelSpace, z: np.ndarray, forms: FluxForms, gauge: int
         correction_values=c_vals,
         q_limit=q_limit,
         correction_limit=c_limit,
-        converged=converged,
         tol_conv=tol_conv,
         omega_n=sphere_volume(model.m),
         fiber_length=model.L,

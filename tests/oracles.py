@@ -185,7 +185,7 @@ def check_weighted_derivative_oracle(engine: DerivativeEngine, model: ModelSpace
         inner = float(inv_gram(g) @ a @ theta)
         oracle = nabla + (k - 1) * np.outer(theta, a) - np.outer(a, theta) + inner * g
         worst = max(worst, float(np.max(np.abs(H - oracle))))
-    return IdentityReport("weighted_derivative_oracle", trials, worst, tolerance, worst < tolerance)
+    return IdentityReport("weighted_derivative_oracle", trials, worst, tolerance)
 
 
 def _full_koszul(dg: np.ndarray, cg: np.ndarray, lead: int = 0) -> np.ndarray:

@@ -289,7 +289,8 @@ def test_workflow_reproduces_a_mass_from_its_report(tmp_path):
 def test_workflow_negative_control_fails_as_it_must(tmp_path):
     """Right before the tier-1 tests, a five-trial Bochner ``verify`` whose tolerance no residual meets must
     exit exactly 1, and ``report`` on its report must exit 1 too and print the lines ``verify`` printed:
-    the failure path of the exit-code contract.  Five trials, not one, so that one trial whose residual is exactly 0.0 (which meets even a
+    the failure path of the exit-code contract.  ``report`` on a copy whose every ``"passed": false`` states
+    ``true`` must exit 2: each verdict is derived from the record's numbers, never taken as stated.  Five trials, not one, so that one trial whose residual is exactly 0.0 (which meets even a
     1e-300 tolerance) cannot flip the exit code.  The step is run here as CI runs it."""
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
@@ -309,6 +310,11 @@ def test_workflow_negative_control_fails_as_it_must(tmp_path):
         '> "$RUNNER_TEMP/negative.report" || status=$?',
         'test "$status" -eq 1',
         """diff <(grep -v '^report: ' "$RUNNER_TEMP/negative.out") <(tail -n +2 "$RUNNER_TEMP/negative.report")""",
+        """sed 's/"passed": false/"passed": true/g' "$RUNNER_TEMP/negative/verify_report.jsonl" """
+        '> "$RUNNER_TEMP/negative_flipped.jsonl"',
+        'status=0; PYTHONPATH=src python -m weylmass report "$RUNNER_TEMP/negative_flipped.jsonl" '
+        '> "$RUNNER_TEMP/negative_flipped.report" 2> "$RUNNER_TEMP/negative_flipped.err" || status=$?',
+        'test "$status" -eq 2',
     ]
     path = f"{Path(sys.executable).parent}{os.pathsep}{os.environ.get('PATH', '')}"
     env = {**os.environ, "RUNNER_TEMP": str(tmp_path), "PATH": path}
@@ -316,6 +322,9 @@ def test_workflow_negative_control_fails_as_it_must(tmp_path):
     assert res.returncode == 0, res.stderr + res.stdout
     for output in ("negative.out", "negative.report"):
         assert (tmp_path / output).read_text().count("[FAIL] bochner_pointwise") == 1
+    # the report with every failed verdict stated as passed is refused at its first such record, bochner_sign
+    error = (tmp_path / "negative_flipped.err").read_text().splitlines()
+    assert len(error) == 1 and error[0].startswith(f"error: {tmp_path}/negative_flipped.jsonl line 7 is not a valid")
 
 
 def test_package_runs_as_module_without_install(tmp_path):

@@ -412,13 +412,34 @@ def test_invalid_tolerance_or_trials_exits_two(tmp_path, command, changes, messa
      {"factor": "f", "beta": 0.2, "audits": [{"Z": "1*X1", "rel_difference": 0.0, "passed": 1}],
       "prediction": {"rel_error": 0.0}}],
     {"Z": "z", "mass": 1.0, "converged": "no"},
+    {"identity": "x", "max_residual": 5.0, "tolerance": 1e-6, "trials": 1, "passed": True},
+    {"identity": "x", "max_residual": 0.0, "tolerance": 1e-6, "trials": 1, "passed": False},
+    {"identity": "bochner_sign", "max_residual": 0.0, "tolerance": 1e-5, "trials": 1, "passed": True,
+     "details": {"resolved_sign": 0.0, "min_loser_winner_ratio": 1e3}},
+    [{"config": {"tolerances": {"mass": 1e-4}, "sweep": {"param": "beta"}}},
+     {"factor": "f", "beta": 0.2, "audits": [{"Z": "1*X1", "factor": "f", "mass_base": 1.0, "mass_swept": 2.0,
+                                              "abs_difference": 1.0, "rel_difference": 1.0, "tolerance": 1e-4,
+                                              "passed": True}], "prediction": {"rel_error": 0.0}}],
+    "flipped_mass_direction",
 ])
 def test_report_refuses_malformed_records(tmp_path, record):
     """A record with a field of the wrong type, a sweep record with no config record before it to give the
     mass tolerance, a record without its verdict (an identity or audit without ``passed``, a mass direction
-    without ``converged``), or one whose verdict is not a JSON boolean (``"no"``, ``1``): one ``error:`` line
-    naming the path and the line, exit 2, no traceback, no made-up verdict.  A list is a file of several
-    records; the last one is the malformed one."""
+    without ``converged``), or one whose verdict is not exactly the one its numbers give (``"no"``, ``1``, a
+    residual of 5.0 against 1e-6 stated to pass, a zero residual stated to fail, a ``bochner_sign`` that
+    resolved no sign stated to pass, an audit whose masses differ by half stated to pass, and the first
+    direction of a real ``mass`` report that did not converge, stated to converge): one ``error:`` line naming
+    the path and the line, exit 2, no traceback, no made-up verdict.  A list is a file of several records; the
+    last one is the malformed one."""
+    if record == "flipped_mass_direction":
+        config = {"family": {"name": "kaluza_two_term", "params": {"kappa": 5.0}},
+                  "radii": {"r0": 5, "rmax": 10, "count": 3}}
+        (tmp_path / "mass.json").write_text(json.dumps(config))
+        assert run_cli(["--config", str(tmp_path / "mass.json"), "mass"], tmp_path / "mass").returncode == 0
+        record = [json.loads(line) for line in (tmp_path / "mass" / "mass_report.jsonl").read_text().splitlines()]
+        record = record[:3]
+        assert record[2]["converged"] is False
+        record[2]["converged"] = True
     records = record if isinstance(record, list) else [record]
     path = tmp_path / "report.jsonl"
     path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
@@ -456,6 +477,31 @@ def test_report_prints_the_lines_the_command_printed(tmp_path, config, command, 
     assert command_lines[:-1] == report_lines[1:]
     assert sum("NOT CONVERGED" in line for line in command_lines) == (6 if codes == (0, 1) else 0)
     assert command != "mass" or not any("[FAIL]" in line for line in command_lines)
+
+
+def test_vacuous_verdicts_follow_from_the_rule(tmp_path):
+    """With no trial at all every check reports residual 0.0 over 0 trials.  The rule passes the eight checks
+    that set it against their tolerance and fails ``bochner_sign``, whose empty vote resolves sign 0: ``verify``
+    prints these lines and exits 1, and ``report`` on its report prints the same lines and exits 1."""
+    from weylmass import cli
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"trials": {"identity": 0, "bochner": 0, "integral": 0}}))
+    report = tmp_path / "out" / "verify_report.jsonl"
+    runs = []
+    for argv in (["--config", str(path), "--out", str(tmp_path / "out"), "verify"], ["report", str(report)]):
+        with contextlib.redirect_stdout(io.StringIO()) as buf:
+            runs.append((cli.main(argv), buf.getvalue().splitlines()))
+    (verify_code, verify_lines), (report_code, report_lines) = runs
+    assert (verify_code, report_code) == (1, 1)
+    tol = {"identity": "1e-06", "bochner": "1e-05", "integral": "0.0001"}
+    names = [("torsion_free", "identity"), ("d_transform", "identity"), ("codifferential_transform", "identity"),
+             ("d_squared_curvature", "identity"), ("curvature_split", "identity"), ("bochner_sign", "bochner"),
+             ("bochner_pointwise", "bochner"), ("bochner_divergence", "bochner"), ("bochner_integral", "integral")]
+    lines = [f"[{'FAIL' if name == 'bochner_sign' else 'PASS'}] {name}: max residual 0.000e+00 "
+             f"(tol {tol[group]}, 0 trials)" for name, group in names]
+    assert verify_lines == lines + [f"report: {report}"]
+    assert report_lines == [f"== {report}"] + lines
 
 
 # A config that leaves keys out of every section it gives; the family, lee and sweep builders take defaults.

@@ -283,6 +283,20 @@ def test_nonconvergent_flux_is_flagged(model, engine, skip_weyl_alf_probes):
     assert not rep.converged
 
 
+def test_mass_report_converged_iff_last_gap_within_tolerance():
+    """``converged`` is derived from the report's numbers: the totals Q + C of the last two shells differ by less
+    than tol_conv * max(1, |last total|), the scale 1 below |total| = 1; its record writes that verdict."""
+    from weylmass.mass import MassReport
+
+    cases = {(0.0, 0.99e-6): True, (0.0, 1.01e-6): False, (1000.0, 1000.000999): True, (1000.0, 1000.001001): False}
+    for (before, last), converged in cases.items():
+        # the totals split between Q and C, so the rule reads their sums
+        rep = MassReport("1*X1", [40.0, 80.0, 160.0], [5.0, before - 0.25, last - 0.5], [0.0, 0.25, 0.5], last, 0.0,
+                         1e-6, 4 * math.pi, 2 * math.pi, {}, 416, -1.0, "symmetric", None)
+        assert rep.converged is converged, (before, last)
+        assert rep.as_dict()["converged"] is rep.converged
+
+
 def test_mass_requires_alf_decay(model, engine, monkeypatch):
     """flux_pass, gauge_audit and mass_matrix each run the Weyl-ALF probes, which no argument skips: a metric
     conformal to the flat product by a sqrt-slow factor, and the slow_tail metric, whose deviation decays as
